@@ -61,17 +61,12 @@ from repro.scheduling import (
     validate_schedule,
 )
 from repro.core import (
-    Planner,
     Predictor,
     PerformanceHistoryRepository,
     AdaptiveReschedulingLoop,
-    run_static,
-    run_adaptive,
-    run_dynamic,
     WhatIfAnalyzer,
 )
 from repro.simulation import (
-    SimulationEngine,
     StaticScheduleExecutor,
     JustInTimeExecutor,
     ExecutionTrace,
@@ -144,16 +139,11 @@ __all__ = [
     "MinMinScheduler",
     "validate_schedule",
     # core
-    "Planner",
     "Predictor",
     "PerformanceHistoryRepository",
     "AdaptiveReschedulingLoop",
-    "run_static",
-    "run_adaptive",
-    "run_dynamic",
     "WhatIfAnalyzer",
     # simulation
-    "SimulationEngine",
     "StaticScheduleExecutor",
     "JustInTimeExecutor",
     "ExecutionTrace",

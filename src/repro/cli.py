@@ -333,7 +333,7 @@ def _cmd_multi(args: argparse.Namespace) -> int:
         raise CliError("--strategies must name at least one strategy")
     for name in strategies:
         try:
-            resolve_strategy(name, None, require="reschedule")
+            resolve_strategy(name, require="reschedule")
         except (KeyError, ValueError) as error:
             raise CliError(str(error).strip('"')) from None
     if args.stretch_limit < 1.0:

@@ -3,67 +3,42 @@
 This package implements the collaboration between Planner and Executor that
 the paper proposes (§3):
 
-* :mod:`~repro.core.events` — the run-time events the Planner subscribes to
-  (resource-pool changes, performance variance),
 * :mod:`~repro.core.history` — the Performance History Repository,
 * :mod:`~repro.core.predictor` — the Predictor producing the estimation
   matrix ``P`` from prior costs and observed history,
-* :mod:`~repro.core.planner` — the Planner / per-DAG Scheduler instance,
 * :mod:`~repro.core.adaptive` — the generic adaptive rescheduling loop of
   paper Fig. 2 and the strategy runners (static / adaptive / dynamic),
 * :mod:`~repro.core.whatif` — "what … if …" queries (§3.3, future work in
   the paper, implemented here as an extension).
 """
 
-from repro.core.events import (
-    GridEvent,
-    ResourcePoolChangeEvent,
-    PerformanceVarianceEvent,
-    WorkflowFinishedEvent,
-    EventBus,
-)
 from repro.core.history import PerformanceHistoryRepository, PerformanceRecord
 from repro.core.predictor import (
     Predictor,
     HistoryAdjustedCostModel,
     RatioAdjustedCostModel,
 )
-from repro.core.planner import Planner, PlannerDecision, WorkflowPlan
 from repro.core.adaptive import (
     AdaptiveReschedulingLoop,
     AdaptiveRunResult,
     ReschedulingDecision,
     apply_departure_kills,
     project_actuals,
-    run_adaptive,
-    run_static,
-    run_dynamic,
 )
 from repro.core.multi_tenant import POLICIES, ActiveWorkflow, MultiTenantPlanner
 from repro.core.whatif import WhatIfAnalyzer, WhatIfResult
 
 __all__ = [
-    "GridEvent",
-    "ResourcePoolChangeEvent",
-    "PerformanceVarianceEvent",
-    "WorkflowFinishedEvent",
-    "EventBus",
     "PerformanceHistoryRepository",
     "PerformanceRecord",
     "Predictor",
     "HistoryAdjustedCostModel",
     "RatioAdjustedCostModel",
-    "Planner",
-    "PlannerDecision",
-    "WorkflowPlan",
     "AdaptiveReschedulingLoop",
     "AdaptiveRunResult",
     "ReschedulingDecision",
     "apply_departure_kills",
     "project_actuals",
-    "run_adaptive",
-    "run_static",
-    "run_dynamic",
     "POLICIES",
     "ActiveWorkflow",
     "MultiTenantPlanner",

@@ -6,14 +6,14 @@ re-estimation and a candidate schedule ``S1`` for the unfinished part of the
 DAG; ``S1`` replaces ``S0`` only if it is an initial schedule or its
 predicted makespan is smaller (Fig. 2 lines 7–9).
 
-Three convenience runners give the head-to-head comparison of the paper's
-evaluation:
+Three runners behind :func:`repro.run` give the head-to-head comparison of
+the paper's evaluation:
 
-* :func:`run_static` — traditional static scheduling (plan once at t=0 on
+* ``mode="static"`` — traditional static scheduling (plan once at t=0 on
   the initial pool; later resources are never used),
-* :func:`run_adaptive` — AHEFT: the adaptive loop reacting to every
+* ``mode="adaptive"`` — AHEFT: the adaptive loop reacting to every
   resource-pool change,
-* :func:`run_dynamic` — just-in-time mapping (Min-Min by default) executed
+* ``mode="dynamic"`` — just-in-time mapping (Min-Min by default) executed
   on the discrete-event simulator.
 
 All three run under the paper's experiment assumptions (§4.1): accurate
@@ -54,9 +54,6 @@ __all__ = [
     "project_actuals",
     "repair_schedule",
     "resolve_strategy",
-    "run_static",
-    "run_adaptive",
-    "run_dynamic",
 ]
 
 
@@ -455,6 +452,8 @@ class AdaptiveReschedulingLoop:
         job_index = {job: i for i, job in enumerate(workflow.jobs)}
         #: ground truth of every job that has started (running or finished)
         truth_assign: Dict[str, Assignment] = {}
+        #: ground truth of every started duplicate copy, per (job, resource)
+        truth_dups: Dict[tuple, Assignment] = {}
         finished: set = set()
         recorded: set = set()
 
@@ -488,16 +487,26 @@ class AdaptiveReschedulingLoop:
             )
             recorded.add(assignment.job_id)
 
-        def project(plan: Schedule) -> Dict[str, Assignment]:
-            return project_actuals(
+        def project(plan: Schedule) -> tuple:
+            """The plan's actual future: ``(primaries, duplicates)``."""
+            projected = project_actuals(
                 workflow,
                 plan,
-                truth_assign,
+                {**truth_assign, **truth_dups} if truth_dups else truth_assign,
                 truth,
                 perf_profile=perf_profile,
             )
+            duplicates = {}
+            if plan.duplicates:
+                for key in [key for key in projected if isinstance(key, tuple)]:
+                    duplicates[key] = projected.pop(key)
+            return projected, duplicates
 
-        def commit(projection: Dict[str, Assignment], clock: float) -> None:
+        def commit(
+            projection: Dict[str, Assignment],
+            dup_projection: Dict[tuple, Assignment],
+            clock: float,
+        ) -> None:
             """Advance the ground truth to ``clock`` (the monitor's report)."""
             started = [
                 a for a in projection.values()
@@ -506,6 +515,9 @@ class AdaptiveReschedulingLoop:
             started.sort(key=lambda a: (a.start, a.finish, job_index[a.job_id]))
             for assignment in started:
                 truth_assign[assignment.job_id] = assignment
+            for key, assignment in dup_projection.items():
+                if assignment.start <= clock + TIME_EPS:
+                    truth_dups[key] = assignment
             newly_finished = [
                 a for job, a in truth_assign.items()
                 if job not in finished and a.finish <= clock + TIME_EPS
@@ -548,9 +560,15 @@ class AdaptiveReschedulingLoop:
             changed = False
             clock = state.clock
             for duplicate in plan.duplicates:
-                # started duplicate executions are facts (see repair_schedule)
-                if duplicate.start <= clock + TIME_EPS:
-                    synced.add_duplicate(duplicate)
+                # started duplicate executions are facts (see repair_schedule);
+                # one booked to have started but still waiting is dropped
+                if duplicate.start > clock + TIME_EPS:
+                    continue
+                actual = truth_dups.get((duplicate.job_id, duplicate.resource_id))
+                if actual != duplicate:
+                    changed = True
+                if actual is not None:
+                    synced.add_duplicate(actual)
             for job in workflow.jobs:
                 booked = plan.get(job)
                 if state.is_finished(job):
@@ -618,7 +636,7 @@ class AdaptiveReschedulingLoop:
         static_times = sorted(triggers)
         static_index = 0
         last_clock = float("-inf")
-        projection = project(current)
+        projection, dup_projection = project(current)
 
         core = EventCore()
         deviation_event: Optional[Event] = None
@@ -657,7 +675,8 @@ class AdaptiveReschedulingLoop:
         def on_trigger(
             clock: float, event: Optional[PoolEvent], is_deviation: bool
         ) -> None:
-            nonlocal current, wasted, killed_jobs, last_clock, static_index, projection
+            nonlocal current, wasted, killed_jobs, last_clock, static_index
+            nonlocal projection, dup_projection
             if not is_deviation:
                 static_index += 1
             completion = max(
@@ -673,7 +692,7 @@ class AdaptiveReschedulingLoop:
             if not resources:
                 arm_deviation()
                 return
-            commit(projection, clock)
+            commit(projection, dup_projection, clock)
             state = snapshot(clock)
 
             removed_set = frozenset(event.removed) if event is not None else frozenset()
@@ -687,6 +706,14 @@ class AdaptiveReschedulingLoop:
                 trace.record_kill(
                     job, killed_assignment.resource_id, killed_assignment.start, clock
                 )
+            if removed_set and truth_dups:
+                # a duplicate running on a departed resource is lost
+                for key, duplicate in list(truth_dups.items()):
+                    if (
+                        duplicate.resource_id in removed_set
+                        and duplicate.finish > clock + TIME_EPS
+                    ):
+                        del truth_dups[key]
 
             effective = estimated(clock)
             synced, changed = sync_belief(current, state)
@@ -729,7 +756,7 @@ class AdaptiveReschedulingLoop:
             )
             if adopt:
                 current = candidate
-            projection = project(current)
+            projection, dup_projection = project(current)
             arm_deviation()
 
         for trigger_time in static_times:
@@ -746,6 +773,8 @@ class AdaptiveReschedulingLoop:
         # drain: the remaining projection is the actual tail of the run
         for assignment in projection.values():
             truth_assign.setdefault(assignment.job_id, assignment)
+        for key, assignment in dup_projection.items():
+            truth_dups.setdefault(key, assignment)
         remaining = [
             a for job, a in truth_assign.items()
             if job not in finished
@@ -758,6 +787,13 @@ class AdaptiveReschedulingLoop:
             assignment = truth_assign[job]
             trace.record_job(
                 job, assignment.resource_id, assignment.start, assignment.finish
+            )
+        for duplicate in sorted(
+            truth_dups.values(),
+            key=lambda a: (a.start, a.finish, job_index[a.job_id], a.resource_id),
+        ):
+            trace.record_duplicate(
+                duplicate.job_id, duplicate.resource_id, duplicate.start, duplicate.finish
             )
         return AdaptiveRunResult(
             strategy=name,
@@ -909,32 +945,36 @@ def _merge_triggers(
 def project_actuals(
     workflow: Workflow,
     plan: Schedule,
-    started: Dict[str, Assignment],
+    started: Dict[object, Assignment],
     actual_costs: CostModel,
     *,
     perf_profile=None,
-) -> Dict[str, Assignment]:
-    """Replay a plan's not-yet-started jobs under ground-truth durations.
+) -> Dict[object, Assignment]:
+    """Replay a plan's not-yet-started executions under ground-truth durations.
 
-    Bookings are treated as *reservations*: a job starts at its booked
-    start, pushed later if its resource is still busy (the previous booking
-    overran) or its inputs have not arrived yet (a predecessor overran).
-    Its actual duration is ``actual_costs.computation_cost(job, rid)``
-    scaled by the resource's performance factor at the actual start (speed
-    frozen at dispatch, matching the simulation executors).  With accurate
-    actual costs the replay reproduces the plan bit for bit — the zero-noise
-    differential guarantee.
+    Bookings are treated as *reservations*: an execution starts at its
+    booked start, pushed later if its resource is still busy (the previous
+    booking overran) or its inputs have not arrived yet (a predecessor
+    overran).  Its actual duration is ``actual_costs.computation_cost(job,
+    rid)`` scaled by the resource's performance factor at the actual start
+    (speed frozen at dispatch, matching the simulation executors).  With
+    accurate actual costs the replay reproduces the plan bit for bit — the
+    zero-noise differential guarantee.
 
-    ``started`` holds the ground truth of every job already dispatched
-    (running or finished); those assignments are taken as facts.  Returns
-    the actual :class:`~repro.scheduling.base.Assignment` of every other
-    job in the plan.
+    Executions are keyed by the job id for a primary copy and by the
+    ``(job, resource)`` pair for a duplicate copy (duplication-based
+    strategies).  ``started`` holds the ground truth of every execution
+    already dispatched (running or finished); those are taken as facts.
+    Returns the actual :class:`~repro.scheduling.base.Assignment` of every
+    other execution in the plan, keyed the same way.
 
-    Per-resource execution order is the plan's booking order; a job only
-    starts once every predecessor's output has arrived (transfer priced by
-    the actual model, which delegates communication to the estimates).  The
-    combined (resource-order + precedence) relation of a feasible plan is
-    acyclic, so the fixed-point pass below always terminates with every job
+    Per-resource execution order is the plan's booking order; an execution
+    only starts once every input has arrived: the predecessor's primary
+    output (transfer priced by the actual model, which delegates
+    communication to the estimates) or, sooner, a duplicate of the
+    predecessor already executed on the same resource.  The combined
+    (resource-order + precedence) relation of a feasible plan is acyclic,
+    so the fixed-point pass below always terminates with every execution
     placed.
     """
     free: Dict[str, float] = {}
@@ -949,7 +989,23 @@ def project_actuals(
         if queue:
             queues[rid] = queue
             pending += len(queue)
-    projected: Dict[str, Assignment] = {}
+    #: duplicate bookings still to replay, by identity -> execution key
+    duplicate_keys: Dict[int, tuple] = {}
+    #: finish of the duplicate copies replayed so far, per (job, resource)
+    local: Dict[tuple, float] = {}
+    for duplicate in plan.duplicates:
+        key = (duplicate.job_id, duplicate.resource_id)
+        fact = started.get(key)
+        if fact is not None:
+            local[key] = fact.finish
+            continue
+        duplicate_keys[id(duplicate)] = key
+        queues.setdefault(duplicate.resource_id, []).append(duplicate)
+        pending += 1
+    if duplicate_keys:
+        for queue in queues.values():
+            queue.sort(key=lambda a: (a.start, a.finish, a.job_id))
+    projected: Dict[object, Assignment] = {}
 
     progress = True
     while pending and progress:
@@ -964,13 +1020,20 @@ def project_actuals(
                 ready = max(booked.start, free.get(rid, 0.0))
                 for pred in preds:
                     pred_actual = started.get(pred) or projected.get(pred)
-                    if pred_actual is None:
-                        resolved = False
-                        break
-                    transfer = actual_costs.communication_cost(
-                        pred, job, pred_actual.resource_id, rid
-                    )
-                    arrival = pred_actual.finish + transfer
+                    if pred_actual is not None:
+                        transfer = actual_costs.communication_cost(
+                            pred, job, pred_actual.resource_id, rid
+                        )
+                        arrival = pred_actual.finish + transfer
+                        if local:
+                            local_finish = local.get((pred, rid))
+                            if local_finish is not None and local_finish < arrival:
+                                arrival = local_finish
+                    else:
+                        arrival = local.get((pred, rid)) if local else None
+                        if arrival is None:
+                            resolved = False
+                            break
                     if arrival > ready:
                         ready = arrival
                 if not resolved:
@@ -979,7 +1042,12 @@ def project_actuals(
                 if perf_profile is not None:
                     duration *= perf_profile.factor_at(rid, ready)
                 actual = Assignment(job, rid, ready, ready + duration)
-                projected[job] = actual
+                key = duplicate_keys.get(id(booked)) if duplicate_keys else None
+                if key is None:
+                    projected[job] = actual
+                else:
+                    projected[key] = actual
+                    local[key] = actual.finish
                 free[rid] = actual.finish
                 queue.pop(0)
                 pending -= 1
@@ -1006,32 +1074,32 @@ def describe_pool_event(event: PoolEvent) -> str:
 # strategy runners
 # ----------------------------------------------------------------------
 def resolve_strategy(
-    strategy: Optional[str],
-    scheduler,
+    strategy,
     *,
     require: Optional[str] = None,
     default=None,
 ):
-    """Resolve the ``strategy=`` / ``scheduler=`` pair of a runner.
+    """Resolve a runner's ``strategy``: a registry name or a scheduler object.
 
-    ``strategy`` is a name from the scheduling registry
-    (:data:`repro.scheduling.registry.SCHEDULERS`); ``scheduler`` is an
-    explicit object — passing both is ambiguous and rejected.  ``require``
-    names an interface the resolved object must provide (``"reschedule"``
-    for the adaptive loop, ``"map_ready_jobs"`` for the just-in-time
-    executor, ``"schedule"`` for plan-once execution).
+    A name is looked up in the scheduling registry
+    (:data:`repro.scheduling.registry.SCHEDULERS`); ``None`` falls back to
+    ``default()``.  ``require`` names an interface the resolved object must
+    provide (``"reschedule"`` for the adaptive loop, ``"map_ready_jobs"``
+    for the just-in-time executor, ``"schedule"`` for plan-once execution).
     """
-    if strategy is not None and scheduler is not None:
-        raise ValueError("pass either strategy= or scheduler=, not both")
-    if strategy is not None:
+    if isinstance(strategy, str):
         from repro.scheduling.registry import make_scheduler
 
         scheduler = make_scheduler(strategy)
-    if scheduler is None:
-        scheduler = default() if default is not None else None
+        label = strategy
+    else:
+        scheduler = strategy
+        if scheduler is None and default is not None:
+            scheduler = default()
+        label = getattr(scheduler, "name", scheduler)
     if require and scheduler is not None and not hasattr(scheduler, require):
         raise ValueError(
-            f"strategy {strategy or getattr(scheduler, 'name', scheduler)!r} "
+            f"strategy {label!r} "
             f"does not provide the {require!r} interface required here"
         )
     return scheduler
@@ -1057,13 +1125,12 @@ def _resolve_actual_costs(
     return None
 
 
-def _run_static_impl(
+def _execute_static(
     workflow: Workflow,
     costs: CostModel,
     pool: ResourcePool,
     *,
-    scheduler: Optional[HEFTScheduler] = None,
-    strategy: Optional[str] = None,
+    strategy=None,
     actual_costs: Optional[CostModel] = None,
     error_model: Optional[ErrorModel] = None,
     history: Optional[PerformanceHistoryRepository] = None,
@@ -1083,13 +1150,11 @@ def _run_static_impl(
     estimates (see :class:`~repro.workflow.costs.ErrorModel`); observed
     executions are reported to the optional ``history`` repository — the
     static strategy never replans, so the history only benefits later runs.
-    ``strategy`` names any registered scheduler (see
-    :data:`repro.scheduling.registry.SCHEDULERS`) as an alternative to an
-    explicit ``scheduler`` object.
+    ``strategy`` is any registered scheduler name (see
+    :data:`repro.scheduling.registry.SCHEDULERS`) or a scheduler object;
+    HEFT by default.
     """
-    scheduler = resolve_strategy(
-        strategy, scheduler, require="schedule", default=HEFTScheduler
-    )
+    scheduler = resolve_strategy(strategy, require="schedule", default=HEFTScheduler)
     initial_resources = pool.available_at(0.0)
     if not initial_resources:
         raise ValueError("no resources available at time 0")
@@ -1127,13 +1192,12 @@ def _run_static_impl(
     )
 
 
-def _run_adaptive_impl(
+def _execute_adaptive(
     workflow: Workflow,
     costs: CostModel,
     pool: ResourcePool,
     *,
-    scheduler: Optional[AHEFTScheduler] = None,
-    strategy: Optional[str] = None,
+    strategy=None,
     accept_only_if_better: bool = True,
     perf_profile=None,
     actual_costs: Optional[CostModel] = None,
@@ -1161,15 +1225,13 @@ def _run_adaptive_impl(
     booked duration (``None`` limits replanning to grid events, as in the
     analytic loop).
 
-    ``strategy`` injects any registered scheduler with the ``reschedule``
-    interface into the loop (``run_adaptive(strategy="cpop")`` runs a
-    CPOP-based adaptive loop) — the ablation hook that compares the
+    ``strategy`` injects any scheduler (name or object) with the
+    ``reschedule`` interface into the loop (``repro.run(..., mode=
+    "adaptive", strategy="cpop")`` runs a CPOP-based adaptive loop) — the ablation hook that compares the
     paper's AHEFT against every other heuristic run adaptively.
     """
     loop = AdaptiveReschedulingLoop(
-        resolve_strategy(
-            strategy, scheduler, require="reschedule", default=AHEFTScheduler
-        ),
+        resolve_strategy(strategy, require="reschedule", default=AHEFTScheduler),
         accept_only_if_better=accept_only_if_better,
     )
     explicit_truth = actual_costs is not None
@@ -1199,13 +1261,12 @@ def _run_adaptive_impl(
     )
 
 
-def _run_dynamic_impl(
+def _execute_dynamic(
     workflow: Workflow,
     costs: CostModel,
     pool: ResourcePool,
     *,
-    mapper=None,
-    strategy: Optional[str] = None,
+    strategy=None,
     actual_costs: Optional[CostModel] = None,
     error_model: Optional[ErrorModel] = None,
     history: Optional[PerformanceHistoryRepository] = None,
@@ -1213,15 +1274,16 @@ def _run_dynamic_impl(
 ) -> AdaptiveRunResult:
     """Dynamic just-in-time strategy executed on the event simulator.
 
-    ``strategy`` names any registered scheduler with the batch
-    ``map_ready_jobs`` interface (minmin, maxmin, sufferage).
+    ``strategy`` is any scheduler (name or object) with the batch
+    ``map_ready_jobs`` interface (minmin, maxmin, sufferage); Min-Min by
+    default.
     """
     executor = JustInTimeExecutor(
         workflow,
         costs,
         pool,
         mapper=resolve_strategy(
-            strategy, mapper, require="map_ready_jobs", default=MinMinScheduler
+            strategy, require="map_ready_jobs", default=MinMinScheduler
         ),
         actual_costs=_resolve_actual_costs(costs, actual_costs, error_model),
         perf_profile=perf_profile,
@@ -1235,151 +1297,4 @@ def _run_dynamic_impl(
         final_schedule=schedule,
         trace=trace,
         killed_jobs=len({k.job_id for k in trace.kills}),
-    )
-
-
-# ----------------------------------------------------------------------
-# deprecated public runners: thin shims over the repro.run facade
-# ----------------------------------------------------------------------
-_DEPRECATION_HINT = (
-    "is deprecated; call repro.run(workflow, pool, costs=costs, "
-    "mode={mode!r}) instead (bit-identical result via .raw)"
-)
-
-
-def _shim(mode: str, which: str, workflow, costs, pool, strategy, scheduler, options):
-    from repro import _deprecation
-    from repro.facade import run as _facade_run
-
-    # stacklevel 4: warn_once -> _shim -> run_* wrapper -> user call site
-    _deprecation.warn_once(
-        which,
-        f"{which}() " + _DEPRECATION_HINT.format(mode=mode),
-        stacklevel=4,
-    )
-    if strategy is not None and scheduler is not None:
-        raise ValueError("pass either strategy= or scheduler=, not both")
-    return _facade_run(
-        workflow,
-        pool,
-        mode=mode,
-        costs=costs,
-        strategy=strategy if strategy is not None else scheduler,
-        **options,
-    ).raw
-
-
-def run_static(
-    workflow: Workflow,
-    costs: CostModel,
-    pool: ResourcePool,
-    *,
-    scheduler: Optional[HEFTScheduler] = None,
-    strategy: Optional[str] = None,
-    actual_costs: Optional[CostModel] = None,
-    error_model: Optional[ErrorModel] = None,
-    history: Optional[PerformanceHistoryRepository] = None,
-    simulate: bool = False,
-    perf_profile=None,
-    departure_policy: str = "failover",
-) -> AdaptiveRunResult:
-    """Deprecated alias of ``repro.run(..., mode="static")``.
-
-    See :func:`_run_static_impl` for the semantics; the shim forwards to
-    the facade and returns the identical :class:`AdaptiveRunResult`.
-    """
-    return _shim(
-        "static",
-        "run_static",
-        workflow,
-        costs,
-        pool,
-        strategy,
-        scheduler,
-        dict(
-            actual_costs=actual_costs,
-            error_model=error_model,
-            history=history,
-            simulate=simulate,
-            perf_profile=perf_profile,
-            departure_policy=departure_policy,
-        ),
-    )
-
-
-def run_adaptive(
-    workflow: Workflow,
-    costs: CostModel,
-    pool: ResourcePool,
-    *,
-    scheduler: Optional[AHEFTScheduler] = None,
-    strategy: Optional[str] = None,
-    accept_only_if_better: bool = True,
-    perf_profile=None,
-    actual_costs: Optional[CostModel] = None,
-    error_model: Optional[ErrorModel] = None,
-    history: Optional[PerformanceHistoryRepository] = None,
-    feedback: bool = True,
-    blend: float = 1.0,
-    predictor_mode: str = "ratio",
-    replan_on_deviation: Optional[float] = 0.1,
-) -> AdaptiveRunResult:
-    """Deprecated alias of ``repro.run(..., mode="adaptive")``.
-
-    See :func:`_run_adaptive_impl` for the semantics; the shim forwards to
-    the facade and returns the identical :class:`AdaptiveRunResult`.
-    """
-    return _shim(
-        "adaptive",
-        "run_adaptive",
-        workflow,
-        costs,
-        pool,
-        strategy,
-        scheduler,
-        dict(
-            accept_only_if_better=accept_only_if_better,
-            perf_profile=perf_profile,
-            actual_costs=actual_costs,
-            error_model=error_model,
-            history=history,
-            feedback=feedback,
-            blend=blend,
-            predictor_mode=predictor_mode,
-            replan_on_deviation=replan_on_deviation,
-        ),
-    )
-
-
-def run_dynamic(
-    workflow: Workflow,
-    costs: CostModel,
-    pool: ResourcePool,
-    *,
-    mapper=None,
-    strategy: Optional[str] = None,
-    actual_costs: Optional[CostModel] = None,
-    error_model: Optional[ErrorModel] = None,
-    history: Optional[PerformanceHistoryRepository] = None,
-    perf_profile=None,
-) -> AdaptiveRunResult:
-    """Deprecated alias of ``repro.run(..., mode="dynamic")``.
-
-    See :func:`_run_dynamic_impl` for the semantics; the shim forwards to
-    the facade and returns the identical :class:`AdaptiveRunResult`.
-    """
-    return _shim(
-        "dynamic",
-        "run_dynamic",
-        workflow,
-        costs,
-        pool,
-        strategy,
-        mapper,
-        dict(
-            actual_costs=actual_costs,
-            error_model=error_model,
-            history=history,
-            perf_profile=perf_profile,
-        ),
     )

@@ -41,7 +41,7 @@ workflows from many tenants, all booking slots on the *same* resources:
 
 With a single tenant and a single workflow arriving at time 0, every
 policy degenerates to the paper's single-workflow loop and the planner is
-bit-identical to :func:`~repro.core.adaptive.run_adaptive` — the
+bit-identical to ``repro.run(..., mode="adaptive")`` — the
 differential test suite (``tests/test_differential.py``) enforces this.
 
 Known approximation: after a performance change, each plan is repaired
@@ -204,7 +204,7 @@ class MultiTenantPlanner:
                 )
             from repro.core.adaptive import resolve_strategy
 
-            resolve_strategy(strategy, None, require="reschedule")  # validate early
+            resolve_strategy(strategy, require="reschedule")  # validate early
             scheduler_factory = self._strategy_factory(strategy)
         elif scheduler_factory is None:
             scheduler_factory = AHEFTScheduler

@@ -36,7 +36,7 @@ The returned :class:`RunResult` is a uniform view — ``schedule``,
 numbers — over the mode-specific result object, which stays available as
 ``result.raw`` (an :class:`~repro.core.adaptive.AdaptiveRunResult` or a
 :class:`~repro.simulation.shared_grid.SharedGridResult`, bit-identical to
-what the legacy runners returned).
+what the mode's runner returned).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import _deprecation, registry
+from repro import registry
 
 __all__ = ["MODES", "RunResult", "run"]
 
@@ -203,6 +203,9 @@ def run(
         A registered scenario name or :class:`~repro.scenarios.base
         .Scenario`; materialised with ``resources``/``seed``/``horizon``
         into the pool and (unless overridden) the performance profile.
+    resources:
+        Initial pool size of the materialised ``scenario`` (default 10);
+        rejected without one.
     error_model:
         A registered error-family name or
         :class:`~repro.workflow.costs.ErrorModel`; switches the run to a
@@ -229,6 +232,11 @@ def run(
         pool = scenario_run.pool
         if perf_profile is None:
             perf_profile = scenario_run.profile
+    elif resources is not None:
+        raise ValueError(
+            "resources= sizes the pool a scenario= materialises; it has no "
+            "effect on an explicit pool="
+        )
     if pool is None:
         raise ValueError("no pool: pass pool= or scenario=")
     if isinstance(error_model, str):
@@ -250,16 +258,14 @@ def run(
             )
         from repro.simulation.shared_grid import SharedGridExecutor
 
-        with _deprecation.suppress():
-            executor = SharedGridExecutor(
-                arrivals,
-                pool,
-                perf_profile=perf_profile,
-                strategy=strategy,
-                error_model=error_model,
-                **options,
-            )
-        raw = executor.run()
+        raw = SharedGridExecutor(
+            arrivals,
+            pool,
+            perf_profile=perf_profile,
+            strategy=strategy,
+            error_model=error_model,
+            **options,
+        ).run()
         return RunResult(mode=mode, strategy=strategy or "aheft", raw=raw)
 
     if not _is_workflow(workload):
@@ -272,39 +278,18 @@ def run(
 
     from repro.core import adaptive as _adaptive
 
-    named = strategy if isinstance(strategy, str) else None
-    obj = strategy if not isinstance(strategy, str) else None
-    if mode == "static":
-        raw = _adaptive._run_static_impl(
-            workload,
-            costs,
-            pool,
-            strategy=named,
-            scheduler=obj,
-            error_model=error_model,
-            perf_profile=perf_profile,
-            **options,
-        )
-    elif mode == "adaptive":
-        raw = _adaptive._run_adaptive_impl(
-            workload,
-            costs,
-            pool,
-            strategy=named,
-            scheduler=obj,
-            error_model=error_model,
-            perf_profile=perf_profile,
-            **options,
-        )
-    else:  # dynamic
-        raw = _adaptive._run_dynamic_impl(
-            workload,
-            costs,
-            pool,
-            strategy=named,
-            mapper=obj,
-            error_model=error_model,
-            perf_profile=perf_profile,
-            **options,
-        )
+    runner = {
+        "static": _adaptive._execute_static,
+        "adaptive": _adaptive._execute_adaptive,
+        "dynamic": _adaptive._execute_dynamic,
+    }[mode]
+    raw = runner(
+        workload,
+        costs,
+        pool,
+        strategy=strategy,
+        error_model=error_model,
+        perf_profile=perf_profile,
+        **options,
+    )
     return RunResult(mode=mode, strategy=raw.strategy, raw=raw)

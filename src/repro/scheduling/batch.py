@@ -23,9 +23,9 @@ grid — :class:`BatchPlanMixin` replays that just-in-time process
 The one deliberate difference from the scalar ``batch_map`` is that
 slots come from :meth:`ResourceTimeline.earliest_start` (insertion
 enabled), so busy blocks booked by other tenants in the future do not
-push every local job behind them.  ``run_dynamic`` keeps using the
-event-driven executor with the scalar code path; this adapter is the
-*planning* view of the same heuristics.
+push every local job behind them.  ``repro.run(..., mode="dynamic")``
+keeps using the event-driven executor with the scalar code path; this
+adapter is the *planning* view of the same heuristics.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Here CPOP is additionally a *replanner*: built on
 the unfinished part of a partially executed workflow at an arbitrary
 ``clock`` (finished/running work pinned, FEA semantics of paper
 Eq. 1–3) and plan around foreign ``busy`` bookings on a shared grid —
-which is what lets ``run_adaptive(strategy="cpop")`` ablate the paper's
-AHEFT against a CPOP-based adaptive loop.
+which is what lets ``repro.run(..., mode="adaptive", strategy="cpop")``
+ablate the paper's AHEFT against a CPOP-based adaptive loop.
 
 At replan time the critical-path processor is re-chosen to minimise the
 summed cost of the *remaining* (not yet pinned) critical-path jobs, so a

@@ -22,21 +22,21 @@ recorded on the returned :class:`~repro.scheduling.base.Schedule` via
 feasibility validators treat every copy as a data source.  Job status,
 finish times and the makespan always come from the primary copies.
 
-As a replanner (``run_adaptive(strategy="heft_dup")``) the strategy
-re-derives duplicates from scratch on every pass — stale duplicates from
-the previous plan are dropped (those that already began executing stay
-pinned as facts), and a duplicate stranded on a departing resource marks
+As a replanner (``repro.run(..., mode="adaptive", strategy="heft_dup")``)
+the strategy re-derives duplicates from scratch on every pass — stale
+duplicates from the previous plan are dropped (those that already began
+executing stay pinned as facts), and a duplicate stranded on a departing resource marks
 the plan infeasible exactly like a stranded primary
 (see :func:`repro.core.adaptive.apply_departure_kills`).
 
 Execution semantics: the discrete-event static executor runs duplicates
 as real work (they occupy their booked slot, and their output is one
 more data source for the job's consumers — under accurate estimates the
-simulated makespan equals the planned one exactly).  Known
-approximation: the adaptive loop's *truth-replay* projection and the
-shared-grid actuals replay price dup plans conservatively — duplicates
-are not re-executed there, so consumers wait for the primary copies and
-achieved makespans are upper bounds.
+simulated makespan equals the planned one exactly), and so does the
+adaptive loop's truth replay (:func:`repro.core.adaptive.project_actuals`).
+Known approximation: the shared-grid actuals replay prices dup plans
+conservatively — duplicates are not re-executed there, so consumers wait
+for the primary copies and achieved makespans are upper bounds.
 """
 
 from __future__ import annotations

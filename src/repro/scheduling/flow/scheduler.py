@@ -32,8 +32,8 @@ itself deterministic (integer costs, ordered arcs).
 
 Built on :class:`~repro.scheduling.frame.PartialScheduleFrame`, the
 strategy inherits partial rescheduling and shared-grid ``busy`` support,
-so it serves as the replanner inside ``run_adaptive`` and the
-multi-tenant planner like every other frame-built heuristic.  The
+so it serves as the replanner inside ``repro.run(..., mode="adaptive")``
+and the multi-tenant planner like every other frame-built heuristic.  The
 ``credit`` cost model additionally understands per-tenant credit: the
 planner rebinds the scheduler via :meth:`MinCostFlowScheduler.
 bind_tenant_context` so an eroded tenant bids weaker for contended

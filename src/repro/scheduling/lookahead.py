@@ -22,7 +22,8 @@ placement uses the exact timelines, so feasibility is never at stake.
 
 Like every frame-based strategy, lookahead HEFT doubles as a partial
 replanner (pinning, FEA of Eq. 1–3, foreign ``busy`` bookings), so it
-can drive the adaptive loop via ``run_adaptive(strategy="lookahead_heft")``.
+can drive the adaptive loop via ``repro.run(..., mode="adaptive",
+strategy="lookahead_heft")``.
 """
 
 from __future__ import annotations

@@ -14,16 +14,16 @@ costs, resources, *, resource_available_from=None, busy=None)``; each
 ``kind`` describes the strategy's *default* execution mode:
 
 ``static``
-    plan once at t=0 (executed via :func:`repro.core.adaptive.run_static`);
+    plan once at t=0 (``repro.run(..., mode="static")``);
 ``adaptive``
-    replan at every grid event (via :func:`~repro.core.adaptive.run_adaptive`);
+    replan at every grid event (``repro.run(..., mode="adaptive")``);
 ``dynamic``
-    just-in-time batch mapping (via :func:`~repro.core.adaptive.run_dynamic`).
+    just-in-time batch mapping (``repro.run(..., mode="dynamic")``).
 
 Independently of its kind, any scheduler that also exposes the
 ``reschedule`` interface can be injected into the adaptive loop and the
-multi-tenant planner (``run_adaptive(strategy="cpop")``, the
-``adaptive:<name>`` sweep prefix), which is how every list heuristic can
+multi-tenant planner (``repro.run(..., mode="adaptive", strategy="cpop")``,
+the ``adaptive:<name>`` sweep prefix), which is how every list heuristic can
 be ablated against the paper's AHEFT.
 """
 

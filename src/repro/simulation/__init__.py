@@ -25,7 +25,6 @@ from repro.simulation.event_core import (
     Event,
     EventCore,
     EventKind,
-    SimulationEngine,
     SimulationError,
 )
 from repro.simulation.executor import JustInTimeExecutor, StaticScheduleExecutor
@@ -40,7 +39,6 @@ __all__ = [
     "Event",
     "EventCore",
     "EventKind",
-    "SimulationEngine",
     "SimulationError",
     "StaticScheduleExecutor",
     "JustInTimeExecutor",

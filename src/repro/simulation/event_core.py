@@ -47,8 +47,6 @@ __all__ = [
     "Event",
     "EventCore",
     "EventKind",
-    "ScheduledEvent",
-    "SimulationEngine",
     "SimulationError",
 ]
 
@@ -97,10 +95,6 @@ class Event:
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
-
-
-#: backwards-compatible alias for the pre-refactor name
-ScheduledEvent = Event
 
 
 class EventCore:
@@ -190,30 +184,6 @@ class EventCore:
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
-        """Schedule an untyped callback at absolute ``time`` (legacy API)."""
-        return self.post(time, callback, priority=priority, label=label)
-
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError("delay must be non-negative")
-        return self.post(self._now + delay, callback, priority=priority, label=label)
-
     def peek_next_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or ``None`` if queue empty."""
         while self._queue and self._queue[0].cancelled:
@@ -297,7 +267,3 @@ class EventCore:
         finally:
             self._running = False
         return self._now
-
-
-#: backwards-compatible alias: the pre-refactor engine class name
-SimulationEngine = EventCore

@@ -25,10 +25,9 @@ additionally honour departures (``Resource.available_until``, produced by
 
 * a **running** job on a departing resource is *killed* at the departure
   instant: its partial execution is recorded as wasted work
-  (:meth:`~repro.simulation.trace.ExecutionTrace.wasted_work`), a
-  :class:`~repro.core.events.ResourcePoolChangeEvent` is published on the
-  optional event bus (the Planner's reschedule signal), and the job is
-  re-executed;
+  (:meth:`~repro.simulation.trace.ExecutionTrace.wasted_work`) and the
+  kill in :attr:`~repro.simulation.trace.ExecutionTrace.kills`, and the
+  job is re-executed;
 * a job whose scheduled resource departed **before it started** is
   *stranded* and likewise re-dispatched;
 * a job finishing exactly at the departure instant completes normally.
@@ -73,7 +72,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.events import EventBus, ResourcePoolChangeEvent
 from repro.resources.pool import ResourcePool
 from repro.scheduling.base import Schedule, TIME_EPS
 from repro.scheduling.minmin import MinMinScheduler
@@ -111,9 +109,6 @@ class StaticScheduleExecutor:
         durations at dispatch.
     departure_policy:
         ``"failover"`` (default) or ``"fail"`` — see the module docstring.
-    event_bus:
-        Optional :class:`~repro.core.events.EventBus`; departures that kill
-        or strand work publish a ``ResourcePoolChangeEvent`` on it.
     """
 
     def __init__(
@@ -127,7 +122,6 @@ class StaticScheduleExecutor:
         strategy_name: str = "static",
         perf_profile=None,
         departure_policy: str = "failover",
-        event_bus: Optional[EventBus] = None,
         history=None,
     ) -> None:
         missing = [job for job in workflow.jobs if job not in schedule]
@@ -146,7 +140,6 @@ class StaticScheduleExecutor:
         self.strategy_name = strategy_name
         self.perf_profile = perf_profile
         self.departure_policy = departure_policy
-        self.event_bus = event_bus
         self.history = history
 
     # ------------------------------------------------------------------
@@ -520,10 +513,6 @@ class StaticScheduleExecutor:
                     f"resources {sorted(set(removed))} departed at {now} with "
                     f"work assigned (jobs {impacted}); departure_policy='fail'"
                 )
-            if impacted and self.event_bus is not None:
-                self.event_bus.publish(
-                    ResourcePoolChangeEvent(time=now, removed=tuple(removed))
-                )
             try_dispatch()
 
         # pool-change events: joins unblock dispatch, departures kill/strand
@@ -581,7 +570,6 @@ class JustInTimeExecutor:
         actual_costs: Optional[CostModel] = None,
         strategy_name: Optional[str] = None,
         perf_profile=None,
-        event_bus: Optional[EventBus] = None,
         history=None,
     ) -> None:
         self.workflow = workflow
@@ -591,7 +579,6 @@ class JustInTimeExecutor:
         self.mapper = mapper or MinMinScheduler()
         self.strategy_name = strategy_name or getattr(self.mapper, "name", "dynamic")
         self.perf_profile = perf_profile
-        self.event_bus = event_bus
         self.history = history
 
     # ------------------------------------------------------------------
@@ -734,10 +721,6 @@ class JustInTimeExecutor:
                 # a mapping whose start still lies in the future (input
                 # transfer under way) is silently re-queued — no work done
                 killed.append(job)
-            if killed and self.event_bus is not None:
-                self.event_bus.publish(
-                    ResourcePoolChangeEvent(time=now, removed=tuple(removed))
-                )
             if killed:
                 dispatch()
 

@@ -252,14 +252,6 @@ class SharedGridExecutor:
         admission: Optional[AdmissionConfig] = None,
         credit_ledger: Optional[CreditLedger] = None,
     ) -> None:
-        from repro import _deprecation
-
-        _deprecation.warn_once(
-            "SharedGridExecutor",
-            "constructing SharedGridExecutor directly is deprecated; call "
-            "repro.run(arrivals, pool, mode='multi') instead (bit-identical "
-            "result via .raw)",
-        )
         self.arrivals = sorted(arrivals, key=lambda a: (a.time, a.seq, a.key))
         self.pool = pool
         self.perf_profile = perf_profile

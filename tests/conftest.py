@@ -29,6 +29,12 @@ def pytest_addoption(parser):
         "comparing against them",
     )
 
+
+def pytest_configure(config):
+    # the suite runs only current entry points: a DeprecationWarning means a
+    # legacy path came back (or a dependency's API is going away)
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.generators.sample import (
     sample_dag_cost_model,

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.adaptive import (
-    AdaptiveReschedulingLoop,
-    run_adaptive,
-    run_dynamic,
-    run_static,
-)
+import repro
+from repro.core.adaptive import AdaptiveReschedulingLoop
 from repro.generators.blast import generate_blast_case
 from repro.resources.dynamics import ResourceChangeModel
 from repro.resources.pool import ResourcePool
@@ -29,42 +25,60 @@ def dynamic_pool():
 
 class TestRunStatic:
     def test_static_uses_only_initial_resources(self, blast_case, dynamic_pool):
-        result = run_static(blast_case.workflow, blast_case.costs, dynamic_pool)
+        result = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="static"
+        ).raw
         used = set(result.final_schedule.resources_used())
         assert used <= set(dynamic_pool.initial_resources())
 
     def test_static_simulated_trace_matches_plan(self, blast_case, dynamic_pool):
-        result = run_static(blast_case.workflow, blast_case.costs, dynamic_pool, simulate=True)
+        result = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="static", simulate=True
+        ).raw
         assert result.trace is not None
         assert result.trace.makespan() == pytest.approx(result.final_schedule.makespan())
 
     def test_static_no_resources_raises(self, blast_case):
         pool = ResourcePool([Resource("r1", available_from=10.0)])
         with pytest.raises(ValueError):
-            run_static(blast_case.workflow, blast_case.costs, pool)
+            repro.run(blast_case.workflow, pool, costs=blast_case.costs, mode="static")
 
 
 class TestAdaptiveLoop:
     def test_initial_schedule_equals_static_heft(self, blast_case, dynamic_pool):
-        static = run_static(blast_case.workflow, blast_case.costs, dynamic_pool)
-        adaptive = run_adaptive(blast_case.workflow, blast_case.costs, dynamic_pool)
+        static = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="static"
+        ).raw
+        adaptive = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive"
+        ).raw
         assert adaptive.initial_makespan == pytest.approx(static.makespan)
 
     def test_adaptive_never_worse_than_static(self, blast_case, dynamic_pool):
         """The accept-if-better rule guarantees AHEFT <= HEFT (paper's key property)."""
-        static = run_static(blast_case.workflow, blast_case.costs, dynamic_pool)
-        adaptive = run_adaptive(blast_case.workflow, blast_case.costs, dynamic_pool)
+        static = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="static"
+        ).raw
+        adaptive = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive"
+        ).raw
         assert adaptive.makespan <= static.makespan + 1e-9
 
     def test_adaptive_improves_on_constrained_pool(self, blast_case, dynamic_pool):
         """With a tiny initial pool and frequent additions AHEFT should win outright."""
-        static = run_static(blast_case.workflow, blast_case.costs, dynamic_pool)
-        adaptive = run_adaptive(blast_case.workflow, blast_case.costs, dynamic_pool)
+        static = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="static"
+        ).raw
+        adaptive = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive"
+        ).raw
         assert adaptive.makespan < static.makespan
         assert adaptive.rescheduling_count >= 1
 
     def test_final_schedule_feasible_against_pool(self, blast_case, dynamic_pool):
-        adaptive = run_adaptive(blast_case.workflow, blast_case.costs, dynamic_pool)
+        adaptive = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive"
+        ).raw
         assert (
             validate_schedule(
                 blast_case.workflow, blast_case.costs, adaptive.final_schedule, pool=dynamic_pool
@@ -73,7 +87,9 @@ class TestAdaptiveLoop:
         )
 
     def test_decisions_recorded_for_events_before_completion(self, blast_case, dynamic_pool):
-        adaptive = run_adaptive(blast_case.workflow, blast_case.costs, dynamic_pool)
+        adaptive = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive"
+        ).raw
         assert adaptive.evaluated_events >= adaptive.rescheduling_count
         for decision in adaptive.decisions:
             assert decision.time < adaptive.initial_makespan
@@ -84,13 +100,13 @@ class TestAdaptiveLoop:
         pool = ResourcePool([Resource("r1"), Resource("r2")])
         # one extra resource appears long after any plausible makespan
         pool.add(Resource("r3", available_from=1e9))
-        adaptive = run_adaptive(blast_case.workflow, blast_case.costs, pool)
+        adaptive = repro.run(blast_case.workflow, pool, costs=blast_case.costs, mode="adaptive").raw
         assert adaptive.evaluated_events == 0
         assert adaptive.makespan == adaptive.initial_makespan
 
     def test_static_pool_gives_no_decisions(self, blast_case):
         pool = ResourcePool([Resource("r1"), Resource("r2"), Resource("r3")])
-        adaptive = run_adaptive(blast_case.workflow, blast_case.costs, pool)
+        adaptive = repro.run(blast_case.workflow, pool, costs=blast_case.costs, mode="adaptive").raw
         assert adaptive.decisions == []
 
     def test_always_accept_mode_adopts_every_candidate(self, blast_case, dynamic_pool):
@@ -99,10 +115,13 @@ class TestAdaptiveLoop:
         assert all(decision.adopted for decision in result.decisions)
 
     def test_accept_rule_caps_regressions_from_always_accept(self, blast_case, dynamic_pool):
-        guarded = run_adaptive(blast_case.workflow, blast_case.costs, dynamic_pool)
-        always = run_adaptive(
-            blast_case.workflow, blast_case.costs, dynamic_pool, accept_only_if_better=False
-        )
+        guarded = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive"
+        ).raw
+        always = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive",
+            accept_only_if_better=False
+        ).raw
         assert guarded.makespan <= always.makespan + 1e-9
 
     def test_explicit_event_list_overrides_pool_events(self, blast_case, dynamic_pool):
@@ -113,21 +132,25 @@ class TestAdaptiveLoop:
 
 class TestRunDynamic:
     def test_dynamic_executes_everything(self, blast_case, dynamic_pool):
-        result = run_dynamic(blast_case.workflow, blast_case.costs, dynamic_pool)
+        result = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="dynamic"
+        ).raw
         assert result.trace is not None
         assert len(result.trace.jobs()) == blast_case.workflow.num_jobs
 
     def test_dynamic_strategy_name(self, blast_case, dynamic_pool):
-        result = run_dynamic(blast_case.workflow, blast_case.costs, dynamic_pool)
+        result = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="dynamic"
+        ).raw
         assert result.strategy == "MinMin"
 
     def test_plan_ahead_beats_dynamic_on_random_dags(self, make_case):
         """The paper's central comparison: HEFT/AHEFT beat dynamic Min-Min."""
         case = make_case(v=40, out_degree=0.3, ccr=5.0, omega_dag=100.0, seed=11)
         pool = ResourceChangeModel(initial_size=8, interval=500.0, fraction=0.2).build_pool()
-        static = run_static(case.workflow, case.costs, pool)
-        adaptive = run_adaptive(case.workflow, case.costs, pool)
-        dynamic = run_dynamic(case.workflow, case.costs, pool)
+        static = repro.run(case.workflow, pool, costs=case.costs, mode="static").raw
+        adaptive = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
+        dynamic = repro.run(case.workflow, pool, costs=case.costs, mode="dynamic").raw
         assert adaptive.makespan <= static.makespan + 1e-9
         assert dynamic.makespan > adaptive.makespan
 

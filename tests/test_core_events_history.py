@@ -1,70 +1,9 @@
-"""Tests for grid events, the event bus, history repository and predictor."""
+"""Tests for the history repository and predictor."""
 
 import pytest
 
-from repro.core.events import (
-    EventBus,
-    GridEvent,
-    PerformanceVarianceEvent,
-    ResourcePoolChangeEvent,
-    WorkflowFinishedEvent,
-)
 from repro.core.history import PerformanceHistoryRepository, PerformanceRecord
 from repro.core.predictor import HistoryAdjustedCostModel, Predictor
-
-
-class TestEvents:
-    def test_pool_change_requires_content(self):
-        with pytest.raises(ValueError):
-            ResourcePoolChangeEvent(time=1.0)
-        event = ResourcePoolChangeEvent(time=1.0, added=("r9",))
-        assert event.kind == "ResourcePoolChangeEvent"
-
-    def test_performance_variance_deviation(self):
-        event = PerformanceVarianceEvent(
-            time=10.0, job_id="a", scheduled_finish=10.0, actual_finish=12.0
-        )
-        assert event.deviation == pytest.approx(2.0)
-        assert event.relative_deviation == pytest.approx(0.2)
-
-    def test_variance_with_zero_schedule_is_zero(self):
-        event = PerformanceVarianceEvent(time=1.0, job_id="a", scheduled_finish=0.0, actual_finish=3.0)
-        assert event.relative_deviation == 0.0
-
-    def test_workflow_finished_event(self):
-        assert WorkflowFinishedEvent(time=5.0, makespan=5.0).makespan == 5.0
-
-
-class TestEventBus:
-    def test_publish_to_matching_subscriber(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe(ResourcePoolChangeEvent, received.append)
-        delivered = bus.publish(ResourcePoolChangeEvent(time=1.0, added=("r1",)))
-        assert delivered == 1
-        assert len(received) == 1
-
-    def test_subscription_by_base_class_receives_subclasses(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe(GridEvent, received.append)
-        bus.publish(ResourcePoolChangeEvent(time=1.0, added=("r1",)))
-        bus.publish(PerformanceVarianceEvent(time=2.0, job_id="a"))
-        assert len(received) == 2
-
-    def test_non_matching_events_not_delivered(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe(PerformanceVarianceEvent, received.append)
-        bus.publish(ResourcePoolChangeEvent(time=1.0, added=("r1",)))
-        assert received == []
-
-    def test_log_keeps_everything(self):
-        bus = EventBus()
-        bus.publish(ResourcePoolChangeEvent(time=1.0, added=("r1",)))
-        bus.publish(WorkflowFinishedEvent(time=2.0, makespan=2.0))
-        assert len(bus.log) == 2
-        assert len(bus.events_of(WorkflowFinishedEvent)) == 1
 
 
 class TestHistory:

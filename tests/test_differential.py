@@ -5,7 +5,7 @@ Three families of guarantees, checked on hypothesis-driven random cases:
 * **Bit-identity** — a single tenant submitting a single workflow at time 0
   to the :class:`~repro.simulation.shared_grid.SharedGridExecutor` is the
   degenerate multi-tenant run, and must reproduce the existing
-  single-workflow executor (:func:`~repro.core.adaptive.run_adaptive`)
+  single-workflow executor (``repro.run(..., mode="adaptive")``)
   *exactly*: same final schedule, same makespan, same wasted work, same
   decision stream — under every registered scenario and every interleave
   policy.  This pins the multi-tenant subsystem to the paper-validated
@@ -33,10 +33,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import run_adaptive, run_dynamic, run_static
+import repro
 from repro.core.multi_tenant import POLICIES
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.scenarios import available_scenarios, make_scenario, materialize
+from repro.scheduling import available_schedulers, make_scheduler
 from repro.scheduling.validation import (
     check_no_overlap,
     check_precedence,
@@ -53,6 +54,11 @@ from repro.workload.streams import TenantSpec, WorkflowArrival, WorkloadStream
 #: per-schedule invariants but not for joint-timeline exclusivity.
 MEMBERSHIP_SCENARIOS = ("static", "paper", "departures", "churn", "join_burst", "flash_crowd")
 
+#: every registered strategy that can drive the adaptive loop
+REPLANNERS = [
+    name for name in available_schedulers() if hasattr(make_scheduler(name), "reschedule")
+]
+
 
 def _case(v: int, seed: int):
     params = RandomDAGParameters(v=v, out_degree=0.2, ccr=1.0, beta=0.5, omega_dag=300.0)
@@ -67,9 +73,9 @@ def _single_arrival(case) -> WorkflowArrival:
 
 def _assert_bit_identical(case, scenario_name: str, initial: int, seed: int, policy: str):
     run_a = materialize(make_scenario(scenario_name), initial_size=initial, seed=seed)
-    single = run_adaptive(
-        case.workflow, case.costs, run_a.pool, perf_profile=run_a.profile
-    )
+    single = repro.run(
+        case.workflow, run_a.pool, costs=case.costs, mode="adaptive", perf_profile=run_a.profile
+    ).raw
     run_b = materialize(make_scenario(scenario_name), initial_size=initial, seed=seed)
     shared = SharedGridExecutor(
         [_single_arrival(case)],
@@ -133,9 +139,9 @@ class TestSchedulerInvariantsUnderScenarios:
         run = materialize(
             make_scenario(scenario_name), initial_size=6, seed=scenario_seed
         )
-        result = run_adaptive(
-            case.workflow, case.costs, run.pool, perf_profile=run.profile
-        )
+        result = repro.run(
+            case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile
+        ).raw
         # precedence + communication delay + no overlap + availability
         validate_schedule(
             case.workflow,
@@ -158,10 +164,11 @@ class TestSchedulerInvariantsUnderScenarios:
         run = materialize(
             make_scenario(scenario_name), initial_size=6, seed=scenario_seed
         )
-        for runner in (run_static, run_dynamic):
-            result = runner(
-                case.workflow, case.costs, run.pool, perf_profile=run.profile
-            )
+        for mode in ("static", "dynamic"):
+            result = repro.run(
+                case.workflow, run.pool, costs=case.costs, mode=mode,
+                perf_profile=run.profile,
+            ).raw
             schedule = (
                 result.trace.to_schedule()
                 if result.trace is not None
@@ -307,7 +314,6 @@ class TestNewStrategySanityBounds:
         """The static executor runs duplicates as real work: under accurate
         estimates the simulated trace reproduces the plan bit for bit —
         duplicate slots occupied, consumers fed from the local copies."""
-        from repro.core.adaptive import run_static
         from repro.resources.pool import ResourcePool
         from repro.resources.resource import Resource
         from repro.scheduling import make_scheduler
@@ -322,9 +328,10 @@ class TestNewStrategySanityBounds:
             plan = make_scheduler("heft_dup").schedule(
                 case.workflow, case.costs, resources
             )
-            result = run_static(
-                case.workflow, case.costs, pool, strategy="heft_dup", simulate=True
-            )
+            result = repro.run(
+                case.workflow, pool, costs=case.costs, mode="static", strategy="heft_dup",
+                simulate=True
+            ).raw
             assert result.trace is not None
             executed = result.trace.to_schedule()
             assert executed.to_dict() == plan.to_dict()
@@ -353,18 +360,21 @@ class TestNewStrategySanityBounds:
 class TestZeroNoiseDifferential:
     """Magnitude-0 error models are bit-identical to the analytic path."""
 
+    @pytest.mark.parametrize("strategy", REPLANNERS)
     @pytest.mark.parametrize("scenario_name", available_scenarios())
-    def test_adaptive_zero_noise_equals_analytic(self, scenario_name):
+    def test_adaptive_zero_noise_equals_analytic(self, scenario_name, strategy):
         case = _case(v=24, seed=17)
         run_a = materialize(make_scenario(scenario_name), initial_size=6, seed=5)
-        legacy = run_adaptive(
-            case.workflow, case.costs, run_a.pool, perf_profile=run_a.profile
-        )
+        legacy = repro.run(
+            case.workflow, run_a.pool, costs=case.costs, mode="adaptive",
+            strategy=strategy, perf_profile=run_a.profile,
+        ).raw
         run_b = materialize(make_scenario(scenario_name), initial_size=6, seed=5)
-        null = run_adaptive(
-            case.workflow, case.costs, run_b.pool, perf_profile=run_b.profile,
+        null = repro.run(
+            case.workflow, run_b.pool, costs=case.costs, mode="adaptive",
+            strategy=strategy, perf_profile=run_b.profile,
             error_model=make_error_model("gaussian", 0.0),
-        )
+        ).raw
         assert null.final_schedule.to_dict() == legacy.final_schedule.to_dict()
         assert null.makespan == legacy.makespan
         assert null.wasted_work == legacy.wasted_work
@@ -392,16 +402,16 @@ class TestZeroNoiseDifferential:
         run_a = materialize(
             make_scenario(scenario_name), initial_size=6, seed=scenario_seed
         )
-        legacy = run_adaptive(
-            case.workflow, case.costs, run_a.pool, perf_profile=run_a.profile
-        )
+        legacy = repro.run(
+            case.workflow, run_a.pool, costs=case.costs, mode="adaptive", perf_profile=run_a.profile
+        ).raw
         run_b = materialize(
             make_scenario(scenario_name), initial_size=6, seed=scenario_seed
         )
-        null = run_adaptive(
-            case.workflow, case.costs, run_b.pool, perf_profile=run_b.profile,
-            error_model=make_error_model(family, 0.0),
-        )
+        null = repro.run(
+            case.workflow, run_b.pool, costs=case.costs, mode="adaptive",
+            perf_profile=run_b.profile, error_model=make_error_model(family, 0.0)
+        ).raw
         assert null.final_schedule.to_dict() == legacy.final_schedule.to_dict()
         assert null.makespan == legacy.makespan
         assert null.wasted_work == legacy.wasted_work
@@ -411,16 +421,17 @@ class TestZeroNoiseDifferential:
     def test_static_and_dynamic_zero_noise_equal_plain_runs(self, scenario_name):
         case = _case(v=20, seed=3)
         null_model = make_error_model("lognormal", 0.0)
-        for runner in (run_static, run_dynamic):
+        for mode in ("static", "dynamic"):
             run_a = materialize(make_scenario(scenario_name), initial_size=6, seed=9)
-            plain = runner(
-                case.workflow, case.costs, run_a.pool, perf_profile=run_a.profile,
-            )
+            plain = repro.run(
+                case.workflow, run_a.pool, costs=case.costs, mode=mode,
+                perf_profile=run_a.profile,
+            ).raw
             run_b = materialize(make_scenario(scenario_name), initial_size=6, seed=9)
-            null = runner(
-                case.workflow, case.costs, run_b.pool, perf_profile=run_b.profile,
-                error_model=null_model,
-            )
+            null = repro.run(
+                case.workflow, run_b.pool, costs=case.costs, mode=mode,
+                perf_profile=run_b.profile, error_model=null_model,
+            ).raw
             assert null.makespan == plain.makespan
             assert null.wasted_work == plain.wasted_work
             assert null.killed_jobs == plain.killed_jobs
@@ -433,15 +444,15 @@ class TestZeroNoiseDifferential:
         """Even without dynamics the simulated paths coincide bit for bit."""
         case = _case(v=20, seed=3)
         run_a = materialize(make_scenario("static"), initial_size=6, seed=9)
-        plain = run_static(
-            case.workflow, case.costs, run_a.pool, perf_profile=run_a.profile,
+        plain = repro.run(
+            case.workflow, run_a.pool, costs=case.costs, mode="static", perf_profile=run_a.profile,
             simulate=True,
-        )
+        ).raw
         run_b = materialize(make_scenario("static"), initial_size=6, seed=9)
-        null = run_static(
-            case.workflow, case.costs, run_b.pool, perf_profile=run_b.profile,
+        null = repro.run(
+            case.workflow, run_b.pool, costs=case.costs, mode="static", perf_profile=run_b.profile,
             error_model=make_error_model("uniform", 0.0),
-        )
+        ).raw
         assert null.trace.to_schedule().to_dict() == plain.trace.to_schedule().to_dict()
 
     @pytest.mark.parametrize("scenario_name", sorted(MEMBERSHIP_SCENARIOS))

@@ -11,8 +11,8 @@ hypothesis suite:
 * posting an event before the current logical time raises
   :class:`SimulationError` (out-of-order injection is an error, not a
   silent reorder),
-* cancelled events are skipped, ``stop()`` halts the loop, the clock
-  never moves backwards,
+* cancelled events are skipped, an empty queue peeks ``None`` and steps
+  ``False``, ``stop()`` halts the loop, the clock never moves backwards,
 * the instrumentation counters count exactly the handlers that ran.
 """
 
@@ -26,7 +26,6 @@ from repro.simulation.event_core import (
     Event,
     EventCore,
     EventKind,
-    SimulationEngine,
     SimulationError,
 )
 
@@ -112,14 +111,9 @@ def test_posting_within_epsilon_of_now_is_clamped_not_rejected():
     assert event.time == 1.0
 
 
-def test_negative_delay_raises():
-    core = EventCore()
-    with pytest.raises(SimulationError, match="non-negative"):
-        core.schedule_in(-1.0, lambda: None)
-
-
 def test_cancelled_events_are_skipped():
     core = EventCore()
+    assert core.peek_next_time() is None and core.step() is False
     fired = []
     keep = core.post(1.0, lambda: fired.append("keep"))
     drop = core.post(2.0, lambda: fired.append("drop"), kind=EventKind.DEVIATION)
@@ -128,6 +122,7 @@ def test_cancelled_events_are_skipped():
     core.run()
     assert fired == ["keep", "tail"]
     assert not keep.cancelled and drop.cancelled
+    assert core.peek_next_time() is None and core.step() is False
 
 
 def test_stop_halts_after_current_event():
@@ -148,6 +143,7 @@ def test_run_until_advances_clock_without_firing_later_events():
     core.post(5.0, lambda: fired.append(5))
     assert core.run(until=3.0) == 3.0
     assert fired == [1]
+    assert core.pending_events == 1 and core.peek_next_time() == 5.0
 
 
 def test_typed_events_carry_kind_and_label():
@@ -155,16 +151,14 @@ def test_typed_events_carry_kind_and_label():
     event = core.post(1.0, lambda: None, kind=EventKind.ARRIVAL, label="arrival:w1")
     assert event.kind is EventKind.ARRIVAL
     assert event.label == "arrival:w1"
-    # legacy APIs stay untyped
-    assert core.schedule_at(2.0, lambda: None).kind is EventKind.GENERIC
-    assert core.schedule_in(1.0, lambda: None).kind is EventKind.GENERIC
+    assert core.post(2.0, lambda: None).kind is EventKind.GENERIC
 
 
 def test_max_events_guard_trips_on_runaway_loops():
     core = EventCore(max_events=10)
 
     def reschedule():
-        core.schedule_in(1.0, reschedule)
+        core.post(core.now + 1.0, reschedule)
 
     core.post(0.0, reschedule)
     with pytest.raises(SimulationError, match="maximum of 10 events"):
@@ -190,8 +184,7 @@ def test_instrumentation_counts_exactly_the_fired_handlers():
     assert EventCore.stats["events"] == 0
 
 
-def test_simulation_engine_alias_and_event_ordering_dataclass():
-    assert SimulationEngine is EventCore
+def test_event_ordering_dataclass():
     early = Event(time=1.0, priority=0, sequence=0, callback=lambda: None)
     late = Event(time=1.0, priority=0, sequence=1, callback=lambda: None)
     assert early < late

@@ -8,23 +8,22 @@ paths.  This suite pins the contract:
   metrics views all consistent with the mode),
 * mode inference (workload → ``multi``, named strategy → its registered
   kind, otherwise ``adaptive``),
-* the error surface (unknown mode, pool+scenario conflict, multi with
-  ``costs=``, missing pool, stream into a single-workflow mode),
+* the error surface (unknown mode, pool+scenario conflict, ``resources=``
+  without a scenario, multi with ``costs=``, missing pool, stream into a
+  single-workflow mode),
 * the uniform registry (``available``/``make``/``describe``, the
   ``strategy``/``error-model`` aliases, per-domain error types preserved),
-* the deprecation shims: legacy runners warn exactly once per process and
-  stay bit-identical to the facade (they *are* the facade's ``.raw``).
+* the lower-level ``SharedGridExecutor`` returns what ``mode="multi"``
+  returns.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
-from repro import _deprecation, registry
-from repro.core.adaptive import AdaptiveRunResult, run_adaptive, run_static
+from repro import registry
+from repro.core.adaptive import AdaptiveRunResult
 from repro.facade import MODES, RunResult, run
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.resources.dynamics import ResourceChangeModel
@@ -130,6 +129,8 @@ def test_error_surface(case, model, stream):
         run(case.workflow, pool, mode="turbo", costs=case.costs)
     with pytest.raises(ValueError, match="not both"):
         run(case.workflow, pool, scenario="static", costs=case.costs)
+    with pytest.raises(ValueError, match="resources= sizes the pool"):
+        run(case.workflow, pool, resources=8, costs=case.costs)
     with pytest.raises(ValueError, match="no pool"):
         run(case.workflow, costs=case.costs)
     with pytest.raises(ValueError, match="costs= is not accepted"):
@@ -190,72 +191,14 @@ def test_legacy_registry_helpers_still_delegate():
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims
+# lower-level entry point
 
 
-def test_legacy_runners_warn_once_and_stay_bit_identical(case, model):
-    pool = model.build_pool()
-    _deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="run_adaptive"):
-        legacy = run_adaptive(case.workflow, case.costs, pool)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a second warning would fail the test
-        again = run_adaptive(case.workflow, case.costs, pool)
-    assert isinstance(legacy, AdaptiveRunResult)
-    facade = run(case.workflow, pool, mode="adaptive", costs=case.costs)
-    assert legacy.final_schedule.to_dict() == facade.raw.final_schedule.to_dict()
-    assert legacy.makespan == facade.makespan == again.makespan
-    _deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="run_static"):
-        run_static(case.workflow, case.costs, model.build_pool())
-
-
-def test_deprecation_warnings_point_at_the_callers_file(case, stream, model):
-    """Warning provenance: the reported location is the user's call site.
-
-    Regression: ``warn_once`` hard-coded ``stacklevel=3``, which is right
-    for entry points warning directly (``SharedGridExecutor.__init__``)
-    but attributed the ``run_*`` shims' warnings — which forward through
-    the shared ``_shim`` helper, one frame deeper — to the shim module
-    instead of the caller.
-    """
-    _deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="run_adaptive") as records:
-        run_adaptive(case.workflow, case.costs, model.build_pool())
-    (record,) = records.list
-    assert record.filename == __file__
-    _deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="run_static") as records:
-        run_static(case.workflow, case.costs, model.build_pool())
-    (record,) = records.list
-    assert record.filename == __file__
-    # the direct (non-forwarded) entry point keeps the default stacklevel
-    _deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="SharedGridExecutor") as records:
-        SharedGridExecutor(stream.arrivals(), model.build_pool())
-    (record,) = records.list
-    assert record.filename == __file__
-
-
-def test_direct_shared_grid_construction_warns_but_facade_does_not(stream, model):
-    _deprecation.reset()
-    with pytest.warns(DeprecationWarning, match="SharedGridExecutor"):
-        executor = SharedGridExecutor(stream.arrivals(), model.build_pool())
-    _deprecation.reset()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        facade = run(stream, model.build_pool(), mode="multi")
-    direct = executor.run()
+def test_direct_shared_grid_construction_matches_facade(stream, model):
+    direct = SharedGridExecutor(stream.arrivals(), model.build_pool()).run()
+    facade = run(stream, model.build_pool(), mode="multi")
     assert direct.makespan() == facade.makespan
     assert [o.key for o in direct.outcomes] == [o.key for o in facade.outcomes]
-
-
-def test_legacy_shim_rejects_strategy_and_scheduler_together(case, model):
-    with pytest.raises(ValueError, match="not both"):
-        run_adaptive(
-            case.workflow, case.costs, model.build_pool(),
-            strategy="aheft", scheduler=repro.AHEFTScheduler(),
-        )
 
 
 def test_facade_is_exported_at_package_root():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.adaptive import run_adaptive, run_dynamic, run_static
+import repro
 from repro.generators.blast import generate_blast_case
 from repro.generators.sample import sample_dag_cost_model, sample_dag_pool, sample_dag_workflow
 from repro.generators.wien2k import generate_wien2k_case
@@ -20,14 +20,14 @@ class TestWorkedExample:
         wf = sample_dag_workflow()
         costs = sample_dag_cost_model(wf)
         pool = sample_dag_pool()
-        static = run_static(wf, costs, pool)
+        static = repro.run(wf, pool, costs=costs, mode="static").raw
         assert static.makespan == pytest.approx(80.0)
 
     def test_adaptive_run_is_never_worse_and_feasible(self):
         wf = sample_dag_workflow()
         costs = sample_dag_cost_model(wf)
         pool = sample_dag_pool()
-        adaptive = run_adaptive(wf, costs, pool)
+        adaptive = repro.run(wf, pool, costs=costs, mode="adaptive").raw
         assert adaptive.makespan <= 80.0 + 1e-9
         assert validate_schedule(wf, costs, adaptive.final_schedule, pool=pool) == []
         # exactly one event (r4 at t=15) is evaluated before the DAG finishes
@@ -37,7 +37,7 @@ class TestWorkedExample:
         wf = sample_dag_workflow()
         costs = sample_dag_cost_model(wf)
         pool = sample_dag_pool()
-        adaptive = run_adaptive(wf, costs, pool)
+        adaptive = repro.run(wf, pool, costs=costs, mode="adaptive").raw
         trace = StaticScheduleExecutor(wf, costs, adaptive.final_schedule, pool).run()
         assert trace.makespan() == pytest.approx(adaptive.makespan)
 
@@ -51,27 +51,27 @@ class TestApplicationScenario:
 
     def test_three_strategy_comparison_matches_paper_ordering(self, scenario):
         case, pool = scenario
-        heft = run_static(case.workflow, case.costs, pool)
-        aheft = run_adaptive(case.workflow, case.costs, pool)
-        minmin = run_dynamic(case.workflow, case.costs, pool)
+        heft = repro.run(case.workflow, pool, costs=case.costs, mode="static").raw
+        aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
+        minmin = repro.run(case.workflow, pool, costs=case.costs, mode="dynamic").raw
         # the paper's ordering: AHEFT <= HEFT, and plan-ahead beats just-in-time
         assert aheft.makespan <= heft.makespan + 1e-9
         assert minmin.makespan >= aheft.makespan
 
     def test_adaptive_final_schedule_respects_join_times(self, scenario):
         case, pool = scenario
-        aheft = run_adaptive(case.workflow, case.costs, pool)
+        aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
         assert validate_schedule(case.workflow, case.costs, aheft.final_schedule, pool=pool) == []
 
     def test_adaptive_schedule_replays_on_simulator(self, scenario):
         case, pool = scenario
-        aheft = run_adaptive(case.workflow, case.costs, pool)
+        aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
         trace = StaticScheduleExecutor(case.workflow, case.costs, aheft.final_schedule, pool).run()
         assert trace.makespan() == pytest.approx(aheft.makespan, rel=1e-9)
 
     def test_reservations_for_final_schedule_have_no_conflicts(self, scenario):
         case, pool = scenario
-        aheft = run_adaptive(case.workflow, case.costs, pool)
+        aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
         book = ReservationBook()
         book.reserve_schedule(
             [
@@ -84,7 +84,7 @@ class TestApplicationScenario:
 
     def test_gantt_rendering_smoke(self, scenario):
         case, pool = scenario
-        aheft = run_adaptive(case.workflow, case.costs, pool)
+        aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
         text = render_gantt(aheft.final_schedule, width=60)
         assert "|" in text
 
@@ -101,8 +101,8 @@ class TestBlastVersusWien2k:
         for name, generator in (("blast", generate_blast_case), ("wien2k", generate_wien2k_case)):
             case = generator(40, ccr=1.0, beta=0.5, omega_dag=200.0, seed=31)
             pool = ResourceChangeModel(initial_size=8, interval=400.0, fraction=0.15).build_pool()
-            heft = run_static(case.workflow, case.costs, pool)
-            aheft = run_adaptive(case.workflow, case.costs, pool)
+            heft = repro.run(case.workflow, pool, costs=case.costs, mode="static").raw
+            aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
             improvements[name] = (heft.makespan - aheft.makespan) / heft.makespan
         assert improvements["blast"] >= improvements["wien2k"] - 0.02
         assert improvements["blast"] > 0

@@ -1,11 +1,7 @@
-"""Tests for the Planner/Executor collaboration components and what-if analysis."""
+"""Tests for what-if analysis."""
 
 import pytest
 
-from repro.core.events import EventBus, PerformanceVarianceEvent, ResourcePoolChangeEvent
-from repro.core.history import PerformanceHistoryRepository
-from repro.core.planner import Planner, WorkflowPlan
-from repro.core.predictor import Predictor
 from repro.core.whatif import WhatIfAnalyzer
 from repro.generators.blast import generate_blast_case
 from repro.generators.sample import sample_dag_cost_model, sample_dag_pool, sample_dag_workflow
@@ -20,92 +16,6 @@ def blast_setup():
     case = generate_blast_case(15, ccr=1.0, beta=0.5, omega_dag=100.0, seed=2)
     pool = ResourceChangeModel(initial_size=3, interval=200.0, fraction=0.5, max_events=10).build_pool()
     return case, pool
-
-
-class TestWorkflowPlan:
-    def test_initial_schedule_covers_all_jobs(self, blast_setup):
-        case, pool = blast_setup
-        planner = Planner()
-        plan = planner.submit(case.workflow, case.costs, pool)
-        assert plan.current_schedule is not None
-        assert len(plan.current_schedule) == case.workflow.num_jobs
-        assert plan.predicted_makespan() > 0
-
-    def test_pool_change_event_adopts_better_schedule(self, blast_setup):
-        case, pool = blast_setup
-        planner = Planner()
-        plan = planner.submit(case.workflow, case.costs, pool)
-        before = plan.predicted_makespan()
-        event_time = 200.0
-        added = tuple(pool.joined_in(0.0, event_time))
-        decision = plan.handle_event(
-            ResourcePoolChangeEvent(time=event_time, added=added)
-        )
-        assert decision.candidate_makespan <= before + 1e-9
-        if decision.adopted:
-            assert plan.predicted_makespan() < before
-
-    def test_insignificant_variance_event_ignored(self, blast_setup):
-        case, pool = blast_setup
-        planner = Planner()
-        plan = planner.submit(case.workflow, case.costs, pool)
-        job = case.workflow.jobs[0]
-        sft = plan.current_schedule.scheduled_finish_time(job)
-        decision = plan.handle_event(
-            PerformanceVarianceEvent(
-                time=sft, job_id=job, scheduled_finish=sft, actual_finish=sft * 1.01
-            )
-        )
-        assert not decision.adopted
-        assert decision.previous_makespan == decision.candidate_makespan
-
-    def test_event_before_initial_schedule_rejected(self, blast_setup):
-        case, pool = blast_setup
-        plan = WorkflowPlan(
-            case.workflow,
-            case.costs,
-            pool,
-            predictor=Predictor(PerformanceHistoryRepository()),
-            history=PerformanceHistoryRepository(),
-        )
-        with pytest.raises(RuntimeError):
-            plan.handle_event(ResourcePoolChangeEvent(time=1.0, added=("rX",)))
-
-    def test_job_completion_feeds_history(self, blast_setup):
-        case, pool = blast_setup
-        planner = Planner()
-        plan = planner.submit(case.workflow, case.costs, pool)
-        job = case.workflow.jobs[0]
-        resource = plan.current_schedule.resource_of(job)
-        plan.record_job_started(job, resource, 0.0)
-        plan.record_job_finished(job, 42.0)
-        operation = case.workflow.job(job).operation
-        assert planner.history.observed_duration(operation, resource) == pytest.approx(42.0)
-        assert plan.execution_state.is_finished(job)
-
-
-class TestPlanner:
-    def test_duplicate_submission_rejected(self, blast_setup):
-        case, pool = blast_setup
-        planner = Planner()
-        planner.submit(case.workflow, case.costs, pool)
-        with pytest.raises(ValueError, match="already submitted"):
-            planner.submit(case.workflow, case.costs, pool)
-
-    def test_event_bus_integration(self, blast_setup):
-        case, pool = blast_setup
-        bus = EventBus()
-        planner = Planner(event_bus=bus)
-        planner.submit(case.workflow, case.costs, pool)
-        added = tuple(pool.joined_in(0.0, 200.0))
-        bus.publish(ResourcePoolChangeEvent(time=200.0, added=added))
-        assert len(planner.decisions()) == 1
-
-    def test_plan_lookup(self, blast_setup):
-        case, pool = blast_setup
-        planner = Planner()
-        plan = planner.submit(case.workflow, case.costs, pool)
-        assert planner.plan_for(case.workflow.name) is plan
 
 
 class TestWhatIf:

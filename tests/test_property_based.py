@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import run_adaptive, run_static
+import repro
 from repro.resources.dynamics import ResourceChangeModel
 from repro.scheduling.aheft import aheft_reschedule
 from repro.scheduling.base import ExecutionState, ResourceTimeline
@@ -128,8 +128,8 @@ class TestSchedulingProperties:
         pool = ResourceChangeModel(
             initial_size=initial, interval=interval, fraction=fraction, max_events=16
         ).build_pool()
-        static = run_static(wf, costs, pool)
-        adaptive = run_adaptive(wf, costs, pool)
+        static = repro.run(wf, pool, costs=costs, mode="static").raw
+        adaptive = repro.run(wf, pool, costs=costs, mode="adaptive").raw
         assert adaptive.makespan <= static.makespan + 1e-6
         assert (
             validate_schedule(wf, costs, adaptive.final_schedule, pool=pool) == []

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import run_adaptive, run_dynamic, run_static
+import repro
 from repro.resources.dynamics import ResourceChangeModel, StaticResourceModel
 from repro.scenarios import (
     ChurnScenario,
@@ -176,10 +176,12 @@ class TestPaperEquivalence:
             assert event_a.added == event_b.added
             assert event_a.removed == event_b.removed
 
-        adaptive_model = run_adaptive(case30.workflow, case30.costs, model_pool)
-        adaptive_scenario = run_adaptive(
-            case30.workflow, case30.costs, run.pool, perf_profile=run.profile
-        )
+        adaptive_model = repro.run(
+            case30.workflow, model_pool, costs=case30.costs, mode="adaptive"
+        ).raw
+        adaptive_scenario = repro.run(
+            case30.workflow, run.pool, costs=case30.costs, mode="adaptive", perf_profile=run.profile
+        ).raw
         assert adaptive_model.makespan < horizon  # guard: events cover the run
         assert adaptive_scenario.makespan == adaptive_model.makespan
         assert adaptive_scenario.final_schedule.to_dict() == (
@@ -253,9 +255,9 @@ class TestAdversarialRuns:
             seed=2,
         )
         assert any(event.leave for event in run.events)
-        adaptive = run_adaptive(
-            case30.workflow, case30.costs, run.pool, perf_profile=run.profile
-        )
+        adaptive = repro.run(
+            case30.workflow, run.pool, costs=case30.costs, mode="adaptive", perf_profile=run.profile
+        ).raw
         forced = [d for d in adaptive.decisions if d.forced]
         assert forced and all(d.adopted for d in forced)
         # no unfinished work remains mapped beyond a resource's departure
@@ -267,10 +269,11 @@ class TestAdversarialRuns:
     def test_all_strategies_complete_under_every_scenario(self, case30):
         for name in available_scenarios():
             run = materialize(make_scenario(name), initial_size=8, seed=4)
-            for runner in (run_static, run_adaptive, run_dynamic):
-                result = runner(
-                    case30.workflow, case30.costs, run.pool, perf_profile=run.profile
-                )
+            for mode in ("static", "adaptive", "dynamic"):
+                result = repro.run(
+                    case30.workflow, run.pool, costs=case30.costs, mode=mode,
+                    perf_profile=run.profile,
+                ).raw
                 assert result.makespan > 0
                 assert math.isfinite(result.makespan)
 
@@ -281,12 +284,14 @@ class TestAdversarialRuns:
             initial_size=6,
             seed=0,
         )
-        fast = run_static(
-            case30.workflow, case30.costs, nominal.pool, perf_profile=nominal.profile
-        )
-        slow = run_static(
-            case30.workflow, case30.costs, degraded.pool, perf_profile=degraded.profile
-        )
+        fast = repro.run(
+            case30.workflow, nominal.pool, costs=case30.costs, mode="static",
+            perf_profile=nominal.profile
+        ).raw
+        slow = repro.run(
+            case30.workflow, degraded.pool, costs=case30.costs, mode="static",
+            perf_profile=degraded.profile
+        ).raw
         assert slow.makespan > fast.makespan
 
     def test_degradation_triggers_adaptive_replanning(self, case30):
@@ -295,9 +300,9 @@ class TestAdversarialRuns:
             initial_size=6,
             seed=1,
         )
-        adaptive = run_adaptive(
-            case30.workflow, case30.costs, run.pool, perf_profile=run.profile
-        )
+        adaptive = repro.run(
+            case30.workflow, run.pool, costs=case30.costs, mode="adaptive", perf_profile=run.profile
+        ).raw
         assert adaptive.evaluated_events >= 1
         assert any(d.event == "perf-change" for d in adaptive.decisions)
 

@@ -13,7 +13,8 @@ writing a single new test:
   nothing the scheduler places (primary or duplicate) may intersect them;
 * **determinism** — two identical calls produce bit-identical schedules;
 * **adaptive completion** — every strategy with the ``reschedule``
-  interface drives the full adaptive loop (``run_adaptive(strategy=...)``)
+  interface drives the full adaptive loop (``repro.run(..., mode="adaptive",
+  strategy=...)``)
   to a feasible final schedule under every registered scenario, and a
   mid-execution replan around busy blocks keeps pinned work pinned.
 """
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import run_adaptive
+import repro
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.scenarios import available_scenarios, make_scenario, materialize
 from repro.scheduling import (
@@ -150,16 +151,17 @@ class TestUniversalInvariants:
 
     @pytest.mark.parametrize("name", ADAPTIVE_STRATEGIES)
     @pytest.mark.parametrize("scenario_name", available_scenarios())
-    def test_run_adaptive_completes_under_every_scenario(self, name, scenario_name):
+    def test_adaptive_mode_completes_under_every_scenario(self, name, scenario_name):
         case = _case(v=16, seed=13)
         run = materialize(make_scenario(scenario_name), initial_size=5, seed=7)
-        result = run_adaptive(
+        result = repro.run(
             case.workflow,
-            case.costs,
             run.pool,
+            costs=case.costs,
+            mode="adaptive",
             perf_profile=run.profile,
             strategy=name,
-        )
+        ).raw
         validate_schedule(
             case.workflow, case.costs, result.final_schedule, pool=run.pool
         )

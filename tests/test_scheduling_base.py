@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import run_adaptive
+import repro
 from repro.generators.blast import generate_blast_case
 from repro.generators.wien2k import generate_wien2k_case
 from repro.resources.dynamics import ResourceChangeModel
@@ -278,12 +278,13 @@ class TestKernelEquivalence:
         )
         for case in (make_case(v=80, omega_dag=300.0, seed=3),):
             pool = model.build_pool()
-            fast = run_adaptive(
-                case.workflow, case.costs, pool, scheduler=AHEFTScheduler()
-            )
-            seed = run_adaptive(
-                case.workflow, case.costs, pool, scheduler=SeedAHEFTScheduler()
-            )
+            fast = repro.run(
+                case.workflow, pool, costs=case.costs, mode="adaptive", strategy=AHEFTScheduler()
+            ).raw
+            seed = repro.run(
+                case.workflow, pool, costs=case.costs, mode="adaptive",
+                strategy=SeedAHEFTScheduler()
+            ).raw
             assert fast.final_schedule.to_dict() == seed.final_schedule.to_dict()
             assert fast.makespan == seed.makespan
             assert fast.rescheduling_count == seed.rescheduling_count
@@ -294,10 +295,12 @@ class TestKernelEquivalence:
         )
         case = generate_blast_case(20, ccr=1.0, beta=0.5, omega_dag=300.0, seed=8)
         pool = model.build_pool()
-        fast = run_adaptive(case.workflow, case.costs, pool, scheduler=AHEFTScheduler())
-        seed = run_adaptive(
-            case.workflow, case.costs, pool, scheduler=SeedAHEFTScheduler()
-        )
+        fast = repro.run(
+            case.workflow, pool, costs=case.costs, mode="adaptive", strategy=AHEFTScheduler()
+        ).raw
+        seed = repro.run(
+            case.workflow, pool, costs=case.costs, mode="adaptive", strategy=SeedAHEFTScheduler()
+        ).raw
         assert fast.final_schedule.to_dict() == seed.final_schedule.to_dict()
         assert fast.makespan == seed.makespan
 

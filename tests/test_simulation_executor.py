@@ -143,7 +143,8 @@ class TestDepartureSemantics:
         trace = StaticScheduleExecutor(
             chain_workflow, chain_costs, schedule, departing_pool
         ).run()
-        assert {k.job_id for k in trace.kills} == {"b"}
+        assert [(k.job_id, k.resource_id) for k in trace.kills] == [("b", "r1")]
+        assert trace.kills[0].killed_at == pytest.approx(15.0)
         assert trace.wasted_work() == pytest.approx(5.0)
         assert trace.resource_of("b") == "r2"
         assert trace.resource_of("c") == "r2"
@@ -167,20 +168,6 @@ class TestDepartureSemantics:
         )
         with pytest.raises(SimulationError, match="departed"):
             executor.run()
-
-    def test_departure_publishes_reschedule_event(
-        self, chain_workflow, chain_costs, departing_pool
-    ):
-        from repro.core.events import EventBus, ResourcePoolChangeEvent
-
-        bus = EventBus()
-        schedule = heft_schedule(chain_workflow, chain_costs, ["r1", "r2"])
-        StaticScheduleExecutor(
-            chain_workflow, chain_costs, schedule, departing_pool, event_bus=bus
-        ).run()
-        published = bus.events_of(ResourcePoolChangeEvent)
-        assert published and published[0].removed == ("r1",)
-        assert published[0].time == pytest.approx(15.0)
 
     def test_job_finishing_exactly_at_departure_completes(
         self, chain_workflow, chain_costs

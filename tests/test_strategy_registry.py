@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.adaptive import resolve_strategy, run_adaptive, run_dynamic, run_static
+import repro
 from repro.experiments.runner import (
     ExperimentCase,
     available_strategy_names,
@@ -115,50 +115,50 @@ class TestRegistryApi:
 
 
 class TestStrategyInjection:
-    def test_resolve_strategy_rejects_both_arguments(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_strategy("heft", make_scheduler("heft"))
-
-    def test_run_adaptive_rejects_non_replanning_strategy(self, small_random_case, make_pool):
+    def test_adaptive_mode_rejects_non_replanning_strategy(self, small_random_case, make_pool):
         with pytest.raises(ValueError, match="reschedule"):
-            run_adaptive(
+            repro.run(
                 small_random_case.workflow,
-                small_random_case.costs,
                 make_pool(4),
+                costs=small_random_case.costs,
+                mode="adaptive",
                 strategy="heft",
             )
 
-    def test_run_dynamic_rejects_non_batch_strategy(self, small_random_case, make_pool):
+    def test_dynamic_mode_rejects_non_batch_strategy(self, small_random_case, make_pool):
         with pytest.raises(ValueError, match="map_ready_jobs"):
-            run_dynamic(
+            repro.run(
                 small_random_case.workflow,
-                small_random_case.costs,
                 make_pool(4),
+                costs=small_random_case.costs,
+                mode="dynamic",
                 strategy="cpop",
             )
 
-    def test_run_static_accepts_every_registered_strategy(
+    def test_static_mode_accepts_every_registered_strategy(
         self, small_random_case, make_pool
     ):
         pool = make_pool(4)
         for name in available_schedulers():
-            result = run_static(
+            result = repro.run(
                 small_random_case.workflow,
-                small_random_case.costs,
                 pool,
+                costs=small_random_case.costs,
+                mode="static",
                 strategy=name,
-            )
+            ).raw
             assert result.makespan > 0
 
-    def test_run_adaptive_cpop_uses_a_late_join(self, small_random_case, make_pool):
+    def test_adaptive_mode_cpop_uses_a_late_join(self, small_random_case, make_pool):
         """A CPOP adaptive loop reacts to pool growth like AHEFT does."""
         pool = make_pool(3, joins=(30.0,))
-        result = run_adaptive(
+        result = repro.run(
             small_random_case.workflow,
-            small_random_case.costs,
             pool,
+            costs=small_random_case.costs,
+            mode="adaptive",
             strategy="cpop",
-        )
+        ).raw
         assert result.evaluated_events >= 1
 
     def test_adaptive_prefix_runs_registry_strategy_in_the_loop(

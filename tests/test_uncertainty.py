@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import run_adaptive, run_dynamic, run_static
+import repro
 from repro.core.history import PerformanceHistoryRepository
 from repro.core.predictor import (
     HistoryAdjustedCostModel,
@@ -170,10 +170,10 @@ class TestExecutionFeasibilityUnderNoise:
             make_scenario(scenario_name), initial_size=6, seed=scenario_seed
         )
         model = make_error_model(family, magnitude, seed=case_seed)
-        result = run_adaptive(
-            case.workflow, case.costs, run.pool, perf_profile=run.profile,
+        result = repro.run(
+            case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
             error_model=model,
-        )
+        ).raw
         assert result.trace is not None
         actual = result.trace.to_schedule()
         # precedence + communication delay + no overlap + availability
@@ -195,11 +195,11 @@ class TestExecutionFeasibilityUnderNoise:
         case = _case(v=v, seed=case_seed)
         run = materialize(make_scenario("departures"), initial_size=6, seed=scenario_seed)
         model = make_error_model(family, magnitude, seed=case_seed)
-        for runner in (run_static, run_dynamic):
-            result = runner(
-                case.workflow, case.costs, run.pool, perf_profile=run.profile,
-                error_model=model,
-            )
+        for mode in ("static", "dynamic"):
+            result = repro.run(
+                case.workflow, run.pool, costs=case.costs, mode=mode,
+                perf_profile=run.profile, error_model=model,
+            ).raw
             schedule = result.trace.to_schedule()
             assert check_no_overlap(schedule) == []
             assert check_precedence(case.workflow, case.costs, schedule) == []
@@ -207,18 +207,18 @@ class TestExecutionFeasibilityUnderNoise:
     def test_noise_triggers_deviation_decisions(self):
         case = _case(v=24, seed=9)
         run = materialize(make_scenario("static"), initial_size=6, seed=0)
-        result = run_adaptive(
-            case.workflow, case.costs, run.pool, perf_profile=run.profile,
+        result = repro.run(
+            case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
             error_model=make_error_model("gaussian", 0.5, seed=2),
-        )
+        ).raw
         assert any(d.event == "deviation" for d in result.decisions)
         # with the trigger disabled the loop only reacts to grid events,
         # of which the static scenario has none
-        quiet = run_adaptive(
-            case.workflow, case.costs, run.pool, perf_profile=run.profile,
+        quiet = repro.run(
+            case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
             error_model=make_error_model("gaussian", 0.5, seed=2),
             replan_on_deviation=None,
-        )
+        ).raw
         assert quiet.decisions == []
 
 
@@ -230,11 +230,11 @@ class TestPredictorFeedbackLoop:
         case = _case(v=20, seed=5)
         run = materialize(make_scenario("paper"), initial_size=5, seed=1)
         history = PerformanceHistoryRepository()
-        result = run_adaptive(
-            case.workflow, case.costs, run.pool, perf_profile=run.profile,
+        result = repro.run(
+            case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
             error_model=make_error_model("resource_bias", 0.4, seed=6),
             history=history,
-        )
+        ).raw
         assert len(history) == case.workflow.num_jobs
         truth = PerturbedCostModel(
             case.costs, make_error_model("resource_bias", 0.4, seed=6)
@@ -317,10 +317,10 @@ class TestPredictorFeedbackLoop:
         assert set(case_a.workflow.jobs) == set(case_b.workflow.jobs)
         history = PerformanceHistoryRepository()
         pool_a = config_a.to_experiment_case().build_scenario_run().pool
-        run_static(
-            case_a.workflow, case_a.costs, pool_a,
+        repro.run(
+            case_a.workflow, pool_a, costs=case_a.costs, mode="static",
             error_model=error, history=history,
-        )
+        ).raw
         # the supplied history alone forces the simulation (and recording)
         assert len(history) == case_a.workflow.num_jobs
         model = RatioAdjustedCostModel(case_b.costs, history, prior_strength=0.0)
@@ -338,10 +338,10 @@ class TestPredictorFeedbackLoop:
             make_scenario("degradation"), initial_size=5, seed=3
         )
         history = PerformanceHistoryRepository()
-        run_static(
-            case.workflow, case.costs, run.pool, perf_profile=run.profile,
+        repro.run(
+            case.workflow, run.pool, costs=case.costs, mode="static", perf_profile=run.profile,
             error_model=make_error_model("gaussian", 0.0), history=history,
-        )
+        ).raw
         truth_free = {
             (r.job_id, r.resource_id): r.duration for r in history.records
         }
@@ -383,11 +383,11 @@ class TestPredictorFeedbackLoop:
         case = _case(v=20, seed=7)
         run = materialize(make_scenario("paper"), initial_size=5, seed=2)
         history = PerformanceHistoryRepository()
-        run_adaptive(
-            case.workflow, case.costs, run.pool, perf_profile=run.profile,
+        repro.run(
+            case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
             error_model=make_error_model("resource_bias", 0.5, seed=4),
-            history=history, scheduler=SpyScheduler(),
-        )
+            history=history, strategy=SpyScheduler(),
+        ).raw
         assert seen, "no rescheduling decision was evaluated"
         reestimated = [
             model for model in seen if isinstance(model, RatioAdjustedCostModel)
