@@ -104,26 +104,34 @@ def generate_random_dag(
     # every non-entry job gets at least one predecessor from the previous level
     for level_index in range(1, len(levels)):
         previous = levels[level_index - 1]
+        # previous-level jobs still under budget, in level order, kept up to
+        # date as picks use up budgets
+        candidates = [p for p in previous if out_count[p] < max_out]
         for job in levels[level_index]:
-            candidates = [p for p in previous if out_count[p] < max_out]
             pick_from = candidates or previous
             pred = pick_from[int(rng.integers(0, len(pick_from)))]
             workflow.add_edge(pred, job, data=0.0)
             out_count[pred] += 1
+            if candidates and out_count[pred] == max_out:
+                candidates.remove(pred)
 
-    # extra forward edges up to the out-degree budget
-    for level_index, level_jobs in enumerate(levels[:-1]):
-        later = [job for lvl in levels[level_index + 1 :] for job in lvl]
+    # extra forward edges up to the out-degree budget; the jobs of every
+    # later level are the tail of the level-ordered job list
+    ordered = [job for level_jobs in levels for job in level_jobs]
+    later_start = 0
+    for level_jobs in levels[:-1]:
+        later_start += len(level_jobs)
+        num_later = len(ordered) - later_start
         for job in level_jobs:
             budget = max_out - out_count[job]
-            if budget <= 0 or not later:
+            if budget <= 0 or not num_later:
                 continue
             extra = int(rng.integers(0, budget + 1))
             if extra == 0:
                 continue
-            targets = rng.choice(len(later), size=min(extra, len(later)), replace=False)
+            targets = rng.choice(num_later, size=min(extra, num_later), replace=False)
             for target_index in np.atleast_1d(targets):
-                target = later[int(target_index)]
+                target = ordered[later_start + int(target_index)]
                 if target in workflow.successors(job):
                     continue
                 workflow.add_edge(job, target, data=0.0)

@@ -9,23 +9,50 @@ resource pool, a resource-change trace — derives its own seeded
 This mirrors common HPC practice of hierarchical seeding: the root seed
 identifies the experiment, the tokens identify the artefact, and the derived
 stream is independent of all siblings.
+
+Pricing a generated case takes one uniform draw from each of tens of
+thousands of such streams (one per job, edge and (job, resource) pair), and
+constructing a ``Generator`` costs far more than the draw itself.
+:func:`spawn_uniforms` takes those first draws for a whole batch of token
+paths at once: it re-implements NumPy's ``SeedSequence`` → ``PCG64`` seeding
+and first output on arrays, so element *k* equals
+``float(spawn_rng(root, *path_k).uniform(low_k, high_k))`` bit for bit.
+:func:`spawn_rng` stays the single-draw path and the reference the batched
+kernel is tested against.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 Token = Union[int, float, str, bytes]
 
-__all__ = ["derive_seed", "spawn_rng", "RandomSource"]
+__all__ = ["derive_seed", "spawn_rng", "spawn_uniforms", "RandomSource"]
+
+#: derived seeds keep 63 bits so they stay positive Python ints
+_SEED_MASK = (1 << 63) - 1
 
 
 def _token_bytes(token: Token) -> bytes:
-    """Render a seed token to a canonical byte string."""
+    """Render a seed token to a canonical byte string.
+
+    NumPy scalars render like the Python value they hold, so a grid built
+    with ``np.linspace`` or ``np.arange`` names the same streams as the
+    equivalent list of Python numbers.
+    """
+    if isinstance(token, str):
+        return b"s:" + token.encode("utf-8")
+    if isinstance(token, np.generic):
+        if isinstance(token, np.bool_):
+            token = bool(token)
+        elif isinstance(token, np.integer):
+            token = int(token)
+        elif isinstance(token, np.floating):
+            token = float(token)
     if isinstance(token, bytes):
         return b"b:" + token
     if isinstance(token, bool):  # bool before int: bool is a subclass of int
@@ -35,8 +62,6 @@ def _token_bytes(token: Token) -> bytes:
     if isinstance(token, float):
         # repr() keeps full precision and distinguishes 1.0 from 1
         return b"f:" + repr(token).encode("ascii")
-    if isinstance(token, str):
-        return b"s:" + token.encode("utf-8")
     raise TypeError(f"unsupported seed token type: {type(token)!r}")
 
 
@@ -53,20 +78,220 @@ def derive_seed(root_seed: int, *tokens: Token) -> int:
         The experiment-level seed.
     tokens:
         Any mix of ints, floats, strings or bytes identifying the artefact
-        (e.g. ``("dag", v, ccr, instance_index)``).
+        (e.g. ``("dag", v, ccr, instance_index)``).  NumPy bool, integer
+        and floating scalars are normalised to the Python ``bool``/``int``/
+        ``float`` they hold: ``np.float64(0.5)`` and ``0.5`` derive the same
+        seed.  Any other type raises :class:`TypeError`.
     """
-    digest = hashlib.sha256()
-    digest.update(_token_bytes(int(root_seed)))
+    digest = _extend(_root_hash(root_seed), tokens).digest()
+    return int.from_bytes(digest[:8], "little") & _SEED_MASK
+
+
+def _root_hash(root_seed: int):
+    """SHA-256 state after the root seed, open for tokens."""
+    return hashlib.sha256(_token_bytes(int(root_seed)))
+
+
+def _extend(digest, tokens: Iterable[Token]):
+    """Feed ``tokens`` into the SHA-256 state ``digest`` and return it."""
     for token in tokens:
-        digest.update(b"\x00")
-        digest.update(_token_bytes(token))
-    value = int.from_bytes(digest.digest()[:8], "little")
-    return value & ((1 << 63) - 1)
+        digest.update(b"\x00" + _token_bytes(token))
+    return digest
 
 
 def spawn_rng(root_seed: int, *tokens: Token) -> np.random.Generator:
-    """Return a :class:`numpy.random.Generator` for the given token path."""
+    """Return a :class:`numpy.random.Generator` for the given token path.
+
+    The seed is :func:`derive_seed` of the same arguments, so tokens follow
+    its normalisation rules (NumPy scalars name the same stream as the
+    Python number they hold).
+    """
     return np.random.default_rng(derive_seed(root_seed, *tokens))
+
+
+def spawn_uniforms(
+    root_seed: int,
+    groups: Iterable[Tuple[Sequence[Token], Sequence[Token]]],
+    low,
+    high,
+) -> np.ndarray:
+    """First uniform draw of many token-path streams, in one vectorised pass.
+
+    ``groups`` yields ``(prefix, last_tokens)`` pairs; together they name
+    the token paths ``(*prefix, token)`` for every ``token`` of
+    ``last_tokens``, group after group.  Element *k* of the result is
+    ``float(spawn_rng(root_seed, *path_k).uniform(low_k, high_k))`` bit for
+    bit, where ``low``/``high`` are scalars or arrays with one entry per
+    path.
+
+    The root seed and each prefix are hashed once and the SHA-256 state is
+    copied per last token; a group that passes the same ``last_tokens``
+    object as the group before reuses its rendering.  Seeds go through the
+    generator kernel in blocks of :data:`_BLOCK` paths, so temporaries stay
+    small for any batch.
+    """
+    root = _root_hash(root_seed)
+    doubles = []
+    digests: list = []
+    suffixes: list = []
+    previous = None
+    for prefix, last_tokens in groups:
+        if last_tokens is not previous:
+            suffixes = [b"\x00" + _token_bytes(token) for token in last_tokens]
+            previous = last_tokens
+        copy = _extend(root.copy(), prefix).copy
+        for suffix in suffixes:
+            digest = copy()
+            digest.update(suffix)
+            digests.append(digest.digest()[:8])
+        if len(digests) >= _BLOCK:
+            doubles.append(_digest_doubles(digests))
+            digests = []
+    doubles.append(_digest_doubles(digests))
+    unit = np.concatenate(doubles)
+    low = np.asarray(low, dtype=np.float64)
+    high = np.asarray(high, dtype=np.float64)
+    return low + (high - low) * unit
+
+
+def _digest_doubles(digests: list) -> np.ndarray:
+    """First doubles of the streams seeded by these 8-byte digest prefixes."""
+    seeds = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
+    return _seed_doubles(seeds & np.uint64(_SEED_MASK))
+
+
+# ----------------------------------------------------------------------
+# NumPy's SeedSequence -> PCG64 -> next_double, on arrays of seeds
+# ----------------------------------------------------------------------
+# The constants and the order of operations follow numpy/random/
+# bit_generator.pyx (SeedSequence, pool size 4) and numpy/random/src/pcg64
+# (PCG64: 128-bit LCG, XSL-RR output), whose streams NumPy keeps stable
+# (NEP 19).  Every step runs on uint32/uint64 arrays, which wrap modulo
+# 2**32 / 2**64 exactly like the C code.
+
+_M32 = 0xFFFFFFFF
+_U32 = np.uint32
+_U64 = np.uint64
+
+#: pairs processed per pass; keeps the ~40 temporaries under about 1 MB
+_BLOCK = 4096
+
+
+def _hash_consts(init: int, mult: int, count: int) -> Tuple[Tuple[int, int], ...]:
+    """The (xor, multiply) constants of ``count`` successive hashmix calls.
+
+    SeedSequence's running hash constant depends only on how many values
+    were hashed before, never on their content, so the whole sequence is
+    fixed.
+    """
+    out = []
+    const = init
+    for _ in range(count):
+        nxt = (const * mult) & _M32
+        out.append((const, nxt))
+        const = nxt
+    return tuple(out)
+
+
+# 4 hashmix calls fill the pool, 12 more mix it
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+# generate_state(4, uint64) hashes 8 uint32 words
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L = _U32(0xCA01F9DD)
+_MIX_R = _U32(0x4973F715)
+
+_PCG_MULT_HI = 0x2360ED051FC65DA4
+_PCG_MULT_LO = 0x4385DF649FCCF645
+
+
+def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
+    xor, mult = _POOL_HASH[call]
+    value = (value ^ _U32(xor)) * _U32(mult)
+    return value ^ (value >> _U32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> _U32(16))
+
+
+def _pool(lo: np.ndarray, hi: np.ndarray) -> list:
+    """SeedSequence(seed).pool for seeds with 32-bit halves ``lo``/``hi``.
+
+    A seed below 2**32 has one entropy word and the pool pads with zeros,
+    which is what a zero high word gives, so every seed takes this path.
+    """
+    zeros = np.zeros_like(lo)
+    mixer = [_hashmix(lo, 0), _hashmix(hi, 1), _hashmix(zeros, 2), _hashmix(zeros, 3)]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], call))
+                call += 1
+    return mixer
+
+
+def _generate_state(pool: list) -> list:
+    """``generate_state(4, uint64)`` of the pool, as four uint64 arrays."""
+    words = []
+    for i, (xor, mult) in enumerate(_STATE_HASH):
+        value = (pool[i % 4] ^ _U32(xor)) * _U32(mult)
+        words.append((value ^ (value >> _U32(16))).astype(_U64))
+    return [words[k] | (words[k + 1] << _U64(32)) for k in range(0, 8, 2)]
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of ``a * b`` for uint64 ``a`` and a constant ``b``."""
+    a0, a1 = a & _U64(_M32), a >> _U64(32)
+    b0, b1 = _U64(b & _M32), _U64(b >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _U64(_M32)) + (p10 & _U64(_M32))
+    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _add128(ah, al, bh, bl):
+    lo = al + bl
+    return ah + bh + (lo < al).astype(_U64), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step: ``state * MULT + inc`` modulo 2**128."""
+    mul_lo = lo * _U64(_PCG_MULT_LO)
+    mul_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _U64(_PCG_MULT_HI) + hi * _U64(_PCG_MULT_LO)
+    return _add128(mul_hi, mul_lo, inc_hi, inc_lo)
+
+
+def _first_doubles(seeds: np.ndarray) -> np.ndarray:
+    """``default_rng(seed).random()`` for one block of uint64 seeds."""
+    lo = (seeds & _U64(_M32)).astype(_U32)
+    hi = (seeds >> _U64(32)).astype(_U32)
+    s_hi, s_lo, q_hi, q_lo = _generate_state(_pool(lo, hi))
+    # pcg64_set_seed: inc = (initseq << 1) | 1; state = inc + initstate,
+    # then one step; the first draw steps once more and outputs
+    inc_hi = (q_hi << _U64(1)) | (q_lo >> _U64(63))
+    inc_lo = (q_lo << _U64(1)) | _U64(1)
+    hi64, lo64 = _add128(inc_hi, inc_lo, s_hi, s_lo)
+    hi64, lo64 = _pcg_step(hi64, lo64, inc_hi, inc_lo)
+    hi64, lo64 = _pcg_step(hi64, lo64, inc_hi, inc_lo)
+    # XSL-RR: rotate (hi ^ lo) right by the top six bits of the state
+    rot = hi64 >> _U64(58)
+    xored = hi64 ^ lo64
+    out = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
+    return (out >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _seed_doubles(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(int(s)).random()`` for every seed ``s``.
+
+    ``seeds`` holds integers in ``[0, 2**64)``; the work runs in blocks of
+    :data:`_BLOCK` so temporaries stay small whatever the batch size.
+    """
+    seeds = np.asarray(seeds, dtype=_U64)
+    out = np.empty(seeds.shape, dtype=np.float64)
+    for start in range(0, seeds.size, _BLOCK):
+        out[start:start + _BLOCK] = _first_doubles(seeds[start:start + _BLOCK])
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,23 @@ Two concrete models are provided:
   communication priced as ``latency + data / bandwidth``.  Costs for
   resources that join *after* workflow submission are drawn lazily from the
   same distribution, seeded by the resource identity, so the model remains
-  deterministic under pool growth.
+  deterministic under pool growth.  Every ``w_{i,j}`` is drawn lazily, one
+  batched draw per matrix build, bit-identical to the per-pair stream: a
+  :meth:`CostModel.computation_matrix` call prices all of its new columns
+  with one :func:`~repro.utils.rng.spawn_uniforms` call, which reproduces
+  ``spawn_rng(seed, "wij", job, resource).uniform(...)`` exactly.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_rng, spawn_uniforms
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -213,18 +218,25 @@ class CostModel(abc.ABC):
         survive it.  Never use this for anything priced from edge data
         (communication views), which must stay on :meth:`memoize`.
         """
+        entries = self._structural_entries()
+        if entries is None:
+            return builder()
+        if key not in entries:
+            entries[key] = builder()
+        return entries[key]
+
+    def _structural_entries(self) -> Optional[Dict[Tuple, object]]:
+        """The live entries behind :meth:`memoize_structural`, or ``None``
+        when the model is not cacheable."""
         token = self.cache_token()
         if token is None:
-            return builder()
+            return None
         store = self.__dict__.get("_structural_cache")
         stamp = (self.workflow.structure_version, token)
         if store is None or store.get("stamp") != stamp:
             store = {"stamp": stamp, "entries": {}}
             self.__dict__["_structural_cache"] = store
-        entries = store["entries"]
-        if key not in entries:
-            entries[key] = builder()
-        return entries[key]
+        return store["entries"]
 
     def computation_matrix(self, resources: Sequence[str]) -> "np.ndarray":
         """Dense ``w[job_idx, resource_idx]`` matrix for the given pool.
@@ -234,8 +246,9 @@ class CostModel(abc.ABC):
         from per-resource *columns* that are themselves memoized — under the
         adaptive loop the pool signature changes on every join/leave event,
         but most resources persist across events, so stacking cached columns
-        only prices the genuinely new resources instead of re-pricing the
-        whole ``jobs × pool`` table per event.  Entries are the exact same
+        only prices the genuinely new resources (all of them in one
+        :meth:`_price_columns` call) instead of re-pricing the whole
+        ``jobs × pool`` table per event.  Entries are the exact same
         ``computation_cost`` floats either way.
         """
         key = ("wmat", tuple(resources))
@@ -244,10 +257,17 @@ class CostModel(abc.ABC):
             jobs = self.workflow.structure().jobs
             if not resources:
                 return np.empty((len(jobs), 0), dtype=np.float64)
-            columns = [self._computation_column(rid) for rid in resources]
+            entries = self._structural_entries()
+            if entries is None:
+                entries = {}  # not cacheable: the columns live for this build only
+            missing = [rid for rid in dict.fromkeys(resources) if ("wcol", rid) not in entries]
+            if missing:
+                priced = self._price_columns(missing)
+                for j, rid in enumerate(missing):
+                    entries[("wcol", rid)] = priced[:, j]
             matrix = np.empty((len(jobs), len(resources)), dtype=np.float64)
-            for j, column in enumerate(columns):
-                matrix[:, j] = column
+            for j, rid in enumerate(resources):
+                matrix[:, j] = entries[("wcol", rid)]
             return matrix
 
         return self.memoize_structural(key, build)
@@ -265,17 +285,16 @@ class CostModel(abc.ABC):
             lambda: self.computation_matrix(resources).tolist(),
         )
 
-    def _computation_column(self, resource_id: str) -> "np.ndarray":
-        """One resource's ``w[:, j]`` column, memoized independently."""
+    def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
+        """Price ``w[:, j]`` for every resource of ``resource_ids``, unmemoized.
 
-        def build() -> "np.ndarray":
-            jobs = self.workflow.structure().jobs
-            column = np.empty(len(jobs), dtype=np.float64)
-            for i, job in enumerate(jobs):
-                column[i] = self.computation_cost(job, resource_id)
-            return column
-
-        return self.memoize_structural(("wcol", resource_id), build)
+        Returns a ``jobs × len(resource_ids)`` array of
+        :meth:`computation_cost` values.  Models that can price many pairs
+        at once more cheaply than one by one override this.
+        """
+        jobs = self.workflow.structure().jobs
+        columns = [[self.computation_cost(job, rid) for job in jobs] for rid in resource_ids]
+        return np.array(columns, dtype=np.float64).reshape(len(resource_ids), len(jobs)).T
 
     def average_computation_costs(
         self, resources: Optional[Sequence[str]] = None
@@ -466,6 +485,13 @@ class HeterogeneousCostModel(CostModel):
         Root seed for the per-(job, resource) draws.  Two model instances
         with the same seed produce identical cost matrices, regardless of
         query order and of when resources join the pool.
+
+    Costs are drawn lazily, one batched draw per matrix build, bit-identical
+    to the per-pair stream: :meth:`computation_cost` draws one pair from
+    ``spawn_rng(seed, "wij", job, resource)``, while a
+    :meth:`computation_matrix` build prices every uncached column with one
+    :func:`~repro.utils.rng.spawn_uniforms` call and stores the values in
+    the per-pair cache the scalar queries read.
     """
 
     def __init__(
@@ -513,18 +539,45 @@ class HeterogeneousCostModel(CostModel):
     def has_uniform_communication(self) -> bool:
         return True  # latency + data/bandwidth, independent of the pair
 
+    def _bounds(self, base):
+        """``(low, high)`` of the ``w_{i,j}`` draw for base cost(s) ``base``."""
+        return base * (1.0 - self.beta / 2.0), base * (1.0 + self.beta / 2.0)
+
     def computation_cost(self, job_id: str, resource_id: str) -> float:
         key = (job_id, resource_id)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         base = self.base_costs[job_id]
-        rng = spawn_rng(self.seed, "wij", job_id, resource_id)
-        low = base * (1.0 - self.beta / 2.0)
-        high = base * (1.0 + self.beta / 2.0)
-        cost = float(rng.uniform(low, high)) if high > low else float(base)
+        low, high = self._bounds(base)
+        if high > low:
+            cost = float(spawn_rng(self.seed, "wij", job_id, resource_id).uniform(low, high))
+        else:
+            cost = float(base)
         self._cache[key] = cost
         return cost
+
+    def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
+        """All ``jobs × resource_ids`` draws in one :func:`spawn_uniforms` call.
+
+        Bit-identical to :meth:`computation_cost` pair by pair; the drawn
+        values also fill the per-pair cache the scalar queries read.
+        """
+        jobs = self.workflow.structure().jobs
+        rids = list(resource_ids)
+        base = np.array([self.base_costs[job] for job in jobs], dtype=np.float64)
+        low, high = self._bounds(base)
+        costs = np.repeat(base, len(rids)).reshape(len(jobs), len(rids))
+        drawn = high > low
+        if drawn.any():
+            costs[drawn] = spawn_uniforms(
+                self.seed,
+                [(("wij", job), rids) for job, d in zip(jobs, drawn.tolist()) if d],
+                np.repeat(low[drawn], len(rids)),
+                np.repeat(high[drawn], len(rids)),
+            ).reshape(-1, len(rids))
+        self._cache.update(zip(product(jobs, rids), costs.ravel().tolist()))
+        return costs
 
     def intrinsic_average_computation_cost(self, job_id: str) -> float:
         return self.base_costs[job_id]

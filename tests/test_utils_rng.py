@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import RandomSource, derive_seed, spawn_rng
+from repro.utils.rng import RandomSource, _seed_doubles, derive_seed, spawn_rng, spawn_uniforms
 
 
 class TestDeriveSeed:
@@ -36,6 +38,29 @@ class TestDeriveSeed:
     def test_unsupported_token_type_raises(self):
         with pytest.raises(TypeError):
             derive_seed(0, object())
+
+    def test_numpy_scalar_tokens_name_the_python_stream(self):
+        assert derive_seed(1, np.float64(0.5)) == derive_seed(1, 0.5)
+        assert derive_seed(1, np.float32(0.5)) == derive_seed(1, 0.5)
+        assert derive_seed(1, np.int64(3)) == derive_seed(1, 3)
+        assert derive_seed(1, np.uint8(3)) == derive_seed(1, 3)
+        assert derive_seed(1, np.bool_(True)) == derive_seed(1, True)
+        assert derive_seed(1, np.str_("a")) == derive_seed(1, "a")
+        # a linspace grid names the same streams as the Python list
+        grid = np.linspace(0.1, 0.5, 5)
+        assert [derive_seed(2, "ccr", x) for x in grid] == [
+            derive_seed(2, "ccr", x) for x in grid.tolist()
+        ]
+        # normalisation keeps NumPy types as distinct as the Python ones
+        assert derive_seed(1, np.int64(1)) != derive_seed(1, np.float64(1.0))
+        assert derive_seed(1, np.bool_(True)) != derive_seed(1, np.int64(1))
+
+    def test_python_token_seeds_are_pinned(self):
+        # values of the original rendering: normalising NumPy scalars must
+        # not move any stream named with Python tokens
+        assert derive_seed(42, "wij", "n1", "r3") == 1698987325748867214
+        assert derive_seed(7, 1, 0.5, True, b"x", "s") == 4911767903557162800
+        assert derive_seed(0) == 6962474909302933257
 
 
 class TestSpawnRng:
@@ -75,3 +100,82 @@ class TestRandomSource:
         src = RandomSource(seed=3)
         with pytest.raises(ValueError):
             src.choice([], "pick")
+
+
+_tokens = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.booleans(),
+)
+
+
+@st.composite
+def _batches(draw):
+    groups = draw(
+        st.lists(
+            st.tuples(st.lists(_tokens, max_size=3), st.lists(_tokens, max_size=4)),
+            max_size=4,
+        )
+    )
+    n = sum(len(last) for _, last in groups)
+    bound = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    low = draw(st.lists(bound, min_size=n, max_size=n))
+    width = draw(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=n, max_size=n))
+    return groups, low, [lo + w for lo, w in zip(low, width)]
+
+
+class TestSpawnUniforms:
+    """The batched kernel against the per-path ``Generator`` it replaces.
+
+    CI installs NumPy unpinned; these tests are what notices an upgrade
+    that moves the ``SeedSequence``/``PCG64`` streams the kernel mirrors.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(root=st.integers(min_value=-(2**64), max_value=2**64), batch=_batches())
+    def test_equals_spawn_rng_uniform(self, root, batch):
+        groups, low, high = batch
+        got = spawn_uniforms(root, groups, np.array(low), np.array(high))
+        paths = [(*prefix, token) for prefix, last in groups for token in last]
+        want = [
+            float(spawn_rng(root, *path).uniform(lo, hi))
+            for path, lo, hi in zip(paths, low, high)
+        ]
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_seed_to_double_edges(self, seed):
+        got = _seed_doubles(np.array([seed], dtype=np.uint64))
+        assert got.tolist() == [np.random.default_rng(seed).random()]
+
+    def test_seed_to_double_across_blocks(self):
+        seeds = np.random.default_rng(5).integers(0, 2**63, size=9000, dtype=np.uint64)
+        want = [np.random.default_rng(int(s)).random() for s in seeds]
+        assert _seed_doubles(seeds).tolist() == want
+
+    def test_empty_batch(self):
+        out = spawn_uniforms(3, [], 0.0, 1.0)
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert spawn_uniforms(3, [(("a",), [])], 0.0, 1.0).shape == (0,)
+
+    def test_degenerate_range_returns_low(self):
+        # beta = 0 (high == low) and a zero base cost: every draw is low
+        out = spawn_uniforms(4, [(("wij", "n1"), ["r1", "r2"])], [7.5, 0.0], [7.5, 0.0])
+        assert out.tolist() == [7.5, 0.0]
+        assert out.tolist() == [
+            float(spawn_rng(4, "wij", "n1", "r1").uniform(7.5, 7.5)),
+            float(spawn_rng(4, "wij", "n1", "r2").uniform(0.0, 0.0)),
+        ]
+
+    def test_shared_last_tokens_are_rendered_per_group(self):
+        rids = ["r1", 2, 3.0]
+        groups = [(("wij", job), rids) for job in ("n1", "n2")] + [(("x",), [b"r1"])]
+        want = [
+            float(spawn_rng(9, *prefix, token).uniform(1.0, 2.0))
+            for prefix, last in groups
+            for token in last
+        ]
+        assert spawn_uniforms(9, groups, 1.0, 2.0).tolist() == want

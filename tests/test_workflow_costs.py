@@ -1,8 +1,13 @@
 """Tests for cost models."""
 
+import numpy as np
 import pytest
 
+import repro
+from repro.resources.dynamics import ResourceChangeModel
+from repro.workflow import costs as costs_module
 from repro.workflow.costs import (
+    CostModel,
     HeterogeneousCostModel,
     TabularCostModel,
     UniformCostModel,
@@ -187,3 +192,123 @@ class TestUniformCostModel:
         model = UniformCostModel(diamond_workflow, computation=2.0)
         # average data = (2+3+1+4)/4 = 2.5; ccr = 2.5 / 2.0
         assert model.ccr() == pytest.approx(1.25)
+
+
+def _count_draws(monkeypatch):
+    """Count scalar ``"wij"`` streams and batched draw calls in the cost model."""
+    counts = {"wij": 0, "batches": 0}
+    spawn_rng, spawn_uniforms = costs_module.spawn_rng, costs_module.spawn_uniforms
+
+    def counting_spawn_rng(root, *tokens):
+        if tokens and tokens[0] == "wij":
+            counts["wij"] += 1
+        return spawn_rng(root, *tokens)
+
+    def counting_spawn_uniforms(*args, **kwargs):
+        counts["batches"] += 1
+        return spawn_uniforms(*args, **kwargs)
+
+    monkeypatch.setattr(costs_module, "spawn_rng", counting_spawn_rng)
+    monkeypatch.setattr(costs_module, "spawn_uniforms", counting_spawn_uniforms)
+    return counts
+
+
+class TestBatchedComputationMatrix:
+    """``computation_matrix`` prices new columns in one batched draw that
+    must agree with the per-pair ``computation_cost`` stream bit for bit."""
+
+    RIDS = ["r1", "r2", "r3", "r7"]
+
+    @staticmethod
+    def _scalar_matrix(model, rids):
+        jobs = model.workflow.structure().jobs
+        return np.array([[model.computation_cost(j, r) for r in rids] for j in jobs])
+
+    def test_batch_first_matches_scalar_and_fills_the_cache(self, make_case, monkeypatch):
+        model = make_case(v=40, seed=3).costs
+        fresh = make_case(v=40, seed=3).costs
+        counts = _count_draws(monkeypatch)
+        matrix = model.computation_matrix(self.RIDS)
+        assert counts == {"wij": 0, "batches": 1}
+        # the batch filled the per-pair cache: scalar queries draw nothing
+        assert np.array_equal(matrix, self._scalar_matrix(model, self.RIDS))
+        assert counts == {"wij": 0, "batches": 1}
+        # and equals a model that never took the batched path
+        assert np.array_equal(matrix, self._scalar_matrix(fresh, self.RIDS))
+        assert counts["wij"] == 40 * len(self.RIDS)
+
+    def test_scalar_first_matches_batch(self, make_case):
+        model = make_case(v=40, seed=4).costs
+        scalar = self._scalar_matrix(model, self.RIDS)
+        assert np.array_equal(model.computation_matrix(self.RIDS), scalar)
+        assert np.array_equal(model.computation_matrix(self.RIDS[::-1]), scalar[:, ::-1])
+
+    def test_only_new_columns_are_drawn(self, make_case, monkeypatch):
+        model = make_case(v=30, seed=5).costs
+        counts = _count_draws(monkeypatch)
+        model.computation_matrix(["r1", "r2"])
+        grown = model.computation_matrix(["r1", "r2", "r3", "r4"])
+        assert counts == {"wij": 0, "batches": 2}
+        assert np.array_equal(grown, self._scalar_matrix(model, ["r1", "r2", "r3", "r4"]))
+        model.computation_matrix(["r4", "r1"])  # every column already priced
+        assert counts["batches"] == 2
+
+    def test_matches_after_invalidate_cache(self, make_case):
+        model = make_case(v=30, seed=6).costs
+        before = model.computation_matrix(self.RIDS).copy()
+        job = model.workflow.jobs[0]
+        model.base_costs[job] *= 2.0
+        model.invalidate_cache()
+        after = model.computation_matrix(self.RIDS)
+        assert np.array_equal(after, self._scalar_matrix(model, self.RIDS))
+        assert not np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1:], before[1:])
+
+    def test_matches_after_add_job(self, make_case):
+        model = make_case(v=30, seed=7).costs
+        before = model.computation_matrix(self.RIDS).copy()
+        model.workflow.add_job("late")
+        model.base_costs["late"] = 12.5
+        after = model.computation_matrix(self.RIDS)
+        assert after.shape == (31, len(self.RIDS))
+        assert np.array_equal(after[:-1], before)
+        assert np.array_equal(after, self._scalar_matrix(model, self.RIDS))
+
+    @pytest.mark.parametrize("beta, base", [(0.0, 10.0), (1.0, 0.0)])
+    def test_degenerate_band_is_the_base_cost(self, diamond_workflow, beta, base, monkeypatch):
+        model = HeterogeneousCostModel(
+            diamond_workflow, {j: base for j in diamond_workflow.jobs}, beta=beta
+        )
+        counts = _count_draws(monkeypatch)
+        matrix = model.computation_matrix(self.RIDS)
+        assert (matrix == base).all()
+        assert counts == {"wij": 0, "batches": 0}
+        assert model.computation_cost("a", "r9") == base
+
+
+class TestPricingDrawCount:
+    """CI guard: the adaptive loop prices ``w[i][j]`` only through batched
+    draws, at most one per ``computation_matrix`` call."""
+
+    def test_adaptive_run_on_growing_pool(self, make_case, monkeypatch):
+        case = make_case(v=300, seed=1, out_degree=20 / 300, ccr=1.0, beta=0.5)
+        pool = ResourceChangeModel(6, interval=120, fraction=0.3, max_events=5).build_pool()
+        counts = _count_draws(monkeypatch)
+        per_call = []
+        computation_matrix = CostModel.computation_matrix
+
+        def counting_matrix(self, resources):
+            before = counts["batches"]
+            try:
+                return computation_matrix(self, resources)
+            finally:
+                per_call.append(counts["batches"] - before)
+
+        monkeypatch.setattr(CostModel, "computation_matrix", counting_matrix)
+        result = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive")
+        assert result.makespan > 0
+        assert len(pool.all_resource_ids()) > 6, "the pool never grew"
+        assert counts["wij"] == 0
+        assert max(per_call) <= 1
+        # the initial pool and at least one joining resource were priced
+        assert counts["batches"] >= 2
