@@ -6,6 +6,15 @@ re-estimation and a candidate schedule ``S1`` for the unfinished part of the
 DAG; ``S1`` replaces ``S0`` only if it is an initial schedule or its
 predicted makespan is smaller (Fig. 2 lines 7–9).
 
+The loop is one Planner/Executor cycle (Fig. 1): adopted bookings are
+replayed against a ground-truth cost model (:func:`project_actuals`), the
+observed facts feed the optional predictor, and completions that miss their
+booking can trigger replanning.  Under accurate estimates — no truth model
+and no predictor — it takes an exact case inside that same loop: the plan
+is its own future, so the replay, the belief sync and the deviation scan
+are skipped.  Every adaptive run, exact or not, carries an
+:class:`~repro.simulation.trace.ExecutionTrace`.
+
 Three runners behind :func:`repro.run` give the head-to-head comparison of
 the paper's evaluation:
 
@@ -50,6 +59,7 @@ __all__ = [
     "AdaptiveRunResult",
     "AdaptiveReschedulingLoop",
     "apply_departure_kills",
+    "decide_adoption",
     "describe_pool_event",
     "project_actuals",
     "repair_schedule",
@@ -133,6 +143,46 @@ class ReschedulingDecision:
         return self.previous_makespan - self.candidate_makespan
 
 
+def decide_adoption(
+    clock: float,
+    event: Optional[PoolEvent],
+    current: Schedule,
+    candidate: Schedule,
+    *,
+    forced: bool,
+    accept_only_if_better: bool,
+    deviation: bool = False,
+) -> ReschedulingDecision:
+    """The accept rule of paper Fig. 2 lines 7–9, as a logged decision.
+
+    The candidate replaces ``current`` when the old plan is infeasible
+    (``forced``), when the rule is switched off (``accept_only_if_better``
+    false, the always-adopt ablation), or when its predicted makespan is
+    shorter by more than ``TIME_EPS``.  The decision is labelled with the
+    pool event, or ``"deviation"``/``"perf-change"`` for the monitor's and
+    the performance profile's triggers.  Shared by
+    :class:`AdaptiveReschedulingLoop` and the multi-tenant planner.
+    """
+    if event is not None:
+        label = describe_pool_event(event)
+    else:
+        label = "deviation" if deviation else "perf-change"
+    previous_makespan = current.makespan()
+    candidate_makespan = candidate.makespan()
+    return ReschedulingDecision(
+        time=clock,
+        event=label,
+        previous_makespan=previous_makespan,
+        candidate_makespan=candidate_makespan,
+        adopted=(
+            forced
+            or not accept_only_if_better
+            or candidate_makespan < previous_makespan - TIME_EPS
+        ),
+        forced=forced,
+    )
+
+
 @dataclass
 class AdaptiveRunResult:
     """Result of running one strategy on one workflow instance."""
@@ -143,9 +193,6 @@ class AdaptiveRunResult:
     decisions: List[ReschedulingDecision] = field(default_factory=list)
     trace: Optional[ExecutionTrace] = None
     killed_jobs: int = 0
-    #: wasted work recorded by the analytic planning loop (simulated runs
-    #: report it through the trace instead — see :attr:`wasted_work`).
-    planned_wasted_work: float = 0.0
 
     @property
     def makespan(self) -> float:
@@ -170,9 +217,7 @@ class AdaptiveRunResult:
     @property
     def wasted_work(self) -> float:
         """Execution time thrown away on departure kills."""
-        if self.trace is not None:
-            return self.trace.wasted_work()
-        return self.planned_wasted_work
+        return self.trace.wasted_work() if self.trace is not None else 0.0
 
 
 class AdaptiveReschedulingLoop:
@@ -187,8 +232,6 @@ class AdaptiveReschedulingLoop:
         Fig. 2 line 7: adopt the candidate only when its predicted makespan
         improves on the current plan.  Setting this to ``False`` (always
         adopt) is exposed for the ablation benchmark.
-    epsilon:
-        Minimum makespan improvement regarded as "better".
     """
 
     def __init__(
@@ -196,11 +239,9 @@ class AdaptiveReschedulingLoop:
         scheduler: Optional[AHEFTScheduler] = None,
         *,
         accept_only_if_better: bool = True,
-        epsilon: float = 1e-9,
     ) -> None:
         self.scheduler = scheduler or AHEFTScheduler()
         self.accept_only_if_better = accept_only_if_better
-        self.epsilon = float(epsilon)
 
     # ------------------------------------------------------------------
     def run(
@@ -219,182 +260,15 @@ class AdaptiveReschedulingLoop:
     ) -> AdaptiveRunResult:
         """Plan, then react to every event until the workflow finishes.
 
-        Under the accurate-estimation assumption the execution state at each
-        event time can be read directly off the schedule being executed
-        (jobs finish exactly when scheduled), so the loop advances
-        analytically from event to event — which is also how the paper's
-        simulation treats static and adaptive strategies.
-
-        Beyond the paper's join-only events the loop honours the adversarial
-        scenario vocabulary:
-
-        * **departures** — jobs running on a departing resource at the event
-          time are killed (their partial execution counted as wasted work)
-          and return to the unscheduled set; if any unfinished work was
-          mapped to a departed resource the previous plan is *infeasible*
-          and the candidate is adopted regardless of the accept-if-better
-          rule (``forced`` decisions);
-        * **performance changes** — when ``perf_profile`` marks a factor
-          change at the event time, the current plan's remaining finish
-          times are first *repaired* under the new factors (see
-          :func:`repair_schedule`) so the accept rule compares the candidate
-          against an honest baseline, and the candidate itself is planned
-          with the degraded cost model.
-
-        With ``actual_costs`` (a sampled ground truth, typically a
-        :class:`~repro.workflow.costs.PerturbedCostModel`) and/or a
-        ``predictor`` the loop leaves the accurate-estimation regime and
-        closes the paper's Fig. 1 feedback cycle instead — see
-        :meth:`_run_uncertain`.
-        """
-        if actual_costs is None and predictor is None:
-            return self._run_analytic(
-                workflow,
-                costs,
-                pool,
-                events=events,
-                strategy_name=strategy_name,
-                perf_profile=perf_profile,
-            )
-        return self._run_uncertain(
-            workflow,
-            costs,
-            pool,
-            events=events,
-            strategy_name=strategy_name,
-            perf_profile=perf_profile,
-            actual_costs=actual_costs,
-            predictor=predictor,
-            observe=observe,
-            replan_on_deviation=replan_on_deviation,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_analytic(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        pool: ResourcePool,
-        *,
-        events: Optional[Sequence[PoolEvent]],
-        strategy_name: Optional[str],
-        perf_profile,
-    ) -> AdaptiveRunResult:
-        """The paper's analytic loop: actual durations equal the estimates."""
-        initial_resources = pool.available_at(0.0)
-        if not initial_resources:
-            raise ValueError("no resources available at time 0")
-        current = self.scheduler.schedule(workflow, costs, initial_resources)
-        initial = current
-        decisions: List[ReschedulingDecision] = []
-        wasted = 0.0
-        killed_jobs: set = set()
-
-        triggers, perf_times = _merge_triggers(
-            list(events) if events is not None else pool.events(), perf_profile
-        )
-
-        core = EventCore()
-
-        def on_trigger(clock: float, event: Optional[PoolEvent]) -> None:
-            nonlocal current, wasted, killed_jobs
-            if clock >= current.makespan() - TIME_EPS:
-                core.stop()  # the workflow finished before this event
-                return
-            resources = pool.available_at(clock)
-            if not resources:
-                return
-            state = ExecutionState.from_schedule(current, clock, jobs=workflow.jobs)
-
-            removed_set = frozenset(event.removed) if event is not None else frozenset()
-            wasted_delta, killed, forced = apply_departure_kills(
-                workflow, current, state, removed_set
-            )
-            wasted += wasted_delta
-            killed_jobs |= killed
-
-            effective_costs = costs
-            if perf_profile is not None:
-                effective_costs = perf_profile.scaled_costs(costs, clock)
-                if clock in perf_times:
-                    current = repair_schedule(
-                        workflow,
-                        current,
-                        state,
-                        effective_costs,
-                        clock=clock,
-                        resources=resources,
-                    )
-
-            candidate = self.scheduler.reschedule(
-                workflow,
-                effective_costs,
-                resources,
-                clock=clock,
-                previous_schedule=current,
-                execution_state=state,
-            )
-            adopt = (
-                forced
-                or not self.accept_only_if_better
-                or candidate.makespan() < current.makespan() - self.epsilon
-            )
-            decisions.append(
-                ReschedulingDecision(
-                    time=clock,
-                    event=describe_pool_event(event) if event is not None else "perf-change",
-                    previous_makespan=current.makespan(),
-                    candidate_makespan=candidate.makespan(),
-                    adopted=adopt,
-                    forced=forced,
-                )
-            )
-            if adopt:
-                current = candidate
-
-        for clock in sorted(triggers):
-            event = triggers[clock]
-            core.post(
-                clock,
-                lambda c=clock, e=event: on_trigger(c, e),
-                kind=EventKind.POOL_CHANGE if event is not None else EventKind.PERF_CHANGE,
-                label=describe_pool_event(event) if event is not None else "perf-change",
-            )
-        core.run()
-        return AdaptiveRunResult(
-            strategy=strategy_name or getattr(self.scheduler, "name", "adaptive"),
-            initial_schedule=initial,
-            final_schedule=current,
-            decisions=decisions,
-            killed_jobs=len(killed_jobs),
-            planned_wasted_work=wasted,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_uncertain(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        pool: ResourcePool,
-        *,
-        events: Optional[Sequence[PoolEvent]],
-        strategy_name: Optional[str],
-        perf_profile,
-        actual_costs: Optional[CostModel],
-        predictor: Optional[Predictor],
-        observe: bool,
-        replan_on_deviation: Optional[float],
-    ) -> AdaptiveRunResult:
-        """The Fig. 1 loop under *inaccurate* estimates.
-
-        The Planner keeps planning on estimates (optionally re-estimated by
-        the ``predictor`` from accumulated history), while the simulated
-        grid executes the adopted bookings with the sampled ground-truth
-        durations of ``actual_costs``.  Bookings are *reservations*: a job
-        never starts before its booked start, and deviations push it (and
-        its successors, and everything queued behind it on the resource)
-        later — with a null error model the replay therefore reproduces the
-        analytic loop bit for bit.
+        This is the paper's Fig. 1 Planner/Executor cycle.  The Planner
+        plans on estimates (optionally re-estimated by the ``predictor``
+        from accumulated history), while the simulated grid executes the
+        adopted bookings with the ground-truth durations of
+        ``actual_costs`` (typically a sampled
+        :class:`~repro.workflow.costs.PerturbedCostModel`; the estimates
+        themselves when omitted).  Bookings are *reservations*: a job never
+        starts before its booked start, and deviations push it (and its
+        successors, and everything queued behind it on the resource) later.
 
         At every trigger (pool change or performance change) the loop:
 
@@ -403,14 +277,21 @@ class AdaptiveReschedulingLoop:
         2. records each newly finished job's observed duration in the
            predictor's history repository (Fig. 1: Scheduler → Performance
            History Repository);
-        3. applies departure kills against the *actual* execution state;
+        3. applies departure kills against the *actual* execution state:
+           jobs running on a departing resource are killed (their partial
+           execution counted as wasted work) and return to the unscheduled
+           set; if any unfinished work was mapped to a departed resource the
+           previous plan is *infeasible* and the candidate is adopted
+           regardless of the accept-if-better rule (``forced`` decisions);
         4. re-estimates the cost matrix via the predictor (history-blended
            prior) and the performance profile;
         5. syncs the belief plan with the observed facts and, when anything
-           deviated, repairs its remaining timings under the re-estimated
-           model so the accept rule has an honest baseline;
-        6. asks the scheduler for a candidate and applies the usual
-           accept-if-better (or forced) rule.
+           deviated or ``perf_profile`` marks a factor change at the trigger
+           time, repairs its remaining timings under the re-estimated model
+           (see :func:`repair_schedule`) so the accept rule has an honest
+           baseline;
+        6. asks the scheduler for a candidate and applies the accept rule
+           of Fig. 2 lines 7–9 (see :func:`decide_adoption`).
 
         Beyond the grid events, ``replan_on_deviation`` arms the monitor's
         own trigger: when a job's observed completion deviates from its
@@ -419,9 +300,18 @@ class AdaptiveReschedulingLoop:
         decision with event label ``"deviation"``).  This is how the
         adaptive strategy *absorbs* estimate error between grid events —
         without it, accumulated delays would just push the reservation
-        timeline back.  Zero noise produces zero deviations, so the trigger
-        never fires on accurate estimates and bit-identity with the
-        analytic loop is preserved.  ``None`` disables it.
+        timeline back.  Zero noise produces zero deviations.  ``None``
+        disables it.
+
+        With neither ``actual_costs`` nor a ``predictor`` the estimates are
+        the truth (the paper's §4.1 accurate-estimation assumption) and the
+        plan is its own future.  The loop then takes its *exact case*: the
+        projection is the plan's own un-started bookings (no
+        :func:`project_actuals` replay), the belief never deviates from the
+        observed facts, and no deviation trigger can fire.  Each shortcut
+        is what the full replay computes when the truth equals the
+        estimates; ``tests/test_differential.py::TestZeroNoiseDifferential``
+        pins the two against each other.
 
         The returned result carries an :class:`ExecutionTrace` of the
         actual execution, so ``result.makespan`` is the achieved (not the
@@ -432,6 +322,8 @@ class AdaptiveReschedulingLoop:
             raise ValueError("no resources available at time 0")
         truth = actual_costs if actual_costs is not None else costs
         history = predictor.history if predictor is not None else None
+        #: accurate estimates: every execution happens exactly as booked
+        exact = actual_costs is None and predictor is None
 
         def estimated(clock: float) -> CostModel:
             model = costs
@@ -444,8 +336,6 @@ class AdaptiveReschedulingLoop:
         current = self.scheduler.schedule(workflow, estimated(0.0), initial_resources)
         initial = current
         decisions: List[ReschedulingDecision] = []
-        wasted = 0.0
-        killed_jobs: set = set()
         name = strategy_name or getattr(self.scheduler, "name", "adaptive")
         trace = ExecutionTrace(workflow_name=workflow.name, strategy=name)
 
@@ -489,6 +379,15 @@ class AdaptiveReschedulingLoop:
 
         def project(plan: Schedule) -> tuple:
             """The plan's actual future: ``(primaries, duplicates)``."""
+            if exact:
+                return (
+                    {a.job_id: a for a in plan if a.job_id not in truth_assign},
+                    {
+                        (d.job_id, d.resource_id): d
+                        for d in plan.duplicates
+                        if (d.job_id, d.resource_id) not in truth_dups
+                    },
+                )
             projected = project_actuals(
                 workflow,
                 plan,
@@ -556,6 +455,8 @@ class AdaptiveReschedulingLoop:
             clock — the planner knows an overdue job cannot finish in the
             past.
             """
+            if exact:
+                return plan, False
             synced = Schedule(name=plan.name)
             changed = False
             clock = state.clock
@@ -617,7 +518,7 @@ class AdaptiveReschedulingLoop:
             duration is an event of interest.  Only completions strictly
             after ``after`` (the last processed trigger) can still fire.
             """
-            if replan_on_deviation is None:
+            if exact or replan_on_deviation is None:
                 return None
             earliest: Optional[float] = None
             for job, actual in list(truth_assign.items()) + list(projection.items()):
@@ -675,7 +576,7 @@ class AdaptiveReschedulingLoop:
         def on_trigger(
             clock: float, event: Optional[PoolEvent], is_deviation: bool
         ) -> None:
-            nonlocal current, wasted, killed_jobs, last_clock, static_index
+            nonlocal current, last_clock, static_index
             nonlocal projection, dup_projection
             if not is_deviation:
                 static_index += 1
@@ -696,11 +597,9 @@ class AdaptiveReschedulingLoop:
             state = snapshot(clock)
 
             removed_set = frozenset(event.removed) if event is not None else frozenset()
-            wasted_delta, killed, forced = apply_departure_kills(
+            _, killed, forced = apply_departure_kills(
                 workflow, current, state, removed_set
             )
-            wasted += wasted_delta
-            killed_jobs |= killed
             for job in sorted(killed, key=job_index.__getitem__):
                 killed_assignment = truth_assign.pop(job)
                 trace.record_kill(
@@ -735,26 +634,17 @@ class AdaptiveReschedulingLoop:
                 previous_schedule=current,
                 execution_state=state,
             )
-            adopt = (
-                forced
-                or not self.accept_only_if_better
-                or candidate.makespan() < current.makespan() - self.epsilon
+            decision = decide_adoption(
+                clock,
+                event,
+                current,
+                candidate,
+                forced=forced,
+                accept_only_if_better=self.accept_only_if_better,
+                deviation=is_deviation,
             )
-            if event is not None:
-                label = describe_pool_event(event)
-            else:
-                label = "deviation" if is_deviation else "perf-change"
-            decisions.append(
-                ReschedulingDecision(
-                    time=clock,
-                    event=label,
-                    previous_makespan=current.makespan(),
-                    candidate_makespan=candidate.makespan(),
-                    adopted=adopt,
-                    forced=forced,
-                )
-            )
-            if adopt:
+            decisions.append(decision)
+            if decision.adopted:
                 current = candidate
             projection, dup_projection = project(current)
             arm_deviation()
@@ -801,8 +691,7 @@ class AdaptiveReschedulingLoop:
             final_schedule=current,
             decisions=decisions,
             trace=trace,
-            killed_jobs=len(killed_jobs),
-            planned_wasted_work=wasted,
+            killed_jobs=len({kill.job_id for kill in trace.kills}),
         )
 
 
@@ -1222,8 +1111,7 @@ def _execute_adaptive(
     ``"absolute"`` overrides per-operation durations).
     ``replan_on_deviation`` additionally triggers a re-evaluation whenever
     an observed completion misses its booking by the given fraction of the
-    booked duration (``None`` limits replanning to grid events, as in the
-    analytic loop).
+    booked duration (``None`` limits replanning to grid events).
 
     ``strategy`` injects any scheduler (name or object) with the
     ``reschedule`` interface into the loop (``repro.run(..., mode=
@@ -1238,7 +1126,7 @@ def _execute_adaptive(
     actual_costs = _resolve_actual_costs(costs, actual_costs, error_model)
     # A *null* error model means the estimates are the truth: there is
     # nothing for the history to teach, so re-estimation stays off and the
-    # run is bit-identical to the analytic loop.  (Re-estimating anyway
+    # run is bit-identical to the loop's exact case.  (Re-estimating anyway
     # would still change plans: observations aggregate per operation, which
     # differs from the per-job priors even with zero noise.)  An explicitly
     # supplied history or truth model opts back in.

@@ -59,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.adaptive import (
     ReschedulingDecision,
     apply_departure_kills,
-    describe_pool_event,
+    decide_adoption,
     repair_schedule,
 )
 from repro.core.credit import CreditLedger
@@ -172,7 +172,7 @@ class MultiTenantPlanner:
         :data:`repro.scheduling.registry.SCHEDULERS`) — every tenant then
         replans with that heuristic instead of AHEFT, the strategy-ablation
         hook of the multi-tenant tournament.
-    accept_only_if_better, epsilon:
+    accept_only_if_better:
         The accept rule of paper Fig. 2 line 7, identical to
         :class:`~repro.core.adaptive.AdaptiveReschedulingLoop`.
     credit_ledger:
@@ -192,7 +192,6 @@ class MultiTenantPlanner:
         scheduler_factory: Optional[Callable[[], AHEFTScheduler]] = None,
         strategy: Optional[str] = None,
         accept_only_if_better: bool = True,
-        epsilon: float = 1e-9,
         credit_ledger: Optional[CreditLedger] = None,
     ) -> None:
         if policy not in POLICIES:
@@ -214,7 +213,6 @@ class MultiTenantPlanner:
         self.tenant_weights = dict(tenant_weights or {})
         self.scheduler_factory = scheduler_factory
         self.accept_only_if_better = accept_only_if_better
-        self.epsilon = float(epsilon)
         if credit_ledger is None and policy == "credit_drf":
             credit_ledger = CreditLedger()
         self.credit = credit_ledger
@@ -432,24 +430,16 @@ class MultiTenantPlanner:
                 execution_state=state,
                 busy=self.busy_view(wf.key, clock),
             )
-            adopt = (
-                forced
-                or not self.accept_only_if_better
-                or candidate.makespan() < wf.schedule.makespan() - self.epsilon
+            decision = decide_adoption(
+                clock,
+                event,
+                wf.schedule,
+                candidate,
+                forced=forced,
+                accept_only_if_better=self.accept_only_if_better,
             )
-            wf.decisions.append(
-                ReschedulingDecision(
-                    time=clock,
-                    event=describe_pool_event(event)
-                    if event is not None
-                    else "perf-change",
-                    previous_makespan=wf.schedule.makespan(),
-                    candidate_makespan=candidate.makespan(),
-                    adopted=adopt,
-                    forced=forced,
-                )
-            )
-            if adopt:
+            wf.decisions.append(decision)
+            if decision.adopted:
                 wf.schedule = candidate
 
     # ------------------------------------------------------------------

@@ -207,7 +207,7 @@ class SharedGridExecutor:
     perf_profile:
         Optional scenario performance profile shared by all tenants.
     policy, tenant_weights, scheduler_factory, strategy,
-    accept_only_if_better, epsilon:
+    accept_only_if_better:
         Forwarded to :class:`~repro.core.multi_tenant.MultiTenantPlanner`;
         ``strategy`` names any registered scheduler with the
         ``reschedule`` interface, making the whole shared grid replan
@@ -247,7 +247,6 @@ class SharedGridExecutor:
         scheduler_factory: Optional[Callable[[], AHEFTScheduler]] = None,
         strategy: Optional[str] = None,
         accept_only_if_better: bool = True,
-        epsilon: float = 1e-9,
         error_model: Optional[ErrorModel] = None,
         admission: Optional[AdmissionConfig] = None,
         credit_ledger: Optional[CreditLedger] = None,
@@ -260,7 +259,6 @@ class SharedGridExecutor:
         self.scheduler_factory = scheduler_factory
         self.strategy = strategy
         self.accept_only_if_better = accept_only_if_better
-        self.epsilon = epsilon
         self.error_model = error_model
         if admission is True:
             admission = AdmissionConfig()
@@ -313,7 +311,6 @@ class SharedGridExecutor:
             scheduler_factory=self.scheduler_factory,
             strategy=self.strategy,
             accept_only_if_better=self.accept_only_if_better,
-            epsilon=self.epsilon,
             credit_ledger=self.credit_ledger,
         )
         # merged, not last-writer-wins: two same-instant pool events (legal

@@ -137,11 +137,11 @@ class ExecutionTrace:
         return len(self.events_of_kind("reschedule-adopted"))
 
     def total_transfer_time(self) -> float:
-        return sum(t.duration for t in self.transfers)
+        return sum((t.duration for t in self.transfers), 0.0)
 
     def wasted_work(self) -> float:
         """Total execution time thrown away by departure kills."""
-        return sum(kill.wasted for kill in self.kills)
+        return sum((kill.wasted for kill in self.kills), 0.0)
 
     def resource_busy_time(self, resource_id: str) -> float:
         return sum(

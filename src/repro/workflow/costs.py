@@ -719,7 +719,7 @@ class ErrorModel(abc.ABC):
         """True when every factor is exactly 1.0 (estimates are the truth).
 
         Null models short-circuit sampling entirely so zero-noise runs are
-        bit-identical to the analytic executors.
+        bit-identical to runs with accurate estimates.
         """
         return self.magnitude == 0
 

@@ -3,6 +3,7 @@
 import pytest
 
 import repro
+from repro.core import adaptive as adaptive_module
 from repro.core.adaptive import AdaptiveReschedulingLoop
 from repro.generators.blast import generate_blast_case
 from repro.resources.dynamics import ResourceChangeModel
@@ -10,6 +11,7 @@ from repro.resources.pool import ResourcePool
 from repro.resources.resource import Resource
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.validation import validate_schedule
+from repro.workflow.costs import make_error_model
 
 
 @pytest.fixture
@@ -128,6 +130,37 @@ class TestAdaptiveLoop:
         loop = AdaptiveReschedulingLoop(AHEFTScheduler())
         result = loop.run(blast_case.workflow, blast_case.costs, dynamic_pool, events=[])
         assert result.decisions == []
+
+    def test_accurate_estimates_never_replay_the_plan(
+        self, blast_case, dynamic_pool, monkeypatch
+    ):
+        """Without a truth model or predictor the plan is its own future.
+
+        The loop's exact case reads the projection off the plan, so the
+        truth replay is never called; a null error model goes through the
+        full replay — once up front and once per evaluated trigger — and
+        lands on the same result.
+        """
+        calls = []
+        replay = adaptive_module.project_actuals
+
+        def counting_replay(*args, **kwargs):
+            calls.append(None)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive_module, "project_actuals", counting_replay)
+        accurate = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive"
+        ).raw
+        assert accurate.evaluated_events >= 1
+        assert calls == []
+        null = repro.run(
+            blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive",
+            error_model=make_error_model("gaussian", 0.0),
+        ).raw
+        assert len(calls) == null.evaluated_events + 1
+        assert null.makespan == accurate.makespan
+        assert null.final_schedule.to_dict() == accurate.final_schedule.to_dict()
 
 
 class TestRunDynamic:

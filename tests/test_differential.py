@@ -20,11 +20,12 @@ Three families of guarantees, checked on hypothesis-driven random cases:
   one shared timeline per resource.
 
 * **Zero noise** — every executor with the uncertainty engine's
-  :class:`~repro.workflow.costs.ErrorModel` at magnitude 0 (or disabled)
-  is bit-identical to the analytic path it generalises: same schedules,
+  :class:`~repro.workflow.costs.ErrorModel` at magnitude 0 is
+  bit-identical to the same executor with no error model: same schedules,
   same makespans, same wasted work, same adaptive decision stream — under
-  every registered scenario.  This pins the stochastic-truth machinery to
-  the paper-validated accurate-estimation code path.
+  every registered scenario.  For the adaptive loop this pins its full
+  truth replay to its exact case (no truth model, no predictor), which is
+  the paper's accurate-estimation setting.
 """
 
 from __future__ import annotations
@@ -358,7 +359,12 @@ class TestNewStrategySanityBounds:
 
 
 class TestZeroNoiseDifferential:
-    """Magnitude-0 error models are bit-identical to the analytic path."""
+    """Magnitude-0 error models are bit-identical to accurate estimates.
+
+    In adaptive mode the null model runs the loop's full truth replay and
+    the plain run takes its exact case, so each test pins one against the
+    other.
+    """
 
     @pytest.mark.parametrize("strategy", REPLANNERS)
     @pytest.mark.parametrize("scenario_name", available_scenarios())

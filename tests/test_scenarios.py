@@ -260,6 +260,11 @@ class TestAdversarialRuns:
         ).raw
         forced = [d for d in adaptive.decisions if d.forced]
         assert forced and all(d.adopted for d in forced)
+        # accurate estimates execute exactly as planned, kills included
+        assert adaptive.trace.to_schedule().to_dict() == adaptive.final_schedule.to_dict()
+        killed = {kill.job_id for kill in adaptive.trace.kills}
+        assert killed and adaptive.killed_jobs == len(killed)
+        assert adaptive.wasted_work == sum(kill.wasted for kill in adaptive.trace.kills)
         # no unfinished work remains mapped beyond a resource's departure
         for assignment in adaptive.final_schedule:
             until = run.pool.resource(assignment.resource_id).available_until

@@ -33,6 +33,11 @@ class TestExecutionTrace:
         assert trace.total_transfer_time() == pytest.approx(1.0)
         assert trace.transfers[0].duration == pytest.approx(1.0)
 
+    def test_empty_totals_are_floats(self):
+        empty = ExecutionTrace()
+        assert type(empty.total_transfer_time()) is float
+        assert type(empty.wasted_work()) is float
+
     def test_event_queries(self, trace):
         assert trace.rescheduling_count() == 1
         assert len(trace.events_of_kind("pool-change")) == 1
