@@ -46,7 +46,6 @@ from repro.resources import (
     ResourcePool,
     ResourceChangeModel,
     StaticResourceModel,
-    ReservationBook,
 )
 from repro.scheduling import (
     Assignment,
@@ -126,7 +125,6 @@ __all__ = [
     "ResourcePool",
     "ResourceChangeModel",
     "StaticResourceModel",
-    "ReservationBook",
     # scheduling
     "Assignment",
     "Schedule",

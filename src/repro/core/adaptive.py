@@ -33,6 +33,7 @@ caller supplies a perturbed ``actual_costs`` model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.history import PerformanceHistoryRepository
@@ -49,7 +50,12 @@ from repro.scheduling.base import (
 from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.minmin import MinMinScheduler
 from repro.simulation.event_core import Event, EventCore, EventKind
-from repro.simulation.executor import JustInTimeExecutor, StaticScheduleExecutor
+from repro.simulation.executor import (
+    JustInTimeExecutor,
+    StaticScheduleExecutor,
+    dispatch_duration,
+    record_observation,
+)
 from repro.simulation.trace import ExecutionTrace
 from repro.workflow.costs import CostModel, ErrorModel, PerturbedCostModel
 from repro.workflow.dag import Workflow
@@ -347,33 +353,19 @@ class AdaptiveReschedulingLoop:
         finished: set = set()
         recorded: set = set()
 
-        def record_observation(assignment: Assignment) -> None:
-            """Report a completed execution to the history repository.
-
-            The observed wall-clock duration is normalised by the (known)
-            performance factor at dispatch, so the history isolates the
-            *estimate error* from the slowdown the profile already told the
-            Planner about — otherwise the predictor would double-count
-            degradations it replans around anyway.
-            """
+        def report_finished(assignment: Assignment) -> None:
+            """Report a completed execution to the history repository once."""
             if history is None or not observe or assignment.job_id in recorded:
                 return
-            duration = assignment.finish - assignment.start
-            if perf_profile is not None:
-                factor = perf_profile.factor_at(
-                    assignment.resource_id, assignment.start
-                )
-                if factor != 1.0:
-                    duration /= factor
-            history.record_execution(
-                workflow.job(assignment.job_id).operation,
+            record_observation(
+                history,
+                workflow,
+                costs,
+                assignment.job_id,
                 assignment.resource_id,
-                duration,
-                job_id=assignment.job_id,
-                finished_at=assignment.finish,
-                estimated=costs.computation_cost(
-                    assignment.job_id, assignment.resource_id
-                ),
+                assignment.start,
+                assignment.finish,
+                perf_profile,
             )
             recorded.add(assignment.job_id)
 
@@ -388,12 +380,9 @@ class AdaptiveReschedulingLoop:
                         if (d.job_id, d.resource_id) not in truth_dups
                     },
                 )
-            projected = project_actuals(
-                workflow,
-                plan,
-                {**truth_assign, **truth_dups} if truth_dups else truth_assign,
-                truth,
-                perf_profile=perf_profile,
+            started = {**truth_assign, **truth_dups} if truth_dups else truth_assign
+            (projected,) = project_actuals(
+                [(workflow, plan, started, truth)], perf_profile=perf_profile
             )
             duplicates = {}
             if plan.duplicates:
@@ -424,7 +413,7 @@ class AdaptiveReschedulingLoop:
             newly_finished.sort(key=lambda a: (a.finish, a.start, job_index[a.job_id]))
             for assignment in newly_finished:
                 finished.add(assignment.job_id)
-                record_observation(assignment)
+                report_finished(assignment)
 
         def snapshot(clock: float) -> ExecutionState:
             """The actual execution state at ``clock`` (mirrors
@@ -672,7 +661,7 @@ class AdaptiveReschedulingLoop:
         remaining.sort(key=lambda a: (a.finish, a.start, job_index[a.job_id]))
         for assignment in remaining:
             finished.add(assignment.job_id)
-            record_observation(assignment)
+            report_finished(assignment)
         for job in workflow.jobs:
             assignment = truth_assign[job]
             trace.record_job(
@@ -831,86 +820,98 @@ def _merge_triggers(
     return triggers, perf_times
 
 
+#: replay queue order: booked start, booked finish, workflow order, job id
+_queue_order = itemgetter(0, 1, 2, 3)
+
+
 def project_actuals(
-    workflow: Workflow,
-    plan: Schedule,
-    started: Dict[object, Assignment],
-    actual_costs: CostModel,
+    workflows: Sequence[tuple],
     *,
     perf_profile=None,
-) -> Dict[object, Assignment]:
-    """Replay a plan's not-yet-started executions under ground-truth durations.
+) -> List[Dict[object, Assignment]]:
+    """Replay plans' not-yet-started executions under ground-truth durations.
 
+    ``workflows`` is a sequence of ``(workflow, plan, started, truth)``
+    entries, in tie-break order, whose plans share the resources: one
+    workflow for the adaptive loop, every tenant for the shared grid.
     Bookings are treated as *reservations*: an execution starts at its
     booked start, pushed later if its resource is still busy (the previous
-    booking overran) or its inputs have not arrived yet (a predecessor
-    overran).  Its actual duration is ``actual_costs.computation_cost(job,
-    rid)`` scaled by the resource's performance factor at the actual start
-    (speed frozen at dispatch, matching the simulation executors).  With
-    accurate actual costs the replay reproduces the plan bit for bit — the
-    zero-noise differential guarantee.
+    booking — possibly another workflow's — overran) or its inputs have
+    not arrived yet (a predecessor overran).  Its actual duration is
+    ``truth.computation_cost(job, rid)`` scaled by the resource's
+    performance factor at the actual start (speed frozen at dispatch,
+    matching the simulation executors).  With accurate truth models the
+    replay reproduces the plans bit for bit — the zero-noise differential
+    guarantee.
 
     Executions are keyed by the job id for a primary copy and by the
     ``(job, resource)`` pair for a duplicate copy (duplication-based
     strategies).  ``started`` holds the ground truth of every execution
-    already dispatched (running or finished); those are taken as facts.
-    Returns the actual :class:`~repro.scheduling.base.Assignment` of every
-    other execution in the plan, keyed the same way.
+    of that workflow already dispatched (running or finished); those are
+    taken as facts and occupy their resources first.  Returns, per entry,
+    the actual :class:`~repro.scheduling.base.Assignment` of every other
+    execution in its plan, keyed the same way.
 
-    Per-resource execution order is the plan's booking order; an execution
-    only starts once every input has arrived: the predecessor's primary
-    output (transfer priced by the actual model, which delegates
-    communication to the estimates) or, sooner, a duplicate of the
-    predecessor already executed on the same resource.  The combined
-    (resource-order + precedence) relation of a feasible plan is acyclic,
-    so the fixed-point pass below always terminates with every execution
-    placed.
+    Each resource runs one queue of every workflow's remaining bookings
+    and duplicates in ``(start, finish, workflow order, job_id)`` order;
+    an execution only starts once every input has arrived: the
+    predecessor's primary output (transfer priced by the truth model,
+    which delegates communication to the estimates) or, sooner, a
+    duplicate of the predecessor already executed on the same resource.
+    The combined (resource-order + precedence) relation of feasible,
+    non-overlapping plans is acyclic, so the fixed-point pass below always
+    terminates with every execution placed.
     """
     free: Dict[str, float] = {}
-    for assignment in started.values():
-        rid = assignment.resource_id
-        if assignment.finish > free.get(rid, 0.0):
-            free[rid] = assignment.finish
-    queues: Dict[str, List[Assignment]] = {}
+    #: per resource: (start, finish, workflow index, job, duplicate key)
+    queues: Dict[str, list] = {}
+    #: per workflow: finish of the duplicate copies replayed so far
+    local_copies: List[Dict[tuple, float]] = []
+    for index, (_, plan, started, _) in enumerate(workflows):
+        for assignment in started.values():
+            rid = assignment.resource_id
+            if assignment.finish > free.get(rid, 0.0):
+                free[rid] = assignment.finish
+        for a in plan:
+            if a.job_id not in started:
+                queues.setdefault(a.resource_id, []).append(
+                    (a.start, a.finish, index, a.job_id, None)
+                )
+        local: Dict[tuple, float] = {}
+        for d in plan.duplicates:
+            key = (d.job_id, d.resource_id)
+            fact = started.get(key)
+            if fact is not None:
+                local[key] = fact.finish
+            else:
+                queues.setdefault(d.resource_id, []).append(
+                    (d.start, d.finish, index, d.job_id, key)
+                )
+        local_copies.append(local)
     pending = 0
-    for rid in plan.resources_used():
-        queue = [a for a in plan.assignments_on(rid) if a.job_id not in started]
-        if queue:
-            queues[rid] = queue
-            pending += len(queue)
-    #: duplicate bookings still to replay, by identity -> execution key
-    duplicate_keys: Dict[int, tuple] = {}
-    #: finish of the duplicate copies replayed so far, per (job, resource)
-    local: Dict[tuple, float] = {}
-    for duplicate in plan.duplicates:
-        key = (duplicate.job_id, duplicate.resource_id)
-        fact = started.get(key)
-        if fact is not None:
-            local[key] = fact.finish
-            continue
-        duplicate_keys[id(duplicate)] = key
-        queues.setdefault(duplicate.resource_id, []).append(duplicate)
-        pending += 1
-    if duplicate_keys:
-        for queue in queues.values():
-            queue.sort(key=lambda a: (a.start, a.finish, a.job_id))
-    projected: Dict[object, Assignment] = {}
+    for queue in queues.values():
+        queue.sort(key=_queue_order)
+        pending += len(queue)
+    heads = dict.fromkeys(queues, 0)
+    projected: List[Dict[object, Assignment]] = [{} for _ in workflows]
 
     progress = True
     while pending and progress:
         progress = False
         for rid in sorted(queues):
             queue = queues[rid]
-            while queue:
-                booked = queue[0]
-                job = booked.job_id
-                preds = workflow.predecessors(job)
+            head = heads[rid]
+            while head < len(queue):
+                start, _, index, job, key = queue[head]
+                workflow, _, started, truth = workflows[index]
+                done = projected[index]
+                local = local_copies[index]
                 resolved = True
-                ready = max(booked.start, free.get(rid, 0.0))
-                for pred in preds:
-                    pred_actual = started.get(pred) or projected.get(pred)
+                ready = max(start, free.get(rid, 0.0))
+                for pred in workflow.predecessors(job):
+                    pred_actual = started.get(pred) or done.get(pred)
                     if pred_actual is not None:
-                        transfer = actual_costs.communication_cost(
+                        transfer = truth.communication_cost(
                             pred, job, pred_actual.resource_id, rid
                         )
                         arrival = pred_actual.finish + transfer
@@ -927,22 +928,22 @@ def project_actuals(
                         ready = arrival
                 if not resolved:
                     break
-                duration = actual_costs.computation_cost(job, rid)
-                if perf_profile is not None:
-                    duration *= perf_profile.factor_at(rid, ready)
+                duration = dispatch_duration(truth, job, rid, ready, perf_profile)
                 actual = Assignment(job, rid, ready, ready + duration)
-                key = duplicate_keys.get(id(booked)) if duplicate_keys else None
                 if key is None:
-                    projected[job] = actual
+                    done[job] = actual
                 else:
-                    projected[key] = actual
+                    done[key] = actual
                     local[key] = actual.finish
                 free[rid] = actual.finish
-                queue.pop(0)
+                head += 1
                 pending -= 1
                 progress = True
+            heads[rid] = head
     if pending:
-        stalled = sorted(a.job_id for queue in queues.values() for a in queue)
+        stalled = sorted(
+            entry[3] for rid, queue in queues.items() for entry in queue[heads[rid]:]
+        )
         raise ValueError(
             f"actual-duration replay stalled; unplaced jobs: {stalled[:10]}"
         )

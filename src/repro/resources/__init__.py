@@ -7,15 +7,16 @@ changes over time (resources join/leave) and whose per-job speeds differ
 * :class:`~repro.resources.resource.Resource` — a single computation unit,
 * :class:`~repro.resources.pool.ResourcePool` — the time-varying pool,
 * :class:`~repro.resources.dynamics.ResourceChangeModel` — the paper's
-  (R, Δ, δ) change model generating join events,
-* :class:`~repro.resources.reservation.ReservationBook` — advance
-  reservations managed by the Executor's Resource Manager (paper §3.2).
+  (R, Δ, δ) change model generating join events.
+
+Advance reservations (paper §3.2) are not a separate object: every
+booking is replayed as a reservation by
+:func:`repro.core.adaptive.project_actuals`.
 """
 
 from repro.resources.resource import Resource
 from repro.resources.pool import ResourcePool, PoolEvent
 from repro.resources.dynamics import ResourceChangeModel, StaticResourceModel
-from repro.resources.reservation import Reservation, ReservationBook, ReservationConflict
 
 __all__ = [
     "Resource",
@@ -23,7 +24,4 @@ __all__ = [
     "PoolEvent",
     "ResourceChangeModel",
     "StaticResourceModel",
-    "Reservation",
-    "ReservationBook",
-    "ReservationConflict",
 ]

@@ -33,10 +33,8 @@ Execution semantics: the discrete-event static executor runs duplicates
 as real work (they occupy their booked slot, and their output is one
 more data source for the job's consumers — under accurate estimates the
 simulated makespan equals the planned one exactly), and so does the
-adaptive loop's truth replay (:func:`repro.core.adaptive.project_actuals`).
-Known approximation: the shared-grid actuals replay prices dup plans
-conservatively — duplicates are not re-executed there, so consumers wait
-for the primary copies and achieved makespans are upper bounds.
+truth replay (:func:`repro.core.adaptive.project_actuals`), for the
+adaptive loop and the shared grid alike.
 """
 
 from __future__ import annotations

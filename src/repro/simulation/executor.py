@@ -65,7 +65,9 @@ optional ``history`` parameter plays the paper's Performance Monitor:
 every completed execution is recorded into the
 :class:`~repro.core.history.PerformanceHistoryRepository` as
 ``(operation, resource, observed duration)``, feeding the Predictor's
-re-estimation on subsequent (re)planning passes.
+re-estimation on subsequent (re)planning passes.  Both executors and the
+adaptive loop price dispatches with :func:`dispatch_duration` and report
+completions with :func:`record_observation`.
 """
 
 from __future__ import annotations
@@ -85,6 +87,56 @@ __all__ = ["StaticScheduleExecutor", "JustInTimeExecutor"]
 #: Event priority of departure handlers: after same-time job finishes
 #: (priority 0), so a job finishing exactly at the departure completes.
 _DEPARTURE_PRIORITY = 1
+
+
+def dispatch_duration(
+    actual_costs: CostModel, job: str, rid: str, start: float, perf_profile=None
+) -> float:
+    """Actual duration of ``job`` dispatched on ``rid`` at ``start``.
+
+    The ground-truth cost scaled by the resource's performance factor at
+    dispatch: a job's speed is frozen when it starts.
+    """
+    duration = actual_costs.computation_cost(job, rid)
+    if perf_profile is not None:
+        duration *= perf_profile.factor_at(rid, start)
+    return duration
+
+
+def record_observation(
+    history,
+    workflow: Workflow,
+    estimates: CostModel,
+    job: str,
+    rid: str,
+    start: float,
+    finish: float,
+    perf_profile=None,
+) -> None:
+    """The Performance Monitor: report one completed execution to ``history``.
+
+    The observed duration is normalised by the (known) performance factor
+    at dispatch and stored with the Planner's prior estimate, so the
+    history isolates the *estimate error* from the slowdown the profile
+    already told the Planner about.  Every monitor (the adaptive loop and
+    both executors) writes through here.  A ``None`` history records
+    nothing.
+    """
+    if history is None:
+        return
+    duration = finish - start
+    if perf_profile is not None:
+        factor = perf_profile.factor_at(rid, start)
+        if factor != 1.0:
+            duration /= factor
+    history.record_execution(
+        workflow.job(job).operation,
+        rid,
+        duration,
+        job_id=job,
+        finished_at=finish,
+        estimated=estimates.computation_cost(job, rid),
+    )
 
 
 class StaticScheduleExecutor:
@@ -143,36 +195,6 @@ class StaticScheduleExecutor:
         self.history = history
 
     # ------------------------------------------------------------------
-    def _duration(self, job: str, rid: str, start: float) -> float:
-        duration = self.actual_costs.computation_cost(job, rid)
-        if self.perf_profile is not None:
-            duration *= self.perf_profile.factor_at(rid, start)
-        return duration
-
-    def _observe(self, job: str, rid: str, start: float, finish: float) -> None:
-        """Report one completed execution to the Performance Monitor.
-
-        The observed duration is normalised by the (known) performance
-        factor at dispatch and stored with the Planner's prior estimate, so
-        ratio-mode re-estimation sees the pure estimate error — the same
-        semantics as the adaptive loop's monitor.
-        """
-        if self.history is None:
-            return
-        duration = finish - start
-        if self.perf_profile is not None:
-            factor = self.perf_profile.factor_at(rid, start)
-            if factor != 1.0:
-                duration /= factor
-        self.history.record_execution(
-            self.workflow.job(job).operation,
-            rid,
-            duration,
-            job_id=job,
-            finished_at=finish,
-            estimated=self.estimated_costs.computation_cost(job, rid),
-        )
-
     def run(self, *, core: Optional[EventCore] = None) -> ExecutionTrace:
         """Simulate the execution and return its trace."""
         engine = core or EventCore()
@@ -249,7 +271,7 @@ class StaticScheduleExecutor:
             return True
 
         def launch(job: str, rid: str, start: float) -> None:
-            duration = self._duration(job, rid, start)
+            duration = dispatch_duration(self.actual_costs, job, rid, start, self.perf_profile)
             finish = start + duration
             started.add(job)
             resource_free[rid] = finish
@@ -263,7 +285,7 @@ class StaticScheduleExecutor:
 
         def launch_dup(index: int, rid: str, start: float) -> None:
             job = duplicates[index].job_id
-            duration = self._duration(job, rid, start)
+            duration = dispatch_duration(self.actual_costs, job, rid, start, self.perf_profile)
             finish = start + duration
             dup_started.add(index)
             resource_free[rid] = finish
@@ -333,7 +355,9 @@ class StaticScheduleExecutor:
                                 pred, job, src, rid
                             )
                             ready = max(ready, max(pred_finish, now) + transfer)
-                        finish = ready + self._duration(job, rid, ready)
+                        finish = ready + dispatch_duration(
+                            self.actual_costs, job, rid, ready, self.perf_profile
+                        )
                         if best is None or finish < best[0] - TIME_EPS:
                             best = (finish, ready, rid)
                     assert best is not None
@@ -405,7 +429,10 @@ class StaticScheduleExecutor:
             in_flight.pop(job, None)
             completed_on[job] = (rid, finish)
             trace.record_job(job, rid, start, finish)
-            self._observe(job, rid, start, finish)
+            record_observation(
+                self.history, self.workflow, self.estimated_costs,
+                job, rid, start, finish, self.perf_profile,
+            )
             # ship each output immediately to the successor's scheduled resource
             for succ in self.workflow.successors(job):
                 target = self.schedule.resource_of(succ)
@@ -582,35 +609,6 @@ class JustInTimeExecutor:
         self.history = history
 
     # ------------------------------------------------------------------
-    def _duration(self, job: str, rid: str, start: float) -> float:
-        duration = self.actual_costs.computation_cost(job, rid)
-        if self.perf_profile is not None:
-            duration *= self.perf_profile.factor_at(rid, start)
-        return duration
-
-    def _observe(self, job: str, rid: str, start: float, finish: float) -> None:
-        """Report one completed execution to the Performance Monitor.
-
-        Normalised and estimate-stamped exactly like
-        :meth:`StaticScheduleExecutor._observe`, so every monitor writes
-        the same semantics into a shared history repository.
-        """
-        if self.history is None:
-            return
-        duration = finish - start
-        if self.perf_profile is not None:
-            factor = self.perf_profile.factor_at(rid, start)
-            if factor != 1.0:
-                duration /= factor
-        self.history.record_execution(
-            self.workflow.job(job).operation,
-            rid,
-            duration,
-            job_id=job,
-            finished_at=finish,
-            estimated=self.costs.computation_cost(job, rid),
-        )
-
     def run(self, *, core: Optional[EventCore] = None) -> ExecutionTrace:
         engine = core or EventCore()
         trace = ExecutionTrace(
@@ -669,7 +667,13 @@ class JustInTimeExecutor:
                 # factor) the resource may still be busy, so the start is
                 # pushed back accordingly.
                 start = max(planned.start, resource_free.get(planned.resource_id, 0.0))
-                duration = self._duration(planned.job_id, planned.resource_id, start)
+                duration = dispatch_duration(
+                    self.actual_costs,
+                    planned.job_id,
+                    planned.resource_id,
+                    start,
+                    self.perf_profile,
+                )
                 finish = start + duration
                 resource_free[planned.resource_id] = finish
                 # record input transfers initiated at the decision time
@@ -702,7 +706,10 @@ class JustInTimeExecutor:
             in_flight.pop(job, None)
             data_location[job] = rid
             trace.record_job(job, rid, start, finish)
-            self._observe(job, rid, start, finish)
+            record_observation(
+                self.history, self.workflow, self.costs,
+                job, rid, start, finish, self.perf_profile,
+            )
             dispatch()
 
         def on_departure(removed: Tuple[str, ...]) -> None:

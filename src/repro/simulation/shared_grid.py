@@ -30,23 +30,28 @@ Stochastic ground truth
 -----------------------
 An optional ``error_model`` (:class:`~repro.workflow.costs.ErrorModel`)
 replays every tenant's final bookings with sampled *actual* durations
-after planning completes: bookings are reservations (a job never starts
-before its booked slot), and deviations push it — and everything queued
-behind it on the shared resource, across tenants — later.  Each
-workflow's truth is namespaced by its key, so two tenants running the
-same DAG draw independent actuals.  ``completed_at`` then reports the
-achieved completion (flow time and stretch become actual metrics) and
-:attr:`WorkflowOutcome.actual_schedule` carries the replayed timeline.
-With a null error model the replay reproduces the booked times bit for
-bit.  Known approximation, matching the planner's: the replay does not
-re-kill work a deviation pushes past a later departure — the planner
-already replanned at the departure based on booked times.
+after planning completes, in one
+:func:`~repro.core.adaptive.project_actuals` pass over the shared
+timelines — the same reservation replay the single-workflow adaptive
+loop uses.  Bookings are reservations (a job never starts before its
+booked slot), and deviations push it — and everything queued behind it
+on the shared resource, across tenants — later.  Duplicate copies
+(duplication-based strategies) are replayed too, so a consumer reads a
+local copy once it has run.  Each workflow's truth is namespaced by its
+key, so two tenants running the same DAG draw independent actuals.
+``completed_at`` then reports the achieved completion (flow time and
+stretch become actual metrics) and :attr:`WorkflowOutcome.actual_schedule`
+carries the replayed timeline, duplicates included.  With a null error
+model the replay reproduces the booked times bit for bit.  Known
+approximation, matching the planner's: the replay does not re-kill work
+a deviation pushes past a later departure — the planner already
+replanned at the departure based on booked times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.admission import (
     AdmissionConfig,
@@ -56,7 +61,7 @@ from repro.core.admission import (
 from repro.core.credit import CreditLedger
 from repro.resources.pool import ResourcePool
 from repro.scheduling.aheft import AHEFTScheduler
-from repro.scheduling.base import Assignment, ResourceTimeline, Schedule, TIME_EPS
+from repro.scheduling.base import ResourceTimeline, Schedule, TIME_EPS
 from repro.simulation.event_core import EventCore, EventKind
 from repro.workflow.costs import ErrorModel, PerturbedCostModel
 from repro.workload.streams import WorkflowArrival
@@ -300,7 +305,7 @@ class SharedGridExecutor:
     def run(self) -> SharedGridResult:
         # imported here: repro.core.adaptive itself imports the simulation
         # package, so a module-level import would be circular
-        from repro.core.adaptive import _merge_triggers
+        from repro.core import adaptive
         from repro.core.multi_tenant import MultiTenantPlanner
 
         planner = MultiTenantPlanner(
@@ -316,7 +321,7 @@ class SharedGridExecutor:
         # merged, not last-writer-wins: two same-instant pool events (legal
         # after a ComposedScenario merge or with a custom pool) must both
         # contribute their added/removed sets
-        triggers, _ = _merge_triggers(self.pool.events(), self.perf_profile)
+        triggers, _ = adaptive._merge_triggers(self.pool.events(), self.perf_profile)
         controller = (
             AdmissionController(self.admission) if self.admission is not None else None
         )
@@ -378,9 +383,33 @@ class SharedGridExecutor:
         workflows = planner.finalize()
         actuals: Dict[str, Schedule] = {}
         if self.error_model is not None:
-            actuals = _replay_shared_actuals(
-                workflows, self.error_model, self.perf_profile
+            # one reservation replay of every tenant's final bookings on the
+            # shared timelines, tenants tied in seq order; each truth is the
+            # workflow's estimates under the error model scoped to its key
+            error = self.error_model
+            tenants = sorted(workflows, key=lambda wf: wf.seq)
+            replayed = adaptive.project_actuals(
+                [
+                    (
+                        wf.workflow,
+                        wf.schedule,
+                        {},
+                        PerturbedCostModel(
+                            wf.costs,
+                            error.scoped(f"{error.scope}/{wf.key}" if error.scope else wf.key),
+                        ),
+                    )
+                    for wf in tenants
+                ],
+                perf_profile=self.perf_profile,
             )
+            for wf, actual in zip(tenants, replayed):
+                schedule = Schedule(name=f"{wf.key}-actual")
+                for booked in wf.schedule:
+                    schedule.add(actual[booked.job_id])
+                for booked in wf.schedule.duplicates:
+                    schedule.add_duplicate(actual[(booked.job_id, booked.resource_id)])
+                actuals[wf.key] = schedule
         outcomes = []
         for wf in workflows:
             actual_schedule = actuals.get(wf.key)
@@ -414,76 +443,3 @@ class SharedGridExecutor:
             admission=list(controller.decisions) if controller is not None else [],
             credits=planner.credit.credits() if planner.credit is not None else {},
         )
-
-
-def _replay_shared_actuals(
-    workflows: Sequence, error_model: ErrorModel, perf_profile
-) -> Dict[str, Schedule]:
-    """Replay every tenant's final bookings with sampled actual durations.
-
-    All bookings share the per-resource timelines: jobs execute in booked
-    order per resource, each starting at its booked time unless the
-    resource is still busy (an earlier booking — possibly another
-    tenant's — overran) or its own predecessors' outputs have not arrived.
-    Durations come from the workflow's scoped
-    :class:`~repro.workflow.costs.PerturbedCostModel`, scaled by the
-    performance factor at the actual start (speed frozen at dispatch).
-    Returns the actual :class:`~repro.scheduling.base.Schedule` per
-    workflow key.
-    """
-    truths: Dict[str, PerturbedCostModel] = {}
-    #: (start, finish, seq, topo_index, workflow, assignment)
-    entries: List[Tuple[float, float, int, int, object, object]] = []
-    for wf in workflows:
-        scope = f"{error_model.scope}/{wf.key}" if error_model.scope else wf.key
-        truths[wf.key] = PerturbedCostModel(wf.costs, error_model.scoped(scope))
-        topo_index = {
-            job: index for index, job in enumerate(wf.workflow.topological_order())
-        }
-        for assignment in wf.schedule:
-            entries.append(
-                (
-                    assignment.start,
-                    assignment.finish,
-                    wf.seq,
-                    topo_index[assignment.job_id],
-                    wf,
-                    assignment,
-                )
-            )
-    entries.sort(key=lambda entry: entry[:4])
-
-    free: Dict[str, float] = {}
-    actual: Dict[Tuple[str, str], Assignment] = {}
-    for _, _, _, _, wf, booked in entries:
-        job = booked.job_id
-        rid = booked.resource_id
-        truth = truths[wf.key]
-        ready = max(booked.start, free.get(rid, 0.0))
-        for pred in wf.workflow.predecessors(job):
-            pred_actual = actual.get((wf.key, pred))
-            if pred_actual is None:
-                # a zero-duration booking tie put the predecessor later in
-                # the sort; its booked times are then already its actuals
-                pred_actual = wf.schedule.get(pred)
-            transfer = truth.communication_cost(
-                pred, job, pred_actual.resource_id, rid
-            )
-            arrival = pred_actual.finish + transfer
-            if arrival > ready:
-                ready = arrival
-        duration = truth.computation_cost(job, rid)
-        if perf_profile is not None:
-            duration *= perf_profile.factor_at(rid, ready)
-        placed = Assignment(job, rid, ready, ready + duration)
-        actual[(wf.key, job)] = placed
-        if placed.finish > free.get(rid, 0.0):
-            free[rid] = placed.finish
-
-    schedules: Dict[str, Schedule] = {}
-    for wf in workflows:
-        schedule = Schedule(name=f"{wf.key}-actual")
-        for assignment in wf.schedule:
-            schedule.add(actual[(wf.key, assignment.job_id)])
-        schedules[wf.key] = schedule
-    return schedules

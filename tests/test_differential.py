@@ -461,8 +461,9 @@ class TestZeroNoiseDifferential:
         ).raw
         assert null.trace.to_schedule().to_dict() == plain.trace.to_schedule().to_dict()
 
+    @pytest.mark.parametrize("strategy", ["aheft", "heft_dup"])
     @pytest.mark.parametrize("scenario_name", sorted(MEMBERSHIP_SCENARIOS))
-    def test_shared_grid_zero_noise_replay_is_identity(self, scenario_name):
+    def test_shared_grid_zero_noise_replay_is_identity(self, scenario_name, strategy):
         specs = [
             TenantSpec(
                 name=f"t{i + 1}",
@@ -477,11 +478,11 @@ class TestZeroNoiseDifferential:
         stream = WorkloadStream(specs, seed=13, horizon=4000.0)
         run_a = materialize(make_scenario(scenario_name), initial_size=6, seed=7)
         plain = SharedGridExecutor(
-            stream.arrivals(), run_a.pool, perf_profile=run_a.profile
+            stream.arrivals(), run_a.pool, perf_profile=run_a.profile, strategy=strategy
         ).run()
         run_b = materialize(make_scenario(scenario_name), initial_size=6, seed=7)
         null = SharedGridExecutor(
-            stream.arrivals(), run_b.pool, perf_profile=run_b.profile,
+            stream.arrivals(), run_b.pool, perf_profile=run_b.profile, strategy=strategy,
             error_model=make_error_model("gaussian", 0.0),
         ).run()
         assert len(plain.outcomes) == len(null.outcomes)
@@ -492,5 +493,6 @@ class TestZeroNoiseDifferential:
             # the replayed actuals reproduce the booked times exactly
             assert a.actual_schedule is not None
             assert a.actual_schedule.to_dict() == b.schedule.to_dict()
+            assert a.actual_schedule.duplicates_to_dict() == b.schedule.duplicates_to_dict()
             assert a.wasted_work == b.wasted_work
             assert _decision_tuples(a) == _decision_tuples(b)

@@ -7,7 +7,6 @@ from repro.generators.blast import generate_blast_case
 from repro.generators.sample import sample_dag_cost_model, sample_dag_pool, sample_dag_workflow
 from repro.generators.wien2k import generate_wien2k_case
 from repro.resources.dynamics import ResourceChangeModel
-from repro.resources.reservation import ReservationBook
 from repro.scheduling.validation import validate_schedule
 from repro.simulation.executor import StaticScheduleExecutor
 from repro.simulation.trace import render_gantt
@@ -68,19 +67,6 @@ class TestApplicationScenario:
         aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
         trace = StaticScheduleExecutor(case.workflow, case.costs, aheft.final_schedule, pool).run()
         assert trace.makespan() == pytest.approx(aheft.makespan, rel=1e-9)
-
-    def test_reservations_for_final_schedule_have_no_conflicts(self, scenario):
-        case, pool = scenario
-        aheft = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive").raw
-        book = ReservationBook()
-        book.reserve_schedule(
-            [
-                (a.job_id, a.resource_id, a.start, a.finish)
-                for a in aheft.final_schedule
-            ],
-            plan_id="final",
-        )
-        assert not book.has_conflicts()
 
     def test_gantt_rendering_smoke(self, scenario):
         case, pool = scenario
