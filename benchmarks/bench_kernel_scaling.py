@@ -15,7 +15,7 @@ sweep:
 
 Both are run on the fast kernel (indexed DAG/cost caches, bisect timelines,
 rank reuse, hoisted inner loops) and on the seed implementation preserved in
-:mod:`repro.scheduling._seed_reference`, asserting
+``benchmarks/_seed_reference.py``, asserting
 
 * the schedules are **bit-identical** (same assignments, same makespans),
 * the fast kernel is ≥5× faster on 1000-job static HEFT and ≥3× faster on
@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 from _common import publish, run_once
+from _seed_reference import SeedAHEFTScheduler, seed_heft_schedule
 
 from repro.facade import run as facade_run
 from repro.generators.random_dag import (
@@ -49,10 +50,6 @@ from repro.generators.random_dag import (
     generate_random_dag,
 )
 from repro.resources.dynamics import ResourceChangeModel
-from repro.scheduling._seed_reference import (
-    SeedAHEFTScheduler,
-    seed_heft_schedule,
-)
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.heft import heft_schedule
 from repro.simulation.event_core import EventCore

@@ -19,8 +19,11 @@ The package exposes:
   :func:`~repro.scheduling.lookahead.lookahead_heft_reschedule`
   (child-aware EFT placement) and
   :func:`~repro.scheduling.duplication.heft_dup_reschedule` (HEFT with
-  task duplication), all built on the shared partial-rescheduling frame
-  of :mod:`~repro.scheduling.frame`,
+  task duplication),
+* the one placement kernel every strategy above runs on —
+  :class:`~repro.scheduling.frame.PartialScheduleFrame` (pinning,
+  timelines, the FEA of Eq. 1–3 and the min-EFT rule, with its fast
+  path); HEFT is its ``clock = 0`` pass and AHEFT its mid-flight pass,
 * the **strategy registry** (:data:`~repro.scheduling.registry.SCHEDULERS`
   + :func:`~repro.scheduling.registry.make_scheduler`) naming every
   strategy for the sweeps, the CLI and the universal invariant tests,

@@ -34,85 +34,34 @@ When ``clock == 0`` and no job has executed, every predecessor falls into
 Case 3 / otherwise and AHEFT reduces to plain HEFT — the identity the paper
 notes in §3.4 and that the test-suite asserts.
 
-Performance
------------
-Rescheduling happens at *every* resource-pool event, so the placement loop
-runs on the same fast kernel as :mod:`repro.scheduling.heft`: memoized
-priority orders (reused whenever the DAG and pool are unchanged between
-events), dense computation-cost matrices, and — for cost models with
-placement-independent transfer costs — per-predecessor FEA values hoisted
-out of the resource loop.  Each predecessor's FEA is a constant default
-(``clock + c̄`` or ``SFT + c̄``) plus a handful of per-resource overrides
-(data already local / transfer under way), so the candidate loop touches
-the cost model zero times.  Bit-identical to the seed implementation in
-:mod:`repro.scheduling._seed_reference`.
+Implementation
+--------------
+AHEFT is a :class:`~repro.scheduling.frame.PartialScheduleFrame` — which
+pins the executed history, builds the timelines and answers FEA queries —
+placed in upward-rank order by the same min-EFT loop as static HEFT
+(:func:`repro.scheduling.heft._place_by_rank`).  Rescheduling happens at
+*every* resource-pool event, so that loop runs on the frame's fast kernel:
+memoized priority orders (reused whenever the DAG and pool are unchanged
+between events), dense computation-cost rows, and — for cost models with
+placement-independent transfer costs — per-predecessor FEA defaults with a
+handful of per-resource overrides (data already local / transfer under
+way), so the candidate loop touches the cost model zero times.
+Bit-identical to the frozen seed kernel kept as a test oracle in
+``benchmarks/_seed_reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Mapping, Optional, Sequence
 
-from repro.scheduling.base import (
-    Assignment,
-    ExecutionState,
-    JobStatus,
-    ResourceTimeline,
-    Schedule,
-    TimelineArena,
-    TIME_EPS,
-)
-from repro.scheduling.heft import (
-    BusyIntervals,
-    _EftScanBuffers,
-    _min_eft_scan,
-    heft_priority_order,
-    occupy_busy_intervals,
-)
-
-#: recycled timelines for the per-trigger replan rebuilds; the timelines of
-#: a rescheduling pass never escape :func:`aheft_reschedule`, so the objects
-#: (and their interval lists) can be reused across triggers
-_ARENA = TimelineArena()
+from repro.scheduling.base import ExecutionState, Schedule
+from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
+from repro.scheduling.heft import _place_by_rank
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
 __all__ = ["aheft_reschedule", "AHEFTScheduler"]
-
-
-def _scheduled_transfer_arrival(
-    pred: str,
-    job: str,
-    candidate_resource: str,
-    costs: CostModel,
-    previous_schedule: Optional[Schedule],
-    state: ExecutionState,
-) -> Optional[float]:
-    """Arrival time of the ``pred -> job`` data on ``candidate_resource`` if
-    its transfer was already initiated under the previous schedule.
-
-    Under the static-strategy file-transfer rule (paper §4.1 assumption 2)
-    the Executor ships the edge's data immediately on ``pred``'s completion
-    to the resource where ``job`` was scheduled in ``S0``.  If that resource
-    is the candidate resource, the transfer started at ``AFT(pred)`` and
-    arrives ``c_{pred,job}`` later.  Explicit arrivals recorded by the
-    Executor in the execution state take precedence.
-    """
-    recorded = state.data_available_at(pred, candidate_resource)
-    if recorded is not None:
-        return recorded
-    if previous_schedule is None:
-        return None
-    finish = state.actual_finish.get(pred)
-    if finish is None:
-        return None
-    old = previous_schedule.get(job)
-    if old is not None and old.resource_id == candidate_resource:
-        transfer = costs.communication_cost(
-            pred, job, state.executed_on[pred], candidate_resource
-        )
-        return finish + transfer
-    return None
 
 
 def aheft_reschedule(
@@ -170,329 +119,19 @@ def aheft_reschedule(
         :meth:`~repro.scheduling.base.Schedule.makespan` is the predicted
         makespan used by the Planner's accept-if-better rule.
     """
-    if not resources:
-        raise ValueError("cannot schedule on an empty resource set")
-    workflow.validate()
-    if clock < 0:
-        raise ValueError("clock must be non-negative")
-
-    if execution_state is None:
-        if previous_schedule is not None:
-            execution_state = ExecutionState.from_schedule(
-                previous_schedule, clock, jobs=workflow.jobs
-            )
-        else:
-            execution_state = ExecutionState.initial(workflow.jobs)
-    state = execution_state
-
-    # ------------------------------------------------------------------
-    # split jobs into pinned (finished / running-kept) and re-mappable
-    # ------------------------------------------------------------------
-    pinned: Dict[str, Assignment] = {}
-    for job in workflow.jobs:
-        status = state.job_status(job)
-        if status is JobStatus.FINISHED:
-            pinned[job] = Assignment(
-                job,
-                state.executed_on[job],
-                state.actual_start[job],
-                state.actual_finish[job],
-            )
-        elif status is JobStatus.RUNNING and respect_running:
-            if previous_schedule is not None and previous_schedule.get(job) is not None:
-                sft = previous_schedule.scheduled_finish_time(job)
-            else:
-                # Without S0 information fall back to the estimate from now.
-                sft = state.actual_start[job] + costs.computation_cost(
-                    job, state.executed_on[job]
-                )
-            pinned[job] = Assignment(
-                job, state.executed_on[job], state.actual_start[job], sft
-            )
-    to_schedule = [job for job in workflow.jobs if job not in pinned]
-
-    # ------------------------------------------------------------------
-    # resource timelines: pinned work occupies its interval; new work can
-    # only be placed at or after `clock` (and after the resource joined)
-    # ------------------------------------------------------------------
-    availability = resource_available_from or {}
-    timelines: Dict[str, ResourceTimeline] = {}
-    for rid in resources:
-        start = max(clock, float(availability.get(rid, clock)))
-        timelines[rid] = _ARENA.acquire(rid, available_from=start)
-    if busy is None:
-        batches: Dict[str, List[tuple]] = {}
-        for assignment in pinned.values():
-            timeline = timelines.get(assignment.resource_id)
-            if timeline is not None and assignment.finish > timeline.available_from:
-                batches.setdefault(assignment.resource_id, []).append(
-                    (assignment.start, assignment.finish, assignment.job_id)
-                )
-        for rid, batch in batches.items():
-            timelines[rid].bulk_load(batch)
-    else:
-        # Shared grid: pinned work and foreign bookings go through the same
-        # merge-tolerant booking path, because independently repaired plans
-        # can transiently overlap after a performance change.
-        combined: Dict[str, List[tuple]] = {
-            rid: list(spans) for rid, spans in busy.items()
-        }
-        for assignment in pinned.values():
-            combined.setdefault(assignment.resource_id, []).append(
-                (assignment.start, assignment.finish)
-            )
-        occupy_busy_intervals(timelines, combined)
-
-    schedule = Schedule(name=name)
-    schedule.extend(pinned.values())
-
-    # ------------------------------------------------------------------
-    # HEFT placement of the re-mappable jobs in upward-rank order
-    # ------------------------------------------------------------------
-    to_schedule_set: Set[str] = set(to_schedule)
-    order = [
-        job
-        for job in heft_priority_order(workflow, costs, resources)
-        if job in to_schedule_set
-    ]
-
-    if workflow is costs.workflow and costs.has_uniform_communication:
-        _place_fast(
-            workflow,
-            costs,
-            resources,
-            order,
-            timelines,
-            schedule,
-            state,
-            previous_schedule,
-            clock,
-            insertion,
-        )
-        _ARENA.release(timelines.values())
-        return schedule
-
-    # ------------------------------------------------------------------
-    # generic path (pair-dependent communication): FEA of Eq. (1) per
-    # (job, resource, predecessor)
-    # ------------------------------------------------------------------
-    def fea(pred: str, job: str, rid: str) -> float:
-        if state.job_status(pred) is JobStatus.FINISHED:
-            executed_on = state.executed_on[pred]
-            finish = state.actual_finish[pred]
-            if executed_on == rid:
-                return finish  # Case 1
-            arrival = _scheduled_transfer_arrival(
-                pred, job, rid, costs, previous_schedule, state
-            )
-            if arrival is not None:
-                return arrival  # transfer already under way (or done)
-            comm = costs.communication_cost(pred, job, executed_on, rid)
-            return clock + comm  # Case 2
-        # Unfinished predecessor: it is either pinned (running) or already
-        # placed earlier in this pass (rank order guarantees this).
-        pred_assignment = schedule.get(pred)
-        if pred_assignment is None:
-            raise RuntimeError(
-                f"predecessor {pred!r} of {job!r} is neither executed nor "
-                "scheduled; the priority order is not topologically consistent"
-            )
-        if pred_assignment.resource_id == rid:
-            return pred_assignment.finish  # Case 3
-        comm = costs.communication_cost(pred, job, pred_assignment.resource_id, rid)
-        return pred_assignment.finish + comm  # otherwise
-
-    for job in order:
-        best: Optional[Assignment] = None
-        for rid in resources:
-            duration = costs.computation_cost(job, rid)
-            ready = clock
-            for pred in workflow.predecessors(job):
-                ready = max(ready, fea(pred, job, rid))
-            start = timelines[rid].earliest_start(ready, duration, insertion=insertion)
-            candidate = Assignment(job, rid, start, start + duration)
-            if best is None or candidate.finish < best.finish - TIME_EPS:
-                best = candidate
-        assert best is not None
-        timelines[best.resource_id].occupy(best.start, best.finish, job)
-        schedule.add(best)
-    _ARENA.release(timelines.values())
-    return schedule
-
-
-def _place_fast(
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    order: Sequence[str],
-    timelines: Dict[str, ResourceTimeline],
-    schedule: Schedule,
-    state: ExecutionState,
-    previous_schedule: Optional[Schedule],
-    clock: float,
-    insertion: bool,
-) -> None:
-    """Placement loop with per-predecessor FEA hoisted out of the resource loop.
-
-    With placement-uniform communication every predecessor's FEA collapses
-    to a *default* value valid on almost every resource plus a few
-    per-resource overrides:
-
-    * finished predecessor — default ``clock + c̄`` (Case 2), overridden on
-      the resource it ran on (``AFT``, Case 1), on resources with a
-      recorded/implied transfer (arrival time), and on the job's previous
-      target (``AFT + c̄``),
-    * unfinished predecessor — default ``SFT + c̄`` (otherwise-case),
-      overridden on its own resource (``SFT``, Case 3).
-
-    ``ready(rid)`` is then the max of the defaults for every resource
-    without overrides (one number, computed once) and a short per-pred scan
-    for the handful of override resources.
-    """
-    structure = workflow.structure()
-    index = structure.index
-    jobs = structure.jobs
-    w = costs.computation_rows(resources)
-    pred_comm = costs.predecessor_communications()
-    timeline_list = [timelines[rid] for rid in resources]
-    scan_buf = _EftScanBuffers(timeline_list)
-    rid_index = {rid: j for j, rid in enumerate(resources)}
-    n_resources = len(resources)
-
-    finish_of: List[Optional[float]] = [None] * structure.num_jobs
-    resource_of: List[Optional[str]] = [None] * structure.num_jobs
-    for assignment in schedule:  # pinned finished/running jobs
-        i = index[assignment.job_id]
-        finish_of[i] = assignment.finish
-        resource_of[i] = assignment.resource_id
-
-    # hoist the per-predecessor state lookups (status, AFT, resource,
-    # recorded arrivals) into index-addressed arrays: the placement loop
-    # touches them once per edge, which at 100k-job scale dwarfs the one
-    # pass over the state dicts below
-    num_jobs = structure.num_jobs
-    finished_arr = bytearray(num_jobs)
-    aft_arr: List[float] = [0.0] * num_jobs
-    ex_arr: List[Optional[str]] = [None] * num_jobs
-    finished_status = JobStatus.FINISHED
-    for job_name, job_status in state.status.items():
-        if job_status is finished_status:
-            p = index.get(job_name)
-            if p is None:
-                continue
-            finished_arr[p] = 1
-            aft_arr[p] = state.actual_finish[job_name]
-            ex_arr[p] = state.executed_on[job_name]
-    arrivals_of: List[tuple] = [()] * num_jobs
-    for (producer, rid), time in state.data_arrivals.items():
-        p = index.get(producer)
-        if p is not None:
-            arrivals_of[p] = arrivals_of[p] + ((rid, time),)
-
-    # bound dict lookup for the previous assignment (bypasses the per-call
-    # method wrapper; ``Schedule.get`` is exactly this dict access)
-    prev_get = (
-        previous_schedule._assignments.get if previous_schedule is not None else None
+    frame = PartialScheduleFrame(
+        workflow,
+        costs,
+        resources,
+        clock=clock,
+        previous_schedule=previous_schedule,
+        execution_state=execution_state,
+        respect_running=respect_running,
+        resource_available_from=resource_available_from,
+        busy=busy,
+        name=name,
     )
-
-    for job in order:
-        i = index[job]
-        w_row = w[i]
-        old = prev_get(job) if prev_get is not None else None
-        old_rid = old.resource_id if old is not None else None
-        preds = pred_comm[i]
-        # Ready-time decomposition.  Every per-resource FEA override of a
-        # predecessor *lowers* its value relative to that predecessor's
-        # default: data already local or in flight arrives no later than a
-        # transfer started at ``clock`` (Cases 1/recorded/implied vs Case 2,
-        # up to the epsilon by which a "finished" AFT may exceed ``clock``),
-        # and a co-located successor skips the transfer (Case 3 vs the
-        # otherwise-case).  Hence ``ready(rid)`` equals the max default
-        # ``d1`` on every resource, except the override resources of one
-        # fixed argmax-default predecessor ``p1`` — plus the rare epsilon
-        # violators — which get the exact per-predecessor max below.
-        d1 = clock
-        p1 = -1
-        must: List[str] = []  # override resources needing the exact recompute
-        for p, comm in preds:
-            if finished_arr[p]:
-                default = clock + comm  # Case 2
-                aft = aft_arr[p]
-                if aft > default:
-                    must.append(ex_arr[p])
-                arrivals = arrivals_of[p]
-                if arrivals:
-                    for rid, time in arrivals:
-                        if time > default:
-                            must.append(rid)
-                if old_rid is not None and aft + comm > default:
-                    must.append(old_rid)
-            else:
-                pred_finish = finish_of[p]
-                if pred_finish is None:
-                    raise RuntimeError(
-                        f"predecessor {jobs[p]!r} of {job!r} is neither "
-                        "executed nor scheduled; the priority order is not "
-                        "topologically consistent"
-                    )
-                default = pred_finish + comm  # otherwise
-                if pred_finish > default:  # negative comm (defensive)
-                    must.append(resource_of[p])
-            if default > d1:
-                d1 = default
-                p1 = p
-        if p1 >= 0:
-            if finished_arr[p1]:
-                must.append(ex_arr[p1])
-                for rid, _time in arrivals_of[p1]:
-                    must.append(rid)
-                if old_rid is not None:
-                    must.append(old_rid)
-            else:
-                must.append(resource_of[p1])
-
-        ready_buf = [d1] * n_resources
-        for rid in set(must):
-            j = rid_index.get(rid)
-            if j is None:
-                continue  # override on a resource that left the pool
-            ready = clock
-            for p, comm in preds:
-                if finished_arr[p]:
-                    if ex_arr[p] == rid:
-                        value = aft_arr[p]  # Case 1
-                    else:
-                        recorded = None
-                        for arid, time in arrivals_of[p]:
-                            if arid == rid:
-                                recorded = time
-                                break
-                        if recorded is not None:
-                            value = recorded  # recorded transfer
-                        elif rid == old_rid:
-                            # static-strategy rule: the transfer to the
-                            # job's previous target started at AFT
-                            value = aft_arr[p] + comm
-                        else:
-                            value = clock + comm  # Case 2
-                else:
-                    pred_finish = finish_of[p]
-                    if resource_of[p] == rid:
-                        value = pred_finish  # Case 3
-                    else:
-                        value = pred_finish + comm  # otherwise
-                if value > ready:
-                    ready = value
-            ready_buf[j] = ready
-        best_j, best_start, best_finish = _min_eft_scan(
-            scan_buf, ready_buf, w_row, insertion
-        )
-        best_rid = resources[best_j]
-        timeline_list[best_j].occupy(best_start, best_finish, job)
-        scan_buf.refresh(best_j)
-        schedule.add(Assignment(job, best_rid, best_start, best_finish))
-        finish_of[i] = best_finish
-        resource_of[i] = best_rid
+    return _place_by_rank(frame, insertion=insertion)
 
 
 @dataclass

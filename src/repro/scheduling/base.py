@@ -22,7 +22,6 @@ __all__ = [
     "Assignment",
     "Schedule",
     "ResourceTimeline",
-    "TimelineArena",
     "JobStatus",
     "ExecutionState",
 ]
@@ -321,17 +320,6 @@ class ResourceTimeline:
             self._max_gap_bound = max(0.0, gap_bound)
             self._gap_end_bound = gap_end
 
-    def reset(self, *, available_from: float = 0.0) -> None:
-        """Return the timeline to its pristine empty state for reuse."""
-        self.available_from = float(available_from)
-        self._intervals = []
-        self._starts = []
-        self._prefix_finish = []
-        self._gaps = []
-        self._max_finish = float("-inf")
-        self._max_gap_bound = 0.0
-        self._gap_end_bound = self.available_from
-
     def _raise_overlap(
         self, start: float, finish: float, job_id: str, other: Tuple[float, float, str]
     ) -> None:
@@ -474,32 +462,6 @@ class ResourceTimeline:
             for start, finish, _ in self._intervals
         )
         return busy / window
-
-
-class TimelineArena:
-    """Recycles :class:`ResourceTimeline` objects across replans.
-
-    The adaptive loop rebuilds every resource's timeline from scratch on
-    each trigger; recycling the objects (and installing the pinned batch via
-    :meth:`ResourceTimeline.bulk_load`) keeps those rebuilds from
-    reallocating per trigger.  Only safe for timelines that never escape
-    the replan call — callers must not hand out references before
-    :meth:`release`.
-    """
-
-    def __init__(self) -> None:
-        self._pool: Dict[str, ResourceTimeline] = {}
-
-    def acquire(self, resource_id: str, *, available_from: float = 0.0) -> ResourceTimeline:
-        timeline = self._pool.pop(resource_id, None)
-        if timeline is None:
-            return ResourceTimeline(resource_id, available_from=available_from)
-        timeline.reset(available_from=available_from)
-        return timeline
-
-    def release(self, timelines: Iterable[ResourceTimeline]) -> None:
-        for timeline in timelines:
-            self._pool[timeline.resource_id] = timeline
 
 
 class Schedule:

@@ -20,9 +20,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.scheduling.base import Assignment, ResourceTimeline, Schedule
+from repro.scheduling.base import Assignment, Schedule
 from repro.scheduling.batch import BatchPlanMixin
-from repro.scheduling.heft import BusyIntervals, occupy_busy_intervals
+from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
 from repro.scheduling.minmin import batch_map
 from repro.utils.rng import spawn_rng
 from repro.workflow.costs import CostModel
@@ -127,32 +127,20 @@ class RandomStaticScheduler:
         resource_available_from: Optional[Mapping[str, float]] = None,
         busy: Optional[BusyIntervals] = None,
     ) -> Schedule:
-        if not resources:
-            raise ValueError("cannot schedule on an empty resource set")
+        frame = PartialScheduleFrame(
+            workflow,
+            costs,
+            resources,
+            resource_available_from=resource_available_from,
+            busy=busy,
+            name=self.name,
+        )
         rng = spawn_rng(self.seed, "random-static", workflow.name)
-        availability = resource_available_from or {}
-        timelines = {
-            rid: ResourceTimeline(rid, available_from=float(availability.get(rid, 0.0)))
-            for rid in resources
-        }
-        occupy_busy_intervals(timelines, busy)
-        schedule = Schedule(name=self.name)
         for job in workflow.topological_order():
             rid = resources[int(rng.integers(0, len(resources)))]
-            duration = costs.computation_cost(job, rid)
-            ready = 0.0
-            for pred in workflow.predecessors(job):
-                pred_assignment = schedule.assignment(pred)
-                ready = max(
-                    ready,
-                    pred_assignment.finish
-                    + costs.communication_cost(pred, job, pred_assignment.resource_id, rid),
-                )
-            start = timelines[rid].earliest_start(ready, duration, insertion=self.insertion)
-            assignment = Assignment(job, rid, start, start + duration)
-            timelines[rid].occupy(assignment.start, assignment.finish, job)
-            schedule.add(assignment)
-        return schedule
+            start, finish = frame.earliest_finish(job, rid, insertion=self.insertion)
+            frame.place(job, rid, start, finish)
+        return frame.schedule
 
 
 @dataclass
@@ -175,29 +163,18 @@ class OpportunisticLoadBalancer:
         resource_available_from: Optional[Mapping[str, float]] = None,
         busy: Optional[BusyIntervals] = None,
     ) -> Schedule:
-        if not resources:
-            raise ValueError("cannot schedule on an empty resource set")
-        availability = resource_available_from or {}
-        timelines = {
-            rid: ResourceTimeline(rid, available_from=float(availability.get(rid, 0.0)))
-            for rid in resources
-        }
-        occupy_busy_intervals(timelines, busy)
-        schedule = Schedule(name=self.name)
+        frame = PartialScheduleFrame(
+            workflow,
+            costs,
+            resources,
+            resource_available_from=resource_available_from,
+            busy=busy,
+            name=self.name,
+        )
+        timelines = frame.timelines
         for job in workflow.topological_order():
             # Earliest-ready resource, ties broken by identifier.
             rid = min(resources, key=lambda r: (timelines[r].ready_time(), r))
-            duration = costs.computation_cost(job, rid)
-            ready = 0.0
-            for pred in workflow.predecessors(job):
-                pred_assignment = schedule.assignment(pred)
-                ready = max(
-                    ready,
-                    pred_assignment.finish
-                    + costs.communication_cost(pred, job, pred_assignment.resource_id, rid),
-                )
-            start = timelines[rid].earliest_start(ready, duration, insertion=self.insertion)
-            assignment = Assignment(job, rid, start, start + duration)
-            timelines[rid].occupy(assignment.start, assignment.finish, job)
-            schedule.add(assignment)
-        return schedule
+            start, finish = frame.earliest_finish(job, rid, insertion=self.insertion)
+            frame.place(job, rid, start, finish)
+        return frame.schedule

@@ -33,8 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.scheduling.base import Assignment, Schedule, TIME_EPS
-from repro.scheduling.frame import PartialScheduleFrame
-from repro.scheduling.heft import BusyIntervals
+from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.scheduling.base import Schedule
-from repro.scheduling.frame import PartialScheduleFrame
-from repro.scheduling.heft import BusyIntervals
+from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
 from repro.workflow.analysis import downward_ranks, upward_ranks
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow

@@ -49,8 +49,7 @@ from typing import List, Mapping, Optional, Sequence
 from repro.scheduling.base import Schedule
 from repro.scheduling.flow.graph import solve_assignment
 from repro.scheduling.flow.models import FLOW_COST_MODELS
-from repro.scheduling.frame import PartialScheduleFrame
-from repro.scheduling.heft import BusyIntervals
+from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 

@@ -1,37 +1,49 @@
-"""Shared partial-rescheduling frame for list-scheduling heuristics.
+"""The placement kernel shared by every list-scheduling heuristic.
 
-Every static list heuristic in the strategy registry (CPOP, lookahead
-HEFT, HEFT with task duplication, and the batch adapters of the Min-Min
-family) must work not only as a plan-once scheduler but also as the
-replanner ``H`` inside the adaptive loop of paper Fig. 2: given a
-partially executed workflow at time ``clock``, keep the finished and
-running work where it is and re-map only the remainder — around any
-foreign (other-tenant) bookings on a shared grid.
-
-:class:`PartialScheduleFrame` packages exactly that boilerplate with the
-same semantics as :func:`repro.scheduling.aheft.aheft_reschedule`:
+Every strategy in the registry — static HEFT, the paper's AHEFT, CPOP,
+lookahead HEFT, HEFT with task duplication, the batch adapters of the
+Min-Min family, the min-cost-flow scheduler and the simple baselines —
+places jobs through :class:`PartialScheduleFrame`.  A frame is one
+(re)scheduling pass at time ``clock`` over a partially executed workflow
+(the replanner ``H`` inside the adaptive loop of paper Fig. 2): finished
+and running work stays where it is, only the remainder is re-mapped,
+around any foreign (other-tenant) bookings on a shared grid.  Plain HEFT
+is the degenerate pass at ``clock = 0`` with no previous schedule (paper
+§3.4).
 
 * finished jobs are pinned at their actual start/finish, running jobs
   (``respect_running``) at their scheduled finish time,
 * per-resource timelines start at ``max(clock, join time)`` and carry the
   pinned intervals plus the merged foreign ``busy`` spans,
-* :meth:`fea` computes the file-earliest-availability of Eq. (1)–(3)
-  (Cases 1–3 plus the otherwise-case), extended with duplicate copies:
-  a duplicate execution of a predecessor placed on the candidate
-  resource is a local data source from its finish onwards.
+* :meth:`PartialScheduleFrame.fea` computes the file-earliest-availability
+  of Eq. (1)–(3) (Cases 1–3 plus the otherwise-case), extended with
+  duplicate copies: a duplicate execution of a predecessor placed on the
+  candidate resource is a local data source from its finish onwards,
+* :meth:`PartialScheduleFrame.min_eft_placement` is HEFT's minimum-EFT
+  rule over that FEA.
 
-The frame is deliberately the *generic* (pair-dependent communication)
-code path — correctness first; AHEFT keeps its own fast kernel.  New
-registry strategies build on the frame and inherit partial-rescheduling
-and shared-grid support for free.
+Performance
+-----------
+With placement-uniform communication
+(:attr:`~repro.workflow.costs.CostModel.has_uniform_communication`) and the
+cost model's own workflow, :meth:`~PartialScheduleFrame.min_eft_placement`
+runs a fast kernel instead of |R| scalar FEA sweeps per job: the dense
+memoized computation rows, index-addressed per-job state (finished flag,
+AFT, executed-on resource, recorded arrivals, and the finish/resource of
+every placed job), a per-predecessor default/override decomposition of the
+ready time, and :func:`_min_eft_scan`, which replays the scalar scan's
+acceptance chain with at most a handful of gap searches.  Every fast path
+is bit-identical to the scalar loop (``tests/test_frame_fast_path.py``)
+and to the frozen seed kernel kept as a test oracle in
+``benchmarks/_seed_reference.py`` (``tests/test_scheduling_base.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.scheduling.aheft import _scheduled_transfer_arrival
 from repro.scheduling.base import (
+    _GAP_FILTER_SLACK,
     Assignment,
     ExecutionState,
     JobStatus,
@@ -39,16 +51,308 @@ from repro.scheduling.base import (
     Schedule,
     TIME_EPS,
 )
-from repro.scheduling.heft import (
-    BusyIntervals,
-    _EftScanBuffers,
-    _min_eft_scan,
-    occupy_busy_intervals,
-)
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
-__all__ = ["PartialScheduleFrame", "clone_timeline"]
+__all__ = [
+    "BusyIntervals",
+    "PartialScheduleFrame",
+    "clone_timeline",
+    "occupy_busy_intervals",
+]
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+#: pre-folded right-hand side of the epsilon-duration guard
+#: ``duration - TIME_EPS > TIME_EPS + _GAP_FILTER_SLACK``
+_EPS_SLACK = TIME_EPS + _GAP_FILTER_SLACK
+
+#: type of the ``busy`` parameter: foreign (other-workflow) occupied spans
+#: per resource, ``{resource_id: [(start, finish), ...]}``
+BusyIntervals = Mapping[str, Sequence[tuple]]
+
+
+def occupy_busy_intervals(
+    timelines: Mapping[str, ResourceTimeline], busy: Optional[BusyIntervals]
+) -> None:
+    """Book foreign ``(start, finish)`` spans before placement.
+
+    This is the shared-grid seam: when several workflows book slots on the
+    same resources, each planning pass sees every *other* workflow's current
+    bookings as opaque busy blocks.  Spans may overlap each other (plans
+    repaired independently after a performance change can transiently
+    contend), so they are merged per resource before occupying; spans that
+    end at or before a timeline's ``available_from`` (or have no extent)
+    cannot constrain placement and are skipped.  Resources absent from
+    ``timelines`` are ignored — a departed resource's stale bookings are
+    irrelevant to the surviving pool.
+    """
+    if not busy:
+        return
+    for rid, spans in busy.items():
+        timeline = timelines.get(rid)
+        if timeline is None:
+            continue
+        relevant = sorted(
+            (float(span[0]), float(span[1]))
+            for span in spans
+            if span[1] > timeline.available_from and span[1] - span[0] > TIME_EPS
+        )
+        merged: List[List[float]] = []
+        for start, finish in relevant:
+            if merged and start < merged[-1][1] - TIME_EPS:
+                merged[-1][1] = max(merged[-1][1], finish)
+            else:
+                merged.append([start, finish])
+        for index, (start, finish) in enumerate(merged):
+            timeline.occupy(start, finish, f"<busy:{index}>")
+
+
+def _scheduled_transfer_arrival(
+    pred: str,
+    job: str,
+    candidate_resource: str,
+    costs: CostModel,
+    previous_schedule: Optional[Schedule],
+    state: ExecutionState,
+) -> Optional[float]:
+    """Arrival time of the ``pred -> job`` data on ``candidate_resource`` if
+    its transfer was already initiated under the previous schedule.
+
+    Under the static-strategy file-transfer rule (paper §4.1 assumption 2)
+    the Executor ships the edge's data immediately on ``pred``'s completion
+    to the resource where ``job`` was scheduled in ``S0``.  If that resource
+    is the candidate resource, the transfer started at ``AFT(pred)`` and
+    arrives ``c_{pred,job}`` later.  Explicit arrivals recorded by the
+    Executor in the execution state take precedence.
+    """
+    recorded = state.data_available_at(pred, candidate_resource)
+    if recorded is not None:
+        return recorded
+    if previous_schedule is None:
+        return None
+    finish = state.actual_finish.get(pred)
+    if finish is None:
+        return None
+    old = previous_schedule.get(job)
+    if old is not None and old.resource_id == candidate_resource:
+        transfer = costs.communication_cost(
+            pred, job, state.executed_on[pred], candidate_resource
+        )
+        return finish + transfer
+    return None
+
+
+class _EftScanBuffers:
+    """Reusable per-frame scratch for :func:`_min_eft_scan`.
+
+    Mirrors the timeline fields the scan reads (``available_from`` plus the
+    interval list and the finish/gap bounds) into parallel per-resource
+    lists.  A frame allocates one instance and, after occupying resource
+    ``j``, refreshes only that resource's entries — replacing five attribute
+    loads × |R| per job with plain list indexing.  Every value is read from
+    the same timeline fields the direct scan would read, so placement stays
+    bit-identical.
+    """
+
+    __slots__ = (
+        "timelines",
+        "avail",
+        "max_finish",
+        "max_gap_slack",
+        "gap_end",
+        "first_start",
+    )
+
+    def __init__(self, timeline_list: Sequence[ResourceTimeline]) -> None:
+        timelines = list(timeline_list)
+        self.timelines = timelines
+        self.avail = [t.available_from for t in timelines]
+        self.max_finish = [t._max_finish for t in timelines]
+        #: the max-gap guard's right-hand side, pre-folded: the scan
+        #: compares against ``_max_gap_bound + _GAP_FILTER_SLACK``, whose
+        #: operands change only when the timeline does
+        self.max_gap_slack = [t._max_gap_bound + _GAP_FILTER_SLACK for t in timelines]
+        self.gap_end = [t._gap_end_bound for t in timelines]
+        #: start of the first interval (``+inf`` when empty), for the
+        #: leading-region check without touching the interval list
+        self.first_start = [
+            t._intervals[0][0] if t._intervals else _POS_INF for t in timelines
+        ]
+
+    def refresh(self, j: int) -> None:
+        """Re-read resource ``j``'s fields after its timeline was occupied."""
+        timeline = self.timelines[j]
+        intervals = timeline._intervals
+        self.max_finish[j] = timeline._max_finish
+        self.max_gap_slack[j] = timeline._max_gap_bound + _GAP_FILTER_SLACK
+        self.gap_end[j] = timeline._gap_end_bound
+        self.first_start[j] = intervals[0][0] if intervals else _POS_INF
+
+
+def _min_eft_scan(
+    buf: _EftScanBuffers,
+    ready_list: Sequence[float],
+    w_row: Sequence[float],
+    insertion: bool,
+) -> tuple:
+    """Pick the min-EFT resource, provably matching the scalar scan.
+
+    The scalar loop scans resources in order, accepting resource ``j``
+    when ``finish_j < best_finish - TIME_EPS``.  Each exact finish needs an
+    ``earliest_start`` gap search — the dominant cost at scale (|R| searches
+    per job).  This scan replays the scalar chain in resource order but
+    replaces the gap search with cheaper, *provably equal or bounding*
+    values per resource:
+
+    * **inlined O(1) exact cases** — the same shortcuts
+      :meth:`~repro.scheduling.base.ResourceTimeline.earliest_start` takes
+      (empty timeline, ready at/past the last finish, append-only placement,
+      task longer than the conservative max-gap bound), evaluated here
+      through the *same float expressions* so they can never disagree.  On
+      these resources the exact finish costs no gap search and no call.
+    * **lower-bound pruning** elsewhere — ``lb_j = max(ready_j,
+      available_from_j) + duration_j <= finish_j`` (every gap search returns
+      a start at/after the clamped ready time), so once a best exists,
+      ``lb_j >= best_finish - TIME_EPS`` proves resource ``j`` could never
+      be accepted by the chain and its gap search is skipped.  Only
+      resources that survive the prune pay a real ``earliest_start`` call.
+    * **single-call fast path** over the mixed values: with ``v_j`` the
+      exact finish or lower bound per resource, evaluate the exact finish
+      ``F_m`` only at ``m = argmin v`` (first minimal index; free when ``m``
+      is an O(1) case).  If ``F_m < second_min_v - TIME_EPS`` then every
+      other ``j`` has ``finish_j >= v_j >= second_min_v > F_m + TIME_EPS``:
+      the chain's best when it reaches ``m`` exceeds ``F_m + TIME_EPS`` (so
+      ``m`` is accepted) and no later resource can displace it — ``m`` is
+      the scalar winner from at most one gap search.  With duplicated
+      minima ``second_min_v = min_v`` and the fast path cannot trigger, so
+      near-ties always fall through to the ordered chain.
+
+    Every value the chain actually compares is the true finish, and skipped
+    resources are provably never accepted, so the winner (and its start) is
+    bit-identical to the scalar chain.  Resources are *not* reordered:
+    acceptance near ties is scan-order dependent, and any reordering could
+    change the winner.
+
+    Returns ``(index, start, finish)`` into the caller's resource order.
+    """
+    n = len(w_row)
+    avail_l = buf.avail
+    max_finish_l = buf.max_finish
+    if not insertion:
+        # append-only placement: every start is exactly max(base, finish)
+        best_j = -1
+        best_start = 0.0
+        best_finish = _NEG_INF
+        for j in range(n):
+            ready = ready_list[j]
+            avail = avail_l[j]
+            base = ready if ready > avail else avail
+            max_finish = max_finish_l[j]
+            start = base if base > max_finish else max_finish
+            finish = start + w_row[j]
+            if best_j < 0 or finish < best_finish - TIME_EPS:
+                best_j = j
+                best_start = start
+                best_finish = finish
+        return best_j, best_start, best_finish
+    max_gap_l = buf.max_gap_slack
+    gap_end_l = buf.gap_end
+    first_start_l = buf.first_start
+    min_v = _POS_INF
+    second_v = _POS_INF
+    min_j = 0
+    min_start = 0.0
+    min_exact = True
+    for j in range(n):
+        ready = ready_list[j]
+        avail = avail_l[j]
+        base = ready if ready > avail else avail
+        duration = w_row[j]
+        max_finish = max_finish_l[j]
+        # O(1) exact cases, mirroring ``earliest_start`` expression for
+        # expression (see its body for the proofs); an empty timeline has
+        # ``max_finish = -inf``, folding it into the first comparison
+        if base >= max_finish:
+            start = base
+            is_exact = True
+        else:
+            deps = duration - TIME_EPS
+            if deps > max_gap_l[j] or (deps > _EPS_SLACK and base >= gap_end_l[j]):
+                if base + duration - TIME_EPS <= first_start_l[j]:
+                    start = base
+                else:
+                    start = max_finish
+                is_exact = True
+            else:
+                start = base  # lower bound: a gap search never starts earlier
+                is_exact = False
+        value = start + duration
+        if value < min_v:
+            second_v = min_v
+            min_v = value
+            min_j = j
+            min_start = start
+            min_exact = is_exact
+        elif value < second_v:
+            second_v = value
+    if min_exact:
+        m_start = min_start
+        m_finish = min_v
+    else:
+        duration = w_row[min_j]
+        m_start = buf.timelines[min_j].earliest_start(
+            ready_list[min_j], duration, insertion=True
+        )
+        m_finish = m_start + duration
+    if m_finish < second_v - TIME_EPS:
+        return min_j, m_start, m_finish
+    # near-tie fallback: replay the full ordered chain, re-deriving each
+    # resource's exact-or-bound classification (identical expressions to
+    # the first pass, so the values cannot differ)
+    best_j = -1
+    best_start = 0.0
+    best_finish = _NEG_INF
+    for j in range(n):
+        if j == min_j:
+            start = m_start
+            finish = m_finish
+        else:
+            ready = ready_list[j]
+            avail = avail_l[j]
+            base = ready if ready > avail else avail
+            duration = w_row[j]
+            max_finish = max_finish_l[j]
+            if base >= max_finish:
+                start = base
+                is_exact = True
+            else:
+                deps = duration - TIME_EPS
+                if deps > max_gap_l[j] or (
+                    deps > _EPS_SLACK and base >= gap_end_l[j]
+                ):
+                    if base + duration - TIME_EPS <= first_start_l[j]:
+                        start = base
+                    else:
+                        start = max_finish
+                    is_exact = True
+                else:
+                    start = base
+                    is_exact = False
+            if is_exact:
+                finish = start + duration
+            else:
+                if best_j >= 0 and start + duration >= best_finish - TIME_EPS:
+                    continue
+                start = buf.timelines[j].earliest_start(
+                    ready, duration, insertion=True
+                )
+                finish = start + duration
+        if best_j < 0 or finish < best_finish - TIME_EPS:
+            best_j = j
+            best_start = start
+            best_finish = finish
+    return best_j, best_start, best_finish
 
 
 def clone_timeline(timeline: ResourceTimeline) -> ResourceTimeline:
@@ -62,7 +366,7 @@ def clone_timeline(timeline: ResourceTimeline) -> ResourceTimeline:
 
 
 class PartialScheduleFrame:
-    """Pinning, timelines and FEA queries for one (re)scheduling pass."""
+    """Pinning, timelines, FEA queries and min-EFT placement for one pass."""
 
     def __init__(
         self,
@@ -80,9 +384,14 @@ class PartialScheduleFrame:
     ) -> None:
         if not resources:
             raise ValueError("cannot schedule on an empty resource set")
+        seen: Set[str] = set()
+        for rid in resources:
+            if rid in seen:
+                raise ValueError(f"duplicate resource id {rid!r} in the pool")
+            seen.add(rid)
+        if not clock >= 0:  # also rejects NaN
+            raise ValueError(f"clock must be a non-negative number, got {clock!r}")
         workflow.validate()
-        if clock < 0:
-            raise ValueError("clock must be non-negative")
         self.workflow = workflow
         self.costs = costs
         self.resources = list(resources)
@@ -118,6 +427,7 @@ class PartialScheduleFrame:
                 ):
                     sft = previous_schedule.scheduled_finish_time(job)
                 else:
+                    # without S0 information fall back to the estimate
                     sft = self.state.actual_start[job] + costs.computation_cost(
                         job, self.state.executed_on[job]
                     )
@@ -147,7 +457,8 @@ class PartialScheduleFrame:
                 historical_dups.append(dup)
 
         # ------------------------------------------------------------------
-        # timelines: pinned work + historical duplicates + merged busy spans
+        # timelines: pinned work + historical duplicates + merged busy spans;
+        # new work can only start at/after ``clock`` and the join time
         # ------------------------------------------------------------------
         availability = resource_available_from or {}
         self.timelines: Dict[str, ResourceTimeline] = {}
@@ -156,13 +467,20 @@ class PartialScheduleFrame:
             self.timelines[rid] = ResourceTimeline(rid, available_from=start)
         occupying = list(pinned.values()) + historical_dups
         if busy is None:
+            batches: Dict[str, List[tuple]] = {}
             for assignment in occupying:
                 timeline = self.timelines.get(assignment.resource_id)
                 if timeline is not None and assignment.finish > timeline.available_from:
-                    timeline.occupy(
-                        assignment.start, assignment.finish, assignment.job_id
+                    batches.setdefault(assignment.resource_id, []).append(
+                        (assignment.start, assignment.finish, assignment.job_id)
                     )
+            for rid, batch in batches.items():
+                self.timelines[rid].bulk_load(batch)
         else:
+            # shared grid: pinned work and foreign bookings go through the
+            # same merge-tolerant booking path, because independently
+            # repaired plans can transiently overlap after a performance
+            # change
             combined: Dict[str, List[tuple]] = {
                 rid: list(spans) for rid, spans in busy.items()
             }
@@ -188,30 +506,53 @@ class PartialScheduleFrame:
             self._dup_rids.setdefault(dup.job_id, []).append(dup.resource_id)
 
         # ------------------------------------------------------------------
-        # fast-path state: with placement-uniform communication and the
-        # model's own workflow, :meth:`min_eft_placement` can run AHEFT's
-        # vectorised min-EFT kernel (default + per-resource overrides, then
-        # ``_min_eft_scan``) instead of |R| scalar FEA sweeps per job.
+        # fast-path state (see :meth:`min_eft_placement`): every per-job
+        # quantity the ready-time decomposition reads, addressed by dense
+        # job id — at 100k-job scale the placement loop touches them once
+        # per edge, which dwarfs the one pass over the state dicts here
         # ------------------------------------------------------------------
         self._fast = workflow is costs.workflow and costs.has_uniform_communication
-        if self._fast:
-            structure = workflow.structure()
-            self._job_index = structure.index
-            self._job_names = structure.jobs
-            self._w_rows = costs.computation_rows(self.resources)
-            self._pred_comm = costs.predecessor_communications()
-            self._rid_index = {rid: j for j, rid in enumerate(self.resources)}
-            self._scan_buf = _EftScanBuffers(
-                [self.timelines[rid] for rid in self.resources]
-            )
-            arrivals_by_pred: Dict[str, List[Tuple[str, float]]] = {}
-            for (producer, rid), time in self.state.data_arrivals.items():
-                arrivals_by_pred.setdefault(producer, []).append((rid, time))
-            self._arrivals_by_pred = arrivals_by_pred
-        else:
-            self._scan_buf = None
-            self._rid_index = {}
-            self._arrivals_by_pred = {}
+        self._scan_buf: Optional[_EftScanBuffers] = None
+        if not self._fast:
+            return
+        structure = workflow.structure()
+        index = structure.index
+        num_jobs = structure.num_jobs
+        self._job_index = index
+        self._job_names = structure.jobs
+        self._w_rows = costs.computation_rows(self.resources)
+        self._pred_comm = costs.predecessor_communications()
+        self._rid_index = {rid: j for j, rid in enumerate(self.resources)}
+        self._scan_buf = _EftScanBuffers(
+            [self.timelines[rid] for rid in self.resources]
+        )
+        finished = bytearray(num_jobs)
+        aft: List[float] = [0.0] * num_jobs
+        executed_on: List[Optional[str]] = [None] * num_jobs
+        for job_name, job_status in self.state.status.items():
+            if job_status is JobStatus.FINISHED:
+                p = index.get(job_name)
+                if p is None:
+                    continue
+                finished[p] = 1
+                aft[p] = self.state.actual_finish[job_name]
+                executed_on[p] = self.state.executed_on[job_name]
+        arrivals: List[tuple] = [()] * num_jobs
+        for (producer, rid), time in self.state.data_arrivals.items():
+            p = index.get(producer)
+            if p is not None:
+                arrivals[p] = arrivals[p] + ((rid, time),)
+        self._finished = finished
+        self._aft = aft
+        self._executed_on = executed_on
+        self._arrivals = arrivals
+        #: finish time and resource of every pinned or placed job
+        self._finish_of: List[Optional[float]] = [None] * num_jobs
+        self._resource_of: List[Optional[str]] = [None] * num_jobs
+        for assignment in pinned.values():
+            p = index[assignment.job_id]
+            self._finish_of[p] = assignment.finish
+            self._resource_of[p] = assignment.resource_id
 
     # ------------------------------------------------------------------
     # FEA queries (paper Eq. 1–3, duplicate-aware)
@@ -279,7 +620,11 @@ class PartialScheduleFrame:
         assignment = Assignment(job, rid, start, finish)
         self.timelines[rid].occupy(start, finish, job)
         self.schedule.add(assignment)
-        self._refresh_scan(rid)
+        if self._scan_buf is not None:
+            self._scan_buf.refresh(self._rid_index[rid])
+            p = self._job_index[job]
+            self._finish_of[p] = finish
+            self._resource_of[p] = rid
         return assignment
 
     def place_duplicate(
@@ -293,14 +638,9 @@ class PartialScheduleFrame:
         if current is None or finish < current:
             self._dup_finish[(job, rid)] = finish
         self._dup_rids.setdefault(job, []).append(rid)
-        self._refresh_scan(rid)
-        return assignment
-
-    def _refresh_scan(self, rid: str) -> None:
         if self._scan_buf is not None:
-            j = self._rid_index.get(rid)
-            if j is not None:
-                self._scan_buf.refresh(j)
+            self._scan_buf.refresh(self._rid_index[rid])
+        return assignment
 
     # ------------------------------------------------------------------
     def min_eft_placement(
@@ -308,16 +648,27 @@ class PartialScheduleFrame:
     ) -> Tuple[str, float, float]:
         """HEFT's minimum-EFT rule over all resources (deterministic ties).
 
-        On the fast path (model's own workflow, placement-uniform
-        communication) this runs the same default/override ready-time
-        decomposition as :func:`repro.scheduling.aheft.aheft_reschedule`
-        followed by the shared min-EFT scan — every per-resource FEA
-        override *lowers* a predecessor's value relative to its default
-        (data local or in flight arrives no later than a transfer started
-        now; a co-located successor skips the transfer; a duplicate copy
-        is a ``min``), so only the override resources of the argmax-default
-        predecessor, plus any epsilon violators, need the exact per-pred
-        sweep.  The scalar loop below remains the reference semantics.
+        The scalar loop (one :meth:`earliest_finish` per resource) is the
+        reference semantics.  On the fast path every predecessor's FEA
+        collapses to a *default* valid on almost every resource plus a few
+        per-resource overrides:
+
+        * finished predecessor — default ``clock + c̄`` (Case 2), overridden
+          on the resource it ran on (``AFT``, Case 1), on resources with a
+          recorded transfer (arrival time), and on the job's previous
+          target (``AFT + c̄``, the static-strategy transfer rule),
+        * unfinished predecessor — default ``SFT + c̄`` (otherwise-case),
+          overridden on its own resource (``SFT``, Case 3),
+        * either — a duplicate copy on a resource is a ``min`` override.
+
+        Every override *lowers* the predecessor's value relative to its
+        default (data local or in flight arrives no later than a transfer
+        started now; a co-located successor skips the transfer), up to the
+        epsilon by which a "finished" AFT may exceed ``clock``.  Hence
+        ``ready(rid)`` equals the max default ``d1`` on every resource
+        except the override resources of one fixed argmax-default
+        predecessor — plus the rare epsilon violators — which get the exact
+        per-predecessor max before the shared :func:`_min_eft_scan`.
         """
         if self._fast:
             return self._min_eft_fast(job, insertion)
@@ -334,69 +685,97 @@ class PartialScheduleFrame:
         return best_rid, best_start, best_finish
 
     def _min_eft_fast(self, job: str, insertion: bool) -> Tuple[str, float, float]:
-        state = self.state
         clock = self.clock
-        sched_get = self.schedule._assignments.get
+        finished = self._finished
+        aft_of = self._aft
+        executed_on = self._executed_on
+        arrivals_of = self._arrivals
+        finish_of = self._finish_of
+        resource_of = self._resource_of
         job_names = self._job_names
-        finished = JobStatus.FINISHED
+        i = self._job_index[job]
         prev = self.previous_schedule
-        old = prev.get(job) if prev is not None else None
+        old = prev._assignments.get(job) if prev is not None else None
         old_rid = old.resource_id if old is not None else None
+        preds = self._pred_comm[i]
         d1 = clock
-        p1_name: Optional[str] = None
-        p1_finished = False
-        must: List[str] = []
-        for p, comm in self._pred_comm[self._job_index[job]]:
-            pname = job_names[p]
-            if state.job_status(pname) is finished:
+        p1 = -1
+        must: List[str] = []  # override resources needing the exact recompute
+        for p, comm in preds:
+            if finished[p]:
                 default = clock + comm  # Case 2
-                aft = state.actual_finish[pname]
+                aft = aft_of[p]
                 if aft > default:
-                    must.append(state.executed_on[pname])
-                arrivals = self._arrivals_by_pred.get(pname)
+                    must.append(executed_on[p])
+                arrivals = arrivals_of[p]
                 if arrivals:
                     for rid, time in arrivals:
                         if time > default:
                             must.append(rid)
                 if old_rid is not None and aft + comm > default:
                     must.append(old_rid)
-                is_finished = True
             else:
-                assignment = sched_get(pname)
-                if assignment is None:
+                pred_finish = finish_of[p]
+                if pred_finish is None:
                     raise RuntimeError(
-                        f"predecessor {pname!r} of {job!r} is neither "
+                        f"predecessor {job_names[p]!r} of {job!r} is neither "
                         "executed nor scheduled; the placement order is not "
                         "topologically consistent"
                     )
-                pred_finish = assignment.finish
                 default = pred_finish + comm  # otherwise
                 if pred_finish > default:  # negative comm (defensive)
-                    must.append(assignment.resource_id)
-                is_finished = False
+                    must.append(resource_of[p])
             if default > d1:
                 d1 = default
-                p1_name = pname
-                p1_finished = is_finished
-        if p1_name is not None:
-            if p1_finished:
-                must.append(state.executed_on[p1_name])
-                for rid, _time in self._arrivals_by_pred.get(p1_name, ()):
+                p1 = p
+        dup_finish = self._dup_finish
+        if p1 >= 0:
+            if finished[p1]:
+                must.append(executed_on[p1])
+                for rid, _time in arrivals_of[p1]:
                     must.append(rid)
                 if old_rid is not None:
                     must.append(old_rid)
             else:
-                must.append(sched_get(p1_name).resource_id)
-            # a duplicate copy of the argmax predecessor is a local data
-            # source that can lower its FEA below the shared default
-            must.extend(self._dup_rids.get(p1_name, ()))
+                must.append(resource_of[p1])
+            if dup_finish:
+                must.extend(self._dup_rids.get(job_names[p1], ()))
 
         ready_buf = [d1] * len(self.resources)
         for rid in set(must):
             j = self._rid_index.get(rid)
-            if j is not None:  # override on a resource outside the pool
-                ready_buf[j] = self.ready_time(job, rid)
-        i = self._job_index[job]
+            if j is None:
+                continue  # override on a resource that left the pool
+            ready = clock
+            for p, comm in preds:
+                if finished[p]:
+                    if executed_on[p] == rid:
+                        value = aft_of[p]  # Case 1
+                    else:
+                        recorded = None
+                        for arid, time in arrivals_of[p]:
+                            if arid == rid:
+                                recorded = time
+                                break
+                        if recorded is not None:
+                            value = recorded  # recorded transfer
+                        elif rid == old_rid:
+                            value = aft_of[p] + comm  # implied transfer
+                        else:
+                            value = clock + comm  # Case 2
+                else:
+                    pred_finish = finish_of[p]
+                    if resource_of[p] == rid:
+                        value = pred_finish  # Case 3
+                    else:
+                        value = pred_finish + comm  # otherwise
+                if dup_finish:
+                    dup = dup_finish.get((job_names[p], rid))
+                    if dup is not None and dup < value:
+                        value = dup
+                if value > ready:
+                    ready = value
+            ready_buf[j] = ready
         best_j, best_start, best_finish = _min_eft_scan(
             self._scan_buf, ready_buf, self._w_rows[i], insertion
         )

@@ -10,303 +10,34 @@ This module implements the *traditional* static HEFT used as the paper's
 baseline: it is executed once, before the workflow starts, against the
 resource pool known at time 0, and it never revisits its decisions.
 
-Performance
------------
-The placement loop is the hot path of every experiment sweep, so it runs on
-the fast kernel:
-
-* the priority order is memoized per ``(workflow.version, pool signature)``
-  on the cost model, so the adaptive loop's per-event rescheduling reuses
-  ranks whenever the DAG and the pool are unchanged,
-* computation costs come from the memoized dense
-  :meth:`~repro.workflow.costs.CostModel.computation_matrix`,
-* for cost models with placement-independent transfer costs
-  (:attr:`~repro.workflow.costs.CostModel.has_uniform_communication`) the
-  per-resource ready time is computed in O(preds + |R|) per job via a
-  per-resource max decomposition instead of O(preds × |R|) cost-model calls.
-
-All fast paths are bit-identical to the seed implementation preserved in
-:mod:`repro.scheduling._seed_reference` (same assignments, same makespans);
-``tests/test_scheduling_base.py`` asserts this on seeded random and
-application DAGs.
+Placement runs on the one kernel every strategy shares,
+:class:`~repro.scheduling.frame.PartialScheduleFrame`: static HEFT is a
+frame at ``clock = 0`` with no previous schedule, placed in rank order by
+:func:`_place_by_rank` — the same loop AHEFT runs mid-flight.  The priority
+order is memoized per ``(workflow.version, pool signature)`` on the cost
+model, so the adaptive loop's per-event rescheduling reuses ranks whenever
+the DAG and the pool are unchanged.  The frame's fast path and its scalar
+loop are bit-identical to the frozen seed kernel kept as a test oracle in
+``benchmarks/_seed_reference.py``; ``tests/test_scheduling_base.py``
+asserts this on seeded random and application DAGs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
-from repro.scheduling.base import (
-    _GAP_FILTER_SLACK,
-    Assignment,
-    ResourceTimeline,
-    Schedule,
-    TIME_EPS,
+from repro.scheduling.base import Schedule
+from repro.scheduling.frame import (
+    BusyIntervals,
+    PartialScheduleFrame,
+    occupy_busy_intervals,
 )
 from repro.workflow.analysis import upward_ranks
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
 __all__ = ["heft_schedule", "heft_priority_order", "occupy_busy_intervals", "HEFTScheduler"]
-
-_NEG_INF = float("-inf")
-_POS_INF = float("inf")
-#: pre-folded right-hand side of the epsilon-duration guard
-#: ``duration - TIME_EPS > TIME_EPS + _GAP_FILTER_SLACK``
-_EPS_SLACK = TIME_EPS + _GAP_FILTER_SLACK
-
-#: type of the ``busy`` parameter: foreign (other-workflow) occupied spans
-#: per resource, ``{resource_id: [(start, finish), ...]}``
-BusyIntervals = Mapping[str, Sequence[tuple]]
-
-
-def occupy_busy_intervals(
-    timelines: Mapping[str, ResourceTimeline], busy: Optional[BusyIntervals]
-) -> None:
-    """Book foreign ``(start, finish)`` spans before placement.
-
-    This is the shared-grid seam: when several workflows book slots on the
-    same resources, each planning pass sees every *other* workflow's current
-    bookings as opaque busy blocks.  Spans may overlap each other (plans
-    repaired independently after a performance change can transiently
-    contend), so they are merged per resource before occupying; spans that
-    end at or before a timeline's ``available_from`` (or have no extent)
-    cannot constrain placement and are skipped.  Resources absent from
-    ``timelines`` are ignored — a departed resource's stale bookings are
-    irrelevant to the surviving pool.
-    """
-    if not busy:
-        return
-    for rid, spans in busy.items():
-        timeline = timelines.get(rid)
-        if timeline is None:
-            continue
-        relevant = sorted(
-            (float(span[0]), float(span[1]))
-            for span in spans
-            if span[1] > timeline.available_from and span[1] - span[0] > TIME_EPS
-        )
-        merged: List[List[float]] = []
-        for start, finish in relevant:
-            if merged and start < merged[-1][1] - TIME_EPS:
-                merged[-1][1] = max(merged[-1][1], finish)
-            else:
-                merged.append([start, finish])
-        for index, (start, finish) in enumerate(merged):
-            timeline.occupy(start, finish, f"<busy:{index}>")
-
-
-class _EftScanBuffers:
-    """Reusable per-schedule scratch for :func:`_min_eft_scan`.
-
-    Mirrors the timeline fields the scan reads (``available_from`` plus the
-    interval list and the finish/gap bounds) into parallel per-resource
-    lists, alongside the value/start/exact scratch arrays.  A placement loop
-    allocates one instance per schedule call and, after occupying resource
-    ``j``, refreshes only that resource's entries — replacing five attribute
-    loads × |R| per job with plain list indexing and dropping the three
-    per-job scratch allocations.  Every value is read from the same timeline
-    fields the direct scan would read, so placement stays bit-identical.
-    """
-
-    __slots__ = (
-        "timelines",
-        "avail",
-        "max_finish",
-        "max_gap_slack",
-        "gap_end",
-        "first_start",
-    )
-
-    def __init__(self, timeline_list: Sequence[ResourceTimeline]) -> None:
-        timelines = list(timeline_list)
-        self.timelines = timelines
-        self.avail = [t.available_from for t in timelines]
-        self.max_finish = [t._max_finish for t in timelines]
-        #: the max-gap guard's right-hand side, pre-folded: the scan
-        #: compares against ``_max_gap_bound + _GAP_FILTER_SLACK``, whose
-        #: operands change only when the timeline does
-        self.max_gap_slack = [t._max_gap_bound + _GAP_FILTER_SLACK for t in timelines]
-        self.gap_end = [t._gap_end_bound for t in timelines]
-        #: start of the first interval (``+inf`` when empty), for the
-        #: leading-region check without touching the interval list
-        self.first_start = [
-            t._intervals[0][0] if t._intervals else _POS_INF for t in timelines
-        ]
-
-    def refresh(self, j: int) -> None:
-        """Re-read resource ``j``'s fields after its timeline was occupied."""
-        timeline = self.timelines[j]
-        intervals = timeline._intervals
-        self.max_finish[j] = timeline._max_finish
-        self.max_gap_slack[j] = timeline._max_gap_bound + _GAP_FILTER_SLACK
-        self.gap_end[j] = timeline._gap_end_bound
-        self.first_start[j] = intervals[0][0] if intervals else _POS_INF
-
-
-def _min_eft_scan(
-    buf: _EftScanBuffers,
-    ready_list: Sequence[float],
-    w_row: Sequence[float],
-    insertion: bool,
-) -> tuple:
-    """Pick the min-EFT resource, provably matching the scalar scan.
-
-    The scalar kernels scan resources in order, accepting resource ``j``
-    when ``finish_j < best_finish - TIME_EPS``.  Each exact finish needs an
-    ``earliest_start`` gap search — the dominant cost at scale (|R| searches
-    per job).  This scan replays the scalar chain in resource order but
-    replaces the gap search with cheaper, *provably equal or bounding*
-    values per resource:
-
-    * **inlined O(1) exact cases** — the same shortcuts
-      :meth:`~repro.scheduling.base.ResourceTimeline.earliest_start` takes
-      (empty timeline, ready at/past the last finish, append-only placement,
-      task longer than the conservative max-gap bound), evaluated here
-      through the *same float expressions* so they can never disagree.  On
-      these resources the exact finish costs no gap search and no call.
-    * **lower-bound pruning** elsewhere — ``lb_j = max(ready_j,
-      available_from_j) + duration_j <= finish_j`` (every gap search returns
-      a start at/after the clamped ready time), so once a best exists,
-      ``lb_j >= best_finish - TIME_EPS`` proves resource ``j`` could never
-      be accepted by the chain and its gap search is skipped.  Only
-      resources that survive the prune pay a real ``earliest_start`` call.
-    * **single-call fast path** over the mixed values: with ``v_j`` the
-      exact finish or lower bound per resource, evaluate the exact finish
-      ``F_m`` only at ``m = argmin v`` (first minimal index; free when ``m``
-      is an O(1) case).  If ``F_m < second_min_v - TIME_EPS`` then every
-      other ``j`` has ``finish_j >= v_j >= second_min_v > F_m + TIME_EPS``:
-      the chain's best when it reaches ``m`` exceeds ``F_m + TIME_EPS`` (so
-      ``m`` is accepted) and no later resource can displace it — ``m`` is
-      the scalar winner from at most one gap search.  With duplicated
-      minima ``second_min_v = min_v`` and the fast path cannot trigger, so
-      near-ties always fall through to the ordered chain.
-
-    Every value the chain actually compares is the true finish, and skipped
-    resources are provably never accepted, so the winner (and its start) is
-    bit-identical to the scalar chain.  Resources are *not* reordered:
-    acceptance near ties is scan-order dependent, and any reordering could
-    change the winner.
-
-    Returns ``(index, start, finish)`` into the caller's resource order.
-    """
-    n = len(w_row)
-    avail_l = buf.avail
-    max_finish_l = buf.max_finish
-    if not insertion:
-        # append-only placement: every start is exactly max(base, finish)
-        best_j = -1
-        best_start = 0.0
-        best_finish = _NEG_INF
-        for j in range(n):
-            ready = ready_list[j]
-            avail = avail_l[j]
-            base = ready if ready > avail else avail
-            max_finish = max_finish_l[j]
-            start = base if base > max_finish else max_finish
-            finish = start + w_row[j]
-            if best_j < 0 or finish < best_finish - TIME_EPS:
-                best_j = j
-                best_start = start
-                best_finish = finish
-        return best_j, best_start, best_finish
-    max_gap_l = buf.max_gap_slack
-    gap_end_l = buf.gap_end
-    first_start_l = buf.first_start
-    min_v = _POS_INF
-    second_v = _POS_INF
-    min_j = 0
-    min_start = 0.0
-    min_exact = True
-    for j in range(n):
-        ready = ready_list[j]
-        avail = avail_l[j]
-        base = ready if ready > avail else avail
-        duration = w_row[j]
-        max_finish = max_finish_l[j]
-        # O(1) exact cases, mirroring ``earliest_start`` expression for
-        # expression (see its body for the proofs); an empty timeline has
-        # ``max_finish = -inf``, folding it into the first comparison
-        if base >= max_finish:
-            start = base
-            is_exact = True
-        else:
-            deps = duration - TIME_EPS
-            if deps > max_gap_l[j] or (deps > _EPS_SLACK and base >= gap_end_l[j]):
-                if base + duration - TIME_EPS <= first_start_l[j]:
-                    start = base
-                else:
-                    start = max_finish
-                is_exact = True
-            else:
-                start = base  # lower bound: a gap search never starts earlier
-                is_exact = False
-        value = start + duration
-        if value < min_v:
-            second_v = min_v
-            min_v = value
-            min_j = j
-            min_start = start
-            min_exact = is_exact
-        elif value < second_v:
-            second_v = value
-    if min_exact:
-        m_start = min_start
-        m_finish = min_v
-    else:
-        duration = w_row[min_j]
-        m_start = buf.timelines[min_j].earliest_start(
-            ready_list[min_j], duration, insertion=True
-        )
-        m_finish = m_start + duration
-    if m_finish < second_v - TIME_EPS:
-        return min_j, m_start, m_finish
-    # near-tie fallback: replay the full ordered chain, re-deriving each
-    # resource's exact-or-bound classification (identical expressions to
-    # the first pass, so the values cannot differ)
-    best_j = -1
-    best_start = 0.0
-    best_finish = _NEG_INF
-    for j in range(n):
-        if j == min_j:
-            start = m_start
-            finish = m_finish
-        else:
-            ready = ready_list[j]
-            avail = avail_l[j]
-            base = ready if ready > avail else avail
-            duration = w_row[j]
-            max_finish = max_finish_l[j]
-            if base >= max_finish:
-                start = base
-                is_exact = True
-            else:
-                deps = duration - TIME_EPS
-                if deps > max_gap_l[j] or (
-                    deps > _EPS_SLACK and base >= gap_end_l[j]
-                ):
-                    if base + duration - TIME_EPS <= first_start_l[j]:
-                        start = base
-                    else:
-                        start = max_finish
-                    is_exact = True
-                else:
-                    start = base
-                    is_exact = False
-            if is_exact:
-                finish = start + duration
-            else:
-                if best_j >= 0 and start + duration >= best_finish - TIME_EPS:
-                    continue
-                start = buf.timelines[j].earliest_start(
-                    ready, duration, insertion=True
-                )
-                finish = start + duration
-        if best_j < 0 or finish < best_finish - TIME_EPS:
-            best_j = j
-            best_start = start
-            best_finish = finish
-    return best_j, best_start, best_finish
 
 
 def _compute_priority_order(
@@ -377,125 +108,30 @@ def heft_schedule(
         see :func:`occupy_busy_intervals`.  ``None`` (the default) is the
         dedicated-grid behaviour and is bit-identical to the seed kernel.
     """
-    if not resources:
-        raise ValueError("cannot schedule on an empty resource set")
-    workflow.validate()
-    availability = resource_available_from or {}
-    timelines: Dict[str, ResourceTimeline] = {
-        rid: ResourceTimeline(rid, available_from=float(availability.get(rid, 0.0)))
-        for rid in resources
-    }
-    occupy_busy_intervals(timelines, busy)
-    schedule = Schedule(name=name)
-    order = heft_priority_order(workflow, costs, resources)
-
-    if workflow is not costs.workflow or not costs.has_uniform_communication:
-        _place_generic(workflow, costs, resources, order, timelines, schedule, insertion)
-        return schedule
-
-    structure = workflow.structure()
-    index = structure.index
-    w = costs.computation_rows(resources)
-    pred_comm = costs.predecessor_communications()
-    finish_of: List[Optional[float]] = [None] * structure.num_jobs
-    resource_of: List[Optional[str]] = [None] * structure.num_jobs
-    timeline_list = [timelines[rid] for rid in resources]
-    scan_buf = _EftScanBuffers(timeline_list)
-    n_resources = len(resources)
-    ready_buf = [0.0] * n_resources
-
-    for job in order:
-        i = index[job]
-        w_row = w[i]
-        preds = pred_comm[i]
-        # Ready time decomposition: a predecessor on resource ``r``
-        # contributes ``finish`` when the job lands on ``r`` and ``finish +
-        # c̄`` anywhere else, so ``ready(rid) = max(0, max_{r != rid} P[r],
-        # L[rid])`` with P/L the per-resource maxima of the two forms.
-        local_max: Dict[str, float] = {}
-        remote_max: Dict[str, float] = {}
-        top_value = _NEG_INF
-        top_key: Optional[str] = None
-        second_value = _NEG_INF
-        for p, comm in preds:
-            pred_finish = finish_of[p]
-            if pred_finish is None:
-                raise RuntimeError(
-                    f"predecessor {structure.jobs[p]!r} of {job!r} not scheduled "
-                    "yet; priority order is not topologically consistent"
-                )
-            pred_resource = resource_of[p]
-            remote = pred_finish + comm
-            if remote_max.get(pred_resource, _NEG_INF) < remote:
-                remote_max[pred_resource] = remote
-            if local_max.get(pred_resource, _NEG_INF) < pred_finish:
-                local_max[pred_resource] = pred_finish
-        for key, value in remote_max.items():
-            if value > top_value:
-                second_value = top_value
-                top_value = value
-                top_key = key
-            elif value > second_value:
-                second_value = value
-
-        if preds:
-            for j, rid in enumerate(resources):
-                ready = 0.0
-                remote = second_value if rid == top_key else top_value
-                if remote > ready:
-                    ready = remote
-                local = local_max.get(rid)
-                if local is not None and local > ready:
-                    ready = local
-                ready_buf[j] = ready
-        else:
-            for j in range(n_resources):
-                ready_buf[j] = 0.0
-        best_j, best_start, best_finish = _min_eft_scan(
-            scan_buf, ready_buf, w_row, insertion
-        )
-        best_rid = resources[best_j]
-        timelines[best_rid].occupy(best_start, best_finish, job)
-        scan_buf.refresh(best_j)
-        schedule.add(Assignment(job, best_rid, best_start, best_finish))
-        finish_of[i] = best_finish
-        resource_of[i] = best_rid
-    return schedule
+    frame = PartialScheduleFrame(
+        workflow,
+        costs,
+        resources,
+        resource_available_from=resource_available_from,
+        busy=busy,
+        name=name,
+    )
+    return _place_by_rank(frame, insertion=insertion)
 
 
-def _place_generic(
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    order: Sequence[str],
-    timelines: Dict[str, ResourceTimeline],
-    schedule: Schedule,
-    insertion: bool,
-) -> None:
-    """Placement loop for models with pair-dependent communication costs."""
-    for job in order:
-        best: Optional[Assignment] = None
-        for rid in resources:
-            duration = costs.computation_cost(job, rid)
-            ready = 0.0
-            for pred in workflow.predecessors(job):
-                pred_assignment = schedule.get(pred)
-                if pred_assignment is None:
-                    raise RuntimeError(
-                        f"predecessor {pred!r} of {job!r} not scheduled yet; "
-                        "priority order is not topologically consistent"
-                    )
-                transfer = costs.communication_cost(
-                    pred, job, pred_assignment.resource_id, rid
-                )
-                ready = max(ready, pred_assignment.finish + transfer)
-            start = timelines[rid].earliest_start(ready, duration, insertion=insertion)
-            candidate = Assignment(job, rid, start, start + duration)
-            if best is None or candidate.finish < best.finish - TIME_EPS:
-                best = candidate
-        assert best is not None
-        timelines[best.resource_id].occupy(best.start, best.finish, job)
-        schedule.add(best)
+def _place_by_rank(frame: PartialScheduleFrame, *, insertion: bool = True) -> Schedule:
+    """HEFT's placement phase over a frame: every re-mappable job, in
+    upward-rank order, goes to its minimum-EFT resource.
+
+    At ``clock = 0`` with no previous schedule this is static HEFT; on a
+    partially executed workflow it is AHEFT's rescheduling step.
+    """
+    pending = frame.to_schedule_set
+    for job in heft_priority_order(frame.workflow, frame.costs, frame.resources):
+        if job in pending:
+            rid, start, finish = frame.min_eft_placement(job, insertion=insertion)
+            frame.place(job, rid, start, finish)
+    return frame.schedule
 
 
 @dataclass

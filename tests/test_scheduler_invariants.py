@@ -16,7 +16,9 @@ writing a single new test:
   interface drives the full adaptive loop (``repro.run(..., mode="adaptive",
   strategy=...)``)
   to a feasible final schedule under every registered scenario, and a
-  mid-execution replan around busy blocks keeps pinned work pinned.
+  mid-execution replan around busy blocks keeps pinned work pinned;
+* **bad input** — a duplicated resource id or a NaN clock raises a
+  ``ValueError`` naming the problem.
 """
 
 from __future__ import annotations
@@ -166,6 +168,32 @@ class TestUniversalInvariants:
             case.workflow, case.costs, result.final_schedule, pool=run.pool
         )
         assert result.makespan > 0
+
+
+class TestBadKernelInput:
+    """Malformed kernel input raises a named error from every strategy."""
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_duplicate_resource_id_is_named(self, name):
+        case = _case(v=10, seed=2)
+        with pytest.raises(ValueError, match="duplicate resource id 'r1'"):
+            make_scheduler(name).schedule(
+                case.workflow, case.costs, ["r1", "r1", "r2"]
+            )
+
+    @pytest.mark.parametrize("name", ADAPTIVE_STRATEGIES)
+    def test_nan_clock_is_rejected(self, name):
+        case = _case(v=10, seed=2)
+        scheduler = make_scheduler(name)
+        plan = scheduler.schedule(case.workflow, case.costs, list(RESOURCES))
+        with pytest.raises(ValueError, match="clock must be a non-negative number"):
+            scheduler.reschedule(
+                case.workflow,
+                case.costs,
+                list(RESOURCES),
+                clock=float("nan"),
+                previous_schedule=plan,
+            )
 
 
 def _single(assignment):

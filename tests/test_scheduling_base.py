@@ -4,23 +4,26 @@ Includes the fast-kernel guarantees: a hypothesis property test that the
 bisect-based :class:`ResourceTimeline` behaves exactly like the seed (naive
 O(n²)) timeline on random interval sequences, and equivalence tests that the
 rewritten HEFT/AHEFT produce bit-identical schedules to the frozen seed
-kernel on seeded random and application DAGs.
+kernel (the test oracle ``benchmarks/_seed_reference.py``) on seeded random
+and application DAGs.
 """
+
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.generators.blast import generate_blast_case
-from repro.generators.wien2k import generate_wien2k_case
-from repro.resources.dynamics import ResourceChangeModel
-from repro.scheduling._seed_reference import (
+from benchmarks._seed_reference import (
     SeedAHEFTScheduler,
     SeedResourceTimeline,
     seed_aheft_reschedule,
     seed_heft_schedule,
 )
+from repro.generators.blast import generate_blast_case
+from repro.generators.wien2k import generate_wien2k_case
+from repro.resources.dynamics import ResourceChangeModel
 from repro.scheduling.aheft import AHEFTScheduler, aheft_reschedule
 from repro.scheduling.base import (
     Assignment,
@@ -29,7 +32,9 @@ from repro.scheduling.base import (
     ResourceTimeline,
     Schedule,
 )
+from repro.scheduling.frame import PartialScheduleFrame
 from repro.scheduling.heft import heft_schedule
+from repro.workflow.costs import CostModel
 
 
 class TestAssignment:
@@ -218,6 +223,73 @@ class TestGapAcceptOccupyConsistency:
 def _application_cases():
     yield generate_blast_case(24, ccr=1.0, beta=0.5, omega_dag=300.0, seed=4)
     yield generate_wien2k_case(16, ccr=1.0, beta=0.5, omega_dag=300.0, seed=4)
+
+
+class _PairwiseCommunicationModel(CostModel):
+    """Test-only model whose transfer cost depends on the resource pair.
+
+    Computation costs delegate to a priced case's model.  A transfer between
+    two distinct resources costs the edge's average scaled by a factor fixed
+    per ordered resource pair (0.25 to 2.0); on the same resource it is
+    free.  ``has_uniform_communication`` keeps its default ``False``, so the
+    kernel must take its scalar FEA loop.
+    """
+
+    def __init__(self, base: CostModel) -> None:
+        self.base = base
+        self.workflow = base.workflow
+
+    def computation_cost(self, job_id, resource_id):
+        return self.base.computation_cost(job_id, resource_id)
+
+    def intrinsic_average_computation_cost(self, job_id):
+        return self.base.intrinsic_average_computation_cost(job_id)
+
+    def communication_cost(self, src, dst, src_resource, dst_resource):
+        if src_resource == dst_resource:
+            return 0.0
+        pair = f"{src_resource}>{dst_resource}".encode()
+        factor = 0.25 + (zlib.crc32(pair) % 8) / 4.0
+        return self.base.average_communication_cost(src, dst) * factor
+
+    def average_communication_cost(self, src, dst):
+        return self.base.average_communication_cost(src, dst)
+
+
+def _pairwise_cases(make_case):
+    for seed in (0, 1, 2):
+        yield make_case(v=50, omega_dag=300.0, seed=seed)
+    yield from _application_cases()
+
+
+class TestPairwiseCommunicationKernel:
+    """The scalar loop (pair-dependent transfers) matches the seed kernel."""
+
+    RESOURCES = [f"r{i + 1}" for i in range(7)]
+
+    def test_model_takes_the_scalar_loop(self, make_case):
+        costs = _PairwiseCommunicationModel(make_case(v=10, seed=0).costs)
+        assert not costs.has_uniform_communication
+        assert not PartialScheduleFrame(costs.workflow, costs, self.RESOURCES)._fast
+
+    def test_static_heft_identical(self, make_case):
+        for case in _pairwise_cases(make_case):
+            costs = _PairwiseCommunicationModel(case.costs)
+            fast = heft_schedule(case.workflow, costs, self.RESOURCES)
+            seed = seed_heft_schedule(case.workflow, costs, self.RESOURCES)
+            assert fast.to_dict() == seed.to_dict()
+            assert fast.makespan() == seed.makespan()
+
+    def test_aheft_reschedule_identical_mid_flight(self, make_case):
+        grown = self.RESOURCES[1:] + ["g1", "g2"]
+        for case in _pairwise_cases(make_case):
+            costs = _PairwiseCommunicationModel(case.costs)
+            previous = heft_schedule(case.workflow, costs, self.RESOURCES)
+            kwargs = dict(clock=previous.makespan() * 0.4, previous_schedule=previous)
+            fast = aheft_reschedule(case.workflow, costs, grown, **kwargs)
+            seed = seed_aheft_reschedule(case.workflow, costs, grown, **kwargs)
+            assert fast.to_dict() == seed.to_dict()
+            assert fast.makespan() == seed.makespan()
 
 
 class TestKernelEquivalence:
