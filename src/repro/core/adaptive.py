@@ -434,7 +434,9 @@ class AdaptiveReschedulingLoop:
                     state.status[job] = JobStatus.RUNNING
             return state
 
-        def sync_belief(plan: Schedule, state: ExecutionState) -> tuple:
+        def sync_belief(
+            plan: Schedule, state: ExecutionState, effective: CostModel
+        ) -> tuple:
             """Substitute observed facts into the plan; never re-time futures.
 
             Returns ``(synced, changed)`` where ``changed`` flags any
@@ -442,7 +444,8 @@ class AdaptiveReschedulingLoop:
             job keeps its *booked duration* shifted to its actual start
             (speed frozen at dispatch, estimate unchanged), floored at the
             clock — the planner knows an overdue job cannot finish in the
-            past.
+            past.  A running job without a booking on its resource is priced
+            by ``effective``, the trigger's estimate.
             """
             if exact:
                 return plan, False
@@ -486,7 +489,7 @@ class AdaptiveReschedulingLoop:
                             belief_finish = start + (booked.finish - booked.start)
                             changed = True
                     else:
-                        belief_finish = start + estimated(clock).computation_cost(job, rid)
+                        belief_finish = start + effective.computation_cost(job, rid)
                         changed = True
                     belief_finish = max(belief_finish, clock)
                     synced.add(Assignment(job, rid, start, belief_finish))
@@ -604,7 +607,7 @@ class AdaptiveReschedulingLoop:
                         del truth_dups[key]
 
             effective = estimated(clock)
-            synced, changed = sync_belief(current, state)
+            synced, changed = sync_belief(current, state, effective)
             if changed or clock in perf_times:
                 current = repair_schedule(
                     workflow,

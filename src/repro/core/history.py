@@ -25,8 +25,10 @@ class PerformanceRecord:
 
     ``estimated`` optionally carries the Planner's prior estimate for this
     execution at observation time; ratio-mode re-estimation
-    (:class:`~repro.core.predictor.RatioAdjustedCostModel`) prefers it
-    because it makes the observed/estimated ratio self-contained — job
+    (:class:`~repro.core.predictor.RatioAdjustedCostModel`, a
+    :class:`~repro.scenarios.base.ScaledCostModel` snapshot of the ratios
+    learned from the records at construction) prefers it because it makes
+    the observed/estimated ratio self-contained — job
     identifiers are not unique across workflows, so dividing by the
     *current* workflow's estimate would mis-price foreign observations.
     """

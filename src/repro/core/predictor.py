@@ -20,30 +20,38 @@ Two re-estimation modes are provided:
   durations do not transfer between jobs but systematic resource bias
   (obsolete benchmarks, misreported speeds) does.  This is the mode the
   uncertainty engine replans with.
+
+Both only transform the prior's computation costs.  A ratio model is a
+:class:`~repro.scenarios.base.ScaledCostModel` snapshot of the history at
+construction (:meth:`Predictor.estimate` builds one per replan), so its
+dense views are memoised; the absolute model reads the live history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.history import PerformanceHistoryRepository
-from repro.workflow.costs import CostModel
-from repro.workflow.dag import Workflow
+from repro.scenarios.base import ScaledCostModel
+from repro.workflow.costs import CostModel, DelegatingCostModel
 
 __all__ = ["HistoryAdjustedCostModel", "RatioAdjustedCostModel", "Predictor"]
 
 
-class HistoryAdjustedCostModel(CostModel):
+class HistoryAdjustedCostModel(DelegatingCostModel):
     """A cost model that overrides a prior with observed history.
 
     For a job whose operation has observations on the queried resource, the
     estimate is ``blend · observed + (1 − blend) · prior``; with
     ``blend = 1`` (default) the observation replaces the prior entirely.
-    Communication costs are taken from the prior unchanged (the paper's
-    history covers job performance, not network performance).
+    Without observations on the resource, the operation's average over all
+    resources stands in.  Communication costs are taken from the prior
+    unchanged (the paper's history covers job performance, not network
+    performance).  The model stays uncached (``cache_token() is None``):
+    the history can grow between calls without the workflow mutating.
     """
 
     def __init__(
@@ -52,55 +60,36 @@ class HistoryAdjustedCostModel(CostModel):
         history: PerformanceHistoryRepository,
         *,
         blend: float = 1.0,
-        use_operation_average: bool = True,
     ) -> None:
         if not 0 <= blend <= 1:
             raise ValueError("blend must be in [0, 1]")
-        self.workflow: Workflow = prior.workflow
-        self.prior = prior
+        super().__init__(prior)
         self.history = history
         self.blend = float(blend)
-        self.use_operation_average = bool(use_operation_average)
 
     def _observed(self, job_id: str, resource_id: Optional[str]) -> Optional[float]:
         operation = self.workflow.job(job_id).operation
         observed = self.history.observed_duration(operation, resource_id)
-        if observed is None and self.use_operation_average and resource_id is not None:
+        if observed is None and resource_id is not None:
             observed = self.history.observed_duration(operation, None)
         return observed
 
     def computation_cost(self, job_id: str, resource_id: str) -> float:
-        prior = self.prior.computation_cost(job_id, resource_id)
+        prior = self.base.computation_cost(job_id, resource_id)
         observed = self._observed(job_id, resource_id)
         if observed is None:
             return prior
         return self.blend * observed + (1.0 - self.blend) * prior
 
     def intrinsic_average_computation_cost(self, job_id: str) -> float:
-        prior = self.prior.intrinsic_average_computation_cost(job_id)
+        prior = self.base.intrinsic_average_computation_cost(job_id)
         observed = self._observed(job_id, None)
         if observed is None:
             return prior
         return self.blend * observed + (1.0 - self.blend) * prior
 
-    def communication_cost(
-        self, src: str, dst: str, src_resource: str, dst_resource: str
-    ) -> float:
-        return self.prior.communication_cost(src, dst, src_resource, dst_resource)
 
-    def average_communication_cost(self, src: str, dst: str) -> float:
-        return self.prior.average_communication_cost(src, dst)
-
-    @property
-    def has_uniform_communication(self) -> bool:
-        # communication is delegated to the prior unchanged, so its
-        # uniformity carries over; computation stays uncached (the default
-        # ``cache_token() is None``) because the history can grow between
-        # calls without the workflow mutating.
-        return self.prior.has_uniform_communication
-
-
-class RatioAdjustedCostModel(CostModel):
+class RatioAdjustedCostModel(ScaledCostModel):
     """A cost model scaling the prior by observed/estimated ratios.
 
     For every resource with observations, the correction factor is the
@@ -112,6 +101,9 @@ class RatioAdjustedCostModel(CostModel):
     the learned correction fully, ``blend = 0`` keeps the prior.
     Resources without history keep the prior unchanged, and so does every
     communication query.
+
+    The ratios are learned once, from the history at construction: build a
+    new model (as :meth:`Predictor.estimate` does) to see later records.
 
     Because corrections are multiplicative, the model converges to the
     exact factor for systematic per-resource bias (a machine consistently
@@ -133,83 +125,50 @@ class RatioAdjustedCostModel(CostModel):
             raise ValueError("blend must be in [0, 1]")
         if prior_strength < 0:
             raise ValueError("prior_strength must be non-negative")
-        self.workflow: Workflow = prior.workflow
-        self.prior = prior
+        DelegatingCostModel.__init__(self, prior)
         self.history = history
         self.blend = float(blend)
         self.prior_strength = float(prior_strength)
-        #: per-resource ratio memo, valid while the history does not grow
-        self._ratio_cache: Dict[str, float] = {}
-        self._ratio_stamp = -1
-
-    def resource_ratio(self, resource_id: str) -> float:
-        """The learned correction factor of one resource (1.0 = no history)."""
-        stamp = len(self.history)
-        if stamp != self._ratio_stamp:
-            self._ratio_cache.clear()
-            self._ratio_stamp = stamp
-        cached = self._ratio_cache.get(resource_id)
-        if cached is not None:
-            return cached
-        ratios = []
-        for record in self.history.records:
-            if record.resource_id != resource_id:
-                continue
+        workflow = self.workflow
+        observed: Dict[str, List[float]] = {}
+        for record in history.records:
             if record.estimated > 1e-12:
                 # self-contained observation: the monitor stored the prior
                 # estimate at observation time (robust across workflows)
-                ratios.append(record.duration / record.estimated)
-                continue
-            # legacy/hand-recorded observation: divide by the current
-            # workflow's estimate, but only when the record demonstrably
-            # refers to this workflow's job (ids recur across generated
-            # DAGs, so an operation mismatch marks a foreign record)
-            if not record.job_id or record.job_id not in self.workflow:
-                continue
-            if self.workflow.job(record.job_id).operation != record.operation:
-                continue
-            estimate = self.prior.computation_cost(record.job_id, resource_id)
-            if estimate <= 1e-12:
-                continue
-            ratios.append(record.duration / estimate)
-        if ratios:
-            # shrunk mean: prior_strength pseudo-observations of ratio 1.0
-            ratio = (float(np.sum(ratios)) + self.prior_strength) / (
-                len(ratios) + self.prior_strength
-            )
-        else:
-            ratio = 1.0
-        self._ratio_cache[resource_id] = ratio
-        return ratio
-
-    def _corrected(self, estimate: float, resource_id: str) -> float:
-        ratio = self.resource_ratio(resource_id)
-        if ratio == 1.0:
-            return estimate
-        return estimate * (self.blend * ratio + (1.0 - self.blend))
-
-    def computation_cost(self, job_id: str, resource_id: str) -> float:
-        return self._corrected(
-            self.prior.computation_cost(job_id, resource_id), resource_id
+                estimate = record.estimated
+            else:
+                # legacy/hand-recorded observation: divide by the current
+                # workflow's estimate, but only when the record demonstrably
+                # refers to this workflow's job (ids recur across generated
+                # DAGs, so an operation mismatch marks a foreign record)
+                job_id = record.job_id
+                if not job_id or job_id not in workflow:
+                    continue
+                if workflow.job(job_id).operation != record.operation:
+                    continue
+                estimate = prior.computation_cost(job_id, record.resource_id)
+                if estimate <= 1e-12:
+                    continue
+            observed.setdefault(record.resource_id, []).append(record.duration / estimate)
+        # shrunk mean: prior_strength pseudo-observations of ratio 1.0
+        self._ratios: Dict[str, float] = {
+            rid: (float(np.sum(ratios)) + self.prior_strength)
+            / (len(ratios) + self.prior_strength)
+            for rid, ratios in observed.items()
+        }
+        # a learned ratio of 0.0 (zero-duration observations, no shrinkage)
+        # prices 0.0; ScaledCostModel's positivity check is for callers
+        self._set_factors(
+            {
+                rid: self.blend * ratio + (1.0 - self.blend)
+                for rid, ratio in self._ratios.items()
+                if ratio != 1.0
+            }
         )
 
-    def intrinsic_average_computation_cost(self, job_id: str) -> float:
-        return self.prior.intrinsic_average_computation_cost(job_id)
-
-    def communication_cost(
-        self, src: str, dst: str, src_resource: str, dst_resource: str
-    ) -> float:
-        return self.prior.communication_cost(src, dst, src_resource, dst_resource)
-
-    def average_communication_cost(self, src: str, dst: str) -> float:
-        return self.prior.average_communication_cost(src, dst)
-
-    @property
-    def has_uniform_communication(self) -> bool:
-        # communication delegates to the prior; computation stays uncached
-        # (default ``cache_token() is None``) because the history grows
-        # between calls without the workflow mutating.
-        return self.prior.has_uniform_communication
+    def resource_ratio(self, resource_id: str) -> float:
+        """The learned correction factor of one resource (1.0 = no history)."""
+        return self._ratios.get(resource_id, 1.0)
 
 
 @dataclass
@@ -250,11 +209,10 @@ class Predictor:
     def estimation_matrix(
         self, prior: CostModel, resources: Sequence[str]
     ) -> "np.ndarray":
-        """The dense ``v × |R|`` matrix ``P`` (useful for inspection/tests)."""
-        model = self.estimate(prior)
-        workflow = prior.workflow
-        matrix = np.zeros((workflow.num_jobs, len(resources)))
-        for i, job in enumerate(workflow.jobs):
-            for j, resource in enumerate(resources):
-                matrix[i, j] = model.computation_cost(job, resource)
-        return matrix
+        """The dense ``v × |R|`` matrix ``P`` (useful for inspection/tests).
+
+        Rows follow ``workflow.jobs``.  The array is the model's memoised
+        :meth:`~repro.workflow.costs.CostModel.computation_matrix` view:
+        copy it before mutating.
+        """
+        return self.estimate(prior).computation_matrix(resources)

@@ -36,10 +36,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.resources.pool import PoolEvent, ResourcePool
 from repro.resources.resource import Resource
 from repro.utils.rng import spawn_rng
-from repro.workflow.costs import CostModel
+from repro.workflow.costs import CostModel, DelegatingCostModel
 
 __all__ = [
     "ScenarioError",
@@ -326,21 +328,27 @@ class PerformanceProfile:
         return ScaledCostModel(base, factors)
 
 
-class ScaledCostModel(CostModel):
+class ScaledCostModel(DelegatingCostModel):
     """A cost model with per-resource computation-time multipliers.
 
-    Communication costs and the intrinsic (resource-free) averages pass
-    through unchanged; only ``computation_cost`` is scaled.  The wrapper
-    keeps the base model's fast-path capabilities (uniform communication,
-    dense-view memoization) so degraded replanning runs on the same kernel.
+    The one per-resource scaling view: performance profiles use it, and the
+    Predictor's :class:`~repro.core.predictor.RatioAdjustedCostModel` is a
+    snapshot of learned corrections built on it.  Communication costs and
+    the intrinsic (resource-free) averages pass through unchanged; only
+    ``computation_cost`` is scaled.  The wrapper keeps the base model's
+    fast-path capabilities (uniform communication, dense-view memoization)
+    and prices whole columns from the base's matrix, so scaled replanning
+    runs on the same kernel.
     """
 
     def __init__(self, base: CostModel, factors: Mapping[str, float]) -> None:
         for rid, factor in factors.items():
             if factor <= 0:
                 raise ScenarioError(f"non-positive factor for {rid!r}")
-        self.base = base
-        self.workflow = base.workflow
+        super().__init__(base)
+        self._set_factors(factors)
+
+    def _set_factors(self, factors: Mapping[str, float]) -> None:
         self.factors: Dict[str, float] = {
             rid: float(f) for rid, f in factors.items() if f != 1.0
         }
@@ -352,25 +360,15 @@ class ScaledCostModel(CostModel):
             return None
         return ("scaled", token, self._signature)
 
-    @property
-    def has_uniform_communication(self) -> bool:
-        return self.base.has_uniform_communication
-
     def computation_cost(self, job_id: str, resource_id: str) -> float:
         cost = self.base.computation_cost(job_id, resource_id)
         factor = self.factors.get(resource_id)
         return cost if factor is None else cost * factor
 
-    def intrinsic_average_computation_cost(self, job_id: str) -> float:
-        return self.base.intrinsic_average_computation_cost(job_id)
-
-    def communication_cost(
-        self, src: str, dst: str, src_resource: str, dst_resource: str
-    ) -> float:
-        return self.base.communication_cost(src, dst, src_resource, dst_resource)
-
-    def average_communication_cost(self, src: str, dst: str) -> float:
-        return self.base.average_communication_cost(src, dst)
+    def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
+        # unscaled columns multiply by 1.0, which leaves every float as is
+        row = np.array([self.factors.get(rid, 1.0) for rid in resource_ids])
+        return self.base.computation_matrix(resource_ids) * row
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.workflow.dag import Workflow
 
 __all__ = [
     "CostModel",
+    "DelegatingCostModel",
     "TabularCostModel",
     "HeterogeneousCostModel",
     "UniformCostModel",
@@ -381,6 +382,43 @@ class CostModel(abc.ABC):
         if self.workflow.num_edges == 0 or mean_comp == 0.0:
             return 0.0
         return float(np.mean(self.edge_communication_costs())) / mean_comp
+
+
+class DelegatingCostModel(CostModel):
+    """A view of ``base`` that transforms computation costs only.
+
+    Communication, the intrinsic (resource-free) averages and the
+    communication capability pass through to ``base`` unchanged, and the
+    two communication views are ``base``'s own memoised copies: they never
+    depend on the computation transform.  Subclasses price
+    ``computation_cost`` and say, through :meth:`cache_token`, whether
+    their pricing may be memoised.
+    """
+
+    def __init__(self, base: CostModel) -> None:
+        self.base = base
+        self.workflow = base.workflow
+
+    @property
+    def has_uniform_communication(self) -> bool:
+        return self.base.has_uniform_communication
+
+    def intrinsic_average_computation_cost(self, job_id: str) -> float:
+        return self.base.intrinsic_average_computation_cost(job_id)
+
+    def communication_cost(
+        self, src: str, dst: str, src_resource: str, dst_resource: str
+    ) -> float:
+        return self.base.communication_cost(src, dst, src_resource, dst_resource)
+
+    def average_communication_cost(self, src: str, dst: str) -> float:
+        return self.base.average_communication_cost(src, dst)
+
+    def edge_communication_costs(self) -> "np.ndarray":
+        return self.base.edge_communication_costs()
+
+    def predecessor_communications(self) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
+        return self.base.predecessor_communications()
 
 
 class TabularCostModel(CostModel):
@@ -987,7 +1025,7 @@ def make_error_model(name: str, magnitude: Optional[float] = None, *, seed: int 
     return registry.make("error_model", name, magnitude=magnitude, seed=seed, **kwargs)
 
 
-class PerturbedCostModel(CostModel):
+class PerturbedCostModel(DelegatingCostModel):
     """The sampled ground truth exposed through the :class:`CostModel` API.
 
     Wraps an *estimated* cost model and an :class:`ErrorModel`:
@@ -1004,8 +1042,7 @@ class PerturbedCostModel(CostModel):
     """
 
     def __init__(self, base: CostModel, error: ErrorModel) -> None:
-        self.base = base
-        self.workflow = base.workflow
+        super().__init__(base)
         self.error = error
         self._factor_cache: Dict[Tuple[str, str], float] = {}
 
@@ -1014,10 +1051,6 @@ class PerturbedCostModel(CostModel):
         if token is None:
             return None
         return ("perturbed", token, self.error)
-
-    @property
-    def has_uniform_communication(self) -> bool:
-        return self.base.has_uniform_communication
 
     def truth_factor(self, job_id: str, resource_id: str) -> float:
         """The (memoized) truth factor of one pair."""
@@ -1033,15 +1066,3 @@ class PerturbedCostModel(CostModel):
         if self.error.is_null:
             return estimate
         return estimate * self.truth_factor(job_id, resource_id)
-
-    def intrinsic_average_computation_cost(self, job_id: str) -> float:
-        # estimator-facing: averages feed ranks, which plan on estimates
-        return self.base.intrinsic_average_computation_cost(job_id)
-
-    def communication_cost(
-        self, src: str, dst: str, src_resource: str, dst_resource: str
-    ) -> float:
-        return self.base.communication_cost(src, dst, src_resource, dst_resource)
-
-    def average_communication_cost(self, src: str, dst: str) -> float:
-        return self.base.average_communication_cost(src, dst)

@@ -1,5 +1,6 @@
 """Tests for the history repository and predictor."""
 
+import numpy as np
 import pytest
 
 from repro.core.history import PerformanceHistoryRepository, PerformanceRecord
@@ -85,6 +86,22 @@ class TestPredictor:
         matrix = predictor.estimation_matrix(diamond_costs, ["r1", "r2"])
         assert matrix.shape == (4, 2)
         assert matrix[0, 0] == pytest.approx(2.0)
+        history = PerformanceHistoryRepository()
+        history.record_execution("task", "r1", 7.0, job_id="a")
+        history.record_execution("task", "r2", 3.3, job_id="b", estimated=2.0)
+        resources = ["r2", "r1", "r2"]
+        for mode in ("absolute", "ratio"):
+            predictor = Predictor(history, blend=0.7, mode=mode)
+            matrix = predictor.estimation_matrix(diamond_costs, resources)
+            model = predictor.estimate(diamond_costs)
+            scalar = [
+                [model.computation_cost(job, rid) for rid in resources]
+                for job in diamond_workflow.jobs
+            ]
+            assert np.array_equal(matrix, np.array(scalar)), mode
+            assert not np.array_equal(
+                matrix, diamond_costs.computation_matrix(resources)
+            ), mode
 
     def test_invalid_blend_rejected(self, diamond_costs):
         with pytest.raises(ValueError):

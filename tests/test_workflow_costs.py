@@ -5,12 +5,14 @@ import pytest
 
 import repro
 from repro.resources.dynamics import ResourceChangeModel
+from repro.scenarios import make_scenario, materialize
 from repro.workflow import costs as costs_module
 from repro.workflow.costs import (
     CostModel,
     HeterogeneousCostModel,
     TabularCostModel,
     UniformCostModel,
+    make_error_model,
 )
 
 
@@ -312,3 +314,57 @@ class TestPricingDrawCount:
         assert max(per_call) <= 1
         # the initial pool and at least one joining resource were priced
         assert counts["batches"] >= 2
+
+
+class TestPricingCallCount:
+    """CI guard: under estimate error the predictor views price ``w[i][j]``
+    column-wise and share the prior's communication views."""
+
+    def test_adaptive_run_under_churn_and_gaussian_error(self, make_case, monkeypatch):
+        case = make_case(v=150, seed=2, out_degree=20 / 150, ccr=1.0, beta=0.5)
+        scenario = materialize(make_scenario("churn"), initial_size=8, seed=2, horizon=8000.0)
+        default_loop = []
+        priced = set()
+        builds = {}
+        keep_alive = []
+        price_columns = CostModel._price_columns
+        computation_matrix = CostModel.computation_matrix
+        memoize = CostModel.memoize
+
+        def counting_price_columns(self, resource_ids):
+            default_loop.append(type(self).__name__)
+            return price_columns(self, resource_ids)
+
+        def recording_matrix(self, resources):
+            priced.add(type(self).__name__)
+            return computation_matrix(self, resources)
+
+        def counting_memoize(self, key, builder):
+            if key not in (("cavg",), ("pred_comm",)):
+                return memoize(self, key, builder)
+
+            def counted():
+                keep_alive.append(self)  # ids stay unique while counted
+                builds[(id(self), key)] = builds.get((id(self), key), 0) + 1
+                return builder()
+
+            return memoize(self, key, counted)
+
+        monkeypatch.setattr(CostModel, "_price_columns", counting_price_columns)
+        monkeypatch.setattr(CostModel, "computation_matrix", recording_matrix)
+        monkeypatch.setattr(CostModel, "memoize", counting_memoize)
+        result = repro.run(
+            case.workflow,
+            scenario.pool,
+            costs=case.costs,
+            mode="adaptive",
+            perf_profile=scenario.profile,
+            error_model=make_error_model("gaussian", 0.3, seed=2),
+        )
+        assert result.makespan > 0
+        assert len(result.raw.decisions) > 3, "too few replans to guard"
+        assert "RatioAdjustedCostModel" in priced, "the predictor never re-estimated"
+        assert default_loop == []
+        # the wrappers hand out the prior's views: only it builds them, once
+        assert {model for model, _ in builds} == {id(case.costs)}
+        assert max(builds.values()) == 1, builds
