@@ -14,8 +14,9 @@
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -331,6 +332,17 @@ class ResourceTimeline:
 
     def intervals(self) -> List[Tuple[float, float, str]]:
         return list(self._intervals)
+
+    def count_finishing_after(self, time: float) -> int:
+        """Number of occupied intervals finishing strictly after ``time``.
+
+        Every interval before the first prefix-maximum finish past
+        ``time`` finishes by ``time``, so the count starts there.
+        """
+        first = bisect_right(self._prefix_finish, time)
+        return sum(
+            1 for _, finish, _ in islice(self._intervals, first, None) if finish > time
+        )
 
     def ready_time(self) -> float:
         """Earliest time after every occupied interval (``avail[j]`` without insertion)."""

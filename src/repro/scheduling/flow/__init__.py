@@ -2,7 +2,9 @@
 
 Layered bottom-up: :mod:`~repro.scheduling.flow.solver` is a generic
 deterministic min-cost max-flow solver, :mod:`~repro.scheduling.flow.graph`
-builds and solves the one-wave task-assignment graph,
+builds and solves the one-wave task-assignment graph (the full
+``T × R`` graph, or Firmament's equivalence-class graph when the cost
+model is task-independent),
 :mod:`~repro.scheduling.flow.models` prices its arcs (pluggable cost
 models), and :mod:`~repro.scheduling.flow.scheduler` drives waves of
 solves over a :class:`~repro.scheduling.frame.PartialScheduleFrame` to

@@ -8,23 +8,27 @@ the live :class:`~repro.scheduling.frame.PartialScheduleFrame`, so costs
 reflect everything already booked: pinned history, foreign ``busy``
 spans and this pass's earlier waves.
 
-Three models ship (Firmament's OCTOPUS as the exemplar, see
+A model whose prices ignore the job declares ``task_independent``; the
+graph layer then prices each resource once per wave and routes the wave
+through Firmament's equivalence-class nodes instead of ``T × R`` task
+arcs.  Three models ship (Firmament's OCTOPUS as the exemplar, see
 SNIPPETS.md):
 
 ``octopus``
     pure load balancing: ``cost = core_id + running_tasks(rid) *
     BUSY_PU_OFFSET``, with the busy-PU count read off the frame's
-    timelines instead of Firmament's machine topology.
+    timelines instead of Firmament's machine topology; task-independent.
 ``locality``
     data-gravity: the summed average communication cost of every
     predecessor whose output is *not* already on the candidate resource
     (from ``CostModel.predecessor_communications``), so tasks flow
-    toward their inputs.
+    toward their inputs; the only task-dependent model, so it solves the
+    full graph.
 ``credit``
     OCTOPUS scaled by the multi-tenant credit weight: a violating
     tenant's placement arcs cost ``1/weight`` more while its deferral
     arc gets ``weight`` times cheaper, so eroded tenants bid weaker for
-    contended slots and yield waves earlier.
+    contended slots and yield waves earlier; task-independent.
 """
 
 from __future__ import annotations
@@ -54,17 +58,16 @@ DEFERRAL_COST = 64 * BUSY_PU_OFFSET
 
 def _running_tasks(frame: PartialScheduleFrame, rid: str) -> int:
     """Bookings on ``rid`` still occupying it at or after the clock."""
-    return sum(
-        1
-        for _, finish, _ in frame.timelines[rid].intervals()
-        if finish > frame.clock + TIME_EPS
-    )
+    return frame.timelines[rid].count_finishing_after(frame.clock + TIME_EPS)
 
 
 class FlowCostModel:
     """Base: deterministic float costs per (job, resource) / deferral."""
 
     name = "base"
+    #: prices depend on the resource only (never on the job), so a wave
+    #: may be solved through one equivalence class (see ``flow.graph``)
+    task_independent = False
 
     def __init__(self, frame: PartialScheduleFrame, *, credit_weight: float = 1.0):
         self.frame = frame
@@ -85,6 +88,7 @@ class OctopusCostModel(FlowCostModel):
     """Load balancing only: cheapest resource = fewest busy PUs."""
 
     name = "octopus"
+    task_independent = True
 
     def assignment_cost(self, job: str, rid: str) -> float:
         return self.core_id[rid] + _running_tasks(self.frame, rid) * BUSY_PU_OFFSET

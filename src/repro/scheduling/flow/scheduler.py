@@ -10,11 +10,15 @@ This strategy brings that formulation into the repo's common scheduler
 interface.  Because flow solves assignment (who runs where) but not
 sequencing (when), the DAG is consumed in **waves**:
 
-1. collect the ready set — unmapped jobs whose predecessors are all
-   mapped (pinned or placed in an earlier wave),
-2. price every (task, resource) arc with the configured cost model and
-   solve one unit-capacity assignment
-   (:func:`~repro.scheduling.flow.graph.solve_assignment`),
+1. take the ready set — unmapped jobs whose predecessors are all mapped
+   (pinned or placed in an earlier wave).  Each job keeps a counter of
+   its unmapped predecessors, decremented when a wave ends, so a
+   successor joins the ready set only after its predecessor's wave,
+2. price the arcs with the configured cost model and solve one
+   unit-capacity assignment
+   (:func:`~repro.scheduling.flow.graph.solve_assignment`; a
+   task-independent model is priced once per resource and solved on the
+   equivalence-class graph),
 3. book the placed tasks onto the frame's timelines at their earliest
    feasible slot; tasks the solve routed to the unscheduled aggregator
    wait for a later wave,
@@ -43,8 +47,9 @@ slots (see :mod:`repro.scheduling.flow.models`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.scheduling.base import Schedule
 from repro.scheduling.flow.graph import solve_assignment
@@ -54,6 +59,13 @@ from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
 __all__ = ["mincost_flow_reschedule", "MinCostFlowScheduler"]
+
+
+def _check_credit_weight(credit_weight: float) -> None:
+    if not (credit_weight > 0 and math.isfinite(credit_weight)):
+        raise ValueError(
+            f"credit_weight must be positive and finite, got {credit_weight!r}"
+        )
 
 
 def mincost_flow_reschedule(
@@ -79,6 +91,7 @@ def mincost_flow_reschedule(
     remainder is re-mapped, exactly like the other frame-built
     replanners.
     """
+    _check_credit_weight(credit_weight)
     model_factory = FLOW_COST_MODELS.get(cost_model)
     if model_factory is None:
         raise ValueError(
@@ -100,22 +113,21 @@ def mincost_flow_reschedule(
     if not frame.to_schedule:
         return frame.schedule
 
-    topo_index = {job: idx for idx, job in enumerate(workflow.topological_order())}
-    unmapped = set(frame.to_schedule)
-    while unmapped:
-        ready: List[str] = sorted(
-            (
-                job
-                for job in unmapped
-                if not any(
-                    pred in unmapped for pred in workflow.predecessors(job)
-                )
-            ),
-            key=lambda job: topo_index[job],
-        )
-        model = model_factory(frame, credit_weight=credit_weight)
+    topo_rank = {job: rank for rank, job in enumerate(workflow.topological_order())}
+    # unmapped-predecessor counters; a job is ready once its count is 0
+    waiting = {
+        job: sum(1 for pred in workflow.predecessors(job) if pred in frame.to_schedule_set)
+        for job in frame.to_schedule
+    }
+    ready = sorted((job for job, count in waiting.items() if not count), key=topo_rank.get)
+    model = model_factory(frame, credit_weight=credit_weight)
+    while ready:
         placements = solve_assignment(
-            ready, frame.resources, model.assignment_cost, model.deferral_cost
+            ready,
+            frame.resources,
+            model.assignment_cost,
+            model.deferral_cost,
+            task_independent=model.task_independent,
         )
         if not placements:
             # every placement arc lost to its deferral arc; force the
@@ -123,15 +135,23 @@ def mincost_flow_reschedule(
             job = ready[0]
             rid, start, finish = frame.min_eft_placement(job, insertion=insertion)
             frame.place(job, rid, start, finish)
-            unmapped.discard(job)
-            continue
-        for job in ready:
-            rid = placements.get(job)
-            if rid is None:
-                continue  # routed to the unscheduled aggregator
-            start, finish = frame.earliest_finish(job, rid, insertion=insertion)
-            frame.place(job, rid, start, finish)
-            unmapped.discard(job)
+            placements = {job: rid}
+        else:
+            for job in ready:
+                rid = placements.get(job)
+                if rid is None:
+                    continue  # routed to the unscheduled aggregator
+                start, finish = frame.earliest_finish(job, rid, insertion=insertion)
+                frame.place(job, rid, start, finish)
+        # the wave has ended: its successors may join the next one
+        ready = [job for job in ready if job not in placements]
+        for job in placements:
+            for succ in workflow.successors(job):
+                if succ in waiting:
+                    waiting[succ] -= 1
+                    if not waiting[succ]:
+                        ready.append(succ)
+        ready.sort(key=topo_rank.get)
     return frame.schedule
 
 
@@ -157,8 +177,7 @@ class MinCostFlowScheduler:
                 f"unknown flow cost model {self.cost_model!r}; "
                 f"available: {sorted(FLOW_COST_MODELS)}"
             )
-        if not self.credit_weight > 0:
-            raise ValueError("credit_weight must be positive")
+        _check_credit_weight(self.credit_weight)
 
     def bind_tenant_context(self, *, credit_weight: float) -> "MinCostFlowScheduler":
         """A copy of this scheduler bidding with the tenant's weight."""

@@ -5,8 +5,10 @@ labels: repeatedly find a cheapest residual source→sink path, augment by
 the bottleneck capacity, stop when the sink is unreachable.  SPFA rather
 than Dijkstra-with-potentials because residual reverse arcs carry
 negative costs and the assignment graphs built by
-:mod:`repro.scheduling.flow.graph` are tiny (tasks + resources + 3
-nodes), so the simpler label-correcting algorithm wins on clarity.
+:mod:`repro.scheduling.flow.graph` are small — tasks + resources + 3
+nodes for the full ``T × R`` graph, at most ``2·R + 5`` nodes and
+``O(R)`` arcs for the equivalence-class graph — so the simpler
+label-correcting algorithm wins on clarity.
 
 Determinism is a contract, not an accident: arcs keep insertion order,
 SPFA relaxes the adjacency lists in that order and re-parents only on a

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.scheduling.flow.models as flow_models
+import repro.scheduling.flow.scheduler as flow_scheduler
 from repro.scheduling import make_scheduler, scheduler_kind
+from repro.scheduling.base import ResourceTimeline
 from repro.scheduling.flow import (
     BUSY_PU_OFFSET,
     DEFERRAL_COST,
@@ -107,6 +113,114 @@ class TestAssignmentGraph:
         assert run() == run()
 
 
+def _both_graphs(tasks, resources, prices, deferral):
+    """One wave solved on the full ``T × R`` graph and the class graph."""
+
+    def cost(task, rid):
+        return prices[rid]
+
+    def defer(task):
+        return deferral
+
+    full = solve_assignment(tasks, resources, cost, defer)
+    classes = solve_assignment(tasks, resources, cost, defer, task_independent=True)
+    return full, classes
+
+
+@st.composite
+def tied_waves(draw):
+    """Small pools, few price levels (heavy ties), waves up to 3× the pool
+    and deferral prices often equal to a resource's price."""
+    pool = draw(st.integers(1, 8))
+    resources = [f"r{i}" for i in range(pool)]
+    levels = draw(st.lists(st.integers(0, 3), min_size=pool, max_size=pool))
+    prices = {rid: level * 2.5 for rid, level in zip(resources, levels)}
+    deferral = draw(st.sampled_from(sorted(set(prices.values()))) | st.floats(0.0, 10.0))
+    tasks = [f"t{i}" for i in range(draw(st.integers(1, 3 * pool)))]
+    return tasks, resources, prices, deferral
+
+
+@st.composite
+def credit_floor_waves(draw):
+    """``credit`` at its floor weight 0.5 on pools of 100+ resources.
+
+    Most resources hold 16 bookings and price above the 3200 deferral; a
+    few hold 14 or 15.  Core 99 at load 15 prices exactly 3200, and core
+    ``100 + k`` at load 14 collides with core ``k`` at load 15, because
+    core ids pass ``BUSY_PU_OFFSET``.
+    """
+    weight = 0.5
+    pool = draw(st.integers(100, 120))
+    loads = [16] * pool
+    lighter = draw(
+        st.sets(st.integers(95, min(pool - 1, 105)) | st.integers(0, pool - 1), max_size=8)
+    )
+    for core in lighter:
+        loads[core] = draw(st.sampled_from([14, 15]))
+    resources = [f"r{i}" for i in range(pool)]
+    prices = {
+        rid: (1.0 + core + BUSY_PU_OFFSET * load) / weight
+        for core, (rid, load) in enumerate(zip(resources, loads))
+    }
+    tasks = [f"t{i}" for i in range(draw(st.integers(1, 12)))]
+    return tasks, resources, prices, DEFERRAL_COST * weight
+
+
+class TestEquivalenceClassGraph:
+    """The class graph must reproduce the full graph's assignment."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_waves())
+    def test_matches_the_full_graph_under_ties(self, wave):
+        full, classes = _both_graphs(*wave)
+        assert classes == full
+
+    @settings(max_examples=40, deadline=None)
+    @given(credit_floor_waves())
+    def test_matches_the_full_graph_at_the_credit_floor(self, wave):
+        full, classes = _both_graphs(*wave)
+        assert classes == full
+
+    def test_a_resource_priced_at_the_deferral_cost_wins(self):
+        prices = {"r1": 9.0, "r2": 5.0, "r3": 5.0}
+        full, classes = _both_graphs(["t1", "t2", "t3"], list(prices), prices, 5.0)
+        assert classes == full == {"t1": "r2", "t2": "r3"}
+
+    def test_credit_floor_collisions_and_boundary_on_a_large_pool(self):
+        # weight 0.5: core 0 at load 15 and core 100 at load 14 both price
+        # 3002 (pool order breaks the tie); core 99 at load 15 prices
+        # exactly the 3200 deferral and still wins a slot
+        weight = 0.5
+        loads = {0: 15, 99: 15, 100: 14}
+        resources = [f"r{core}" for core in range(101)]
+        prices = {
+            f"r{core}": (1.0 + core + BUSY_PU_OFFSET * loads.get(core, 16)) / weight
+            for core in range(101)
+        }
+        assert prices["r0"] == prices["r100"] == 3002.0
+        assert prices["r99"] == DEFERRAL_COST * weight == 3200.0
+        tasks = ["a", "b", "c", "d"]
+        full, classes = _both_graphs(tasks, resources, prices, DEFERRAL_COST * weight)
+        assert classes == full == {"a": "r0", "b": "r100", "c": "r99"}
+
+    def test_only_the_first_pool_size_tasks_can_be_placed(self):
+        prices = {"r1": 2.0, "r2": 1.0}
+        full, classes = _both_graphs(["a", "b", "c", "d"], list(prices), prices, 50.0)
+        assert classes == full == {"a": "r2", "b": "r1"}
+
+    def test_each_resource_is_priced_once(self):
+        priced = []
+
+        def cost(task, rid):
+            priced.append(rid)
+            return 1.0
+
+        solve_assignment(
+            ["a", "b", "c"], RESOURCES, cost, lambda t: 9.0, task_independent=True
+        )
+        assert priced == RESOURCES
+
+
 @pytest.fixture
 def fork_case():
     """One source feeding three parallel jobs, uniform costs."""
@@ -167,6 +281,16 @@ class TestCostModels:
             2 * trusted.assignment_cost("src", "r1")
         )
         assert eroded.deferral_cost("src") == pytest.approx(DEFERRAL_COST / 2)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+    def test_credit_weight_must_be_positive_and_finite(self, fork_case, weight):
+        workflow, costs = fork_case
+        with pytest.raises(ValueError, match="credit_weight"):
+            mincost_flow_reschedule(
+                workflow, costs, RESOURCES, cost_model="credit", credit_weight=weight
+            )
+        with pytest.raises(ValueError, match="credit_weight"):
+            MinCostFlowScheduler(cost_model="credit", credit_weight=weight)
 
     def test_unknown_cost_model_rejected(self, fork_case):
         workflow, costs = fork_case
@@ -258,6 +382,143 @@ class TestMinCostFlowScheduler:
         assert bound.credit_weight == 0.625
         assert scheduler.credit_weight == 1.0
         assert bound.cost_model == "credit"
+
+
+#: (cost model, credit weight) pairs whose prices ignore the task
+TASK_INDEPENDENT_BIDS = [
+    ("octopus", 1.0),
+    ("credit", 0.5),
+    ("credit", 0.75),
+    ("credit", 1.0),
+]
+
+
+def _record_graph_paths(monkeypatch):
+    """Record, per wave, whether the scheduler asked for the class graph."""
+    paths = []
+    solve = flow_scheduler.solve_assignment
+
+    def recording_solve(*args, task_independent=False):
+        paths.append(task_independent)
+        return solve(*args, task_independent=task_independent)
+
+    monkeypatch.setattr(flow_scheduler, "solve_assignment", recording_solve)
+    return paths
+
+
+class TestClassGraphSchedules:
+    """Whole schedules agree between the class graph and the full graph.
+
+    The full graph is the ``locality`` path; switching the capability off
+    sends ``octopus``/``credit`` waves through it as the oracle.
+    """
+
+    POOL = ["r1", "r2", "r3", "r4"]
+
+    def _both_paths(self, monkeypatch, **kwargs):
+        paths = _record_graph_paths(monkeypatch)
+        classes = mincost_flow_reschedule(**kwargs)
+        assert paths and all(paths)
+        paths.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(OctopusCostModel, "task_independent", False)
+            full = mincost_flow_reschedule(**kwargs)
+        assert paths and not any(paths)
+        return classes, full
+
+    @pytest.mark.parametrize("cost_model,weight", TASK_INDEPENDENT_BIDS)
+    def test_static_plan(self, make_case, monkeypatch, cost_model, weight):
+        # ~30 bookings per resource: the credit floor defers late waves
+        case = make_case(v=120, seed=11)
+        classes, full = self._both_paths(
+            monkeypatch,
+            workflow=case.workflow,
+            costs=case.costs,
+            resources=self.POOL,
+            cost_model=cost_model,
+            credit_weight=weight,
+        )
+        assert list(classes) == list(full)
+        assert len(classes) == len(case.workflow.jobs)
+
+    @pytest.mark.parametrize("cost_model,weight", TASK_INDEPENDENT_BIDS)
+    def test_mid_flight_reschedule_with_foreign_busy_spans(
+        self, make_case, monkeypatch, cost_model, weight
+    ):
+        case = make_case(v=80, seed=12)
+        initial = mincost_flow_reschedule(
+            case.workflow, case.costs, self.POOL, cost_model=cost_model,
+            credit_weight=weight,
+        )
+        clock = initial.makespan() * 0.4
+        busy = {
+            "r1": [(clock + 1.0, clock + 30.0), (clock + 45.0, clock + 60.0)],
+            "r3": [(clock - 5.0, clock + 12.0)],
+        }
+        classes, full = self._both_paths(
+            monkeypatch,
+            workflow=case.workflow,
+            costs=case.costs,
+            resources=self.POOL,
+            clock=clock,
+            previous_schedule=initial,
+            busy=busy,
+            cost_model=cost_model,
+            credit_weight=weight,
+        )
+        assert list(classes) == list(full)
+        validate_schedule(case.workflow, case.costs, classes)
+        pinned = [j for j in case.workflow.jobs if initial.get(j).finish <= clock]
+        assert pinned, "the reschedule pins no history"
+        assert all(classes.get(job) == initial.get(job) for job in pinned)
+
+
+    def test_locality_keeps_the_full_graph(self, make_case, monkeypatch):
+        case = make_case(v=30, seed=13)
+        paths = _record_graph_paths(monkeypatch)
+        mincost_flow_reschedule(
+            case.workflow, case.costs, self.POOL, cost_model="locality"
+        )
+        assert paths and not any(paths)
+
+
+class TestPricingCallCount:
+    """A task-independent wave prices each resource once and counts its
+    running tasks without copying the interval list."""
+
+    @pytest.mark.parametrize("cost_model", ["octopus", "credit"])
+    def test_waves_price_resources_not_arcs(self, make_case, monkeypatch, cost_model):
+        case = make_case(v=60, seed=4)
+        resources = [f"r{i}" for i in range(1, 7)]
+        waves = []
+        priced = []
+        copies = []
+        solve = flow_scheduler.solve_assignment
+        running_tasks = flow_models._running_tasks
+        intervals = ResourceTimeline.intervals
+
+        def recording_solve(tasks, pool, *args, **kwargs):
+            waves.append((len(tasks), len(pool)))
+            return solve(tasks, pool, *args, **kwargs)
+
+        def counting_running_tasks(frame, rid):
+            priced.append(rid)
+            return running_tasks(frame, rid)
+
+        def counting_intervals(self):
+            copies.append(self.resource_id)
+            return intervals(self)
+
+        monkeypatch.setattr(flow_scheduler, "solve_assignment", recording_solve)
+        monkeypatch.setattr(flow_models, "_running_tasks", counting_running_tasks)
+        monkeypatch.setattr(ResourceTimeline, "intervals", counting_intervals)
+        schedule = mincost_flow_reschedule(
+            case.workflow, case.costs, resources, cost_model=cost_model
+        )
+        assert len(schedule) == len(case.workflow.jobs)
+        assert any(tasks > 1 for tasks, _ in waves), "no multi-task wave to guard"
+        assert len(priced) == sum(pool for _, pool in waves)
+        assert copies == []
 
 
 class TestFlowInMultiTenancy:

@@ -93,6 +93,25 @@ class TestResourceTimeline:
         tl.occupy(0.0, 5.0, "a")
         assert tl.utilisation(10.0) == pytest.approx(0.5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(0, 40), min_size=0, max_size=16),
+        order=st.randoms(use_true_random=False),
+        time=st.integers(-2, 42),
+    )
+    def test_count_finishing_after_matches_a_scan(self, cuts, order, time):
+        # consecutive cut points pair up into touching, zero-length and
+        # spaced intervals, booked in a random order
+        points = sorted(cuts)
+        spans = list(zip(points[::2], points[1::2]))
+        order.shuffle(spans)
+        tl = ResourceTimeline("r1")
+        for index, (start, finish) in enumerate(spans):
+            tl.occupy(start * 0.5, finish * 0.5, f"j{index}")
+        at = time * 0.5
+        expected = sum(1 for _, finish, _ in tl.intervals() if finish > at)
+        assert tl.count_finishing_after(at) == expected
+
 
 #: quarter-unit grid keeps the generated times well away from TIME_EPS-scale
 #: coincidences while still exercising touching, nested and zero-length
