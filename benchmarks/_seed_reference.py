@@ -10,13 +10,18 @@ This module preserves the seed algorithms verbatim so that
   :class:`SeedResourceTimeline` on random interval sequences, and assert
   HEFT/AHEFT schedule equivalence on seeded random and application DAGs,
 * ``benchmarks/bench_kernel_scaling.py`` can measure the speedup of the
-  fast kernel against the exact seed code path.
+  fast kernel against the exact seed code path,
+* ``tests/test_dense_replay.py`` can check the index-addressed
+  ``repair_schedule`` and ``project_actuals`` of :mod:`repro.core.adaptive`
+  against :func:`scalar_repair_schedule` and :func:`scalar_project_actuals`,
+  their name-keyed, per-pair-priced versions frozen before the dense rewrite.
 
 Do not optimise this module — its slowness is the point.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -28,6 +33,7 @@ from repro.scheduling.base import (
     Schedule,
     TIME_EPS,
 )
+from repro.simulation.executor import dispatch_duration
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
@@ -39,6 +45,8 @@ __all__ = [
     "seed_aheft_reschedule",
     "SeedHEFTScheduler",
     "SeedAHEFTScheduler",
+    "scalar_repair_schedule",
+    "scalar_project_actuals",
 ]
 
 
@@ -392,3 +400,243 @@ class SeedAHEFTScheduler:
             resource_available_from=resource_available_from,
             name=self.name,
         )
+
+
+def scalar_repair_schedule(
+    workflow: Workflow,
+    schedule: Schedule,
+    state: ExecutionState,
+    costs: CostModel,
+    *,
+    clock: float,
+    resources: Sequence[str],
+) -> Schedule:
+    """Frozen scalar ``repair_schedule``: name-keyed lookups, per-pair pricing.
+
+    Re-estimate a plan's remaining finish times under new perf factors.
+
+    Every mapping is kept; only times move.  Finished jobs keep their actual
+    history.  A *running* job keeps its scheduled finish time: a job's speed
+    is frozen at dispatch — exactly the semantics of the simulation
+    executors — so factor changes only affect work dispatched after them.
+    Not-started jobs are re-timed in topological order on their mapped
+    resource: ready when every predecessor's repaired output arrives
+    (average communication cost when crossing resources), durations priced
+    by ``costs`` (which already embeds the new factors).  Jobs mapped to
+    resources no longer in ``resources`` keep their old times — such a plan
+    is infeasible and the caller adopts the replacement candidate
+    unconditionally.
+
+    The repaired schedule is the honest comparison baseline for the
+    accept-if-better rule: without it a degradation would be invisible (the
+    stale plan still *predicts* the old makespan) and the Planner would
+    wrongly reject every post-degradation candidate.
+    """
+    available = set(resources)
+    repaired = Schedule(name=schedule.name)
+    finish_new: Dict[str, float] = {}
+    free: Dict[str, float] = {}
+
+    # Historical duplicates (duplication-based strategies) that began
+    # executing by ``clock`` are facts: keep them so the pinned history
+    # stays precedence-feasible, and block their resources while they run.
+    # Future duplicates are dropped — the re-timing below prices every
+    # not-started job off the primary copies, which is feasible without
+    # them, and the next real replanning pass re-derives duplicates.
+    for duplicate in schedule.duplicates:
+        if duplicate.start > clock + TIME_EPS:
+            continue
+        if duplicate.resource_id not in available and duplicate.finish > clock + TIME_EPS:
+            continue
+        repaired.add_duplicate(duplicate)
+        if duplicate.finish > clock + TIME_EPS:
+            rid = duplicate.resource_id
+            free[rid] = max(free.get(rid, clock), duplicate.finish)
+
+    for job in workflow.jobs:
+        if state.is_finished(job):
+            assignment = Assignment(
+                job,
+                state.executed_on[job],
+                state.actual_start[job],
+                state.actual_finish[job],
+            )
+            repaired.add(assignment)
+            finish_new[job] = assignment.finish
+
+    for job in workflow.jobs:
+        if not state.is_running(job):
+            continue
+        assignment = schedule.get(job)
+        if assignment is None:
+            continue
+        rid = assignment.resource_id
+        # speed frozen at dispatch: the in-flight job finishes as scheduled
+        repaired.add(assignment)
+        finish_new[job] = assignment.finish
+        free[rid] = max(free.get(rid, clock), assignment.finish)
+
+    for job in workflow.topological_order():
+        if job in finish_new:
+            continue
+        assignment = schedule.get(job)
+        if assignment is None:
+            continue
+        rid = assignment.resource_id
+        if rid not in available:
+            # infeasible mapping — keep the stale times; the caller adopts
+            # the replacement candidate unconditionally (forced decision).
+            repaired.add(assignment)
+            finish_new[job] = assignment.finish
+            continue
+        ready = clock
+        for pred in workflow.predecessors(job):
+            pred_finish = finish_new.get(pred)
+            if pred_finish is None:
+                pred_assignment = schedule.get(pred)
+                pred_finish = pred_assignment.finish if pred_assignment else clock
+            if pred in state.executed_on:
+                pred_rid = state.executed_on[pred]
+            else:
+                pred_assignment = schedule.get(pred)
+                pred_rid = pred_assignment.resource_id if pred_assignment else rid
+            comm = 0.0 if pred_rid == rid else costs.average_communication_cost(pred, job)
+            ready = max(ready, pred_finish + comm)
+        start = max(ready, free.get(rid, clock))
+        finish = start + costs.computation_cost(job, rid)
+        repaired.add(Assignment(job, rid, start, finish))
+        finish_new[job] = finish
+        free[rid] = finish
+    return repaired
+
+
+#: replay queue order: booked start, booked finish, workflow order, job id
+_queue_order = itemgetter(0, 1, 2, 3)
+
+
+def scalar_project_actuals(
+    workflows: Sequence[tuple],
+    *,
+    perf_profile=None,
+) -> List[Dict[object, Assignment]]:
+    """Frozen scalar ``project_actuals``: name-keyed lookups, per-pair pricing.
+
+    Replay plans' not-yet-started executions under ground-truth durations.
+
+    ``workflows`` is a sequence of ``(workflow, plan, started, truth)``
+    entries, in tie-break order, whose plans share the resources: one
+    workflow for the adaptive loop, every tenant for the shared grid.
+    Bookings are treated as *reservations*: an execution starts at its
+    booked start, pushed later if its resource is still busy (the previous
+    booking — possibly another workflow's — overran) or its inputs have
+    not arrived yet (a predecessor overran).  Its actual duration is
+    ``truth.computation_cost(job, rid)`` scaled by the resource's
+    performance factor at the actual start (speed frozen at dispatch,
+    matching the simulation executors).  With accurate truth models the
+    replay reproduces the plans bit for bit — the zero-noise differential
+    guarantee.
+
+    Executions are keyed by the job id for a primary copy and by the
+    ``(job, resource)`` pair for a duplicate copy (duplication-based
+    strategies).  ``started`` holds the ground truth of every execution
+    of that workflow already dispatched (running or finished); those are
+    taken as facts and occupy their resources first.  Returns, per entry,
+    the actual :class:`~repro.scheduling.base.Assignment` of every other
+    execution in its plan, keyed the same way.
+
+    Each resource runs one queue of every workflow's remaining bookings
+    and duplicates in ``(start, finish, workflow order, job_id)`` order;
+    an execution only starts once every input has arrived: the
+    predecessor's primary output (transfer priced by the truth model,
+    which delegates communication to the estimates) or, sooner, a
+    duplicate of the predecessor already executed on the same resource.
+    The combined (resource-order + precedence) relation of feasible,
+    non-overlapping plans is acyclic, so the fixed-point pass below always
+    terminates with every execution placed.
+    """
+    free: Dict[str, float] = {}
+    #: per resource: (start, finish, workflow index, job, duplicate key)
+    queues: Dict[str, list] = {}
+    #: per workflow: finish of the duplicate copies replayed so far
+    local_copies: List[Dict[tuple, float]] = []
+    for index, (_, plan, started, _) in enumerate(workflows):
+        for assignment in started.values():
+            rid = assignment.resource_id
+            if assignment.finish > free.get(rid, 0.0):
+                free[rid] = assignment.finish
+        for a in plan:
+            if a.job_id not in started:
+                queues.setdefault(a.resource_id, []).append(
+                    (a.start, a.finish, index, a.job_id, None)
+                )
+        local: Dict[tuple, float] = {}
+        for d in plan.duplicates:
+            key = (d.job_id, d.resource_id)
+            fact = started.get(key)
+            if fact is not None:
+                local[key] = fact.finish
+            else:
+                queues.setdefault(d.resource_id, []).append(
+                    (d.start, d.finish, index, d.job_id, key)
+                )
+        local_copies.append(local)
+    pending = 0
+    for queue in queues.values():
+        queue.sort(key=_queue_order)
+        pending += len(queue)
+    heads = dict.fromkeys(queues, 0)
+    projected: List[Dict[object, Assignment]] = [{} for _ in workflows]
+
+    progress = True
+    while pending and progress:
+        progress = False
+        for rid in sorted(queues):
+            queue = queues[rid]
+            head = heads[rid]
+            while head < len(queue):
+                start, _, index, job, key = queue[head]
+                workflow, _, started, truth = workflows[index]
+                done = projected[index]
+                local = local_copies[index]
+                resolved = True
+                ready = max(start, free.get(rid, 0.0))
+                for pred in workflow.predecessors(job):
+                    pred_actual = started.get(pred) or done.get(pred)
+                    if pred_actual is not None:
+                        transfer = truth.communication_cost(
+                            pred, job, pred_actual.resource_id, rid
+                        )
+                        arrival = pred_actual.finish + transfer
+                        if local:
+                            local_finish = local.get((pred, rid))
+                            if local_finish is not None and local_finish < arrival:
+                                arrival = local_finish
+                    else:
+                        arrival = local.get((pred, rid)) if local else None
+                        if arrival is None:
+                            resolved = False
+                            break
+                    if arrival > ready:
+                        ready = arrival
+                if not resolved:
+                    break
+                duration = dispatch_duration(truth, job, rid, ready, perf_profile)
+                actual = Assignment(job, rid, ready, ready + duration)
+                if key is None:
+                    done[job] = actual
+                else:
+                    done[key] = actual
+                    local[key] = actual.finish
+                free[rid] = actual.finish
+                head += 1
+                pending -= 1
+                progress = True
+            heads[rid] = head
+    if pending:
+        stalled = sorted(
+            entry[3] for rid, queue in queues.items() for entry in queue[heads[rid]:]
+        )
+        raise ValueError(
+            f"actual-duration replay stalled; unplaced jobs: {stalled[:10]}"
+        )
+    return projected

@@ -710,14 +710,24 @@ def repair_schedule(
     is infeasible and the caller adopts the replacement candidate
     unconditionally.
 
+    The re-timing walks the dense ``workflow.structure()`` ids (``topo``)
+    and keeps each job's repaired finish and output resource in
+    index-addressed lists.  ``c̄`` comes from
+    ``costs.predecessor_communications()`` — the repair reads only average
+    transfer costs, so that view serves every model — and durations from
+    ``costs.computation_rows(resources)``, the memoised rows the following
+    ``reschedule`` on the same pool reads too.  A model that cannot be
+    memoised (``cache_token() is None``) or prices another workflow is
+    asked ``computation_cost`` per re-timed job instead of building a
+    ``jobs × pool`` matrix it would throw away.
+
     The repaired schedule is the honest comparison baseline for the
     accept-if-better rule: without it a degradation would be invisible (the
     stale plan still *predicts* the old makespan) and the Planner would
     wrongly reject every post-degradation candidate.
     """
-    available = set(resources)
+    column = {rid: j for j, rid in enumerate(resources)}
     repaired = Schedule(name=schedule.name)
-    finish_new: Dict[str, float] = {}
     free: Dict[str, float] = {}
 
     # Historical duplicates (duplication-based strategies) that began
@@ -729,67 +739,82 @@ def repair_schedule(
     for duplicate in schedule.duplicates:
         if duplicate.start > clock + TIME_EPS:
             continue
-        if duplicate.resource_id not in available and duplicate.finish > clock + TIME_EPS:
+        if duplicate.resource_id not in column and duplicate.finish > clock + TIME_EPS:
             continue
         repaired.add_duplicate(duplicate)
         if duplicate.finish > clock + TIME_EPS:
             rid = duplicate.resource_id
             free[rid] = max(free.get(rid, clock), duplicate.finish)
 
-    for job in workflow.jobs:
-        if state.is_finished(job):
-            assignment = Assignment(
-                job,
-                state.executed_on[job],
-                state.actual_start[job],
-                state.actual_finish[job],
+    structure = workflow.structure()
+    jobs = structure.jobs
+    if costs.workflow is workflow:
+        pred_comm = costs.predecessor_communications()
+        rows = costs.computation_rows(resources) if costs.cache_token() is not None else None
+    else:  # the dense views are aligned with another workflow's structure
+        pred_comm = [
+            [(p, costs.average_communication_cost(jobs[p], job)) for p in structure.pred[i]]
+            for i, job in enumerate(jobs)
+        ]
+        rows = None
+    booked = [schedule.get(job) for job in jobs]
+    executed_on = state.executed_on
+    #: per dense id: the repaired finish (``clock`` for an unmapped job)
+    finish: List[float] = [clock] * len(jobs)
+    #: per dense id: where the job's output is produced (``None``: unmapped,
+    #: which consumers read as local data)
+    source: List[Optional[str]] = [None] * len(jobs)
+    #: per dense id: finished or running, i.e. not re-timed
+    kept = bytearray(len(jobs))
+    running: List[int] = []
+    for i, job in enumerate(jobs):
+        assignment = booked[i]
+        if job in executed_on:
+            source[i] = executed_on[job]
+        elif assignment is not None:
+            source[i] = assignment.resource_id
+        status = state.job_status(job)
+        if status is JobStatus.FINISHED:
+            actual_finish = state.actual_finish[job]
+            repaired.add(
+                Assignment(job, executed_on[job], state.actual_start[job], actual_finish)
             )
-            repaired.add(assignment)
-            finish_new[job] = assignment.finish
-
-    for job in workflow.jobs:
-        if not state.is_running(job):
-            continue
-        assignment = schedule.get(job)
-        if assignment is None:
-            continue
-        rid = assignment.resource_id
+            finish[i] = actual_finish
+            kept[i] = 1
+        elif status is JobStatus.RUNNING and assignment is not None:
+            running.append(i)
+    for i in running:
         # speed frozen at dispatch: the in-flight job finishes as scheduled
+        assignment = booked[i]
+        rid = assignment.resource_id
         repaired.add(assignment)
-        finish_new[job] = assignment.finish
+        finish[i] = assignment.finish
+        kept[i] = 1
         free[rid] = max(free.get(rid, clock), assignment.finish)
 
-    for job in workflow.topological_order():
-        if job in finish_new:
-            continue
-        assignment = schedule.get(job)
-        if assignment is None:
+    for i in structure.topo:
+        assignment = booked[i]
+        if kept[i] or assignment is None:
             continue
         rid = assignment.resource_id
-        if rid not in available:
+        j = column.get(rid)
+        if j is None:
             # infeasible mapping — keep the stale times; the caller adopts
             # the replacement candidate unconditionally (forced decision).
             repaired.add(assignment)
-            finish_new[job] = assignment.finish
+            finish[i] = assignment.finish
             continue
         ready = clock
-        for pred in workflow.predecessors(job):
-            pred_finish = finish_new.get(pred)
-            if pred_finish is None:
-                pred_assignment = schedule.get(pred)
-                pred_finish = pred_assignment.finish if pred_assignment else clock
-            if pred in state.executed_on:
-                pred_rid = state.executed_on[pred]
-            else:
-                pred_assignment = schedule.get(pred)
-                pred_rid = pred_assignment.resource_id if pred_assignment else rid
-            comm = 0.0 if pred_rid == rid else costs.average_communication_cost(pred, job)
-            ready = max(ready, pred_finish + comm)
+        for p, comm in pred_comm[i]:
+            src = source[p]
+            arrival = finish[p] + (0.0 if src is None or src == rid else comm)
+            if arrival > ready:
+                ready = arrival
         start = max(ready, free.get(rid, clock))
-        finish = start + costs.computation_cost(job, rid)
-        repaired.add(Assignment(job, rid, start, finish))
-        finish_new[job] = finish
-        free[rid] = finish
+        duration = rows[i][j] if rows is not None else costs.computation_cost(jobs[i], rid)
+        finish[i] = start + duration
+        repaired.add(Assignment(jobs[i], rid, start, finish[i]))
+        free[rid] = finish[i]
     return repaired
 
 
@@ -864,21 +889,51 @@ def project_actuals(
     The combined (resource-order + precedence) relation of feasible,
     non-overlapping plans is acyclic, so the fixed-point pass below always
     terminates with every execution placed.
+
+    Precedence is walked on each workflow's dense ``structure()`` ids, with
+    every primary's actual finish and resource in index-addressed lists.
+    When the truth has uniform communication and prices this workflow, a
+    transfer is ``0.0`` on the same resource and ``c̄`` from
+    ``truth.predecessor_communications()`` otherwise; a pairwise truth is
+    asked ``communication_cost`` per crossing.  Durations stay lazy:
+    :func:`~repro.simulation.executor.dispatch_duration` prices each
+    replayed execution through ``truth.computation_cost``, because a
+    sampled truth draws one factor per (job, resource) pair it is asked
+    about, and only a small share of all pairs is ever dispatched — a
+    dense truth matrix would draw every one of them.
     """
     free: Dict[str, float] = {}
-    #: per resource: (start, finish, workflow index, job, duplicate key)
+    #: per resource: (start, finish, workflow index, job, duplicate key, dense id)
     queues: Dict[str, list] = {}
-    #: per workflow: finish of the duplicate copies replayed so far
-    local_copies: List[Dict[tuple, float]] = []
-    for index, (_, plan, started, _) in enumerate(workflows):
-        for assignment in started.values():
+    #: per workflow: (job names, (pred, c̄) pairs per job, pairwise transfer
+    #: query or None, primary finish per job, primary resource per job,
+    #: finish of the duplicate copies replayed so far, truth, replayed)
+    replays: List[tuple] = []
+    projected: List[Dict[object, Assignment]] = [{} for _ in workflows]
+    for index, (workflow, plan, started, truth) in enumerate(workflows):
+        structure = workflow.structure()
+        jobs = structure.jobs
+        position = structure.index
+        if truth.has_uniform_communication and truth.workflow is workflow:
+            pred_comm = truth.predecessor_communications()
+            pairwise = None
+        else:
+            pred_comm = [[(p, 0.0) for p in preds] for preds in structure.pred]
+            pairwise = truth.communication_cost
+        finish_of: List[Optional[float]] = [None] * len(jobs)
+        resource_of: List[Optional[str]] = [None] * len(jobs)
+        for key, assignment in started.items():
             rid = assignment.resource_id
             if assignment.finish > free.get(rid, 0.0):
                 free[rid] = assignment.finish
+            i = position.get(key) if isinstance(key, str) else None
+            if i is not None:
+                finish_of[i] = assignment.finish
+                resource_of[i] = rid
         for a in plan:
             if a.job_id not in started:
                 queues.setdefault(a.resource_id, []).append(
-                    (a.start, a.finish, index, a.job_id, None)
+                    (a.start, a.finish, index, a.job_id, None, position[a.job_id])
                 )
         local: Dict[tuple, float] = {}
         for d in plan.duplicates:
@@ -888,15 +943,16 @@ def project_actuals(
                 local[key] = fact.finish
             else:
                 queues.setdefault(d.resource_id, []).append(
-                    (d.start, d.finish, index, d.job_id, key)
+                    (d.start, d.finish, index, d.job_id, key, position[d.job_id])
                 )
-        local_copies.append(local)
+        replays.append(
+            (jobs, pred_comm, pairwise, finish_of, resource_of, local, truth, projected[index])
+        )
     pending = 0
     for queue in queues.values():
         queue.sort(key=_queue_order)
         pending += len(queue)
     heads = dict.fromkeys(queues, 0)
-    projected: List[Dict[object, Assignment]] = [{} for _ in workflows]
 
     progress = True
     while pending and progress:
@@ -905,25 +961,27 @@ def project_actuals(
             queue = queues[rid]
             head = heads[rid]
             while head < len(queue):
-                start, _, index, job, key = queue[head]
-                workflow, _, started, truth = workflows[index]
-                done = projected[index]
-                local = local_copies[index]
+                start, _, index, job, key, i = queue[head]
+                (
+                    jobs, pred_comm, pairwise, finish_of, resource_of, local, truth, done
+                ) = replays[index]
                 resolved = True
                 ready = max(start, free.get(rid, 0.0))
-                for pred in workflow.predecessors(job):
-                    pred_actual = started.get(pred) or done.get(pred)
-                    if pred_actual is not None:
-                        transfer = truth.communication_cost(
-                            pred, job, pred_actual.resource_id, rid
-                        )
-                        arrival = pred_actual.finish + transfer
+                for p, comm in pred_comm[i]:
+                    pred_finish = finish_of[p]
+                    if pred_finish is not None:
+                        src = resource_of[p]
+                        if pairwise is not None:
+                            transfer = pairwise(jobs[p], job, src, rid)
+                        else:
+                            transfer = 0.0 if src == rid else comm
+                        arrival = pred_finish + transfer
                         if local:
-                            local_finish = local.get((pred, rid))
+                            local_finish = local.get((jobs[p], rid))
                             if local_finish is not None and local_finish < arrival:
                                 arrival = local_finish
                     else:
-                        arrival = local.get((pred, rid)) if local else None
+                        arrival = local.get((jobs[p], rid)) if local else None
                         if arrival is None:
                             resolved = False
                             break
@@ -935,6 +993,8 @@ def project_actuals(
                 actual = Assignment(job, rid, ready, ready + duration)
                 if key is None:
                     done[job] = actual
+                    finish_of[i] = actual.finish
+                    resource_of[i] = rid
                 else:
                     done[key] = actual
                     local[key] = actual.finish

@@ -195,9 +195,9 @@ class AdmissionController:
             return action, None
         planned = planner.plan_arrival(arrival, clock)
         window = max(planned.dedicated_span, config.min_window)
-        saturation = predicted_saturation(
-            planner.busy_view(None, clock), len(resources), clock, window
-        )
+        # planning registers nothing, so the view it planned against is
+        # still the grid's residual at ``clock``
+        saturation = predicted_saturation(planned.busy, len(resources), clock, window)
         predicted_stretch = (planned.schedule.makespan() - arrival.time) / max(
             planned.dedicated_span, TIME_EPS
         )

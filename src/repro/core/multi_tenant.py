@@ -146,6 +146,9 @@ class PlannedArrival:
     schedule: Schedule
     #: predicted span had the workflow run alone on the pool it arrived to
     dedicated_span: float
+    #: the other workflows' bookings the plan was made around
+    #: (:meth:`MultiTenantPlanner.busy_view` at the arrival clock)
+    busy: Dict[str, List[Tuple[float, float]]]
 
 
 class MultiTenantPlanner:
@@ -340,7 +343,7 @@ class MultiTenantPlanner:
         else:
             dedicated_span = plan.makespan() - clock
         return PlannedArrival(
-            scheduler=scheduler, schedule=plan, dedicated_span=dedicated_span
+            scheduler=scheduler, schedule=plan, dedicated_span=dedicated_span, busy=busy
         )
 
     def register(

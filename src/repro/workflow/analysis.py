@@ -42,6 +42,13 @@ __all__ = [
 #: the cost model drops its cache.
 _RANK_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+#: upward-rank level partition per ``WorkflowIndex`` snapshot.  The
+#: partition depends only on the DAG's structure, so it survives new cost
+#: models (uncertain mode builds a fresh effective model on every trigger)
+#: and edge-data refreshes, and goes away with the snapshot it was built
+#: from when a job or edge is added.
+_LEVEL_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
 
 def upward_ranks(
     workflow: Workflow,
@@ -103,10 +110,12 @@ def upward_ranks(
     # is the same float64 operation the scalar recurrence performs, so the
     # ranks are bit-identical to the scalar evaluation.  The level
     # partition and gather indices are structural (independent of costs
-    # and resources) and reused across replans via the cost-model cache.
-    leaf_idx, levels = costs.memoize_structural(
-        ("upward-rank-levels",), lambda: _reverse_level_batches(structure)
-    )
+    # and resources) and cached on the structure snapshot, so every
+    # replan of one DAG reuses them whatever cost model it ranks under.
+    batches = _LEVEL_CACHE.get(structure)
+    if batches is None:
+        batches = _LEVEL_CACHE[structure] = _reverse_level_batches(structure)
+    leaf_idx, levels = batches
     rank = np.empty(structure.num_jobs, dtype=np.float64)
     rank[leaf_idx] = w_arr[leaf_idx]
     for job_idx, edge_idx, tgt_idx, seg_offsets in levels:

@@ -213,7 +213,7 @@ class CostModel(abc.ABC):
         """Memoize ``builder()`` keyed on *structure* rather than version.
 
         For views built only from the DAG's jobs/edges and job-level
-        pricing — dense computation matrices, rank-level partitions — an
+        pricing — dense computation matrices and their row lists — an
         edge-data refresh (``Workflow.set_data``) changes nothing, so
         stamping on ``(structure_version, cache_token())`` lets them
         survive it.  Never use this for anything priced from edge data

@@ -18,7 +18,7 @@ from repro.utils.ordering import topological_order
 __all__ = ["Job", "Workflow", "WorkflowIndex"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkflowIndex:
     """Dense-integer structure index of a :class:`Workflow` snapshot.
 
@@ -30,7 +30,9 @@ class WorkflowIndex:
 
     The index is a snapshot: it is built lazily by
     :meth:`Workflow.structure` and cached until the workflow's *structure*
-    (jobs or edges, not edge data) mutates.
+    (jobs or edges, not edge data) mutates.  Snapshots compare and hash by
+    identity, so views derived purely from the structure (the upward-rank
+    level partition) can be cached weakly per snapshot.
     """
 
     #: job ids in insertion order; ``jobs[i]`` is the job with dense id ``i``

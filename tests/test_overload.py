@@ -561,6 +561,73 @@ class TestAdmissionUnderOverload:
         assert 0.0 < on.rejection_rate <= 1.0
 
 
+class TestOneBusyViewPerOffer:
+    """An offer reads the busy view once: the one it was planned against."""
+
+    def _flash_crowd(self):
+        return MultiTenantConfig(
+            tenants=3,
+            arrival_rate=0.02,
+            resources=8,
+            v=12,
+            parallelism=6,
+            max_arrivals=4,
+            scenario="flash_crowd",
+            seed=0,
+            admission=True,
+            stretch_limit=2.0,
+            saturation_threshold=0.5,
+            max_deferrals=2,
+        )
+
+    def test_one_offer_builds_one_busy_view(self, monkeypatch):
+        calls = []
+        busy_view = MultiTenantPlanner.busy_view
+        evaluate = AdmissionController.evaluate
+
+        def counting_busy_view(planner, exclude_key, clock):
+            calls.append(clock)
+            return busy_view(planner, exclude_key, clock)
+
+        per_offer = []
+
+        def counting_evaluate(controller, planner, arrival, clock, **kwargs):
+            before = len(calls)
+            outcome = evaluate(controller, planner, arrival, clock, **kwargs)
+            if outcome[1] is not None:
+                per_offer.append(len(calls) - before)
+            return outcome
+
+        monkeypatch.setattr(MultiTenantPlanner, "busy_view", counting_busy_view)
+        monkeypatch.setattr(AdmissionController, "evaluate", counting_evaluate)
+        run_multi_tenant_case(self._flash_crowd())
+        assert per_offer and set(per_offer) == {1}
+
+    def test_saturation_matches_a_fresh_view_after_planning(self, monkeypatch):
+        plan_arrival = MultiTenantPlanner.plan_arrival
+        offers = []
+
+        def recording_plan_arrival(planner, arrival, clock):
+            planned = plan_arrival(planner, arrival, clock)
+            fresh = planner.busy_view(None, clock)
+            assert planned.busy == fresh
+            offers.append(
+                (clock, fresh, planned.dedicated_span, len(planner.pool.available_at(clock)))
+            )
+            return planned
+
+        monkeypatch.setattr(MultiTenantPlanner, "plan_arrival", recording_plan_arrival)
+        run = run_multi_tenant_case(self._flash_crowd())
+        decisions = run.result.admission
+        assert {d.action for d in decisions} >= {"admit", "defer"}
+        assert len(decisions) == len(offers)
+        min_window = AdmissionConfig().min_window
+        for decision, (clock, fresh, span, count) in zip(decisions, offers):
+            assert decision.time == clock
+            expected = predicted_saturation(fresh, count, clock, max(span, min_window))
+            assert decision.saturation == expected
+
+
 # ----------------------------------------------------------------------
 # deadlines / SLOs on the workload layer
 # ----------------------------------------------------------------------

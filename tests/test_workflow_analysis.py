@@ -228,3 +228,95 @@ class TestIncrementalRankCache:
         order = heft_priority_order(wf, costs, resources)
         values = [ranks[j] for j in order]
         assert values == sorted(values, reverse=True)
+
+
+class TestRankLevelCache:
+    """The upward-rank level partition is cached per structure snapshot.
+
+    It depends only on the DAG's jobs and edges, so replans under fresh
+    cost models (uncertain mode builds a new effective model on every
+    trigger) and edge-data refreshes reuse it; adding an edge rebuilds it.
+    """
+
+    def _count_level_builds(self, monkeypatch):
+        from repro.workflow import analysis
+
+        builds = []
+        build = analysis._reverse_level_batches
+
+        def counting_build(structure):
+            builds.append(structure)
+            return build(structure)
+
+        monkeypatch.setattr(analysis, "_reverse_level_batches", counting_build)
+        return builds
+
+    def _count_rankings(self, monkeypatch):
+        from repro.scheduling import heft
+        from repro.workflow import analysis
+
+        rankings = []
+        rank = analysis.upward_ranks
+
+        def counting_ranks(*args, **kwargs):
+            rankings.append(args[1])
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(heft, "upward_ranks", counting_ranks)
+        return rankings
+
+    def test_uncertain_mode_run_builds_levels_once(self, make_case, make_scenario, monkeypatch):
+        import repro
+        from repro.workflow.costs import make_error_model
+
+        builds = self._count_level_builds(monkeypatch)
+        rankings = self._count_rankings(monkeypatch)
+        case = make_case(v=40, seed=2)
+        run = make_scenario("churn", initial_size=4, seed=5)
+        result = repro.run(
+            case.workflow,
+            run.pool,
+            costs=case.costs,
+            mode="adaptive",
+            perf_profile=run.profile,
+            error_model=make_error_model("gaussian", 0.3, seed=9),
+        )
+        # the replans ranked under many distinct effective models ...
+        assert result.raw.evaluated_events > 3
+        assert len({id(model) for model in rankings}) > 3
+        # ... on one level partition
+        assert len(builds) == 1
+        assert builds[0] is case.workflow.structure()
+
+    def test_add_edge_rebuilds_and_set_data_keeps(self, make_case, monkeypatch):
+        from benchmarks._seed_reference import seed_upward_ranks
+
+        builds = self._count_level_builds(monkeypatch)
+        case = make_case(v=30, seed=4)
+        wf, costs = case.workflow, case.costs
+        resources = ["r1", "r2", "r3"]
+
+        def fresh_costs():
+            # a new view each time, as an uncertain-mode trigger builds one
+            from repro.scenarios.base import ScaledCostModel
+
+            return ScaledCostModel(costs, {"r2": 1.5})
+
+        for _ in range(3):
+            model = fresh_costs()
+            assert upward_ranks(wf, model, resources) == seed_upward_ranks(wf, model, resources)
+        assert len(builds) == 1
+
+        for src, dst, data in wf.edges()[::3]:
+            wf.set_data(src, dst, data * 2.0 + 1.0)
+        model = fresh_costs()
+        assert upward_ranks(wf, model, resources) == seed_upward_ranks(wf, model, resources)
+        assert len(builds) == 1
+
+        order = wf.topological_order()
+        dst = next(job for job in reversed(order) if job not in wf.successors(order[0]))
+        wf.add_edge(order[0], dst, data=7.0)
+        model = fresh_costs()
+        assert upward_ranks(wf, model, resources) == seed_upward_ranks(wf, model, resources)
+        assert len(builds) == 2
+        assert builds[-1] is wf.structure()
