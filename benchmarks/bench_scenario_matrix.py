@@ -20,10 +20,10 @@ import sys
 
 from _common import WORKERS, publish, run_once
 
+from repro import registry
 from repro.experiments.config import RandomExperimentConfig
 from repro.experiments.reporting import render_scenario_matrix
 from repro.experiments.sweep import sweep_scenarios
-from repro.scenarios import available_scenarios
 
 STRATEGIES = ("HEFT", "AHEFT", "MinMin")
 
@@ -33,7 +33,7 @@ def run_matrix(*, quick: bool = False):
         v=30 if quick else 60, resources=8 if quick else 10
     )
     points = sweep_scenarios(
-        list(available_scenarios()),
+        registry.available("scenario"),
         base_config=base,
         instances=1 if quick else 2,
         strategies=STRATEGIES,

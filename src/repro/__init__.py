@@ -96,9 +96,7 @@ from repro.scenarios import (
     ScenarioRun,
     PerformanceProfile,
     ScaledCostModel,
-    available_scenarios,
     compose,
-    make_scenario,
     materialize,
 )
 
@@ -169,8 +167,6 @@ __all__ = [
     "ScenarioRun",
     "PerformanceProfile",
     "ScaledCostModel",
-    "available_scenarios",
     "compose",
-    "make_scenario",
     "materialize",
 ]

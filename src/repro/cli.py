@@ -36,6 +36,8 @@ import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import registry
+
 __all__ = ["main"]
 
 EXIT_OK = 0
@@ -53,8 +55,6 @@ class CliError(Exception):
 # repro scenarios
 # ----------------------------------------------------------------------
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro import registry
-
     names = registry.available("scenario")
     if args.json:
         payload = {
@@ -76,8 +76,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 # repro strategies
 # ----------------------------------------------------------------------
 def _cmd_strategies(args: argparse.Namespace) -> int:
-    from repro import registry
-
     names = registry.available("scheduler")
     infos = {name: registry.describe("scheduler", name) for name in names}
     if args.json:
@@ -236,13 +234,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.config import RandomExperimentConfig
     from repro.experiments.reporting import render_scenario_matrix
     from repro.experiments.sweep import sweep_scenarios
-    from repro.scenarios import make_scenario
 
     scenario_params = _parse_kv(args.scenario_param, "--scenario-param")
     scenarios = []
     for name in args.scenario:
         try:
-            scenarios.append(make_scenario(name, **scenario_params))
+            scenarios.append(registry.make("scenario", name, **scenario_params))
         except TypeError as error:
             # e.g. --scenario-param interval=... applied to a scenario
             # without an `interval` parameter
@@ -302,13 +299,12 @@ def _cmd_multi(args: argparse.Namespace) -> int:
     from repro.experiments.multi_tenant import MultiTenantConfig
     from repro.experiments.reporting import render_multi_tenant_matrix
     from repro.experiments.sweep import sweep_multi_workflow
-    from repro.scenarios import make_scenario
 
     scenario_params = _parse_kv(args.scenario_param, "--scenario-param")
     scenarios = list(args.scenario) if args.scenario else ["static"]
     for name in scenarios:
         try:
-            make_scenario(name, **scenario_params)
+            registry.make("scenario", name, **scenario_params)
         except TypeError as error:
             raise CliError(f"scenario {name!r} rejected parameters: {error}") from None
 
@@ -404,20 +400,20 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     from repro.experiments.config import RandomExperimentConfig
     from repro.experiments.reporting import render_uncertainty_matrix
     from repro.experiments.uncertainty import sweep_uncertainty
-    from repro.scenarios import make_scenario
-    from repro.workflow.costs import available_error_models, make_error_model
 
-    if args.error_model not in available_error_models():
+    if args.error_model not in registry.available("error_model"):
         raise CliError(
             f"unknown error model {args.error_model!r}; "
-            f"registered: {', '.join(available_error_models())}"
+            f"registered: {', '.join(registry.available('error_model'))}"
         )
     magnitudes = args.magnitude if args.magnitude else [0.0, 0.2, 0.4, 0.6]
     if any(m < 0 for m in magnitudes):
         raise CliError("error magnitudes must be non-negative")
     for magnitude in magnitudes:
         try:
-            make_error_model(args.error_model, magnitude, seed=args.seed)
+            registry.make(
+                "error_model", args.error_model, magnitude=magnitude, seed=args.seed
+            )
         except ValueError as error:
             raise CliError(
                 f"error model {args.error_model!r} rejected magnitude "
@@ -425,7 +421,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             ) from None
     scenarios = list(args.scenario) if args.scenario else ["paper"]
     for name in scenarios:
-        make_scenario(name)  # raises ScenarioError on unknown names
+        registry.make("scenario", name)  # raises ScenarioError on unknown names
 
     v = args.v if args.v is not None else (24 if args.quick else 40)
     resources = args.resources if args.resources is not None else (8 if args.quick else 10)
@@ -610,38 +606,38 @@ def _scenario_help() -> str:
     building the string dynamically keeps ``--help`` (and the CLI contract
     tests asserting on it) in sync with the registry automatically.
     """
-    from repro.scenarios import available_scenarios
-
     return (
         "scenario name (repeatable); registered: "
-        + ", ".join(available_scenarios())
+        + ", ".join(registry.available("scenario"))
     )
 
 
 def _strategy_help(*, adaptive_only: bool = False) -> str:
     """Enumerate the registered strategies so help text can never drift.
 
-    New strategies register themselves in
-    :data:`repro.scheduling.registry.SCHEDULERS`; building the string
+    New strategies register themselves with
+    :func:`repro.scheduling.registry.register_scheduler`; building the string
     dynamically keeps ``--help`` (and the CLI contract tests asserting on
     it) in sync with the registry automatically.
     """
-    from repro.scheduling.registry import (
-        available_schedulers,
-        make_scheduler,
-        scheduler_kind,
-    )
+    from repro.core.adaptive import resolve_strategy
+    from repro.experiments.runner import STRATEGY_RUNNERS
 
-    names = available_schedulers()
+    def replans(name: str) -> bool:
+        try:
+            resolve_strategy(name, require="reschedule")
+        except ValueError:
+            return False
+        return True
+
+    names = registry.available("scheduler")
     if adaptive_only:
-        names = [n for n in names if hasattr(make_scheduler(n), "reschedule")]
+        names = [n for n in names if replans(n)]
         return (
             "comma-separated replanning strategies; registered: "
             + ", ".join(names)
         )
-    from repro.experiments.runner import STRATEGY_RUNNERS
-
-    parts = [f"{name} ({scheduler_kind(name)})" for name in names]
+    parts = [f"{name} ({registry.describe('scheduler', name)['kind']})" for name in names]
     return (
         "comma-separated strategy names; registered: "
         + ", ".join(parts)
@@ -659,10 +655,9 @@ def _error_model_help() -> str:
     dynamically keeps ``repro mc --help`` (and the CLI contract tests
     asserting on it) in sync with the registry automatically.
     """
-    from repro.workflow.costs import available_error_models, error_model_summary
-
     parts = [
-        f"{name} ({error_model_summary(name)})" for name in available_error_models()
+        f"{name} ({registry.describe('error_model', name)['summary']})"
+        for name in registry.available("error_model")
     ]
     return "error-model family; registered: " + "; ".join(parts)
 

@@ -15,7 +15,6 @@ the paper proposes (§3):
 from repro.core.history import PerformanceHistoryRepository, PerformanceRecord
 from repro.core.predictor import (
     Predictor,
-    HistoryAdjustedCostModel,
     RatioAdjustedCostModel,
 )
 from repro.core.adaptive import (
@@ -32,7 +31,6 @@ __all__ = [
     "PerformanceHistoryRepository",
     "PerformanceRecord",
     "Predictor",
-    "HistoryAdjustedCostModel",
     "RatioAdjustedCostModel",
     "AdaptiveReschedulingLoop",
     "AdaptiveRunResult",

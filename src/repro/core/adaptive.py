@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
+from repro import registry
 from repro.core.history import PerformanceHistoryRepository
 from repro.core.predictor import Predictor
 from repro.resources.pool import PoolEvent, ResourcePool
@@ -1034,16 +1035,16 @@ def resolve_strategy(
 ):
     """Resolve a runner's ``strategy``: a registry name or a scheduler object.
 
-    A name is looked up in the scheduling registry
-    (:data:`repro.scheduling.registry.SCHEDULERS`); ``None`` falls back to
-    ``default()``.  ``require`` names an interface the resolved object must
-    provide (``"reschedule"`` for the adaptive loop, ``"map_ready_jobs"``
-    for the just-in-time executor, ``"schedule"`` for plan-once execution).
+    A name is instantiated through :func:`repro.registry.make` (unknown
+    names raise :class:`KeyError`); ``None`` falls back to ``default()``.
+    ``require`` names an interface the resolved object must provide
+    (``"reschedule"`` for the adaptive loop and the multi-tenant planner,
+    ``"map_ready_jobs"`` for the just-in-time executor, ``"schedule"`` for
+    plan-once execution); a missing one raises :class:`ValueError`.  This
+    is the one place that answers "can this strategy replan?".
     """
     if isinstance(strategy, str):
-        from repro.scheduling.registry import make_scheduler
-
-        scheduler = make_scheduler(strategy)
+        scheduler = registry.make("scheduler", strategy)
         label = strategy
     else:
         scheduler = strategy
@@ -1156,9 +1157,6 @@ def _execute_adaptive(
     actual_costs: Optional[CostModel] = None,
     error_model: Optional[ErrorModel] = None,
     history: Optional[PerformanceHistoryRepository] = None,
-    feedback: bool = True,
-    blend: float = 1.0,
-    predictor_mode: str = "ratio",
     replan_on_deviation: Optional[float] = 0.1,
 ) -> AdaptiveRunResult:
     """AHEFT adaptive rescheduling reacting to every pool/performance change.
@@ -1166,13 +1164,11 @@ def _execute_adaptive(
     ``error_model`` (or an explicit ``actual_costs`` truth model) switches
     the loop into the estimate-error regime: adopted bookings execute with
     sampled ground-truth durations, observed actuals are recorded into
-    ``history`` (a fresh repository when not supplied), and — with
-    ``feedback`` (default) — each replan re-estimates the cost matrix via
-    the :class:`~repro.core.predictor.Predictor` before calling AHEFT,
-    closing the paper's Fig. 1 loop.  ``predictor_mode`` selects the
-    re-estimation semantics (``"ratio"`` learns multiplicative per-resource
-    corrections — the default, exact for systematic resource bias;
-    ``"absolute"`` overrides per-operation durations).
+    ``history`` (a fresh repository when not supplied), and each replan
+    re-estimates the cost matrix via the
+    :class:`~repro.core.predictor.Predictor` before calling AHEFT, closing
+    the paper's Fig. 1 loop: it learns multiplicative per-resource
+    corrections, exact for systematic resource bias.
     ``replan_on_deviation`` additionally triggers a re-evaluation whenever
     an observed completion misses its booking by the given fraction of the
     booked duration (``None`` limits replanning to grid events).
@@ -1196,11 +1192,9 @@ def _execute_adaptive(
     # supplied history or truth model opts back in.
     noisy_truth = explicit_truth or (error_model is not None and not error_model.is_null)
     predictor = None
-    if feedback and (noisy_truth or history is not None):
+    if noisy_truth or history is not None:
         predictor = Predictor(
-            history if history is not None else PerformanceHistoryRepository(),
-            blend=blend,
-            mode=predictor_mode,
+            history if history is not None else PerformanceHistoryRepository()
         )
     return loop.run(
         workflow,

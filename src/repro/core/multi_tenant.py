@@ -54,6 +54,7 @@ tolerantly for exactly this reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.adaptive import (
@@ -61,6 +62,7 @@ from repro.core.adaptive import (
     apply_departure_kills,
     decide_adoption,
     repair_schedule,
+    resolve_strategy,
 )
 from repro.core.credit import CreditLedger
 from repro.resources.pool import PoolEvent, ResourcePool
@@ -172,7 +174,7 @@ class MultiTenantPlanner:
     strategy:
         Alternative to ``scheduler_factory``: the name of any registered
         scheduler with the ``reschedule`` interface (see
-        :data:`repro.scheduling.registry.SCHEDULERS`) — every tenant then
+        ``repro.registry.available("scheduler")``) — every tenant then
         replans with that heuristic instead of AHEFT, the strategy-ablation
         hook of the multi-tenant tournament.
     accept_only_if_better:
@@ -204,10 +206,8 @@ class MultiTenantPlanner:
                 raise ValueError(
                     "pass either strategy= or scheduler_factory=, not both"
                 )
-            from repro.core.adaptive import resolve_strategy
-
-            resolve_strategy(strategy, require="reschedule")  # validate early
-            scheduler_factory = self._strategy_factory(strategy)
+            scheduler_factory = partial(resolve_strategy, strategy, require="reschedule")
+            scheduler_factory()  # validate early
         elif scheduler_factory is None:
             scheduler_factory = AHEFTScheduler
         self.pool = pool
@@ -223,15 +223,6 @@ class MultiTenantPlanner:
         self._perf_times: Set[float] = (
             set(perf_profile.change_times()) if perf_profile is not None else set()
         )
-
-    @staticmethod
-    def _strategy_factory(strategy: str) -> Callable[[], AHEFTScheduler]:
-        def factory():
-            from repro.scheduling.registry import make_scheduler
-
-            return make_scheduler(strategy)
-
-        return factory
 
     # ------------------------------------------------------------------
     # queries

@@ -7,30 +7,21 @@ plans with.  With an empty history the Predictor returns the prior
 unchanged — which, under the paper's accurate-estimation assumption, is the
 common case in the headline experiments.
 
-Two re-estimation modes are provided:
-
-* **absolute** (:class:`HistoryAdjustedCostModel`) — per (operation,
-  resource) observations override the prior duration, optionally blended.
-  Right when jobs of one operation are interchangeable (the application
-  DAGs: every BLAST worker does the same work).
-* **ratio** (:class:`RatioAdjustedCostModel`) — the history calibrates a
-  multiplicative *correction factor* per resource (mean of
-  observed/estimated over that resource's completed jobs) and the prior is
-  scaled by it.  Right for heterogeneous job populations, where absolute
-  durations do not transfer between jobs but systematic resource bias
-  (obsolete benchmarks, misreported speeds) does.  This is the mode the
-  uncertainty engine replans with.
-
-Both only transform the prior's computation costs.  A ratio model is a
+The history calibrates a multiplicative *correction factor* per resource
+(:class:`RatioAdjustedCostModel`: mean of observed/estimated over that
+resource's completed jobs) and the prior is scaled by it.  Absolute
+durations do not transfer between the jobs of a heterogeneous population,
+but systematic resource bias (obsolete benchmarks, misreported speeds)
+does.  The model only transforms the prior's computation costs; it is a
 :class:`~repro.scenarios.base.ScaledCostModel` snapshot of the history at
 construction (:meth:`Predictor.estimate` builds one per replan), so its
-dense views are memoised; the absolute model reads the live history.
+dense views are memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -38,55 +29,7 @@ from repro.core.history import PerformanceHistoryRepository
 from repro.scenarios.base import ScaledCostModel
 from repro.workflow.costs import CostModel, DelegatingCostModel
 
-__all__ = ["HistoryAdjustedCostModel", "RatioAdjustedCostModel", "Predictor"]
-
-
-class HistoryAdjustedCostModel(DelegatingCostModel):
-    """A cost model that overrides a prior with observed history.
-
-    For a job whose operation has observations on the queried resource, the
-    estimate is ``blend · observed + (1 − blend) · prior``; with
-    ``blend = 1`` (default) the observation replaces the prior entirely.
-    Without observations on the resource, the operation's average over all
-    resources stands in.  Communication costs are taken from the prior
-    unchanged (the paper's history covers job performance, not network
-    performance).  The model stays uncached (``cache_token() is None``):
-    the history can grow between calls without the workflow mutating.
-    """
-
-    def __init__(
-        self,
-        prior: CostModel,
-        history: PerformanceHistoryRepository,
-        *,
-        blend: float = 1.0,
-    ) -> None:
-        if not 0 <= blend <= 1:
-            raise ValueError("blend must be in [0, 1]")
-        super().__init__(prior)
-        self.history = history
-        self.blend = float(blend)
-
-    def _observed(self, job_id: str, resource_id: Optional[str]) -> Optional[float]:
-        operation = self.workflow.job(job_id).operation
-        observed = self.history.observed_duration(operation, resource_id)
-        if observed is None and resource_id is not None:
-            observed = self.history.observed_duration(operation, None)
-        return observed
-
-    def computation_cost(self, job_id: str, resource_id: str) -> float:
-        prior = self.base.computation_cost(job_id, resource_id)
-        observed = self._observed(job_id, resource_id)
-        if observed is None:
-            return prior
-        return self.blend * observed + (1.0 - self.blend) * prior
-
-    def intrinsic_average_computation_cost(self, job_id: str) -> float:
-        prior = self.base.intrinsic_average_computation_cost(job_id)
-        observed = self._observed(job_id, None)
-        if observed is None:
-            return prior
-        return self.blend * observed + (1.0 - self.blend) * prior
+__all__ = ["RatioAdjustedCostModel", "Predictor"]
 
 
 class RatioAdjustedCostModel(ScaledCostModel):
@@ -180,31 +123,18 @@ class Predictor:
     history:
         The Performance History Repository shared with the Planner.
     blend:
-        How strongly observations override the prior (1 = replace).
-    mode:
-        ``"absolute"`` (per-operation override,
-        :class:`HistoryAdjustedCostModel`) or ``"ratio"`` (per-resource
-        multiplicative correction, :class:`RatioAdjustedCostModel`).
+        How strongly the learned per-resource corrections apply (1 = fully,
+        0 = keep the prior); see :class:`RatioAdjustedCostModel`.
     """
 
     history: PerformanceHistoryRepository
     blend: float = 1.0
-    mode: str = "absolute"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("absolute", "ratio"):
-            raise ValueError(
-                f"unknown predictor mode {self.mode!r}; "
-                "choose 'absolute' or 'ratio'"
-            )
 
     def estimate(self, prior: CostModel) -> CostModel:
         """Return the cost model the Scheduler should plan with."""
         if len(self.history) == 0 or self.blend == 0:
             return prior
-        if self.mode == "ratio":
-            return RatioAdjustedCostModel(prior, self.history, blend=self.blend)
-        return HistoryAdjustedCostModel(prior, self.history, blend=self.blend)
+        return RatioAdjustedCostModel(prior, self.history, blend=self.blend)
 
     def estimation_matrix(
         self, prior: CostModel, resources: Sequence[str]

@@ -69,9 +69,9 @@ class _ScenarioConfigMixin:
         """The configured scenario instance, or ``None``."""
         if self.scenario is None:
             return None
-        from repro.scenarios import make_scenario
+        from repro import registry
 
-        return make_scenario(self.scenario, **dict(self.scenario_params))
+        return registry.make("scenario", self.scenario, **dict(self.scenario_params))
 
     def to_experiment_case(self):
         """An :class:`~repro.experiments.runner.ExperimentCase` for this point."""

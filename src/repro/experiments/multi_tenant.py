@@ -101,9 +101,10 @@ class MultiTenantConfig:
 
     def build_scenario_run(self):
         """Materialise the scenario into the shared pool + perf profile."""
-        from repro.scenarios import make_scenario, materialize
+        from repro import registry
+        from repro.scenarios import materialize
 
-        scenario = make_scenario(self.scenario, **dict(self.scenario_params))
+        scenario = registry.make("scenario", self.scenario, **dict(self.scenario_params))
         return materialize(
             scenario,
             initial_size=self.resources,

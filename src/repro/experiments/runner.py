@@ -10,17 +10,15 @@ HEFT, which is the paper's headline metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import registry
+from repro.core.adaptive import resolve_strategy
 from repro.experiments.metrics import improvement_rate
 from repro.facade import RunResult, run as facade_run
 from repro.generators.costs import WorkflowCase
 from repro.resources.dynamics import ResourceChangeModel, StaticResourceModel
 from repro.resources.pool import ResourcePool
-from repro.scheduling.aheft import AHEFTScheduler
-from repro.scheduling.baselines import MaxMinScheduler, SufferageScheduler
-from repro.scheduling.heft import HEFTScheduler
-from repro.scheduling.minmin import MinMinScheduler
 
 __all__ = [
     "ExperimentCase",
@@ -32,39 +30,20 @@ __all__ = [
     "STRATEGY_RUNNERS",
 ]
 
-#: strategy name -> runner(workflow, costs, pool, **kwargs) -> RunResult
-#: (``perf_profile=...`` is forwarded for scenario runs).  These legacy
-#: capitalised names predate the scheduling registry and are kept because
-#: committed benchmark baselines key on them; every *registry* name
-#: (``heft``, ``cpop``, ``heft_dup``, ...) resolves through
-#: :func:`resolve_strategy_runner` as well, plus the ``adaptive:<name>``
-#: prefix that runs any replanning-capable strategy inside the adaptive
-#: loop (the AHEFT ablation hook).
-STRATEGY_RUNNERS: Dict[str, Callable] = {
-    "HEFT": lambda wf, costs, pool, **kw: facade_run(
-        wf, pool, mode="static", costs=costs, strategy=HEFTScheduler(), **kw
-    ),
-    "AHEFT": lambda wf, costs, pool, **kw: facade_run(
-        wf, pool, mode="adaptive", costs=costs, strategy=AHEFTScheduler(), **kw
-    ),
-    "MinMin": lambda wf, costs, pool, **kw: facade_run(
-        wf, pool, mode="dynamic", costs=costs, strategy=MinMinScheduler(), **kw
-    ),
-    "MaxMin": lambda wf, costs, pool, **kw: facade_run(
-        wf, pool, mode="dynamic", costs=costs, strategy=MaxMinScheduler(), **kw
-    ),
-    "Sufferage": lambda wf, costs, pool, **kw: facade_run(
-        wf, pool, mode="dynamic", costs=costs, strategy=SufferageScheduler(), **kw
-    ),
-    "AHEFT-always": lambda wf, costs, pool, **kw: facade_run(
-        wf,
-        pool,
-        mode="adaptive",
-        costs=costs,
-        strategy=AHEFTScheduler(),
-        accept_only_if_better=False,
-        **kw,
-    ),
+#: legacy ledger label -> ``(mode, registry name, options)`` of the
+#: ``repro.run`` call it stands for.  The capitalised labels predate the
+#: scheduling registry and are kept because committed benchmark baselines
+#: key on them; every *registry* name (``heft``, ``cpop``, ``heft_dup``, ...)
+#: resolves through :func:`resolve_strategy_runner` as well, plus the
+#: ``adaptive:<name>`` prefix that runs any replanning-capable strategy
+#: inside the adaptive loop (the AHEFT ablation hook).
+STRATEGY_RUNNERS: Dict[str, Tuple[str, str, Dict[str, object]]] = {
+    "HEFT": ("static", "heft", {}),
+    "AHEFT": ("adaptive", "aheft", {}),
+    "MinMin": ("dynamic", "minmin", {}),
+    "MaxMin": ("dynamic", "maxmin", {}),
+    "Sufferage": ("dynamic", "sufferage", {}),
+    "AHEFT-always": ("adaptive", "aheft", {"accept_only_if_better": False}),
 }
 
 #: prefix that forces a registry strategy through the adaptive loop
@@ -72,44 +51,40 @@ ADAPTIVE_PREFIX = "adaptive:"
 
 
 def resolve_strategy_runner(name: str) -> Callable:
-    """Runner for a legacy name, a registry name, or ``adaptive:<name>``."""
+    """Runner for a legacy label, a registry name, or ``adaptive:<name>``.
+
+    The runner is ``runner(workflow, costs, pool, **kwargs) -> RunResult``
+    (``perf_profile=...`` is forwarded for scenario runs).
+    """
     if name in STRATEGY_RUNNERS:
-        return STRATEGY_RUNNERS[name]
-    from repro.scheduling.registry import SCHEDULERS
-
-    base = name
-    force_adaptive = False
-    if name.startswith(ADAPTIVE_PREFIX):
-        base = name[len(ADAPTIVE_PREFIX):]
-        force_adaptive = True
-    info = SCHEDULERS.get(base)
-    if info is None:
-        raise KeyError(
-            f"unknown strategy {name!r}; available: {available_strategy_names()}"
-        )
-    if force_adaptive or info.kind == "adaptive":
-        from repro.scheduling.registry import make_scheduler
-
-        if not hasattr(make_scheduler(base), "reschedule"):
-            # reject at resolution time so callers (the CLI in particular)
-            # fail fast instead of crashing mid-sweep
-            raise KeyError(
-                f"strategy {name!r}: {base!r} cannot replan "
-                "(no reschedule interface)"
-            )
-        mode = "adaptive"
+        mode, base, options = STRATEGY_RUNNERS[name]
     else:
-        mode = info.kind
+        base = name.removeprefix(ADAPTIVE_PREFIX)
+        if base not in registry.available("scheduler"):
+            raise KeyError(
+                f"unknown strategy {name!r}; available: {available_strategy_names()}"
+            )
+        mode = registry.describe("scheduler", base)["kind"]
+        if base != name or mode == "adaptive":
+            try:
+                resolve_strategy(base, require="reschedule")
+            except ValueError:
+                # reject at resolution time so callers (the CLI in
+                # particular) fail fast instead of crashing mid-sweep
+                raise KeyError(
+                    f"strategy {name!r}: {base!r} cannot replan "
+                    "(no reschedule interface)"
+                ) from None
+            mode = "adaptive"
+        options = {}
     return lambda wf, costs, pool, **kw: facade_run(
-        wf, pool, mode=mode, costs=costs, strategy=base, **kw
+        wf, pool, mode=mode, costs=costs, strategy=base, **options, **kw
     )
 
 
 def available_strategy_names() -> List[str]:
     """Every name :func:`resolve_strategy_runner` accepts (prefix aside)."""
-    from repro.scheduling.registry import available_schedulers
-
-    return sorted(set(STRATEGY_RUNNERS) | set(available_schedulers()))
+    return sorted(set(STRATEGY_RUNNERS) | set(registry.available("scheduler")))
 
 
 @dataclass

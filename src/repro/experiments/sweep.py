@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro import registry
 from repro.experiments.config import (
     ApplicationExperimentConfig,
     RandomExperimentConfig,
@@ -273,14 +274,14 @@ def sweep_scenarios(
     mean makespan, mean adopted-reschedule count, and mean wasted work
     (execution time thrown away when departures kill running jobs).
     """
-    from repro.scenarios import make_scenario
-
     base = base_config or RandomExperimentConfig()
     if seed is None:
         seed = base.seed
     points: List[ScenarioPoint] = []
     for entry in scenarios:
-        scenario = make_scenario(entry) if isinstance(entry, str) else entry
+        scenario = (
+            registry.make("scenario", entry) if isinstance(entry, str) else entry
+        )
         experiments: List[ExperimentCase] = []
         for instance in range(instances):
             config = replace(base, instance=instance, seed=seed + instance)

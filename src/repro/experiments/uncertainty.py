@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro import registry
 from repro.experiments.config import RandomExperimentConfig
 from repro.experiments.metrics import (
     MakespanStatistics,
@@ -30,7 +31,7 @@ from repro.experiments.metrics import (
     makespan_statistics,
 )
 from repro.experiments.runner import CaseResult, ExperimentCase, run_case_batch
-from repro.workflow.costs import ErrorModel, make_error_model
+from repro.workflow.costs import ErrorModel
 
 __all__ = [
     "ReplicationSummary",
@@ -205,7 +206,9 @@ def sweep_uncertainty(
     points: List[UncertaintyPoint] = []
     for scenario in scenarios:
         for magnitude in magnitudes:
-            model = make_error_model(error_model, float(magnitude), seed=seed)
+            model = registry.make(
+                "error_model", error_model, magnitude=float(magnitude), seed=seed
+            )
             experiments: List[ExperimentCase] = []
             models: List[ErrorModel] = []
             for instance in range(instances):

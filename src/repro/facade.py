@@ -27,9 +27,12 @@ ready-made object, ``scenario`` a name or a
 :class:`~repro.scenarios.base.Scenario` — a scenario is materialised into
 the pool and performance profile, so ``pool`` is then replaced by the
 ``resources`` initial size.  Remaining keyword ``options`` are forwarded
-verbatim to the underlying runner (``simulate=``, ``history=``,
-``accept_only_if_better=``, ``policy=``, ``tenant_weights=``,
-``admission=`` for overload control in multi mode, …).
+verbatim to the underlying runner: ``actual_costs=`` and ``history=`` in
+every single-workflow mode, ``simulate=`` and ``departure_policy=``
+(static), ``accept_only_if_better=`` and ``replan_on_deviation=``
+(adaptive), and ``policy=``, ``tenant_weights=``,
+``accept_only_if_better=``, ``scheduler_factory=``, ``credit_ledger=``
+and ``admission=`` for overload control (multi).
 
 The returned :class:`RunResult` is a uniform view — ``schedule``,
 ``trace``, ``outcomes``, ``decisions``, ``metrics`` and the headline

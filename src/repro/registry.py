@@ -1,11 +1,10 @@
 """One uniform interface over the repo's three component registries.
 
-The package grew three parallel registries — scheduling strategies
+The package has three component registries — scheduling strategies
 (:data:`repro.scheduling.registry.SCHEDULERS`), scenarios
 (:mod:`repro.scenarios.library`) and estimate-error families
-(:data:`repro.workflow.costs.ERROR_MODELS`) — each with its own
-``available_*`` / ``make_*`` / ``*_summary`` helpers.  This module is the
-one front door:
+(:data:`repro.workflow.costs.ERROR_MODELS`).  This module is the one
+front door, and the only place a name becomes a component:
 
 >>> from repro import registry
 >>> registry.available("scheduler")       # doctest: +ELLIPSIS
@@ -15,12 +14,9 @@ one front door:
 >>> registry.describe("scenario", "paper")["summary"]
 "the paper's join-only (R, Δ, δ) model"
 
-The historical module-level helpers (``make_scheduler``,
-``make_scenario``, ``make_error_model``, …) remain supported as thin
-wrappers over these three functions, and error semantics are preserved
-per kind: unknown schedulers and error models raise :class:`KeyError`,
-unknown scenarios raise :class:`~repro.scenarios.base.ScenarioError` —
-with the same messages the domain helpers always produced.
+Error semantics are per kind: unknown schedulers and error models raise
+:class:`KeyError`, unknown scenarios raise
+:class:`~repro.scenarios.base.ScenarioError`.
 
 Imports of the domain registries happen lazily inside each function, so
 this module can sit at the package root without creating import cycles.
@@ -46,57 +42,70 @@ def _resolve_kind(kind: str) -> str:
     return resolved
 
 
-def available(kind: str) -> List[str]:
-    """Registered component names of one ``kind``, sorted."""
-    kind = _resolve_kind(kind)
+def _entries(kind: str) -> Dict[str, object]:
+    """The name -> entry mapping of one (resolved) ``kind``."""
     if kind == "scheduler":
         from repro.scheduling.registry import SCHEDULERS
 
-        return sorted(SCHEDULERS)
+        return SCHEDULERS
     if kind == "scenario":
         from repro.scenarios.library import _REGISTRY
 
-        return sorted(_REGISTRY)
+        return _REGISTRY
     from repro.workflow.costs import ERROR_MODELS
 
-    return sorted(ERROR_MODELS)
+    return ERROR_MODELS
+
+
+def _scheduler(name: str):
+    """The :class:`~repro.scheduling.registry.StrategyInfo` of ``name``."""
+    entries = _entries("scheduler")
+    if name not in entries:
+        raise KeyError(f"unknown scheduler {name!r}; registered: {sorted(entries)}")
+    return entries[name]
+
+
+def _scenario(name: str):
+    """The registered factory of scenario ``name``."""
+    entries = _entries("scenario")
+    if name not in entries:
+        from repro.scenarios.base import ScenarioError
+
+        raise ScenarioError(f"unknown scenario {name!r}; available: {sorted(entries)}")
+    return entries[name]
+
+
+def _error_model(name: str):
+    """The registered factory of error family ``name``."""
+    entries = _entries("error_model")
+    if name not in entries:
+        raise KeyError(f"unknown error model {name!r}; available: {sorted(entries)}")
+    return entries[name]
+
+
+def available(kind: str) -> List[str]:
+    """Registered component names of one ``kind``, sorted."""
+    return sorted(_entries(_resolve_kind(kind)))
 
 
 def make(kind: str, name: str, **params):
     """Instantiate the registered component ``name`` of ``kind``.
 
     ``params`` are forwarded to the component's factory.  For error
-    models, ``magnitude`` (the family's primary knob) and ``seed`` carry
-    the semantics of :func:`repro.workflow.costs.make_error_model`.
+    models, ``magnitude`` (the family's primary knob; omitted or ``None``
+    keeps the family's default) and ``seed`` (default 0) are passed to
+    the factory explicitly.
     """
     kind = _resolve_kind(kind)
     if kind == "scheduler":
-        from repro.scheduling.registry import SCHEDULERS, validate_scheduler_params
+        from repro.scheduling.registry import validate_scheduler_params
 
-        info = SCHEDULERS.get(name)
-        if info is None:
-            raise KeyError(
-                f"unknown scheduler {name!r}; registered: {sorted(SCHEDULERS)}"
-            )
-        validate_scheduler_params(name, info.factory, params)
-        return info.factory(**params)
-    if kind == "scenario":
-        from repro.scenarios.base import ScenarioError
-        from repro.scenarios.library import _REGISTRY
-
-        factory = _REGISTRY.get(name)
-        if factory is None:
-            raise ScenarioError(
-                f"unknown scenario {name!r}; available: {sorted(_REGISTRY)}"
-            )
+        factory = _scheduler(name).factory
+        validate_scheduler_params(name, factory, params)
         return factory(**params)
-    from repro.workflow.costs import ERROR_MODELS
-
-    factory = ERROR_MODELS.get(name)
-    if factory is None:
-        raise KeyError(
-            f"unknown error model {name!r}; available: {sorted(ERROR_MODELS)}"
-        )
+    if kind == "scenario":
+        return _scenario(name)(**params)
+    factory = _error_model(name)
     magnitude = params.pop("magnitude", None)
     seed = params.pop("seed", 0)
     if magnitude is None:
@@ -113,13 +122,7 @@ def describe(kind: str, name: str) -> Dict[str, object]:
     """
     kind = _resolve_kind(kind)
     if kind == "scheduler":
-        from repro.scheduling.registry import SCHEDULERS
-
-        info = SCHEDULERS.get(name)
-        if info is None:
-            raise KeyError(
-                f"unknown scheduler {name!r}; registered: {sorted(SCHEDULERS)}"
-            )
+        info = _scheduler(name)
         return {
             "name": name,
             "kind": info.kind,
@@ -127,25 +130,16 @@ def describe(kind: str, name: str) -> Dict[str, object]:
             "params": info.parameters(),
         }
     if kind == "scenario":
-        from repro.scenarios.base import ScenarioError
-        from repro.scenarios.library import _REGISTRY, _SUMMARIES
+        from repro.scenarios.library import _SUMMARIES
 
-        factory = _REGISTRY.get(name)
-        if factory is None:
-            raise ScenarioError(
-                f"unknown scenario {name!r}; available: {sorted(_REGISTRY)}"
-            )
         return {
             "name": name,
             "summary": _SUMMARIES.get(name, ""),
-            "defaults": factory().params(),
+            "defaults": _scenario(name)().params(),
         }
-    from repro.workflow.costs import ERROR_MODELS, _ERROR_MODEL_SUMMARIES
+    from repro.workflow.costs import _ERROR_MODEL_SUMMARIES
 
-    if name not in ERROR_MODELS:
-        raise KeyError(
-            f"unknown error model {name!r}; available: {sorted(ERROR_MODELS)}"
-        )
+    _error_model(name)
     return {
         "name": name,
         "summary": _ERROR_MODEL_SUMMARIES.get(name, "(no summary registered)"),

@@ -27,10 +27,7 @@ from repro.scenarios.library import (
     LoadSpikeScenario,
     PaperJoinScenario,
     StaticScenario,
-    available_scenarios,
-    make_scenario,
     register_scenario,
-    scenario_summary,
 )
 
 __all__ = [
@@ -52,8 +49,5 @@ __all__ = [
     "ChurnScenario",
     "DegradationScenario",
     "LoadSpikeScenario",
-    "available_scenarios",
-    "make_scenario",
     "register_scenario",
-    "scenario_summary",
 ]

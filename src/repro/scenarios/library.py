@@ -42,9 +42,6 @@ __all__ = [
     "DegradationScenario",
     "LoadSpikeScenario",
     "register_scenario",
-    "make_scenario",
-    "available_scenarios",
-    "scenario_summary",
 ]
 
 
@@ -271,27 +268,6 @@ def register_scenario(name: str, summary: str = ""):
         return factory
 
     return decorator
-
-
-# Thin wrappers over the uniform registry facade (:mod:`repro.registry`),
-# kept for compatibility with existing callers.
-
-
-def make_scenario(name: str, **params) -> Scenario:
-    """Instantiate a registered scenario, passing ``params`` to its factory."""
-    from repro import registry
-
-    return registry.make("scenario", name, **params)
-
-
-def available_scenarios() -> List[str]:
-    from repro import registry
-
-    return registry.available("scenario")
-
-
-def scenario_summary(name: str) -> str:
-    return _SUMMARIES.get(name, "")
 
 
 register_scenario("static", "no pool changes at all (classic static world)")(

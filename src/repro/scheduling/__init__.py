@@ -24,8 +24,8 @@ The package exposes:
   :class:`~repro.scheduling.frame.PartialScheduleFrame` (pinning,
   timelines, the FEA of Eq. 1–3 and the min-EFT rule, with its fast
   path); HEFT is its ``clock = 0`` pass and AHEFT its mid-flight pass,
-* the **strategy registry** (:data:`~repro.scheduling.registry.SCHEDULERS`
-  + :func:`~repro.scheduling.registry.make_scheduler`) naming every
+* the **strategy registry** (:data:`~repro.scheduling.registry.SCHEDULERS`,
+  instantiated through :func:`repro.registry.make`) naming every
   strategy for the sweeps, the CLI and the universal invariant tests,
 * schedule feasibility validation in :mod:`~repro.scheduling.validation`.
 """
@@ -56,12 +56,7 @@ from repro.scheduling.duplication import HEFTDupScheduler, heft_dup_reschedule
 from repro.scheduling.registry import (
     SCHEDULERS,
     StrategyInfo,
-    available_schedulers,
-    make_scheduler,
     register_scheduler,
-    scheduler_kind,
-    scheduler_parameters,
-    scheduler_summary,
 )
 from repro.scheduling.validation import (
     ScheduleValidationError,
@@ -96,12 +91,7 @@ __all__ = [
     "heft_dup_reschedule",
     "SCHEDULERS",
     "StrategyInfo",
-    "available_schedulers",
-    "make_scheduler",
     "register_scheduler",
-    "scheduler_kind",
-    "scheduler_parameters",
-    "scheduler_summary",
     "ScheduleValidationError",
     "validate_schedule",
     "check_precedence",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.baselines import (
@@ -51,11 +51,6 @@ __all__ = [
     "SCHEDULERS",
     "StrategyInfo",
     "register_scheduler",
-    "make_scheduler",
-    "available_schedulers",
-    "scheduler_kind",
-    "scheduler_summary",
-    "scheduler_parameters",
     "validate_scheduler_params",
 ]
 
@@ -140,45 +135,6 @@ def register_scheduler(name: str, *, kind: str, summary: str = ""):
         return factory
 
     return decorator
-
-
-# The helpers below are thin wrappers over the uniform registry facade
-# (:mod:`repro.registry`), kept for compatibility with existing callers.
-
-
-def make_scheduler(name: str, **params):
-    """Instantiate a registered strategy, passing ``params`` to its factory."""
-    from repro import registry
-
-    return registry.make("scheduler", name, **params)
-
-
-def available_schedulers() -> List[str]:
-    """Registered strategy names, sorted."""
-    from repro import registry
-
-    return registry.available("scheduler")
-
-
-def scheduler_kind(name: str) -> str:
-    """The default execution mode of a registered strategy."""
-    from repro import registry
-
-    return registry.describe("scheduler", name)["kind"]
-
-
-def scheduler_summary(name: str) -> str:
-    """One-line description of a registered strategy."""
-    from repro import registry
-
-    return registry.describe("scheduler", name)["summary"]
-
-
-def scheduler_parameters(name: str) -> Dict[str, object]:
-    """Constructor parameters (name -> default) of a registered strategy."""
-    from repro import registry
-
-    return registry.describe("scheduler", name)["params"]
 
 
 # ----------------------------------------------------------------------

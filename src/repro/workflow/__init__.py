@@ -22,9 +22,6 @@ from repro.workflow.costs import (
     StragglerErrorModel,
     PerturbedCostModel,
     ERROR_MODELS,
-    available_error_models,
-    error_model_summary,
-    make_error_model,
 )
 from repro.workflow.analysis import (
     upward_ranks,
@@ -60,9 +57,6 @@ __all__ = [
     "StragglerErrorModel",
     "PerturbedCostModel",
     "ERROR_MODELS",
-    "available_error_models",
-    "error_model_summary",
-    "make_error_model",
     "upward_ranks",
     "downward_ranks",
     "critical_path",

@@ -56,9 +56,6 @@ __all__ = [
     "StragglerErrorModel",
     "PerturbedCostModel",
     "ERROR_MODELS",
-    "available_error_models",
-    "error_model_summary",
-    "make_error_model",
 ]
 
 
@@ -146,8 +143,9 @@ class CostModel(abc.ABC):
         two calls with equal ``(workflow.version, cache_token())`` must
         return identical costs.  The built-in table-backed models return
         their pricing version (bumped by :meth:`invalidate_cache`); models
-        whose estimates can change behind the scenes (history blending)
-        must keep the default ``None`` so every query hits the live model.
+        whose estimates can change behind the scenes (a live feed of
+        observations) must keep the default ``None`` so every query hits the
+        live model.
         """
         return None
 
@@ -997,32 +995,6 @@ _ERROR_MODEL_SUMMARIES: Dict[str, str] = {
     "resource_bias": "fixed per-resource bias of +/-magnitude plus small jitter",
     "stragglers": "P(straggler) = magnitude, stragglers run 5x the estimate",
 }
-
-
-# Thin wrappers over the uniform registry facade (:mod:`repro.registry`),
-# kept for compatibility with existing callers.
-
-
-def available_error_models() -> List[str]:
-    """Registered error-family names, sorted."""
-    from repro import registry
-
-    return registry.available("error_model")
-
-
-def error_model_summary(name: str) -> str:
-    """One-line description of a registered error family."""
-    from repro import registry
-
-    return registry.describe("error_model", name)["summary"]
-
-
-def make_error_model(name: str, magnitude: Optional[float] = None, *, seed: int = 0,
-                     **kwargs) -> ErrorModel:
-    """Instantiate a registered error family at one error magnitude."""
-    from repro import registry
-
-    return registry.make("error_model", name, magnitude=magnitude, seed=seed, **kwargs)
 
 
 class PerturbedCostModel(DelegatingCostModel):

@@ -9,7 +9,7 @@ used to carry locally:
   :class:`~repro.generators.random_dag.RandomDAGParameters`;
 * ``make_pool(initial=4, joins=(), leaves={})`` — a resource pool with
   optional later joins and departure windows;
-* ``make_scenario(name, **params)`` — a registered scenario instance, or —
+* ``build_scenario(name, **params)`` — a registered scenario instance, or —
   when ``initial_size`` is passed — its materialised
   :class:`~repro.scenarios.base.ScenarioRun` (pool + perf profile +
   validated events).
@@ -110,10 +110,10 @@ def make_pool():
 
 
 @pytest.fixture
-def make_scenario():
+def build_scenario():
     """Factory for registered scenarios, optionally materialised.
 
-    ``make_scenario("churn", interval=100.0)`` returns the scenario
+    ``build_scenario("churn", interval=100.0)`` returns the scenario
     instance; adding ``initial_size=6`` (plus optional ``seed``/
     ``horizon``) materialises it into a ScenarioRun with a concrete pool
     and performance profile.
@@ -127,10 +127,10 @@ def make_scenario():
         horizon: float = 8000.0,
         **params,
     ):
-        from repro.scenarios import make_scenario as registry_make
+        from repro import registry
         from repro.scenarios import materialize
 
-        scenario = registry_make(name, **params)
+        scenario = registry.make("scenario", name, **params)
         if initial_size is None:
             return scenario
         return materialize(

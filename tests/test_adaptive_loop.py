@@ -3,6 +3,7 @@
 import pytest
 
 import repro
+from repro import registry
 from repro.core import adaptive as adaptive_module
 from repro.core.adaptive import AdaptiveReschedulingLoop
 from repro.generators.blast import generate_blast_case
@@ -11,7 +12,6 @@ from repro.resources.pool import ResourcePool
 from repro.resources.resource import Resource
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.validation import validate_schedule
-from repro.workflow.costs import make_error_model
 
 
 @pytest.fixture
@@ -156,7 +156,7 @@ class TestAdaptiveLoop:
         assert calls == []
         null = repro.run(
             blast_case.workflow, dynamic_pool, costs=blast_case.costs, mode="adaptive",
-            error_model=make_error_model("gaussian", 0.0),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.0),
         ).raw
         assert len(calls) == null.evaluated_events + 1
         assert null.makespan == accurate.makespan

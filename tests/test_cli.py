@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import registry
 from repro.cli import EXIT_DEVIATION, EXIT_ERROR, EXIT_OK, main
 
 
@@ -195,13 +196,11 @@ class TestDynamicScenarioHelp:
 
     @pytest.mark.parametrize("command", ["sweep", "multi", "mc"])
     def test_help_lists_every_registered_scenario(self, command, capsys):
-        from repro.scenarios import available_scenarios
-
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for name in available_scenarios():
+        for name in registry.available("scenario"):
             assert name in out
 
     def test_freshly_registered_scenario_appears_in_help(self, capsys):
@@ -221,20 +220,16 @@ class TestDynamicScenarioHelp:
 
 class TestStrategiesCommand:
     def test_lists_every_registered_strategy(self, capsys):
-        from repro.scheduling import available_schedulers
-
         assert main(["strategies"]) == EXIT_OK
         out = capsys.readouterr().out
-        for name in available_schedulers():
+        for name in registry.available("scheduler"):
             assert name in out
         assert "static" in out and "adaptive" in out and "dynamic" in out
 
     def test_json_output_has_kind_and_params(self, capsys):
-        from repro.scheduling import available_schedulers
-
         assert main(["strategies", "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == set(available_schedulers())
+        assert set(payload) == set(registry.available("scheduler"))
         assert payload["heft"]["kind"] == "static"
         assert payload["heft"]["params"] == {"insertion": True}
         assert payload["aheft"]["kind"] == "adaptive"
@@ -246,15 +241,13 @@ class TestDynamicStrategyHelp:
 
     @pytest.mark.parametrize("command", ["sweep", "multi", "mc"])
     def test_help_lists_every_registered_strategy(self, command, capsys):
-        from repro.scheduling import available_schedulers, make_scheduler
-
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        names = available_schedulers()
+        names = registry.available("scheduler")
         if command == "multi":
-            names = [n for n in names if hasattr(make_scheduler(n), "reschedule")]
+            names = [n for n in names if hasattr(registry.make("scheduler", n), "reschedule")]
         for name in names:
             assert name in out
 
@@ -474,13 +467,11 @@ class TestMcCommand:
                 assert key in stat
 
     def test_help_lists_every_registered_error_model(self, capsys):
-        from repro.workflow.costs import available_error_models
-
         with pytest.raises(SystemExit) as excinfo:
             main(["mc", "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for name in available_error_models():
+        for name in registry.available("error_model"):
             assert name in out
 
     def test_freshly_registered_error_model_appears_in_help(self, capsys):

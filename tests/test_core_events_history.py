@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.history import PerformanceHistoryRepository, PerformanceRecord
-from repro.core.predictor import HistoryAdjustedCostModel, Predictor
+from repro.core.predictor import Predictor, RatioAdjustedCostModel
 
 
 class TestHistory:
@@ -53,31 +53,23 @@ class TestPredictor:
         predictor = Predictor(PerformanceHistoryRepository())
         assert predictor.estimate(diamond_costs) is diamond_costs
 
-    def test_history_overrides_prior(self, diamond_workflow, diamond_costs):
+    def test_history_rescales_prior(self, diamond_costs):
         history = PerformanceHistoryRepository()
-        history.record_execution("task", "r1", 100.0)  # all diamond jobs share operation "task"
-        predictor = Predictor(history)
-        model = predictor.estimate(diamond_costs)
-        assert isinstance(model, HistoryAdjustedCostModel)
-        assert model.computation_cost("a", "r1") == pytest.approx(100.0)
-
-    def test_blend_mixes_prior_and_history(self, diamond_workflow, diamond_costs):
-        history = PerformanceHistoryRepository()
-        history.record_execution("task", "r1", 100.0)
-        model = HistoryAdjustedCostModel(diamond_costs, history, blend=0.5)
-        expected = 0.5 * 100.0 + 0.5 * diamond_costs.computation_cost("a", "r1")
-        assert model.computation_cost("a", "r1") == pytest.approx(expected)
-
-    def test_falls_back_to_operation_average_for_unseen_resource(self, diamond_costs):
-        history = PerformanceHistoryRepository()
-        history.record_execution("task", "r1", 50.0)
-        model = HistoryAdjustedCostModel(diamond_costs, history)
-        assert model.computation_cost("a", "r2") == pytest.approx(50.0)
+        history.record_execution("task", "r1", 6.0, job_id="a", estimated=2.0)
+        model = Predictor(history).estimate(diamond_costs)
+        assert isinstance(model, RatioAdjustedCostModel)
+        # shrunk mean of one 3.0 ratio and two pseudo-observations of 1.0
+        assert model.resource_ratio("r1") == pytest.approx(5.0 / 3.0)
+        assert model.computation_cost("b", "r1") == pytest.approx(
+            diamond_costs.computation_cost("b", "r1") * 5.0 / 3.0
+        )
+        # a resource without observations keeps the prior
+        assert model.computation_cost("b", "r2") == diamond_costs.computation_cost("b", "r2")
 
     def test_communication_costs_untouched(self, diamond_costs):
         history = PerformanceHistoryRepository()
-        history.record_execution("task", "r1", 50.0)
-        model = HistoryAdjustedCostModel(diamond_costs, history)
+        history.record_execution("task", "r1", 50.0, job_id="a", estimated=2.0)
+        model = RatioAdjustedCostModel(diamond_costs, history)
         assert model.communication_cost("a", "c", "r1", "r2") == pytest.approx(3.0)
         assert model.average_communication_cost("a", "c") == pytest.approx(3.0)
 
@@ -90,19 +82,16 @@ class TestPredictor:
         history.record_execution("task", "r1", 7.0, job_id="a")
         history.record_execution("task", "r2", 3.3, job_id="b", estimated=2.0)
         resources = ["r2", "r1", "r2"]
-        for mode in ("absolute", "ratio"):
-            predictor = Predictor(history, blend=0.7, mode=mode)
-            matrix = predictor.estimation_matrix(diamond_costs, resources)
-            model = predictor.estimate(diamond_costs)
-            scalar = [
-                [model.computation_cost(job, rid) for rid in resources]
-                for job in diamond_workflow.jobs
-            ]
-            assert np.array_equal(matrix, np.array(scalar)), mode
-            assert not np.array_equal(
-                matrix, diamond_costs.computation_matrix(resources)
-            ), mode
+        predictor = Predictor(history, blend=0.7)
+        matrix = predictor.estimation_matrix(diamond_costs, resources)
+        model = predictor.estimate(diamond_costs)
+        scalar = [
+            [model.computation_cost(job, rid) for rid in resources]
+            for job in diamond_workflow.jobs
+        ]
+        assert np.array_equal(matrix, np.array(scalar))
+        assert not np.array_equal(matrix, diamond_costs.computation_matrix(resources))
 
     def test_invalid_blend_rejected(self, diamond_costs):
         with pytest.raises(ValueError):
-            HistoryAdjustedCostModel(diamond_costs, PerformanceHistoryRepository(), blend=2.0)
+            RatioAdjustedCostModel(diamond_costs, PerformanceHistoryRepository(), blend=2.0)

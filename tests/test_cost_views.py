@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.history import PerformanceHistoryRepository, PerformanceRecord
-from repro.core.predictor import HistoryAdjustedCostModel, RatioAdjustedCostModel
+from repro.core.predictor import RatioAdjustedCostModel
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.scenarios.base import ScaledCostModel, ScenarioError
 from repro.workflow.costs import HeterogeneousCostModel
@@ -127,7 +127,7 @@ class TestViewsMatchScalars:
     @settings(max_examples=12, deadline=None)
     @given(specs=record_specs)
     @example(specs=EVERY_BRANCH)
-    def test_ratio_profiled_and_absolute_views(self, blend, prior_strength, specs):
+    def test_ratio_and_profiled_views(self, blend, prior_strength, specs):
         history = _history(specs)
         prior = _prior()
         ratio = RatioAdjustedCostModel(
@@ -142,10 +142,6 @@ class TestViewsMatchScalars:
             prior, history, blend=blend, prior_strength=prior_strength
         )
         _assert_views_match_scalars(ScaledCostModel(learned, PROFILE), prior)
-
-        prior = _prior()
-        absolute = HistoryAdjustedCostModel(prior, history, blend=blend)
-        _assert_views_match_scalars(absolute, prior)
 
     def test_every_branch_example_exercises_the_ratio_branches(self):
         model = RatioAdjustedCostModel(_prior(), _history(EVERY_BRANCH), prior_strength=0.0)

@@ -16,14 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks._seed_reference import scalar_project_actuals, scalar_repair_schedule
+from repro import registry
 from repro.core.adaptive import project_actuals, repair_schedule
-from repro.core.history import PerformanceHistoryRepository
-from repro.core.predictor import HistoryAdjustedCostModel
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.scenarios.base import PerformanceProfile, ScaledCostModel
 from repro.scheduling.base import TIME_EPS, ExecutionState, Schedule
-from repro.scheduling.registry import make_scheduler
-from repro.workflow.costs import PerturbedCostModel, available_error_models, make_error_model
+from repro.workflow.costs import DelegatingCostModel, PerturbedCostModel
 from tests.test_scheduling_base import _PairwiseCommunicationModel
 
 RESOURCES = ["r1", "r2", "r3", "r4"]
@@ -42,11 +40,13 @@ def _case(v, seed, out_degree):
 
 
 def _plan(case, strategy):
-    return make_scheduler(strategy).schedule(case.workflow, case.costs, RESOURCES)
+    return registry.make("scheduler", strategy).schedule(case.workflow, case.costs, RESOURCES)
 
 
 def _truth(case, family, magnitude, seed, pairwise):
-    truth = PerturbedCostModel(case.costs, make_error_model(family, magnitude, seed=seed))
+    truth = PerturbedCostModel(
+        case.costs, registry.make("error_model", family, magnitude=magnitude, seed=seed)
+    )
     return _PairwiseCommunicationModel(truth) if pairwise else truth
 
 
@@ -98,7 +98,7 @@ replay_cases = st.fixed_dictionaries(
         "seed": st.integers(min_value=0, max_value=10_000),
         "out_degree": st.sampled_from([0.1, 0.25, 0.5]),
         "strategy": st.sampled_from(STRATEGIES),
-        "family": st.sampled_from(available_error_models()),
+        "family": st.sampled_from(registry.available("error_model")),
         "magnitude": st.sampled_from([0.0, 0.2, 0.5]),
         "pairwise": st.booleans(),
         "factor": st.sampled_from([None, 0.5, 2.0]),
@@ -163,12 +163,20 @@ class TestProjectActuals:
         pytest.fail("no heft_dup plan with a started duplicate in 40 seeds")
 
 
+class _UncachedCostModel(DelegatingCostModel):
+    """Prices like its base but, like a custom model by default, offers no
+    cache token: ``repair_schedule`` must price it job by job."""
+
+    def computation_cost(self, job_id: str, resource_id: str) -> float:
+        return self.base.computation_cost(job_id, resource_id)
+
+
 def _repair_costs(case, kind, factor):
     costs = case.costs
     if kind == "scaled":
         return ScaledCostModel(costs, {"r1": factor, "g1": 1.0 / factor})
     if kind == "uncached":
-        return HistoryAdjustedCostModel(costs, PerformanceHistoryRepository())
+        return _UncachedCostModel(costs)
     if kind == "pairwise":
         return _PairwiseCommunicationModel(costs)
     return costs
@@ -190,7 +198,7 @@ repair_cases = st.fixed_dictionaries(
         "seed": st.integers(min_value=0, max_value=10_000),
         "out_degree": st.sampled_from([0.1, 0.25, 0.5]),
         "strategy": st.sampled_from(STRATEGIES),
-        "family": st.sampled_from(available_error_models()),
+        "family": st.sampled_from(registry.available("error_model")),
         "magnitude": st.sampled_from([0.0, 0.3]),
         "model": st.sampled_from(REPAIR_MODELS),
         "factor": st.sampled_from([0.5, 1.5, 3.0]),

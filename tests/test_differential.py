@@ -35,17 +35,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import registry
 from repro.core.multi_tenant import POLICIES
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
-from repro.scenarios import available_scenarios, make_scenario, materialize
-from repro.scheduling import available_schedulers, make_scheduler
+from repro.scenarios import materialize
 from repro.scheduling.validation import (
     check_no_overlap,
     check_precedence,
     validate_schedule,
 )
 from repro.simulation.shared_grid import SharedGridExecutor
-from repro.workflow.costs import available_error_models, make_error_model
 from repro.workload.streams import TenantSpec, WorkflowArrival, WorkloadStream
 
 #: scenarios whose dynamics are pool-membership only (no perf factors) —
@@ -57,7 +56,9 @@ MEMBERSHIP_SCENARIOS = ("static", "paper", "departures", "churn", "join_burst", 
 
 #: every registered strategy that can drive the adaptive loop
 REPLANNERS = [
-    name for name in available_schedulers() if hasattr(make_scheduler(name), "reschedule")
+    name
+    for name in registry.available("scheduler")
+    if hasattr(registry.make("scheduler", name), "reschedule")
 ]
 
 
@@ -73,11 +74,11 @@ def _single_arrival(case) -> WorkflowArrival:
 
 
 def _assert_bit_identical(case, scenario_name: str, initial: int, seed: int, policy: str):
-    run_a = materialize(make_scenario(scenario_name), initial_size=initial, seed=seed)
+    run_a = materialize(registry.make("scenario", scenario_name), initial_size=initial, seed=seed)
     single = repro.run(
         case.workflow, run_a.pool, costs=case.costs, mode="adaptive", perf_profile=run_a.profile
     ).raw
-    run_b = materialize(make_scenario(scenario_name), initial_size=initial, seed=seed)
+    run_b = materialize(registry.make("scenario", scenario_name), initial_size=initial, seed=seed)
     shared = SharedGridExecutor(
         [_single_arrival(case)],
         run_b.pool,
@@ -98,7 +99,7 @@ def _assert_bit_identical(case, scenario_name: str, initial: int, seed: int, pol
 class TestSingleTenantBitIdentity:
     """Degenerate multi-tenancy must equal the paper's single-workflow loop."""
 
-    @pytest.mark.parametrize("scenario_name", available_scenarios())
+    @pytest.mark.parametrize("scenario_name", registry.available("scenario"))
     def test_every_registered_scenario(self, scenario_name):
         case = _case(v=24, seed=17)
         _assert_bit_identical(case, scenario_name, initial=6, seed=5, policy="fifo")
@@ -112,7 +113,7 @@ class TestSingleTenantBitIdentity:
     @given(
         v=st.integers(min_value=8, max_value=36),
         case_seed=st.integers(min_value=0, max_value=10**6),
-        scenario_name=st.sampled_from(sorted(available_scenarios())),
+        scenario_name=st.sampled_from(sorted(registry.available("scenario"))),
         initial=st.integers(min_value=3, max_value=10),
         scenario_seed=st.integers(min_value=0, max_value=10**6),
     )
@@ -130,7 +131,7 @@ class TestSchedulerInvariantsUnderScenarios:
     @given(
         v=st.integers(min_value=8, max_value=30),
         case_seed=st.integers(min_value=0, max_value=10**6),
-        scenario_name=st.sampled_from(sorted(available_scenarios())),
+        scenario_name=st.sampled_from(sorted(registry.available("scenario"))),
         scenario_seed=st.integers(min_value=0, max_value=10**6),
     )
     def test_adaptive_schedule_is_feasible(
@@ -138,7 +139,7 @@ class TestSchedulerInvariantsUnderScenarios:
     ):
         case = _case(v=v, seed=case_seed)
         run = materialize(
-            make_scenario(scenario_name), initial_size=6, seed=scenario_seed
+            registry.make("scenario", scenario_name), initial_size=6, seed=scenario_seed
         )
         result = repro.run(
             case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile
@@ -163,7 +164,7 @@ class TestSchedulerInvariantsUnderScenarios:
     ):
         case = _case(v=v, seed=case_seed)
         run = materialize(
-            make_scenario(scenario_name), initial_size=6, seed=scenario_seed
+            registry.make("scenario", scenario_name), initial_size=6, seed=scenario_seed
         )
         for mode in ("static", "dynamic"):
             result = repro.run(
@@ -200,7 +201,7 @@ class TestSchedulerInvariantsUnderScenarios:
             for i in range(tenants)
         ]
         stream = WorkloadStream(specs, seed=seed, horizon=4000.0)
-        run = materialize(make_scenario(scenario_name), initial_size=6, seed=seed)
+        run = materialize(registry.make("scenario", scenario_name), initial_size=6, seed=seed)
         result = SharedGridExecutor(
             stream.arrivals(), run.pool, perf_profile=run.profile, policy=policy
         ).run()
@@ -234,7 +235,7 @@ class TestRegistryBitIdentity:
 
     PAIRS = (("heft", "HEFT"), ("aheft", "AHEFT"), ("minmin", "MinMin"))
 
-    @pytest.mark.parametrize("scenario_name", available_scenarios())
+    @pytest.mark.parametrize("scenario_name", registry.available("scenario"))
     def test_registry_names_equal_legacy_runners(self, scenario_name):
         from repro.experiments.runner import ExperimentCase, run_case
         from repro.resources.dynamics import StaticResourceModel
@@ -245,7 +246,7 @@ class TestRegistryBitIdentity:
         experiment = ExperimentCase(
             case=case,
             resource_model=StaticResourceModel(size=6),
-            scenario=make_scenario(scenario_name),
+            scenario=registry.make("scenario", scenario_name),
             scenario_seed=11,
         )
         via_registry = run_case(experiment, strategies=registry_names)
@@ -263,16 +264,16 @@ class TestRegistryBitIdentity:
 
     @pytest.mark.parametrize("scenario_name", sorted(MEMBERSHIP_SCENARIOS))
     def test_registry_scheduler_objects_match_direct_construction(self, scenario_name):
-        from repro.scheduling import AHEFTScheduler, HEFTScheduler, make_scheduler
+        from repro.scheduling import AHEFTScheduler, HEFTScheduler
 
         case = _case(v=18, seed=5)
-        run = materialize(make_scenario(scenario_name), initial_size=5, seed=3)
+        run = materialize(registry.make("scenario", scenario_name), initial_size=5, seed=3)
         resources = run.pool.available_at(0.0)
         for registry_name, direct in (
             ("heft", HEFTScheduler()),
             ("aheft", AHEFTScheduler()),
         ):
-            a = make_scheduler(registry_name).schedule(
+            a = registry.make("scheduler", registry_name).schedule(
                 case.workflow, case.costs, resources
             )
             b = direct.schedule(case.workflow, case.costs, resources)
@@ -293,17 +294,15 @@ class TestNewStrategySanityBounds:
     STRATEGY_BOUNDS = {"cpop": (0.6, 1.8), "lookahead_heft": (0.7, 1.4)}
 
     def test_mean_makespan_within_band_of_heft(self):
-        from repro.scheduling import make_scheduler
-
         resources = ["r1", "r2", "r3", "r4", "r5", "r6"]
         ratios: dict = {name: [] for name in self.STRATEGY_BOUNDS}
         for seed in range(8):
             case = _case(v=30, seed=100 + seed)
-            heft = make_scheduler("heft").schedule(
+            heft = registry.make("scheduler", "heft").schedule(
                 case.workflow, case.costs, resources
             )
             for name in self.STRATEGY_BOUNDS:
-                other = make_scheduler(name).schedule(
+                other = registry.make("scheduler", name).schedule(
                     case.workflow, case.costs, resources
                 )
                 ratios[name].append(other.makespan() / heft.makespan())
@@ -317,7 +316,6 @@ class TestNewStrategySanityBounds:
         duplicate slots occupied, consumers fed from the local copies."""
         from repro.resources.pool import ResourcePool
         from repro.resources.resource import Resource
-        from repro.scheduling import make_scheduler
 
         found_dup_plan = False
         for seed in range(6):
@@ -326,7 +324,7 @@ class TestNewStrategySanityBounds:
             pool = ResourcePool()
             for rid in resources:
                 pool.add(Resource(rid))
-            plan = make_scheduler("heft_dup").schedule(
+            plan = registry.make("scheduler", "heft_dup").schedule(
                 case.workflow, case.costs, resources
             )
             result = repro.run(
@@ -344,15 +342,14 @@ class TestNewStrategySanityBounds:
     def test_heft_dup_never_loses_to_heft_by_much(self):
         """Duplication is adopted only when it helps a job's EFT; schedule-
         level makespan must stay within a few percent of plain HEFT."""
-        from repro.scheduling import make_scheduler
 
         resources = ["r1", "r2", "r3", "r4"]
         for seed in range(8):
             case = _case(v=24, seed=200 + seed)
-            heft = make_scheduler("heft").schedule(
+            heft = registry.make("scheduler", "heft").schedule(
                 case.workflow, case.costs, resources
             )
-            dup = make_scheduler("heft_dup").schedule(
+            dup = registry.make("scheduler", "heft_dup").schedule(
                 case.workflow, case.costs, resources
             )
             assert dup.makespan() <= heft.makespan() * 1.10, seed
@@ -367,19 +364,19 @@ class TestZeroNoiseDifferential:
     """
 
     @pytest.mark.parametrize("strategy", REPLANNERS)
-    @pytest.mark.parametrize("scenario_name", available_scenarios())
+    @pytest.mark.parametrize("scenario_name", registry.available("scenario"))
     def test_adaptive_zero_noise_equals_analytic(self, scenario_name, strategy):
         case = _case(v=24, seed=17)
-        run_a = materialize(make_scenario(scenario_name), initial_size=6, seed=5)
+        run_a = materialize(registry.make("scenario", scenario_name), initial_size=6, seed=5)
         legacy = repro.run(
             case.workflow, run_a.pool, costs=case.costs, mode="adaptive",
             strategy=strategy, perf_profile=run_a.profile,
         ).raw
-        run_b = materialize(make_scenario(scenario_name), initial_size=6, seed=5)
+        run_b = materialize(registry.make("scenario", scenario_name), initial_size=6, seed=5)
         null = repro.run(
             case.workflow, run_b.pool, costs=case.costs, mode="adaptive",
             strategy=strategy, perf_profile=run_b.profile,
-            error_model=make_error_model("gaussian", 0.0),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.0),
         ).raw
         assert null.final_schedule.to_dict() == legacy.final_schedule.to_dict()
         assert null.makespan == legacy.makespan
@@ -397,8 +394,8 @@ class TestZeroNoiseDifferential:
     @given(
         v=st.integers(min_value=8, max_value=30),
         case_seed=st.integers(min_value=0, max_value=10**6),
-        family=st.sampled_from(sorted(available_error_models())),
-        scenario_name=st.sampled_from(sorted(available_scenarios())),
+        family=st.sampled_from(sorted(registry.available("error_model"))),
+        scenario_name=st.sampled_from(sorted(registry.available("scenario"))),
         scenario_seed=st.integers(min_value=0, max_value=10**6),
     )
     def test_adaptive_zero_noise_random_cases(
@@ -406,17 +403,18 @@ class TestZeroNoiseDifferential:
     ):
         case = _case(v=v, seed=case_seed)
         run_a = materialize(
-            make_scenario(scenario_name), initial_size=6, seed=scenario_seed
+            registry.make("scenario", scenario_name), initial_size=6, seed=scenario_seed
         )
         legacy = repro.run(
             case.workflow, run_a.pool, costs=case.costs, mode="adaptive", perf_profile=run_a.profile
         ).raw
         run_b = materialize(
-            make_scenario(scenario_name), initial_size=6, seed=scenario_seed
+            registry.make("scenario", scenario_name), initial_size=6, seed=scenario_seed
         )
         null = repro.run(
             case.workflow, run_b.pool, costs=case.costs, mode="adaptive",
-            perf_profile=run_b.profile, error_model=make_error_model(family, 0.0)
+            perf_profile=run_b.profile,
+            error_model=registry.make("error_model", family, magnitude=0.0),
         ).raw
         assert null.final_schedule.to_dict() == legacy.final_schedule.to_dict()
         assert null.makespan == legacy.makespan
@@ -426,14 +424,14 @@ class TestZeroNoiseDifferential:
     @pytest.mark.parametrize("scenario_name", sorted(MEMBERSHIP_SCENARIOS))
     def test_static_and_dynamic_zero_noise_equal_plain_runs(self, scenario_name):
         case = _case(v=20, seed=3)
-        null_model = make_error_model("lognormal", 0.0)
+        null_model = registry.make("error_model", "lognormal", magnitude=0.0)
         for mode in ("static", "dynamic"):
-            run_a = materialize(make_scenario(scenario_name), initial_size=6, seed=9)
+            run_a = materialize(registry.make("scenario", scenario_name), initial_size=6, seed=9)
             plain = repro.run(
                 case.workflow, run_a.pool, costs=case.costs, mode=mode,
                 perf_profile=run_a.profile,
             ).raw
-            run_b = materialize(make_scenario(scenario_name), initial_size=6, seed=9)
+            run_b = materialize(registry.make("scenario", scenario_name), initial_size=6, seed=9)
             null = repro.run(
                 case.workflow, run_b.pool, costs=case.costs, mode=mode,
                 perf_profile=run_b.profile, error_model=null_model,
@@ -449,15 +447,15 @@ class TestZeroNoiseDifferential:
     def test_static_executor_zero_noise_trace_matches_plain_simulation(self):
         """Even without dynamics the simulated paths coincide bit for bit."""
         case = _case(v=20, seed=3)
-        run_a = materialize(make_scenario("static"), initial_size=6, seed=9)
+        run_a = materialize(registry.make("scenario", "static"), initial_size=6, seed=9)
         plain = repro.run(
             case.workflow, run_a.pool, costs=case.costs, mode="static", perf_profile=run_a.profile,
             simulate=True,
         ).raw
-        run_b = materialize(make_scenario("static"), initial_size=6, seed=9)
+        run_b = materialize(registry.make("scenario", "static"), initial_size=6, seed=9)
         null = repro.run(
             case.workflow, run_b.pool, costs=case.costs, mode="static", perf_profile=run_b.profile,
-            error_model=make_error_model("uniform", 0.0),
+            error_model=registry.make("error_model", "uniform", magnitude=0.0),
         ).raw
         assert null.trace.to_schedule().to_dict() == plain.trace.to_schedule().to_dict()
 
@@ -476,14 +474,14 @@ class TestZeroNoiseDifferential:
             for i in range(3)
         ]
         stream = WorkloadStream(specs, seed=13, horizon=4000.0)
-        run_a = materialize(make_scenario(scenario_name), initial_size=6, seed=7)
+        run_a = materialize(registry.make("scenario", scenario_name), initial_size=6, seed=7)
         plain = SharedGridExecutor(
             stream.arrivals(), run_a.pool, perf_profile=run_a.profile, strategy=strategy
         ).run()
-        run_b = materialize(make_scenario(scenario_name), initial_size=6, seed=7)
+        run_b = materialize(registry.make("scenario", scenario_name), initial_size=6, seed=7)
         null = SharedGridExecutor(
             stream.arrivals(), run_b.pool, perf_profile=run_b.profile, strategy=strategy,
-            error_model=make_error_model("gaussian", 0.0),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.0),
         ).run()
         assert len(plain.outcomes) == len(null.outcomes)
         for a, b in zip(null.outcomes, plain.outcomes):

@@ -179,15 +179,22 @@ def test_registry_preserves_per_domain_error_types():
         registry.make("error_model", "nope")
 
 
-def test_legacy_registry_helpers_still_delegate():
-    from repro.scheduling.registry import available_schedulers, make_scheduler
-    from repro.scenarios.library import available_scenarios
-    from repro.workflow.costs import available_error_models
-
-    assert available_schedulers() == registry.available("scheduler")
-    assert available_scenarios() == registry.available("scenario")
-    assert available_error_models() == registry.available("error_model")
-    assert isinstance(make_scheduler("aheft"), repro.AHEFTScheduler)
+@pytest.mark.parametrize(
+    "kind, error, prefix",
+    [
+        ("scheduler", KeyError, "unknown scheduler 'nope'; registered: "),
+        ("scenario", ScenarioError, "unknown scenario 'nope'; available: "),
+        ("error_model", KeyError, "unknown error model 'nope'; available: "),
+    ],
+)
+def test_make_and_describe_raise_one_unknown_name_error(kind, error, prefix):
+    messages = []
+    for lookup in (registry.make, registry.describe):
+        with pytest.raises(error) as excinfo:
+            lookup(kind, "nope")
+        messages.append(str(excinfo.value).strip('"'))
+    assert messages[0] == messages[1]
+    assert messages[0] == prefix + str(registry.available(kind))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import repro.scheduling.flow.models as flow_models
 import repro.scheduling.flow.scheduler as flow_scheduler
-from repro.scheduling import make_scheduler, scheduler_kind
+from repro import registry
 from repro.scheduling.base import ResourceTimeline
 from repro.scheduling.flow import (
     BUSY_PU_OFFSET,
@@ -367,8 +367,8 @@ class TestMinCostFlowScheduler:
         assert len(schedule) == len(workflow.jobs)
 
     def test_registry_entry_and_config_contract(self):
-        assert scheduler_kind("mincost_flow") == "adaptive"
-        scheduler = make_scheduler("mincost_flow", cost_model="credit")
+        assert registry.describe("scheduler", "mincost_flow")["kind"] == "adaptive"
+        scheduler = registry.make("scheduler", "mincost_flow", cost_model="credit")
         assert scheduler.cost_model == "credit"
         assert dataclasses.is_dataclass(scheduler)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -252,8 +252,8 @@ class TestSharedGridExecutor:
         assert result.makespan() >= a.dedicated_span + b.dedicated_span - 1e-6
         assert b.stretch > 1.0
 
-    def test_wasted_work_attributed_to_the_right_tenant(self, make_case, make_scenario):
-        run = make_scenario("departures", initial_size=5, seed=2)
+    def test_wasted_work_attributed_to_the_right_tenant(self, make_case, build_scenario):
+        run = build_scenario("departures", initial_size=5, seed=2)
         case = make_case(v=20, seed=6, omega_dag=300.0)
         arrivals = [WorkflowArrival("t1", 0, 0.0, "random", case, seq=0)]
         result = SharedGridExecutor(
@@ -264,13 +264,13 @@ class TestSharedGridExecutor:
         assert result.total_killed_jobs() == outcome.killed_jobs
 
     def test_policies_produce_valid_but_possibly_different_interleaves(
-        self, make_scenario
+        self, build_scenario
     ):
         specs = default_tenants(2, arrival_rate=0.003, max_arrivals=2, v=10)
         stream = WorkloadStream(specs, seed=4, horizon=4000.0)
         spans = {}
         for policy in POLICIES:
-            run = make_scenario("churn", initial_size=5, seed=4)
+            run = build_scenario("churn", initial_size=5, seed=4)
             result = SharedGridExecutor(
                 stream.arrivals(),
                 run.pool,

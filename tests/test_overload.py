@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import registry
 from repro.cli import EXIT_OK, main
 from repro.core.admission import (
     AdmissionConfig,
@@ -42,7 +43,7 @@ from repro.core.multi_tenant import (
 from repro.experiments.multi_tenant import MultiTenantConfig, run_multi_tenant_case
 from repro.resources.pool import PoolEvent, ResourcePool
 from repro.resources.resource import Resource
-from repro.scenarios import available_scenarios, make_scenario, materialize
+from repro.scenarios import materialize
 from repro.scenarios.library import DepartureScenario, JoinBurstScenario
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import Assignment, Schedule, TIME_EPS
@@ -326,13 +327,13 @@ class TestCreditDrfPolicy:
             "good/0",
         ]
 
-    def test_completions_feed_ledger_during_runs(self, make_scenario):
+    def test_completions_feed_ledger_during_runs(self, build_scenario):
         specs = [
             TenantSpec(name="t1", arrival_rate=0.01, max_arrivals=3, v=10, slo_stretch=1.0),
             TenantSpec(name="t2", arrival_rate=0.01, max_arrivals=3, v=10, slo_stretch=1.0),
         ]
         stream = WorkloadStream(specs, seed=2, horizon=4000.0)
-        run = make_scenario("static", initial_size=3, seed=2)
+        run = build_scenario("static", initial_size=3, seed=2)
         result = _run_multi(
             stream.arrivals(),
             run.pool,
@@ -473,7 +474,7 @@ class TestAdmissionOffBitIdentity:
     #: comparison is strict, and no plan reaches a 1e9 stretch
     PERMISSIVE = AdmissionConfig(saturation_threshold=1.0, stretch_limit=1e9)
 
-    @pytest.mark.parametrize("scenario_name", available_scenarios())
+    @pytest.mark.parametrize("scenario_name", registry.available("scenario"))
     def test_permissive_controller_is_identity(self, scenario_name):
         specs = [
             TenantSpec(name="t1", arrival_rate=0.008, max_arrivals=2, v=10),
@@ -483,7 +484,7 @@ class TestAdmissionOffBitIdentity:
         runs = {}
         for admission in (None, self.PERMISSIVE):
             run = materialize(
-                make_scenario(scenario_name), initial_size=4, seed=5, horizon=4000.0
+                registry.make("scenario", scenario_name), initial_size=4, seed=5, horizon=4000.0
             )
             runs[admission is not None] = _run_multi(
                 stream.arrivals(),

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import registry
 from repro.resources.dynamics import ResourceChangeModel, StaticResourceModel
 from repro.scenarios import (
     ChurnScenario,
@@ -33,11 +34,8 @@ from repro.scenarios import (
     ScenarioError,
     ScenarioEvent,
     StaticScenario,
-    available_scenarios,
     compose,
-    make_scenario,
     materialize,
-    scenario_summary,
     validate_events,
 )
 from repro.scheduling.heft import heft_schedule
@@ -53,23 +51,23 @@ def case30(make_case):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_required_adversarial_scenarios_registered(self):
-        names = available_scenarios()
+        names = registry.available("scenario")
         for required in ("departures", "degradation", "load_spike", "churn"):
             assert required in names
 
     def test_every_registered_scenario_materialises(self):
-        for name in available_scenarios():
-            run = materialize(make_scenario(name), initial_size=6, seed=1)
+        for name in registry.available("scenario"):
+            run = materialize(registry.make("scenario", name), initial_size=6, seed=1)
             validate_events(run.events, initial_size=6)
             assert len(run.pool.available_at(0.0)) == 6
-            assert scenario_summary(name)
+            assert registry.describe("scenario", name)["summary"]
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
-            make_scenario("does-not-exist")
+            registry.make("scenario", "does-not-exist")
 
     def test_params_round_trip_into_factory(self):
-        scenario = make_scenario("churn", interval=100.0, join_fraction=0.5)
+        scenario = registry.make("scenario", "churn", interval=100.0, join_fraction=0.5)
         assert scenario.params()["interval"] == 100.0
         assert scenario.params()["join_fraction"] == 0.5
 
@@ -272,8 +270,8 @@ class TestAdversarialRuns:
                 assert assignment.finish <= until + 1e-6
 
     def test_all_strategies_complete_under_every_scenario(self, case30):
-        for name in available_scenarios():
-            run = materialize(make_scenario(name), initial_size=8, seed=4)
+        for name in registry.available("scenario"):
+            run = materialize(registry.make("scenario", name), initial_size=8, seed=4)
             for mode in ("static", "adaptive", "dynamic"):
                 result = repro.run(
                     case30.workflow, run.pool, costs=case30.costs, mode=mode,

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import registry
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.generators.sample import sample_dag_case
-from repro.scheduling import available_schedulers, make_scheduler
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "strategy_schedules.json"
 
@@ -52,8 +52,8 @@ def _build_all() -> dict:
     sample = sample_dag_case()
     random_case = _random_case()
     out: dict = {}
-    for name in available_schedulers():
-        scheduler = make_scheduler(name)
+    for name in registry.available("scheduler"):
+        scheduler = registry.make("scheduler", name)
         out[name] = {
             "sample": _render(
                 scheduler.schedule(
@@ -102,7 +102,7 @@ class TestGoldenSchedules:
     def test_sample_heft_golden_matches_paper_makespan(self):
         """The committed HEFT golden pins the paper's Fig. 5(a) result."""
         sample = sample_dag_case()
-        schedule = make_scheduler("heft").schedule(
+        schedule = registry.make("scheduler", "heft").schedule(
             sample.workflow, sample.costs, list(SAMPLE_RESOURCES)
         )
         assert schedule.makespan() == pytest.approx(80.0)

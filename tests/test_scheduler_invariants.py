@@ -29,19 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import registry
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
-from repro.scenarios import available_scenarios, make_scenario, materialize
+from repro.scenarios import materialize
 from repro.scheduling import (
     ExecutionState,
-    available_schedulers,
-    make_scheduler,
     validate_schedule,
 )
 from repro.scheduling.base import TIME_EPS
 
-ALL_STRATEGIES = available_schedulers()
+ALL_STRATEGIES = registry.available("scheduler")
 ADAPTIVE_STRATEGIES = [
-    name for name in ALL_STRATEGIES if hasattr(make_scheduler(name), "reschedule")
+    name for name in ALL_STRATEGIES if hasattr(registry.make("scheduler", name), "reschedule")
 ]
 
 RESOURCES = ("r1", "r2", "r3", "r4")
@@ -103,7 +102,7 @@ class TestUniversalInvariants:
         self, name, v, case_seed, busy_seed
     ):
         case = _case(v=v, seed=case_seed)
-        scheduler = make_scheduler(name)
+        scheduler = registry.make("scheduler", name)
         busy = _random_busy(busy_seed)
 
         schedule = scheduler.schedule(case.workflow, case.costs, list(RESOURCES))
@@ -117,7 +116,7 @@ class TestUniversalInvariants:
         _assert_respects_busy(booked, busy)
 
         # determinism: bit-identical output on identical inputs
-        again = make_scheduler(name).schedule(
+        again = registry.make("scheduler", name).schedule(
             case.workflow, case.costs, list(RESOURCES), busy=busy
         )
         assert _serialized(again) == _serialized(booked)
@@ -125,7 +124,7 @@ class TestUniversalInvariants:
     @pytest.mark.parametrize("name", ADAPTIVE_STRATEGIES)
     def test_midrun_reschedule_pins_executed_work_and_respects_busy(self, name):
         case = _case(v=22, seed=41)
-        scheduler = make_scheduler(name)
+        scheduler = registry.make("scheduler", name)
         plan = scheduler.schedule(case.workflow, case.costs, list(RESOURCES))
         clock = plan.makespan() * 0.5
         state = ExecutionState.from_schedule(plan, clock, jobs=case.workflow.jobs)
@@ -152,10 +151,10 @@ class TestUniversalInvariants:
                 _assert_respects_busy(_single(assignment), busy)
 
     @pytest.mark.parametrize("name", ADAPTIVE_STRATEGIES)
-    @pytest.mark.parametrize("scenario_name", available_scenarios())
+    @pytest.mark.parametrize("scenario_name", registry.available("scenario"))
     def test_adaptive_mode_completes_under_every_scenario(self, name, scenario_name):
         case = _case(v=16, seed=13)
-        run = materialize(make_scenario(scenario_name), initial_size=5, seed=7)
+        run = materialize(registry.make("scenario", scenario_name), initial_size=5, seed=7)
         result = repro.run(
             case.workflow,
             run.pool,
@@ -177,14 +176,14 @@ class TestBadKernelInput:
     def test_duplicate_resource_id_is_named(self, name):
         case = _case(v=10, seed=2)
         with pytest.raises(ValueError, match="duplicate resource id 'r1'"):
-            make_scheduler(name).schedule(
+            registry.make("scheduler", name).schedule(
                 case.workflow, case.costs, ["r1", "r1", "r2"]
             )
 
     @pytest.mark.parametrize("name", ADAPTIVE_STRATEGIES)
     def test_nan_clock_is_rejected(self, name):
         case = _case(v=10, seed=2)
-        scheduler = make_scheduler(name)
+        scheduler = registry.make("scheduler", name)
         plan = scheduler.schedule(case.workflow, case.costs, list(RESOURCES))
         with pytest.raises(ValueError, match="clock must be a non-negative number"):
             scheduler.reschedule(
@@ -230,8 +229,8 @@ class TestRegistryContract:
         name = "only_for_this_test"
         register_scheduler(name, kind="static", summary="ephemeral")(HEFTScheduler)
         try:
-            assert name in available_schedulers()
-            scheduler = make_scheduler(name)
+            assert name in registry.available("scheduler")
+            scheduler = registry.make("scheduler", name)
             case = _case(v=8, seed=1)
             schedule = scheduler.schedule(case.workflow, case.costs, list(RESOURCES))
             validate_schedule(case.workflow, case.costs, schedule)

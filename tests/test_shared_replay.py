@@ -21,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import make_scenario, materialize
+from repro import registry
+from repro.scenarios import materialize
 from repro.scheduling.base import ResourceTimeline
 from repro.simulation.shared_grid import SharedGridExecutor
-from repro.workflow.costs import make_error_model
 from repro.workload.streams import TenantSpec, WorkloadStream
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "shared_replay.json"
@@ -46,12 +46,12 @@ def _run(scenario_name: str, family: str):
         for i in range(3)
     ]
     stream = WorkloadStream(specs, seed=21, horizon=4000.0)
-    run = materialize(make_scenario(scenario_name), initial_size=5, seed=3)
+    run = materialize(registry.make("scenario", scenario_name), initial_size=5, seed=3)
     return SharedGridExecutor(
         stream.arrivals(),
         run.pool,
         perf_profile=run.profile,
-        error_model=make_error_model(family, 0.3, seed=11),
+        error_model=registry.make("error_model", family, magnitude=0.3, seed=11),
     ).run()
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro import registry
 from repro.experiments.runner import (
     ExperimentCase,
     available_strategy_names,
@@ -14,24 +15,19 @@ from repro.experiments.runner import (
 from repro.resources.dynamics import StaticResourceModel
 from repro.scheduling import (
     SCHEDULERS,
-    available_schedulers,
-    make_scheduler,
     register_scheduler,
-    scheduler_kind,
-    scheduler_parameters,
-    scheduler_summary,
 )
 
 
 class TestRegistryApi:
-    def test_make_scheduler_unknown_name_raises_with_listing(self):
+    def test_unknown_scheduler_name_raises_with_listing(self):
         with pytest.raises(KeyError, match="registered"):
-            make_scheduler("nope")
+            registry.make("scheduler", "nope")
 
     def test_params_pass_through_to_the_factory(self):
-        scheduler = make_scheduler("heft", insertion=False)
+        scheduler = registry.make("scheduler", "heft", insertion=False)
         assert scheduler.insertion is False
-        scheduler = make_scheduler("random_static", seed=42)
+        scheduler = registry.make("scheduler", "random_static", seed=42)
         assert scheduler.seed == 42
 
     def test_scheduler_configs_are_frozen_dataclasses(self):
@@ -39,44 +35,47 @@ class TestRegistryApi:
         import dataclasses
 
         for name in ("cpop", "lookahead_heft", "heft_dup"):
-            scheduler = make_scheduler(name)
+            scheduler = registry.make("scheduler", name)
             assert dataclasses.is_dataclass(scheduler)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 scheduler.insertion = False
 
     def test_kinds_and_summaries_are_registered(self):
-        kinds = {name: scheduler_kind(name) for name in available_schedulers()}
+        kinds = {
+            name: registry.describe("scheduler", name)["kind"]
+            for name in registry.available("scheduler")
+        }
         assert kinds["heft"] == "static"
         assert kinds["aheft"] == "adaptive"
         assert kinds["minmin"] == "dynamic"
         assert kinds["cpop"] == "static"
-        for name in available_schedulers():
+        for name in registry.available("scheduler"):
             assert kinds[name] in ("static", "adaptive", "dynamic")
-            assert scheduler_summary(name)  # every entry documents itself
+            assert registry.describe("scheduler", name)["summary"]  # every entry documents itself
 
     def test_parameters_reflect_constructor_defaults(self):
-        params = scheduler_parameters("heft")
+        params = registry.describe("scheduler", "heft")["params"]
         assert params == {"insertion": True}
-        assert scheduler_parameters("random_static")["seed"] == 0
+        assert registry.describe("scheduler", "random_static")["params"]["seed"] == 0
 
     @pytest.mark.parametrize("name", sorted(SCHEDULERS))
     def test_unknown_keyword_rejected_uniformly(self, name):
         """Every entry raises one TypeError shape naming the strategy.
 
-        Regression: ``make_scheduler`` used to forward keywords straight
+        Regression: ``registry.make`` used to forward keywords straight
         to the factory, so the error was whatever the constructor raised
         — a dataclass ``__init__`` message naming neither the strategy
         nor its valid parameters, and nothing at all for a factory that
         swallowed ``**kwargs``.
         """
         with pytest.raises(TypeError, match=rf"scheduler '{name}'"):
-            make_scheduler(name, definitely_not_a_parameter=1)
+            registry.make("scheduler", name, definitely_not_a_parameter=1)
 
     @pytest.mark.parametrize("name", sorted(SCHEDULERS))
     def test_parameters_report_factory_defaults(self, name):
         import inspect
 
-        params = scheduler_parameters(name)
+        params = registry.describe("scheduler", name)["params"]
         signature = inspect.signature(SCHEDULERS[name].factory)
         for param_name, default in params.items():
             parameter = signature.parameters[param_name]
@@ -89,7 +88,7 @@ class TestRegistryApi:
 
     def test_unknown_keyword_error_lists_valid_parameters(self):
         with pytest.raises(TypeError, match="insertion"):
-            make_scheduler("heft", nope=1)
+            registry.make("scheduler", "heft", nope=1)
 
     def test_var_keyword_factory_opts_out_of_validation(self):
         from repro.scheduling.registry import validate_scheduler_params
@@ -139,7 +138,7 @@ class TestStrategyInjection:
         self, small_random_case, make_pool
     ):
         pool = make_pool(4)
-        for name in available_schedulers():
+        for name in registry.available("scheduler"):
             result = repro.run(
                 small_random_case.workflow,
                 pool,
@@ -182,7 +181,7 @@ class TestStrategyInjection:
             run_case(experiment, strategies=("definitely_not_registered",))
 
     def test_resolver_covers_every_registry_kind(self):
-        for name in available_schedulers():
+        for name in registry.available("scheduler"):
             assert callable(resolve_strategy_runner(name))
         assert callable(resolve_strategy_runner("adaptive:sufferage"))
         with pytest.raises(KeyError):
@@ -275,3 +274,71 @@ class TestMultiTenantStrategyInjection:
             assert len(result.outcomes) == 1
         finally:
             SCHEDULERS.pop(name, None)
+
+
+#: every legacy ledger label and the direct ``repro.run`` call it stands
+#: for, written out by hand (not read from the runner's table)
+LEGACY_LABELS = {
+    "HEFT": ("static", "heft", {}),
+    "AHEFT": ("adaptive", "aheft", {}),
+    "MinMin": ("dynamic", "minmin", {}),
+    "MaxMin": ("dynamic", "maxmin", {}),
+    "Sufferage": ("dynamic", "sufferage", {}),
+    "AHEFT-always": ("adaptive", "aheft", {"accept_only_if_better": False}),
+}
+
+
+class TestLegacyLabels:
+    """The capitalised ledger labels are pinned to one facade call each.
+
+    The committed benchmark ledgers key on these labels; the case (churn,
+    seed 0) tells every pair of them apart, so a label bound to the wrong
+    mode, scheduler or option shows up as a different outcome.
+    """
+
+    @pytest.fixture(scope="class")
+    def churn_case(self):
+        from repro.experiments.config import RandomExperimentConfig
+
+        return RandomExperimentConfig(
+            v=20, resources=4, seed=0, scenario="churn"
+        ).to_experiment_case()
+
+    @staticmethod
+    def _outcome(result, label):
+        return (
+            result.makespans[label],
+            result.rescheduling_counts[label],
+            result.wasted_work[label],
+            result.killed_jobs[label],
+        )
+
+    def test_the_labels_are_exactly_the_legacy_set(self):
+        legacy = set(available_strategy_names()) - set(repro.registry.available("scheduler"))
+        assert legacy == set(LEGACY_LABELS)
+
+    @pytest.mark.parametrize("label", sorted(LEGACY_LABELS))
+    def test_label_matches_its_direct_facade_call(self, churn_case, label):
+        mode, scheduler, options = LEGACY_LABELS[label]
+        via_label = self._outcome(run_case(churn_case, strategies=(label,)), label)
+        scenario_run = churn_case.build_scenario_run()
+        direct = repro.run(
+            churn_case.case.workflow,
+            scenario_run.pool,
+            mode=mode,
+            costs=churn_case.case.costs,
+            strategy=scheduler,
+            perf_profile=scenario_run.profile,
+            **options,
+        )
+        assert via_label == (
+            direct.makespan,
+            direct.rescheduling_count,
+            direct.wasted_work,
+            direct.killed_jobs,
+        )
+
+    def test_the_case_tells_every_label_apart(self, churn_case):
+        result = run_case(churn_case, strategies=tuple(LEGACY_LABELS))
+        outcomes = {label: self._outcome(result, label) for label in LEGACY_LABELS}
+        assert len(set(outcomes.values())) == len(LEGACY_LABELS)

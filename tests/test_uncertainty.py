@@ -29,16 +29,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import registry
 from repro.core.history import PerformanceHistoryRepository
 from repro.core.predictor import (
-    HistoryAdjustedCostModel,
     Predictor,
     RatioAdjustedCostModel,
 )
 from repro.experiments.config import RandomExperimentConfig
 from repro.experiments.uncertainty import run_replicated, sweep_uncertainty
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
-from repro.scenarios import make_scenario, materialize
+from repro.scenarios import materialize
 from repro.scheduling.validation import (
     check_no_overlap,
     check_precedence,
@@ -47,9 +47,6 @@ from repro.scheduling.validation import (
 from repro.workflow.costs import (
     ERROR_MODELS,
     PerturbedCostModel,
-    available_error_models,
-    error_model_summary,
-    make_error_model,
 )
 
 FAMILIES = sorted(ERROR_MODELS)
@@ -73,15 +70,15 @@ class TestErrorModelSampling:
     )
     def test_factors_are_pure_functions(self, family, magnitude, seed, replication):
         """Same key, same factor — regardless of query order or instance."""
-        model = make_error_model(family, magnitude, seed=seed).for_replication(
-            replication
-        )
+        model = registry.make(
+            "error_model", family, magnitude=magnitude, seed=seed
+        ).for_replication(replication)
         pairs = [(f"j{i}", f"r{j}") for i in range(4) for j in range(3)]
         forward = {pair: model.factor(*pair) for pair in pairs}
         # a fresh instance queried in reverse order answers identically
-        twin = make_error_model(family, magnitude, seed=seed).for_replication(
-            replication
-        )
+        twin = registry.make(
+            "error_model", family, magnitude=magnitude, seed=seed
+        ).for_replication(replication)
         backward = {pair: twin.factor(*pair) for pair in reversed(pairs)}
         assert forward == backward
         # factors survive the process boundary (the parallel runner pickles)
@@ -97,7 +94,7 @@ class TestErrorModelSampling:
     )
     def test_replications_and_scopes_draw_independently(self, family, seed):
         magnitude = 0.5
-        model = make_error_model(family, magnitude, seed=seed)
+        model = registry.make("error_model", family, magnitude=magnitude, seed=seed)
         a = [model.for_replication(0).factor(f"j{i}", "r1") for i in range(12)]
         b = [model.for_replication(1).factor(f"j{i}", "r1") for i in range(12)]
         assert a != b
@@ -106,29 +103,33 @@ class TestErrorModelSampling:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_magnitude_zero_is_null(self, family):
-        model = make_error_model(family, 0.0, seed=3)
+        model = registry.make("error_model", family, magnitude=0.0, seed=3)
         assert model.is_null
         assert model.factor("j1", "r1") == 1.0
         assert model.actual_duration(123.456, "j1", "r1") == 123.456
 
     def test_resource_bias_is_systematic(self):
-        model = make_error_model("resource_bias", 0.4, seed=7)
+        model = registry.make("error_model", "resource_bias", magnitude=0.4, seed=7)
         bias = model.resource_bias("r2")
         for i in range(8):
             assert model.factor(f"j{i}", "r2") == bias
 
     def test_registry_rejects_unknown_names(self):
         with pytest.raises(KeyError):
-            make_error_model("nope")
+            registry.make("error_model", "nope")
         with pytest.raises(KeyError):
-            error_model_summary("nope")
-        for name in available_error_models():
-            assert error_model_summary(name)
+            registry.describe("error_model", "nope")["summary"]
+        for name in registry.available("error_model"):
+            assert registry.describe("error_model", name)["summary"]
 
     def test_perturbed_model_perturbs_computation_only(self):
         case = _case(v=12, seed=4)
-        noisy = PerturbedCostModel(case.costs, make_error_model("gaussian", 0.5, seed=1))
-        exact = PerturbedCostModel(case.costs, make_error_model("gaussian", 0.0))
+        noisy = PerturbedCostModel(
+            case.costs, registry.make("error_model", "gaussian", magnitude=0.5, seed=1)
+        )
+        exact = PerturbedCostModel(
+            case.costs, registry.make("error_model", "gaussian", magnitude=0.0)
+        )
         jobs = list(case.workflow.jobs)
         assert any(
             noisy.computation_cost(j, "r1") != case.costs.computation_cost(j, "r1")
@@ -167,9 +168,9 @@ class TestExecutionFeasibilityUnderNoise:
     ):
         case = _case(v=v, seed=case_seed)
         run = materialize(
-            make_scenario(scenario_name), initial_size=6, seed=scenario_seed
+            registry.make("scenario", scenario_name), initial_size=6, seed=scenario_seed
         )
-        model = make_error_model(family, magnitude, seed=case_seed)
+        model = registry.make("error_model", family, magnitude=magnitude, seed=case_seed)
         result = repro.run(
             case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
             error_model=model,
@@ -193,8 +194,10 @@ class TestExecutionFeasibilityUnderNoise:
         self, v, case_seed, family, magnitude, scenario_seed
     ):
         case = _case(v=v, seed=case_seed)
-        run = materialize(make_scenario("departures"), initial_size=6, seed=scenario_seed)
-        model = make_error_model(family, magnitude, seed=case_seed)
+        run = materialize(
+            registry.make("scenario", "departures"), initial_size=6, seed=scenario_seed
+        )
+        model = registry.make("error_model", family, magnitude=magnitude, seed=case_seed)
         for mode in ("static", "dynamic"):
             result = repro.run(
                 case.workflow, run.pool, costs=case.costs, mode=mode,
@@ -206,17 +209,17 @@ class TestExecutionFeasibilityUnderNoise:
 
     def test_noise_triggers_deviation_decisions(self):
         case = _case(v=24, seed=9)
-        run = materialize(make_scenario("static"), initial_size=6, seed=0)
+        run = materialize(registry.make("scenario", "static"), initial_size=6, seed=0)
         result = repro.run(
             case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
-            error_model=make_error_model("gaussian", 0.5, seed=2),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.5, seed=2),
         ).raw
         assert any(d.event == "deviation" for d in result.decisions)
         # with the trigger disabled the loop only reacts to grid events,
         # of which the static scenario has none
         quiet = repro.run(
             case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
-            error_model=make_error_model("gaussian", 0.5, seed=2),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.5, seed=2),
             replan_on_deviation=None,
         ).raw
         assert quiet.decisions == []
@@ -228,16 +231,16 @@ class TestExecutionFeasibilityUnderNoise:
 class TestPredictorFeedbackLoop:
     def test_observations_accumulate_and_normalise(self):
         case = _case(v=20, seed=5)
-        run = materialize(make_scenario("paper"), initial_size=5, seed=1)
+        run = materialize(registry.make("scenario", "paper"), initial_size=5, seed=1)
         history = PerformanceHistoryRepository()
         result = repro.run(
             case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
-            error_model=make_error_model("resource_bias", 0.4, seed=6),
+            error_model=registry.make("error_model", "resource_bias", magnitude=0.4, seed=6),
             history=history,
         ).raw
         assert len(history) == case.workflow.num_jobs
         truth = PerturbedCostModel(
-            case.costs, make_error_model("resource_bias", 0.4, seed=6)
+            case.costs, registry.make("error_model", "resource_bias", magnitude=0.4, seed=6)
         )
         for record in history.records:
             # each observation is the sampled ground-truth duration of the
@@ -248,7 +251,7 @@ class TestPredictorFeedbackLoop:
 
     def test_ratio_model_recovers_resource_bias(self):
         case = _case(v=20, seed=5)
-        error = make_error_model("resource_bias", 0.5, seed=8)
+        error = registry.make("error_model", "resource_bias", magnitude=0.5, seed=8)
         truth = PerturbedCostModel(case.costs, error)
         history = PerformanceHistoryRepository()
         for job in list(case.workflow.jobs)[:10]:
@@ -293,10 +296,6 @@ class TestPredictorFeedbackLoop:
         history = PerformanceHistoryRepository()
         history.record_execution(operation, "r1", observed, job_id=job)
         for blend in (0.0, 0.25, 0.5, 1.0):
-            absolute = HistoryAdjustedCostModel(case.costs, history, blend=blend)
-            assert absolute.computation_cost(job, "r1") == pytest.approx(
-                blend * observed + (1 - blend) * prior
-            )
             ratio = RatioAdjustedCostModel(
                 case.costs, history, blend=blend, prior_strength=0.0
             )
@@ -308,7 +307,7 @@ class TestPredictorFeedbackLoop:
         """Ratio learning divides each observation by the estimate stored at
         observation time, so foreign workflows with colliding job ids
         cannot skew the correction factor."""
-        error = make_error_model("resource_bias", 0.5, seed=11)
+        error = registry.make("error_model", "resource_bias", magnitude=0.5, seed=11)
         config_a = RandomExperimentConfig(v=14, resources=5, seed=0, scenario="static")
         config_b = RandomExperimentConfig(v=14, resources=5, seed=99, scenario="static")
         case_a = config_a.to_experiment_case().case
@@ -335,12 +334,12 @@ class TestPredictorFeedbackLoop:
         already reports."""
         case = _case(v=16, seed=6)
         run = materialize(
-            make_scenario("degradation"), initial_size=5, seed=3
+            registry.make("scenario", "degradation"), initial_size=5, seed=3
         )
         history = PerformanceHistoryRepository()
         repro.run(
             case.workflow, run.pool, costs=case.costs, mode="static", perf_profile=run.profile,
-            error_model=make_error_model("gaussian", 0.0), history=history,
+            error_model=registry.make("error_model", "gaussian", magnitude=0.0), history=history,
         ).raw
         truth_free = {
             (r.job_id, r.resource_id): r.duration for r in history.records
@@ -351,23 +350,14 @@ class TestPredictorFeedbackLoop:
                 case.costs.computation_cost(job, rid), rel=1e-9
             )
 
-    def test_predictor_mode_selection(self):
+    def test_predictor_estimates_with_the_ratio_model(self):
         case = _case(v=10, seed=1)
         history = PerformanceHistoryRepository()
         job = next(iter(case.workflow.jobs))
         history.record_execution(case.workflow.job(job).operation, "r1", 5.0, job_id=job)
-        assert isinstance(
-            Predictor(history, mode="ratio").estimate(case.costs),
-            RatioAdjustedCostModel,
-        )
-        assert isinstance(
-            Predictor(history, mode="absolute").estimate(case.costs),
-            HistoryAdjustedCostModel,
-        )
+        assert isinstance(Predictor(history).estimate(case.costs), RatioAdjustedCostModel)
         # empty history: the prior passes through untouched
         assert Predictor(PerformanceHistoryRepository()).estimate(case.costs) is case.costs
-        with pytest.raises(ValueError):
-            Predictor(history, mode="nope")
 
     def test_accept_rule_plans_with_reestimated_model(self):
         """After observations accumulate, reschedule sees the ratio model."""
@@ -381,11 +371,11 @@ class TestPredictorFeedbackLoop:
                 return super().reschedule(workflow, costs, resources, **kwargs)
 
         case = _case(v=20, seed=7)
-        run = materialize(make_scenario("paper"), initial_size=5, seed=2)
+        run = materialize(registry.make("scenario", "paper"), initial_size=5, seed=2)
         history = PerformanceHistoryRepository()
         repro.run(
             case.workflow, run.pool, costs=case.costs, mode="adaptive", perf_profile=run.profile,
-            error_model=make_error_model("resource_bias", 0.5, seed=4),
+            error_model=registry.make("error_model", "resource_bias", magnitude=0.5, seed=4),
             history=history, strategy=SpyScheduler(),
         ).raw
         assert seen, "no rescheduling decision was evaluated"
@@ -414,7 +404,7 @@ class TestReplicationDeterminism:
     def test_run_replicated_workers_match(self):
         config = RandomExperimentConfig(v=14, resources=5, seed=0, scenario="paper")
         experiment = config.to_experiment_case()
-        model = make_error_model("gaussian", 0.3, seed=0)
+        model = registry.make("error_model", "gaussian", magnitude=0.3, seed=0)
         serial = run_replicated(
             experiment, error_model=model, replications=4, workers=1
         )
@@ -475,7 +465,7 @@ class TestReplicationDeterminism:
         experiment = config.to_experiment_case()
         summary = run_replicated(
             experiment,
-            error_model=make_error_model("gaussian", 0.4, seed=0),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.4, seed=0),
             replications=4,
         )
         assert len(summary.makespans["HEFT"]) == 4
@@ -487,7 +477,7 @@ class TestReplicationDeterminism:
         experiment = config.to_experiment_case()
         summary = run_replicated(
             experiment,
-            error_model=make_error_model("gaussian", 0.0, seed=0),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.0, seed=0),
             replications=3,
         )
         for values in summary.makespans.values():

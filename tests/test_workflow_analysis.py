@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import registry
 from repro.generators.sample import sample_dag_cost_model, sample_dag_workflow
 from repro.workflow.analysis import (
     average_parallelism,
@@ -265,21 +266,20 @@ class TestRankLevelCache:
         monkeypatch.setattr(heft, "upward_ranks", counting_ranks)
         return rankings
 
-    def test_uncertain_mode_run_builds_levels_once(self, make_case, make_scenario, monkeypatch):
+    def test_uncertain_mode_run_builds_levels_once(self, make_case, build_scenario, monkeypatch):
         import repro
-        from repro.workflow.costs import make_error_model
 
         builds = self._count_level_builds(monkeypatch)
         rankings = self._count_rankings(monkeypatch)
         case = make_case(v=40, seed=2)
-        run = make_scenario("churn", initial_size=4, seed=5)
+        run = build_scenario("churn", initial_size=4, seed=5)
         result = repro.run(
             case.workflow,
             run.pool,
             costs=case.costs,
             mode="adaptive",
             perf_profile=run.profile,
-            error_model=make_error_model("gaussian", 0.3, seed=9),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.3, seed=9),
         )
         # the replans ranked under many distinct effective models ...
         assert result.raw.evaluated_events > 3

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import repro
+from repro import registry
 from repro.resources.dynamics import ResourceChangeModel
-from repro.scenarios import make_scenario, materialize
+from repro.scenarios import materialize
 from repro.workflow import costs as costs_module
 from repro.workflow.costs import (
     CostModel,
     HeterogeneousCostModel,
     TabularCostModel,
     UniformCostModel,
-    make_error_model,
 )
 
 
@@ -322,7 +322,9 @@ class TestPricingCallCount:
 
     def test_adaptive_run_under_churn_and_gaussian_error(self, make_case, monkeypatch):
         case = make_case(v=150, seed=2, out_degree=20 / 150, ccr=1.0, beta=0.5)
-        scenario = materialize(make_scenario("churn"), initial_size=8, seed=2, horizon=8000.0)
+        scenario = materialize(
+            registry.make("scenario", "churn"), initial_size=8, seed=2, horizon=8000.0
+        )
         default_loop = []
         priced = set()
         builds = {}
@@ -359,7 +361,7 @@ class TestPricingCallCount:
             costs=case.costs,
             mode="adaptive",
             perf_profile=scenario.profile,
-            error_model=make_error_model("gaussian", 0.3, seed=2),
+            error_model=registry.make("error_model", "gaussian", magnitude=0.3, seed=2),
         )
         assert result.makespan > 0
         assert len(result.raw.decisions) > 3, "too few replans to guard"
