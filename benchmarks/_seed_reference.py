@@ -14,7 +14,13 @@ This module preserves the seed algorithms verbatim so that
 * ``tests/test_dense_replay.py`` can check the index-addressed
   ``repair_schedule`` and ``project_actuals`` of :mod:`repro.core.adaptive`
   against :func:`scalar_repair_schedule` and :func:`scalar_project_actuals`,
-  their name-keyed, per-pair-priced versions frozen before the dense rewrite.
+  their name-keyed, per-pair-priced versions frozen before the dense rewrite,
+* ``tests/test_busy_directory.py`` can check the shared grid's booking
+  directory (:mod:`repro.scheduling.bookings`) against the walk-sort-merge
+  path it replaced: :func:`seed_busy_view` (walk every admitted schedule),
+  :func:`seed_foreign_timelines` (sort, merge and ``occupy`` the foreign
+  and pinned spans into fresh timelines) and
+  :func:`seed_predicted_saturation` (re-sort and re-merge the same spans).
 
 Do not optimise this module — its slowness is the point.
 """
@@ -30,6 +36,7 @@ from repro.scheduling.base import (
     Assignment,
     ExecutionState,
     JobStatus,
+    ResourceTimeline,
     Schedule,
     TIME_EPS,
 )
@@ -47,6 +54,10 @@ __all__ = [
     "SeedAHEFTScheduler",
     "scalar_repair_schedule",
     "scalar_project_actuals",
+    "seed_busy_view",
+    "seed_occupy_busy_intervals",
+    "seed_foreign_timelines",
+    "seed_predicted_saturation",
 ]
 
 
@@ -640,3 +651,94 @@ def scalar_project_actuals(
             f"actual-duration replay stalled; unplaced jobs: {stalled[:10]}"
         )
     return projected
+
+
+# ----------------------------------------------------------------------
+# the shared-grid busy view before the booking directory
+# ----------------------------------------------------------------------
+def seed_busy_view(
+    planner, exclude_key: Optional[str], clock: float
+) -> Dict[str, List[Tuple[float, float]]]:
+    """``MultiTenantPlanner.busy_view`` as a walk over every admitted schedule.
+
+    Same signature as the method, so a test can patch it in.
+    """
+    busy: Dict[str, List[Tuple[float, float]]] = {}
+    for key, wf in planner._active.items():
+        if key == exclude_key:
+            continue
+        if wf.finished_by(clock):
+            continue
+        for assignment in wf.schedule.all_assignments():
+            if assignment.finish - TIME_EPS <= clock:
+                continue
+            busy.setdefault(assignment.resource_id, []).append(
+                (assignment.start, assignment.finish)
+            )
+    return busy
+
+
+def seed_occupy_busy_intervals(
+    timelines: Mapping[str, ResourceTimeline], busy
+) -> None:
+    """Sort, overlap-merge and ``occupy`` foreign spans, per resource."""
+    if not busy:
+        return
+    for rid, spans in busy.items():
+        timeline = timelines.get(rid)
+        if timeline is None:
+            continue
+        relevant = sorted(
+            (float(span[0]), float(span[1]))
+            for span in spans
+            if span[1] > timeline.available_from and span[1] - span[0] > TIME_EPS
+        )
+        merged: List[List[float]] = []
+        for start, finish in relevant:
+            if merged and start < merged[-1][1] - TIME_EPS:
+                merged[-1][1] = max(merged[-1][1], finish)
+            else:
+                merged.append([start, finish])
+        for index, (start, finish) in enumerate(merged):
+            timeline.occupy(start, finish, f"<busy:{index}>")
+
+
+def seed_foreign_timelines(busy, available_from, pinned) -> Dict[str, ResourceTimeline]:
+    """A planning frame's shared-grid timelines, booked span by span.
+
+    Same signature as :func:`repro.scheduling.bookings.foreign_timelines`.
+    """
+    timelines = {
+        rid: ResourceTimeline(rid, available_from=start)
+        for rid, start in available_from.items()
+    }
+    combined: Dict[str, List[tuple]] = {rid: list(spans) for rid, spans in busy.items()}
+    for assignment in pinned:
+        combined.setdefault(assignment.resource_id, []).append(
+            (assignment.start, assignment.finish)
+        )
+    seed_occupy_busy_intervals(timelines, combined)
+    return timelines
+
+
+def _seed_merge_spans(spans) -> List[Tuple[float, float]]:
+    merged: List[Tuple[float, float]] = []
+    for start, finish in sorted(spans):
+        if merged and start <= merged[-1][1] + TIME_EPS:
+            last_start, last_finish = merged[-1]
+            merged[-1] = (last_start, max(last_finish, finish))
+        else:
+            merged.append((start, finish))
+    return merged
+
+
+def seed_predicted_saturation(busy, resource_count: int, clock: float, window: float) -> float:
+    """Admission's saturation: touch-merge each resource's spans, then clip."""
+    if resource_count <= 0 or window <= TIME_EPS:
+        return 0.0
+    horizon = clock + window
+    booked = 0.0
+    for spans in busy.values():
+        for start, finish in _seed_merge_spans(spans):
+            booked += max(0.0, min(finish, horizon) - max(start, clock))
+    return min(1.0, booked / (resource_count * window))

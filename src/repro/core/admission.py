@@ -26,19 +26,23 @@ Every decision is recorded as an :class:`AdmissionDecision`, so
 rejection/deferral rates and the observed saturation are first-class run
 metrics rather than post-hoc reconstructions.
 
-The controller only *reads* planner state (via
+The controller only *reads* planner state: it plans through
 :meth:`~repro.core.multi_tenant.MultiTenantPlanner.plan_arrival` and
-:meth:`~repro.core.multi_tenant.MultiTenantPlanner.busy_view`); admitting
-remains the planner's job, so disabling admission control leaves the
-planner's behaviour bit-identical.
+measures saturation on the busy view that plan was made around (a
+snapshot of the planner's booking directory, read lane by lane through
+:meth:`~repro.scheduling.bookings.BusyView.saturation`, not a fresh
+walk of the admitted schedules).  Admitting remains the planner's job,
+so disabling admission control leaves the planner's behaviour
+bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.scheduling.base import TIME_EPS
+from repro.scheduling.bookings import BusyIntervals, as_busy_view
 from repro.workload.streams import WorkflowArrival
 
 __all__ = [
@@ -109,38 +113,22 @@ class AdmissionDecision:
         }
 
 
-def _merge_spans(spans: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    merged: List[Tuple[float, float]] = []
-    for start, finish in sorted(spans):
-        if merged and start <= merged[-1][1] + TIME_EPS:
-            last_start, last_finish = merged[-1]
-            merged[-1] = (last_start, max(last_finish, finish))
-        else:
-            merged.append((start, finish))
-    return merged
-
-
 def predicted_saturation(
-    busy: Dict[str, Sequence[Tuple[float, float]]],
+    busy: BusyIntervals,
     resource_count: int,
     clock: float,
     window: float,
 ) -> float:
     """Booked fraction of ``resource_count`` resources over ``[clock, clock+window]``.
 
-    ``busy`` is the planner's busy view (bookings per resource id);
-    same-resource spans are merged before clipping so perf-repair
-    transients cannot count a slot twice.  Returns a value in ``[0, 1]``
-    (0.0 for an empty grid or a degenerate window).
+    ``busy`` is the planner's busy view (bookings per resource id) or any
+    plain mapping of spans; same-resource spans that touch within
+    ``TIME_EPS`` are merged before clipping so perf-repair transients
+    cannot count a slot twice, and the clipped groups are summed resource
+    by resource in the view's order.  Returns a value in ``[0, 1]`` (0.0
+    for an empty grid or a degenerate window).
     """
-    if resource_count <= 0 or window <= TIME_EPS:
-        return 0.0
-    horizon = clock + window
-    booked = 0.0
-    for spans in busy.values():
-        for start, finish in _merge_spans(spans):
-            booked += max(0.0, min(finish, horizon) - max(start, clock))
-    return min(1.0, booked / (resource_count * window))
+    return as_busy_view(busy).saturation(resource_count, clock, window)
 
 
 class AdmissionController:

@@ -14,7 +14,12 @@ workflows from many tenants, all booking slots on the *same* resources:
   busy blocks (the ``busy`` parameter of
   :func:`~repro.scheduling.aheft.aheft_reschedule`), so plans are pairwise
   non-overlapping by construction: a workflow always plans around the
-  residual capacity left by the rest;
+  residual capacity left by the rest.  The bookings live in one
+  :class:`~repro.scheduling.bookings.BookingDirectory`, updated when a
+  workflow registers, when it leaves to replan at a grid event and
+  re-books its repaired or adopted plan, and when it completes; planning
+  frames and admission control read slices of it instead of re-walking
+  every schedule;
 * a **policy** decides the order in which workflows replan when a grid
   event makes everyone move — and therefore who gets first pick of the
   residual gaps:
@@ -47,15 +52,17 @@ differential test suite (``tests/test_differential.py``) enforces this.
 Known approximation: after a performance change, each plan is repaired
 independently (:func:`repair_schedule` does not see other tenants), so
 repaired plans can transiently contend for the same slot until the next
-replanning pass re-books them around each other.  Busy blocks are merged
-tolerantly for exactly this reason.
+replanning pass re-books them around each other.  The directory keeps
+such overlapping bookings side by side and merges them when a frame or
+the saturation estimate reads them, with the merge rules of
+:mod:`repro.scheduling.bookings`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.adaptive import (
     ReschedulingDecision,
@@ -68,6 +75,7 @@ from repro.core.credit import CreditLedger
 from repro.resources.pool import PoolEvent, ResourcePool
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import ExecutionState, Schedule, TIME_EPS
+from repro.scheduling.bookings import BookingDirectory, BusyView
 from repro.workload.streams import WorkflowArrival
 
 __all__ = [
@@ -150,7 +158,7 @@ class PlannedArrival:
     dedicated_span: float
     #: the other workflows' bookings the plan was made around
     #: (:meth:`MultiTenantPlanner.busy_view` at the arrival clock)
-    busy: Dict[str, List[Tuple[float, float]]]
+    busy: BusyView
 
 
 class MultiTenantPlanner:
@@ -220,6 +228,8 @@ class MultiTenantPlanner:
             credit_ledger = CreditLedger()
         self.credit = credit_ledger
         self._active: Dict[str, ActiveWorkflow] = {}
+        #: every admitted workflow's live bookings, per resource
+        self._bookings = BookingDirectory()
         self._perf_times: Set[float] = (
             set(perf_profile.change_times()) if perf_profile is not None else set()
         )
@@ -231,32 +241,23 @@ class MultiTenantPlanner:
         """Every admitted workflow, in admission order."""
         return list(self._active.values())
 
-    def busy_view(
-        self, exclude_key: Optional[str], clock: float
-    ) -> Dict[str, List[Tuple[float, float]]]:
+    def busy_view(self, exclude_key: Optional[str], clock: float) -> BusyView:
         """Every *other* workflow's bookings — the shared-timeline residual.
 
-        Bookings that end at or before ``clock`` cannot constrain placement
-        (the schedulers place new work at or after ``clock``) and are
-        pruned here to keep the view small over long arrival streams.
-        Pruning tolerates ``TIME_EPS``, matching
-        :meth:`ActiveWorkflow.finished_by`: a workflow that counts as
-        finished never blocks residual capacity.
+        A snapshot of the booking directory
+        (:class:`~repro.scheduling.bookings.BusyView`): per resource, the
+        live ``(start, finish)`` bookings of every booked workflow but
+        ``exclude_key``, duplicates included.  Bookings that end at or
+        before ``clock`` cannot constrain placement (the schedulers place
+        new work at or after ``clock``) and workflows finished by
+        ``clock`` (:meth:`ActiveWorkflow.finished_by`) hold nothing; the
+        directory prunes both, with the same ``TIME_EPS`` tolerance, so
+        the view stays small over long arrival streams.  Planning frames
+        cut their foreign timelines from it and admission measures
+        saturation on it without re-walking any schedule.  Clocks must not
+        go backwards between views.
         """
-        busy: Dict[str, List[Tuple[float, float]]] = {}
-        for key, wf in self._active.items():
-            if key == exclude_key:
-                continue
-            if wf.finished_by(clock):
-                continue
-            # duplicates (duplication-based strategies) occupy slots too
-            for assignment in wf.schedule.all_assignments():
-                if assignment.finish - TIME_EPS <= clock:
-                    continue
-                busy.setdefault(assignment.resource_id, []).append(
-                    (assignment.start, assignment.finish)
-                )
-        return busy
+        return self._bookings.view(clock, exclude=exclude_key)
 
     def _weight(self, tenant: str) -> float:
         weight = float(self.tenant_weights.get(tenant, 1.0))
@@ -317,7 +318,7 @@ class MultiTenantPlanner:
             )
             scheduler = bind(credit_weight=weight)
         busy = self.busy_view(None, clock)
-        has_busy = any(busy.values())
+        has_busy = bool(busy)
         plan = scheduler.reschedule(
             workflow,
             effective,
@@ -363,8 +364,13 @@ class MultiTenantPlanner:
             deadline=deadline,
             slo_stretch=getattr(arrival, "slo_stretch", None),
         )
-        self._active[arrival.key] = active
+        self._enter(active, clock)
         return active
+
+    def _enter(self, wf: ActiveWorkflow, clock: float) -> None:
+        """Admit ``wf`` and book its schedule in the directory."""
+        self._active[wf.key] = wf
+        self._bookings.book(wf.key, wf.schedule, clock)
 
     def admit(self, arrival: WorkflowArrival, clock: float) -> ActiveWorkflow:
         """Plan a newly arrived workflow against the residual capacity."""
@@ -395,6 +401,9 @@ class MultiTenantPlanner:
             if wf.finished_by(clock):
                 self._mark_completed(wf)
                 continue
+            # the workflow replans around everyone else: its own bookings
+            # leave the directory until its turn is over
+            self._bookings.release(wf.key)
             state = ExecutionState.from_schedule(
                 wf.schedule, clock, jobs=wf.workflow.jobs
             )
@@ -435,12 +444,14 @@ class MultiTenantPlanner:
             wf.decisions.append(decision)
             if decision.adopted:
                 wf.schedule = candidate
+            self._bookings.book(wf.key, wf.schedule, clock)
 
     # ------------------------------------------------------------------
     def _mark_completed(self, wf: ActiveWorkflow) -> None:
         """Complete ``wf`` at its predicted finish and feed the credit fold."""
         completed_at = wf.schedule.makespan()
         wf.completed_at = completed_at
+        self._bookings.release(wf.key)
         if self.credit is not None:
             self.credit.record_completion(
                 wf.tenant,

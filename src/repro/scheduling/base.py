@@ -321,6 +321,30 @@ class ResourceTimeline:
             self._max_gap_bound = max(0.0, gap_bound)
             self._gap_end_bound = gap_end
 
+    def _install(
+        self,
+        intervals: List[Tuple[float, float, str]],
+        starts: List[float],
+        prefix_finish: List[float],
+        gaps: List[Tuple[float, float]],
+        max_gap_bound: float,
+        gap_end_bound: float,
+    ) -> None:
+        """Adopt ready-made sorted state on an empty timeline, unchecked.
+
+        The caller owns the invariants: the lists must be exactly what
+        :meth:`occupy` would have built from the same intervals (see
+        :meth:`repro.scheduling.bookings.BookingLane.cut`, which cuts them
+        from a booking lane's lists).
+        """
+        self._intervals = intervals
+        self._starts = starts
+        self._prefix_finish = prefix_finish
+        self._gaps = gaps
+        self._max_finish = prefix_finish[-1]
+        self._max_gap_bound = max_gap_bound
+        self._gap_end_bound = gap_end_bound
+
     def _raise_overlap(
         self, start: float, finish: float, job_id: str, other: Tuple[float, float, str]
     ) -> None:

@@ -14,7 +14,9 @@ is the degenerate pass at ``clock = 0`` with no previous schedule (paper
 * finished jobs are pinned at their actual start/finish, running jobs
   (``respect_running``) at their scheduled finish time,
 * per-resource timelines start at ``max(clock, join time)`` and carry the
-  pinned intervals plus the merged foreign ``busy`` spans,
+  pinned intervals plus the merged foreign ``busy`` spans (on a shared
+  grid, cut from the booking directory's lanes by
+  :func:`~repro.scheduling.bookings.foreign_timelines`),
 * :meth:`PartialScheduleFrame.fea` computes the file-earliest-availability
   of Eq. (1)–(3) (Cases 1–3 plus the otherwise-case), extended with
   duplicate copies: a duplicate execution of a predecessor placed on the
@@ -40,8 +42,9 @@ and to the frozen seed kernel kept as a test oracle in
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.scheduling import bookings
 from repro.scheduling.base import (
     _GAP_FILTER_SLACK,
     Assignment,
@@ -51,6 +54,7 @@ from repro.scheduling.base import (
     Schedule,
     TIME_EPS,
 )
+from repro.scheduling.bookings import BusyIntervals, occupy_busy_intervals
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
@@ -66,47 +70,6 @@ _POS_INF = float("inf")
 #: pre-folded right-hand side of the epsilon-duration guard
 #: ``duration - TIME_EPS > TIME_EPS + _GAP_FILTER_SLACK``
 _EPS_SLACK = TIME_EPS + _GAP_FILTER_SLACK
-
-#: type of the ``busy`` parameter: foreign (other-workflow) occupied spans
-#: per resource, ``{resource_id: [(start, finish), ...]}``
-BusyIntervals = Mapping[str, Sequence[tuple]]
-
-
-def occupy_busy_intervals(
-    timelines: Mapping[str, ResourceTimeline], busy: Optional[BusyIntervals]
-) -> None:
-    """Book foreign ``(start, finish)`` spans before placement.
-
-    This is the shared-grid seam: when several workflows book slots on the
-    same resources, each planning pass sees every *other* workflow's current
-    bookings as opaque busy blocks.  Spans may overlap each other (plans
-    repaired independently after a performance change can transiently
-    contend), so they are merged per resource before occupying; spans that
-    end at or before a timeline's ``available_from`` (or have no extent)
-    cannot constrain placement and are skipped.  Resources absent from
-    ``timelines`` are ignored — a departed resource's stale bookings are
-    irrelevant to the surviving pool.
-    """
-    if not busy:
-        return
-    for rid, spans in busy.items():
-        timeline = timelines.get(rid)
-        if timeline is None:
-            continue
-        relevant = sorted(
-            (float(span[0]), float(span[1]))
-            for span in spans
-            if span[1] > timeline.available_from and span[1] - span[0] > TIME_EPS
-        )
-        merged: List[List[float]] = []
-        for start, finish in relevant:
-            if merged and start < merged[-1][1] - TIME_EPS:
-                merged[-1][1] = max(merged[-1][1], finish)
-            else:
-                merged.append([start, finish])
-        for index, (start, finish) in enumerate(merged):
-            timeline.occupy(start, finish, f"<busy:{index}>")
-
 
 def _scheduled_transfer_arrival(
     pred: str,
@@ -461,12 +424,16 @@ class PartialScheduleFrame:
         # new work can only start at/after ``clock`` and the join time
         # ------------------------------------------------------------------
         availability = resource_available_from or {}
-        self.timelines: Dict[str, ResourceTimeline] = {}
-        for rid in self.resources:
-            start = max(clock, float(availability.get(rid, clock)))
-            self.timelines[rid] = ResourceTimeline(rid, available_from=start)
+        starts = {
+            rid: max(clock, float(availability.get(rid, clock)))
+            for rid in self.resources
+        }
         occupying = list(pinned.values()) + historical_dups
         if busy is None:
+            self.timelines: Dict[str, ResourceTimeline] = {
+                rid: ResourceTimeline(rid, available_from=start)
+                for rid, start in starts.items()
+            }
             batches: Dict[str, List[tuple]] = {}
             for assignment in occupying:
                 timeline = self.timelines.get(assignment.resource_id)
@@ -477,18 +444,11 @@ class PartialScheduleFrame:
             for rid, batch in batches.items():
                 self.timelines[rid].bulk_load(batch)
         else:
-            # shared grid: pinned work and foreign bookings go through the
-            # same merge-tolerant booking path, because independently
-            # repaired plans can transiently overlap after a performance
-            # change
-            combined: Dict[str, List[tuple]] = {
-                rid: list(spans) for rid, spans in busy.items()
-            }
-            for assignment in occupying:
-                combined.setdefault(assignment.resource_id, []).append(
-                    (assignment.start, assignment.finish)
-                )
-            occupy_busy_intervals(self.timelines, combined)
+            # shared grid: foreign bookings come cut from the booking
+            # directory's lanes; a resource carrying pinned work merges it
+            # with them in one booking pass, because independently repaired
+            # plans can transiently overlap after a performance change
+            self.timelines = bookings.foreign_timelines(busy, starts, occupying)
 
         self.schedule = Schedule(name=name)
         self.schedule.extend(pinned.values())

@@ -104,9 +104,12 @@ def heft_schedule(
         to 0 for every resource.
     busy:
         Optional foreign occupied spans per resource (other tenants'
-        bookings on a shared grid); placement treats them as unavailable —
-        see :func:`occupy_busy_intervals`.  ``None`` (the default) is the
-        dedicated-grid behaviour and is bit-identical to the seed kernel.
+        bookings on a shared grid: a plain mapping or a booking
+        directory's :class:`~repro.scheduling.bookings.BusyView`);
+        placement treats them as unavailable — see
+        :func:`~repro.scheduling.bookings.foreign_timelines`.  ``None``
+        (the default) is the dedicated-grid behaviour and is bit-identical
+        to the seed kernel.
     """
     frame = PartialScheduleFrame(
         workflow,

@@ -50,6 +50,7 @@ replanned at the departure based on booked times.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -277,10 +278,9 @@ class SharedGridExecutor:
     # ------------------------------------------------------------------
     def _next_capacity_time(self, clock: float) -> Optional[float]:
         """The next pool-change instant at which capacity exists again."""
-        for time in sorted({event.time for event in self.pool.events()}):
-            if time > clock + TIME_EPS and self.pool.available_at(time):
-                return time
-        return None
+        times = self._capacity_times
+        i = bisect_right(times, clock + TIME_EPS)
+        return times[i] if i < len(times) else None
 
     def _next_retry_time(self, planner, clock: float) -> Optional[float]:
         """When a deferred arrival should be re-offered to the grid.
@@ -321,7 +321,15 @@ class SharedGridExecutor:
         # merged, not last-writer-wins: two same-instant pool events (legal
         # after a ComposedScenario merge or with a custom pool) must both
         # contribute their added/removed sets
-        triggers, _ = adaptive._merge_triggers(self.pool.events(), self.perf_profile)
+        events = self.pool.events()
+        triggers, _ = adaptive._merge_triggers(events, self.perf_profile)
+        #: the pool-change instants with capacity, once per run: every
+        #: deferral's retry point is a bisect into them
+        self._capacity_times: List[float] = [
+            time
+            for time in sorted({event.time for event in events})
+            if self.pool.available_at(time)
+        ]
         controller = (
             AdmissionController(self.admission) if self.admission is not None else None
         )

@@ -225,9 +225,9 @@ class TestPlannerPolicies:
 
     def test_busy_view_excludes_self_and_finished_work(self):
         planner = MultiTenantPlanner(self._pool(), policy="fifo")
-        planner._active["a/0"] = _synthetic("a/0", "a", 0, [("r1", 0.0, 50.0)])
-        planner._active["b/0"] = _synthetic(
-            "b/0", "b", 1, [("r1", 60.0, 90.0), ("r2", 0.0, 10.0)]
+        planner._enter(_synthetic("a/0", "a", 0, [("r1", 0.0, 50.0)]), 0.0)
+        planner._enter(
+            _synthetic("b/0", "b", 1, [("r1", 60.0, 90.0), ("r2", 0.0, 10.0)]), 0.0
         )
         view = planner.busy_view("a/0", clock=20.0)
         assert view == {"r1": [(60.0, 90.0)]}  # own spans and finished work pruned

@@ -204,12 +204,15 @@ class TestConsumedTimeDuplicates:
         """The time fair-share charges equals the span busy_view books."""
         pool = ResourcePool([Resource("r1"), Resource("r2")])
         planner = MultiTenantPlanner(pool, policy="fair_share")
-        planner._active["a/0"] = _active(
-            "a/0",
-            "a",
-            0,
-            [("r1", 0.0, 50.0)],
-            duplicates=(("a/0-j0", "r2", 0.0, 40.0),),
+        planner._enter(
+            _active(
+                "a/0",
+                "a",
+                0,
+                [("r1", 0.0, 50.0)],
+                duplicates=(("a/0-j0", "r2", 0.0, 40.0),),
+            ),
+            0.0,
         )
         served = planner._served_by_tenant(100.0)
         booked = sum(
@@ -228,7 +231,7 @@ class TestBusyViewEpsilon:
         pool = ResourcePool([Resource("r1")])
         planner = MultiTenantPlanner(pool)
         wf = _active("a/0", "a", 0, [("r1", 0.0, 100.0)])
-        planner._active["a/0"] = wf
+        planner._enter(wf, 0.0)
         clock = 100.0 - TIME_EPS / 2  # finished_by() is already True here
         assert wf.finished_by(clock)
         assert planner.busy_view(None, clock) == {}
@@ -237,8 +240,11 @@ class TestBusyViewEpsilon:
         pool = ResourcePool([Resource("r1"), Resource("r2")])
         planner = MultiTenantPlanner(pool)
         clock = 100.0
-        planner._active["a/0"] = _active(
-            "a/0", "a", 0, [("r1", 0.0, clock + TIME_EPS / 2), ("r2", 150.0, 200.0)]
+        planner._enter(
+            _active(
+                "a/0", "a", 0, [("r1", 0.0, clock + TIME_EPS / 2), ("r2", 150.0, 200.0)]
+            ),
+            0.0,
         )
         assert planner.busy_view(None, clock) == {"r2": [(150.0, 200.0)]}
 
