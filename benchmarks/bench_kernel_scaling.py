@@ -51,7 +51,7 @@ from repro.generators.random_dag import (
 )
 from repro.resources.dynamics import ResourceChangeModel
 from repro.scheduling.aheft import AHEFTScheduler
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 from repro.simulation.event_core import EventCore
 from repro.utils.rng import spawn_rng
 from repro.workflow.costs import TabularCostModel
@@ -139,10 +139,10 @@ def measure_static_heft(sizes=HEFT_SIZES) -> List[Dict[str, float]]:
         _warm_cost_draws(workflow, costs, resources)
         seed_time = _best_of(lambda: seed_heft_schedule(workflow, costs, resources))
         fast_cold = _best_of(
-            lambda: heft_schedule(workflow, costs, resources), repeats=1
+            lambda: HEFTScheduler().schedule(workflow, costs, resources), repeats=1
         )
-        fast_time = _best_of(lambda: heft_schedule(workflow, costs, resources))
-        fast = heft_schedule(workflow, costs, resources)
+        fast_time = _best_of(lambda: HEFTScheduler().schedule(workflow, costs, resources))
+        fast = HEFTScheduler().schedule(workflow, costs, resources)
         seed = seed_heft_schedule(workflow, costs, resources)
         if fast.to_dict() != seed.to_dict():
             raise AssertionError(f"fast kernel diverged from seed kernel at V={v}")
@@ -246,10 +246,10 @@ def measure_scaling_series(sizes=SCALING_SIZES) -> Dict[str, object]:
     for v in sizes:
         workflow, costs, rids, stats = scaling_case(v)
         t0 = time.perf_counter()
-        static = heft_schedule(workflow, costs, rids)
+        static = HEFTScheduler().schedule(workflow, costs, rids)
         cold = time.perf_counter() - t0
         warm = _best_of(
-            lambda: heft_schedule(workflow, costs, rids),
+            lambda: HEFTScheduler().schedule(workflow, costs, rids),
             repeats=1 if v > 20_000 else 3,
         )
         def run_adaptive():

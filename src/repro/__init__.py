@@ -53,9 +53,7 @@ from repro.scheduling import (
     ExecutionState,
     JobStatus,
     HEFTScheduler,
-    heft_schedule,
     AHEFTScheduler,
-    aheft_reschedule,
     MinMinScheduler,
     validate_schedule,
 )
@@ -129,9 +127,7 @@ __all__ = [
     "ExecutionState",
     "JobStatus",
     "HEFTScheduler",
-    "heft_schedule",
     "AHEFTScheduler",
-    "aheft_reschedule",
     "MinMinScheduler",
     "validate_schedule",
     # core

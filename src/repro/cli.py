@@ -230,6 +230,18 @@ def _parse_kv(pairs: Sequence[str], option: str) -> Dict[str, object]:
     return out
 
 
+def _write_ledger(args: argparse.Namespace, ledger: Dict[str, object]) -> int:
+    """Write a sweep ledger to ``--out`` (default ``results/<--name>.json``)."""
+    out = Path(args.out) if args.out else _bench_dir(None) / "results" / f"{args.name}.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(
+        json.dumps(ledger, indent=2, sort_keys=True, default=str) + "\n",
+        encoding="utf-8",
+    )
+    print(f"ledger written to {out}")
+    return EXIT_OK
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.config import RandomExperimentConfig
     from repro.experiments.reporting import render_scenario_matrix
@@ -281,14 +293,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "scenarios": [point.as_dict() for point in points],
         "lines": table.splitlines(),
     }
-    out = Path(args.out) if args.out else _bench_dir(None) / "results" / f"{args.name}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(ledger, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
-    print(f"ledger written to {out}")
-    return EXIT_OK
+    return _write_ledger(args, ledger)
 
 
 # ----------------------------------------------------------------------
@@ -383,14 +388,7 @@ def _cmd_multi(args: argparse.Namespace) -> int:
         "points": [point.as_dict() for point in points],
         "lines": table.splitlines(),
     }
-    out = Path(args.out) if args.out else _bench_dir(None) / "results" / f"{args.name}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(ledger, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
-    print(f"ledger written to {out}")
-    return EXIT_OK
+    return _write_ledger(args, ledger)
 
 
 # ----------------------------------------------------------------------
@@ -470,14 +468,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "points": [point.as_dict() for point in points],
         "lines": table.splitlines(),
     }
-    out = Path(args.out) if args.out else _bench_dir(None) / "results" / f"{args.name}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(ledger, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
-    print(f"ledger written to {out}")
-    return EXIT_OK
+    return _write_ledger(args, ledger)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ workflows from many tenants, all booking slots on the *same* resources:
   accept-if-better rule);
 * each planning pass sees every *other* workflow's current bookings as
   busy blocks (the ``busy`` parameter of
-  :func:`~repro.scheduling.aheft.aheft_reschedule`), so plans are pairwise
+  :func:`~repro.scheduling.frame.replan`), so plans are pairwise
   non-overlapping by construction: a workflow always plans around the
   residual capacity left by the rest.  The bookings live in one
   :class:`~repro.scheduling.bookings.BookingDirectory`, updated when a
@@ -228,6 +228,8 @@ class MultiTenantPlanner:
             credit_ledger = CreditLedger()
         self.credit = credit_ledger
         self._active: Dict[str, ActiveWorkflow] = {}
+        #: the admitted workflows not completed yet, in admission order
+        self._unfinished: Dict[str, ActiveWorkflow] = {}
         #: every admitted workflow's live bookings, per resource
         self._bookings = BookingDirectory()
         self._perf_times: Set[float] = (
@@ -240,6 +242,10 @@ class MultiTenantPlanner:
     def workflows(self) -> List[ActiveWorkflow]:
         """Every admitted workflow, in admission order."""
         return list(self._active.values())
+
+    def unfinished(self) -> List[ActiveWorkflow]:
+        """Every admitted workflow not completed yet, in admission order."""
+        return list(self._unfinished.values())
 
     def busy_view(self, exclude_key: Optional[str], clock: float) -> BusyView:
         """Every *other* workflow's bookings — the shared-timeline residual.
@@ -370,6 +376,7 @@ class MultiTenantPlanner:
     def _enter(self, wf: ActiveWorkflow, clock: float) -> None:
         """Admit ``wf`` and book its schedule in the directory."""
         self._active[wf.key] = wf
+        self._unfinished[wf.key] = wf
         self._bookings.book(wf.key, wf.schedule, clock)
 
     def admit(self, arrival: WorkflowArrival, clock: float) -> ActiveWorkflow:
@@ -394,10 +401,7 @@ class MultiTenantPlanner:
         if not resources:
             return
         removed = frozenset(event.removed) if event is not None else frozenset()
-        unfinished = [
-            wf for wf in self._active.values() if wf.completed_at is None
-        ]
-        for wf in self.replan_order(unfinished, clock):
+        for wf in self.replan_order(self.unfinished(), clock):
             if wf.finished_by(clock):
                 self._mark_completed(wf)
                 continue
@@ -451,6 +455,7 @@ class MultiTenantPlanner:
         """Complete ``wf`` at its predicted finish and feed the credit fold."""
         completed_at = wf.schedule.makespan()
         wf.completed_at = completed_at
+        del self._unfinished[wf.key]
         self._bookings.release(wf.key)
         if self.credit is not None:
             self.credit.record_completion(
@@ -468,7 +473,7 @@ class MultiTenantPlanner:
         same as if the run had kept observing completions chronologically.
         """
         pending = sorted(
-            (wf for wf in self._active.values() if wf.completed_at is None),
+            self._unfinished.values(),
             key=lambda wf: (wf.schedule.makespan(), wf.seq),
         )
         for wf in pending:

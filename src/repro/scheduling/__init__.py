@@ -6,24 +6,27 @@ The package exposes:
   — the mapping produced by the Planner,
 * :class:`~repro.scheduling.base.ExecutionState` — the run-time snapshot
   (actual start/finish times, statuses) the adaptive Planner reasons about,
-* :func:`~repro.scheduling.heft.heft_schedule` — the HEFT heuristic of
+* :class:`~repro.scheduling.heft.HEFTScheduler` — the HEFT heuristic of
   Topcuoglu et al. (the paper's static baseline and the heuristic H plugged
   into AHEFT),
-* :func:`~repro.scheduling.aheft.aheft_reschedule` — the paper's
+* :class:`~repro.scheduling.aheft.AHEFTScheduler` — the paper's
   contribution: HEFT-based rescheduling of the unfinished part of a
   partially executed workflow (Equations 1–3),
 * dynamic baselines (Min-Min, Max-Min, Sufferage) in
   :mod:`~repro.scheduling.minmin` and :mod:`~repro.scheduling.baselines`,
-* the wider strategy zoo — :func:`~repro.scheduling.cpop.cpop_reschedule`
+* the wider strategy zoo — :class:`~repro.scheduling.cpop.CPOPScheduler`
   (critical-path-on-a-processor),
-  :func:`~repro.scheduling.lookahead.lookahead_heft_reschedule`
+  :class:`~repro.scheduling.lookahead.LookaheadHEFTScheduler`
   (child-aware EFT placement) and
-  :func:`~repro.scheduling.duplication.heft_dup_reschedule` (HEFT with
+  :class:`~repro.scheduling.duplication.HEFTDupScheduler` (HEFT with
   task duplication),
 * the one placement kernel every strategy above runs on —
   :class:`~repro.scheduling.frame.PartialScheduleFrame` (pinning,
   timelines, the FEA of Eq. 1–3 and the min-EFT rule, with its fast
-  path); HEFT is its ``clock = 0`` pass and AHEFT its mid-flight pass,
+  path) — and the one driver pair :func:`~repro.scheduling.frame.plan` /
+  :func:`~repro.scheduling.frame.replan` that builds it: every strategy is
+  a ``place(frame)`` policy, so HEFT is the ``clock = 0`` pass and AHEFT
+  the mid-flight pass of the same rank-order placement,
 * the **strategy registry** (:data:`~repro.scheduling.registry.SCHEDULERS`,
   instantiated through :func:`repro.registry.make`) naming every
   strategy for the sweeps, the CLI and the universal invariant tests,
@@ -37,8 +40,8 @@ from repro.scheduling.base import (
     ResourceTimeline,
     Schedule,
 )
-from repro.scheduling.heft import HEFTScheduler, heft_schedule
-from repro.scheduling.aheft import AHEFTScheduler, aheft_reschedule
+from repro.scheduling.heft import HEFTScheduler
+from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.minmin import MinMinScheduler, minmin_batch
 from repro.scheduling.baselines import (
     MaxMinScheduler,
@@ -47,12 +50,9 @@ from repro.scheduling.baselines import (
     OpportunisticLoadBalancer,
 )
 from repro.scheduling.frame import PartialScheduleFrame
-from repro.scheduling.cpop import CPOPScheduler, cpop_reschedule
-from repro.scheduling.lookahead import (
-    LookaheadHEFTScheduler,
-    lookahead_heft_reschedule,
-)
-from repro.scheduling.duplication import HEFTDupScheduler, heft_dup_reschedule
+from repro.scheduling.cpop import CPOPScheduler
+from repro.scheduling.lookahead import LookaheadHEFTScheduler
+from repro.scheduling.duplication import HEFTDupScheduler
 from repro.scheduling.registry import (
     SCHEDULERS,
     StrategyInfo,
@@ -73,9 +73,7 @@ __all__ = [
     "ResourceTimeline",
     "Schedule",
     "HEFTScheduler",
-    "heft_schedule",
     "AHEFTScheduler",
-    "aheft_reschedule",
     "MinMinScheduler",
     "minmin_batch",
     "MaxMinScheduler",
@@ -84,11 +82,8 @@ __all__ = [
     "OpportunisticLoadBalancer",
     "PartialScheduleFrame",
     "CPOPScheduler",
-    "cpop_reschedule",
     "LookaheadHEFTScheduler",
-    "lookahead_heft_reschedule",
     "HEFTDupScheduler",
-    "heft_dup_reschedule",
     "SCHEDULERS",
     "StrategyInfo",
     "register_scheduler",

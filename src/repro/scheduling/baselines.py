@@ -15,14 +15,12 @@ points used by the broader DAG-scheduling literature the paper cites
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.scheduling.base import Assignment, Schedule
 from repro.scheduling.batch import BatchPlanMixin
-from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
+from repro.scheduling.frame import PartialScheduleFrame, plan
 from repro.scheduling.minmin import batch_map
 from repro.utils.rng import spawn_rng
 from repro.workflow.costs import CostModel
@@ -118,25 +116,12 @@ class RandomStaticScheduler:
     insertion: bool = True
     name: str = "RandomStatic"
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        frame = PartialScheduleFrame(
-            workflow,
-            costs,
-            resources,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
-        rng = spawn_rng(self.seed, "random-static", workflow.name)
-        for job in workflow.topological_order():
+    schedule = plan
+
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
+        resources = frame.resources
+        rng = spawn_rng(self.seed, "random-static", frame.workflow.name)
+        for job in frame.workflow.topological_order():
             rid = resources[int(rng.integers(0, len(resources)))]
             start, finish = frame.earliest_finish(job, rid, insertion=self.insertion)
             frame.place(job, rid, start, finish)
@@ -154,27 +139,13 @@ class OpportunisticLoadBalancer:
     insertion: bool = False
     name: str = "OLB"
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        frame = PartialScheduleFrame(
-            workflow,
-            costs,
-            resources,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+    schedule = plan
+
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
         timelines = frame.timelines
-        for job in workflow.topological_order():
+        for job in frame.workflow.topological_order():
             # Earliest-ready resource, ties broken by identifier.
-            rid = min(resources, key=lambda r: (timelines[r].ready_time(), r))
+            rid = min(frame.resources, key=lambda r: (timelines[r].ready_time(), r))
             start, finish = frame.earliest_finish(job, rid, insertion=self.insertion)
             frame.place(job, rid, start, finish)
         return frame.schedule

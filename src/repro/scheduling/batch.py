@@ -30,12 +30,10 @@ adapter is the *planning* view of the same heuristics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.scheduling.base import Assignment, Schedule, TIME_EPS
-from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
-from repro.workflow.costs import CostModel
-from repro.workflow.dag import Workflow
+from repro.scheduling.frame import PartialScheduleFrame, plan, replan
 
 __all__ = ["BatchPlanMixin"]
 
@@ -52,50 +50,12 @@ class BatchPlanMixin:
     def selector(best_by_job: Dict[str, Tuple[float, Assignment]]) -> str:
         raise NotImplementedError
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return self.reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=0.0,
-            previous_schedule=None,
-            execution_state=None,
-            resource_available_from=resource_available_from,
-            busy=busy,
-        )
+    schedule = plan
+    reschedule = replan
 
-    def reschedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        previous_schedule: Optional[Schedule] = None,
-        execution_state=None,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        frame = PartialScheduleFrame(
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            previous_schedule=previous_schedule,
-            execution_state=execution_state,
-            respect_running=True,  # a just-in-time mapper cannot migrate work
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=getattr(self, "name", "batch"),
-        )
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
+        workflow = frame.workflow
+        costs = frame.costs
         finish_time: Dict[str, float] = {
             job: assignment.finish for job, assignment in frame.pinned.items()
         }

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.scheduling.base import Schedule
-from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
+from repro.scheduling.frame import PartialScheduleFrame, plan, replan
 from repro.workflow.analysis import downward_ranks, upward_ranks
-from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
-__all__ = ["cpop_reschedule", "CPOPScheduler"]
+__all__ = ["CPOPScheduler"]
 
 
 def _critical_path(workflow: Workflow, priority: Dict[str, float]) -> List[str]:
@@ -57,138 +56,66 @@ def _critical_path(workflow: Workflow, priority: Dict[str, float]) -> List[str]:
     return path
 
 
-def cpop_reschedule(
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    *,
-    clock: float = 0.0,
-    previous_schedule: Optional[Schedule] = None,
-    execution_state=None,
-    insertion: bool = True,
-    respect_running: bool = True,
-    resource_available_from: Optional[Mapping[str, float]] = None,
-    busy: Optional[BusyIntervals] = None,
-    name: str = "cpop",
-) -> Schedule:
-    """(Re)schedule a workflow with CPOP at time ``clock``.
+@dataclass(frozen=True)
+class CPOPScheduler:
+    """CPOP through the common scheduler interface.
 
     With ``clock == 0`` and no previous schedule this is the classic
     static CPOP; otherwise finished and running jobs stay pinned and only
     the remainder is re-mapped, exactly like AHEFT's partial rescheduling.
     """
-    frame = PartialScheduleFrame(
-        workflow,
-        costs,
-        resources,
-        clock=clock,
-        previous_schedule=previous_schedule,
-        execution_state=execution_state,
-        respect_running=respect_running,
-        resource_available_from=resource_available_from,
-        busy=busy,
-        name=name,
-    )
-    if not frame.to_schedule:
-        return frame.schedule
-
-    up = upward_ranks(workflow, costs, resources)
-    down = downward_ranks(workflow, costs, resources)
-    priority = {job: up[job] + down[job] for job in workflow.jobs}
-    cp_jobs = set(_critical_path(workflow, priority))
-
-    remaining_cp = sorted(cp_jobs & frame.to_schedule_set)
-    anchor = remaining_cp if remaining_cp else sorted(cp_jobs)
-    cp_rid = min(
-        frame.resources,
-        key=lambda rid: (
-            sum(costs.computation_cost(job, rid) for job in anchor),
-            rid,
-        ),
-    )
-
-    # ready-queue scheduling: highest priority first, topologically safe
-    topo_index = {job: idx for idx, job in enumerate(workflow.topological_order())}
-    pending: Dict[str, int] = {}
-    heap: List[tuple] = []
-    for job in frame.to_schedule:
-        open_preds = sum(
-            1 for pred in workflow.predecessors(job) if pred in frame.to_schedule_set
-        )
-        pending[job] = open_preds
-        if open_preds == 0:
-            heapq.heappush(heap, (-priority[job], topo_index[job], job))
-    while heap:
-        _, _, job = heapq.heappop(heap)
-        if job in cp_jobs:
-            duration = costs.computation_cost(job, cp_rid)
-            start = frame.timelines[cp_rid].earliest_start(
-                frame.ready_time(job, cp_rid), duration, insertion=insertion
-            )
-            frame.place(job, cp_rid, start, start + duration)
-        else:
-            rid, start, finish = frame.min_eft_placement(job, insertion=insertion)
-            frame.place(job, rid, start, finish)
-        for succ in workflow.successors(job):
-            if succ not in pending:
-                continue
-            pending[succ] -= 1
-            if pending[succ] == 0:
-                heapq.heappush(heap, (-priority[succ], topo_index[succ], succ))
-    return frame.schedule
-
-
-@dataclass(frozen=True)
-class CPOPScheduler:
-    """CPOP exposed through the common scheduler interface."""
 
     insertion: bool = True
-    respect_running: bool = True
     name: str = "CPOP"
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return cpop_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=0.0,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
+    schedule = plan
+    reschedule = replan
+
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
+        workflow = frame.workflow
+        costs = frame.costs
+        insertion = self.insertion
+        up = upward_ranks(workflow, costs, frame.resources)
+        down = downward_ranks(workflow, costs, frame.resources)
+        priority = {job: up[job] + down[job] for job in workflow.jobs}
+        cp_jobs = set(_critical_path(workflow, priority))
+
+        remaining_cp = sorted(cp_jobs & frame.to_schedule_set)
+        anchor = remaining_cp if remaining_cp else sorted(cp_jobs)
+        cp_rid = min(
+            frame.resources,
+            key=lambda rid: (
+                sum(costs.computation_cost(job, rid) for job in anchor),
+                rid,
+            ),
         )
 
-    def reschedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        previous_schedule: Optional[Schedule],
-        execution_state=None,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return cpop_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            previous_schedule=previous_schedule,
-            execution_state=execution_state,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+        # ready-queue scheduling: highest priority first, topologically safe
+        topo_index = {job: idx for idx, job in enumerate(workflow.topological_order())}
+        pending: Dict[str, int] = {}
+        heap: List[tuple] = []
+        for job in frame.to_schedule:
+            open_preds = sum(
+                1 for pred in workflow.predecessors(job) if pred in frame.to_schedule_set
+            )
+            pending[job] = open_preds
+            if open_preds == 0:
+                heapq.heappush(heap, (-priority[job], topo_index[job], job))
+        while heap:
+            _, _, job = heapq.heappop(heap)
+            if job in cp_jobs:
+                duration = costs.computation_cost(job, cp_rid)
+                start = frame.timelines[cp_rid].earliest_start(
+                    frame.ready_time(job, cp_rid), duration, insertion=insertion
+                )
+                frame.place(job, cp_rid, start, start + duration)
+            else:
+                rid, start, finish = frame.min_eft_placement(job, insertion=insertion)
+                frame.place(job, rid, start, finish)
+            for succ in workflow.successors(job):
+                if succ not in pending:
+                    continue
+                pending[succ] -= 1
+                if pending[succ] == 0:
+                    heapq.heappush(heap, (-priority[succ], topo_index[succ], succ))
+        return frame.schedule

@@ -40,15 +40,13 @@ adaptive loop and the shared grid alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.scheduling.base import Schedule, TIME_EPS
-from repro.scheduling.frame import PartialScheduleFrame, clone_timeline
-from repro.scheduling.heft import BusyIntervals, heft_priority_order
-from repro.workflow.costs import CostModel
-from repro.workflow.dag import Workflow
+from repro.scheduling.frame import PartialScheduleFrame, clone_timeline, plan, replan
+from repro.scheduling.heft import heft_priority_order
 
-__all__ = ["heft_dup_reschedule", "HEFTDupScheduler"]
+__all__ = ["HEFTDupScheduler"]
 
 #: a fully specified placement option: (finish, start, dup or None)
 #: where dup = (pred, dup_start, dup_finish)
@@ -97,106 +95,36 @@ def _candidate_on(
     return plain
 
 
-def heft_dup_reschedule(
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    *,
-    clock: float = 0.0,
-    previous_schedule: Optional[Schedule] = None,
-    execution_state=None,
-    insertion: bool = True,
-    respect_running: bool = True,
-    resource_available_from: Optional[Mapping[str, float]] = None,
-    busy: Optional[BusyIntervals] = None,
-    name: str = "heft_dup",
-) -> Schedule:
-    """(Re)schedule with HEFT order and duplication-assisted placement."""
-    frame = PartialScheduleFrame(
-        workflow,
-        costs,
-        resources,
-        clock=clock,
-        previous_schedule=previous_schedule,
-        execution_state=execution_state,
-        respect_running=respect_running,
-        resource_available_from=resource_available_from,
-        busy=busy,
-        name=name,
-    )
-    order = [
-        job
-        for job in heft_priority_order(workflow, costs, resources)
-        if job in frame.to_schedule_set
-    ]
-    for job in order:
-        best_rid: Optional[str] = None
-        best: Optional[_Option] = None
-        for rid in frame.resources:
-            option = _candidate_on(frame, job, rid, insertion=insertion)
-            if best is None or option[0] < best[0] - TIME_EPS:
-                best_rid = rid
-                best = option
-        assert best_rid is not None and best is not None
-        finish, start, dup = best
-        if dup is not None:
-            pred, dup_start, dup_finish = dup
-            frame.place_duplicate(pred, best_rid, dup_start, dup_finish)
-        frame.place(job, best_rid, start, finish)
-    return frame.schedule
-
-
 @dataclass(frozen=True)
 class HEFTDupScheduler:
-    """HEFT with task duplication, common scheduler interface."""
+    """HEFT with task duplication through the common scheduler interface."""
 
     insertion: bool = True
-    respect_running: bool = True
     name: str = "HEFT-Dup"
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return heft_dup_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=0.0,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+    schedule = plan
+    reschedule = replan
 
-    def reschedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        previous_schedule: Optional[Schedule],
-        execution_state=None,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return heft_dup_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            previous_schedule=previous_schedule,
-            execution_state=execution_state,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
+        """(Re)schedule with HEFT order and duplication-assisted placement."""
+        insertion = self.insertion
+        order = [
+            job
+            for job in heft_priority_order(frame.workflow, frame.costs, frame.resources)
+            if job in frame.to_schedule_set
+        ]
+        for job in order:
+            best_rid: Optional[str] = None
+            best: Optional[_Option] = None
+            for rid in frame.resources:
+                option = _candidate_on(frame, job, rid, insertion=insertion)
+                if best is None or option[0] < best[0] - TIME_EPS:
+                    best_rid = rid
+                    best = option
+            assert best_rid is not None and best is not None
+            finish, start, dup = best
+            if dup is not None:
+                pred, dup_start, dup_finish = dup
+                frame.place_duplicate(pred, best_rid, dup_start, dup_finish)
+            frame.place(job, best_rid, start, finish)
+        return frame.schedule

@@ -22,10 +22,7 @@ from repro.scheduling.flow.models import (
     LocalityCostModel,
     OctopusCostModel,
 )
-from repro.scheduling.flow.scheduler import (
-    MinCostFlowScheduler,
-    mincost_flow_reschedule,
-)
+from repro.scheduling.flow.scheduler import MinCostFlowScheduler
 from repro.scheduling.flow.solver import FlowNetwork
 
 __all__ = [
@@ -40,6 +37,5 @@ __all__ = [
     "OctopusCostModel",
     "LocalityCostModel",
     "CreditCostModel",
-    "mincost_flow_reschedule",
     "MinCostFlowScheduler",
 ]

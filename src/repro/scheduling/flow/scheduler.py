@@ -49,110 +49,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
 
 from repro.scheduling.base import Schedule
 from repro.scheduling.flow.graph import solve_assignment
 from repro.scheduling.flow.models import FLOW_COST_MODELS
-from repro.scheduling.frame import BusyIntervals, PartialScheduleFrame
-from repro.workflow.costs import CostModel
-from repro.workflow.dag import Workflow
+from repro.scheduling.frame import PartialScheduleFrame, plan, replan
 
-__all__ = ["mincost_flow_reschedule", "MinCostFlowScheduler"]
-
-
-def _check_credit_weight(credit_weight: float) -> None:
-    if not (credit_weight > 0 and math.isfinite(credit_weight)):
-        raise ValueError(
-            f"credit_weight must be positive and finite, got {credit_weight!r}"
-        )
-
-
-def mincost_flow_reschedule(
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    *,
-    clock: float = 0.0,
-    previous_schedule: Optional[Schedule] = None,
-    execution_state=None,
-    cost_model: str = "octopus",
-    credit_weight: float = 1.0,
-    insertion: bool = True,
-    respect_running: bool = True,
-    resource_available_from: Optional[Mapping[str, float]] = None,
-    busy: Optional[BusyIntervals] = None,
-    name: str = "mincost_flow",
-) -> Schedule:
-    """(Re)schedule a workflow via wave-by-wave min-cost flow solves.
-
-    With ``clock == 0`` and no previous schedule this is the static
-    plan; otherwise finished and running jobs stay pinned and only the
-    remainder is re-mapped, exactly like the other frame-built
-    replanners.
-    """
-    _check_credit_weight(credit_weight)
-    model_factory = FLOW_COST_MODELS.get(cost_model)
-    if model_factory is None:
-        raise ValueError(
-            f"unknown flow cost model {cost_model!r}; "
-            f"available: {sorted(FLOW_COST_MODELS)}"
-        )
-    frame = PartialScheduleFrame(
-        workflow,
-        costs,
-        resources,
-        clock=clock,
-        previous_schedule=previous_schedule,
-        execution_state=execution_state,
-        respect_running=respect_running,
-        resource_available_from=resource_available_from,
-        busy=busy,
-        name=name,
-    )
-    if not frame.to_schedule:
-        return frame.schedule
-
-    topo_rank = {job: rank for rank, job in enumerate(workflow.topological_order())}
-    # unmapped-predecessor counters; a job is ready once its count is 0
-    waiting = {
-        job: sum(1 for pred in workflow.predecessors(job) if pred in frame.to_schedule_set)
-        for job in frame.to_schedule
-    }
-    ready = sorted((job for job, count in waiting.items() if not count), key=topo_rank.get)
-    model = model_factory(frame, credit_weight=credit_weight)
-    while ready:
-        placements = solve_assignment(
-            ready,
-            frame.resources,
-            model.assignment_cost,
-            model.deferral_cost,
-            task_independent=model.task_independent,
-        )
-        if not placements:
-            # every placement arc lost to its deferral arc; force the
-            # frontier job through min-EFT so the wave loop terminates
-            job = ready[0]
-            rid, start, finish = frame.min_eft_placement(job, insertion=insertion)
-            frame.place(job, rid, start, finish)
-            placements = {job: rid}
-        else:
-            for job in ready:
-                rid = placements.get(job)
-                if rid is None:
-                    continue  # routed to the unscheduled aggregator
-                start, finish = frame.earliest_finish(job, rid, insertion=insertion)
-                frame.place(job, rid, start, finish)
-        # the wave has ended: its successors may join the next one
-        ready = [job for job in ready if job not in placements]
-        for job in placements:
-            for succ in workflow.successors(job):
-                if succ in waiting:
-                    waiting[succ] -= 1
-                    if not waiting[succ]:
-                        ready.append(succ)
-        ready.sort(key=topo_rank.get)
-    return frame.schedule
+__all__ = ["MinCostFlowScheduler"]
 
 
 @dataclass(frozen=True)
@@ -162,14 +65,19 @@ class MinCostFlowScheduler:
     ``cost_model`` selects the arc-pricing policy (``octopus``,
     ``locality`` or ``credit``); ``credit_weight`` is the tenant's
     fair-share weight, normally injected per-arrival by the multi-tenant
-    planner through :meth:`bind_tenant_context`.
+    planner through :meth:`bind_tenant_context`.  With ``clock == 0`` and
+    no previous schedule this is the static plan; otherwise finished and
+    running jobs stay pinned and only the remainder is re-mapped, exactly
+    like the other frame-built replanners.
     """
 
     cost_model: str = "octopus"
     credit_weight: float = 1.0
     insertion: bool = True
-    respect_running: bool = True
     name: str = "MinCostFlow"
+
+    schedule = plan
+    reschedule = replan
 
     def __post_init__(self) -> None:
         if self.cost_model not in FLOW_COST_MODELS:
@@ -177,59 +85,55 @@ class MinCostFlowScheduler:
                 f"unknown flow cost model {self.cost_model!r}; "
                 f"available: {sorted(FLOW_COST_MODELS)}"
             )
-        _check_credit_weight(self.credit_weight)
+        if not (self.credit_weight > 0 and math.isfinite(self.credit_weight)):
+            raise ValueError(
+                f"credit_weight must be positive and finite, got {self.credit_weight!r}"
+            )
 
     def bind_tenant_context(self, *, credit_weight: float) -> "MinCostFlowScheduler":
         """A copy of this scheduler bidding with the tenant's weight."""
         return dataclasses.replace(self, credit_weight=float(credit_weight))
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return mincost_flow_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=0.0,
-            cost_model=self.cost_model,
-            credit_weight=self.credit_weight,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
-
-    def reschedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        previous_schedule: Optional[Schedule],
-        execution_state=None,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return mincost_flow_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            previous_schedule=previous_schedule,
-            execution_state=execution_state,
-            cost_model=self.cost_model,
-            credit_weight=self.credit_weight,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
+        """(Re)schedule the frame's open jobs via wave-by-wave flow solves."""
+        workflow = frame.workflow
+        topo_rank = {job: rank for rank, job in enumerate(workflow.topological_order())}
+        # unmapped-predecessor counters; a job is ready once its count is 0
+        waiting = {
+            job: sum(1 for pred in workflow.predecessors(job) if pred in frame.to_schedule_set)
+            for job in frame.to_schedule
+        }
+        ready = sorted((job for job, count in waiting.items() if not count), key=topo_rank.get)
+        model = FLOW_COST_MODELS[self.cost_model](frame, credit_weight=self.credit_weight)
+        while ready:
+            placements = solve_assignment(
+                ready,
+                frame.resources,
+                model.assignment_cost,
+                model.deferral_cost,
+                task_independent=model.task_independent,
+            )
+            if not placements:
+                # every placement arc lost to its deferral arc; force the
+                # frontier job through min-EFT so the wave loop terminates
+                job = ready[0]
+                rid, start, finish = frame.min_eft_placement(job, insertion=self.insertion)
+                frame.place(job, rid, start, finish)
+                placements = {job: rid}
+            else:
+                for job in ready:
+                    rid = placements.get(job)
+                    if rid is None:
+                        continue  # routed to the unscheduled aggregator
+                    start, finish = frame.earliest_finish(job, rid, insertion=self.insertion)
+                    frame.place(job, rid, start, finish)
+            # the wave has ended: its successors may join the next one
+            ready = [job for job in ready if job not in placements]
+            for job in placements:
+                for succ in workflow.successors(job):
+                    if succ in waiting:
+                        waiting[succ] -= 1
+                        if not waiting[succ]:
+                            ready.append(succ)
+            ready.sort(key=topo_rank.get)
+        return frame.schedule

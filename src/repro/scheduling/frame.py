@@ -11,9 +11,9 @@ around any foreign (other-tenant) bookings on a shared grid.  Plain HEFT
 is the degenerate pass at ``clock = 0`` with no previous schedule (paper
 §3.4).
 
-* finished jobs are pinned at their actual start/finish, running jobs
-  (``respect_running``) at their scheduled finish time,
-* per-resource timelines start at ``max(clock, join time)`` and carry the
+* finished jobs are pinned at their actual start/finish, running jobs at
+  their scheduled finish time (a running job is never migrated),
+* per-resource timelines start at ``clock`` and carry the
   pinned intervals plus the merged foreign ``busy`` spans (on a shared
   grid, cut from the booking directory's lanes by
   :func:`~repro.scheduling.bookings.foreign_timelines`),
@@ -23,6 +23,14 @@ is the degenerate pass at ``clock = 0`` with no previous schedule (paper
   candidate resource is a local data source from its finish onwards,
 * :meth:`PartialScheduleFrame.min_eft_placement` is HEFT's minimum-EFT
   rule over that FEA.
+
+A strategy is a *placement policy* over a frame: a ``name``, its own
+fields, and ``place(frame) -> Schedule``, which maps every job in
+``frame.to_schedule``.  The one driver pair :func:`plan` (the clock-0
+pass) and :func:`replan` (the mid-flight pass) builds the frame and calls
+it; each strategy class binds them in its own body (``schedule = plan``,
+plus ``reschedule = replan`` for the strategies that replan), so every
+class keeps its entry points in its own ``__dict__``.
 
 Performance
 -----------
@@ -63,6 +71,8 @@ __all__ = [
     "PartialScheduleFrame",
     "clone_timeline",
     "occupy_busy_intervals",
+    "plan",
+    "replan",
 ]
 
 _NEG_INF = float("-inf")
@@ -340,8 +350,6 @@ class PartialScheduleFrame:
         clock: float = 0.0,
         previous_schedule: Optional[Schedule] = None,
         execution_state: Optional[ExecutionState] = None,
-        respect_running: bool = True,
-        resource_available_from=None,
         busy: Optional[BusyIntervals] = None,
         name: str = "schedule",
     ) -> None:
@@ -371,7 +379,7 @@ class PartialScheduleFrame:
         self.state = execution_state
 
         # ------------------------------------------------------------------
-        # pinned (finished / running-kept) vs re-mappable jobs
+        # pinned (finished / running) vs re-mappable jobs
         # ------------------------------------------------------------------
         pinned: Dict[str, Assignment] = {}
         for job in workflow.jobs:
@@ -383,7 +391,7 @@ class PartialScheduleFrame:
                     self.state.actual_start[job],
                     self.state.actual_finish[job],
                 )
-            elif status is JobStatus.RUNNING and respect_running:
+            elif status is JobStatus.RUNNING:
                 if (
                     previous_schedule is not None
                     and previous_schedule.get(job) is not None
@@ -421,13 +429,9 @@ class PartialScheduleFrame:
 
         # ------------------------------------------------------------------
         # timelines: pinned work + historical duplicates + merged busy spans;
-        # new work can only start at/after ``clock`` and the join time
+        # new work can only start at/after ``clock``
         # ------------------------------------------------------------------
-        availability = resource_available_from or {}
-        starts = {
-            rid: max(clock, float(availability.get(rid, clock)))
-            for rid in self.resources
-        }
+        starts = dict.fromkeys(self.resources, clock)
         occupying = list(pinned.values()) + historical_dups
         if busy is None:
             self.timelines: Dict[str, ResourceTimeline] = {
@@ -740,3 +744,93 @@ class PartialScheduleFrame:
             self._scan_buf, ready_buf, self._w_rows[i], insertion
         )
         return self.resources[best_j], best_start, best_finish
+
+
+# ----------------------------------------------------------------------
+# the strategy driver
+# ----------------------------------------------------------------------
+def plan(
+    self,
+    workflow: Workflow,
+    costs: CostModel,
+    resources: Sequence[str],
+    *,
+    busy: Optional[BusyIntervals] = None,
+) -> Schedule:
+    """Plan a whole workflow at ``clock = 0`` with strategy ``self``.
+
+    Bound as ``schedule`` by every strategy class.  The same pass as
+    :func:`replan` with no previous schedule: for HEFT-ordered strategies
+    this is static HEFT, which AHEFT reduces to at time 0 (paper §3.4).
+    """
+    return replan(
+        self, workflow, costs, resources, clock=0.0, previous_schedule=None, busy=busy
+    )
+
+
+def replan(
+    self,
+    workflow: Workflow,
+    costs: CostModel,
+    resources: Sequence[str],
+    *,
+    clock: float,
+    previous_schedule: Optional[Schedule],
+    execution_state: Optional[ExecutionState] = None,
+    busy: Optional[BusyIntervals] = None,
+) -> Schedule:
+    """(Re)schedule a workflow at time ``clock`` with strategy ``self``.
+
+    Bound as ``reschedule`` by the strategies that replan; with AHEFT's
+    rank-order placement this is the paper's rescheduling step (§3.4).
+
+    Parameters
+    ----------
+    workflow, costs:
+        The DAG and the estimation matrix ``P`` (refreshed by the Predictor
+        before each call, paper Fig. 2 line 5).
+    resources:
+        The resources available **now** (set ``R`` after the pool update of
+        Fig. 2 line 3).
+    clock:
+        The logical time of the rescheduling decision; new work starts at
+        or after it on every resource.
+    previous_schedule:
+        The schedule ``S0`` currently being executed (None for the initial
+        scheduling, in which case AHEFT is identical to HEFT).
+    execution_state:
+        Snapshot of what has executed so far.  When omitted it is derived
+        from ``previous_schedule`` under the accurate-estimate assumption.
+        Finished jobs keep their actual placement and running jobs keep
+        their resource and scheduled finish time; only not-started jobs
+        are re-mapped.
+    busy:
+        Optional foreign occupied spans per resource — the residual-capacity
+        view of a shared grid where other workflows (other tenants) already
+        booked slots on the same timelines (a plain mapping or a booking
+        directory's :class:`~repro.scheduling.bookings.BusyView`).
+        Placement plans around them; they never appear in the returned
+        schedule.  ``None`` (default) is the dedicated-grid behaviour,
+        bit-identical to the seed kernel.
+
+    Returns
+    -------
+    Schedule
+        A complete schedule containing the (actual) assignments of finished
+        and pinned jobs plus new assignments for every re-mapped job.  Its
+        :meth:`~repro.scheduling.base.Schedule.makespan` is the predicted
+        makespan used by the Planner's accept-if-better rule.
+    """
+    frame = PartialScheduleFrame(
+        workflow,
+        costs,
+        resources,
+        clock=clock,
+        previous_schedule=previous_schedule,
+        execution_state=execution_state,
+        busy=busy,
+        name=self.name,
+    )
+    if not frame.to_schedule:
+        return frame.schedule
+    return self.place(frame)

@@ -12,7 +12,8 @@ resource pool known at time 0, and it never revisits its decisions.
 
 Placement runs on the one kernel every strategy shares,
 :class:`~repro.scheduling.frame.PartialScheduleFrame`: static HEFT is a
-frame at ``clock = 0`` with no previous schedule, placed in rank order by
+frame at ``clock = 0`` with no previous schedule
+(:func:`~repro.scheduling.frame.plan`), placed in rank order by
 :func:`_place_by_rank` — the same loop AHEFT runs mid-flight.  The priority
 order is memoized per ``(workflow.version, pool signature)`` on the cost
 model, so the adaptive loop's per-event rescheduling reuses ranks whenever
@@ -25,19 +26,15 @@ asserts this on seeded random and application DAGs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.scheduling.base import Schedule
-from repro.scheduling.frame import (
-    BusyIntervals,
-    PartialScheduleFrame,
-    occupy_busy_intervals,
-)
+from repro.scheduling.frame import PartialScheduleFrame, occupy_busy_intervals, plan
 from repro.workflow.analysis import upward_ranks
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
-__all__ = ["heft_schedule", "heft_priority_order", "occupy_busy_intervals", "HEFTScheduler"]
+__all__ = ["heft_priority_order", "occupy_busy_intervals", "HEFTScheduler"]
 
 
 def _compute_priority_order(
@@ -78,50 +75,6 @@ def heft_priority_order(
     return _compute_priority_order(workflow, costs, resources)
 
 
-def heft_schedule(
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    *,
-    insertion: bool = True,
-    resource_available_from: Optional[Mapping[str, float]] = None,
-    busy: Optional[BusyIntervals] = None,
-    name: str = "heft",
-) -> Schedule:
-    """Compute a static HEFT schedule.
-
-    Parameters
-    ----------
-    workflow, costs:
-        The DAG and its cost model (the estimation matrix ``P``).
-    resources:
-        The resource identifiers known to the Planner (set ``R``).
-    insertion:
-        Use the original HEFT insertion-based policy (default) or simple
-        append-after-last placement.
-    resource_available_from:
-        Optional earliest usable time per resource (``avail[j]``); defaults
-        to 0 for every resource.
-    busy:
-        Optional foreign occupied spans per resource (other tenants'
-        bookings on a shared grid: a plain mapping or a booking
-        directory's :class:`~repro.scheduling.bookings.BusyView`);
-        placement treats them as unavailable — see
-        :func:`~repro.scheduling.bookings.foreign_timelines`.  ``None``
-        (the default) is the dedicated-grid behaviour and is bit-identical
-        to the seed kernel.
-    """
-    frame = PartialScheduleFrame(
-        workflow,
-        costs,
-        resources,
-        resource_available_from=resource_available_from,
-        busy=busy,
-        name=name,
-    )
-    return _place_by_rank(frame, insertion=insertion)
-
-
 def _place_by_rank(frame: PartialScheduleFrame, *, insertion: bool = True) -> Schedule:
     """HEFT's placement phase over a frame: every re-mappable job, in
     upward-rank order, goes to its minimum-EFT resource.
@@ -139,31 +92,19 @@ def _place_by_rank(frame: PartialScheduleFrame, *, insertion: bool = True) -> Sc
 
 @dataclass
 class HEFTScheduler:
-    """Object-style wrapper around :func:`heft_schedule`.
+    """Static HEFT through the common scheduler interface.
 
     Used by the Planner (which holds a scheduler instance per workflow,
     paper §3.2) and by the experiment harness where scheduler objects are
-    swapped polymorphically.
+    swapped polymorphically.  ``insertion`` selects the original HEFT
+    insertion-based policy (default) or append-after-last placement.
+    Plan-once: it has no ``reschedule``.
     """
 
     insertion: bool = True
     name: str = "HEFT"
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return heft_schedule(
-            workflow,
-            costs,
-            resources,
-            insertion=self.insertion,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+    schedule = plan
+
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
+        return _place_by_rank(frame, insertion=self.insertion)

@@ -29,15 +29,13 @@ strategy="lookahead_heft")``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from repro.scheduling.base import JobStatus, Schedule, TIME_EPS
-from repro.scheduling.frame import PartialScheduleFrame
-from repro.scheduling.heft import BusyIntervals, heft_priority_order
-from repro.workflow.costs import CostModel
-from repro.workflow.dag import Workflow
+from repro.scheduling.frame import PartialScheduleFrame, plan, replan
+from repro.scheduling.heft import heft_priority_order
 
-__all__ = ["lookahead_heft_reschedule", "LookaheadHEFTScheduler"]
+__all__ = ["LookaheadHEFTScheduler"]
 
 
 def _child_best_eft(
@@ -89,118 +87,49 @@ def _child_best_eft(
     return best
 
 
-def lookahead_heft_reschedule(
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    *,
-    clock: float = 0.0,
-    previous_schedule: Optional[Schedule] = None,
-    execution_state=None,
-    insertion: bool = True,
-    respect_running: bool = True,
-    resource_available_from: Optional[Mapping[str, float]] = None,
-    busy: Optional[BusyIntervals] = None,
-    name: str = "lookahead_heft",
-) -> Schedule:
-    """(Re)schedule with one-step child-aware EFT placement."""
-    frame = PartialScheduleFrame(
-        workflow,
-        costs,
-        resources,
-        clock=clock,
-        previous_schedule=previous_schedule,
-        execution_state=execution_state,
-        respect_running=respect_running,
-        resource_available_from=resource_available_from,
-        busy=busy,
-        name=name,
-    )
-    order = [
-        job
-        for job in heft_priority_order(workflow, costs, resources)
-        if job in frame.to_schedule_set
-    ]
-    for job in order:
-        children = list(workflow.successors(job))
-        best_rid: Optional[str] = None
-        best_start = 0.0
-        best_finish = float("inf")
-        best_score = float("inf")
-        for rid in frame.resources:
-            start, finish = frame.earliest_finish(job, rid, insertion=insertion)
-            score = finish
-            for child in children:
-                child_eft = _child_best_eft(
-                    frame, child, job, rid, finish, insertion=insertion
-                )
-                if child_eft > score:
-                    score = child_eft
-            if (
-                best_rid is None
-                or score < best_score - TIME_EPS
-                or (abs(score - best_score) <= TIME_EPS and finish < best_finish - TIME_EPS)
-            ):
-                best_rid = rid
-                best_start = start
-                best_finish = finish
-                best_score = score
-        assert best_rid is not None
-        frame.place(job, best_rid, best_start, best_finish)
-    return frame.schedule
-
-
 @dataclass(frozen=True)
 class LookaheadHEFTScheduler:
-    """Lookahead HEFT exposed through the common scheduler interface."""
+    """Lookahead HEFT through the common scheduler interface."""
 
     insertion: bool = True
-    respect_running: bool = True
     name: str = "LookaheadHEFT"
 
-    def schedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return lookahead_heft_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=0.0,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+    schedule = plan
+    reschedule = replan
 
-    def reschedule(
-        self,
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        previous_schedule: Optional[Schedule],
-        execution_state=None,
-        resource_available_from: Optional[Mapping[str, float]] = None,
-        busy: Optional[BusyIntervals] = None,
-    ) -> Schedule:
-        return lookahead_heft_reschedule(
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            previous_schedule=previous_schedule,
-            execution_state=execution_state,
-            insertion=self.insertion,
-            respect_running=self.respect_running,
-            resource_available_from=resource_available_from,
-            busy=busy,
-            name=self.name,
-        )
+    def place(self, frame: PartialScheduleFrame) -> Schedule:
+        """(Re)schedule with one-step child-aware EFT placement."""
+        workflow = frame.workflow
+        insertion = self.insertion
+        order = [
+            job
+            for job in heft_priority_order(workflow, frame.costs, frame.resources)
+            if job in frame.to_schedule_set
+        ]
+        for job in order:
+            children = list(workflow.successors(job))
+            best_rid: Optional[str] = None
+            best_start = 0.0
+            best_finish = float("inf")
+            best_score = float("inf")
+            for rid in frame.resources:
+                start, finish = frame.earliest_finish(job, rid, insertion=insertion)
+                score = finish
+                for child in children:
+                    child_eft = _child_best_eft(
+                        frame, child, job, rid, finish, insertion=insertion
+                    )
+                    if child_eft > score:
+                        score = child_eft
+                if (
+                    best_rid is None
+                    or score < best_score - TIME_EPS
+                    or (abs(score - best_score) <= TIME_EPS and finish < best_finish - TIME_EPS)
+                ):
+                    best_rid = rid
+                    best_start = start
+                    best_finish = finish
+                    best_score = score
+            assert best_rid is not None
+            frame.place(job, best_rid, best_start, best_finish)
+        return frame.schedule

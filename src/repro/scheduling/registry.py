@@ -10,7 +10,8 @@ a strategy registered here is automatically swept, enumerated in
 ``--help`` and property-tested.
 
 Every factory returns a scheduler object with ``schedule(workflow,
-costs, resources, *, resource_available_from=None, busy=None)``; each
+costs, resources, *, busy=None)`` — for the built-ins, a ``place(frame)``
+policy bound to the driver in :mod:`repro.scheduling.frame`; each
 ``kind`` describes the strategy's *default* execution mode:
 
 ``static``

@@ -294,8 +294,8 @@ class SharedGridExecutor:
             return self._next_capacity_time(clock)
         candidates = [
             wf.schedule.makespan()
-            for wf in planner.workflows()
-            if wf.completed_at is None and wf.schedule.makespan() > clock + TIME_EPS
+            for wf in planner.unfinished()
+            if wf.schedule.makespan() > clock + TIME_EPS
         ]
         next_event = self._next_capacity_time(clock)
         if next_event is not None:

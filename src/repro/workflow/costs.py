@@ -628,31 +628,6 @@ class HeterogeneousCostModel(CostModel):
     def average_communication_cost(self, src: str, dst: str) -> float:
         return self.latency + self.workflow.data(src, dst) / self.bandwidth
 
-    # ------------------------------------------------------------------
-    # perturbation support (performance-variance experiments)
-    # ------------------------------------------------------------------
-    def perturbed(self, *, error: float, seed: Optional[int] = None) -> "HeterogeneousCostModel":
-        """Return a copy whose base costs are multiplied by ``U[1-error, 1+error]``.
-
-        Used to model *actual* run-time costs diverging from the Planner's
-        estimates (paper §3.3, "Resource Performance Variance").
-        """
-        if error < 0 or error >= 1:
-            raise ValueError("error must be in [0, 1)")
-        rng = spawn_rng(self.seed if seed is None else seed, "perturb", error)
-        base = {
-            job: cost * float(rng.uniform(1.0 - error, 1.0 + error))
-            for job, cost in self.base_costs.items()
-        }
-        return HeterogeneousCostModel(
-            self.workflow,
-            base,
-            beta=self.beta,
-            bandwidth=self.bandwidth,
-            latency=self.latency,
-            seed=self.seed,
-        )
-
 
 class UniformCostModel(CostModel):
     """A degenerate model where every job costs the same on every resource.
@@ -855,8 +830,7 @@ class UniformErrorModel(ErrorModel):
     """Bounded relative noise: ``factor ~ U[1 − spread, 1 + spread]``.
 
     The distribution the paper itself suggests for estimate perturbation
-    (§3.3) and the one :meth:`HeterogeneousCostModel.perturbed` applies to
-    whole cost tables.
+    (§3.3).
     """
 
     spread: float = 0.2

@@ -5,9 +5,9 @@ import pytest
 from repro.generators.sample import sample_dag_cost_model, sample_dag_workflow
 from repro.resources.pool import ResourcePool
 from repro.resources.resource import Resource
-from repro.scheduling.aheft import AHEFTScheduler, aheft_reschedule
+from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import ExecutionState, JobStatus
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.validation import validate_schedule
 
 
@@ -15,16 +15,20 @@ class TestInitialSchedulingIdentity:
     """At clock 0 with no history AHEFT is identical to HEFT (paper §3.4)."""
 
     def test_identical_on_sample(self, sample_workflow, sample_costs):
-        heft = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
-        aheft = aheft_reschedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        heft = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        aheft = AHEFTScheduler().reschedule(
+            sample_workflow, sample_costs, ["r1", "r2", "r3"], clock=0.0, previous_schedule=None
+        )
         assert aheft.to_dict() == heft.to_dict()
 
     def test_identical_on_random_case(self, small_random_case):
         wf, costs = small_random_case.workflow, small_random_case.costs
         resources = ["r1", "r2", "r3", "r4"]
         assert (
-            aheft_reschedule(wf, costs, resources).to_dict()
-            == heft_schedule(wf, costs, resources).to_dict()
+            AHEFTScheduler()
+            .reschedule(wf, costs, resources, clock=0.0, previous_schedule=None)
+            .to_dict()
+            == HEFTScheduler().schedule(wf, costs, resources).to_dict()
         )
 
     def test_scheduler_wrapper_initial(self, diamond_workflow, diamond_costs):
@@ -35,41 +39,32 @@ class TestInitialSchedulingIdentity:
 class TestReschedulingMechanics:
     @pytest.fixture
     def sample_setup(self, sample_workflow, sample_costs):
-        previous = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        previous = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         state = ExecutionState.from_schedule(previous, clock=15.0, jobs=sample_workflow.jobs)
         return sample_workflow, sample_costs, previous, state
 
     def test_finished_jobs_are_pinned(self, sample_setup):
         wf, costs, previous, state = sample_setup
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2", "r3", "r4"], clock=15.0,
             previous_schedule=previous, execution_state=state,
         )
         assert new.assignment("n1").resource_id == previous.assignment("n1").resource_id
         assert new.assignment("n1").finish == pytest.approx(9.0)
 
-    def test_running_job_pinned_when_respected(self, sample_setup):
+    def test_running_job_stays_pinned(self, sample_setup):
         wf, costs, previous, state = sample_setup
         assert state.is_running("n3")
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2", "r3", "r4"], clock=15.0,
-            previous_schedule=previous, execution_state=state, respect_running=True,
+            previous_schedule=previous, execution_state=state,
         )
         assert new.assignment("n3").resource_id == previous.assignment("n3").resource_id
         assert new.assignment("n3").start == previous.assignment("n3").start
 
-    def test_running_job_restarts_when_not_respected(self, sample_setup):
-        wf, costs, previous, state = sample_setup
-        new = aheft_reschedule(
-            wf, costs, ["r1", "r2", "r3", "r4"], clock=15.0,
-            previous_schedule=previous, execution_state=state, respect_running=False,
-        )
-        # a re-mapped running job cannot start before the rescheduling clock
-        assert new.assignment("n3").start >= 15.0
-
     def test_not_started_jobs_start_at_or_after_clock_or_keep_validity(self, sample_setup):
         wf, costs, previous, state = sample_setup
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2", "r3", "r4"], clock=15.0,
             previous_schedule=previous, execution_state=state,
         )
@@ -81,7 +76,7 @@ class TestReschedulingMechanics:
         pool = ResourcePool(
             [Resource("r1"), Resource("r2"), Resource("r3"), Resource("r4", available_from=15.0)]
         )
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2", "r3", "r4"], clock=15.0,
             previous_schedule=previous, execution_state=state,
         )
@@ -89,7 +84,7 @@ class TestReschedulingMechanics:
 
     def test_rescheduling_never_touches_resources_outside_the_set(self, sample_setup):
         wf, costs, previous, state = sample_setup
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2"], clock=15.0,
             previous_schedule=previous, execution_state=state,
         )
@@ -99,15 +94,17 @@ class TestReschedulingMechanics:
     def test_empty_resource_set_rejected(self, sample_setup):
         wf, costs, previous, state = sample_setup
         with pytest.raises(ValueError):
-            aheft_reschedule(wf, costs, [], clock=15.0, previous_schedule=previous)
+            AHEFTScheduler().reschedule(wf, costs, [], clock=15.0, previous_schedule=previous)
 
     def test_negative_clock_rejected(self, sample_workflow, sample_costs):
         with pytest.raises(ValueError):
-            aheft_reschedule(sample_workflow, sample_costs, ["r1"], clock=-1.0)
+            AHEFTScheduler().reschedule(
+                sample_workflow, sample_costs, ["r1"], clock=-1.0, previous_schedule=None
+            )
 
     def test_state_derived_from_schedule_when_omitted(self, sample_workflow, sample_costs):
-        previous = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
-        new = aheft_reschedule(
+        previous = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        new = AHEFTScheduler().reschedule(
             sample_workflow, sample_costs, ["r1", "r2", "r3", "r4"],
             clock=15.0, previous_schedule=previous,
         )
@@ -130,7 +127,7 @@ class TestFEACases:
                 "c": {"r1": 6.0, "r2": 6.0},
             },
         )
-        previous = heft_schedule(chain_workflow, costs, ["r1"])
+        previous = HEFTScheduler().schedule(chain_workflow, costs, ["r1"])
         return chain_workflow, costs, previous
 
     @staticmethod
@@ -145,7 +142,7 @@ class TestFEACases:
     def test_case1_local_output_free(self, chain_setup):
         wf, costs, previous = chain_setup
         state = self._state_a_finished(wf, clock=6.0)
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2"], clock=6.0,
             previous_schedule=previous, execution_state=state,
         )
@@ -164,10 +161,10 @@ class TestFEACases:
                 "c": {"r1": 50.0, "r2": 1.0},
             },
         )
-        previous = heft_schedule(chain_workflow, costs, ["r1"])
+        previous = HEFTScheduler().schedule(chain_workflow, costs, ["r1"])
         clock = 10.0
         state = self._state_a_finished(chain_workflow, clock)
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             chain_workflow, costs, ["r1", "r2"], clock=clock,
             previous_schedule=previous, execution_state=state,
         )
@@ -188,12 +185,12 @@ class TestFEACases:
                 "c": {"r1": 50.0, "r2": 1.0},
             },
         )
-        previous = heft_schedule(chain_workflow, costs, ["r1"])
+        previous = HEFTScheduler().schedule(chain_workflow, costs, ["r1"])
         clock = 10.0
         state = self._state_a_finished(chain_workflow, clock)
         # the Executor already shipped a's output to r2, arriving at t=7
         state.record_data_arrival("a", "r2", 7.0)
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             chain_workflow, costs, ["r1", "r2"], clock=clock,
             previous_schedule=previous, execution_state=state,
         )
@@ -202,7 +199,7 @@ class TestFEACases:
     def test_unfinished_predecessor_same_resource_case3(self, chain_setup):
         wf, costs, previous = chain_setup
         # at clock 2, a is still running on r1 until 4; b placed on r1 starts at 4
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2"], clock=2.0, previous_schedule=previous,
         )
         assert new.assignment("b").resource_id == "r1"
@@ -212,10 +209,10 @@ class TestFEACases:
 class TestAdoptionGuarantee:
     def test_candidate_never_schedules_before_clock(self, small_random_case):
         wf, costs = small_random_case.workflow, small_random_case.costs
-        previous = heft_schedule(wf, costs, ["r1", "r2"])
+        previous = HEFTScheduler().schedule(wf, costs, ["r1", "r2"])
         clock = previous.makespan() * 0.3
         state = ExecutionState.from_schedule(previous, clock, jobs=wf.jobs)
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2", "r3", "r4"], clock=clock,
             previous_schedule=previous, execution_state=state,
         )
@@ -228,9 +225,9 @@ class TestAdoptionGuarantee:
         """The Planner adopts S1 only if better, so min(S0, S1) <= S0 trivially;
         here we check S1 itself is usually no worse when resources are added."""
         wf, costs = small_random_case.workflow, small_random_case.costs
-        previous = heft_schedule(wf, costs, ["r1", "r2"])
+        previous = HEFTScheduler().schedule(wf, costs, ["r1", "r2"])
         clock = previous.makespan() * 0.25
-        new = aheft_reschedule(
+        new = AHEFTScheduler().reschedule(
             wf, costs, ["r1", "r2", "r3", "r4", "r5"], clock=clock,
             previous_schedule=previous,
         )

@@ -34,7 +34,7 @@ from repro.experiments.sweep import (
     sweep_random_parameter,
 )
 from repro.resources.dynamics import ResourceChangeModel
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 
 
 class TestMetrics:
@@ -56,7 +56,7 @@ class TestMetrics:
 
     def test_slr_and_speedup_bounds(self, sample_workflow, sample_costs):
         resources = ["r1", "r2", "r3"]
-        schedule = heft_schedule(sample_workflow, sample_costs, resources)
+        schedule = HEFTScheduler().schedule(sample_workflow, sample_costs, resources)
         slr = schedule_length_ratio(sample_workflow, sample_costs, schedule.makespan(), resources)
         assert slr >= 1.0
         sp = speedup(sample_workflow, sample_costs, schedule.makespan(), resources)
@@ -64,7 +64,7 @@ class TestMetrics:
 
     def test_resource_utilisation(self, sample_workflow, sample_costs):
         resources = ["r1", "r2", "r3"]
-        schedule = heft_schedule(sample_workflow, sample_costs, resources)
+        schedule = HEFTScheduler().schedule(sample_workflow, sample_costs, resources)
         utilisation = resource_utilisation(schedule, resources)
         assert set(utilisation) == set(resources)
         assert all(0.0 <= value <= 1.0 for value in utilisation.values())

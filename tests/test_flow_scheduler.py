@@ -21,7 +21,6 @@ from repro.scheduling.flow import (
     LocalityCostModel,
     MinCostFlowScheduler,
     OctopusCostModel,
-    mincost_flow_reschedule,
     solve_assignment,
 )
 from repro.scheduling.frame import PartialScheduleFrame
@@ -283,19 +282,11 @@ class TestCostModels:
         assert eroded.deferral_cost("src") == pytest.approx(DEFERRAL_COST / 2)
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
-    def test_credit_weight_must_be_positive_and_finite(self, fork_case, weight):
-        workflow, costs = fork_case
-        with pytest.raises(ValueError, match="credit_weight"):
-            mincost_flow_reschedule(
-                workflow, costs, RESOURCES, cost_model="credit", credit_weight=weight
-            )
+    def test_credit_weight_must_be_positive_and_finite(self, weight):
         with pytest.raises(ValueError, match="credit_weight"):
             MinCostFlowScheduler(cost_model="credit", credit_weight=weight)
 
-    def test_unknown_cost_model_rejected(self, fork_case):
-        workflow, costs = fork_case
-        with pytest.raises(ValueError, match="cost model"):
-            mincost_flow_reschedule(workflow, costs, RESOURCES, cost_model="nope")
+    def test_unknown_cost_model_rejected(self):
         with pytest.raises(ValueError, match="cost model"):
             MinCostFlowScheduler(cost_model="nope")
 
@@ -358,8 +349,8 @@ class TestMinCostFlowScheduler:
         original = flow_scheduler.FLOW_COST_MODELS
         flow_scheduler.FLOW_COST_MODELS = {**original, "stubborn": StubbornModel}
         try:
-            schedule = mincost_flow_reschedule(
-                workflow, costs, RESOURCES, cost_model="stubborn"
+            schedule = MinCostFlowScheduler(cost_model="stubborn").schedule(
+                workflow, costs, RESOURCES
             )
         finally:
             flow_scheduler.FLOW_COST_MODELS = original
@@ -415,14 +406,15 @@ class TestClassGraphSchedules:
 
     POOL = ["r1", "r2", "r3", "r4"]
 
-    def _both_paths(self, monkeypatch, **kwargs):
+    def _both_paths(self, monkeypatch, cost_model, credit_weight, **kwargs):
+        scheduler = MinCostFlowScheduler(cost_model=cost_model, credit_weight=credit_weight)
         paths = _record_graph_paths(monkeypatch)
-        classes = mincost_flow_reschedule(**kwargs)
+        classes = scheduler.reschedule(**kwargs)
         assert paths and all(paths)
         paths.clear()
         with monkeypatch.context() as patch:
             patch.setattr(OctopusCostModel, "task_independent", False)
-            full = mincost_flow_reschedule(**kwargs)
+            full = scheduler.reschedule(**kwargs)
         assert paths and not any(paths)
         return classes, full
 
@@ -435,6 +427,8 @@ class TestClassGraphSchedules:
             workflow=case.workflow,
             costs=case.costs,
             resources=self.POOL,
+            clock=0.0,
+            previous_schedule=None,
             cost_model=cost_model,
             credit_weight=weight,
         )
@@ -446,9 +440,8 @@ class TestClassGraphSchedules:
         self, make_case, monkeypatch, cost_model, weight
     ):
         case = make_case(v=80, seed=12)
-        initial = mincost_flow_reschedule(
-            case.workflow, case.costs, self.POOL, cost_model=cost_model,
-            credit_weight=weight,
+        initial = MinCostFlowScheduler(cost_model=cost_model, credit_weight=weight).schedule(
+            case.workflow, case.costs, self.POOL
         )
         clock = initial.makespan() * 0.4
         busy = {
@@ -476,8 +469,8 @@ class TestClassGraphSchedules:
     def test_locality_keeps_the_full_graph(self, make_case, monkeypatch):
         case = make_case(v=30, seed=13)
         paths = _record_graph_paths(monkeypatch)
-        mincost_flow_reschedule(
-            case.workflow, case.costs, self.POOL, cost_model="locality"
+        MinCostFlowScheduler(cost_model="locality").schedule(
+            case.workflow, case.costs, self.POOL
         )
         assert paths and not any(paths)
 
@@ -512,8 +505,8 @@ class TestPricingCallCount:
         monkeypatch.setattr(flow_scheduler, "solve_assignment", recording_solve)
         monkeypatch.setattr(flow_models, "_running_tasks", counting_running_tasks)
         monkeypatch.setattr(ResourceTimeline, "intervals", counting_intervals)
-        schedule = mincost_flow_reschedule(
-            case.workflow, case.costs, resources, cost_model=cost_model
+        schedule = MinCostFlowScheduler(cost_model=cost_model).schedule(
+            case.workflow, case.costs, resources
         )
         assert len(schedule) == len(case.workflow.jobs)
         assert any(tasks > 1 for tasks, _ in waves), "no multi-task wave to guard"

@@ -17,7 +17,7 @@ from repro.generators.blast import generate_blast_case
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.scheduling.base import ExecutionState
 from repro.scheduling.frame import PartialScheduleFrame
-from repro.scheduling.heft import heft_priority_order, heft_schedule
+from repro.scheduling.heft import HEFTScheduler, heft_priority_order
 
 
 def _case(v: int, seed: int, out_degree: float = 0.2):
@@ -72,7 +72,7 @@ class TestFrameFastPath:
     def test_midflight_pool_change_matches_scalar(self, seed):
         resources = [f"r{i + 1}" for i in range(8)]
         case = _case(60, seed)
-        previous = heft_schedule(case.workflow, case.costs, resources)
+        previous = HEFTScheduler().schedule(case.workflow, case.costs, resources)
         clock = previous.makespan() * 0.4
         # shrink and grow the pool so recorded arrivals, departed old
         # targets, and fresh resources all appear in the override sets
@@ -85,7 +85,7 @@ class TestFrameFastPath:
     def test_duplicates_lower_the_fea_identically(self):
         resources = [f"r{i + 1}" for i in range(7)]
         case = _case(45, 5)
-        previous = heft_schedule(case.workflow, case.costs, resources)
+        previous = HEFTScheduler().schedule(case.workflow, case.costs, resources)
         clock = previous.makespan() * 0.3
         fast, slow = _paired_frames(
             case, resources, clock=clock, previous_schedule=previous
@@ -112,7 +112,7 @@ class TestFrameFastPath:
     def test_application_dag_matches_scalar(self):
         case = generate_blast_case(24, ccr=1.0, beta=0.5, omega_dag=300.0, seed=2)
         resources = [f"r{i + 1}" for i in range(10)]
-        previous = heft_schedule(case.workflow, case.costs, resources)
+        previous = HEFTScheduler().schedule(case.workflow, case.costs, resources)
         clock = previous.makespan() * 0.5
         fast, slow = _paired_frames(
             case, resources, clock=clock, previous_schedule=previous
@@ -124,7 +124,7 @@ class TestFrameFastPath:
         # rule) must participate in the override enumeration identically
         resources = [f"r{i + 1}" for i in range(6)]
         case = _case(30, 8)
-        previous = heft_schedule(case.workflow, case.costs, resources)
+        previous = HEFTScheduler().schedule(case.workflow, case.costs, resources)
         clock = previous.makespan() * 0.45
         state = ExecutionState.from_schedule(
             previous, clock, jobs=case.workflow.jobs

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.generators.sample import sample_dag_cost_model, sample_dag_workflow
-from repro.scheduling.heft import HEFTScheduler, heft_priority_order, heft_schedule
+from repro.scheduling.heft import HEFTScheduler, heft_priority_order
 from repro.scheduling.validation import validate_schedule
 
 
@@ -26,69 +26,60 @@ class TestClassicExample:
     """The paper's Fig. 5(a): HEFT on the sample DAG has makespan 80."""
 
     def test_makespan_is_80(self, sample_workflow, sample_costs):
-        schedule = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        schedule = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         assert schedule.makespan() == pytest.approx(80.0)
 
     def test_known_placements(self, sample_workflow, sample_costs):
-        schedule = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        schedule = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         assert schedule.resource_of("n1") == "r3"
         assert schedule.assignment("n1").finish == pytest.approx(9.0)
         assert schedule.resource_of("n10") == "r2"
         assert schedule.assignment("n10").start == pytest.approx(73.0)
 
     def test_schedule_is_feasible(self, sample_workflow, sample_costs):
-        schedule = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        schedule = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         assert validate_schedule(sample_workflow, sample_costs, schedule) == []
 
     def test_four_resources_from_start_stays_feasible(self, sample_workflow, sample_costs):
         """HEFT is a heuristic: a fourth resource shifts the averages and may
         even lengthen its schedule; the result must simply remain feasible."""
-        with_r4 = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3", "r4"])
+        with_r4 = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3", "r4"])
         assert with_r4.makespan() > 0
         assert validate_schedule(sample_workflow, sample_costs, with_r4) == []
 
 
 class TestGeneralBehaviour:
     def test_all_jobs_scheduled(self, small_random_case):
-        schedule = heft_schedule(
+        schedule = HEFTScheduler().schedule(
             small_random_case.workflow, small_random_case.costs, ["r1", "r2", "r3"]
         )
         assert len(schedule) == small_random_case.workflow.num_jobs
 
     def test_empty_resource_set_rejected(self, diamond_workflow, diamond_costs):
         with pytest.raises(ValueError):
-            heft_schedule(diamond_workflow, diamond_costs, [])
+            HEFTScheduler().schedule(diamond_workflow, diamond_costs, [])
 
     def test_single_resource_serialises_all_jobs(self, diamond_workflow, diamond_costs):
-        schedule = heft_schedule(diamond_workflow, diamond_costs, ["r1"])
+        schedule = HEFTScheduler().schedule(diamond_workflow, diamond_costs, ["r1"])
         total = sum(diamond_costs.computation_cost(j, "r1") for j in diamond_workflow.jobs)
         assert schedule.makespan() == pytest.approx(total)
 
     def test_more_resources_never_hurt_diamond(self, diamond_workflow, diamond_costs):
-        one = heft_schedule(diamond_workflow, diamond_costs, ["r1"])
-        two = heft_schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
+        one = HEFTScheduler().schedule(diamond_workflow, diamond_costs, ["r1"])
+        two = HEFTScheduler().schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
         assert two.makespan() <= one.makespan()
 
     def test_insertion_never_worse_than_append(self, small_random_case):
         wf, costs = small_random_case.workflow, small_random_case.costs
         resources = ["r1", "r2", "r3", "r4"]
-        with_insertion = heft_schedule(wf, costs, resources, insertion=True)
-        without = heft_schedule(wf, costs, resources, insertion=False)
+        with_insertion = HEFTScheduler(insertion=True).schedule(wf, costs, resources)
+        without = HEFTScheduler(insertion=False).schedule(wf, costs, resources)
         assert with_insertion.makespan() <= without.makespan() + 1e-9
-
-    def test_resource_available_from_delays_start(self, diamond_workflow, diamond_costs):
-        schedule = heft_schedule(
-            diamond_workflow,
-            diamond_costs,
-            ["r1", "r2"],
-            resource_available_from={"r1": 50.0, "r2": 50.0},
-        )
-        assert min(a.start for a in schedule) >= 50.0
 
     def test_deterministic(self, small_random_case):
         wf, costs = small_random_case.workflow, small_random_case.costs
-        first = heft_schedule(wf, costs, ["r1", "r2", "r3"])
-        second = heft_schedule(wf, costs, ["r1", "r2", "r3"])
+        first = HEFTScheduler().schedule(wf, costs, ["r1", "r2", "r3"])
+        second = HEFTScheduler().schedule(wf, costs, ["r1", "r2", "r3"])
         assert first.to_dict() == second.to_dict()
 
     def test_scheduler_wrapper(self, diamond_workflow, diamond_costs):

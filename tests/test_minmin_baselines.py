@@ -175,11 +175,11 @@ class TestStaticBaselines:
         assert validate_schedule(wf, costs, schedule) == []
 
     def test_heft_beats_random_and_olb_on_average(self, small_random_case):
-        from repro.scheduling.heft import heft_schedule
+        from repro.scheduling.heft import HEFTScheduler
 
         wf, costs = small_random_case.workflow, small_random_case.costs
         resources = ["r1", "r2", "r3"]
-        heft = heft_schedule(wf, costs, resources).makespan()
+        heft = HEFTScheduler().schedule(wf, costs, resources).makespan()
         random_ms = RandomStaticScheduler(seed=1).schedule(wf, costs, resources).makespan()
         olb_ms = OpportunisticLoadBalancer().schedule(wf, costs, resources).makespan()
         assert heft <= random_ms + 1e-9

@@ -20,9 +20,9 @@ from repro.experiments.reporting import render_multi_tenant_matrix
 from repro.experiments.sweep import sweep_multi_workflow
 from repro.resources.pool import ResourcePool
 from repro.resources.resource import Resource
-from repro.scheduling.aheft import AHEFTScheduler, aheft_reschedule
+from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import Assignment, Schedule
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.validation import check_no_overlap
 from repro.simulation.shared_grid import SharedGridExecutor
 from repro.utils.rng import spawn_rng
@@ -124,21 +124,21 @@ class TestBusyIntervals:
         case = make_case(v=16, seed=2)
         resources = ["r1", "r2"]
         busy = {rid: [(0.0, 400.0)] for rid in resources}
-        schedule = heft_schedule(case.workflow, case.costs, resources, busy=busy)
+        schedule = HEFTScheduler().schedule(case.workflow, case.costs, resources, busy=busy)
         assert min(a.start for a in schedule) >= 400.0 - 1e-9
         assert check_no_overlap(schedule) == []
 
     def test_empty_busy_is_identical_to_none(self, make_case):
         case = make_case(v=20, seed=5)
         resources = ["r1", "r2", "r3"]
-        a = heft_schedule(case.workflow, case.costs, resources)
-        b = heft_schedule(case.workflow, case.costs, resources, busy={})
+        a = HEFTScheduler().schedule(case.workflow, case.costs, resources)
+        b = HEFTScheduler().schedule(case.workflow, case.costs, resources, busy={})
         assert a.to_dict() == b.to_dict()
 
     def test_overlapping_busy_spans_are_merged_not_rejected(self, make_case):
         case = make_case(v=10, seed=1)
         busy = {"r1": [(0.0, 100.0), (50.0, 150.0)], "r2": [(10.0, 10.0)]}
-        schedule = heft_schedule(case.workflow, case.costs, ["r1", "r2"], busy=busy)
+        schedule = HEFTScheduler().schedule(case.workflow, case.costs, ["r1", "r2"], busy=busy)
         for assignment in schedule:
             if assignment.resource_id == "r1":
                 assert assignment.start >= 150.0 - 1e-9
@@ -146,11 +146,11 @@ class TestBusyIntervals:
     def test_aheft_reschedule_respects_busy(self, make_case):
         case = make_case(v=16, seed=8)
         resources = ["r1", "r2"]
-        previous = heft_schedule(case.workflow, case.costs, resources)
+        previous = HEFTScheduler().schedule(case.workflow, case.costs, resources)
         clock = previous.makespan() * 0.4
         horizon = previous.makespan() * 2.0
         busy = {rid: [(clock, horizon)] for rid in resources}
-        candidate = aheft_reschedule(
+        candidate = AHEFTScheduler().reschedule(
             case.workflow,
             case.costs,
             resources,

@@ -24,9 +24,9 @@ class TestWhatIf:
         wf = sample_dag_workflow()
         costs = sample_dag_cost_model(wf)
         pool = ResourcePool([Resource("r1"), Resource("r2"), Resource("r3")])
-        from repro.scheduling.heft import heft_schedule
+        from repro.scheduling.heft import HEFTScheduler
 
-        schedule = heft_schedule(wf, costs, ["r1", "r2", "r3"])
+        schedule = HEFTScheduler().schedule(wf, costs, ["r1", "r2", "r3"])
         return wf, costs, pool, schedule
 
     def test_addition_query_reports_gain_or_zero(self, sample_setup):
@@ -60,10 +60,10 @@ class TestWhatIf:
 
     def test_rank_candidates_sorted_by_gain(self, blast_setup):
         case, pool = blast_setup
-        from repro.scheduling.heft import heft_schedule
+        from repro.scheduling.heft import HEFTScheduler
 
         resources = pool.initial_resources()
-        schedule = heft_schedule(case.workflow, case.costs, resources)
+        schedule = HEFTScheduler().schedule(case.workflow, case.costs, resources)
         analyzer = WhatIfAnalyzer(case.workflow, case.costs, pool)
         candidates = [Resource("extra1"), Resource("extra2")]
         results = analyzer.rank_candidate_additions(

@@ -14,7 +14,7 @@ from repro.core.adaptive import project_actuals
 from repro.core.history import PerformanceHistoryRepository
 from repro.scenarios.base import PerformanceProfile
 from repro.scheduling.base import Assignment, Schedule
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 from repro.simulation.executor import dispatch_duration, record_observation
 from repro.workflow.costs import TabularCostModel
 from repro.workflow.dag import Workflow
@@ -43,7 +43,7 @@ def _truth(workflow, costs):
 
 
 def test_accurate_truth_reproduces_the_plan(diamond_workflow, diamond_costs):
-    plan = heft_schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
+    plan = HEFTScheduler().schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
     (actuals,) = project_actuals([(diamond_workflow, plan, {}, diamond_costs)])
     assert actuals == {a.job_id: a for a in plan}
 

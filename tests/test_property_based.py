@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.resources.dynamics import ResourceChangeModel
-from repro.scheduling.aheft import aheft_reschedule
+from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import ExecutionState, ResourceTimeline
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.validation import validate_schedule
 from repro.utils.ordering import topological_order
 from repro.utils.rng import spawn_rng
@@ -80,7 +80,7 @@ class TestSchedulingProperties:
     def test_heft_schedules_are_feasible(self, case, n_resources):
         wf, costs = case
         resources = [f"r{i}" for i in range(1, n_resources + 1)]
-        schedule = heft_schedule(wf, costs, resources)
+        schedule = HEFTScheduler().schedule(wf, costs, resources)
         assert len(schedule) == wf.num_jobs
         assert validate_schedule(wf, costs, schedule) == []
 
@@ -90,8 +90,10 @@ class TestSchedulingProperties:
         wf, costs = case
         resources = [f"r{i}" for i in range(1, n_resources + 1)]
         assert (
-            aheft_reschedule(wf, costs, resources).to_dict()
-            == heft_schedule(wf, costs, resources).to_dict()
+            AHEFTScheduler()
+            .reschedule(wf, costs, resources, clock=0.0, previous_schedule=None)
+            .to_dict()
+            == HEFTScheduler().schedule(wf, costs, resources).to_dict()
         )
 
     @SETTINGS
@@ -102,12 +104,12 @@ class TestSchedulingProperties:
     )
     def test_rescheduling_mid_flight_stays_feasible(self, case, fraction, when):
         wf, costs = case
-        previous = heft_schedule(wf, costs, ["r1", "r2"])
+        previous = HEFTScheduler().schedule(wf, costs, ["r1", "r2"])
         clock = max(previous.makespan() * when, 1e-6)
         state = ExecutionState.from_schedule(previous, clock, jobs=wf.jobs)
         extra = max(1, math.ceil(2 * fraction))
         resources = ["r1", "r2"] + [f"x{i}" for i in range(extra)]
-        candidate = aheft_reschedule(
+        candidate = AHEFTScheduler().reschedule(
             wf, costs, resources, clock=clock,
             previous_schedule=previous, execution_state=state,
         )

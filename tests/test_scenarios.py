@@ -38,7 +38,7 @@ from repro.scenarios import (
     materialize,
     validate_events,
 )
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 
 
 @pytest.fixture
@@ -155,8 +155,8 @@ class TestPaperEquivalence:
         scenario_pool = materialize(StaticScenario(), initial_size=8, seed=0).pool
         model_pool = StaticResourceModel(size=8).build_pool()
         assert scenario_pool.all_resource_ids() == model_pool.all_resource_ids()
-        a = heft_schedule(case30.workflow, case30.costs, scenario_pool.available_at(0.0))
-        b = heft_schedule(case30.workflow, case30.costs, model_pool.available_at(0.0))
+        a = HEFTScheduler().schedule(case30.workflow, case30.costs, scenario_pool.available_at(0.0))
+        b = HEFTScheduler().schedule(case30.workflow, case30.costs, model_pool.available_at(0.0))
         assert a.to_dict() == b.to_dict()
 
     def test_paper_scenario_matches_resource_change_model(self, case30):
@@ -224,8 +224,8 @@ class TestScaledCostModel:
 
     def test_identity_factors_schedule_identically(self, case30):
         resources = [f"r{i}" for i in range(1, 6)]
-        base = heft_schedule(case30.workflow, case30.costs, resources)
-        scaled = heft_schedule(
+        base = HEFTScheduler().schedule(case30.workflow, case30.costs, resources)
+        scaled = HEFTScheduler().schedule(
             case30.workflow, ScaledCostModel(case30.costs, {}), resources
         )
         assert base.to_dict() == scaled.to_dict()

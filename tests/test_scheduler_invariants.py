@@ -18,7 +18,9 @@ writing a single new test:
   to a feasible final schedule under every registered scenario, and a
   mid-execution replan around busy blocks keeps pinned work pinned;
 * **bad input** — a duplicated resource id or a NaN clock raises a
-  ``ValueError`` naming the problem.
+  ``ValueError`` naming the problem;
+* **one driver** — a replan at clock 0 with no history is the initial plan,
+  and which strategies replan is pinned.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.scheduling import (
     validate_schedule,
 )
 from repro.scheduling.base import TIME_EPS
+from repro.scheduling.bookings import BookingDirectory
 
 ALL_STRATEGIES = registry.available("scheduler")
 ADAPTIVE_STRATEGIES = [
@@ -44,6 +47,21 @@ ADAPTIVE_STRATEGIES = [
 ]
 
 RESOURCES = ("r1", "r2", "r3", "r4")
+
+#: strategy -> whether it replans (exposes ``reschedule``)
+REPLANS = {
+    "aheft": True,
+    "cpop": True,
+    "heft_dup": True,
+    "lookahead_heft": True,
+    "mincost_flow": True,
+    "minmin": True,
+    "maxmin": True,
+    "sufferage": True,
+    "heft": False,
+    "olb": False,
+    "random_static": False,
+}
 
 
 def _case(v: int, seed: int):
@@ -193,6 +211,49 @@ class TestBadKernelInput:
                 clock=float("nan"),
                 previous_schedule=plan,
             )
+
+
+class TestOneDriver:
+    """Every strategy is one ``place(frame)`` policy behind one driver."""
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_capability_table(self, name):
+        assert name in REPLANS, f"declare whether {name!r} replans in REPLANS"
+        assert hasattr(registry.make("scheduler", name), "reschedule") is REPLANS[name]
+
+    def test_capability_table_names_only_registered_strategies(self):
+        assert set(REPLANS) <= set(ALL_STRATEGIES)
+
+    @pytest.mark.parametrize("name", ADAPTIVE_STRATEGIES)
+    @pytest.mark.parametrize("booked", [False, True])
+    def test_clock_zero_replan_is_the_initial_plan(self, name, booked):
+        case = _case(v=24, seed=17)
+        busy = None
+        if booked:
+            # another tenant's plan, seen through the booking directory
+            directory = BookingDirectory()
+            other = _case(v=12, seed=18)
+            directory.book(
+                "other",
+                registry.make("scheduler", "heft").schedule(
+                    other.workflow, other.costs, list(RESOURCES)
+                ),
+                0.0,
+            )
+            busy = directory.view(0.0)
+            assert busy
+        planned = registry.make("scheduler", name).schedule(
+            case.workflow, case.costs, list(RESOURCES), busy=busy
+        )
+        replanned = registry.make("scheduler", name).reschedule(
+            case.workflow,
+            case.costs,
+            list(RESOURCES),
+            clock=0.0,
+            previous_schedule=None,
+            busy=busy,
+        )
+        assert _serialized(replanned) == _serialized(planned)
 
 
 def _single(assignment):

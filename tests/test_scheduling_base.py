@@ -24,7 +24,7 @@ from benchmarks._seed_reference import (
 from repro.generators.blast import generate_blast_case
 from repro.generators.wien2k import generate_wien2k_case
 from repro.resources.dynamics import ResourceChangeModel
-from repro.scheduling.aheft import AHEFTScheduler, aheft_reschedule
+from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import (
     Assignment,
     ExecutionState,
@@ -33,7 +33,7 @@ from repro.scheduling.base import (
     Schedule,
 )
 from repro.scheduling.frame import PartialScheduleFrame
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 from repro.workflow.costs import CostModel
 
 
@@ -294,7 +294,7 @@ class TestPairwiseCommunicationKernel:
     def test_static_heft_identical(self, make_case):
         for case in _pairwise_cases(make_case):
             costs = _PairwiseCommunicationModel(case.costs)
-            fast = heft_schedule(case.workflow, costs, self.RESOURCES)
+            fast = HEFTScheduler().schedule(case.workflow, costs, self.RESOURCES)
             seed = seed_heft_schedule(case.workflow, costs, self.RESOURCES)
             assert fast.to_dict() == seed.to_dict()
             assert fast.makespan() == seed.makespan()
@@ -303,9 +303,9 @@ class TestPairwiseCommunicationKernel:
         grown = self.RESOURCES[1:] + ["g1", "g2"]
         for case in _pairwise_cases(make_case):
             costs = _PairwiseCommunicationModel(case.costs)
-            previous = heft_schedule(case.workflow, costs, self.RESOURCES)
+            previous = HEFTScheduler().schedule(case.workflow, costs, self.RESOURCES)
             kwargs = dict(clock=previous.makespan() * 0.4, previous_schedule=previous)
-            fast = aheft_reschedule(case.workflow, costs, grown, **kwargs)
+            fast = AHEFTScheduler().reschedule(case.workflow, costs, grown, **kwargs)
             seed = seed_aheft_reschedule(case.workflow, costs, grown, **kwargs)
             assert fast.to_dict() == seed.to_dict()
             assert fast.makespan() == seed.makespan()
@@ -317,7 +317,7 @@ class TestKernelEquivalence:
     def test_static_heft_identical_on_random_dags(self, make_case):
         resources = [f"r{i + 1}" for i in range(12)]
         for case in (make_case(v=60, omega_dag=300.0, seed=s) for s in (0, 1, 2)):
-            fast = heft_schedule(case.workflow, case.costs, resources)
+            fast = HEFTScheduler().schedule(case.workflow, case.costs, resources)
             seed = seed_heft_schedule(case.workflow, case.costs, resources)
             assert fast.to_dict() == seed.to_dict()
             assert fast.makespan() == seed.makespan()
@@ -325,17 +325,17 @@ class TestKernelEquivalence:
     def test_static_heft_identical_on_application_dags(self):
         resources = [f"r{i + 1}" for i in range(10)]
         for case in _application_cases():
-            fast = heft_schedule(case.workflow, case.costs, resources)
+            fast = HEFTScheduler().schedule(case.workflow, case.costs, resources)
             seed = seed_heft_schedule(case.workflow, case.costs, resources)
             assert fast.to_dict() == seed.to_dict()
 
     def test_aheft_reschedule_identical_mid_flight(self, make_case):
         resources = [f"r{i + 1}" for i in range(8)]
         for case in (make_case(v=60, omega_dag=300.0, seed=s) for s in (5, 6)):
-            previous = heft_schedule(case.workflow, case.costs, resources)
+            previous = HEFTScheduler().schedule(case.workflow, case.costs, resources)
             clock = previous.makespan() * 0.35
             grown = resources + ["g1", "g2", "g3"]
-            fast = aheft_reschedule(
+            fast = AHEFTScheduler().reschedule(
                 case.workflow,
                 case.costs,
                 grown,
@@ -350,18 +350,6 @@ class TestKernelEquivalence:
                 previous_schedule=previous,
             )
             assert fast.to_dict() == seed.to_dict()
-
-    def test_aheft_reschedule_identical_without_respect_running(self, make_case):
-        resources = [f"r{i + 1}" for i in range(6)]
-        case = make_case(v=60, omega_dag=300.0, seed=9)
-        previous = heft_schedule(case.workflow, case.costs, resources)
-        clock = previous.makespan() * 0.5
-        kwargs = dict(
-            clock=clock, previous_schedule=previous, respect_running=False
-        )
-        fast = aheft_reschedule(case.workflow, case.costs, resources, **kwargs)
-        seed = seed_aheft_reschedule(case.workflow, case.costs, resources, **kwargs)
-        assert fast.to_dict() == seed.to_dict()
 
     def test_adaptive_run_identical_over_pool_events(self, make_case):
         model = ResourceChangeModel(

@@ -5,7 +5,7 @@ import pytest
 from repro.generators.sample import sample_dag_cost_model, sample_dag_pool, sample_dag_workflow
 from repro.resources.pool import ResourcePool
 from repro.resources.resource import Resource
-from repro.scheduling.heft import heft_schedule
+from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.minmin import MinMinScheduler
 from repro.scheduling.validation import validate_schedule
 from repro.simulation.executor import JustInTimeExecutor, StaticScheduleExecutor
@@ -15,7 +15,7 @@ from repro.workflow.costs import TabularCostModel
 class TestStaticScheduleExecutor:
     def test_accurate_execution_reproduces_the_plan(self, sample_workflow, sample_costs):
         pool = ResourcePool([Resource("r1"), Resource("r2"), Resource("r3")])
-        schedule = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        schedule = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         trace = StaticScheduleExecutor(sample_workflow, sample_costs, schedule, pool).run()
         assert trace.makespan() == pytest.approx(schedule.makespan())
         for job in sample_workflow.jobs:
@@ -25,7 +25,7 @@ class TestStaticScheduleExecutor:
 
     def test_transfers_recorded_between_distinct_resources(self, sample_workflow, sample_costs):
         pool = ResourcePool([Resource("r1"), Resource("r2"), Resource("r3")])
-        schedule = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        schedule = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         trace = StaticScheduleExecutor(sample_workflow, sample_costs, schedule, pool).run()
         assert trace.transfers  # the sample DAG spans several resources
         for transfer in trace.transfers:
@@ -33,20 +33,20 @@ class TestStaticScheduleExecutor:
             assert transfer.finish > transfer.start
 
     def test_incomplete_schedule_rejected(self, diamond_workflow, diamond_costs, two_resource_pool):
-        schedule = heft_schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
         partial = type(schedule)()
         partial.add(schedule.assignment("a"))
         with pytest.raises(ValueError, match="does not cover"):
             StaticScheduleExecutor(diamond_workflow, diamond_costs, partial, two_resource_pool)
 
     def test_unknown_resource_rejected(self, diamond_workflow, diamond_costs):
-        schedule = heft_schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
         pool = ResourcePool([Resource("r1")])
         with pytest.raises(ValueError, match="unknown resource"):
             StaticScheduleExecutor(diamond_workflow, diamond_costs, schedule, pool).run()
 
     def test_slower_actual_costs_stretch_the_trace(self, diamond_workflow, diamond_costs, two_resource_pool):
-        schedule = heft_schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(diamond_workflow, diamond_costs, ["r1", "r2"])
         slow = TabularCostModel(
             diamond_workflow,
             {
@@ -65,7 +65,7 @@ class TestStaticScheduleExecutor:
     def test_trace_respects_precedence_and_exclusivity(self, small_random_case):
         wf, costs = small_random_case.workflow, small_random_case.costs
         pool = ResourcePool([Resource(f"r{i}") for i in range(1, 4)])
-        schedule = heft_schedule(wf, costs, ["r1", "r2", "r3"])
+        schedule = HEFTScheduler().schedule(wf, costs, ["r1", "r2", "r3"])
         trace = StaticScheduleExecutor(wf, costs, schedule, pool).run()
         assert validate_schedule(wf, costs, trace.to_schedule()) == []
 
@@ -107,7 +107,7 @@ class TestJustInTimeExecutor:
         self, sample_workflow, sample_costs, sample_pool
     ):
         """On the worked example the dynamic strategy is no better than HEFT."""
-        heft = heft_schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
+        heft = HEFTScheduler().schedule(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         trace = JustInTimeExecutor(sample_workflow, sample_costs, sample_pool).run()
         assert trace.makespan() >= heft.makespan() - 1e-9
 
@@ -138,7 +138,7 @@ class TestDepartureSemantics:
     ):
         # HEFT puts the whole chain on the faster r1; r1 leaves at 15 while
         # job b runs, so b is killed (5 units wasted) and b, c fail over.
-        schedule = heft_schedule(chain_workflow, chain_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(chain_workflow, chain_costs, ["r1", "r2"])
         assert all(schedule.resource_of(j) == "r1" for j in ("a", "b", "c"))
         trace = StaticScheduleExecutor(
             chain_workflow, chain_costs, schedule, departing_pool
@@ -158,7 +158,7 @@ class TestDepartureSemantics:
     ):
         from repro.simulation.event_core import SimulationError
 
-        schedule = heft_schedule(chain_workflow, chain_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(chain_workflow, chain_costs, ["r1", "r2"])
         executor = StaticScheduleExecutor(
             chain_workflow,
             chain_costs,
@@ -174,7 +174,7 @@ class TestDepartureSemantics:
     ):
         # r1 departs exactly when job b is scheduled to finish: no kill.
         pool = ResourcePool([Resource("r1", available_until=20.0), Resource("r2")])
-        schedule = heft_schedule(chain_workflow, chain_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(chain_workflow, chain_costs, ["r1", "r2"])
         trace = StaticScheduleExecutor(
             chain_workflow, chain_costs, schedule, pool
         ).run()
@@ -203,7 +203,7 @@ class TestDepartureSemantics:
 
         profile = PerformanceProfile()
         profile.set_factor("r1", 0.0, 2.0)  # r1 at half speed from the start
-        schedule = heft_schedule(chain_workflow, chain_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(chain_workflow, chain_costs, ["r1", "r2"])
         trace = StaticScheduleExecutor(
             chain_workflow,
             chain_costs,
@@ -233,7 +233,7 @@ class TestDepartureSemantics:
             ]
         )
         # plan only over r1/r2: r3 exists in the grid but not in the plan
-        schedule = heft_schedule(chain_workflow, costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(chain_workflow, costs, ["r1", "r2"])
         assert all(schedule.resource_of(j) == "r1" for j in ("a", "b", "c"))
         trace = StaticScheduleExecutor(chain_workflow, costs, schedule, pool).run()
         # b is killed twice: on r1 at 15 (5 wasted), then on its failover
@@ -272,7 +272,7 @@ class TestDepartureSemantics:
     def test_no_transfers_recorded_to_departed_resources(
         self, chain_workflow, chain_costs, departing_pool
     ):
-        schedule = heft_schedule(chain_workflow, chain_costs, ["r1", "r2"])
+        schedule = HEFTScheduler().schedule(chain_workflow, chain_costs, ["r1", "r2"])
         trace = StaticScheduleExecutor(
             chain_workflow, chain_costs, schedule, departing_pool
         ).run()

@@ -168,16 +168,6 @@ class TestHeterogeneousCostModel:
     def test_intrinsic_average_is_base(self, model):
         assert model.intrinsic_average_computation_cost("b") == 20.0
 
-    def test_perturbed_changes_costs_but_stays_close(self, model):
-        noisy = model.perturbed(error=0.2)
-        for job in model.base_costs:
-            ratio = noisy.base_costs[job] / model.base_costs[job]
-            assert 0.8 <= ratio <= 1.2
-
-    def test_perturbed_invalid_error_raises(self, model):
-        with pytest.raises(ValueError):
-            model.perturbed(error=1.5)
-
 
 class TestUniformCostModel:
     def test_same_cost_everywhere(self, diamond_workflow):
