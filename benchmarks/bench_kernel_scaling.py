@@ -91,12 +91,12 @@ SCALING_EVENTS = 5
 #: a wall-clock regression is noticeable at small V).
 MAX_SCALING_EXPONENT = 1.35
 
-#: Reschedule-latency floor (ISSUE 10 acceptance): the pre-change fast
-#: kernel measured 1.2758 s per evaluated event at V=10k on this exact
-#: family/seed (5 pool events, initial schedule included); the dirty-cone
-#: kernel must beat it by at least 5×.
-REFERENCE_RESCHEDULE_LATENCY_10K = 1.2758
-MIN_RESCHEDULE_SPEEDUP_VS_REFERENCE = 5.0
+#: Ceiling on the fitted log–log exponent of the adaptive run's reschedule
+#: latency vs V on the same family: one replan must stay near-linear in the
+#: DAG size.  Like the static exponent it is a ratio of timings from one
+#: run, so it holds on any host.  Measured V^1.04–1.17 at the full sizes; a
+#: quadratic term that quadruples the V=100k latency reads about V^1.34.
+MAX_RESCHEDULE_EXPONENT = 1.25
 
 
 def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -283,10 +283,14 @@ def measure_scaling_series(sizes=SCALING_SIZES) -> Dict[str, object]:
                 "adaptive_makespan": adaptive.makespan,
             }
         )
+    return {"rows": rows, "scaling_exponent": loglog_exponent(rows, "static_warm_seconds")}
+
+
+def loglog_exponent(rows: List[Dict[str, float]], key: str) -> float:
+    """The fitted exponent ``k`` of ``row[key] ≈ c·V^k`` over ``rows``."""
     log_v = np.log([row["v"] for row in rows])
-    log_t = np.log([row["static_warm_seconds"] for row in rows])
-    exponent = float(np.polyfit(log_v, log_t, 1)[0])
-    return {"rows": rows, "scaling_exponent": exponent}
+    log_t = np.log([row[key] for row in rows])
+    return float(np.polyfit(log_v, log_t, 1)[0])
 
 
 def measure_event_core_overhead(
@@ -394,6 +398,11 @@ def render(results: Dict[str, object]) -> str:
         f"  fitted static-time exponent: V^{s['scaling_exponent']:.2f} "
         f"(gate ≤ {MAX_SCALING_EXPONENT})"
     )
+    lines.append(
+        f"  fitted reschedule-latency exponent: "
+        f"V^{loglog_exponent(s['rows'], 'reschedule_latency'):.2f} "
+        f"(gate ≤ {MAX_RESCHEDULE_EXPONENT})"
+    )
     return "\n".join(lines)
 
 
@@ -437,16 +446,11 @@ def check_thresholds(results: Dict[str, object]) -> None:
         f"warm static HEFT scales as V^{scaling['scaling_exponent']:.2f} on "
         f"the sparse family, above the V^{MAX_SCALING_EXPONENT} ceiling"
     )
-    for row in scaling["rows"]:
-        if row["v"] != 10_000:
-            continue
-        speedup = REFERENCE_RESCHEDULE_LATENCY_10K / row["reschedule_latency"]
-        assert speedup >= MIN_RESCHEDULE_SPEEDUP_VS_REFERENCE, (
-            f"V=10k reschedule latency {row['reschedule_latency'] * 1e3:.0f} ms "
-            f"is only {speedup:.1f}x faster than the pre-change kernel "
-            f"({REFERENCE_RESCHEDULE_LATENCY_10K * 1e3:.0f} ms); the floor "
-            f"is {MIN_RESCHEDULE_SPEEDUP_VS_REFERENCE}x"
-        )
+    reschedule_exponent = loglog_exponent(scaling["rows"], "reschedule_latency")
+    assert reschedule_exponent <= MAX_RESCHEDULE_EXPONENT, (
+        f"adaptive reschedule latency scales as V^{reschedule_exponent:.2f} on "
+        f"the sparse family, above the V^{MAX_RESCHEDULE_EXPONENT} ceiling"
+    )
 
 
 def write_tracking_json(results: Dict[str, object]) -> Optional[Path]:

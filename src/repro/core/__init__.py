@@ -6,8 +6,12 @@ the paper proposes (§3):
 * :mod:`~repro.core.history` — the Performance History Repository,
 * :mod:`~repro.core.predictor` — the Predictor producing the estimation
   matrix ``P`` from prior costs and observed history,
-* :mod:`~repro.core.adaptive` — the generic adaptive rescheduling loop of
-  paper Fig. 2 and the strategy runners (static / adaptive / dynamic),
+* :mod:`~repro.core.adaptive` — the per-workflow adaptive step of paper
+  Fig. 1/2 (:class:`~repro.core.adaptive.AdaptiveWorkflow`), the
+  single-workflow loop that drives it and the strategy runners (static /
+  adaptive / dynamic),
+* :mod:`~repro.core.multi_tenant` — the shared-grid planner driving one
+  such step per admitted workflow,
 * :mod:`~repro.core.whatif` — "what … if …" queries (§3.3, future work in
   the paper, implemented here as an extension).
 """
@@ -20,8 +24,8 @@ from repro.core.predictor import (
 from repro.core.adaptive import (
     AdaptiveReschedulingLoop,
     AdaptiveRunResult,
+    AdaptiveWorkflow,
     ReschedulingDecision,
-    apply_departure_kills,
     project_actuals,
 )
 from repro.core.multi_tenant import POLICIES, ActiveWorkflow, MultiTenantPlanner
@@ -34,8 +38,8 @@ __all__ = [
     "RatioAdjustedCostModel",
     "AdaptiveReschedulingLoop",
     "AdaptiveRunResult",
+    "AdaptiveWorkflow",
     "ReschedulingDecision",
-    "apply_departure_kills",
     "project_actuals",
     "POLICIES",
     "ActiveWorkflow",

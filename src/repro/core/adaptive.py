@@ -1,19 +1,29 @@
-"""The generic adaptive rescheduling loop (paper Fig. 2) and strategy runners.
+"""The adaptive rescheduling step (paper Fig. 1/2), its drivers and runners.
 
-:class:`AdaptiveReschedulingLoop` is the paper's algorithm: starting from an
-initial static schedule ``S0``, every event of interest triggers a
-re-estimation and a candidate schedule ``S1`` for the unfinished part of the
-DAG; ``S1`` replaces ``S0`` only if it is an initial schedule or its
-predicted makespan is smaller (Fig. 2 lines 7–9).
+:class:`AdaptiveWorkflow` is one workflow's adaptive state — scheduler,
+current plan, decision log and departure kills — and its one Planner step
+(:meth:`AdaptiveWorkflow.step`): at an event of interest it kills the jobs
+running on departed resources, repairs the plan's remaining timings when
+the estimates changed, asks the scheduler for a candidate schedule ``S1``
+for the unfinished part of the DAG and applies the accept rule of Fig. 2
+lines 7–9 (``S1`` replaces ``S0`` only if it is forced or predicts a
+shorter makespan).  Two drivers run the same step:
 
-The loop is one Planner/Executor cycle (Fig. 1): adopted bookings are
-replayed against a ground-truth cost model (:func:`project_actuals`), the
-observed facts feed the optional predictor, and completions that miss their
-booking can trigger replanning.  Under accurate estimates — no truth model
-and no predictor — it takes an exact case inside that same loop: the plan
-is its own future, so the replay, the belief sync and the deviation scan
-are skipped.  Every adaptive run, exact or not, carries an
-:class:`~repro.simulation.trace.ExecutionTrace`.
+* :class:`AdaptiveReschedulingLoop` — the paper's loop for one workflow on
+  a dedicated (if changing) grid, one object stepped at every grid event
+  and every deviating completion;
+* :class:`~repro.core.multi_tenant.MultiTenantPlanner` — one object per
+  admitted workflow of a shared grid, each stepped around the other
+  workflows' bookings.
+
+Under accurate estimates — no truth model and no predictor, always the case
+on the shared grid — the plan is its own future: the step reads the
+execution state off the plan (:meth:`ExecutionState.from_schedule`) and
+the executed trace is the final plan plus the kills.  A noisy run attaches
+an :class:`ActualExecution`: adopted bookings are replayed against a
+ground-truth cost model (:func:`project_actuals`), the observed facts feed
+the optional predictor, and completions that miss their booking can
+trigger replanning.
 
 Three runners behind :func:`repro.run` give the head-to-head comparison of
 the paper's evaluation:
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro import registry
 from repro.core.history import PerformanceHistoryRepository
@@ -57,7 +67,7 @@ from repro.simulation.executor import (
     dispatch_duration,
     record_observation,
 )
-from repro.simulation.trace import ExecutionTrace
+from repro.simulation.trace import ExecutionTrace, KillRecord
 from repro.workflow.costs import CostModel, ErrorModel, PerturbedCostModel
 from repro.workflow.dag import Workflow
 
@@ -65,67 +75,13 @@ __all__ = [
     "ReschedulingDecision",
     "AdaptiveRunResult",
     "AdaptiveReschedulingLoop",
-    "apply_departure_kills",
-    "decide_adoption",
+    "AdaptiveWorkflow",
+    "ActualExecution",
     "describe_pool_event",
     "project_actuals",
     "repair_schedule",
     "resolve_strategy",
 ]
-
-
-def apply_departure_kills(
-    workflow: Workflow,
-    schedule: Schedule,
-    state: ExecutionState,
-    removed: frozenset,
-) -> tuple:
-    """Apply a departure event to an execution-state snapshot.
-
-    Jobs *running* on a removed resource at ``state.clock`` are killed:
-    their partial execution is counted as wasted work and their status is
-    reset to not-started (mutating ``state`` in place) so the next
-    rescheduling pass re-maps them.  Unfinished work mapped to a removed
-    resource — killed or merely planned there — makes the current plan
-    infeasible, which forces the caller to adopt the replacement candidate
-    regardless of the accept-if-better rule.
-
-    Returns ``(wasted, killed_jobs, forced)``: the execution time thrown
-    away, the set of killed job ids, and the infeasibility flag.  Shared by
-    the single-workflow :class:`AdaptiveReschedulingLoop` and the
-    multi-tenant planner so both apply identical departure semantics.
-
-    Duplicate copies (HEFT with task duplication) count towards
-    infeasibility too: an unfinished duplicate stranded on a departing
-    resource invalidates the consumers planned around its local data, so
-    the replacement candidate — which re-derives duplicates from scratch
-    on the surviving pool — must be adopted unconditionally.
-    """
-    wasted = 0.0
-    killed: set = set()
-    forced = False
-    if not removed:
-        return wasted, killed, forced
-    clock = state.clock
-    for job in workflow.jobs:
-        status = state.job_status(job)
-        if status is JobStatus.FINISHED:
-            continue
-        if status is JobStatus.RUNNING and state.executed_on.get(job) in removed:
-            wasted += clock - state.actual_start[job]
-            killed.add(job)
-            state.status[job] = JobStatus.NOT_STARTED
-            state.actual_start.pop(job, None)
-            state.executed_on.pop(job, None)
-            forced = True
-        elif status is JobStatus.NOT_STARTED:
-            assignment = schedule.get(job)
-            if assignment is not None and assignment.resource_id in removed:
-                forced = True
-    for duplicate in schedule.duplicates:
-        if duplicate.resource_id in removed and duplicate.finish > clock + TIME_EPS:
-            forced = True
-    return wasted, killed, forced
 
 
 @dataclass(frozen=True)
@@ -148,46 +104,6 @@ class ReschedulingDecision:
     def predicted_gain(self) -> float:
         """Positive when the candidate schedule is shorter."""
         return self.previous_makespan - self.candidate_makespan
-
-
-def decide_adoption(
-    clock: float,
-    event: Optional[PoolEvent],
-    current: Schedule,
-    candidate: Schedule,
-    *,
-    forced: bool,
-    accept_only_if_better: bool,
-    deviation: bool = False,
-) -> ReschedulingDecision:
-    """The accept rule of paper Fig. 2 lines 7–9, as a logged decision.
-
-    The candidate replaces ``current`` when the old plan is infeasible
-    (``forced``), when the rule is switched off (``accept_only_if_better``
-    false, the always-adopt ablation), or when its predicted makespan is
-    shorter by more than ``TIME_EPS``.  The decision is labelled with the
-    pool event, or ``"deviation"``/``"perf-change"`` for the monitor's and
-    the performance profile's triggers.  Shared by
-    :class:`AdaptiveReschedulingLoop` and the multi-tenant planner.
-    """
-    if event is not None:
-        label = describe_pool_event(event)
-    else:
-        label = "deviation" if deviation else "perf-change"
-    previous_makespan = current.makespan()
-    candidate_makespan = candidate.makespan()
-    return ReschedulingDecision(
-        time=clock,
-        event=label,
-        previous_makespan=previous_makespan,
-        candidate_makespan=candidate_makespan,
-        adopted=(
-            forced
-            or not accept_only_if_better
-            or candidate_makespan < previous_makespan - TIME_EPS
-        ),
-        forced=forced,
-    )
 
 
 @dataclass
@@ -225,6 +141,380 @@ class AdaptiveRunResult:
     def wasted_work(self) -> float:
         """Execution time thrown away on departure kills."""
         return self.trace.wasted_work() if self.trace is not None else 0.0
+
+
+@dataclass(eq=False)
+class AdaptiveWorkflow:
+    """One workflow's adaptive state and its Planner step (paper Fig. 1).
+
+    Holds the heuristic ``H`` (``scheduler``), the adopted plan
+    (``schedule``), the decision log and the departure kills; ``wasted_work``
+    sums the kills' thrown-away execution time one step at a time.
+    ``costs`` are the prior estimates, re-estimated by the optional
+    ``predictor`` and scaled by the ``perf_profile`` at each step's clock.
+    Without ``actual`` the estimates are accurate and the execution state is
+    read off the plan; a noisy run attaches its :class:`ActualExecution`.
+    """
+
+    workflow: Workflow
+    costs: CostModel
+    scheduler: object
+    #: the adopted plan (``None`` until the driver's first plan)
+    schedule: Optional[Schedule]
+    perf_profile: object = None
+    #: Fig. 2 line 7; ``False`` is the always-adopt ablation
+    accept_only_if_better: bool = True
+    predictor: Optional[Predictor] = None
+    actual: Optional["ActualExecution"] = None
+    decisions: List[ReschedulingDecision] = field(default_factory=list)
+    kills: List[KillRecord] = field(default_factory=list)
+    wasted_work: float = 0.0
+
+    def estimate(self, clock: float) -> CostModel:
+        """The estimation matrix ``P`` at ``clock`` (Fig. 2 line 5)."""
+        model = self.costs
+        if self.predictor is not None:
+            model = self.predictor.estimate(model)
+        if self.perf_profile is not None:
+            model = self.perf_profile.scaled_costs(model, clock)
+        return model
+
+    def finished_by(self, clock: float) -> bool:
+        """Whether the plan (or, in a noisy run, the projected truth) ends by
+        ``clock``."""
+        end = self.schedule.makespan() if self.actual is None else self.actual.completion()
+        return clock >= end - TIME_EPS
+
+    def step(
+        self,
+        clock: float,
+        event: Optional[PoolEvent],
+        resources: Sequence[str],
+        *,
+        busy=None,
+        deviation: bool = False,
+    ) -> ReschedulingDecision:
+        """React to one event of interest at ``clock`` on ``resources``.
+
+        1. Reads the execution state at ``clock``: off the plan, or from the
+           ground truth advanced to ``clock`` (the Performance Monitor's
+           report, which also feeds the predictor's history).
+        2. Kills the jobs running on a resource ``event`` removed.
+        3. Re-estimates the cost matrix (:meth:`estimate`).
+        4. In a noisy run, syncs the plan with the observed facts; when
+           anything deviated or a performance factor changes at ``clock``,
+           repairs the plan's remaining timings (:func:`repair_schedule`)
+           so the accept rule has an honest baseline.
+        5. Asks the scheduler for a candidate planned around the foreign
+           ``busy`` spans of a shared grid (``None``: a dedicated grid).
+        6. Applies the accept rule of Fig. 2 lines 7–9: the candidate
+           replaces the plan when the plan is infeasible (``forced``), when
+           the rule is switched off, or when it predicts a makespan shorter
+           by more than ``TIME_EPS``.
+
+        The decision is logged and returned, labelled with the pool event,
+        or ``"deviation"``/``"perf-change"`` for the monitor's and the
+        performance profile's triggers.
+        """
+        workflow = self.workflow
+        actual = self.actual
+        if actual is None:
+            state = ExecutionState.from_schedule(self.schedule, clock, jobs=workflow.jobs)
+        else:
+            state = actual.observe(clock)
+        removed = frozenset(event.removed) if event is not None else frozenset()
+        forced = self._kill_departed(state, removed)
+
+        effective = self.estimate(clock)
+        changed = False
+        if actual is not None:
+            synced, changed = actual.sync_belief(self.schedule, state, effective)
+        profile = self.perf_profile
+        if changed or (profile is not None and clock in profile.change_times()):
+            self.schedule = repair_schedule(
+                workflow,
+                synced if changed else self.schedule,
+                state,
+                effective,
+                clock=clock,
+                resources=resources,
+            )
+
+        # a dedicated grid (no ``busy``) asks only the plain interface
+        shared = {} if busy is None else {"busy": busy}
+        candidate = self.scheduler.reschedule(
+            workflow,
+            effective,
+            resources,
+            clock=clock,
+            previous_schedule=self.schedule,
+            execution_state=state,
+            **shared,
+        )
+        if event is not None:
+            label = describe_pool_event(event)
+        else:
+            label = "deviation" if deviation else "perf-change"
+        previous_makespan = self.schedule.makespan()
+        candidate_makespan = candidate.makespan()
+        decision = ReschedulingDecision(
+            time=clock,
+            event=label,
+            previous_makespan=previous_makespan,
+            candidate_makespan=candidate_makespan,
+            adopted=(
+                forced
+                or not self.accept_only_if_better
+                or candidate_makespan < previous_makespan - TIME_EPS
+            ),
+            forced=forced,
+        )
+        self.decisions.append(decision)
+        if decision.adopted:
+            self.schedule = candidate
+        if actual is not None:
+            actual.project(self.schedule)
+        return decision
+
+    def _kill_departed(self, state: ExecutionState, removed: FrozenSet[str]) -> bool:
+        """Apply a departure to ``state``; return whether the plan is infeasible.
+
+        Jobs *running* on a removed resource are killed: their partial
+        execution is wasted work, and they return to not-started in
+        ``state`` so the candidate re-maps them.  Unfinished work mapped to
+        a removed resource — killed, planned there, or an unfinished
+        duplicate copy whose consumers count on its local data — makes the
+        plan infeasible and forces the candidate's adoption.
+        """
+        if not removed:
+            return False
+        clock = state.clock
+        wasted = 0.0
+        killed: List[str] = []
+        forced = False
+        schedule = self.schedule
+        for job in self.workflow.jobs:
+            status = state.job_status(job)
+            if status is JobStatus.FINISHED:
+                continue
+            if status is JobStatus.RUNNING and state.executed_on.get(job) in removed:
+                start = state.actual_start.pop(job)
+                resource = state.executed_on.pop(job)
+                wasted += clock - start
+                killed.append(job)
+                self.kills.append(KillRecord(job, resource, start, clock))
+                state.status[job] = JobStatus.NOT_STARTED
+                forced = True
+            elif status is JobStatus.NOT_STARTED:
+                assignment = schedule.get(job)
+                if assignment is not None and assignment.resource_id in removed:
+                    forced = True
+        for duplicate in schedule.duplicates:
+            if duplicate.resource_id in removed and duplicate.finish > clock + TIME_EPS:
+                forced = True
+        self.wasted_work += wasted
+        if self.actual is not None:
+            self.actual.forget(killed, removed, clock)
+        return forced
+
+
+class ActualExecution:
+    """The ground truth of one workflow's adopted plans in a noisy run.
+
+    Bookings are *reservations*: a job never starts before its booked
+    start, and deviations push it (and its successors, and everything
+    queued behind it on the resource) later.  The projection is the current
+    plan's :func:`project_actuals` replay under ``truth``; executions become
+    facts once observed started, and each finished one is reported to
+    ``history`` (Fig. 1: Scheduler → Performance History Repository).
+
+    ``replan_on_deviation`` arms the monitor's own trigger
+    (:meth:`next_deviation`); ``None`` disables it.
+    """
+
+    def __init__(
+        self,
+        workflow: Workflow,
+        costs: CostModel,
+        truth: CostModel,
+        *,
+        perf_profile=None,
+        history: Optional[PerformanceHistoryRepository] = None,
+        replan_on_deviation: Optional[float] = None,
+    ) -> None:
+        self.workflow = workflow
+        self.costs = costs
+        self.truth = truth
+        self.perf_profile = perf_profile
+        self.history = history
+        self.replan_on_deviation = replan_on_deviation
+        self._index = workflow.structure().index
+        #: ground truth of every job that has started (running or finished)
+        self.started: Dict[str, Assignment] = {}
+        #: ground truth of every started duplicate copy, per (job, resource)
+        self.started_duplicates: Dict[tuple, Assignment] = {}
+        self._finished: set = set()
+        #: the current plan's actual future: primaries and duplicates
+        self.projection: Dict[str, Assignment] = {}
+        self.duplicate_projection: Dict[tuple, Assignment] = {}
+
+    def project(self, plan: Schedule) -> None:
+        """Replay ``plan``'s not-yet-started executions under the truth."""
+        started = self.started
+        if self.started_duplicates:
+            started = {**started, **self.started_duplicates}
+        (projected,) = project_actuals(
+            [(self.workflow, plan, started, self.truth)], perf_profile=self.perf_profile
+        )
+        duplicates = {}
+        if plan.duplicates:
+            for key in [key for key in projected if isinstance(key, tuple)]:
+                duplicates[key] = projected.pop(key)
+        self.projection = projected
+        self.duplicate_projection = duplicates
+
+    def completion(self) -> float:
+        """The projected actual completion of the workflow."""
+        return max(
+            [a.finish for a in self.started.values()]
+            + [a.finish for a in self.projection.values()],
+            default=0.0,
+        )
+
+    def _finish(self, assignments: List[Assignment]) -> None:
+        """Mark executions finished and report them in completion order."""
+        index = self._index
+        assignments.sort(key=lambda a: (a.finish, a.start, index[a.job_id]))
+        for assignment in assignments:
+            self._finished.add(assignment.job_id)
+            if self.history is not None:
+                record_observation(
+                    self.history,
+                    self.workflow,
+                    self.costs,
+                    assignment.job_id,
+                    assignment.resource_id,
+                    assignment.start,
+                    assignment.finish,
+                    self.perf_profile,
+                )
+
+    def observe(self, clock: float) -> ExecutionState:
+        """Advance the ground truth to ``clock``; the actual state there."""
+        index = self._index
+        started = self.started
+        newly_started = [
+            a for a in self.projection.values()
+            if a.job_id not in started and a.start <= clock + TIME_EPS
+        ]
+        newly_started.sort(key=lambda a: (a.start, a.finish, index[a.job_id]))
+        for assignment in newly_started:
+            started[assignment.job_id] = assignment
+        for key, assignment in self.duplicate_projection.items():
+            if assignment.start <= clock + TIME_EPS:
+                self.started_duplicates[key] = assignment
+        self._finish([
+            a for job, a in started.items()
+            if job not in self._finished and a.finish <= clock + TIME_EPS
+        ])
+        # every started job began by ``clock``, and exactly those that
+        # finish by it are finished: the facts read like an accurate plan
+        return ExecutionState.from_schedule(started, clock, jobs=self.workflow.jobs)
+
+    def forget(self, killed: Sequence[str], removed: FrozenSet[str], clock: float) -> None:
+        """Drop the executions a departure at ``clock`` killed."""
+        for job in killed:
+            del self.started[job]
+        # a duplicate running on a departed resource is lost
+        for key, duplicate in list(self.started_duplicates.items()):
+            if duplicate.resource_id in removed and duplicate.finish > clock + TIME_EPS:
+                del self.started_duplicates[key]
+
+    def sync_belief(
+        self, plan: Schedule, state: ExecutionState, effective: CostModel
+    ) -> tuple:
+        """Substitute observed facts into the plan; never re-time futures.
+
+        Returns ``(synced, changed)`` where ``changed`` flags any deviation
+        between the plan and the observed actuals.  A running job keeps its
+        *booked duration* shifted to its actual start (speed frozen at
+        dispatch, estimate unchanged), floored at the clock — the planner
+        knows an overdue job cannot finish in the past.  A running job
+        without a booking on its resource is priced by ``effective``, the
+        step's estimate.
+        """
+        synced = Schedule(name=plan.name)
+        changed = False
+        clock = state.clock
+        for duplicate in plan.duplicates:
+            # started duplicate executions are facts (see repair_schedule);
+            # one booked to have started but still waiting is dropped
+            if duplicate.start > clock + TIME_EPS:
+                continue
+            actual = self.started_duplicates.get((duplicate.job_id, duplicate.resource_id))
+            if actual != duplicate:
+                changed = True
+            if actual is not None:
+                synced.add_duplicate(actual)
+        for job in self.workflow.jobs:
+            booked = plan.get(job)
+            if state.is_finished(job):
+                actual = self.started[job]
+                synced.add(actual)
+                if actual != booked:
+                    changed = True
+            elif state.is_running(job):
+                running = self.started[job]
+                rid, start = running.resource_id, running.start
+                if booked is not None and booked.resource_id == rid:
+                    if start == booked.start:
+                        belief_finish = booked.finish
+                    else:
+                        belief_finish = start + (booked.finish - booked.start)
+                        changed = True
+                else:
+                    belief_finish = start + effective.computation_cost(job, rid)
+                    changed = True
+                belief_finish = max(belief_finish, clock)
+                synced.add(Assignment(job, rid, start, belief_finish))
+            elif booked is not None:
+                synced.add(booked)
+        return synced, changed
+
+    def next_deviation(self, plan: Schedule, after: float) -> Optional[float]:
+        """Earliest completion after ``after`` deviating beyond the threshold.
+
+        The monitor learns a job's actual duration when it completes; a
+        completion whose time differs from ``plan``'s booked finish by more
+        than ``replan_on_deviation`` of the booked duration is an event of
+        interest.
+        """
+        threshold = self.replan_on_deviation
+        if threshold is None:
+            return None
+        earliest: Optional[float] = None
+        for job, actual in list(self.started.items()) + list(self.projection.items()):
+            if actual.finish <= after + TIME_EPS:
+                continue
+            booked = plan.get(job)
+            if booked is None:
+                continue
+            slack = threshold * max(booked.duration, TIME_EPS)
+            if abs(actual.finish - booked.finish) <= slack:
+                continue
+            if earliest is None or actual.finish < earliest:
+                earliest = actual.finish
+        return earliest
+
+    def drain(self) -> tuple:
+        """Run the projected tail: ``(primaries, duplicates)`` executed."""
+        started = self.started
+        for assignment in self.projection.values():
+            started.setdefault(assignment.job_id, assignment)
+        for key, assignment in self.duplicate_projection.items():
+            self.started_duplicates.setdefault(key, assignment)
+        self._finish([a for job, a in started.items() if job not in self._finished])
+        return started, list(self.started_duplicates.values())
 
 
 class AdaptiveReschedulingLoop:
@@ -265,273 +555,72 @@ class AdaptiveReschedulingLoop:
         observe: bool = True,
         replan_on_deviation: Optional[float] = 0.1,
     ) -> AdaptiveRunResult:
-        """Plan, then react to every event until the workflow finishes.
+        """Plan, then step one :class:`AdaptiveWorkflow` until it finishes.
 
-        This is the paper's Fig. 1 Planner/Executor cycle.  The Planner
-        plans on estimates (optionally re-estimated by the ``predictor``
-        from accumulated history), while the simulated grid executes the
-        adopted bookings with the ground-truth durations of
-        ``actual_costs`` (typically a sampled
-        :class:`~repro.workflow.costs.PerturbedCostModel`; the estimates
-        themselves when omitted).  Bookings are *reservations*: a job never
-        starts before its booked start, and deviations push it (and its
-        successors, and everything queued behind it on the resource) later.
+        This is the paper's Fig. 1 Planner/Executor cycle: every pool and
+        performance change until the workflow finishes triggers
+        :meth:`AdaptiveWorkflow.step`.  The Planner plans on estimates
+        (re-estimated by the optional ``predictor`` from the history that
+        ``observe`` feeds), while the simulated grid executes the adopted
+        bookings with the ground-truth durations of ``actual_costs``
+        (typically a sampled :class:`~repro.workflow.costs.PerturbedCostModel`).
 
-        At every trigger (pool change or performance change) the loop:
-
-        1. advances the ground truth to the trigger time, committing actual
-           starts/finishes (the Performance Monitor's report);
-        2. records each newly finished job's observed duration in the
-           predictor's history repository (Fig. 1: Scheduler → Performance
-           History Repository);
-        3. applies departure kills against the *actual* execution state:
-           jobs running on a departing resource are killed (their partial
-           execution counted as wasted work) and return to the unscheduled
-           set; if any unfinished work was mapped to a departed resource the
-           previous plan is *infeasible* and the candidate is adopted
-           regardless of the accept-if-better rule (``forced`` decisions);
-        4. re-estimates the cost matrix via the predictor (history-blended
-           prior) and the performance profile;
-        5. syncs the belief plan with the observed facts and, when anything
-           deviated or ``perf_profile`` marks a factor change at the trigger
-           time, repairs its remaining timings under the re-estimated model
-           (see :func:`repair_schedule`) so the accept rule has an honest
-           baseline;
-        6. asks the scheduler for a candidate and applies the accept rule
-           of Fig. 2 lines 7–9 (see :func:`decide_adoption`).
-
-        Beyond the grid events, ``replan_on_deviation`` arms the monitor's
-        own trigger: when a job's observed completion deviates from its
-        booked one by more than the given fraction of its booked duration,
-        the Planner re-evaluates at that completion instant (an extra
-        decision with event label ``"deviation"``).  This is how the
-        adaptive strategy *absorbs* estimate error between grid events —
-        without it, accumulated delays would just push the reservation
-        timeline back.  Zero noise produces zero deviations.  ``None``
-        disables it.
+        ``replan_on_deviation`` arms the monitor's own trigger: when an
+        observed completion misses its booked one by more than that
+        non-negative fraction of the booked duration, the Planner
+        re-evaluates at that instant (event label ``"deviation"``).  This
+        is how the adaptive strategy *absorbs* estimate error between grid
+        events instead of just pushing the reservation timeline back.
+        ``None`` disables it.
 
         With neither ``actual_costs`` nor a ``predictor`` the estimates are
-        the truth (the paper's §4.1 accurate-estimation assumption) and the
-        plan is its own future.  The loop then takes its *exact case*: the
-        projection is the plan's own un-started bookings (no
-        :func:`project_actuals` replay), the belief never deviates from the
-        observed facts, and no deviation trigger can fire.  Each shortcut
-        is what the full replay computes when the truth equals the
-        estimates; ``tests/test_differential.py::TestZeroNoiseDifferential``
-        pins the two against each other.
+        the truth (the paper's §4.1 accurate-estimation assumption): the
+        step reads its state off the plan, no :func:`project_actuals`
+        replay runs and no deviation can fire — what the full replay
+        computes when the truth equals the estimates
+        (``tests/test_differential.py::TestZeroNoiseDifferential``).
 
-        The returned result carries an :class:`ExecutionTrace` of the
-        actual execution, so ``result.makespan`` is the achieved (not the
-        predicted) makespan.
+        The result's :class:`ExecutionTrace` records the actual execution,
+        so ``result.makespan`` is the achieved makespan.
         """
+        if replan_on_deviation is not None and not replan_on_deviation >= 0.0:
+            raise ValueError(
+                "replan_on_deviation must be a non-negative fraction or None, "
+                f"got {replan_on_deviation!r}"
+            )
         initial_resources = pool.available_at(0.0)
         if not initial_resources:
             raise ValueError("no resources available at time 0")
-        truth = actual_costs if actual_costs is not None else costs
-        history = predictor.history if predictor is not None else None
-        #: accurate estimates: every execution happens exactly as booked
-        exact = actual_costs is None and predictor is None
-
-        def estimated(clock: float) -> CostModel:
-            model = costs
-            if predictor is not None:
-                model = predictor.estimate(costs)
-            if perf_profile is not None:
-                model = perf_profile.scaled_costs(model, clock)
-            return model
-
-        current = self.scheduler.schedule(workflow, estimated(0.0), initial_resources)
-        initial = current
-        decisions: List[ReschedulingDecision] = []
+        wf = AdaptiveWorkflow(
+            workflow,
+            costs,
+            self.scheduler,
+            None,
+            perf_profile=perf_profile,
+            accept_only_if_better=self.accept_only_if_better,
+            predictor=predictor,
+        )
+        wf.schedule = initial = self.scheduler.schedule(
+            workflow, wf.estimate(0.0), initial_resources
+        )
         name = strategy_name or getattr(self.scheduler, "name", "adaptive")
-        trace = ExecutionTrace(workflow_name=workflow.name, strategy=name)
-
-        job_index = {job: i for i, job in enumerate(workflow.jobs)}
-        #: ground truth of every job that has started (running or finished)
-        truth_assign: Dict[str, Assignment] = {}
-        #: ground truth of every started duplicate copy, per (job, resource)
-        truth_dups: Dict[tuple, Assignment] = {}
-        finished: set = set()
-        recorded: set = set()
-
-        def report_finished(assignment: Assignment) -> None:
-            """Report a completed execution to the history repository once."""
-            if history is None or not observe or assignment.job_id in recorded:
-                return
-            record_observation(
-                history,
+        if actual_costs is not None or predictor is not None:
+            wf.actual = ActualExecution(
                 workflow,
                 costs,
-                assignment.job_id,
-                assignment.resource_id,
-                assignment.start,
-                assignment.finish,
-                perf_profile,
+                actual_costs if actual_costs is not None else costs,
+                perf_profile=perf_profile,
+                history=predictor.history if predictor is not None and observe else None,
+                replan_on_deviation=replan_on_deviation,
             )
-            recorded.add(assignment.job_id)
+            wf.actual.project(initial)
 
-        def project(plan: Schedule) -> tuple:
-            """The plan's actual future: ``(primaries, duplicates)``."""
-            if exact:
-                return (
-                    {a.job_id: a for a in plan if a.job_id not in truth_assign},
-                    {
-                        (d.job_id, d.resource_id): d
-                        for d in plan.duplicates
-                        if (d.job_id, d.resource_id) not in truth_dups
-                    },
-                )
-            started = {**truth_assign, **truth_dups} if truth_dups else truth_assign
-            (projected,) = project_actuals(
-                [(workflow, plan, started, truth)], perf_profile=perf_profile
-            )
-            duplicates = {}
-            if plan.duplicates:
-                for key in [key for key in projected if isinstance(key, tuple)]:
-                    duplicates[key] = projected.pop(key)
-            return projected, duplicates
-
-        def commit(
-            projection: Dict[str, Assignment],
-            dup_projection: Dict[tuple, Assignment],
-            clock: float,
-        ) -> None:
-            """Advance the ground truth to ``clock`` (the monitor's report)."""
-            started = [
-                a for a in projection.values()
-                if a.job_id not in truth_assign and a.start <= clock + TIME_EPS
-            ]
-            started.sort(key=lambda a: (a.start, a.finish, job_index[a.job_id]))
-            for assignment in started:
-                truth_assign[assignment.job_id] = assignment
-            for key, assignment in dup_projection.items():
-                if assignment.start <= clock + TIME_EPS:
-                    truth_dups[key] = assignment
-            newly_finished = [
-                a for job, a in truth_assign.items()
-                if job not in finished and a.finish <= clock + TIME_EPS
-            ]
-            newly_finished.sort(key=lambda a: (a.finish, a.start, job_index[a.job_id]))
-            for assignment in newly_finished:
-                finished.add(assignment.job_id)
-                report_finished(assignment)
-
-        def snapshot(clock: float) -> ExecutionState:
-            """The actual execution state at ``clock`` (mirrors
-            :meth:`ExecutionState.from_schedule` conventions exactly)."""
-            state = ExecutionState(clock=float(clock))
-            for job in workflow.jobs:
-                assignment = truth_assign.get(job)
-                if assignment is None:
-                    state.status[job] = JobStatus.NOT_STARTED
-                    continue
-                state.executed_on[job] = assignment.resource_id
-                state.actual_start[job] = assignment.start
-                if job in finished:
-                    state.status[job] = JobStatus.FINISHED
-                    state.actual_finish[job] = assignment.finish
-                    state.data_arrivals[(job, assignment.resource_id)] = assignment.finish
-                else:
-                    state.status[job] = JobStatus.RUNNING
-            return state
-
-        def sync_belief(
-            plan: Schedule, state: ExecutionState, effective: CostModel
-        ) -> tuple:
-            """Substitute observed facts into the plan; never re-time futures.
-
-            Returns ``(synced, changed)`` where ``changed`` flags any
-            deviation between the plan and the observed actuals.  A running
-            job keeps its *booked duration* shifted to its actual start
-            (speed frozen at dispatch, estimate unchanged), floored at the
-            clock — the planner knows an overdue job cannot finish in the
-            past.  A running job without a booking on its resource is priced
-            by ``effective``, the trigger's estimate.
-            """
-            if exact:
-                return plan, False
-            synced = Schedule(name=plan.name)
-            changed = False
-            clock = state.clock
-            for duplicate in plan.duplicates:
-                # started duplicate executions are facts (see repair_schedule);
-                # one booked to have started but still waiting is dropped
-                if duplicate.start > clock + TIME_EPS:
-                    continue
-                actual = truth_dups.get((duplicate.job_id, duplicate.resource_id))
-                if actual != duplicate:
-                    changed = True
-                if actual is not None:
-                    synced.add_duplicate(actual)
-            for job in workflow.jobs:
-                booked = plan.get(job)
-                if state.is_finished(job):
-                    actual = Assignment(
-                        job,
-                        state.executed_on[job],
-                        state.actual_start[job],
-                        state.actual_finish[job],
-                    )
-                    synced.add(actual)
-                    if (
-                        booked is None
-                        or booked.resource_id != actual.resource_id
-                        or booked.start != actual.start
-                        or booked.finish != actual.finish
-                    ):
-                        changed = True
-                elif state.is_running(job):
-                    rid = state.executed_on[job]
-                    start = state.actual_start[job]
-                    if booked is not None and booked.resource_id == rid:
-                        if start == booked.start:
-                            belief_finish = booked.finish
-                        else:
-                            belief_finish = start + (booked.finish - booked.start)
-                            changed = True
-                    else:
-                        belief_finish = start + effective.computation_cost(job, rid)
-                        changed = True
-                    belief_finish = max(belief_finish, clock)
-                    synced.add(Assignment(job, rid, start, belief_finish))
-                elif booked is not None:
-                    synced.add(booked)
-            return synced, changed
-
-        triggers, perf_times = _merge_triggers(
+        triggers = _merge_triggers(
             list(events) if events is not None else pool.events(), perf_profile
         )
-
-        def next_deviation(projection: Dict[str, Assignment], after: float) -> Optional[float]:
-            """Earliest future completion deviating beyond the threshold.
-
-            The monitor learns a job's actual duration when it completes;
-            a completion whose time differs from the current plan's booked
-            finish by more than ``replan_on_deviation`` of the booked
-            duration is an event of interest.  Only completions strictly
-            after ``after`` (the last processed trigger) can still fire.
-            """
-            if exact or replan_on_deviation is None:
-                return None
-            earliest: Optional[float] = None
-            for job, actual in list(truth_assign.items()) + list(projection.items()):
-                if actual.finish <= after + TIME_EPS:
-                    continue
-                booked = current.get(job)
-                if booked is None:
-                    continue
-                slack = replan_on_deviation * max(booked.duration, TIME_EPS)
-                if abs(actual.finish - booked.finish) <= slack:
-                    continue
-                if earliest is None or actual.finish < earliest:
-                    earliest = actual.finish
-            return earliest
-
         static_times = sorted(triggers)
         static_index = 0
         last_clock = float("-inf")
-        projection, dup_projection = project(current)
-
         core = EventCore()
         deviation_event: Optional[Event] = None
 
@@ -549,7 +638,9 @@ class AdaptiveReschedulingLoop:
             if deviation_event is not None:
                 deviation_event.cancel()
                 deviation_event = None
-            deviation_at = next_deviation(projection, last_clock)
+            if wf.actual is None:
+                return
+            deviation_at = wf.actual.next_deviation(wf.schedule, last_clock)
             if deviation_at is None:
                 return
             next_static = (
@@ -569,77 +660,16 @@ class AdaptiveReschedulingLoop:
         def on_trigger(
             clock: float, event: Optional[PoolEvent], is_deviation: bool
         ) -> None:
-            nonlocal current, last_clock, static_index
-            nonlocal projection, dup_projection
+            nonlocal last_clock, static_index
             if not is_deviation:
                 static_index += 1
-            completion = max(
-                [a.finish for a in truth_assign.values()]
-                + [a.finish for a in projection.values()],
-                default=0.0,
-            )
-            if clock >= completion - TIME_EPS:
+            if wf.finished_by(clock):
                 core.stop()  # the workflow actually finished before this event
                 return
             last_clock = clock
             resources = pool.available_at(clock)
-            if not resources:
-                arm_deviation()
-                return
-            commit(projection, dup_projection, clock)
-            state = snapshot(clock)
-
-            removed_set = frozenset(event.removed) if event is not None else frozenset()
-            _, killed, forced = apply_departure_kills(
-                workflow, current, state, removed_set
-            )
-            for job in sorted(killed, key=job_index.__getitem__):
-                killed_assignment = truth_assign.pop(job)
-                trace.record_kill(
-                    job, killed_assignment.resource_id, killed_assignment.start, clock
-                )
-            if removed_set and truth_dups:
-                # a duplicate running on a departed resource is lost
-                for key, duplicate in list(truth_dups.items()):
-                    if (
-                        duplicate.resource_id in removed_set
-                        and duplicate.finish > clock + TIME_EPS
-                    ):
-                        del truth_dups[key]
-
-            effective = estimated(clock)
-            synced, changed = sync_belief(current, state, effective)
-            if changed or clock in perf_times:
-                current = repair_schedule(
-                    workflow,
-                    synced if changed else current,
-                    state,
-                    effective,
-                    clock=clock,
-                    resources=resources,
-                )
-
-            candidate = self.scheduler.reschedule(
-                workflow,
-                effective,
-                resources,
-                clock=clock,
-                previous_schedule=current,
-                execution_state=state,
-            )
-            decision = decide_adoption(
-                clock,
-                event,
-                current,
-                candidate,
-                forced=forced,
-                accept_only_if_better=self.accept_only_if_better,
-                deviation=is_deviation,
-            )
-            decisions.append(decision)
-            if decision.adopted:
-                current = candidate
-            projection, dup_projection = project(current)
+            if resources:
+                wf.step(clock, event, resources, deviation=is_deviation)
             arm_deviation()
 
         for trigger_time in static_times:
@@ -653,38 +683,31 @@ class AdaptiveReschedulingLoop:
         arm_deviation()
         core.run()
 
-        # drain: the remaining projection is the actual tail of the run
-        for assignment in projection.values():
-            truth_assign.setdefault(assignment.job_id, assignment)
-        for key, assignment in dup_projection.items():
-            truth_dups.setdefault(key, assignment)
-        remaining = [
-            a for job, a in truth_assign.items()
-            if job not in finished
-        ]
-        remaining.sort(key=lambda a: (a.finish, a.start, job_index[a.job_id]))
-        for assignment in remaining:
-            finished.add(assignment.job_id)
-            report_finished(assignment)
+        if wf.actual is None:
+            executed, duplicates = wf.schedule, wf.schedule.duplicates
+        else:
+            executed, duplicates = wf.actual.drain()
+        trace = ExecutionTrace(workflow_name=workflow.name, strategy=name)
         for job in workflow.jobs:
-            assignment = truth_assign[job]
-            trace.record_job(
-                job, assignment.resource_id, assignment.start, assignment.finish
-            )
+            assignment = executed.get(job)
+            trace.record_job(job, assignment.resource_id, assignment.start, assignment.finish)
+        index = workflow.structure().index
         for duplicate in sorted(
-            truth_dups.values(),
-            key=lambda a: (a.start, a.finish, job_index[a.job_id], a.resource_id),
+            duplicates,
+            key=lambda a: (a.start, a.finish, index[a.job_id], a.resource_id),
         ):
             trace.record_duplicate(
                 duplicate.job_id, duplicate.resource_id, duplicate.start, duplicate.finish
             )
+        for kill in wf.kills:
+            trace.record_kill(kill.job_id, kill.resource_id, kill.start, kill.killed_at)
         return AdaptiveRunResult(
             strategy=name,
             initial_schedule=initial,
-            final_schedule=current,
-            decisions=decisions,
+            final_schedule=wf.schedule,
+            decisions=wf.decisions,
             trace=trace,
-            killed_jobs=len({kill.job_id for kill in trace.kills}),
+            killed_jobs=len({kill.job_id for kill in wf.kills}),
         )
 
 
@@ -821,14 +844,13 @@ def repair_schedule(
 
 def _merge_triggers(
     pool_events: Sequence[PoolEvent], perf_profile
-) -> tuple:
+) -> Dict[float, Optional[PoolEvent]]:
     """Merge pool events and perf-change times into one trigger map.
 
     ``pool.events()`` aggregates per time point already, but callers may
     pass their own event list, so same-time entries are merged instead of
-    dropped.  Returns ``(triggers, perf_times)`` where ``triggers`` maps
-    time to an optional :class:`PoolEvent` (``None`` marks a pure
-    performance change).
+    dropped.  Maps each trigger time to an optional :class:`PoolEvent`
+    (``None`` marks a pure performance change).
     """
     triggers: Dict[float, Optional[PoolEvent]] = {}
     for event in pool_events:
@@ -841,12 +863,10 @@ def _merge_triggers(
                 added=tuple(sorted({*existing.added, *event.added})),
                 removed=tuple(sorted({*existing.removed, *event.removed})),
             )
-    perf_times = set()
     if perf_profile is not None:
-        perf_times = set(perf_profile.change_times())
-        for time in perf_times:
+        for time in perf_profile.change_times():
             triggers.setdefault(time, None)
-    return triggers, perf_times
+    return triggers
 
 
 #: replay queue order: booked start, booked finish, workflow order, job id

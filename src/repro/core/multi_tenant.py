@@ -4,23 +4,25 @@ The paper's Planner manages one workflow on a dedicated (if changing) grid.
 :class:`MultiTenantPlanner` generalises that loop to many concurrent
 workflows from many tenants, all booking slots on the *same* resources:
 
-* every workflow keeps its own AHEFT scheduler and its own adaptive plan,
-  exactly as in :class:`~repro.core.adaptive.AdaptiveReschedulingLoop`
-  (same departure-kill semantics via
-  :func:`~repro.core.adaptive.apply_departure_kills`, same perf-change
-  repair via :func:`~repro.core.adaptive.repair_schedule`, same
-  accept-if-better rule);
-* each planning pass sees every *other* workflow's current bookings as
-  busy blocks (the ``busy`` parameter of
-  :func:`~repro.scheduling.frame.replan`), so plans are pairwise
-  non-overlapping by construction: a workflow always plans around the
-  residual capacity left by the rest.  The bookings live in one
-  :class:`~repro.scheduling.bookings.BookingDirectory`, updated when a
-  workflow registers, when it leaves to replan at a grid event and
-  re-books its repaired or adopted plan, and when it completes; planning
-  frames and admission control read slices of it instead of re-walking
-  every schedule;
-* a **policy** decides the order in which workflows replan when a grid
+* every admitted workflow is an :class:`ActiveWorkflow`: an
+  :class:`~repro.core.adaptive.AdaptiveWorkflow` (its own scheduler, plan,
+  decisions and kills) plus tenant bookkeeping.  A grid event runs each
+  one's :meth:`~repro.core.adaptive.AdaptiveWorkflow.step` — the kills,
+  repair, replan and accept rule the single-workflow
+  :class:`~repro.core.adaptive.AdaptiveReschedulingLoop` steps too.  The
+  steps are exact (a booking *is* the execution); a noisy run replays the
+  final bookings afterwards
+  (:class:`~repro.simulation.shared_grid.SharedGridExecutor`);
+* each step sees every *other* workflow's current bookings as busy blocks
+  (the ``busy`` parameter of :func:`~repro.scheduling.frame.replan`), so
+  plans are pairwise non-overlapping by construction: a workflow always
+  plans around the residual capacity left by the rest.  The bookings live
+  in one :class:`~repro.scheduling.bookings.BookingDirectory`, updated
+  when a workflow registers, when it leaves for its step at a grid event
+  and re-books its repaired or adopted plan, and when it completes;
+  planning frames and admission control read slices of it instead of
+  re-walking every schedule;
+* a **policy** decides the order in which workflows step when a grid
   event makes everyone move — and therefore who gets first pick of the
   residual gaps:
 
@@ -50,31 +52,25 @@ bit-identical to ``repro.run(..., mode="adaptive")`` — the
 differential test suite (``tests/test_differential.py``) enforces this.
 
 Known approximation: after a performance change, each plan is repaired
-independently (:func:`repair_schedule` does not see other tenants), so
-repaired plans can transiently contend for the same slot until the next
-replanning pass re-books them around each other.  The directory keeps
-such overlapping bookings side by side and merges them when a frame or
-the saturation estimate reads them, with the merge rules of
-:mod:`repro.scheduling.bookings`.
+independently (:func:`~repro.core.adaptive.repair_schedule` does not see
+other tenants), so repaired plans can transiently contend for the same
+slot until the next replanning pass re-books them around each other.  The
+directory keeps such overlapping bookings side by side and merges them
+when a frame or the saturation estimate reads them, with the merge rules
+of :mod:`repro.scheduling.bookings`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.adaptive import (
-    ReschedulingDecision,
-    apply_departure_kills,
-    decide_adoption,
-    repair_schedule,
-    resolve_strategy,
-)
+from repro.core.adaptive import AdaptiveWorkflow, resolve_strategy
 from repro.core.credit import CreditLedger
 from repro.resources.pool import PoolEvent, ResourcePool
 from repro.scheduling.aheft import AHEFTScheduler
-from repro.scheduling.base import ExecutionState, Schedule, TIME_EPS
+from repro.scheduling.base import Schedule, TIME_EPS
 from repro.scheduling.bookings import BookingDirectory, BusyView
 from repro.workload.streams import WorkflowArrival
 
@@ -89,32 +85,22 @@ __all__ = [
 POLICIES = ("fifo", "fair_share", "rank_priority", "credit_drf")
 
 
-@dataclass
-class ActiveWorkflow:
-    """One workflow's live state inside the multi-tenant planner."""
+@dataclass(eq=False, kw_only=True)
+class ActiveWorkflow(AdaptiveWorkflow):
+    """One admitted workflow: its adaptive step plus tenant bookkeeping."""
 
     key: str
     tenant: str
     seq: int
     arrival_time: float
     kind: str
-    workflow: object
-    costs: object
-    scheduler: AHEFTScheduler
-    schedule: Schedule
     #: predicted span had the workflow run alone on the pool it arrived to
     dedicated_span: float
-    decisions: List[ReschedulingDecision] = field(default_factory=list)
-    wasted_work: float = 0.0
-    killed_jobs: Set[str] = field(default_factory=set)
     completed_at: Optional[float] = None
     #: absolute completion deadline (``arrival + deadline_factor * span``)
     deadline: Optional[float] = None
     #: per-workflow stretch SLO target (``TenantSpec.slo_stretch``)
     slo_stretch: Optional[float] = None
-
-    def finished_by(self, clock: float) -> bool:
-        return clock >= self.schedule.makespan() - TIME_EPS
 
     def remaining_span(self, clock: float) -> float:
         return max(0.0, self.schedule.makespan() - clock)
@@ -232,9 +218,6 @@ class MultiTenantPlanner:
         self._unfinished: Dict[str, ActiveWorkflow] = {}
         #: every admitted workflow's live bookings, per resource
         self._bookings = BookingDirectory()
-        self._perf_times: Set[float] = (
-            set(perf_profile.change_times()) if perf_profile is not None else set()
-        )
 
     # ------------------------------------------------------------------
     # queries
@@ -357,15 +340,17 @@ class MultiTenantPlanner:
             else arrival.time + deadline_factor * planned.dedicated_span
         )
         active = ActiveWorkflow(
+            arrival.case.workflow,
+            arrival.case.costs,
+            planned.scheduler,
+            planned.schedule,
+            perf_profile=self.perf_profile,
+            accept_only_if_better=self.accept_only_if_better,
             key=arrival.key,
             tenant=arrival.tenant,
             seq=arrival.seq,
             arrival_time=arrival.time,
             kind=arrival.kind,
-            workflow=arrival.case.workflow,
-            costs=arrival.case.costs,
-            scheduler=planned.scheduler,
-            schedule=planned.schedule,
             dedicated_span=planned.dedicated_span,
             deadline=deadline,
             slo_stretch=getattr(arrival, "slo_stretch", None),
@@ -389,65 +374,25 @@ class MultiTenantPlanner:
     # grid events
     # ------------------------------------------------------------------
     def handle_event(self, clock: float, event: Optional[PoolEvent]) -> None:
-        """Replan every unfinished workflow at a pool/performance event.
+        """Step every unfinished workflow at a pool/performance event.
 
-        Per workflow this is exactly one iteration of the single-workflow
-        adaptive loop — kills, forced adoptions, perf repair, candidate,
-        accept rule — except that the candidate is planned around the other
-        workflows' current bookings, and the policy decides who goes first
-        (earlier workflows book residual gaps that later ones then avoid).
+        Each step is :meth:`~repro.core.adaptive.AdaptiveWorkflow.step`,
+        planned around the other workflows' current bookings; the policy
+        decides who goes first (earlier workflows book residual gaps that
+        later ones then avoid).  A workflow finished by ``clock`` completes
+        instead.
         """
         resources = self.pool.available_at(clock)
         if not resources:
             return
-        removed = frozenset(event.removed) if event is not None else frozenset()
         for wf in self.replan_order(self.unfinished(), clock):
             if wf.finished_by(clock):
                 self._mark_completed(wf)
                 continue
-            # the workflow replans around everyone else: its own bookings
+            # the workflow steps around everyone else: its own bookings
             # leave the directory until its turn is over
             self._bookings.release(wf.key)
-            state = ExecutionState.from_schedule(
-                wf.schedule, clock, jobs=wf.workflow.jobs
-            )
-            wasted, killed, forced = apply_departure_kills(
-                wf.workflow, wf.schedule, state, removed
-            )
-            wf.wasted_work += wasted
-            wf.killed_jobs |= killed
-            effective = wf.costs
-            if self.perf_profile is not None:
-                effective = self.perf_profile.scaled_costs(wf.costs, clock)
-                if clock in self._perf_times:
-                    wf.schedule = repair_schedule(
-                        wf.workflow,
-                        wf.schedule,
-                        state,
-                        effective,
-                        clock=clock,
-                        resources=resources,
-                    )
-            candidate = wf.scheduler.reschedule(
-                wf.workflow,
-                effective,
-                resources,
-                clock=clock,
-                previous_schedule=wf.schedule,
-                execution_state=state,
-                busy=self.busy_view(wf.key, clock),
-            )
-            decision = decide_adoption(
-                clock,
-                event,
-                wf.schedule,
-                candidate,
-                forced=forced,
-                accept_only_if_better=self.accept_only_if_better,
-            )
-            wf.decisions.append(decision)
-            if decision.adopted:
-                wf.schedule = candidate
+            wf.step(clock, event, resources, busy=self.busy_view(wf.key, clock))
             self._bookings.book(wf.key, wf.schedule, clock)
 
     # ------------------------------------------------------------------

@@ -269,7 +269,13 @@ def run(
             error_model=error_model,
             **options,
         ).run()
-        return RunResult(mode=mode, strategy=strategy or "aheft", raw=raw)
+        factory = options.get("scheduler_factory")
+        if factory is not None:
+            scheduler = factory()
+            label = getattr(scheduler, "name", type(scheduler).__name__)
+        else:
+            label = strategy or "aheft"
+        return RunResult(mode=mode, strategy=label, raw=raw)
 
     if not _is_workflow(workload):
         raise ValueError(

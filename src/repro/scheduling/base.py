@@ -729,11 +729,12 @@ class ExecutionState:
         Under the paper's accuracy assumption (§4.1) a job scheduled for
         ``[start, finish)`` has actually started/finished exactly then, so
         the snapshot can be read off the schedule: finished if
-        ``finish <= clock``, running if ``start <= clock < finish``.
-        Data arrivals reflect the static-strategy rule that outputs are
-        shipped to the successors' scheduled resources immediately on
-        completion (§4.1 assumption 2); those transfers are recorded even if
-        still in flight at ``clock``.
+        ``finish <= clock``, running if ``start <= clock < finish``.  The
+        only data arrivals recorded are each finished job's output on its
+        own resource, from its finish on; transfers to successors are left
+        to the scheduler's communication costs.  With ``jobs`` given,
+        ``schedule`` may be any ``job -> Assignment`` mapping (the adaptive
+        loop passes its observed ground truth).
         """
         job_ids = list(jobs) if jobs is not None else schedule.jobs()
         state = cls(clock=float(clock))

@@ -25,9 +25,9 @@ finish times and the makespan always come from the primary copies.
 As a replanner (``repro.run(..., mode="adaptive", strategy="heft_dup")``)
 the strategy re-derives duplicates from scratch on every pass — stale
 duplicates from the previous plan are dropped (those that already began
-executing stay pinned as facts), and a duplicate stranded on a departing resource marks
-the plan infeasible exactly like a stranded primary
-(see :func:`repro.core.adaptive.apply_departure_kills`).
+executing stay pinned as facts), and a duplicate stranded on a departing
+resource marks the plan infeasible exactly like a stranded primary (see
+the departure kills of :meth:`repro.core.adaptive.AdaptiveWorkflow.step`).
 
 Execution semantics: the discrete-event static executor runs duplicates
 as real work (they occupy their booked slot, and their output is one

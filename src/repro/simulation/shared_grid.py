@@ -322,7 +322,7 @@ class SharedGridExecutor:
         # after a ComposedScenario merge or with a custom pool) must both
         # contribute their added/removed sets
         events = self.pool.events()
-        triggers, _ = adaptive._merge_triggers(events, self.perf_profile)
+        triggers = adaptive._merge_triggers(events, self.perf_profile)
         #: the pool-change instants with capacity, once per run: every
         #: deferral's retry point is a bisect into them
         self._capacity_times: List[float] = [
@@ -438,7 +438,7 @@ class SharedGridExecutor:
                     schedule=wf.schedule,
                     decisions=list(wf.decisions),
                     wasted_work=wf.wasted_work,
-                    killed_jobs=len(wf.killed_jobs),
+                    killed_jobs=len({kill.job_id for kill in wf.kills}),
                     actual_schedule=actual_schedule,
                     deadline=wf.deadline,
                     slo_stretch=wf.slo_stretch,

@@ -162,6 +162,34 @@ class TestAdaptiveLoop:
         assert null.makespan == accurate.makespan
         assert null.final_schedule.to_dict() == accurate.final_schedule.to_dict()
 
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_replan_on_deviation_rejects_negative_and_nan(self, make_case, threshold):
+        """Either value would make every deviating completion a trigger."""
+        case = make_case(v=20, seed=4)
+        with pytest.raises(ValueError, match="replan_on_deviation"):
+            repro.run(
+                case.workflow, costs=case.costs, mode="adaptive", scenario="churn",
+                error_model="gaussian", resources=4, seed=2,
+                replan_on_deviation=threshold,
+            )
+
+    def test_replan_on_deviation_infinity_equals_none(self, make_case):
+        """``+inf`` tolerates any deviation: no monitor trigger, like ``None``."""
+        case = make_case(v=20, seed=4)
+        results = {
+            threshold: repro.run(
+                case.workflow, costs=case.costs, mode="adaptive", scenario="churn",
+                error_model="gaussian", resources=4, seed=2,
+                replan_on_deviation=threshold,
+            ).raw
+            for threshold in (None, float("inf"), 0.0)
+        }
+        unbounded, disabled = results[float("inf")], results[None]
+        assert [d.event for d in unbounded.decisions] == [d.event for d in disabled.decisions]
+        assert unbounded.makespan == disabled.makespan
+        assert "deviation" not in {d.event for d in disabled.decisions}
+        assert "deviation" in {d.event for d in results[0.0].decisions}
+
 
 class TestRunDynamic:
     def test_dynamic_executes_everything(self, blast_case, dynamic_pool):

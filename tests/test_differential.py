@@ -73,10 +73,13 @@ def _single_arrival(case) -> WorkflowArrival:
     )
 
 
-def _assert_bit_identical(case, scenario_name: str, initial: int, seed: int, policy: str):
+def _assert_bit_identical(
+    case, scenario_name: str, initial: int, seed: int, policy: str, strategy: str
+):
     run_a = materialize(registry.make("scenario", scenario_name), initial_size=initial, seed=seed)
     single = repro.run(
-        case.workflow, run_a.pool, costs=case.costs, mode="adaptive", perf_profile=run_a.profile
+        case.workflow, run_a.pool, costs=case.costs, mode="adaptive", strategy=strategy,
+        perf_profile=run_a.profile,
     ).raw
     run_b = materialize(registry.make("scenario", scenario_name), initial_size=initial, seed=seed)
     shared = SharedGridExecutor(
@@ -84,30 +87,44 @@ def _assert_bit_identical(case, scenario_name: str, initial: int, seed: int, pol
         run_b.pool,
         perf_profile=run_b.profile,
         policy=policy,
+        strategy=strategy,
     ).run()
     assert len(shared.outcomes) == 1
     outcome = shared.outcomes[0]
-    assert outcome.schedule.to_dict() == single.final_schedule.to_dict()
+    final = single.final_schedule
+    assert outcome.schedule.to_dict() == final.to_dict()
+    assert outcome.schedule.duplicates_to_dict() == final.duplicates_to_dict()
     assert outcome.completed_at == single.makespan
     assert outcome.wasted_work == single.wasted_work
     assert outcome.killed_jobs == single.killed_jobs
     assert [
         (d.time, d.event, d.adopted, d.forced) for d in outcome.decisions
     ] == [(d.time, d.event, d.adopted, d.forced) for d in single.decisions]
+    # accurate estimates: the executed trace is the final plan
+    executed = single.trace.to_schedule()
+    assert executed.to_dict() == final.to_dict()
+    assert executed.duplicates_to_dict() == final.duplicates_to_dict()
 
 
 class TestSingleTenantBitIdentity:
-    """Degenerate multi-tenancy must equal the paper's single-workflow loop."""
+    """Degenerate multi-tenancy must equal the paper's single-workflow loop,
+    for every strategy that can replan."""
 
+    @pytest.mark.parametrize("strategy", REPLANNERS)
     @pytest.mark.parametrize("scenario_name", registry.available("scenario"))
-    def test_every_registered_scenario(self, scenario_name):
+    def test_every_registered_scenario(self, scenario_name, strategy):
         case = _case(v=24, seed=17)
-        _assert_bit_identical(case, scenario_name, initial=6, seed=5, policy="fifo")
+        _assert_bit_identical(
+            case, scenario_name, initial=6, seed=5, policy="fifo", strategy=strategy
+        )
 
+    @pytest.mark.parametrize("strategy", REPLANNERS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_every_policy_degenerates(self, policy):
+    def test_every_policy_degenerates(self, policy, strategy):
         case = _case(v=20, seed=3)
-        _assert_bit_identical(case, "departures", initial=5, seed=9, policy=policy)
+        _assert_bit_identical(
+            case, "departures", initial=5, seed=9, policy=policy, strategy=strategy
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -116,11 +133,13 @@ class TestSingleTenantBitIdentity:
         scenario_name=st.sampled_from(sorted(registry.available("scenario"))),
         initial=st.integers(min_value=3, max_value=10),
         scenario_seed=st.integers(min_value=0, max_value=10**6),
+        strategy=st.sampled_from(REPLANNERS),
     )
-    def test_random_cases(self, v, case_seed, scenario_name, initial, scenario_seed):
+    def test_random_cases(self, v, case_seed, scenario_name, initial, scenario_seed, strategy):
         case = _case(v=v, seed=case_seed)
         _assert_bit_identical(
-            case, scenario_name, initial=initial, seed=scenario_seed, policy="fifo"
+            case, scenario_name, initial=initial, seed=scenario_seed, policy="fifo",
+            strategy=strategy,
         )
 
 

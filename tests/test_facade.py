@@ -106,6 +106,15 @@ def test_every_reschedule_strategy_runs_in_multi_mode(stream, model):
         )
 
 
+def test_multi_mode_labels_a_scheduler_factory_by_its_scheduler(stream, model):
+    from repro.scheduling.cpop import CPOPScheduler
+
+    result = run(stream, model.build_pool(), mode="multi", scheduler_factory=CPOPScheduler)
+    assert result.strategy == CPOPScheduler().name
+    assert result.metrics["strategy"] == CPOPScheduler().name
+    assert run(stream, model.build_pool(), mode="multi").strategy == "aheft"
+
+
 def test_mode_inference(case, model, stream):
     assert run(stream, model.build_pool()).mode == "multi"
     pool = model.build_pool()
