@@ -1,4 +1,4 @@
-"""The adaptive rescheduling step (paper Fig. 1/2), its drivers and runners.
+"""The adaptive rescheduling step (paper Fig. 1/2), its truth and its runners.
 
 :class:`AdaptiveWorkflow` is one workflow's adaptive state — scheduler,
 current plan, decision log and departure kills — and its one Planner step
@@ -7,23 +7,24 @@ running on departed resources, repairs the plan's remaining timings when
 the estimates changed, asks the scheduler for a candidate schedule ``S1``
 for the unfinished part of the DAG and applies the accept rule of Fig. 2
 lines 7–9 (``S1`` replaces ``S0`` only if it is forced or predicts a
-shorter makespan).  Two drivers run the same step:
+shorter makespan).
 
-* :class:`AdaptiveReschedulingLoop` — the paper's loop for one workflow on
-  a dedicated (if changing) grid, one object stepped at every grid event
-  and every deviating completion;
-* :class:`~repro.core.multi_tenant.MultiTenantPlanner` — one object per
-  admitted workflow of a shared grid, each stepped around the other
-  workflows' bookings.
+One engine drives the step: the shared grid
+(:class:`~repro.simulation.shared_grid.SharedGridExecutor` over a
+:class:`~repro.core.multi_tenant.MultiTenantPlanner`).  The paper's
+single-workflow run (:class:`AdaptiveReschedulingLoop`) is that grid with
+one workflow registered at t=0 and no other tenant; a multi-tenant run
+steps one object per admitted workflow, each around the others' bookings.
 
-Under accurate estimates — no truth model and no predictor, always the case
-on the shared grid — the plan is its own future: the step reads the
+Under accurate estimates the plan is its own future: the step reads the
 execution state off the plan (:meth:`ExecutionState.from_schedule`) and
 the executed trace is the final plan plus the kills.  A noisy run attaches
-an :class:`ActualExecution`: adopted bookings are replayed against a
-ground-truth cost model (:func:`project_actuals`), the observed facts feed
-the optional predictor, and completions that miss their booking can
-trigger replanning.
+an :class:`ActualExecution` to every workflow (:meth:`AdaptiveWorkflow.monitor`):
+the grid replays the adopted bookings of every unfinished workflow jointly
+against their ground-truth cost models after each event
+(:func:`project_actuals`), the observed facts feed each workflow's
+optional predictor, and the earliest completion that misses its booking
+triggers replanning.
 
 Three runners behind :func:`repro.run` give the head-to-head comparison of
 the paper's evaluation:
@@ -49,6 +50,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 from repro import registry
 from repro.core.history import PerformanceHistoryRepository
 from repro.core.predictor import Predictor
+from repro.generators.costs import WorkflowCase
 from repro.resources.pool import PoolEvent, ResourcePool
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import (
@@ -58,18 +60,20 @@ from repro.scheduling.base import (
     Schedule,
     TIME_EPS,
 )
+from repro.scheduling.bookings import as_busy_view
 from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.minmin import MinMinScheduler
-from repro.simulation.event_core import Event, EventCore, EventKind
 from repro.simulation.executor import (
     JustInTimeExecutor,
     StaticScheduleExecutor,
     dispatch_duration,
     record_observation,
 )
+from repro.simulation.shared_grid import SharedGridExecutor
 from repro.simulation.trace import ExecutionTrace, KillRecord
 from repro.workflow.costs import CostModel, ErrorModel, PerturbedCostModel
 from repro.workflow.dag import Workflow
+from repro.workload.streams import WorkflowArrival
 
 __all__ = [
     "ReschedulingDecision",
@@ -179,11 +183,57 @@ class AdaptiveWorkflow:
             model = self.perf_profile.scaled_costs(model, clock)
         return model
 
+    def monitor(
+        self,
+        truth: CostModel,
+        predictor: Optional[Predictor] = None,
+        *,
+        replan_on_deviation: Optional[float] = 0.1,
+    ) -> None:
+        """Execute under ``truth`` from now on; the observed completions
+        feed ``predictor``, which re-estimates every later step."""
+        self.predictor = predictor
+        self.actual = ActualExecution(
+            self.workflow,
+            self.costs,
+            truth,
+            perf_profile=self.perf_profile,
+            history=predictor.history if predictor is not None else None,
+            replan_on_deviation=replan_on_deviation,
+        )
+
+    def completion(self) -> float:
+        """When the workflow completes: the plan's makespan, or in a noisy
+        run the projected truth's."""
+        return self.schedule.makespan() if self.actual is None else self.actual.completion()
+
     def finished_by(self, clock: float) -> bool:
-        """Whether the plan (or, in a noisy run, the projected truth) ends by
-        ``clock``."""
-        end = self.schedule.makespan() if self.actual is None else self.actual.completion()
-        return clock >= end - TIME_EPS
+        """Whether the workflow completes by ``clock`` (:meth:`completion`)."""
+        return clock >= self.completion() - TIME_EPS
+
+    def trace(self, strategy: str) -> ExecutionTrace:
+        """What was executed: the final plan under accurate estimates, the
+        drained truth in a noisy run, plus every departure kill."""
+        if self.actual is None:
+            executed, duplicates = self.schedule, self.schedule.duplicates
+        else:
+            executed, duplicates = self.actual.drain()
+        workflow = self.workflow
+        trace = ExecutionTrace(workflow_name=workflow.name, strategy=strategy)
+        for job in workflow.jobs:
+            assignment = executed.get(job)
+            trace.record_job(job, assignment.resource_id, assignment.start, assignment.finish)
+        index = workflow.structure().index
+        for duplicate in sorted(
+            duplicates,
+            key=lambda a: (a.start, a.finish, index[a.job_id], a.resource_id),
+        ):
+            trace.record_duplicate(
+                duplicate.job_id, duplicate.resource_id, duplicate.start, duplicate.finish
+            )
+        for kill in self.kills:
+            trace.record_kill(kill.job_id, kill.resource_id, kill.start, kill.killed_at)
+        return trace
 
     def step(
         self,
@@ -196,17 +246,20 @@ class AdaptiveWorkflow:
     ) -> ReschedulingDecision:
         """React to one event of interest at ``clock`` on ``resources``.
 
-        1. Reads the execution state at ``clock``: off the plan, or from the
-           ground truth advanced to ``clock`` (the Performance Monitor's
-           report, which also feeds the predictor's history).
+        1. Reads the execution state at ``clock``: off the plan, or off the
+           ground truth the grid advanced to ``clock`` (the Performance
+           Monitor's report, which also feeds the predictor's history); the
+           grid replays the truth of the adopted plan after the step.
         2. Kills the jobs running on a resource ``event`` removed.
         3. Re-estimates the cost matrix (:meth:`estimate`).
         4. In a noisy run, syncs the plan with the observed facts; when
            anything deviated or a performance factor changes at ``clock``,
-           repairs the plan's remaining timings (:func:`repair_schedule`)
-           so the accept rule has an honest baseline.
+           repairs the plan's remaining timings around the ``busy`` spans
+           (:func:`repair_schedule`) so the accept rule has an honest
+           baseline.
         5. Asks the scheduler for a candidate planned around the foreign
-           ``busy`` spans of a shared grid (``None``: a dedicated grid).
+           ``busy`` spans of a shared grid (``None`` or empty: a dedicated
+           grid).
         6. Applies the accept rule of Fig. 2 lines 7–9: the candidate
            replaces the plan when the plan is infeasible (``forced``), when
            the rule is switched off, or when it predicts a makespan shorter
@@ -218,10 +271,11 @@ class AdaptiveWorkflow:
         """
         workflow = self.workflow
         actual = self.actual
-        if actual is None:
-            state = ExecutionState.from_schedule(self.schedule, clock, jobs=workflow.jobs)
-        else:
-            state = actual.observe(clock)
+        # in a noisy run the facts the grid advanced to ``clock`` read like
+        # an accurate plan: every started job began by then, and exactly
+        # those that finish by it are finished
+        executed = self.schedule if actual is None else actual.started
+        state = ExecutionState.from_schedule(executed, clock, jobs=workflow.jobs)
         removed = frozenset(event.removed) if event is not None else frozenset()
         forced = self._kill_departed(state, removed)
 
@@ -238,10 +292,11 @@ class AdaptiveWorkflow:
                 effective,
                 clock=clock,
                 resources=resources,
+                busy=busy,
             )
 
-        # a dedicated grid (no ``busy``) asks only the plain interface
-        shared = {} if busy is None else {"busy": busy}
+        # a dedicated grid (no foreign bookings) asks only the plain interface
+        shared = {"busy": busy} if busy else {}
         candidate = self.scheduler.reschedule(
             workflow,
             effective,
@@ -272,8 +327,6 @@ class AdaptiveWorkflow:
         self.decisions.append(decision)
         if decision.adopted:
             self.schedule = candidate
-        if actual is not None:
-            actual.project(self.schedule)
         return decision
 
     def _kill_departed(self, state: ExecutionState, removed: FrozenSet[str]) -> bool:
@@ -323,10 +376,12 @@ class ActualExecution:
 
     Bookings are *reservations*: a job never starts before its booked
     start, and deviations push it (and its successors, and everything
-    queued behind it on the resource) later.  The projection is the current
-    plan's :func:`project_actuals` replay under ``truth``; executions become
-    facts once observed started, and each finished one is reported to
-    ``history`` (Fig. 1: Scheduler → Performance History Repository).
+    queued behind it on the resource, across tenants) later.  The
+    projection is the current plan's share of the grid's joint
+    :func:`project_actuals` replay (:meth:`track`); executions become facts
+    once observed started (:meth:`advance`), and each finished one is
+    reported to ``history`` (Fig. 1: Scheduler → Performance History
+    Repository).
 
     ``replan_on_deviation`` arms the monitor's own trigger
     (:meth:`next_deviation`); ``None`` disables it.
@@ -358,18 +413,17 @@ class ActualExecution:
         self.projection: Dict[str, Assignment] = {}
         self.duplicate_projection: Dict[tuple, Assignment] = {}
 
-    def project(self, plan: Schedule) -> None:
-        """Replay ``plan``'s not-yet-started executions under the truth."""
-        started = self.started
+    def facts(self) -> Dict[object, Assignment]:
+        """Every started execution, keyed like :func:`project_actuals`."""
         if self.started_duplicates:
-            started = {**started, **self.started_duplicates}
-        (projected,) = project_actuals(
-            [(self.workflow, plan, started, self.truth)], perf_profile=self.perf_profile
-        )
+            return {**self.started, **self.started_duplicates}
+        return self.started
+
+    def track(self, projected: Dict[object, Assignment]) -> None:
+        """Take the plan's replayed future (primaries and duplicates)."""
         duplicates = {}
-        if plan.duplicates:
-            for key in [key for key in projected if isinstance(key, tuple)]:
-                duplicates[key] = projected.pop(key)
+        for key in [key for key in projected if isinstance(key, tuple)]:
+            duplicates[key] = projected.pop(key)
         self.projection = projected
         self.duplicate_projection = duplicates
 
@@ -399,8 +453,9 @@ class ActualExecution:
                     self.perf_profile,
                 )
 
-    def observe(self, clock: float) -> ExecutionState:
-        """Advance the ground truth to ``clock``; the actual state there."""
+    def advance(self, clock: float) -> None:
+        """Advance the ground truth to ``clock``: record what started and
+        what finished by then."""
         index = self._index
         started = self.started
         newly_started = [
@@ -417,9 +472,6 @@ class ActualExecution:
             a for job, a in started.items()
             if job not in self._finished and a.finish <= clock + TIME_EPS
         ])
-        # every started job began by ``clock``, and exactly those that
-        # finish by it are finished: the facts read like an accurate plan
-        return ExecutionState.from_schedule(started, clock, jobs=self.workflow.jobs)
 
     def forget(self, killed: Sequence[str], removed: FrozenSet[str], clock: float) -> None:
         """Drop the executions a departure at ``clock`` killed."""
@@ -518,7 +570,7 @@ class ActualExecution:
 
 
 class AdaptiveReschedulingLoop:
-    """The event-driven planning loop of paper Fig. 2.
+    """The paper's single-workflow run of the Fig. 2 planning loop.
 
     Parameters
     ----------
@@ -547,21 +599,19 @@ class AdaptiveReschedulingLoop:
         costs: CostModel,
         pool: ResourcePool,
         *,
-        events: Optional[Sequence[PoolEvent]] = None,
-        strategy_name: Optional[str] = None,
         perf_profile=None,
         actual_costs: Optional[CostModel] = None,
         predictor: Optional[Predictor] = None,
-        observe: bool = True,
         replan_on_deviation: Optional[float] = 0.1,
     ) -> AdaptiveRunResult:
-        """Plan, then step one :class:`AdaptiveWorkflow` until it finishes.
+        """Plan at t=0, then step the workflow until it finishes.
 
-        This is the paper's Fig. 1 Planner/Executor cycle: every pool and
-        performance change until the workflow finishes triggers
+        The paper's Fig. 1 Planner/Executor cycle, run as the one tenant of
+        a shared grid (:class:`_DedicatedGrid`): every pool and performance
+        change until the workflow finishes triggers
         :meth:`AdaptiveWorkflow.step`.  The Planner plans on estimates
-        (re-estimated by the optional ``predictor`` from the history that
-        ``observe`` feeds), while the simulated grid executes the adopted
+        (re-estimated by the optional ``predictor`` from the history the
+        observed completions feed), while the grid executes the adopted
         bookings with the ground-truth durations of ``actual_costs``
         (typically a sampled :class:`~repro.workflow.costs.PerturbedCostModel`).
 
@@ -588,127 +638,70 @@ class AdaptiveReschedulingLoop:
                 "replan_on_deviation must be a non-negative fraction or None, "
                 f"got {replan_on_deviation!r}"
             )
-        initial_resources = pool.available_at(0.0)
-        if not initial_resources:
+        if not pool.available_at(0.0):
             raise ValueError("no resources available at time 0")
-        wf = AdaptiveWorkflow(
-            workflow,
-            costs,
-            self.scheduler,
-            None,
+        if actual_costs is None and predictor is not None:
+            actual_costs = costs  # observed to feed the history: the estimates are the truth
+        grid = _DedicatedGrid(
+            WorkflowCase(workflow, costs),
+            pool,
+            truth=None if actual_costs is None else (actual_costs, predictor),
+            replan_on_deviation=replan_on_deviation,
             perf_profile=perf_profile,
+            scheduler_factory=lambda: self.scheduler,
             accept_only_if_better=self.accept_only_if_better,
-            predictor=predictor,
         )
-        wf.schedule = initial = self.scheduler.schedule(
-            workflow, wf.estimate(0.0), initial_resources
-        )
-        name = strategy_name or getattr(self.scheduler, "name", "adaptive")
-        if actual_costs is not None or predictor is not None:
-            wf.actual = ActualExecution(
-                workflow,
-                costs,
-                actual_costs if actual_costs is not None else costs,
-                perf_profile=perf_profile,
-                history=predictor.history if predictor is not None and observe else None,
-                replan_on_deviation=replan_on_deviation,
-            )
-            wf.actual.project(initial)
-
-        triggers = _merge_triggers(
-            list(events) if events is not None else pool.events(), perf_profile
-        )
-        static_times = sorted(triggers)
-        static_index = 0
-        last_clock = float("-inf")
-        core = EventCore()
-        deviation_event: Optional[Event] = None
-
-        def arm_deviation() -> None:
-            """(Re)arm the monitor's single pending deviation trigger.
-
-            The next deviating completion becomes an event only when it
-            *strictly* precedes the next grid event (minus ``TIME_EPS``):
-            on a tie the grid event is the trigger and the deviation is
-            absorbed into its re-evaluation.  Recomputed after every
-            processed trigger, because each adoption moves the projected
-            completions.
-            """
-            nonlocal deviation_event
-            if deviation_event is not None:
-                deviation_event.cancel()
-                deviation_event = None
-            if wf.actual is None:
-                return
-            deviation_at = wf.actual.next_deviation(wf.schedule, last_clock)
-            if deviation_at is None:
-                return
-            next_static = (
-                static_times[static_index]
-                if static_index < len(static_times)
-                else None
-            )
-            if next_static is not None and not (deviation_at < next_static - TIME_EPS):
-                return
-            deviation_event = core.post(
-                deviation_at,
-                lambda t=deviation_at: on_trigger(t, None, True),
-                kind=EventKind.DEVIATION,
-                label="deviation",
-            )
-
-        def on_trigger(
-            clock: float, event: Optional[PoolEvent], is_deviation: bool
-        ) -> None:
-            nonlocal last_clock, static_index
-            if not is_deviation:
-                static_index += 1
-            if wf.finished_by(clock):
-                core.stop()  # the workflow actually finished before this event
-                return
-            last_clock = clock
-            resources = pool.available_at(clock)
-            if resources:
-                wf.step(clock, event, resources, deviation=is_deviation)
-            arm_deviation()
-
-        for trigger_time in static_times:
-            trigger = triggers[trigger_time]
-            core.post(
-                trigger_time,
-                lambda c=trigger_time, e=trigger: on_trigger(c, e, False),
-                kind=EventKind.POOL_CHANGE if trigger is not None else EventKind.PERF_CHANGE,
-                label=describe_pool_event(trigger) if trigger is not None else "perf-change",
-            )
-        arm_deviation()
-        core.run()
-
-        if wf.actual is None:
-            executed, duplicates = wf.schedule, wf.schedule.duplicates
-        else:
-            executed, duplicates = wf.actual.drain()
-        trace = ExecutionTrace(workflow_name=workflow.name, strategy=name)
-        for job in workflow.jobs:
-            assignment = executed.get(job)
-            trace.record_job(job, assignment.resource_id, assignment.start, assignment.finish)
-        index = workflow.structure().index
-        for duplicate in sorted(
-            duplicates,
-            key=lambda a: (a.start, a.finish, index[a.job_id], a.resource_id),
-        ):
-            trace.record_duplicate(
-                duplicate.job_id, duplicate.resource_id, duplicate.start, duplicate.finish
-            )
-        for kill in wf.kills:
-            trace.record_kill(kill.job_id, kill.resource_id, kill.start, kill.killed_at)
+        grid.run()
+        wf = grid.workflow
+        name = getattr(self.scheduler, "name", "adaptive")
         return AdaptiveRunResult(
             strategy=name,
-            initial_schedule=initial,
+            initial_schedule=grid.initial,
             final_schedule=wf.schedule,
             decisions=wf.decisions,
-            trace=trace,
+            trace=wf.trace(name),
             killed_jobs=len({kill.job_id for kill in wf.kills}),
         )
+
+
+class _DedicatedGrid(SharedGridExecutor):
+    """The one-tenant grid of a single-workflow run.
+
+    Its workflow registers as the grid opens, ahead of any grid event at
+    t=0, with the plan ``scheduler.schedule`` makes on the estimates at
+    clock 0 (``initial``), and executes under the run's own ``truth`` and
+    predictor instead of a key-scoped error model.
+    """
+
+    def __init__(
+        self, case: WorkflowCase, pool: ResourcePool, *, truth, replan_on_deviation, **options
+    ) -> None:
+        super().__init__((), pool, **options)
+        self.case = case
+        #: ``(truth model, predictor)``, or ``None`` under accurate estimates
+        self.truth = truth
+        self._deviation_threshold = replan_on_deviation
+        self.initial: Optional[Schedule] = None
+        self.workflow = None
+
+    def _open(self, planner) -> None:
+        from repro.core.multi_tenant import PlannedArrival
+
+        scheduler = self.scheduler_factory()
+        # AdaptiveWorkflow.estimate at clock 0
+        estimates = self.case.costs
+        if self.truth is not None and self.truth[1] is not None:
+            estimates = self.truth[1].estimate(estimates)
+        if self.perf_profile is not None:
+            estimates = self.perf_profile.scaled_costs(estimates, 0.0)
+        plan = scheduler.schedule(self.case.workflow, estimates, self.pool.available_at(0.0))
+        arrival = WorkflowArrival("dedicated", 0, 0.0, "workflow", self.case)
+        planned = PlannedArrival(scheduler, plan, plan.makespan(), planner.busy_view(None, 0.0))
+        self.initial = plan
+        self.workflow = self._register(planner, arrival, 0.0, planned)
+
+    def _truth(self, wf):
+        return self.truth
 
 
 def repair_schedule(
@@ -719,6 +712,7 @@ def repair_schedule(
     *,
     clock: float,
     resources: Sequence[str],
+    busy=None,
 ) -> Schedule:
     """Re-estimate a plan's remaining finish times under new perf factors.
 
@@ -732,7 +726,10 @@ def repair_schedule(
     by ``costs`` (which already embeds the new factors).  Jobs mapped to
     resources no longer in ``resources`` keep their old times — such a plan
     is infeasible and the caller adopts the replacement candidate
-    unconditionally.
+    unconditionally.  On a shared grid a re-timed job also waits for the
+    first gap that fits it between the other workflows' ``busy`` bookings,
+    so the repaired plan is as feasible as the candidate it is compared
+    with.
 
     The re-timing walks the dense ``workflow.structure()`` ids (``topo``)
     and keeps each job's repaired finish and output resource in
@@ -753,6 +750,8 @@ def repair_schedule(
     column = {rid: j for j, rid in enumerate(resources)}
     repaired = Schedule(name=schedule.name)
     free: Dict[str, float] = {}
+    view = as_busy_view(busy) if busy else {}
+    foreign = {rid: view.timeline(rid, clock) for rid in view}
 
     # Historical duplicates (duplication-based strategies) that began
     # executing by ``clock`` are facts: keep them so the pinned history
@@ -836,37 +835,12 @@ def repair_schedule(
                 ready = arrival
         start = max(ready, free.get(rid, clock))
         duration = rows[i][j] if rows is not None else costs.computation_cost(jobs[i], rid)
+        if rid in foreign:
+            start = foreign[rid].earliest_start(start, duration)
         finish[i] = start + duration
         repaired.add(Assignment(jobs[i], rid, start, finish[i]))
         free[rid] = finish[i]
     return repaired
-
-
-def _merge_triggers(
-    pool_events: Sequence[PoolEvent], perf_profile
-) -> Dict[float, Optional[PoolEvent]]:
-    """Merge pool events and perf-change times into one trigger map.
-
-    ``pool.events()`` aggregates per time point already, but callers may
-    pass their own event list, so same-time entries are merged instead of
-    dropped.  Maps each trigger time to an optional :class:`PoolEvent`
-    (``None`` marks a pure performance change).
-    """
-    triggers: Dict[float, Optional[PoolEvent]] = {}
-    for event in pool_events:
-        existing = triggers.get(event.time)
-        if existing is None:
-            triggers[event.time] = event
-        else:
-            triggers[event.time] = PoolEvent(
-                time=event.time,
-                added=tuple(sorted({*existing.added, *event.added})),
-                removed=tuple(sorted({*existing.removed, *event.removed})),
-            )
-    if perf_profile is not None:
-        for time in perf_profile.change_times():
-            triggers.setdefault(time, None)
-    return triggers
 
 
 #: replay queue order: booked start, booked finish, workflow order, job id
@@ -877,16 +851,20 @@ def project_actuals(
     workflows: Sequence[tuple],
     *,
     perf_profile=None,
+    clock: float = 0.0,
 ) -> List[Dict[object, Assignment]]:
     """Replay plans' not-yet-started executions under ground-truth durations.
 
     ``workflows`` is a sequence of ``(workflow, plan, started, truth)``
-    entries, in tie-break order, whose plans share the resources: one
-    workflow for the adaptive loop, every tenant for the shared grid.
+    entries, in tie-break order, whose plans share the resources: every
+    unfinished workflow of the shared grid, one for a single-workflow run.
     Bookings are treated as *reservations*: an execution starts at its
     booked start, pushed later if its resource is still busy (the previous
-    booking — possibly another workflow's — overran) or its inputs have
-    not arrived yet (a predecessor overran).  Its actual duration is
+    booking — possibly another workflow's — overran), its inputs have
+    not arrived yet (a predecessor overran) or the booking lies before
+    ``clock`` — what has not started by the observation instant cannot
+    start in its past, even when another workflow's replanning freed the
+    slot it was waiting for.  Its actual duration is
     ``truth.computation_cost(job, rid)`` scaled by the resource's
     performance factor at the actual start (speed frozen at dispatch,
     matching the simulation executors).  With accurate truth models the
@@ -945,7 +923,7 @@ def project_actuals(
         resource_of: List[Optional[str]] = [None] * len(jobs)
         for key, assignment in started.items():
             rid = assignment.resource_id
-            if assignment.finish > free.get(rid, 0.0):
+            if assignment.finish > free.get(rid, clock):
                 free[rid] = assignment.finish
             i = position.get(key) if isinstance(key, str) else None
             if i is not None:
@@ -987,7 +965,7 @@ def project_actuals(
                     jobs, pred_comm, pairwise, finish_of, resource_of, local, truth, done
                 ) = replays[index]
                 resolved = True
-                ready = max(start, free.get(rid, 0.0))
+                ready = max(start, free.get(rid, clock))
                 for p, comm in pred_comm[i]:
                     pred_finish = finish_of[p]
                     if pred_finish is not None:

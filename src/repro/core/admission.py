@@ -4,7 +4,7 @@ The shared grid (:mod:`repro.simulation.shared_grid`) admits every arrival
 unconditionally: under a flash crowd the planner keeps booking ever-later
 slots and the stretch of late arrivals grows without bound.  The
 :class:`AdmissionController` sits in front of
-:meth:`~repro.core.multi_tenant.MultiTenantPlanner.admit` and turns that
+:meth:`~repro.core.multi_tenant.MultiTenantPlanner.register` and turns that
 regime into a measured one.  For each arrival it plans tentatively
 (without registering) and gates on two predictions:
 

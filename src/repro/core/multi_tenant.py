@@ -2,26 +2,29 @@
 
 The paper's Planner manages one workflow on a dedicated (if changing) grid.
 :class:`MultiTenantPlanner` generalises that loop to many concurrent
-workflows from many tenants, all booking slots on the *same* resources:
+workflows from many tenants, all booking slots on the *same* resources;
+the :class:`~repro.simulation.shared_grid.SharedGridExecutor` drives it
+through time, for one workflow (the paper's single-workflow run) or many:
 
 * every admitted workflow is an :class:`ActiveWorkflow`: an
   :class:`~repro.core.adaptive.AdaptiveWorkflow` (its own scheduler, plan,
-  decisions and kills) plus tenant bookkeeping.  A grid event runs each
-  one's :meth:`~repro.core.adaptive.AdaptiveWorkflow.step` — the kills,
-  repair, replan and accept rule the single-workflow
-  :class:`~repro.core.adaptive.AdaptiveReschedulingLoop` steps too.  The
-  steps are exact (a booking *is* the execution); a noisy run replays the
-  final bookings afterwards
-  (:class:`~repro.simulation.shared_grid.SharedGridExecutor`);
+  decisions, kills and, in a noisy run, its ground truth and predictor)
+  plus tenant bookkeeping.  A grid event runs each one's
+  :meth:`~repro.core.adaptive.AdaptiveWorkflow.step`, a deviating
+  completion only the deviating ones'; in a noisy run the planner also
+  advances every workflow's truth (:meth:`MultiTenantPlanner.advance`),
+  replays the plans jointly (:meth:`MultiTenantPlanner.replay`) and finds
+  the monitor's next trigger (:meth:`MultiTenantPlanner.next_deviation`);
 * each step sees every *other* workflow's current bookings as busy blocks
   (the ``busy`` parameter of :func:`~repro.scheduling.frame.replan`), so
   plans are pairwise non-overlapping by construction: a workflow always
   plans around the residual capacity left by the rest.  The bookings live
   in one :class:`~repro.scheduling.bookings.BookingDirectory`, updated
-  when a workflow registers, when it leaves for its step at a grid event
-  and re-books its repaired or adopted plan, and when it completes;
-  planning frames and admission control read slices of it instead of
-  re-walking every schedule;
+  when a workflow registers, when it leaves for its step and re-books its
+  repaired or adopted plan, and when it completes; planning frames and
+  admission control read slices of it instead of re-walking every
+  schedule.  Plans, not the truth, fill the directory: nothing that plans
+  reads the truth of work that has not started;
 * a **policy** decides the order in which workflows step when a grid
   event makes everyone move — and therefore who gets first pick of the
   residual gaps:
@@ -47,25 +50,24 @@ workflows from many tenants, all booking slots on the *same* resources:
       grid degrades their service instead of everyone's.
 
 With a single tenant and a single workflow arriving at time 0, every
-policy degenerates to the paper's single-workflow loop and the planner is
-bit-identical to ``repro.run(..., mode="adaptive")`` — the
-differential test suite (``tests/test_differential.py``) enforces this.
+policy degenerates to the paper's single-workflow loop: a one-tenant run
+equals ``repro.run(..., mode="adaptive")`` bit for bit, noisy or not —
+the differential test suite (``tests/test_differential.py``) enforces
+this.
 
-Known approximation: after a performance change, each plan is repaired
-independently (:func:`~repro.core.adaptive.repair_schedule` does not see
-other tenants), so repaired plans can transiently contend for the same
-slot until the next replanning pass re-books them around each other.  The
-directory keeps such overlapping bookings side by side and merges them
-when a frame or the saturation estimate reads them, with the merge rules
-of :mod:`repro.scheduling.bookings`.
+A repair (after a performance change or an observed deviation) re-times a
+plan around the other workflows' bookings too
+(:func:`~repro.core.adaptive.repair_schedule` with ``busy``), so the
+accept rule compares two plans that both fit the shared grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import adaptive
 from repro.core.adaptive import AdaptiveWorkflow, resolve_strategy
 from repro.core.credit import CreditLedger
 from repro.resources.pool import PoolEvent, ResourcePool
@@ -172,8 +174,8 @@ class MultiTenantPlanner:
         replans with that heuristic instead of AHEFT, the strategy-ablation
         hook of the multi-tenant tournament.
     accept_only_if_better:
-        The accept rule of paper Fig. 2 line 7, identical to
-        :class:`~repro.core.adaptive.AdaptiveReschedulingLoop`.
+        The accept rule of paper Fig. 2 line 7
+        (:meth:`~repro.core.adaptive.AdaptiveWorkflow.step`).
     credit_ledger:
         Optional :class:`~repro.core.credit.CreditLedger` fed by every
         completion (deadline/SLO violations and stretch).  The
@@ -364,41 +366,87 @@ class MultiTenantPlanner:
         self._unfinished[wf.key] = wf
         self._bookings.book(wf.key, wf.schedule, clock)
 
-    def admit(self, arrival: WorkflowArrival, clock: float) -> ActiveWorkflow:
-        """Plan a newly arrived workflow against the residual capacity."""
-        if arrival.key in self._active:
-            raise ValueError(f"workflow {arrival.key!r} was already admitted")
-        return self.register(arrival, clock, self.plan_arrival(arrival, clock))
-
     # ------------------------------------------------------------------
-    # grid events
+    # events
     # ------------------------------------------------------------------
     def handle_event(self, clock: float, event: Optional[PoolEvent]) -> None:
-        """Step every unfinished workflow at a pool/performance event.
+        """Step every unfinished workflow at a pool/performance event."""
+        self.step(clock, event, self.unfinished())
+
+    def step(
+        self,
+        clock: float,
+        event: Optional[PoolEvent],
+        workflows: Sequence[ActiveWorkflow],
+        *,
+        deviation: bool = False,
+    ) -> None:
+        """Step ``workflows`` at ``clock``, in policy order.
 
         Each step is :meth:`~repro.core.adaptive.AdaptiveWorkflow.step`,
-        planned around the other workflows' current bookings; the policy
-        decides who goes first (earlier workflows book residual gaps that
-        later ones then avoid).  A workflow finished by ``clock`` completes
-        instead.
+        planned around the other workflows' current bookings: earlier
+        workflows book residual gaps that later ones then avoid.  A
+        workflow finished by ``clock`` completes instead.
         """
         resources = self.pool.available_at(clock)
         if not resources:
             return
-        for wf in self.replan_order(self.unfinished(), clock):
+        for wf in self.replan_order(workflows, clock):
             if wf.finished_by(clock):
                 self._mark_completed(wf)
                 continue
             # the workflow steps around everyone else: its own bookings
             # leave the directory until its turn is over
             self._bookings.release(wf.key)
-            wf.step(clock, event, resources, busy=self.busy_view(wf.key, clock))
+            busy = self.busy_view(wf.key, clock)
+            wf.step(clock, event, resources, busy=busy, deviation=deviation)
             self._bookings.book(wf.key, wf.schedule, clock)
 
     # ------------------------------------------------------------------
+    # the Performance Monitor (noisy runs)
+    # ------------------------------------------------------------------
+    def advance(self, clock: float) -> None:
+        """Advance every unfinished workflow's truth to ``clock``."""
+        for wf in self._unfinished.values():
+            if wf.actual is not None:
+                wf.actual.advance(clock)
+
+    def replay(self, clock: float) -> None:
+        """Replay the unfinished workflows' plans under their truth, jointly:
+        one :func:`~repro.core.adaptive.project_actuals` pass, tied in
+        ``seq`` order, nothing starting before ``clock``."""
+        noisy = sorted(
+            (wf for wf in self._unfinished.values() if wf.actual is not None),
+            key=lambda wf: wf.seq,
+        )
+        if noisy:
+            projections = adaptive.project_actuals(
+                [(wf.workflow, wf.schedule, wf.actual.facts(), wf.actual.truth) for wf in noisy],
+                perf_profile=self.perf_profile,
+                clock=clock,
+            )
+            for wf, projected in zip(noisy, projections):
+                wf.actual.track(projected)
+
+    def next_deviation(self, after: float) -> Optional[Tuple[float, List[ActiveWorkflow]]]:
+        """The earliest deviating completion after ``after`` over every
+        unfinished workflow, and the workflows deviating within
+        ``TIME_EPS`` of it."""
+        found = [
+            (wf.actual.next_deviation(wf.schedule, after), wf)
+            for wf in self._unfinished.values()
+            if wf.actual is not None
+        ]
+        found = [(at, wf) for at, wf in found if at is not None]
+        if not found:
+            return None
+        first = min(at for at, _ in found)
+        return first, [wf for at, wf in found if at <= first + TIME_EPS]
+
+    # ------------------------------------------------------------------
     def _mark_completed(self, wf: ActiveWorkflow) -> None:
-        """Complete ``wf`` at its predicted finish and feed the credit fold."""
-        completed_at = wf.schedule.makespan()
+        """Complete ``wf`` at its observed finish and feed the credit fold."""
+        completed_at = wf.completion()
         wf.completed_at = completed_at
         del self._unfinished[wf.key]
         self._bookings.release(wf.key)
@@ -411,15 +459,14 @@ class MultiTenantPlanner:
             )
 
     def finalize(self) -> List[ActiveWorkflow]:
-        """Mark every remaining workflow completed at its predicted finish.
+        """Mark every remaining workflow completed at its observed finish.
 
-        Stragglers fold into the credit ledger in predicted-completion
-        order (ties by admission ``seq``), so end-of-run credit is the
-        same as if the run had kept observing completions chronologically.
+        Stragglers fold into the credit ledger in completion order (ties by
+        admission ``seq``), so end-of-run credit is the same as if the run
+        had kept observing completions chronologically.
         """
         pending = sorted(
-            self._unfinished.values(),
-            key=lambda wf: (wf.schedule.makespan(), wf.seq),
+            self._unfinished.values(), key=lambda wf: (wf.completion(), wf.seq)
         )
         for wf in pending:
             self._mark_completed(wf)

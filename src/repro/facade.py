@@ -269,12 +269,15 @@ def run(
             error_model=error_model,
             **options,
         ).run()
+        # labelled by the scheduler's own name, like every other mode
         factory = options.get("scheduler_factory")
         if factory is not None:
             scheduler = factory()
-            label = getattr(scheduler, "name", type(scheduler).__name__)
+        elif strategy is not None:
+            scheduler = registry.make("scheduler", strategy)
         else:
-            label = strategy or "aheft"
+            scheduler = registry.make("scheduler", "aheft")
+        label = getattr(scheduler, "name", type(scheduler).__name__)
         return RunResult(mode=mode, strategy=label, raw=raw)
 
     if not _is_workflow(workload):

@@ -42,7 +42,7 @@ from repro.scheduling.base import (
 )
 from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.aheft import AHEFTScheduler
-from repro.scheduling.minmin import MinMinScheduler, minmin_batch
+from repro.scheduling.minmin import MinMinScheduler
 from repro.scheduling.baselines import (
     MaxMinScheduler,
     SufferageScheduler,
@@ -75,7 +75,6 @@ __all__ = [
     "HEFTScheduler",
     "AHEFTScheduler",
     "MinMinScheduler",
-    "minmin_batch",
     "MaxMinScheduler",
     "SufferageScheduler",
     "RandomStaticScheduler",

@@ -16,15 +16,12 @@ points used by the broader DAG-scheduling literature the paper cites
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.scheduling.base import Assignment, Schedule
 from repro.scheduling.batch import BatchPlanMixin
 from repro.scheduling.frame import PartialScheduleFrame, plan
-from repro.scheduling.minmin import batch_map
 from repro.utils.rng import spawn_rng
-from repro.workflow.costs import CostModel
-from repro.workflow.dag import Workflow
 
 __all__ = [
     "MaxMinScheduler",
@@ -51,28 +48,6 @@ class MaxMinScheduler(BatchPlanMixin):
     name: str = "MaxMin"
     selector = staticmethod(_select_max_completion)
 
-    def map_ready_jobs(
-        self,
-        ready_jobs: Sequence[str],
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        resource_free: Mapping[str, float],
-        data_location: Mapping[str, str],
-    ) -> List[Assignment]:
-        return batch_map(
-            ready_jobs,
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            resource_free=resource_free,
-            data_location=data_location,
-            selector=_select_max_completion,
-        )
-
 
 @dataclass
 class SufferageScheduler(BatchPlanMixin):
@@ -80,28 +55,6 @@ class SufferageScheduler(BatchPlanMixin):
 
     name: str = "Sufferage"
     selector = staticmethod(_select_max_sufferage)
-
-    def map_ready_jobs(
-        self,
-        ready_jobs: Sequence[str],
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        resource_free: Mapping[str, float],
-        data_location: Mapping[str, str],
-    ) -> List[Assignment]:
-        return batch_map(
-            ready_jobs,
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            resource_free=resource_free,
-            data_location=data_location,
-            selector=_select_max_sufferage,
-        )
 
 
 @dataclass

@@ -20,89 +20,12 @@ paper's experiment design (§4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.scheduling.base import Assignment, TIME_EPS
+from repro.scheduling.base import Assignment
 from repro.scheduling.batch import BatchPlanMixin
-from repro.workflow.costs import CostModel
-from repro.workflow.dag import Workflow
 
-__all__ = ["minmin_batch", "batch_map", "MinMinScheduler"]
-
-#: ``selector(best_completion_by_job) -> job`` — which ready job to fix next.
-Selector = Callable[[Dict[str, Tuple[float, Assignment]]], str]
-
-
-def _completion_candidates(
-    job: str,
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    clock: float,
-    resource_free: Mapping[str, float],
-    data_location: Mapping[str, str],
-) -> List[Assignment]:
-    """All (resource, EST, ECT) candidates for one ready job."""
-    candidates: List[Assignment] = []
-    for rid in resources:
-        data_ready = clock
-        for pred in workflow.predecessors(job):
-            pred_resource = data_location.get(pred)
-            if pred_resource is None:
-                raise ValueError(
-                    f"job {job!r} is not ready: predecessor {pred!r} has no output yet"
-                )
-            transfer = costs.communication_cost(pred, job, pred_resource, rid)
-            # The transfer starts at the decision time (dynamic strategy),
-            # so the data is ready `transfer` after `clock` unless local.
-            data_ready = max(data_ready, clock + transfer)
-        start = max(float(resource_free.get(rid, 0.0)), data_ready, clock)
-        duration = costs.computation_cost(job, rid)
-        candidates.append(Assignment(job, rid, start, start + duration))
-    return candidates
-
-
-def batch_map(
-    ready_jobs: Sequence[str],
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    *,
-    clock: float,
-    resource_free: Mapping[str, float],
-    data_location: Mapping[str, str],
-    selector: Selector,
-) -> List[Assignment]:
-    """Map a batch of ready jobs with a Min-Min-family heuristic.
-
-    ``selector`` decides which job of the batch is fixed next given each
-    job's current best candidate (Min-Min picks the smallest completion
-    time, Max-Min the largest, Sufferage the one that would suffer most if
-    denied its best resource — the latter receives the full candidate lists
-    via the ``Assignment`` objects it needs).
-    """
-    if not resources:
-        raise ValueError("cannot map jobs on an empty resource set")
-    free: Dict[str, float] = {rid: float(resource_free.get(rid, 0.0)) for rid in resources}
-    remaining = list(dict.fromkeys(ready_jobs))
-    assignments: List[Assignment] = []
-    while remaining:
-        best_by_job: Dict[str, Tuple[float, Assignment]] = {}
-        for job in remaining:
-            candidates = _completion_candidates(
-                job, workflow, costs, resources, clock, free, data_location
-            )
-            candidates.sort(key=lambda a: (a.finish, a.resource_id))
-            best = candidates[0]
-            second = candidates[1] if len(candidates) > 1 else candidates[0]
-            sufferage = second.finish - best.finish
-            best_by_job[job] = (sufferage, best)
-        chosen_job = selector({job: value for job, value in best_by_job.items()})
-        chosen = best_by_job[chosen_job][1]
-        assignments.append(chosen)
-        free[chosen.resource_id] = chosen.finish
-        remaining.remove(chosen_job)
-    return assignments
+__all__ = ["MinMinScheduler"]
 
 
 def _select_min_completion(best_by_job: Dict[str, Tuple[float, Assignment]]) -> str:
@@ -111,59 +34,16 @@ def _select_min_completion(best_by_job: Dict[str, Tuple[float, Assignment]]) -> 
     )
 
 
-def minmin_batch(
-    ready_jobs: Sequence[str],
-    workflow: Workflow,
-    costs: CostModel,
-    resources: Sequence[str],
-    *,
-    clock: float,
-    resource_free: Mapping[str, float],
-    data_location: Mapping[str, str],
-) -> List[Assignment]:
-    """Min-Min mapping of one ready batch (see :func:`batch_map`)."""
-    return batch_map(
-        ready_jobs,
-        workflow,
-        costs,
-        resources,
-        clock=clock,
-        resource_free=resource_free,
-        data_location=data_location,
-        selector=_select_min_completion,
-    )
-
-
 @dataclass
 class MinMinScheduler(BatchPlanMixin):
     """Dynamic Min-Min policy object used by the just-in-time executor.
 
-    Through :class:`~repro.scheduling.batch.BatchPlanMixin` it also acts
-    as a full-schedule planner and partial replanner (analytic
-    just-in-time replay with ``busy`` support), which is how the strategy
-    registry exposes it to the invariant suite and the adaptive loop.
+    :class:`~repro.scheduling.batch.BatchPlanMixin` maps its ready batches
+    (``map_ready_jobs``) and also makes it a full-schedule planner and
+    partial replanner (analytic just-in-time replay with ``busy``
+    support), which is how the strategy registry exposes it to the
+    invariant suite and the adaptive loop.
     """
 
     name: str = "MinMin"
     selector = staticmethod(_select_min_completion)
-
-    def map_ready_jobs(
-        self,
-        ready_jobs: Sequence[str],
-        workflow: Workflow,
-        costs: CostModel,
-        resources: Sequence[str],
-        *,
-        clock: float,
-        resource_free: Mapping[str, float],
-        data_location: Mapping[str, str],
-    ) -> List[Assignment]:
-        return minmin_batch(
-            ready_jobs,
-            workflow,
-            costs,
-            resources,
-            clock=clock,
-            resource_free=resource_free,
-            data_location=data_location,
-        )

@@ -1,20 +1,44 @@
-"""Shared-grid execution of multi-tenant workflow streams.
+"""Shared-grid execution: the one adaptive engine, for one workflow or many.
 
 :class:`SharedGridExecutor` drives a
 :class:`~repro.core.multi_tenant.MultiTenantPlanner` through time: workflow
 arrivals (a :class:`~repro.workload.streams.WorkloadStream`'s output), the
-shared pool's membership events, and performance-profile changes are merged
-into one chronological trigger sequence, and every tenant books slots on
-the *same* resource timelines.
+shared pool's membership events, performance-profile changes and the
+Performance Monitor's deviation trigger share one
+:class:`~repro.simulation.event_core.EventCore`, and every tenant books
+slots on the *same* resource timelines.  It alone runs the paper's
+Fig. 1 cycle: ``repro.run(..., mode="adaptive")`` is this grid
+with one workflow registered at t=0
+(:class:`~repro.core.adaptive.AdaptiveReschedulingLoop`).  At one instant
+grid events come first (priority 0 — every unfinished workflow steps, in
+policy order, around the others' bookings), then same-instant arrivals in
+``seq`` order.  Departures kill running jobs across all tenants (wasted
+work is attributed to the tenant that lost it) and force the affected
+workflows to re-book on survivors.
 
-Execution is analytic, like the paper's treatment of static and adaptive
-strategies under accurate estimates: an adopted booking *is* the execution
-(jobs start and finish exactly as booked), so the only events on the
-shared :class:`~repro.simulation.event_core.EventCore` are the sources of
-surprise — grid events at priority 0, same-instant arrivals behind them —
-and the planner absorbs each by replanning.  Departures kill
-running jobs across all tenants (wasted work is attributed to the tenant
-that lost it) and force the affected workflows to re-book on survivors.
+Ground truth
+------------
+Under accurate estimates an adopted booking *is* the execution.  With an
+``error_model`` (:class:`~repro.workflow.costs.ErrorModel`) each workflow
+executes under its own truth — the model scoped by the workflow key, so
+two tenants running the same DAG draw independent actuals — and
+re-estimates its plans with its own predictor over a fresh history.
+Every event then (1) advances each unfinished workflow's truth to the
+clock, (2) steps the workflows — a deviation event only the ones whose
+completion deviated, labelled ``"deviation"`` — and (3) replays the
+unfinished plans jointly (:func:`~repro.core.adaptive.project_actuals`,
+tied in ``seq`` order, started executions as facts, nothing starting
+before the clock): bookings are reservations, and deviations push a job
+and everything queued behind it on the shared resource, across tenants,
+later.  One deviation trigger
+serves the grid — the earliest completion missing its booking by more
+than 10 % of the booked duration, armed only when it strictly precedes
+the next grid event (minus ``TIME_EPS``) and re-armed after every event.
+Completions are observed: ``completed_at``, stretch and the credit fold
+read the actual finish, and :attr:`WorkflowOutcome.actual_schedule`
+carries the executed timeline.  Admission, saturation, retry points and
+the booking directory keep reading plans.  A null error model samples the
+estimates themselves: the bookings are the execution.
 
 The result records one :class:`WorkflowOutcome` per arrival with the
 multi-tenancy metrics of the scheduling literature: **flow time**
@@ -23,36 +47,15 @@ workflow was predicted to need alone on the pool it arrived to), kills and
 wasted work.  :meth:`SharedGridResult.shared_timelines` rebuilds the joint
 timelines from every tenant's final schedule and raises if two tenants ever
 held the same slot — the cross-tenant exclusivity invariant the test suite
-checks (for scenarios without performance changes; see
-:mod:`repro.core.multi_tenant` for the perf-repair approximation).
-
-Stochastic ground truth
------------------------
-An optional ``error_model`` (:class:`~repro.workflow.costs.ErrorModel`)
-replays every tenant's final bookings with sampled *actual* durations
-after planning completes, in one
-:func:`~repro.core.adaptive.project_actuals` pass over the shared
-timelines — the same reservation replay the single-workflow adaptive
-loop uses.  Bookings are reservations (a job never starts before its
-booked slot), and deviations push it — and everything queued behind it
-on the shared resource, across tenants — later.  Duplicate copies
-(duplication-based strategies) are replayed too, so a consumer reads a
-local copy once it has run.  Each workflow's truth is namespaced by its
-key, so two tenants running the same DAG draw independent actuals.
-``completed_at`` then reports the achieved completion (flow time and
-stretch become actual metrics) and :attr:`WorkflowOutcome.actual_schedule`
-carries the replayed timeline, duplicates included.  With a null error
-model the replay reproduces the booked times bit for bit.  Known
-approximation, matching the planner's: the replay does not re-kill work
-a deviation pushes past a later departure — the planner already
-replanned at the departure based on booked times.
+checks under accurate estimates (in a noisy run the plans carry observed
+facts, and the executed timelines are the ones that never share a slot).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import (
     AdmissionConfig,
@@ -60,15 +63,18 @@ from repro.core.admission import (
     AdmissionDecision,
 )
 from repro.core.credit import CreditLedger
-from repro.resources.pool import ResourcePool
+from repro.core.history import PerformanceHistoryRepository
+from repro.core.predictor import Predictor
+from repro.resources.pool import PoolEvent, ResourcePool
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import ResourceTimeline, Schedule, TIME_EPS
 from repro.simulation.event_core import EventCore, EventKind
-from repro.workflow.costs import ErrorModel, PerturbedCostModel
+from repro.workflow.costs import CostModel, ErrorModel, PerturbedCostModel
 from repro.workload.streams import WorkflowArrival
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.adaptive import ReschedulingDecision
+    from repro.core.multi_tenant import ActiveWorkflow, MultiTenantPlanner
 
 __all__ = ["SharedGridExecutor", "SharedGridResult", "WorkflowOutcome"]
 
@@ -93,7 +99,7 @@ class WorkflowOutcome:
     decisions: List["ReschedulingDecision"] = field(default_factory=list)
     wasted_work: float = 0.0
     killed_jobs: int = 0
-    #: the replayed actual timeline when an error model sampled the truth
+    #: the executed timeline when an error model sampled the truth
     actual_schedule: Optional[Schedule] = None
     #: absolute completion deadline (``None`` when the tenant set none)
     deadline: Optional[float] = None
@@ -218,6 +224,10 @@ class SharedGridExecutor:
         ``strategy`` names any registered scheduler with the
         ``reschedule`` interface, making the whole shared grid replan
         with that heuristic instead of AHEFT.
+    error_model:
+        Optional :class:`~repro.workflow.costs.ErrorModel`: every workflow
+        then executes under its own sampled truth and the grid runs the
+        Performance Monitor (see the module docstring).
     admission:
         ``None``/``False`` (default) admits every arrival as before.
         ``True`` or an :class:`~repro.core.admission.AdmissionConfig`
@@ -241,6 +251,10 @@ class SharedGridExecutor:
     admission control — only a grid with no future capacity at all still
     raises.
     """
+
+    #: the monitor's deviation threshold: a completion missing its booking
+    #: by more than this fraction of the booked duration is an event
+    _deviation_threshold: Optional[float] = 0.1
 
     def __init__(
         self,
@@ -302,10 +316,32 @@ class SharedGridExecutor:
             candidates.append(next_event)
         return min(candidates) if candidates else None
 
+    # ------------------------------------------------------------------
+    def _open(self, planner: "MultiTenantPlanner") -> None:
+        """Register the workflows present when the grid opens (none: every
+        workflow comes through an arrival event)."""
+
+    def _truth(self, wf: "ActiveWorkflow") -> Optional[Tuple[CostModel, Optional[Predictor]]]:
+        """The truth ``wf`` executes under and the predictor re-estimating
+        its plans; ``None`` when its bookings are the execution."""
+        error = self.error_model
+        if error is None or error.is_null:
+            return None
+        scope = f"{error.scope}/{wf.key}" if error.scope else wf.key
+        truth = PerturbedCostModel(wf.costs, error.scoped(scope))
+        return truth, Predictor(PerformanceHistoryRepository())
+
+    def _register(self, planner, arrival, clock: float, planned) -> "ActiveWorkflow":
+        """Admit a planned arrival under its truth (:meth:`_truth`)."""
+        wf = planner.register(arrival, clock, planned)
+        monitored = self._truth(wf)
+        if monitored is not None:
+            wf.monitor(*monitored, replan_on_deviation=self._deviation_threshold)
+        return wf
+
     def run(self) -> SharedGridResult:
-        # imported here: repro.core.adaptive itself imports the simulation
-        # package, so a module-level import would be circular
-        from repro.core import adaptive
+        # imported here: repro.core.multi_tenant imports repro.core.adaptive,
+        # which imports this module
         from repro.core.multi_tenant import MultiTenantPlanner
 
         planner = MultiTenantPlanner(
@@ -318,11 +354,22 @@ class SharedGridExecutor:
             accept_only_if_better=self.accept_only_if_better,
             credit_ledger=self.credit_ledger,
         )
-        # merged, not last-writer-wins: two same-instant pool events (legal
-        # after a ComposedScenario merge or with a custom pool) must both
-        # contribute their added/removed sets
+        # one membership event per instant (``ResourcePool.events``
+        # aggregates them); a performance change without a membership
+        # change is a trigger of its own (``None``)
         events = self.pool.events()
-        triggers = adaptive._merge_triggers(events, self.perf_profile)
+        triggers: Dict[float, Optional[PoolEvent]] = {}
+        for event in events:
+            if event.time in triggers:
+                raise ValueError(
+                    f"the pool reports two membership events at t={event.time}; "
+                    "events must aggregate per instant"
+                )
+            triggers[event.time] = event
+        if self.perf_profile is not None:
+            for time in self.perf_profile.change_times():
+                triggers.setdefault(time, None)
+        grid_times = sorted(triggers)
         #: the pool-change instants with capacity, once per run: every
         #: deferral's retry point is a bisect into them
         self._capacity_times: List[float] = [
@@ -333,15 +380,55 @@ class SharedGridExecutor:
         controller = (
             AdmissionController(self.admission) if self.admission is not None else None
         )
+        core = EventCore()
+        #: grid events processed so far, and the clock of the last event
+        passed, last_clock = 0, float("-inf")
+        deviation = None
+
+        def arm() -> None:
+            """(Re)arm the grid's one deviation trigger.
+
+            The next deviating completion becomes an event only when it
+            *strictly* precedes the next grid event (minus ``TIME_EPS``): on
+            a tie the grid event is the trigger and absorbs the deviation.
+            """
+            nonlocal deviation
+            if deviation is not None:
+                deviation.cancel()
+                deviation = None
+            due = planner.next_deviation(last_clock)
+            if due is not None and (
+                passed == len(grid_times) or due[0] < grid_times[passed] - TIME_EPS
+            ):
+                at, workflows = due
+                deviation = core.post(
+                    at,
+                    lambda: on_event(at, lambda: planner.step(at, None, workflows, deviation=True)),
+                    kind=EventKind.DEVIATION,
+                    label="deviation",
+                )
+
+        def on_event(clock: float, react: Callable[[], None]) -> None:
+            """Advance the truth to ``clock``, ``react``, replay the truth."""
+            nonlocal last_clock
+            planner.advance(clock)
+            react()
+            planner.replay(clock)
+            last_clock = clock
+            arm()
+
+        def on_grid_event(clock: float, event: Optional[PoolEvent]) -> None:
+            nonlocal passed
+            passed += 1
+            on_event(clock, lambda: planner.handle_event(clock, event))
 
         # One instant on the shared event core: the grid event first
         # (priority 0 — incumbents re-book around the change), then the
         # same-instant arrivals in seq order (priority 1, insertion order).
-        core = EventCore()
         for clock, trigger in triggers.items():
             core.post(
                 clock,
-                lambda c=clock, e=trigger: planner.handle_event(c, e),
+                lambda c=clock, e=trigger: on_grid_event(c, e),
                 kind=EventKind.POOL_CHANGE if trigger is not None else EventKind.PERF_CHANGE,
                 label="grid-event",
             )
@@ -355,8 +442,7 @@ class SharedGridExecutor:
                 label=f"deferred:{arrival.key}",
             )
 
-        def offer(arrival: WorkflowArrival) -> None:
-            clock = core.now
+        def admit(arrival: WorkflowArrival, clock: float) -> None:
             if controller is None:
                 if not self.pool.available_at(clock):
                     retry = self._next_capacity_time(clock)
@@ -367,16 +453,20 @@ class SharedGridExecutor:
                         )
                     defer(arrival, retry)
                     return
-                planner.admit(arrival, clock)
+                self._register(planner, arrival, clock, planner.plan_arrival(arrival, clock))
                 return
             retry = self._next_retry_time(planner, clock)
             action, planned = controller.evaluate(
                 planner, arrival, clock, can_defer=retry is not None
             )
             if action == "admit":
-                planner.register(arrival, clock, planned)
+                self._register(planner, arrival, clock, planned)
             elif action == "defer":
                 defer(arrival, retry)
+
+        def offer(arrival: WorkflowArrival) -> None:
+            clock = core.now
+            on_event(clock, lambda: admit(arrival, clock))
 
         for arrival in self.arrivals:
             core.post(
@@ -386,46 +476,17 @@ class SharedGridExecutor:
                 priority=_ARRIVAL_PRIORITY,
                 label=f"arrival:{arrival.key}",
             )
+        self._open(planner)
+        planner.replay(core.now)
+        arm()
         core.run()
 
-        workflows = planner.finalize()
-        actuals: Dict[str, Schedule] = {}
-        if self.error_model is not None:
-            # one reservation replay of every tenant's final bookings on the
-            # shared timelines, tenants tied in seq order; each truth is the
-            # workflow's estimates under the error model scoped to its key
-            error = self.error_model
-            tenants = sorted(workflows, key=lambda wf: wf.seq)
-            replayed = adaptive.project_actuals(
-                [
-                    (
-                        wf.workflow,
-                        wf.schedule,
-                        {},
-                        PerturbedCostModel(
-                            wf.costs,
-                            error.scoped(f"{error.scope}/{wf.key}" if error.scope else wf.key),
-                        ),
-                    )
-                    for wf in tenants
-                ],
-                perf_profile=self.perf_profile,
-            )
-            for wf, actual in zip(tenants, replayed):
-                schedule = Schedule(name=f"{wf.key}-actual")
-                for booked in wf.schedule:
-                    schedule.add(actual[booked.job_id])
-                for booked in wf.schedule.duplicates:
-                    schedule.add_duplicate(actual[(booked.job_id, booked.resource_id)])
-                actuals[wf.key] = schedule
         outcomes = []
-        for wf in workflows:
-            actual_schedule = actuals.get(wf.key)
-            completed_at = (
-                actual_schedule.makespan()
-                if actual_schedule is not None
-                else wf.completed_at
-            )
+        for wf in planner.finalize():
+            actual_schedule = None
+            if self.error_model is not None:
+                trace = wf.trace(getattr(wf.scheduler, "name", "adaptive"))
+                actual_schedule = trace.to_schedule(name=f"{wf.key}-actual")
             outcomes.append(
                 WorkflowOutcome(
                     key=wf.key,
@@ -433,7 +494,7 @@ class SharedGridExecutor:
                     kind=wf.kind,
                     seq=wf.seq,
                     arrival_time=wf.arrival_time,
-                    completed_at=completed_at,
+                    completed_at=wf.completed_at,
                     dedicated_span=wf.dedicated_span,
                     schedule=wf.schedule,
                     decisions=list(wf.decisions),

@@ -126,11 +126,6 @@ class TestAdaptiveLoop:
         ).raw
         assert guarded.makespan <= always.makespan + 1e-9
 
-    def test_explicit_event_list_overrides_pool_events(self, blast_case, dynamic_pool):
-        loop = AdaptiveReschedulingLoop(AHEFTScheduler())
-        result = loop.run(blast_case.workflow, blast_case.costs, dynamic_pool, events=[])
-        assert result.decisions == []
-
     def test_accurate_estimates_never_replay_the_plan(
         self, blast_case, dynamic_pool, monkeypatch
     ):
@@ -218,9 +213,9 @@ class TestRunDynamic:
 
 class TestSameTimeEvents:
     def test_same_time_pool_events_are_merged_not_dropped(self, small_random_case):
-        """Two events= entries at one time must both be honoured."""
+        """A join and a departure at one instant are one event that sees both."""
         from repro.core.adaptive import AdaptiveReschedulingLoop
-        from repro.resources.pool import PoolEvent, ResourcePool
+        from repro.resources.pool import ResourcePool
         from repro.resources.resource import Resource
 
         case = small_random_case
@@ -229,19 +224,11 @@ class TestSameTimeEvents:
             + [Resource(f"r{i}") for i in range(2, 5)]
             + [Resource("r9", available_from=100.0)]
         )
-        loop = AdaptiveReschedulingLoop()
-        result = loop.run(
-            case.workflow,
-            case.costs,
-            pool,
-            events=[
-                PoolEvent(time=100.0, added=("r9",)),
-                PoolEvent(time=100.0, removed=("r1",)),
-            ],
-        )
-        # one merged decision at t=100 that saw both the join and the removal
+        result = AdaptiveReschedulingLoop().run(case.workflow, case.costs, pool)
+        # one decision at t=100 that saw both the join and the removal
         assert len(result.decisions) == 1
         decision = result.decisions[0]
+        assert decision.time == 100.0
         assert "r9" in decision.event and "r1" in decision.event
         # the removal was honoured: nothing unfinished stays on r1
         for assignment in result.final_schedule:

@@ -47,11 +47,7 @@ from repro.scheduling.validation import (
 from repro.simulation.shared_grid import SharedGridExecutor
 from repro.workload.streams import TenantSpec, WorkflowArrival, WorkloadStream
 
-#: scenarios whose dynamics are pool-membership only (no perf factors) —
-#: the strict cross-tenant exclusivity check applies to these; after a
-#: perf change independently repaired plans may transiently contend (see
-#: repro.core.multi_tenant) so perf scenarios are exercised for
-#: per-schedule invariants but not for joint-timeline exclusivity.
+#: scenarios whose dynamics are pool-membership only (no perf factors)
 MEMBERSHIP_SCENARIOS = ("static", "paper", "departures", "churn", "join_burst", "flash_crowd")
 
 #: every registered strategy that can drive the adaptive loop
@@ -143,6 +139,50 @@ class TestSingleTenantBitIdentity:
         )
 
 
+class TestSingleTenantNoisyIdentity:
+    """The noisy single-workflow run is the noisy one-tenant shared grid.
+
+    A multi-tenant run scopes the error model by the workflow key, so the
+    single-workflow run under ``E.scoped(key)`` samples the same truth; both
+    then run the one engine's monitor (advance, step, joint replay,
+    deviation trigger) and must agree on everything they observed.
+    """
+
+    @settings(max_examples=3, deadline=None)
+    @given(
+        strategy=st.sampled_from(REPLANNERS),
+        case_seed=st.integers(min_value=0, max_value=10**6),
+        scenario_seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @pytest.mark.parametrize("family", registry.available("error_model"))
+    def test_every_error_model(self, family, strategy, case_seed, scenario_seed):
+        case = _case(v=20, seed=case_seed)
+        arrival = _single_arrival(case)
+        error = registry.make("error_model", family, magnitude=0.3, seed=case_seed)
+        run_a = materialize(registry.make("scenario", "churn"), initial_size=5, seed=scenario_seed)
+        single = repro.run(
+            case.workflow, run_a.pool, costs=case.costs, mode="adaptive", strategy=strategy,
+            perf_profile=run_a.profile, error_model=error.scoped(arrival.key),
+        ).raw
+        run_b = materialize(registry.make("scenario", "churn"), initial_size=5, seed=scenario_seed)
+        shared = SharedGridExecutor(
+            [arrival], run_b.pool, perf_profile=run_b.profile, strategy=strategy,
+            error_model=error,
+        ).run()
+        (outcome,) = shared.outcomes
+        assert _decision_tuples(outcome) == _decision_tuples(single)
+        assert outcome.schedule.to_dict() == single.final_schedule.to_dict()
+        assert outcome.schedule.duplicates_to_dict() == (
+            single.final_schedule.duplicates_to_dict()
+        )
+        executed = single.trace.to_schedule()
+        assert outcome.actual_schedule.to_dict() == executed.to_dict()
+        assert outcome.actual_schedule.duplicates_to_dict() == executed.duplicates_to_dict()
+        assert outcome.completed_at == single.makespan
+        assert outcome.killed_jobs == single.killed_jobs
+        assert outcome.wasted_work == single.wasted_work
+
+
 class TestSchedulerInvariantsUnderScenarios:
     """Every strategy's output stays feasible under random dynamics."""
 
@@ -201,7 +241,7 @@ class TestSchedulerInvariantsUnderScenarios:
     @settings(max_examples=8, deadline=None)
     @given(
         tenants=st.integers(min_value=1, max_value=4),
-        scenario_name=st.sampled_from(sorted(MEMBERSHIP_SCENARIOS)),
+        scenario_name=st.sampled_from(sorted(registry.available("scenario"))),
         seed=st.integers(min_value=0, max_value=10**6),
         policy=st.sampled_from(POLICIES),
     )

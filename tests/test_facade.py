@@ -96,7 +96,7 @@ def test_every_reschedule_strategy_runs_in_multi_mode(stream, model):
     for name in _scheduler_names_for("multi"):
         result = run(stream, model.build_pool(), mode="multi", strategy=name)
         assert result.mode == "multi"
-        assert result.strategy == name
+        assert result.strategy == registry.make("scheduler", name).name
         assert isinstance(result.raw, SharedGridResult)
         assert result.schedule is None
         assert result.outcomes and result.makespan > 0.0
@@ -112,7 +112,7 @@ def test_multi_mode_labels_a_scheduler_factory_by_its_scheduler(stream, model):
     result = run(stream, model.build_pool(), mode="multi", scheduler_factory=CPOPScheduler)
     assert result.strategy == CPOPScheduler().name
     assert result.metrics["strategy"] == CPOPScheduler().name
-    assert run(stream, model.build_pool(), mode="multi").strategy == "aheft"
+    assert run(stream, model.build_pool(), mode="multi").strategy == "AHEFT"
 
 
 def test_mode_inference(case, model, stream):

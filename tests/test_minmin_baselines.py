@@ -8,7 +8,7 @@ from repro.scheduling.baselines import (
     RandomStaticScheduler,
     SufferageScheduler,
 )
-from repro.scheduling.minmin import MinMinScheduler, minmin_batch
+from repro.scheduling.minmin import MinMinScheduler
 from repro.scheduling.validation import validate_schedule
 from repro.workflow.costs import TabularCostModel
 from repro.workflow.dag import Workflow
@@ -40,7 +40,7 @@ def fork_costs(fork_workflow):
 
 class TestMinMinBatch:
     def test_all_ready_jobs_mapped(self, fork_workflow, fork_costs):
-        assignments = minmin_batch(
+        assignments = MinMinScheduler().map_ready_jobs(
             ["x", "y", "z"],
             fork_workflow,
             fork_costs,
@@ -52,7 +52,7 @@ class TestMinMinBatch:
         assert {a.job_id for a in assignments} == {"x", "y", "z"}
 
     def test_shortest_job_first_and_local_data_preferred(self, fork_workflow, fork_costs):
-        assignments = minmin_batch(
+        assignments = MinMinScheduler().map_ready_jobs(
             ["x", "y"],
             fork_workflow,
             fork_costs,
@@ -67,7 +67,7 @@ class TestMinMinBatch:
         assert assignments[0].finish == pytest.approx(7.0)
 
     def test_transfer_starts_at_decision_time(self, fork_workflow, fork_costs):
-        assignments = minmin_batch(
+        assignments = MinMinScheduler().map_ready_jobs(
             ["y"],
             fork_workflow,
             fork_costs,
@@ -83,7 +83,7 @@ class TestMinMinBatch:
 
     def test_unready_job_rejected(self, fork_workflow, fork_costs):
         with pytest.raises(ValueError, match="not ready"):
-            minmin_batch(
+            MinMinScheduler().map_ready_jobs(
                 ["x"],
                 fork_workflow,
                 fork_costs,
@@ -95,13 +95,13 @@ class TestMinMinBatch:
 
     def test_empty_resources_rejected(self, fork_workflow, fork_costs):
         with pytest.raises(ValueError):
-            minmin_batch(
+            MinMinScheduler().map_ready_jobs(
                 ["x"], fork_workflow, fork_costs, [],
                 clock=0.0, resource_free={}, data_location={"src": "r1"},
             )
 
     def test_no_two_jobs_overlap_on_one_resource(self, fork_workflow, fork_costs):
-        assignments = minmin_batch(
+        assignments = MinMinScheduler().map_ready_jobs(
             ["x", "y", "z"],
             fork_workflow,
             fork_costs,

@@ -4,7 +4,8 @@ Four regression suites for the shared-grid correctness fixes —
 
 * an arrival during a pool gap is deferred to the next capacity point
   instead of killing the whole stream,
-* same-instant pool events are merged, not last-writer-wins,
+* same-instant pool events act as one trigger, and a pool reporting them
+  apart is rejected instead of losing one,
 * ``consumed_time`` charges duplicate bookings (duplication strategies),
 * ``busy_view`` prunes with the same ``TIME_EPS`` tolerance as
   ``finished_by``
@@ -105,23 +106,23 @@ class TestEmptyPoolDeferral:
         with pytest.raises(ValueError, match="no resources available"):
             _run_multi(arrivals, pool)
 
-    def test_planner_admit_still_rejects_empty_pool(self, make_case):
+    def test_plan_arrival_still_rejects_empty_pool(self, make_case):
         """The planner-level guard survives; only the executor defers."""
         planner = MultiTenantPlanner(self._gap_pool())
         case = make_case(v=6, seed=1)
         arrival = WorkflowArrival("t1", 0, 20.0, "random", case, seq=0)
         with pytest.raises(ValueError, match="no resources available"):
-            planner.admit(arrival, 20.0)
+            planner.plan_arrival(arrival, 20.0)
 
 
 # ----------------------------------------------------------------------
-# fix 2: same-instant pool events merge instead of last-writer-wins
+# fix 2: same-instant pool events are one trigger, never last-writer-wins
 # ----------------------------------------------------------------------
 class _SplitEventPool(ResourcePool):
     """A pool whose ``events()`` reports one event per joining/leaving
     resource — several same-instant events where ``ResourcePool.events``
-    aggregates.  Legal per the PoolEvent contract, so the executor must
-    merge them instead of keeping only the last."""
+    aggregates.  The executor must reject it rather than keep only the
+    last."""
 
     def events(self, *, after=0.0, until=None):
         split = []
@@ -141,21 +142,16 @@ class TestSameInstantPoolEvents:
             Resource("r3"),
         ]
 
-    def test_split_events_match_aggregated_events(self, make_case):
+    def test_split_events_are_rejected(self, make_case):
         case = make_case(v=16, seed=3, omega_dag=100.0)
         arrivals = [WorkflowArrival("t1", 0, 0.0, "random", case, seq=0)]
-        merged = _run_multi(arrivals, ResourcePool(self._resources()))
-        split = _run_multi(arrivals, _SplitEventPool(self._resources()))
-        a, b = merged.outcomes[0], split.outcomes[0]
-        assert a.schedule.to_dict() == b.schedule.to_dict()
-        assert a.wasted_work == b.wasted_work
-        assert a.killed_jobs == b.killed_jobs
-        assert [d.event for d in a.decisions] == [d.event for d in b.decisions]
+        with pytest.raises(ValueError, match="two membership events at t=120.0"):
+            _run_multi(arrivals, _SplitEventPool(self._resources()))
 
     def test_both_same_instant_departures_are_applied(self, make_case):
         case = make_case(v=16, seed=3, omega_dag=100.0)
         arrivals = [WorkflowArrival("t1", 0, 0.0, "random", case, seq=0)]
-        result = _run_multi(arrivals, _SplitEventPool(self._resources()))
+        result = _run_multi(arrivals, ResourcePool(self._resources()))
         (outcome,) = result.outcomes
         # a dropped removal would leave bookings on a departed resource
         for assignment in outcome.schedule.all_assignments():

@@ -1,13 +1,14 @@
-"""Golden regression for the noisy shared-grid truth replay.
+"""Golden regression for noisy multi-tenant runs of the shared grid.
 
 A few AHEFT multi-tenant runs with sampled ground truth (``gaussian`` and
 ``resource_bias`` at magnitude 0.3) on membership and performance
-scenarios are replayed, and every outcome's ``(key, completed_at,
-actual_schedule)`` is compared bit for bit against
-``tests/goldens/shared_replay.json``.  The same runs check two invariants
-of the replayed actuals: no two executions share a resource slot (across
-tenants) and no execution starts before its booking — bookings are
-reservations.
+scenarios run the grid's closed monitor loop, and every outcome's ``(key,
+completed_at, actual_schedule)`` is compared bit for bit against
+``tests/goldens/shared_replay.json``.  The same runs check the invariants
+of the observed executions: no two executions share a resource slot
+(across tenants), every execution respects precedence and starts no
+earlier than its booking — bookings are reservations — and a workflow
+completes when its last execution does.
 
 If a change *intentionally* alters the replay, regenerate with
 
@@ -24,6 +25,7 @@ import pytest
 from repro import registry
 from repro.scenarios import materialize
 from repro.scheduling.base import ResourceTimeline
+from repro.scheduling.validation import check_precedence
 from repro.simulation.shared_grid import SharedGridExecutor
 from repro.workload.streams import TenantSpec, WorkloadStream
 
@@ -33,7 +35,7 @@ SCENARIOS = ("static", "departures", "churn", "degradation")
 ERROR_FAMILIES = ("gaussian", "resource_bias")
 
 
-def _run(scenario_name: str, family: str):
+def _stream() -> WorkloadStream:
     specs = [
         TenantSpec(
             name=f"t{i + 1}",
@@ -45,10 +47,13 @@ def _run(scenario_name: str, family: str):
         )
         for i in range(3)
     ]
-    stream = WorkloadStream(specs, seed=21, horizon=4000.0)
+    return WorkloadStream(specs, seed=21, horizon=4000.0)
+
+
+def _run(scenario_name: str, family: str):
     run = materialize(registry.make("scenario", scenario_name), initial_size=5, seed=3)
     return SharedGridExecutor(
-        stream.arrivals(),
+        _stream().arrivals(),
         run.pool,
         perf_profile=run.profile,
         error_model=registry.make("error_model", family, magnitude=0.3, seed=11),
@@ -56,9 +61,14 @@ def _run(scenario_name: str, family: str):
 
 
 def _assert_replay_invariants(result) -> None:
+    cases = {arrival.key: arrival.case for arrival in _stream().arrivals()}
     timelines = {}
     for outcome in result.outcomes:
         actual = outcome.actual_schedule
+        case = cases[outcome.key]
+        assert sorted(actual.jobs()) == sorted(case.workflow.jobs)
+        assert check_precedence(case.workflow, case.costs, actual) == [], outcome.key
+        assert outcome.completed_at == actual.makespan()
         for assignment in actual.all_assignments():
             timeline = timelines.setdefault(
                 assignment.resource_id, ResourceTimeline(assignment.resource_id)
@@ -98,3 +108,10 @@ def test_noisy_shared_replay_matches_golden(request):
     assert sorted(actual) == sorted(golden)
     for case in sorted(actual):
         assert actual[case] == golden[case], f"{case}: replay drifted from the golden"
+
+
+def test_noisy_runs_replan_on_deviations():
+    """The monitor's deviation trigger fires on the shared grid too."""
+    result = _run("static", "gaussian")
+    events = [d.event for outcome in result.outcomes for d in outcome.decisions]
+    assert "deviation" in events
