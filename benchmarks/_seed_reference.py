@@ -20,7 +20,18 @@ This module preserves the seed algorithms verbatim so that
   path it replaced: :func:`seed_busy_view` (walk every admitted schedule),
   :func:`seed_foreign_timelines` (sort, merge and ``occupy`` the foreign
   and pinned spans into fresh timelines) and
-  :func:`seed_predicted_saturation` (re-sort and re-merge the same spans).
+  :func:`seed_predicted_saturation` (re-sort and re-merge the same spans),
+* ``tests/test_incremental_loop.py`` can check the closed loop's
+  incremental Performance Monitor against the version that rebuilt its
+  state at every event: :class:`SeedActualExecution` (rescan the
+  projection on ``advance``, walk every job in ``sync_belief`` and
+  ``next_deviation``), :func:`seed_project_actuals` (build, sort and walk
+  every queue on every call), :func:`seed_replay`/:func:`seed_next_deviation`/
+  :func:`seed_served_by_tenant` (the planner's replay without a kept state
+  or a skip, its deviation scan and its served-time fold over every
+  admitted workflow) and the state builders of :func:`seed_repair_schedule`
+  and :func:`seed_frame_pins` (``job_status`` per job, a new
+  ``Assignment`` per finished job).
 
 Do not optimise this module — its slowness is the point.
 """
@@ -28,7 +39,7 @@ Do not optimise this module — its slowness is the point.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +51,8 @@ from repro.scheduling.base import (
     Schedule,
     TIME_EPS,
 )
-from repro.simulation.executor import dispatch_duration
+from repro.scheduling.bookings import as_busy_view
+from repro.simulation.executor import dispatch_duration, record_observation
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
 
@@ -58,6 +70,13 @@ __all__ = [
     "seed_occupy_busy_intervals",
     "seed_foreign_timelines",
     "seed_predicted_saturation",
+    "SeedActualExecution",
+    "seed_repair_schedule",
+    "seed_project_actuals",
+    "seed_frame_pins",
+    "seed_replay",
+    "seed_next_deviation",
+    "seed_served_by_tenant",
 ]
 
 
@@ -742,3 +761,602 @@ def seed_predicted_saturation(busy, resource_count: int, clock: float, window: f
         for start, finish in _seed_merge_spans(spans):
             booked += max(0.0, min(finish, horizon) - max(start, clock))
     return min(1.0, booked / (resource_count * window))
+
+
+# ----------------------------------------------------------------------
+# the closed loop's Performance Monitor before it was made incremental
+# ----------------------------------------------------------------------
+class SeedActualExecution:
+    """Frozen ``ActualExecution`` (the monitor before its dense facts):
+    ``advance`` rescans the projection, ``sync_belief`` walks every job
+    through ``job_status``, ``next_deviation`` walks every started and
+    projected job.
+
+    The ground truth of one workflow's adopted plans in a noisy run.
+
+    Bookings are *reservations*: a job never starts before its booked
+    start, and deviations push it (and its successors, and everything
+    queued behind it on the resource, across tenants) later.  The
+    projection is the current plan's share of the grid's joint
+    :func:`project_actuals` replay (:meth:`track`); executions become facts
+    once observed started (:meth:`advance`), and each finished one is
+    reported to ``history`` (Fig. 1: Scheduler → Performance History
+    Repository).
+
+    ``replan_on_deviation`` arms the monitor's own trigger
+    (:meth:`next_deviation`); ``None`` disables it.
+    """
+
+    def __init__(
+        self,
+        workflow: Workflow,
+        costs: CostModel,
+        truth: CostModel,
+        *,
+        perf_profile=None,
+        history: Optional[PerformanceHistoryRepository] = None,
+        replan_on_deviation: Optional[float] = None,
+    ) -> None:
+        self.workflow = workflow
+        self.costs = costs
+        self.truth = truth
+        self.perf_profile = perf_profile
+        self.history = history
+        self.replan_on_deviation = replan_on_deviation
+        self._index = workflow.structure().index
+        #: ground truth of every job that has started (running or finished)
+        self.started: Dict[str, Assignment] = {}
+        #: ground truth of every started duplicate copy, per (job, resource)
+        self.started_duplicates: Dict[tuple, Assignment] = {}
+        self._finished: set = set()
+        #: the current plan's actual future: primaries and duplicates
+        self.projection: Dict[str, Assignment] = {}
+        self.duplicate_projection: Dict[tuple, Assignment] = {}
+
+    def state(self, clock: float) -> ExecutionState:
+        """The step's state: the facts read like an accurate plan."""
+        return ExecutionState.from_schedule(self.started, clock, jobs=self.workflow.jobs)
+
+    def facts(self) -> Dict[object, Assignment]:
+        """Every started execution, keyed like :func:`project_actuals`."""
+        if self.started_duplicates:
+            return {**self.started, **self.started_duplicates}
+        return self.started
+
+    def track(self, projected: Dict[object, Assignment]) -> None:
+        """Take the plan's replayed future (primaries and duplicates)."""
+        duplicates = {}
+        for key in [key for key in projected if isinstance(key, tuple)]:
+            duplicates[key] = projected.pop(key)
+        self.projection = projected
+        self.duplicate_projection = duplicates
+
+    def completion(self) -> float:
+        """The projected actual completion of the workflow."""
+        return max(
+            [a.finish for a in self.started.values()]
+            + [a.finish for a in self.projection.values()],
+            default=0.0,
+        )
+
+    def _finish(self, assignments: List[Assignment]) -> None:
+        """Mark executions finished and report them in completion order."""
+        index = self._index
+        assignments.sort(key=lambda a: (a.finish, a.start, index[a.job_id]))
+        for assignment in assignments:
+            self._finished.add(assignment.job_id)
+            if self.history is not None:
+                record_observation(
+                    self.history,
+                    self.workflow,
+                    self.costs,
+                    assignment.job_id,
+                    assignment.resource_id,
+                    assignment.start,
+                    assignment.finish,
+                    self.perf_profile,
+                )
+
+    def advance(self, clock: float) -> None:
+        """Advance the ground truth to ``clock``: record what started and
+        what finished by then."""
+        index = self._index
+        started = self.started
+        newly_started = [
+            a for a in self.projection.values()
+            if a.job_id not in started and a.start <= clock + TIME_EPS
+        ]
+        newly_started.sort(key=lambda a: (a.start, a.finish, index[a.job_id]))
+        for assignment in newly_started:
+            started[assignment.job_id] = assignment
+        for key, assignment in self.duplicate_projection.items():
+            if assignment.start <= clock + TIME_EPS:
+                self.started_duplicates[key] = assignment
+        self._finish([
+            a for job, a in started.items()
+            if job not in self._finished and a.finish <= clock + TIME_EPS
+        ])
+
+    def forget(self, killed: Sequence[str], removed: FrozenSet[str], clock: float) -> None:
+        """Drop the executions a departure at ``clock`` killed."""
+        for job in killed:
+            del self.started[job]
+        # a duplicate running on a departed resource is lost
+        for key, duplicate in list(self.started_duplicates.items()):
+            if duplicate.resource_id in removed and duplicate.finish > clock + TIME_EPS:
+                del self.started_duplicates[key]
+
+    def sync_belief(
+        self, plan: Schedule, state: ExecutionState, effective: CostModel
+    ) -> tuple:
+        """Substitute observed facts into the plan; never re-time futures.
+
+        Returns ``(synced, changed)`` where ``changed`` flags any deviation
+        between the plan and the observed actuals.  A running job keeps its
+        *booked duration* shifted to its actual start (speed frozen at
+        dispatch, estimate unchanged), floored at the clock — the planner
+        knows an overdue job cannot finish in the past.  A running job
+        without a booking on its resource is priced by ``effective``, the
+        step's estimate.
+        """
+        synced = Schedule(name=plan.name)
+        changed = False
+        clock = state.clock
+        for duplicate in plan.duplicates:
+            # started duplicate executions are facts (see repair_schedule);
+            # one booked to have started but still waiting is dropped
+            if duplicate.start > clock + TIME_EPS:
+                continue
+            actual = self.started_duplicates.get((duplicate.job_id, duplicate.resource_id))
+            if actual != duplicate:
+                changed = True
+            if actual is not None:
+                synced.add_duplicate(actual)
+        for job in self.workflow.jobs:
+            booked = plan.get(job)
+            if state.is_finished(job):
+                actual = self.started[job]
+                synced.add(actual)
+                if actual != booked:
+                    changed = True
+            elif state.is_running(job):
+                running = self.started[job]
+                rid, start = running.resource_id, running.start
+                if booked is not None and booked.resource_id == rid:
+                    if start == booked.start:
+                        belief_finish = booked.finish
+                    else:
+                        belief_finish = start + (booked.finish - booked.start)
+                        changed = True
+                else:
+                    belief_finish = start + effective.computation_cost(job, rid)
+                    changed = True
+                belief_finish = max(belief_finish, clock)
+                synced.add(Assignment(job, rid, start, belief_finish))
+            elif booked is not None:
+                synced.add(booked)
+        return synced, changed
+
+    def next_deviation(self, plan: Schedule, after: float) -> Optional[float]:
+        """Earliest completion after ``after`` deviating beyond the threshold.
+
+        The monitor learns a job's actual duration when it completes; a
+        completion whose time differs from ``plan``'s booked finish by more
+        than ``replan_on_deviation`` of the booked duration is an event of
+        interest.
+        """
+        threshold = self.replan_on_deviation
+        if threshold is None:
+            return None
+        earliest: Optional[float] = None
+        for job, actual in list(self.started.items()) + list(self.projection.items()):
+            if actual.finish <= after + TIME_EPS:
+                continue
+            booked = plan.get(job)
+            if booked is None:
+                continue
+            slack = threshold * max(booked.duration, TIME_EPS)
+            if abs(actual.finish - booked.finish) <= slack:
+                continue
+            if earliest is None or actual.finish < earliest:
+                earliest = actual.finish
+        return earliest
+
+    def drain(self) -> tuple:
+        """Run the projected tail: ``(primaries, duplicates)`` executed."""
+        started = self.started
+        for assignment in self.projection.values():
+            started.setdefault(assignment.job_id, assignment)
+        for key, assignment in self.duplicate_projection.items():
+            self.started_duplicates.setdefault(key, assignment)
+        self._finish([a for job, a in started.items() if job not in self._finished])
+        return started, list(self.started_duplicates.values())
+
+
+def seed_repair_schedule(
+    workflow: Workflow,
+    schedule: Schedule,
+    state: ExecutionState,
+    costs: CostModel,
+    *,
+    clock: float,
+    resources: Sequence[str],
+    busy=None,
+) -> Schedule:
+    """Frozen ``repair_schedule`` before the dense fact view: its state
+    builder asks ``job_status`` per job and builds a new ``Assignment`` for
+    every finished job.
+
+    Re-estimate a plan's remaining finish times under new perf factors.
+
+    Every mapping is kept; only times move.  Finished jobs keep their actual
+    history.  A *running* job keeps its scheduled finish time: a job's speed
+    is frozen at dispatch — exactly the semantics of the simulation
+    executors — so factor changes only affect work dispatched after them.
+    Not-started jobs are re-timed in topological order on their mapped
+    resource: ready when every predecessor's repaired output arrives
+    (average communication cost when crossing resources), durations priced
+    by ``costs`` (which already embeds the new factors).  Jobs mapped to
+    resources no longer in ``resources`` keep their old times — such a plan
+    is infeasible and the caller adopts the replacement candidate
+    unconditionally.  On a shared grid a re-timed job also waits for the
+    first gap that fits it between the other workflows' ``busy`` bookings,
+    so the repaired plan is as feasible as the candidate it is compared
+    with.
+
+    The re-timing walks the dense ``workflow.structure()`` ids (``topo``)
+    and keeps each job's repaired finish and output resource in
+    index-addressed lists.  ``c̄`` comes from
+    ``costs.predecessor_communications()`` — the repair reads only average
+    transfer costs, so that view serves every model — and durations from
+    ``costs.computation_rows(resources)``, the memoised rows the following
+    ``reschedule`` on the same pool reads too.  A model that cannot be
+    memoised (``cache_token() is None``) or prices another workflow is
+    asked ``computation_cost`` per re-timed job instead of building a
+    ``jobs × pool`` matrix it would throw away.
+
+    The repaired schedule is the honest comparison baseline for the
+    accept-if-better rule: without it a degradation would be invisible (the
+    stale plan still *predicts* the old makespan) and the Planner would
+    wrongly reject every post-degradation candidate.
+    """
+    column = {rid: j for j, rid in enumerate(resources)}
+    repaired = Schedule(name=schedule.name)
+    free: Dict[str, float] = {}
+    view = as_busy_view(busy) if busy else {}
+    foreign = {rid: view.timeline(rid, clock) for rid in view}
+
+    # Historical duplicates (duplication-based strategies) that began
+    # executing by ``clock`` are facts: keep them so the pinned history
+    # stays precedence-feasible, and block their resources while they run.
+    # Future duplicates are dropped — the re-timing below prices every
+    # not-started job off the primary copies, which is feasible without
+    # them, and the next real replanning pass re-derives duplicates.
+    for duplicate in schedule.duplicates:
+        if duplicate.start > clock + TIME_EPS:
+            continue
+        if duplicate.resource_id not in column and duplicate.finish > clock + TIME_EPS:
+            continue
+        repaired.add_duplicate(duplicate)
+        if duplicate.finish > clock + TIME_EPS:
+            rid = duplicate.resource_id
+            free[rid] = max(free.get(rid, clock), duplicate.finish)
+
+    structure = workflow.structure()
+    jobs = structure.jobs
+    if costs.workflow is workflow:
+        pred_comm = costs.predecessor_communications()
+        rows = costs.computation_rows(resources) if costs.cache_token() is not None else None
+    else:  # the dense views are aligned with another workflow's structure
+        pred_comm = [
+            [(p, costs.average_communication_cost(jobs[p], job)) for p in structure.pred[i]]
+            for i, job in enumerate(jobs)
+        ]
+        rows = None
+    booked = [schedule.get(job) for job in jobs]
+    executed_on = state.executed_on
+    #: per dense id: the repaired finish (``clock`` for an unmapped job)
+    finish: List[float] = [clock] * len(jobs)
+    #: per dense id: where the job's output is produced (``None``: unmapped,
+    #: which consumers read as local data)
+    source: List[Optional[str]] = [None] * len(jobs)
+    #: per dense id: finished or running, i.e. not re-timed
+    kept = bytearray(len(jobs))
+    running: List[int] = []
+    for i, job in enumerate(jobs):
+        assignment = booked[i]
+        if job in executed_on:
+            source[i] = executed_on[job]
+        elif assignment is not None:
+            source[i] = assignment.resource_id
+        status = state.job_status(job)
+        if status is JobStatus.FINISHED:
+            actual_finish = state.actual_finish[job]
+            repaired.add(
+                Assignment(job, executed_on[job], state.actual_start[job], actual_finish)
+            )
+            finish[i] = actual_finish
+            kept[i] = 1
+        elif status is JobStatus.RUNNING and assignment is not None:
+            running.append(i)
+    for i in running:
+        # speed frozen at dispatch: the in-flight job finishes as scheduled
+        assignment = booked[i]
+        rid = assignment.resource_id
+        repaired.add(assignment)
+        finish[i] = assignment.finish
+        kept[i] = 1
+        free[rid] = max(free.get(rid, clock), assignment.finish)
+
+    for i in structure.topo:
+        assignment = booked[i]
+        if kept[i] or assignment is None:
+            continue
+        rid = assignment.resource_id
+        j = column.get(rid)
+        if j is None:
+            # infeasible mapping — keep the stale times; the caller adopts
+            # the replacement candidate unconditionally (forced decision).
+            repaired.add(assignment)
+            finish[i] = assignment.finish
+            continue
+        ready = clock
+        for p, comm in pred_comm[i]:
+            src = source[p]
+            arrival = finish[p] + (0.0 if src is None or src == rid else comm)
+            if arrival > ready:
+                ready = arrival
+        start = max(ready, free.get(rid, clock))
+        duration = rows[i][j] if rows is not None else costs.computation_cost(jobs[i], rid)
+        if rid in foreign:
+            start = foreign[rid].earliest_start(start, duration)
+        finish[i] = start + duration
+        repaired.add(Assignment(jobs[i], rid, start, finish[i]))
+        free[rid] = finish[i]
+    return repaired
+
+
+def seed_project_actuals(
+    workflows: Sequence[tuple],
+    *,
+    perf_profile=None,
+    clock: float = 0.0,
+) -> List[Dict[object, Assignment]]:
+    """Frozen ``project_actuals`` before the incremental replay: every call
+    builds and sorts every queue and walks them to a fixed point, pricing
+    each execution through ``dispatch_duration``.
+
+    Replay plans' not-yet-started executions under ground-truth durations.
+
+    ``workflows`` is a sequence of ``(workflow, plan, started, truth)``
+    entries, in tie-break order, whose plans share the resources: every
+    unfinished workflow of the shared grid, one for a single-workflow run.
+    Bookings are treated as *reservations*: an execution starts at its
+    booked start, pushed later if its resource is still busy (the previous
+    booking — possibly another workflow's — overran), its inputs have
+    not arrived yet (a predecessor overran) or the booking lies before
+    ``clock`` — what has not started by the observation instant cannot
+    start in its past, even when another workflow's replanning freed the
+    slot it was waiting for.  Its actual duration is
+    ``truth.computation_cost(job, rid)`` scaled by the resource's
+    performance factor at the actual start (speed frozen at dispatch,
+    matching the simulation executors).  With accurate truth models the
+    replay reproduces the plans bit for bit — the zero-noise differential
+    guarantee.
+
+    Executions are keyed by the job id for a primary copy and by the
+    ``(job, resource)`` pair for a duplicate copy (duplication-based
+    strategies).  ``started`` holds the ground truth of every execution
+    of that workflow already dispatched (running or finished); those are
+    taken as facts and occupy their resources first.  Returns, per entry,
+    the actual :class:`~repro.scheduling.base.Assignment` of every other
+    execution in its plan, keyed the same way.
+
+    Each resource runs one queue of every workflow's remaining bookings
+    and duplicates in ``(start, finish, workflow order, job_id)`` order;
+    an execution only starts once every input has arrived: the
+    predecessor's primary output (transfer priced by the truth model,
+    which delegates communication to the estimates) or, sooner, a
+    duplicate of the predecessor already executed on the same resource.
+    The combined (resource-order + precedence) relation of feasible,
+    non-overlapping plans is acyclic, so the fixed-point pass below always
+    terminates with every execution placed.
+
+    Precedence is walked on each workflow's dense ``structure()`` ids, with
+    every primary's actual finish and resource in index-addressed lists.
+    When the truth has uniform communication and prices this workflow, a
+    transfer is ``0.0`` on the same resource and ``c̄`` from
+    ``truth.predecessor_communications()`` otherwise; a pairwise truth is
+    asked ``communication_cost`` per crossing.  Durations stay lazy:
+    :func:`~repro.simulation.executor.dispatch_duration` prices each
+    replayed execution through ``truth.computation_cost``, because a
+    sampled truth draws one factor per (job, resource) pair it is asked
+    about, and only a small share of all pairs is ever dispatched — a
+    dense truth matrix would draw every one of them.
+    """
+    free: Dict[str, float] = {}
+    #: per resource: (start, finish, workflow index, job, duplicate key, dense id)
+    queues: Dict[str, list] = {}
+    #: per workflow: (job names, (pred, c̄) pairs per job, pairwise transfer
+    #: query or None, primary finish per job, primary resource per job,
+    #: finish of the duplicate copies replayed so far, truth, replayed)
+    replays: List[tuple] = []
+    projected: List[Dict[object, Assignment]] = [{} for _ in workflows]
+    for index, (workflow, plan, started, truth) in enumerate(workflows):
+        structure = workflow.structure()
+        jobs = structure.jobs
+        position = structure.index
+        if truth.has_uniform_communication and truth.workflow is workflow:
+            pred_comm = truth.predecessor_communications()
+            pairwise = None
+        else:
+            pred_comm = [[(p, 0.0) for p in preds] for preds in structure.pred]
+            pairwise = truth.communication_cost
+        finish_of: List[Optional[float]] = [None] * len(jobs)
+        resource_of: List[Optional[str]] = [None] * len(jobs)
+        for key, assignment in started.items():
+            rid = assignment.resource_id
+            if assignment.finish > free.get(rid, clock):
+                free[rid] = assignment.finish
+            i = position.get(key) if isinstance(key, str) else None
+            if i is not None:
+                finish_of[i] = assignment.finish
+                resource_of[i] = rid
+        for a in plan:
+            if a.job_id not in started:
+                queues.setdefault(a.resource_id, []).append(
+                    (a.start, a.finish, index, a.job_id, None, position[a.job_id])
+                )
+        local: Dict[tuple, float] = {}
+        for d in plan.duplicates:
+            key = (d.job_id, d.resource_id)
+            fact = started.get(key)
+            if fact is not None:
+                local[key] = fact.finish
+            else:
+                queues.setdefault(d.resource_id, []).append(
+                    (d.start, d.finish, index, d.job_id, key, position[d.job_id])
+                )
+        replays.append(
+            (jobs, pred_comm, pairwise, finish_of, resource_of, local, truth, projected[index])
+        )
+    pending = 0
+    for queue in queues.values():
+        queue.sort(key=_queue_order)
+        pending += len(queue)
+    heads = dict.fromkeys(queues, 0)
+
+    progress = True
+    while pending and progress:
+        progress = False
+        for rid in sorted(queues):
+            queue = queues[rid]
+            head = heads[rid]
+            while head < len(queue):
+                start, _, index, job, key, i = queue[head]
+                (
+                    jobs, pred_comm, pairwise, finish_of, resource_of, local, truth, done
+                ) = replays[index]
+                resolved = True
+                ready = max(start, free.get(rid, clock))
+                for p, comm in pred_comm[i]:
+                    pred_finish = finish_of[p]
+                    if pred_finish is not None:
+                        src = resource_of[p]
+                        if pairwise is not None:
+                            transfer = pairwise(jobs[p], job, src, rid)
+                        else:
+                            transfer = 0.0 if src == rid else comm
+                        arrival = pred_finish + transfer
+                        if local:
+                            local_finish = local.get((jobs[p], rid))
+                            if local_finish is not None and local_finish < arrival:
+                                arrival = local_finish
+                    else:
+                        arrival = local.get((jobs[p], rid)) if local else None
+                        if arrival is None:
+                            resolved = False
+                            break
+                    if arrival > ready:
+                        ready = arrival
+                if not resolved:
+                    break
+                duration = dispatch_duration(truth, job, rid, ready, perf_profile)
+                actual = Assignment(job, rid, ready, ready + duration)
+                if key is None:
+                    done[job] = actual
+                    finish_of[i] = actual.finish
+                    resource_of[i] = rid
+                else:
+                    done[key] = actual
+                    local[key] = actual.finish
+                free[rid] = actual.finish
+                head += 1
+                pending -= 1
+                progress = True
+            heads[rid] = head
+    if pending:
+        stalled = sorted(
+            entry[3] for rid, queue in queues.items() for entry in queue[heads[rid]:]
+        )
+        raise ValueError(
+            f"actual-duration replay stalled; unplaced jobs: {stalled[:10]}"
+        )
+    return projected
+
+
+def seed_frame_pins(
+    workflow: Workflow,
+    costs: CostModel,
+    state: ExecutionState,
+    previous_schedule: Optional[Schedule],
+) -> Tuple[Dict[str, Assignment], List[str]]:
+    """Frozen pinning of ``PartialScheduleFrame.__init__``: ``(pinned,
+    to_schedule)`` read job by job through ``job_status``, with a new
+    ``Assignment`` per finished job."""
+    pinned: Dict[str, Assignment] = {}
+    for job in workflow.jobs:
+        status = state.job_status(job)
+        if status is JobStatus.FINISHED:
+            pinned[job] = Assignment(
+                job,
+                state.executed_on[job],
+                state.actual_start[job],
+                state.actual_finish[job],
+            )
+        elif status is JobStatus.RUNNING:
+            if previous_schedule is not None and previous_schedule.get(job) is not None:
+                sft = previous_schedule.scheduled_finish_time(job)
+            else:
+                sft = state.actual_start[job] + costs.computation_cost(
+                    job, state.executed_on[job]
+                )
+            pinned[job] = Assignment(job, state.executed_on[job], state.actual_start[job], sft)
+    return pinned, [j for j in workflow.jobs if j not in pinned]
+
+
+def seed_replay(planner, clock: float) -> None:
+    """Frozen ``MultiTenantPlanner.replay``: one full
+    :func:`seed_project_actuals` pass at every event, nothing kept."""
+    noisy = sorted(
+        (wf for wf in planner._unfinished.values() if wf.actual is not None),
+        key=lambda wf: wf.seq,
+    )
+    if noisy:
+        projections = seed_project_actuals(
+            [(wf.workflow, wf.schedule, wf.actual.facts(), wf.actual.truth) for wf in noisy],
+            perf_profile=planner.perf_profile,
+            clock=clock,
+        )
+        for wf, projected in zip(noisy, projections):
+            wf.actual.track(projected)
+
+
+def seed_deviation_scan(actual, plan: Schedule, after: float) -> Optional[float]:
+    """Frozen ``ActualExecution.next_deviation``: walk every started and
+    projected job of one monitor."""
+    return SeedActualExecution.next_deviation(actual, plan, after)
+
+
+def seed_next_deviation(planner, after: float):
+    """Frozen ``MultiTenantPlanner.next_deviation``: every unfinished
+    workflow's monitor walked in full."""
+    found = [
+        (seed_deviation_scan(wf.actual, wf.schedule, after), wf)
+        for wf in planner._unfinished.values()
+        if wf.actual is not None
+    ]
+    found = [(at, wf) for at, wf in found if at is not None]
+    if not found:
+        return None
+    first = min(at for at, _ in found)
+    return first, [wf for at, wf in found if at <= first + TIME_EPS]
+
+
+def seed_served_by_tenant(planner, clock: float) -> Dict[str, float]:
+    """Frozen ``MultiTenantPlanner._served_by_tenant``: the fold over every
+    admitted workflow's assignments at every call."""
+    served: Dict[str, float] = {}
+    for wf in planner._active.values():
+        served[wf.tenant] = served.get(wf.tenant, 0.0) + wf.consumed_time(clock)
+    return served

@@ -43,8 +43,11 @@ caller supplies a perturbed ``actual_costs`` model.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro import registry
@@ -54,9 +57,10 @@ from repro.generators.costs import WorkflowCase
 from repro.resources.pool import PoolEvent, ResourcePool
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import (
+    FACT_FINISHED,
+    FACT_RUNNING,
     Assignment,
     ExecutionState,
-    JobStatus,
     Schedule,
     TIME_EPS,
 )
@@ -66,7 +70,6 @@ from repro.scheduling.minmin import MinMinScheduler
 from repro.simulation.executor import (
     JustInTimeExecutor,
     StaticScheduleExecutor,
-    dispatch_duration,
     record_observation,
 )
 from repro.simulation.shared_grid import SharedGridExecutor
@@ -274,8 +277,10 @@ class AdaptiveWorkflow:
         # in a noisy run the facts the grid advanced to ``clock`` read like
         # an accurate plan: every started job began by then, and exactly
         # those that finish by it are finished
-        executed = self.schedule if actual is None else actual.started
-        state = ExecutionState.from_schedule(executed, clock, jobs=workflow.jobs)
+        if actual is None:
+            state = ExecutionState.from_schedule(self.schedule, clock, jobs=workflow.jobs)
+        else:
+            state = actual.state(clock)
         removed = frozenset(event.removed) if event is not None else frozenset()
         forced = self._kill_departed(state, removed)
 
@@ -346,20 +351,21 @@ class AdaptiveWorkflow:
         killed: List[str] = []
         forced = False
         schedule = self.schedule
-        for job in self.workflow.jobs:
-            status = state.job_status(job)
-            if status is JobStatus.FINISHED:
-                continue
-            if status is JobStatus.RUNNING and state.executed_on.get(job) in removed:
-                start = state.actual_start.pop(job)
-                resource = state.executed_on.pop(job)
-                wasted += clock - start
-                killed.append(job)
-                self.kills.append(KillRecord(job, resource, start, clock))
-                state.status[job] = JobStatus.NOT_STARTED
-                forced = True
-            elif status is JobStatus.NOT_STARTED:
-                assignment = schedule.get(job)
+        structure = self.workflow.structure()
+        jobs = structure.jobs
+        codes, _ = state.started_facts(structure)
+        booked = schedule.assignments_for(jobs)
+        for i, code in enumerate(codes):
+            if code == FACT_RUNNING:
+                job = jobs[i]
+                if state.executed_on[job] in removed:
+                    resource, start = state.restart(job)
+                    wasted += clock - start
+                    killed.append(job)
+                    self.kills.append(KillRecord(job, resource, start, clock))
+                    forced = True
+            elif not code:
+                assignment = booked[i]
                 if assignment is not None and assignment.resource_id in removed:
                     forced = True
         for duplicate in schedule.duplicates:
@@ -383,6 +389,24 @@ class ActualExecution:
     reported to ``history`` (Fig. 1: Scheduler → Performance History
     Repository).
 
+    The facts are dense, indexed by ``workflow.structure()`` ids:
+    :attr:`status` holds each job's code (``0`` not started,
+    :data:`~repro.scheduling.base.FACT_RUNNING`,
+    :data:`~repro.scheduling.base.FACT_FINISHED`) and :attr:`fact` its
+    executed :class:`~repro.scheduling.base.Assignment` (resource, actual
+    start, actual finish); :attr:`started` maps the same objects by job in
+    start order.  Nothing is rescanned per event: :meth:`track` keeps the
+    projected executions in a heap by ``(start, finish, id)``, from which
+    :meth:`advance` starts exactly those due by the clock, and the running
+    facts in a heap by ``(finish, start, id)``, from which it finishes
+    them in the order the history records them.  :attr:`projection` is the
+    monitor's own mapping: a replay that changed only some projected
+    executions hands over just those, which the monitor writes into it
+    (stale heap entries are skipped), and the monitor's deviation
+    candidates (:meth:`next_deviation`) are kept in a heap of their own
+    that only a new plan rebuilds.  :meth:`state` reads the
+    :class:`~repro.scheduling.base.ExecutionState` off the dense facts.
+
     ``replan_on_deviation`` arms the monitor's own trigger
     (:meth:`next_deviation`); ``None`` disables it.
     """
@@ -403,15 +427,34 @@ class ActualExecution:
         self.perf_profile = perf_profile
         self.history = history
         self.replan_on_deviation = replan_on_deviation
-        self._index = workflow.structure().index
-        #: ground truth of every job that has started (running or finished)
+        structure = workflow.structure()
+        self._structure = structure
+        self._index = structure.index
+        #: per dense id: 0 (not started), FACT_RUNNING or FACT_FINISHED
+        self.status = bytearray(structure.num_jobs)
+        #: per dense id: the ground truth of a started job (``None`` otherwise)
+        self.fact: List[Optional[Assignment]] = [None] * structure.num_jobs
+        #: the same facts by job, in start order
         self.started: Dict[str, Assignment] = {}
         #: ground truth of every started duplicate copy, per (job, resource)
         self.started_duplicates: Dict[tuple, Assignment] = {}
-        self._finished: set = set()
         #: the current plan's actual future: primaries and duplicates
         self.projection: Dict[str, Assignment] = {}
         self.duplicate_projection: Dict[tuple, Assignment] = {}
+        self._tick = count()
+        #: ``(start, finish, id, tick, assignment)`` of projected primaries
+        self._to_start: List[tuple] = []
+        #: ``(finish, start, id, tick, assignment)`` of running facts
+        self._to_finish: List[tuple] = []
+        self._completion: Optional[float] = None
+        #: the clock the facts were last advanced to
+        self._advanced = float("-inf")
+        #: deviation candidates against ``_deviation_plan``:
+        #: ``(finish, tick, assignment)``, plus executions not yet sorted in
+        self._deviations: List[tuple] = []
+        self._deviation_plan: Optional[Schedule] = None
+        self._deviation_after = float("-inf")
+        self._deviation_pending: List[Assignment] = []
 
     def facts(self) -> Dict[object, Assignment]:
         """Every started execution, keyed like :func:`project_actuals`."""
@@ -419,28 +462,68 @@ class ActualExecution:
             return {**self.started, **self.started_duplicates}
         return self.started
 
-    def track(self, projected: Dict[object, Assignment]) -> None:
-        """Take the plan's replayed future (primaries and duplicates)."""
-        duplicates = {}
-        for key in [key for key in projected if isinstance(key, tuple)]:
-            duplicates[key] = projected.pop(key)
-        self.projection = projected
-        self.duplicate_projection = duplicates
+    def state(self, clock: float) -> ExecutionState:
+        """The execution state the facts describe at ``clock`` (the clock
+        they were last advanced to)."""
+        return ExecutionState.from_facts(self._structure, self.status, self.fact, clock)
+
+    def track(
+        self,
+        projected: Dict[object, Assignment],
+        updated: Optional[List[Assignment]] = None,
+    ) -> None:
+        """Take the plan's replayed future (primaries and duplicates).
+
+        ``updated`` lists the executions a replay changed since the
+        mapping it handed over last (``projected`` is then that replay's
+        own, which it keeps up to date, and is not read); ``None`` means
+        ``projected`` is new.  Either way the monitor keeps its own
+        :attr:`projection`, which :meth:`advance` empties as jobs start.
+        """
+        index = self._index
+        tick = self._tick
+        if updated is None:
+            primaries: Dict[str, Assignment] = {}
+            duplicates = {}
+            for key, a in projected.items():
+                if isinstance(key, tuple):
+                    duplicates[key] = a
+                else:
+                    primaries[key] = a
+            self.projection = primaries
+            self.duplicate_projection = duplicates
+            self._to_start = [
+                (a.start, a.finish, index[a.job_id], next(tick), a) for a in primaries.values()
+            ]
+            heapify(self._to_start)
+            self._deviation_plan = None
+            self._completion = None
+            return
+        if updated:
+            projection = self.projection
+            for a in updated:
+                projection[a.job_id] = a
+                heappush(self._to_start, (a.start, a.finish, index[a.job_id], next(tick), a))
+            if self._deviation_plan is not None:
+                self._deviation_pending.extend(updated)
+            self._completion = None
 
     def completion(self) -> float:
         """The projected actual completion of the workflow."""
-        return max(
-            [a.finish for a in self.started.values()]
-            + [a.finish for a in self.projection.values()],
-            default=0.0,
-        )
+        if self._completion is None:
+            self._completion = max(
+                [a.finish for a in self.started.values()]
+                + [a.finish for a in self.projection.values()],
+                default=0.0,
+            )
+        return self._completion
 
     def _finish(self, assignments: List[Assignment]) -> None:
         """Mark executions finished and report them in completion order."""
         index = self._index
         assignments.sort(key=lambda a: (a.finish, a.start, index[a.job_id]))
         for assignment in assignments:
-            self._finished.add(assignment.job_id)
+            self.status[index[assignment.job_id]] = FACT_FINISHED
             if self.history is not None:
                 record_observation(
                     self.history,
@@ -456,31 +539,49 @@ class ActualExecution:
     def advance(self, clock: float) -> None:
         """Advance the ground truth to ``clock``: record what started and
         what finished by then."""
-        index = self._index
+        limit = clock + TIME_EPS
+        self._advanced = clock
+        projection = self.projection
         started = self.started
-        newly_started = [
-            a for a in self.projection.values()
-            if a.job_id not in started and a.start <= clock + TIME_EPS
-        ]
-        newly_started.sort(key=lambda a: (a.start, a.finish, index[a.job_id]))
-        for assignment in newly_started:
-            started[assignment.job_id] = assignment
+        fact = self.fact
+        status = self.status
+        to_start = self._to_start
+        to_finish = self._to_finish
+        tick = self._tick
+        while to_start and to_start[0][0] <= limit:
+            _, _, i, _, assignment = heappop(to_start)
+            job = assignment.job_id
+            if projection.get(job) is not assignment:
+                continue  # replaced by a later replay
+            del projection[job]
+            started[job] = assignment
+            fact[i] = assignment
+            status[i] = FACT_RUNNING
+            heappush(to_finish, (assignment.finish, assignment.start, i, next(tick), assignment))
         for key, assignment in self.duplicate_projection.items():
-            if assignment.start <= clock + TIME_EPS:
+            if assignment.start <= limit:
                 self.started_duplicates[key] = assignment
-        self._finish([
-            a for job, a in started.items()
-            if job not in self._finished and a.finish <= clock + TIME_EPS
-        ])
+        finished = []
+        while to_finish and to_finish[0][0] <= limit:
+            _, _, i, _, assignment = heappop(to_finish)
+            if fact[i] is assignment:  # not lost to a departure
+                finished.append(assignment)
+        self._finish(finished)
 
     def forget(self, killed: Sequence[str], removed: FrozenSet[str], clock: float) -> None:
         """Drop the executions a departure at ``clock`` killed."""
+        index = self._index
         for job in killed:
             del self.started[job]
+            i = index[job]
+            self.fact[i] = None
+            self.status[i] = 0
         # a duplicate running on a departed resource is lost
         for key, duplicate in list(self.started_duplicates.items()):
             if duplicate.resource_id in removed and duplicate.finish > clock + TIME_EPS:
                 del self.started_duplicates[key]
+        self._completion = None
+        self._deviation_plan = None
 
     def sync_belief(
         self, plan: Schedule, state: ExecutionState, effective: CostModel
@@ -488,50 +589,71 @@ class ActualExecution:
         """Substitute observed facts into the plan; never re-time futures.
 
         Returns ``(synced, changed)`` where ``changed`` flags any deviation
-        between the plan and the observed actuals.  A running job keeps its
-        *booked duration* shifted to its actual start (speed frozen at
-        dispatch, estimate unchanged), floored at the clock — the planner
-        knows an overdue job cannot finish in the past.  A running job
-        without a booking on its resource is priced by ``effective``, the
-        step's estimate.
+        between the plan and the observed actuals (without one, ``synced``
+        is ``plan`` itself).  A running job keeps its *booked duration*
+        shifted to its actual start (speed frozen at dispatch, estimate
+        unchanged), floored at the clock — the planner knows an overdue
+        job cannot finish in the past.  A running job without a booking on
+        its resource is priced by ``effective``, the step's estimate.
+        Only the started jobs are compared; the synced plan reuses the
+        fact objects of the finished ones.
         """
-        synced = Schedule(name=plan.name)
-        changed = False
+        structure = self._structure
+        codes, _ = state.started_facts(structure)
         clock = state.clock
+        limit = clock + TIME_EPS
+        duplicates = []
+        changed = False
         for duplicate in plan.duplicates:
             # started duplicate executions are facts (see repair_schedule);
             # one booked to have started but still waiting is dropped
-            if duplicate.start > clock + TIME_EPS:
+            if duplicate.start > limit:
                 continue
             actual = self.started_duplicates.get((duplicate.job_id, duplicate.resource_id))
             if actual != duplicate:
                 changed = True
             if actual is not None:
-                synced.add_duplicate(actual)
-        for job in self.workflow.jobs:
-            booked = plan.get(job)
-            if state.is_finished(job):
-                actual = self.started[job]
-                synced.add(actual)
-                if actual != booked:
-                    changed = True
-            elif state.is_running(job):
-                running = self.started[job]
+                duplicates.append(actual)
+        if not changed:
+            index = self._index
+            for job, actual in self.started.items():
+                code = codes[index[job]]
+                booked = plan.get(job)
+                if code == FACT_FINISHED:
+                    changed = actual is not booked and actual != booked
+                elif code:
+                    changed = (
+                        booked is None
+                        or booked.resource_id != actual.resource_id
+                        or booked.start != actual.start
+                    )
+                if changed:
+                    break
+            if not changed:
+                return plan, False
+        jobs = structure.jobs
+        booked_all = plan.assignments_for(jobs)
+        fact = self.fact
+        synced: List[Assignment] = []
+        for i, code in enumerate(codes):
+            booked = booked_all[i]
+            if code == FACT_FINISHED:
+                synced.append(fact[i])
+            elif code:
+                running = fact[i]
                 rid, start = running.resource_id, running.start
                 if booked is not None and booked.resource_id == rid:
                     if start == booked.start:
                         belief_finish = booked.finish
                     else:
                         belief_finish = start + (booked.finish - booked.start)
-                        changed = True
                 else:
-                    belief_finish = start + effective.computation_cost(job, rid)
-                    changed = True
+                    belief_finish = start + effective.computation_cost(jobs[i], rid)
                 belief_finish = max(belief_finish, clock)
-                synced.add(Assignment(job, rid, start, belief_finish))
+                synced.append(Assignment(jobs[i], rid, start, belief_finish))
             elif booked is not None:
-                synced.add(booked)
-        return synced, changed
+                synced.append(booked)
+        return Schedule.of(synced, name=plan.name, duplicates=duplicates), True
 
     def next_deviation(self, plan: Schedule, after: float) -> Optional[float]:
         """Earliest completion after ``after`` deviating beyond the threshold.
@@ -539,24 +661,61 @@ class ActualExecution:
         The monitor learns a job's actual duration when it completes; a
         completion whose time differs from ``plan``'s booked finish by more
         than ``replan_on_deviation`` of the booked duration is an event of
-        interest.
+        interest.  The deviating executions sit in a heap by finish that a
+        new ``plan`` (or a new projection) rebuilds and a replay's changed
+        executions refresh; ``after`` is the grid clock, so what finishes
+        by it leaves the heap for good (a smaller ``after`` rebuilds it).
         """
         threshold = self.replan_on_deviation
         if threshold is None:
             return None
-        earliest: Optional[float] = None
-        for job, actual in list(self.started.items()) + list(self.projection.items()):
-            if actual.finish <= after + TIME_EPS:
-                continue
-            booked = plan.get(job)
-            if booked is None:
-                continue
-            slack = threshold * max(booked.duration, TIME_EPS)
-            if abs(actual.finish - booked.finish) <= slack:
-                continue
-            if earliest is None or actual.finish < earliest:
-                earliest = actual.finish
-        return earliest
+        limit = after + TIME_EPS
+        rebuild = plan is not self._deviation_plan or after < self._deviation_after
+        if rebuild:
+            self._deviation_plan = plan
+            self._deviations = []
+            if after >= self._advanced:
+                # what finished by the clock the facts were advanced to
+                # cannot deviate after it: the running facts and the
+                # projection are the candidates
+                fact = self.fact
+                self._deviation_pending = [
+                    item[4] for item in self._to_finish if fact[item[2]] is item[4]
+                ]
+            else:
+                self._deviation_pending = list(self.started.values())
+            self._deviation_pending.extend(self.projection.values())
+        self._deviation_after = after
+        heap = self._deviations
+        if self._deviation_pending:
+            tick = self._tick
+            deviating = []
+            for actual in self._deviation_pending:
+                if actual.finish <= limit:
+                    continue
+                booked = plan.get(actual.job_id)
+                if booked is None:
+                    continue
+                slack = threshold * max(booked.duration, TIME_EPS)
+                if abs(actual.finish - booked.finish) > slack:
+                    deviating.append((actual.finish, next(tick), actual))
+            self._deviation_pending = []
+            if rebuild:
+                heapify(deviating)
+                heap = self._deviations = deviating
+            else:
+                for item in deviating:
+                    heappush(heap, item)
+        index = self._index
+        while heap:
+            finish, _, actual = heap[0]
+            job = actual.job_id
+            if finish > limit and (
+                self.fact[index[job]] is actual or self.projection.get(job) is actual
+            ):
+                return finish
+            heappop(heap)
+        return None
 
     def drain(self) -> tuple:
         """Run the projected tail: ``(primaries, duplicates)`` executed."""
@@ -565,7 +724,11 @@ class ActualExecution:
             started.setdefault(assignment.job_id, assignment)
         for key, assignment in self.duplicate_projection.items():
             self.started_duplicates.setdefault(key, assignment)
-        self._finish([a for job, a in started.items() if job not in self._finished])
+        index = self._index
+        status = self.status
+        self._finish(
+            [a for job, a in started.items() if status[index[job]] != FACT_FINISHED]
+        )
         return started, list(self.started_duplicates.values())
 
 
@@ -748,7 +911,6 @@ def repair_schedule(
     wrongly reject every post-degradation candidate.
     """
     column = {rid: j for j, rid in enumerate(resources)}
-    repaired = Schedule(name=schedule.name)
     free: Dict[str, float] = {}
     view = as_busy_view(busy) if busy else {}
     foreign = {rid: view.timeline(rid, clock) for rid in view}
@@ -759,12 +921,13 @@ def repair_schedule(
     # Future duplicates are dropped — the re-timing below prices every
     # not-started job off the primary copies, which is feasible without
     # them, and the next real replanning pass re-derives duplicates.
+    duplicates: List[Assignment] = []
     for duplicate in schedule.duplicates:
         if duplicate.start > clock + TIME_EPS:
             continue
         if duplicate.resource_id not in column and duplicate.finish > clock + TIME_EPS:
             continue
-        repaired.add_duplicate(duplicate)
+        duplicates.append(duplicate)
         if duplicate.finish > clock + TIME_EPS:
             rid = duplicate.resource_id
             free[rid] = max(free.get(rid, clock), duplicate.finish)
@@ -780,8 +943,12 @@ def repair_schedule(
             for i, job in enumerate(jobs)
         ]
         rows = None
-    booked = [schedule.get(job) for job in jobs]
+    booked = schedule.assignments_for(jobs)
+    codes, finished_facts = state.started_facts(structure)
     executed_on = state.executed_on
+    #: the repaired plan, in insertion order: finished facts, running
+    #: bookings, then the re-timed jobs in topological order
+    repaired: List[Assignment] = []
     #: per dense id: the repaired finish (``clock`` for an unmapped job)
     finish: List[float] = [clock] * len(jobs)
     #: per dense id: where the job's output is produced (``None``: unmapped,
@@ -790,27 +957,25 @@ def repair_schedule(
     #: per dense id: finished or running, i.e. not re-timed
     kept = bytearray(len(jobs))
     running: List[int] = []
-    for i, job in enumerate(jobs):
+    for i, code in enumerate(codes):
         assignment = booked[i]
-        if job in executed_on:
-            source[i] = executed_on[job]
+        if code == FACT_FINISHED:
+            fact = finished_facts[i]
+            source[i] = fact.resource_id
+            repaired.append(fact)
+            finish[i] = fact.finish
+            kept[i] = 1
+        elif code:
+            source[i] = executed_on[jobs[i]]
+            if assignment is not None:
+                running.append(i)
         elif assignment is not None:
             source[i] = assignment.resource_id
-        status = state.job_status(job)
-        if status is JobStatus.FINISHED:
-            actual_finish = state.actual_finish[job]
-            repaired.add(
-                Assignment(job, executed_on[job], state.actual_start[job], actual_finish)
-            )
-            finish[i] = actual_finish
-            kept[i] = 1
-        elif status is JobStatus.RUNNING and assignment is not None:
-            running.append(i)
     for i in running:
         # speed frozen at dispatch: the in-flight job finishes as scheduled
         assignment = booked[i]
         rid = assignment.resource_id
-        repaired.add(assignment)
+        repaired.append(assignment)
         finish[i] = assignment.finish
         kept[i] = 1
         free[rid] = max(free.get(rid, clock), assignment.finish)
@@ -824,13 +989,15 @@ def repair_schedule(
         if j is None:
             # infeasible mapping — keep the stale times; the caller adopts
             # the replacement candidate unconditionally (forced decision).
-            repaired.add(assignment)
+            repaired.append(assignment)
             finish[i] = assignment.finish
             continue
         ready = clock
         for p, comm in pred_comm[i]:
+            arrival = finish[p]
             src = source[p]
-            arrival = finish[p] + (0.0 if src is None or src == rid else comm)
+            if src is not None and src != rid:
+                arrival += comm
             if arrival > ready:
                 ready = arrival
         start = max(ready, free.get(rid, clock))
@@ -838,13 +1005,9 @@ def repair_schedule(
         if rid in foreign:
             start = foreign[rid].earliest_start(start, duration)
         finish[i] = start + duration
-        repaired.add(Assignment(jobs[i], rid, start, finish[i]))
+        repaired.append(Assignment(jobs[i], rid, start, finish[i]))
         free[rid] = finish[i]
-    return repaired
-
-
-#: replay queue order: booked start, booked finish, workflow order, job id
-_queue_order = itemgetter(0, 1, 2, 3)
+    return Schedule.of(repaired, name=schedule.name, duplicates=duplicates)
 
 
 def project_actuals(
@@ -852,6 +1015,7 @@ def project_actuals(
     *,
     perf_profile=None,
     clock: float = 0.0,
+    state: Optional["ReplayState"] = None,
 ) -> List[Dict[object, Assignment]]:
     """Replay plans' not-yet-started executions under ground-truth durations.
 
@@ -886,130 +1050,527 @@ def project_actuals(
     which delegates communication to the estimates) or, sooner, a
     duplicate of the predecessor already executed on the same resource.
     The combined (resource-order + precedence) relation of feasible,
-    non-overlapping plans is acyclic, so the fixed-point pass below always
-    terminates with every execution placed.
+    non-overlapping plans is acyclic, so the replay always terminates with
+    every execution placed.
 
     Precedence is walked on each workflow's dense ``structure()`` ids, with
     every primary's actual finish and resource in index-addressed lists.
     When the truth has uniform communication and prices this workflow, a
     transfer is ``0.0`` on the same resource and ``c̄`` from
     ``truth.predecessor_communications()`` otherwise; a pairwise truth is
-    asked ``communication_cost`` per crossing.  Durations stay lazy:
-    :func:`~repro.simulation.executor.dispatch_duration` prices each
-    replayed execution through ``truth.computation_cost``, because a
+    asked ``communication_cost`` per crossing.  Durations stay lazy: a
     sampled truth draws one factor per (job, resource) pair it is asked
     about, and only a small share of all pairs is ever dispatched — a
-    dense truth matrix would draw every one of them.
+    dense truth matrix would draw every one of them — but each workflow's
+    truth duration of a pair is asked once and memoised; the performance
+    factor is applied at each replayed start.
+
+    ``state`` (a :class:`ReplayState`) makes the replay incremental across
+    calls: it keeps the queues and every execution's replayed value, and
+    the next call re-walks only what changed — see :class:`ReplayState`.
+    Without it every call starts from scratch.  Either way the result is
+    the same.
     """
-    free: Dict[str, float] = {}
-    #: per resource: (start, finish, workflow index, job, duplicate key, dense id)
-    queues: Dict[str, list] = {}
-    #: per workflow: (job names, (pred, c̄) pairs per job, pairwise transfer
-    #: query or None, primary finish per job, primary resource per job,
-    #: finish of the duplicate copies replayed so far, truth, replayed)
-    replays: List[tuple] = []
-    projected: List[Dict[object, Assignment]] = [{} for _ in workflows]
-    for index, (workflow, plan, started, truth) in enumerate(workflows):
+    if state is None:
+        state = ReplayState()
+    if getattr(perf_profile, "is_trivial", False):
+        perf_profile = None  # every factor is 1.0
+    return state.replay(workflows, perf_profile, float(clock))
+
+
+class _OutOfOrder(Exception):
+    """An incremental replay met an input it had not brought up to date."""
+
+
+#: rank spacing of the workflows a replay state keeps (room to insert)
+_RANK_STEP = 1 << 20
+
+#: a booking's queue order
+_booking_key = attrgetter("key")
+
+
+class _Booking:
+    """One queued execution of a replay: a primary (``dup is None``) or a
+    duplicate copy, with its replayed value ``actual``."""
+
+    __slots__ = ("key", "rid", "tenant", "i", "dup", "actual", "free", "round", "alive")
+
+    def __init__(self, key: tuple, rid: str, tenant: "_TenantReplay", i: int, dup) -> None:
+        #: queue order: ``(booked start, booked finish, workflow rank, job)``
+        self.key = key
+        self.rid = rid
+        self.tenant = tenant
+        self.i = i
+        self.dup = dup
+        self.actual: Optional[Assignment] = None
+        #: when its resource was free for it (the queue predecessor's
+        #: finish, or the facts' at the queue front) as last replayed
+        self.free = 0.0
+        self.round = -1
+        self.alive = True
+
+
+class _TenantReplay:
+    """One workflow of a replay: its precedence, facts and projection."""
+
+    def __init__(self, workflow, plan, started, truth, rank: int, memo: dict, clock: float):
         structure = workflow.structure()
-        jobs = structure.jobs
-        position = structure.index
+        self.workflow = workflow
+        self.plan = plan
+        self.truth = truth
+        self.rank = rank
+        self.jobs = structure.jobs
+        self.succ = structure.succ
         if truth.has_uniform_communication and truth.workflow is workflow:
-            pred_comm = truth.predecessor_communications()
-            pairwise = None
+            self.pred_comm = truth.predecessor_communications()
+            self.pairwise = None
         else:
-            pred_comm = [[(p, 0.0) for p in preds] for preds in structure.pred]
-            pairwise = truth.communication_cost
-        finish_of: List[Optional[float]] = [None] * len(jobs)
-        resource_of: List[Optional[str]] = [None] * len(jobs)
+            self.pred_comm = [[(p, 0.0) for p in preds] for preds in structure.pred]
+            self.pairwise = truth.communication_cost
+        #: the truth's duration per resource and dense id, as asked so far
+        self.memo = memo
+        n = structure.num_jobs
+        #: per dense id: the primary's actual finish and resource
+        self.finish_of: List[Optional[float]] = [None] * n
+        self.resource_of: List[Optional[str]] = [None] * n
+        #: finish of the duplicate copies executed or replayed, per (job, resource)
+        self.local: Dict[tuple, float] = {}
+        #: facts that may still hold a resource past the clock
+        self.live: List[Assignment] = []
+        position = structure.index
         for key, assignment in started.items():
-            rid = assignment.resource_id
-            if assignment.finish > free.get(rid, clock):
-                free[rid] = assignment.finish
+            if assignment.finish > clock:
+                self.live.append(assignment)
             i = position.get(key) if isinstance(key, str) else None
             if i is not None:
-                finish_of[i] = assignment.finish
-                resource_of[i] = rid
-        for a in plan:
+                self.finish_of[i] = assignment.finish
+                self.resource_of[i] = assignment.resource_id
+        #: how many facts the replay knows of
+        self.facts = len(started)
+        #: the replayed executions, keyed like ``project_actuals`` returns them
+        self.projected: Dict[object, Assignment] = {}
+        #: queued primaries by dense id
+        self.bookings: Dict[int, _Booking] = {}
+        #: executions whose projection this call changed (``None``: all new)
+        self.updated: Optional[List[Assignment]] = None
+
+    def queue(self, started) -> List[_Booking]:
+        """The plan's executions not started yet, as bookings."""
+        rank = self.rank
+        position = self.workflow.structure().index
+        out = []
+        for a in self.plan:
             if a.job_id not in started:
-                queues.setdefault(a.resource_id, []).append(
-                    (a.start, a.finish, index, a.job_id, None, position[a.job_id])
-                )
-        local: Dict[tuple, float] = {}
-        for d in plan.duplicates:
+                booking = _Booking((a.start, a.finish, rank, a.job_id), a.resource_id, self,
+                                   position[a.job_id], None)
+                self.bookings[booking.i] = booking
+                out.append(booking)
+        for d in self.plan.duplicates:
             key = (d.job_id, d.resource_id)
             fact = started.get(key)
             if fact is not None:
-                local[key] = fact.finish
+                self.local[key] = fact.finish
             else:
-                queues.setdefault(d.resource_id, []).append(
-                    (d.start, d.finish, index, d.job_id, key, position[d.job_id])
-                )
-        replays.append(
-            (jobs, pred_comm, pairwise, finish_of, resource_of, local, truth, projected[index])
-        )
-    pending = 0
-    for queue in queues.values():
-        queue.sort(key=_queue_order)
-        pending += len(queue)
-    heads = dict.fromkeys(queues, 0)
+                out.append(_Booking((d.start, d.finish, rank, d.job_id), d.resource_id, self,
+                                    position[d.job_id], key))
+        return out
 
-    progress = True
-    while pending and progress:
-        progress = False
-        for rid in sorted(queues):
-            queue = queues[rid]
-            head = heads[rid]
-            while head < len(queue):
-                start, _, index, job, key, i = queue[head]
-                (
-                    jobs, pred_comm, pairwise, finish_of, resource_of, local, truth, done
-                ) = replays[index]
-                resolved = True
-                ready = max(start, free.get(rid, clock))
-                for p, comm in pred_comm[i]:
-                    pred_finish = finish_of[p]
-                    if pred_finish is not None:
-                        src = resource_of[p]
-                        if pairwise is not None:
-                            transfer = pairwise(jobs[p], job, src, rid)
-                        else:
-                            transfer = 0.0 if src == rid else comm
-                        arrival = pred_finish + transfer
-                        if local:
-                            local_finish = local.get((jobs[p], rid))
-                            if local_finish is not None and local_finish < arrival:
-                                arrival = local_finish
+    def evaluate(self, booking: _Booking, free: float, perf_profile) -> Optional[tuple]:
+        """``(start, finish)`` of ``booking`` after ``free`` on its resource,
+        or ``None`` while a predecessor's output is unknown."""
+        i = booking.i
+        rid = booking.rid
+        finish_of = self.finish_of
+        resource_of = self.resource_of
+        pairwise = self.pairwise
+        local = self.local
+        ready = max(booking.key[0], free)
+        if pairwise is None and not local:
+            # the common case: c̄ across resources, no duplicate copies
+            for p, comm in self.pred_comm[i]:
+                arrival = finish_of[p]
+                if arrival is None:
+                    return None
+                if resource_of[p] != rid:
+                    arrival += comm
+                if arrival > ready:
+                    ready = arrival
+        else:
+            jobs = self.jobs
+            job = jobs[i]
+            for p, comm in self.pred_comm[i]:
+                pred_finish = finish_of[p]
+                if pred_finish is not None:
+                    src = resource_of[p]
+                    if pairwise is not None:
+                        transfer = pairwise(jobs[p], job, src, rid)
                     else:
-                        arrival = local.get((jobs[p], rid)) if local else None
-                        if arrival is None:
-                            resolved = False
-                            break
-                    if arrival > ready:
-                        ready = arrival
-                if not resolved:
-                    break
-                duration = dispatch_duration(truth, job, rid, ready, perf_profile)
-                actual = Assignment(job, rid, ready, ready + duration)
-                if key is None:
-                    done[job] = actual
-                    finish_of[i] = actual.finish
-                    resource_of[i] = rid
+                        transfer = 0.0 if src == rid else comm
+                    arrival = pred_finish + transfer
+                    if local:
+                        local_finish = local.get((jobs[p], rid))
+                        if local_finish is not None and local_finish < arrival:
+                            arrival = local_finish
                 else:
-                    done[key] = actual
-                    local[key] = actual.finish
-                free[rid] = actual.finish
-                head += 1
-                pending -= 1
-                progress = True
-            heads[rid] = head
-    if pending:
-        stalled = sorted(
-            entry[3] for rid, queue in queues.items() for entry in queue[heads[rid]:]
+                    arrival = local.get((jobs[p], rid)) if local else None
+                    if arrival is None:
+                        return None
+                if arrival > ready:
+                    ready = arrival
+        durations = self.memo.get(rid)
+        if durations is None:
+            durations = self.memo[rid] = [None] * len(self.jobs)
+        duration = durations[i]
+        if duration is None:
+            duration = durations[i] = self.truth.computation_cost(self.jobs[i], rid)
+        if perf_profile is not None:
+            duration *= perf_profile.factor_at(rid, ready)
+        return ready, ready + duration
+
+    def take(self, booking: _Booking, free: float, start: float, finish: float) -> Assignment:
+        """Record ``booking``'s replayed value, replayed after ``free``."""
+        actual = Assignment(self.jobs[booking.i], booking.rid, start, finish)
+        booking.actual = actual
+        booking.free = free
+        if booking.dup is None:
+            self.projected[actual.job_id] = actual
+            self.finish_of[booking.i] = finish
+            self.resource_of[booking.i] = booking.rid
+        else:
+            self.projected[booking.dup] = actual
+            self.local[booking.dup] = finish
+        return actual
+
+
+class ReplayState:
+    """What one grid's joint truth replay (:func:`project_actuals`) keeps
+    from call to call: the per-resource queues with every execution's
+    replayed value, and per workflow its facts, projection and memoised
+    truth durations.
+
+    A call first brings the kept queues up to date, cheapest first:
+
+    * a booking its workflow's facts now list as started leaves the front
+      of its queue (replayed starts never decrease along a queue, so what
+      started is a prefix) and keeps its value as a fact;
+    * a workflow whose plan changed (a new plan object, or facts the kept
+      queues cannot explain) leaves every queue and enters again with its
+      new plan's bookings; so does a new workflow, and a workflow no
+      longer listed leaves;
+    * what each resource is free from at the clock is recomputed from the
+      facts still running.
+
+    It then re-walks, in queue order over all resources, only the bookings
+    such a change reaches: an entering booking, the one queued behind a
+    booking that left or whose finish moved, a successor of a primary
+    whose finish moved, and a queue front whose free-from time moved.  A
+    booking whose inputs are unchanged keeps its value (the replay is a
+    function of them: the clock only floors the queue fronts, and a
+    booking not started by the clock already starts after it).  The
+    workflows whose projection changed learn which executions did
+    (:attr:`updated`).
+
+    A call starts from scratch instead on the first call, when more than
+    half the queued bookings would leave and enter again (a one-tenant
+    run replans at almost every event), and when the kept state cannot be
+    brought up to date: a precedence edge against queue order, a clock
+    that went back, a new workflow order or performance profile.  From
+    scratch is the fixed-point walk over the resources' queues, in
+    resource order, each queue as far as its front's inputs are known.  A
+    plan or facts carrying duplicate copies always start from scratch: a
+    consumer reads a duplicate's output only if the walk reached the
+    duplicate first, so there the result depends on the walk order
+    (:attr:`order_dependent`), and the fixed-point walk is the order the
+    replay has always had.
+
+    The returned mappings belong to the state, which changes them in place
+    on later calls: callers read them, and copy what they keep.
+    """
+
+    def __init__(self) -> None:
+        self._tenants: Dict[int, _TenantReplay] = {}
+        self._memos: Dict[int, tuple] = {}
+        #: per resource: the sorted queue keys and their bookings
+        self._queues: Dict[str, tuple] = {}
+        self._incremental = False
+        self._clock = 0.0
+        self._perf_profile = None
+        self._round = 0
+        #: per entry of the last call: the executions whose projection it
+        #: changed, or ``None`` where the projection mapping is new
+        self.updated: List[Optional[List[Assignment]]] = []
+        #: whether the last call replayed duplicate copies
+        self.order_dependent = False
+
+    # ------------------------------------------------------------------
+    def replay(self, workflows: Sequence[tuple], perf_profile, clock: float):
+        if (
+            self._incremental
+            and perf_profile is self._perf_profile
+            and clock >= self._clock
+        ):
+            try:
+                return self._update(workflows, perf_profile, clock)
+            except _OutOfOrder:
+                pass
+        return self._rebuild(workflows, perf_profile, clock)
+
+    def _memo(self, truth) -> dict:
+        kept = self._memos.get(id(truth))
+        if kept is not None and kept[0] is truth:
+            return kept[1]
+        memo: dict = {}
+        self._memos[id(truth)] = (truth, memo)
+        return memo
+
+    def _load(self, workflows, clock: float) -> tuple:
+        """Fresh replay records of ``workflows``: ``(tenants, bookings,
+        free)``, ``free`` holding what the facts occupy past the clock."""
+        memos, self._memos = self._memos, {}
+        free: Dict[str, float] = {}
+        bookings: List[_Booking] = []
+        tenants: List[_TenantReplay] = []
+        for position, (workflow, plan, started, truth) in enumerate(workflows):
+            kept = memos.get(id(truth))
+            memo = kept[1] if kept is not None and kept[0] is truth else {}
+            self._memos[id(truth)] = (truth, memo)
+            tenant = _TenantReplay(
+                workflow, plan, started, truth, position * _RANK_STEP, memo, clock
+            )
+            tenants.append(tenant)
+            for assignment in started.values():
+                rid = assignment.resource_id
+                if assignment.finish > free.get(rid, clock):
+                    free[rid] = assignment.finish
+            bookings.extend(tenant.queue(started))
+        return tenants, bookings, free
+
+    def _rebuild(self, workflows, perf_profile, clock: float):
+        """Replay every queue from scratch."""
+        for tenant in self._tenants.values():
+            tenant.bookings.clear()  # no booking ↔ workflow cycles left behind
+        tenants, bookings, free = self._load(workflows, clock)
+        order_dependent = any(b.dup is not None for b in bookings) or any(
+            t.local for t in tenants
         )
-        raise ValueError(
-            f"actual-duration replay stalled; unplaced jobs: {stalled[:10]}"
-        )
-    return projected
+        queues: Dict[str, List[_Booking]] = {}
+        for booking in bookings:
+            queues.setdefault(booking.rid, []).append(booking)
+        pending = 0
+        for queue in queues.values():
+            queue.sort(key=_booking_key)
+            pending += len(queue)
+        heads = dict.fromkeys(queues, 0)
+        progress = True
+        while pending and progress:
+            progress = False
+            for rid in sorted(queues):
+                queue = queues[rid]
+                head = heads[rid]
+                while head < len(queue):
+                    booking = queue[head]
+                    before = free.get(rid, clock)
+                    replayed = booking.tenant.evaluate(booking, before, perf_profile)
+                    if replayed is None:
+                        break
+                    booking.tenant.take(booking, before, *replayed)
+                    free[rid] = replayed[1]
+                    head += 1
+                    pending -= 1
+                    progress = True
+                heads[rid] = head
+        if pending:
+            stalled = sorted(
+                booking.tenant.jobs[booking.i]
+                for rid, queue in queues.items()
+                for booking in queue[heads[rid]:]
+            )
+            raise ValueError(
+                f"actual-duration replay stalled; unplaced jobs: {stalled[:10]}"
+            )
+        self._tenants = {id(tenant.truth): tenant for tenant in tenants}
+        self.order_dependent = order_dependent
+        # the kept workflows are told apart by their truth models
+        self._incremental = not order_dependent and len(self._tenants) == len(tenants)
+        self._clock = clock
+        self._perf_profile = perf_profile
+        self._queues = {
+            rid: ([booking.key for booking in queue], queue) for rid, queue in queues.items()
+        }
+        self.updated = [None] * len(tenants)
+        return [tenant.projected for tenant in tenants]
+
+    def _update(self, workflows, perf_profile, clock: float):
+        """Bring the kept queues up to date and re-walk what changed."""
+        self._round += 1
+        round_ = self._round
+        queues = self._queues
+        kept = self._tenants
+        heap: List[tuple] = []
+        tick = count()
+        current: list = [None]
+
+        def push(booking: _Booking) -> None:
+            if current[0] is not None and booking.key < current[0]:
+                raise _OutOfOrder
+            if booking.round != round_:  # not pending yet
+                booking.round = round_
+                heappush(heap, (booking.key, next(tick), booking))
+
+        def settle(booking: _Booking, free: float) -> None:
+            """``booking``'s resource is now free for it from ``free``: its
+            start ``max(booked, free, inputs)`` moves only if ``free`` binds
+            now or bound before."""
+            actual = booking.actual
+            if actual is None or not (booking.free < actual.start and free <= actual.start):
+                push(booking)
+            elif booking.round != round_:
+                booking.free = free
+
+        def enqueue(booking: _Booking) -> None:
+            keys, queue = queues.setdefault(booking.rid, ([], []))
+            at = bisect_left(keys, booking.key)
+            keys.insert(at, booking.key)
+            queue.insert(at, booking)
+            push(booking)
+
+        def dequeue(booking: _Booking) -> None:
+            booking.alive = False
+            keys, queue = queues[booking.rid]
+            at = bisect_left(keys, booking.key)
+            del keys[at], queue[at]
+            if at < len(queue):
+                push(queue[at])
+
+        # match the entries to the kept workflows; their order must not change
+        listed: List[tuple] = []
+        facts_of: Dict[int, object] = {}
+        previous = float("-inf")
+        for entry in workflows:
+            tenant = kept.get(id(entry[3]))
+            if tenant is not None:
+                if tenant.workflow is not entry[0] or tenant.rank <= previous:
+                    raise _OutOfOrder
+                previous = tenant.rank
+                facts_of[id(tenant)] = entry[2]
+            listed.append((entry, tenant))
+        listed_ids = {id(entry[3]) for entry, _ in listed}
+        # when most of the queued bookings would leave and enter again, one
+        # walk from scratch is cheaper than re-walking nearly all of them
+        moving = sum(
+            len(tenant.bookings) if tenant is not None else len(entry[1])
+            for entry, tenant in listed
+            if tenant is None or tenant.plan is not entry[1]
+        ) + sum(len(t.bookings) for key, t in kept.items() if key not in listed_ids)
+        if 2 * moving > sum(len(queue) for _, queue in queues.values()):
+            raise _OutOfOrder
+
+        # workflows no longer listed leave
+        for key in [key for key in kept if key not in listed_ids]:
+            del self._memos[key]
+            gone = kept.pop(key)
+            for booking in gone.bookings.values():
+                dequeue(booking)
+            gone.bookings.clear()
+
+        # started bookings leave their queue fronts as facts
+        for keys, queue in queues.values():
+            while queue:
+                booking = queue[0]
+                tenant = booking.tenant
+                started = facts_of.get(id(tenant))
+                job = tenant.jobs[booking.i]
+                if started is None or job not in started:
+                    break
+                booking.alive = False
+                del keys[0], queue[0]
+                del tenant.bookings[booking.i]
+                del tenant.projected[job]
+                tenant.facts += 1
+                if booking.actual.finish > clock:
+                    tenant.live.append(booking.actual)
+
+        # replanned workflows leave and enter again; new ones enter
+        tenants: List[_TenantReplay] = []
+        rank = -_RANK_STEP
+        for position, ((workflow, plan, started, truth), tenant) in enumerate(listed):
+            if tenant is not None and tenant.plan is plan and tenant.facts == len(started):
+                tenant.updated = []
+                tenants.append(tenant)
+                rank = tenant.rank
+                continue
+            if tenant is not None:
+                for booking in tenant.bookings.values():
+                    dequeue(booking)
+                tenant.bookings.clear()
+                rank = tenant.rank
+            else:
+                # between the previous workflow and the next kept one
+                high = next((t.rank for _, t in listed[position + 1:] if t is not None), None)
+                if high is None:
+                    rank += _RANK_STEP
+                elif high - rank >= 2:
+                    rank = (rank + high) // 2
+                else:
+                    raise _OutOfOrder
+            tenant = _TenantReplay(workflow, plan, started, truth, rank, self._memo(truth), clock)
+            kept[id(truth)] = tenant
+            tenants.append(tenant)
+            for booking in tenant.queue(started):
+                if booking.dup is not None:
+                    raise _OutOfOrder  # duplicate copies: the walk order matters
+                enqueue(booking)
+            if tenant.local:
+                raise _OutOfOrder
+
+        # what each resource is free from at the clock
+        free: Dict[str, float] = {}
+        for tenant in tenants:
+            live = [a for a in tenant.live if a.finish > clock]
+            tenant.live = live
+            for assignment in live:
+                rid = assignment.resource_id
+                if assignment.finish > free.get(rid, clock):
+                    free[rid] = assignment.finish
+        for rid, (keys, queue) in queues.items():
+            if queue:
+                settle(queue[0], free.get(rid, clock))
+
+        # re-walk, in queue order, what the changes reach
+        while heap:
+            key, _, booking = heappop(heap)
+            if not booking.alive:
+                continue
+            current[0] = key
+            rid = booking.rid
+            keys, queue = queues[rid]
+            at = bisect_left(keys, key)
+            before = queue[at - 1].actual.finish if at else free.get(rid, clock)
+            tenant = booking.tenant
+            replayed = tenant.evaluate(booking, before, perf_profile)
+            if replayed is None:
+                raise _OutOfOrder
+            start, finish = replayed
+            old = booking.actual
+            if old is not None and old.start == start and old.finish == finish:
+                booking.free = before
+                continue
+            actual = tenant.take(booking, before, start, finish)
+            if tenant.updated is not None:
+                tenant.updated.append(actual)
+            if old is not None and old.finish == finish:
+                continue
+            if at + 1 < len(queue):
+                settle(queue[at + 1], finish)
+            bookings = tenant.bookings
+            for q in tenant.succ[booking.i]:
+                successor = bookings.get(q)
+                if successor is not None:
+                    push(successor)
+        self._clock = clock
+        self.order_dependent = False
+        self.updated = [tenant.updated for tenant in tenants]
+        return [tenant.projected for tenant in tenants]
 
 
 def describe_pool_event(event: PoolEvent) -> str:

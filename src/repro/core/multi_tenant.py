@@ -63,7 +63,7 @@ accept rule compares two plans that both fit the shared grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -103,6 +103,8 @@ class ActiveWorkflow(AdaptiveWorkflow):
     deadline: Optional[float] = None
     #: per-workflow stretch SLO target (``TenantSpec.slo_stretch``)
     slo_stretch: Optional[float] = None
+    #: ``(plan, [(start, finish), ...])`` of :meth:`consumed_time`
+    _spans: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def remaining_span(self, clock: float) -> float:
         return max(0.0, self.schedule.makespan() - clock)
@@ -113,12 +115,15 @@ class ActiveWorkflow(AdaptiveWorkflow):
         Counts duplicates too (``all_assignments``): duplication-based
         strategies occupy real slots, and the fair-share/credit ledgers
         must charge the tenant for them exactly as ``busy_view`` books
-        them against everyone else.
+        them against everyone else.  The spans are read once per plan.
         """
-        return sum(
-            max(0.0, min(a.finish, clock) - a.start)
-            for a in self.schedule.all_assignments()
-        )
+        spans = self._spans
+        if spans is None or spans[0] is not self.schedule:
+            spans = self._spans = (
+                self.schedule,
+                [(a.start, a.finish) for a in self.schedule.all_assignments()],
+            )
+        return sum([max(0.0, min(finish, clock) - start) for start, finish in spans[1]])
 
     def stretch_at(self, completed_at: float) -> float:
         """Achieved stretch when completing at ``completed_at``."""
@@ -220,6 +225,18 @@ class MultiTenantPlanner:
         self._unfinished: Dict[str, ActiveWorkflow] = {}
         #: every admitted workflow's live bookings, per resource
         self._bookings = BookingDirectory()
+        #: per tenant: its admitted workflows in admission order, how many
+        #: of them lead with a final consumption, and their summed consumption
+        self._served: Dict[str, list] = {}
+        self._served_count = 0
+        #: consumption of the workflows whose consumption is final, and the
+        #: last finish of a plan, per workflow key
+        self._final_consumption: Dict[str, float] = {}
+        self._last_finish: Dict[str, tuple] = {}
+        #: the joint truth replay kept between events, and whether anything
+        #: it reads changed since the last one (a plan, a kill, a member)
+        self._replay = adaptive.ReplayState()
+        self._replay_stale = True
 
     # ------------------------------------------------------------------
     # queries
@@ -257,15 +274,66 @@ class MultiTenantPlanner:
         return weight
 
     def _served_by_tenant(self, clock: float) -> Dict[str, float]:
+        """Processor time consumed per tenant by ``clock``: the left fold of
+        :meth:`ActiveWorkflow.consumed_time` over its workflows in admission
+        order.
+
+        A workflow's consumption is final once its plan can no longer
+        change (it finished by ``clock``) and ``clock`` has passed the
+        plan's last finish.  Each tenant keeps the fold over its longest
+        final prefix and continues it from there, reading the consumption
+        of final workflows further on from a cache; clocks must not go
+        backwards (an earlier one folds from scratch).
+        """
+        if self._served_count != len(self._active):
+            # the workflows admitted since the last call join their tenants
+            for wf in list(self._active.values())[self._served_count:]:
+                self._served.setdefault(wf.tenant, [[], 0, 0.0, clock])[0].append(wf)
+            self._served_count = len(self._active)
+        final = self._final_consumption
         served: Dict[str, float] = {}
-        for wf in self._active.values():
-            served[wf.tenant] = served.get(wf.tenant, 0.0) + wf.consumed_time(clock)
+        for tenant, ledger in self._served.items():
+            workflows, frozen, total, at = ledger
+            if clock < at:
+                frozen, total = 0, 0.0
+                for wf in workflows:
+                    final.pop(wf.key, None)
+            prefix = True
+            for wf in workflows[frozen:]:
+                consumed = final.get(wf.key)
+                if consumed is None:
+                    consumed = wf.consumed_time(clock)
+                    if self._consumption_final(wf, clock):
+                        final[wf.key] = consumed
+                    else:
+                        prefix = False
+                total = total + consumed
+                if prefix:
+                    frozen += 1
+                    ledger[2] = total
+            ledger[1], ledger[3] = frozen, clock
+            served[tenant] = total
         return served
+
+    def _consumption_final(self, wf: ActiveWorkflow, clock: float) -> bool:
+        """Whether ``wf``'s plan can no longer change and ``clock`` has
+        passed its last finish, duplicates included."""
+        if wf.completed_at is None and not wf.finished_by(clock):
+            return False
+        last = self._last_finish.get(wf.key)
+        if last is None or last[0] is not wf.schedule:
+            last = self._last_finish[wf.key] = (
+                wf.schedule,
+                max((a.finish for a in wf.schedule.all_assignments()), default=0.0),
+            )
+        return clock >= last[1]
 
     def replan_order(
         self, candidates: Sequence[ActiveWorkflow], clock: float
     ) -> List[ActiveWorkflow]:
         """Order in which ``candidates`` replan at ``clock`` (policy-driven)."""
+        if len(candidates) < 2:
+            return list(candidates)
         if self.policy == "fifo":
             return sorted(candidates, key=lambda wf: wf.seq)
         if self.policy in ("fair_share", "credit_drf"):
@@ -365,6 +433,7 @@ class MultiTenantPlanner:
         self._active[wf.key] = wf
         self._unfinished[wf.key] = wf
         self._bookings.book(wf.key, wf.schedule, clock)
+        self._replay_stale = True
 
     # ------------------------------------------------------------------
     # events
@@ -399,8 +468,11 @@ class MultiTenantPlanner:
             # leave the directory until its turn is over
             self._bookings.release(wf.key)
             busy = self.busy_view(wf.key, clock)
+            plan, kills = wf.schedule, len(wf.kills)
             wf.step(clock, event, resources, busy=busy, deviation=deviation)
             self._bookings.book(wf.key, wf.schedule, clock)
+            if wf.schedule is not plan or len(wf.kills) != kills:
+                self._replay_stale = True
 
     # ------------------------------------------------------------------
     # the Performance Monitor (noisy runs)
@@ -414,7 +486,23 @@ class MultiTenantPlanner:
     def replay(self, clock: float) -> None:
         """Replay the unfinished workflows' plans under their truth, jointly:
         one :func:`~repro.core.adaptive.project_actuals` pass, tied in
-        ``seq`` order, nothing starting before ``clock``."""
+        ``seq`` order, nothing starting before ``clock``.
+
+        The pass is incremental (the planner keeps one
+        :class:`~repro.core.adaptive.ReplayState`): it re-walks only the
+        bookings a changed plan, a kill, a workflow entering or leaving, or
+        a moved queue front reaches, and each workflow's monitor takes just
+        the executions whose projection changed.  When none of the first
+        three happened since the last pass, the pass is skipped: after
+        :meth:`advance` nothing not yet started lies before the clock, so
+        the clock floor cannot bind and the projection minus what started
+        is what a new pass would return.  Not with duplicate copies in a
+        plan, whose replay depends on the walk order and the facts
+        (:attr:`~repro.core.adaptive.ReplayState.order_dependent`).
+        """
+        if not self._replay_stale and not self._replay.order_dependent:
+            return
+        self._replay_stale = False
         noisy = sorted(
             (wf for wf in self._unfinished.values() if wf.actual is not None),
             key=lambda wf: wf.seq,
@@ -424,14 +512,22 @@ class MultiTenantPlanner:
                 [(wf.workflow, wf.schedule, wf.actual.facts(), wf.actual.truth) for wf in noisy],
                 perf_profile=self.perf_profile,
                 clock=clock,
+                state=self._replay,
             )
-            for wf, projected in zip(noisy, projections):
-                wf.actual.track(projected)
+            for wf, projected, updated in zip(noisy, projections, self._replay.updated):
+                wf.actual.track(projected, updated)
 
     def next_deviation(self, after: float) -> Optional[Tuple[float, List[ActiveWorkflow]]]:
         """The earliest deviating completion after ``after`` over every
         unfinished workflow, and the workflows deviating within
-        ``TIME_EPS`` of it."""
+        ``TIME_EPS`` of it.
+
+        Each monitor answers from its own heap of deviating executions
+        (:meth:`~repro.core.adaptive.ActualExecution.next_deviation`),
+        refreshed only where a replay or a new plan changed something, so
+        this is one heap peek per unfinished workflow; ``after`` is the
+        grid clock and must not go backwards.
+        """
         found = [
             (wf.actual.next_deviation(wf.schedule, after), wf)
             for wf in self._unfinished.values()
@@ -450,6 +546,7 @@ class MultiTenantPlanner:
         wf.completed_at = completed_at
         del self._unfinished[wf.key]
         self._bookings.release(wf.key)
+        self._replay_stale = True
         if self.credit is not None:
             self.credit.record_completion(
                 wf.tenant,

@@ -25,6 +25,8 @@ __all__ = [
     "ResourceTimeline",
     "JobStatus",
     "ExecutionState",
+    "FACT_RUNNING",
+    "FACT_FINISHED",
 ]
 
 #: Numerical slack used when comparing logical times.
@@ -541,6 +543,21 @@ class Schedule:
         for assignment in assignments:
             self.add(assignment)
 
+    @classmethod
+    def of(
+        cls,
+        assignments: Iterable[Assignment],
+        *,
+        name: str = "schedule",
+        duplicates: Iterable[Assignment] = (),
+    ) -> "Schedule":
+        """A schedule holding ``assignments`` (in order) and ``duplicates``:
+        the same schedule as :meth:`add`-ing them one by one, built in bulk."""
+        out = cls(name=name)
+        out._assignments = {a.job_id: a for a in assignments}
+        out._duplicates = list(duplicates)
+        return out
+
     def add_duplicate(self, assignment: Assignment) -> None:
         """Record a redundant copy of an already-known job."""
         self._duplicates.append(assignment)
@@ -569,6 +586,10 @@ class Schedule:
 
     def get(self, job_id: str) -> Optional[Assignment]:
         return self._assignments.get(job_id)
+
+    def assignments_for(self, job_ids: Iterable[str]) -> List[Optional[Assignment]]:
+        """``[get(job) for job in job_ids]``, in one pass."""
+        return list(map(self._assignments.get, job_ids))
 
     def jobs(self) -> List[str]:
         return list(self._assignments.keys())
@@ -683,6 +704,12 @@ class JobStatus(enum.Enum):
     FINISHED = "finished"
 
 
+#: status codes of the dense fact view (:meth:`ExecutionState.started_facts`);
+#: ``0`` is not started
+FACT_RUNNING = 1
+FACT_FINISHED = 2
+
+
 @dataclass
 class ExecutionState:
     """Snapshot of a partially executed workflow at time ``clock``.
@@ -705,6 +732,10 @@ class ExecutionState:
         resource.  Outputs are always available on the resource the producer
         ran on from AFT onwards; additional entries record transfers already
         initiated by the Executor under the previous schedule.
+
+    The same facts are also readable per dense job id of a workflow's
+    ``structure()`` (:meth:`started_facts`), which the replanning passes
+    use instead of asking :meth:`job_status` job by job.
     """
 
     clock: float = 0.0
@@ -713,6 +744,8 @@ class ExecutionState:
     actual_finish: Dict[str, float] = field(default_factory=dict)
     executed_on: Dict[str, str] = field(default_factory=dict)
     data_arrivals: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    #: ``(structure, codes, finished)`` of :meth:`started_facts`, once built
+    _dense: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -753,6 +786,85 @@ class ExecutionState:
                 state.status[job_id] = JobStatus.RUNNING
         return state
 
+    @classmethod
+    def from_facts(
+        cls, structure, codes: bytearray, facts: Sequence[Optional[Assignment]], clock: float
+    ) -> "ExecutionState":
+        """The state a run's dense facts describe at ``clock``.
+
+        ``codes[i]`` is the status code of ``structure.jobs[i]`` (``0``,
+        :data:`FACT_RUNNING` or :data:`FACT_FINISHED`) and ``facts[i]`` the
+        execution of a started job; a running job's finish is not read.
+        Equal to :meth:`from_schedule` over the started executions; its
+        :meth:`started_facts` view is a copy of ``codes`` and the finished
+        ``facts``, so no dict is walked to build it.
+        """
+        jobs = structure.jobs
+        state = cls(clock=float(clock), status=dict.fromkeys(jobs, JobStatus.NOT_STARTED))
+        status = state.status
+        executed_on = state.executed_on
+        actual_start = state.actual_start
+        actual_finish = state.actual_finish
+        data_arrivals = state.data_arrivals
+        finished: List[Optional[Assignment]] = [None] * len(jobs)
+        for i, code in enumerate(codes):
+            if not code:
+                continue
+            assignment = facts[i]
+            job = jobs[i]
+            rid = assignment.resource_id
+            executed_on[job] = rid
+            actual_start[job] = assignment.start
+            if code == FACT_FINISHED:
+                status[job] = JobStatus.FINISHED
+                actual_finish[job] = assignment.finish
+                data_arrivals[(job, rid)] = assignment.finish
+                finished[i] = assignment
+            else:
+                status[job] = JobStatus.RUNNING
+        state._dense = (structure, bytearray(codes), finished)
+        return state
+
+    def started_facts(self, structure) -> Tuple[bytearray, List[Optional[Assignment]]]:
+        """The started jobs per dense id of ``structure`` (a workflow's
+        :class:`~repro.workflow.dag.WorkflowIndex`).
+
+        Returns ``(codes, finished)``: ``codes[i]`` is ``0`` (not
+        started), :data:`FACT_RUNNING` or :data:`FACT_FINISHED`, and
+        ``finished[i]`` the executed :class:`Assignment` of a finished job
+        (``None`` otherwise).  A running job's resource and start are
+        :attr:`executed_on`/:attr:`actual_start`.  Built once per state
+        (in :meth:`from_facts`, or here from the dicts) and kept in step by
+        the mutators.
+        """
+        dense = self._dense
+        if dense is None or dense[0] is not structure:
+            jobs = structure.jobs
+            codes = bytearray(len(jobs))
+            finished: List[Optional[Assignment]] = [None] * len(jobs)
+            status = self.status
+            for i, job in enumerate(jobs):
+                job_status = status.get(job)
+                if job_status is JobStatus.FINISHED:
+                    codes[i] = FACT_FINISHED
+                    finished[i] = Assignment(
+                        job, self.executed_on[job], self.actual_start[job], self.actual_finish[job]
+                    )
+                elif job_status is JobStatus.RUNNING:
+                    codes[i] = FACT_RUNNING
+            dense = self._dense = (structure, codes, finished)
+        return dense[1], dense[2]
+
+    def restart(self, job_id: str) -> Tuple[str, float]:
+        """Return a running job to not started (its execution was lost);
+        returns the ``(resource, start)`` it had."""
+        start = self.actual_start.pop(job_id)
+        resource = self.executed_on.pop(job_id)
+        self.status[job_id] = JobStatus.NOT_STARTED
+        if self._dense is not None:
+            self._dense[1][self._dense[0].index[job_id]] = 0
+        return resource, start
+
     # ------------------------------------------------------------------
     def job_status(self, job_id: str) -> JobStatus:
         return self.status.get(job_id, JobStatus.NOT_STARTED)
@@ -784,6 +896,7 @@ class ExecutionState:
         )
 
     def record_start(self, job_id: str, resource_id: str, time: float) -> None:
+        self._dense = None
         self.status[job_id] = JobStatus.RUNNING
         self.actual_start[job_id] = time
         self.executed_on[job_id] = resource_id
@@ -791,6 +904,7 @@ class ExecutionState:
     def record_finish(self, job_id: str, time: float) -> None:
         if self.job_status(job_id) is not JobStatus.RUNNING:
             raise ValueError(f"job {job_id!r} cannot finish: it is not running")
+        self._dense = None
         self.status[job_id] = JobStatus.FINISHED
         self.actual_finish[job_id] = time
         self.data_arrivals[(job_id, self.executed_on[job_id])] = time

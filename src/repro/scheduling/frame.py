@@ -57,6 +57,7 @@ from repro.scheduling.base import (
     _GAP_FILTER_SLACK,
     Assignment,
     ExecutionState,
+    FACT_FINISHED,
     JobStatus,
     ResourceTimeline,
     Schedule,
@@ -339,7 +340,16 @@ def clone_timeline(timeline: ResourceTimeline) -> ResourceTimeline:
 
 
 class PartialScheduleFrame:
-    """Pinning, timelines, FEA queries and min-EFT placement for one pass."""
+    """Pinning, timelines, FEA queries and min-EFT placement for one pass.
+
+    The pins come off the execution state's dense facts
+    (:meth:`~repro.scheduling.base.ExecutionState.started_facts`), one
+    code per dense job id: a finished job is pinned with the executed
+    :class:`~repro.scheduling.base.Assignment` the state holds — the
+    monitor's own fact object in a noisy run, none is rebuilt — and a
+    running job at its scheduled finish.  A state read off a plan derives
+    the dense view once from its dicts.
+    """
 
     def __init__(
         self,
@@ -379,34 +389,31 @@ class PartialScheduleFrame:
         self.state = execution_state
 
         # ------------------------------------------------------------------
-        # pinned (finished / running) vs re-mappable jobs
+        # pinned (finished / running) vs re-mappable jobs, read off the
+        # state's dense facts: a finished job keeps its executed assignment
         # ------------------------------------------------------------------
+        structure = workflow.structure()
+        codes, finished_facts = execution_state.started_facts(structure)
         pinned: Dict[str, Assignment] = {}
-        for job in workflow.jobs:
-            status = self.state.job_status(job)
-            if status is JobStatus.FINISHED:
-                pinned[job] = Assignment(
-                    job,
-                    self.state.executed_on[job],
-                    self.state.actual_start[job],
-                    self.state.actual_finish[job],
-                )
-            elif status is JobStatus.RUNNING:
-                if (
-                    previous_schedule is not None
-                    and previous_schedule.get(job) is not None
-                ):
-                    sft = previous_schedule.scheduled_finish_time(job)
+        to_schedule: List[str] = []
+        for i, job in enumerate(structure.jobs):
+            code = codes[i]
+            if not code:
+                to_schedule.append(job)
+            elif code == FACT_FINISHED:
+                pinned[job] = finished_facts[i]
+            else:
+                rid = execution_state.executed_on[job]
+                start = execution_state.actual_start[job]
+                booked = previous_schedule.get(job) if previous_schedule is not None else None
+                if booked is not None:
+                    sft = booked.finish
                 else:
                     # without S0 information fall back to the estimate
-                    sft = self.state.actual_start[job] + costs.computation_cost(
-                        job, self.state.executed_on[job]
-                    )
-                pinned[job] = Assignment(
-                    job, self.state.executed_on[job], self.state.actual_start[job], sft
-                )
+                    sft = start + costs.computation_cost(job, rid)
+                pinned[job] = Assignment(job, rid, start, sft)
         self.pinned = pinned
-        self.to_schedule: List[str] = [j for j in workflow.jobs if j not in pinned]
+        self.to_schedule: List[str] = to_schedule
         self.to_schedule_set: Set[str] = set(self.to_schedule)
 
         # ------------------------------------------------------------------
@@ -454,8 +461,7 @@ class PartialScheduleFrame:
             # plans can transiently overlap after a performance change
             self.timelines = bookings.foreign_timelines(busy, starts, occupying)
 
-        self.schedule = Schedule(name=name)
-        self.schedule.extend(pinned.values())
+        self.schedule = Schedule.of(pinned.values(), name=name)
         #: duplicate copies placed so far: (job, resource) -> earliest finish
         self._dup_finish: Dict[Tuple[str, str], float] = {}
         #: resources carrying a duplicate copy, per job (for the fast path's
@@ -479,7 +485,6 @@ class PartialScheduleFrame:
         self._scan_buf: Optional[_EftScanBuffers] = None
         if not self._fast:
             return
-        structure = workflow.structure()
         index = structure.index
         num_jobs = structure.num_jobs
         self._job_index = index
@@ -493,14 +498,11 @@ class PartialScheduleFrame:
         finished = bytearray(num_jobs)
         aft: List[float] = [0.0] * num_jobs
         executed_on: List[Optional[str]] = [None] * num_jobs
-        for job_name, job_status in self.state.status.items():
-            if job_status is JobStatus.FINISHED:
-                p = index.get(job_name)
-                if p is None:
-                    continue
+        for p, fact in enumerate(finished_facts):
+            if fact is not None:
                 finished[p] = 1
-                aft[p] = self.state.actual_finish[job_name]
-                executed_on[p] = self.state.executed_on[job_name]
+                aft[p] = fact.finish
+                executed_on[p] = fact.resource_id
         arrivals: List[tuple] = [()] * num_jobs
         for (producer, rid), time in self.state.data_arrivals.items():
             p = index.get(producer)
