@@ -20,12 +20,13 @@ compare``.  Run directly (``python benchmarks/bench_multi_tenant.py
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 from _common import publish, run_once
 
-from repro.experiments.multi_tenant import MultiTenantConfig
+from repro.experiments.multi_tenant import MultiTenantConfig, multi_tenant_cell
 from repro.experiments.reporting import render_multi_tenant_matrix
-from repro.experiments.sweep import sweep_multi_workflow
+from repro.experiments.sweep import sweep_matrix
 
 SCENARIOS = ("static", "departures", "churn")
 POLICIES = ("fifo", "fair_share", "rank_priority")
@@ -39,12 +40,15 @@ def run_matrix(*, quick: bool = False):
         max_arrivals=3 if quick else 5,
         seed=0,
     )
-    points = sweep_multi_workflow(
-        arrival_rates=[0.004],
-        tenant_counts=[3 if quick else 4],
-        scenarios=list(SCENARIOS),
-        policies=list(POLICIES),
-        base_config=base,
+    points = sweep_matrix(
+        multi_tenant_cell,
+        base,
+        {
+            "scenario": SCENARIOS,
+            "tenants": [3 if quick else 4],
+            "arrival_rate": [0.004],
+            "policy": POLICIES,
+        },
     )
     text = render_multi_tenant_matrix(
         points, title="Concurrent tenants on one shared grid"
@@ -52,7 +56,7 @@ def run_matrix(*, quick: bool = False):
     publish(
         "multi_tenant",
         text,
-        {"points": [point.as_dict() for point in points]},
+        {"points": [asdict(point) for point in points]},
     )
     return points
 

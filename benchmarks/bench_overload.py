@@ -77,10 +77,11 @@ def run_overload(*, quick: bool = False):
         stretches = [o.stretch for o in cell.result.outcomes]
         exceed = exceedance_rate(stretches, STRETCH_LIMIT)
         credits = cell.result.credits
+        m = cell.metrics
         lines.append(
-            f"{name:<10} {cell.workflows:>4} {cell.p99_stretch:>8.3f} "
-            f"{exceed:>7.2f} {cell.rejected:>4} {cell.deferrals:>6} "
-            f"{cell.deadline_violations:>4} {cell.slo_violations:>4} "
+            f"{name:<10} {m.workflows:>4} {m.p99_stretch:>8.3f} "
+            f"{exceed:>7.2f} {m.rejected:>4} {m.deferrals:>6} "
+            f"{m.deadline_violations:>4} {m.slo_violations:>4} "
             f"{min(credits.values()) if credits else 1.0:>10.3f}"
         )
         data[name] = dict(cell.as_dict(), exceedance_rate=exceed)
@@ -94,7 +95,7 @@ def run_overload(*, quick: bool = False):
 
 def test_admission_bounds_the_tail(benchmark):
     cells = run_once(benchmark, lambda: run_overload(quick=True))
-    off, on = cells["open_door"], cells["admission"]
+    off, on = cells["open_door"].metrics, cells["admission"].metrics
     # open-door, the flash crowd blows the tail past the stretch limit
     assert off.p99_stretch > STRETCH_LIMIT
     assert off.rejected == 0 and off.deferrals == 0

@@ -17,27 +17,28 @@ compare``.  Run directly (``python benchmarks/bench_scenario_matrix.py
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 from _common import WORKERS, publish, run_once
 
 from repro import registry
 from repro.experiments.config import RandomExperimentConfig
 from repro.experiments.reporting import render_scenario_matrix
-from repro.experiments.sweep import sweep_scenarios
+from repro.experiments.sweep import scenario_cell, sweep_matrix
 
 STRATEGIES = ("HEFT", "AHEFT", "MinMin")
 
 
 def run_matrix(*, quick: bool = False):
     base = RandomExperimentConfig(
-        v=30 if quick else 60, resources=8 if quick else 10
+        v=30 if quick else 60, resources=8 if quick else 10, seed=0
     )
-    points = sweep_scenarios(
-        registry.available("scenario"),
-        base_config=base,
+    points = sweep_matrix(
+        scenario_cell,
+        base,
+        {"scenario": registry.available("scenario")},
         instances=1 if quick else 2,
         strategies=STRATEGIES,
-        seed=0,
         workers=WORKERS,
     )
     text = render_scenario_matrix(
@@ -48,7 +49,7 @@ def run_matrix(*, quick: bool = False):
     publish(
         "scenario_matrix",
         text,
-        {"scenarios": [point.as_dict() for point in points]},
+        {"scenarios": [asdict(point) for point in points]},
     )
     return points
 

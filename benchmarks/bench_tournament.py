@@ -30,12 +30,14 @@ the committed ``benchmarks/baselines/tournament_smoke.json`` via
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 from _common import WORKERS, publish, run_once
 
 from repro.experiments.config import RandomExperimentConfig
 from repro.experiments.reporting import format_table
-from repro.experiments.uncertainty import sweep_uncertainty
+from repro.experiments.sweep import sweep_matrix
+from repro.experiments.uncertainty import uncertainty_cell
 
 #: the competitors, in presentation order (all names from the registry)
 STRATEGIES = (
@@ -105,15 +107,14 @@ def run_matrix(*, quick: bool = False):
         resources=4 if quick else 6,
         seed=0,
     )
-    points = sweep_uncertainty(
-        MAGNITUDES,
+    points = sweep_matrix(
+        uncertainty_cell,
+        base,
+        {"scenario": SCENARIOS, "magnitude": MAGNITUDES},
         error_model=ERROR_MODEL,
-        scenarios=SCENARIOS,
         strategies=STRATEGIES,
-        base_config=base,
         instances=1 if quick else 2,
         replications=2 if quick else 3,
-        seed=0,
         workers=WORKERS,
     )
     board = leaderboard(points)
@@ -131,7 +132,7 @@ def run_matrix(*, quick: bool = False):
             "scenarios": list(SCENARIOS),
             "error_model": ERROR_MODEL,
             "magnitudes": [float(m) for m in MAGNITUDES],
-            "points": [point.as_dict() for point in points],
+            "points": [asdict(point) for point in points],
             "leaderboard": board,
         },
     )

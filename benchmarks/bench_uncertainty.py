@@ -29,12 +29,14 @@ compare``.  Run directly (``python benchmarks/bench_uncertainty.py
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 from _common import WORKERS, publish, run_once
 
 from repro.experiments.config import RandomExperimentConfig
 from repro.experiments.reporting import render_uncertainty_matrix
-from repro.experiments.uncertainty import sweep_uncertainty
+from repro.experiments.sweep import sweep_matrix
+from repro.experiments.uncertainty import uncertainty_cell
 
 #: (family, magnitudes) — resource_bias carries the monotone-trend claim
 ERROR_GRID = (
@@ -53,15 +55,14 @@ def run_matrix(*, quick: bool = False):
     all_points = []
     for family, magnitudes in ERROR_GRID:
         all_points.extend(
-            sweep_uncertainty(
-                magnitudes,
+            sweep_matrix(
+                uncertainty_cell,
+                base,
+                {"scenario": ("paper",), "magnitude": magnitudes},
                 error_model=family,
-                scenarios=("paper",),
                 strategies=("HEFT", "AHEFT"),
-                base_config=base,
                 instances=1 if quick else 2,
                 replications=3 if quick else 5,
-                seed=0,
                 workers=WORKERS,
             )
         )
@@ -73,7 +74,7 @@ def run_matrix(*, quick: bool = False):
     publish(
         "uncertainty",
         text,
-        {"points": [point.as_dict() for point in all_points]},
+        {"points": [asdict(point) for point in all_points]},
     )
     return all_points
 
@@ -93,7 +94,7 @@ def test_uncertainty_matrix(benchmark):
     for point in points:
         if point.magnitude == 0:
             for stat in point.stats.values():
-                assert stat.maximum == stat.minimum
+                assert stat.max == stat.min
     # the unlearnable control must not collapse: gaussian noise leaves
     # AHEFT within a few percent of HEFT at every magnitude
     for point in points:

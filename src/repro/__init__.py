@@ -83,6 +83,7 @@ from repro.experiments import (
     ExperimentCase,
     CaseResult,
     run_case,
+    sweep_matrix,
     sweep_random_parameter,
     sweep_application_parameter,
     improvement_rate,
@@ -153,6 +154,7 @@ __all__ = [
     "ExperimentCase",
     "CaseResult",
     "run_case",
+    "sweep_matrix",
     "sweep_random_parameter",
     "sweep_application_parameter",
     "improvement_rate",

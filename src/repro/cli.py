@@ -29,6 +29,7 @@ beyond tolerance, **2** on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fnmatch
 import json
 import re
@@ -230,8 +231,61 @@ def _parse_kv(pairs: Sequence[str], option: str) -> Dict[str, object]:
     return out
 
 
-def _write_ledger(args: argparse.Namespace, ledger: Dict[str, object]) -> int:
-    """Write a sweep ledger to ``--out`` (default ``results/<--name>.json``)."""
+def _check_scenarios(names: Sequence[str], params: Dict[str, object]) -> None:
+    """Build every named scenario once; unknown names raise ScenarioError."""
+    for name in names:
+        try:
+            registry.make("scenario", name, **params)
+        except TypeError as error:
+            # e.g. --scenario-param interval=... applied to a scenario
+            # without an `interval` parameter
+            raise CliError(f"scenario {name!r} rejected parameters: {error}") from None
+
+
+def _base_config(
+    args: argparse.Namespace,
+    config_class,
+    axes: Dict[str, Sequence[object]],
+    sizes: Dict[str, Tuple[int, int]],
+    **overrides,
+):
+    """The matrix's base config, built from the parsed options.
+
+    Every option named like a field of ``config_class`` fills it, except
+    the matrix ``axes``.  A size option left unset takes its ``--quick``
+    or full default from ``sizes`` (name -> ``(quick, full)``), written
+    back to ``args`` so the command and its ledger see the resolved value.
+    """
+    for name, (quick, full) in sizes.items():
+        if getattr(args, name) is None:
+            setattr(args, name, quick if args.quick else full)
+    names = {field.name for field in dataclasses.fields(config_class)} - set(axes)
+    options = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    return config_class(**options, **overrides)
+
+
+def _write_ledger(
+    args: argparse.Namespace,
+    kind: str,
+    base,
+    points: Sequence[object],
+    table: str,
+    *,
+    points_key: str = "points",
+    **extra,
+) -> int:
+    """Print a matrix's table; write its ledger to ``--out`` (default
+    ``results/<--name>.json``)."""
+    print(table)
+    ledger = {
+        "name": args.name,
+        "kind": kind,
+        "base_config": base.as_params(),
+        "seed": args.seed,
+        points_key: [dataclasses.asdict(point) for point in points],
+        "lines": table.splitlines(),
+        **extra,
+    }
     out = Path(args.out) if args.out else _bench_dir(None) / "results" / f"{args.name}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(
@@ -245,79 +299,56 @@ def _write_ledger(args: argparse.Namespace, ledger: Dict[str, object]) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.config import RandomExperimentConfig
     from repro.experiments.reporting import render_scenario_matrix
-    from repro.experiments.sweep import sweep_scenarios
+    from repro.experiments.sweep import scenario_cell, sweep_matrix
 
     scenario_params = _parse_kv(args.scenario_param, "--scenario-param")
-    scenarios = []
-    for name in args.scenario:
-        try:
-            scenarios.append(registry.make("scenario", name, **scenario_params))
-        except TypeError as error:
-            # e.g. --scenario-param interval=... applied to a scenario
-            # without an `interval` parameter
-            raise CliError(f"scenario {name!r} rejected parameters: {error}") from None
-
-    v = args.v if args.v is not None else (30 if args.quick else 60)
-    resources = args.resources if args.resources is not None else (8 if args.quick else 10)
-    instances = args.instances if args.instances is not None else (1 if args.quick else 3)
-    base = RandomExperimentConfig(
-        v=v,
-        ccr=args.ccr,
-        out_degree=args.out_degree,
-        beta=args.beta,
-        resources=resources,
-        seed=args.seed,
+    _check_scenarios(args.scenario, scenario_params)
+    axes = {"scenario": args.scenario}
+    base = _base_config(
+        args,
+        RandomExperimentConfig,
+        axes,
+        {"v": (30, 60), "resources": (8, 10), "instances": (1, 3)},
+        scenario_params=tuple(sorted(scenario_params.items())),
     )
-    strategies = tuple(_parse_strategies(args.strategies))
-    points = sweep_scenarios(
-        scenarios,
-        base_config=base,
-        instances=instances,
+    strategies = _parse_strategies(args.strategies)
+    points = sweep_matrix(
+        scenario_cell,
+        base,
+        axes,
+        instances=args.instances,
         strategies=strategies,
-        seed=args.seed,
         workers=args.workers,
     )
     table = render_scenario_matrix(
         points, strategies=strategies, title=f"Scenario sweep ({args.name})"
     )
-    print(table)
-
-    ledger = {
-        "name": args.name,
-        "kind": "scenario_sweep",
-        "base_config": base.as_params(),
-        "instances": instances,
-        "seed": args.seed,
-        "strategies": list(strategies),
-        "scenario_params": scenario_params,
-        "scenarios": [point.as_dict() for point in points],
-        "lines": table.splitlines(),
-    }
-    return _write_ledger(args, ledger)
+    return _write_ledger(
+        args,
+        "scenario_sweep",
+        base,
+        points,
+        table,
+        points_key="scenarios",
+        instances=args.instances,
+        strategies=strategies,
+        scenario_params=scenario_params,
+    )
 
 
 # ----------------------------------------------------------------------
 # repro multi
 # ----------------------------------------------------------------------
 def _cmd_multi(args: argparse.Namespace) -> int:
+    from repro.core.adaptive import resolve_strategy
     from repro.core.multi_tenant import POLICIES
-    from repro.experiments.multi_tenant import MultiTenantConfig
+    from repro.experiments.multi_tenant import MultiTenantConfig, multi_tenant_cell
     from repro.experiments.reporting import render_multi_tenant_matrix
-    from repro.experiments.sweep import sweep_multi_workflow
+    from repro.experiments.sweep import sweep_matrix
 
     scenario_params = _parse_kv(args.scenario_param, "--scenario-param")
     scenarios = list(args.scenario) if args.scenario else ["static"]
-    for name in scenarios:
-        try:
-            registry.make("scenario", name, **scenario_params)
-        except TypeError as error:
-            raise CliError(f"scenario {name!r} rejected parameters: {error}") from None
-
-    v = args.v if args.v is not None else (16 if args.quick else 24)
-    resources = args.resources if args.resources is not None else (8 if args.quick else 10)
-    max_arrivals = args.max_arrivals if args.max_arrivals is not None else (
-        3 if args.quick else 6
-    )
+    _check_scenarios(scenarios, scenario_params)
     if args.tenants <= 0:
         raise CliError("--tenants must be positive")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
@@ -327,8 +358,6 @@ def _cmd_multi(args: argparse.Namespace) -> int:
             f"unknown policies {unknown_policies or args.policies!r}; "
             f"choose from {', '.join(POLICIES)}"
         )
-    from repro.core.adaptive import resolve_strategy
-
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         raise CliError("--strategies must name at least one strategy")
@@ -343,52 +372,37 @@ def _cmd_multi(args: argparse.Namespace) -> int:
         raise CliError("--saturation-threshold must be in (0, 1]")
     if args.max_deferrals < 0:
         raise CliError("--max-deferrals must be non-negative")
-    base = MultiTenantConfig(
-        resources=resources,
+    axes = {
+        "scenario": scenarios,
+        "tenants": [args.tenants],
+        "arrival_rate": [args.arrival_rate],
+        "policy": policies,
+        "strategy": strategies,
+    }
+    base = _base_config(
+        args,
+        MultiTenantConfig,
+        axes,
+        {"v": (16, 24), "resources": (8, 10), "max_arrivals": (3, 6)},
         scenario_params=tuple(sorted(scenario_params.items())),
-        v=v,
-        parallelism=args.parallelism,
-        ccr=args.ccr,
-        beta=args.beta,
-        max_arrivals=max_arrivals,
-        horizon=args.horizon,
-        seed=args.seed,
-        admission=args.admission,
-        saturation_threshold=args.saturation_threshold,
-        stretch_limit=args.stretch_limit,
-        max_deferrals=args.max_deferrals,
-        deadline_factor=args.deadline_factor,
-        slo_stretch=args.slo_stretch,
     )
-    points = sweep_multi_workflow(
-        arrival_rates=[args.arrival_rate],
-        tenant_counts=[args.tenants],
-        scenarios=scenarios,
-        policies=policies,
-        strategies=strategies,
-        base_config=base,
-        seed=args.seed,
-    )
+    points = sweep_matrix(multi_tenant_cell, base, axes)
     table = render_multi_tenant_matrix(
         points, title=f"Multi-tenant shared grid ({args.name})"
     )
-    print(table)
-
-    ledger = {
-        "name": args.name,
-        "kind": "multi_workflow_sweep",
-        "base_config": base.as_params(),
-        "seed": args.seed,
-        "tenants": args.tenants,
-        "arrival_rate": args.arrival_rate,
-        "policies": policies,
-        "strategies": strategies,
-        "scenario_params": scenario_params,
-        "admission": args.admission,
-        "points": [point.as_dict() for point in points],
-        "lines": table.splitlines(),
-    }
-    return _write_ledger(args, ledger)
+    return _write_ledger(
+        args,
+        "multi_workflow_sweep",
+        base,
+        points,
+        table,
+        tenants=args.tenants,
+        arrival_rate=args.arrival_rate,
+        policies=policies,
+        strategies=strategies,
+        scenario_params=scenario_params,
+        admission=args.admission,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +411,8 @@ def _cmd_multi(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     from repro.experiments.config import RandomExperimentConfig
     from repro.experiments.reporting import render_uncertainty_matrix
-    from repro.experiments.uncertainty import sweep_uncertainty
+    from repro.experiments.sweep import sweep_matrix
+    from repro.experiments.uncertainty import uncertainty_cell
 
     if args.error_model not in registry.available("error_model"):
         raise CliError(
@@ -418,33 +433,23 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 f"{magnitude!r}: {error}"
             ) from None
     scenarios = list(args.scenario) if args.scenario else ["paper"]
-    for name in scenarios:
-        registry.make("scenario", name)  # raises ScenarioError on unknown names
-
-    v = args.v if args.v is not None else (24 if args.quick else 40)
-    resources = args.resources if args.resources is not None else (8 if args.quick else 10)
-    instances = args.instances if args.instances is not None else (1 if args.quick else 2)
-    replications = args.replications if args.replications is not None else (
-        3 if args.quick else 5
+    _check_scenarios(scenarios, {})
+    axes = {"scenario": scenarios, "magnitude": magnitudes}
+    base = _base_config(
+        args,
+        RandomExperimentConfig,
+        axes,
+        {"v": (24, 40), "resources": (8, 10), "instances": (1, 2), "replications": (3, 5)},
     )
-    strategies = tuple(_parse_strategies(args.strategies))
-    base = RandomExperimentConfig(
-        v=v,
-        ccr=args.ccr,
-        out_degree=args.out_degree,
-        beta=args.beta,
-        resources=resources,
-        seed=args.seed,
-    )
-    points = sweep_uncertainty(
-        magnitudes,
+    strategies = _parse_strategies(args.strategies)
+    points = sweep_matrix(
+        uncertainty_cell,
+        base,
+        axes,
         error_model=args.error_model,
-        scenarios=scenarios,
+        instances=args.instances,
+        replications=args.replications,
         strategies=strategies,
-        base_config=base,
-        instances=instances,
-        replications=replications,
-        seed=args.seed,
         workers=args.workers,
     )
     table = render_uncertainty_matrix(
@@ -452,23 +457,19 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         strategies=strategies,
         title=f"Monte Carlo uncertainty sweep ({args.name})",
     )
-    print(table)
-
-    ledger = {
-        "name": args.name,
-        "kind": "uncertainty_sweep",
-        "base_config": base.as_params(),
-        "error_model": args.error_model,
-        "magnitudes": [float(m) for m in magnitudes],
-        "scenarios": scenarios,
-        "instances": instances,
-        "replications": replications,
-        "seed": args.seed,
-        "strategies": list(strategies),
-        "points": [point.as_dict() for point in points],
-        "lines": table.splitlines(),
-    }
-    return _write_ledger(args, ledger)
+    return _write_ledger(
+        args,
+        "uncertainty_sweep",
+        base,
+        points,
+        table,
+        error_model=args.error_model,
+        magnitudes=[float(m) for m in magnitudes],
+        scenarios=scenarios,
+        instances=args.instances,
+        replications=args.replications,
+        strategies=strategies,
+    )
 
 
 # ----------------------------------------------------------------------

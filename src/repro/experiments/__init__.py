@@ -1,10 +1,19 @@
 """Experiment harness: the paper's evaluation (§4) as reusable code.
 
+Every experiment is one matrix: :func:`~repro.experiments.sweep.sweep_matrix`
+walks the cartesian product of named axes and hands each cell's config to
+the mode's cell, which returns one plain-dataclass point
+(``dataclasses.asdict(point)`` is its ledger form).
+
 * :mod:`~repro.experiments.config` — the parameter grids of Tables 2 and 5,
-* :mod:`~repro.experiments.runner` — run one case under the three
-  strategies (static HEFT, adaptive AHEFT, dynamic Min-Min),
-* :mod:`~repro.experiments.sweep` — parameter sweeps and aggregation,
-* :mod:`~repro.experiments.uncertainty` — Monte Carlo replication over
+* :mod:`~repro.experiments.runner` — run one case (or the instances of one
+  config) under the competing strategies (static HEFT, adaptive AHEFT,
+  dynamic Min-Min, any registered scheduler),
+* :mod:`~repro.experiments.sweep` — the driver, the instance-averaged and
+  scenario cells, and the paper's one-parameter sweeps as axis declarations,
+* :mod:`~repro.experiments.multi_tenant` — the shared-grid cell and its
+  flow/stretch/fairness metrics,
+* :mod:`~repro.experiments.uncertainty` — the Monte Carlo cell over
   stochastic ground-truth runtimes (the estimate-error dimension),
 * :mod:`~repro.experiments.metrics` — makespan, improvement rate, CI95,
   SLR, speedup, utilisation,
@@ -18,18 +27,22 @@ from repro.experiments.config import (
     RandomExperimentConfig,
     ApplicationExperimentConfig,
 )
-from repro.experiments.runner import CaseResult, ExperimentCase, run_case, STRATEGY_RUNNERS
+from repro.experiments.runner import (
+    CaseResult,
+    ExperimentCase,
+    run_case,
+    run_case_batch,
+    run_instances,
+    STRATEGY_RUNNERS,
+)
 from repro.experiments.sweep import (
-    MultiWorkflowPoint,
     ScenarioPoint,
     SweepPoint,
-    aggregate_results,
-    improvement_rate_by,
-    run_cases,
+    instances_cell,
+    scenario_cell,
     sweep_application_parameter,
-    sweep_multi_workflow,
+    sweep_matrix,
     sweep_random_parameter,
-    sweep_scenarios,
 )
 from repro.experiments.metrics import (
     improvement_rate,
@@ -43,15 +56,13 @@ from repro.experiments.metrics import (
 from repro.experiments.multi_tenant import (
     MultiTenantCaseResult,
     MultiTenantConfig,
+    MultiTenantMetrics,
+    MultiWorkflowPoint,
     TenantMetrics,
+    multi_tenant_cell,
     run_multi_tenant_case,
 )
-from repro.experiments.uncertainty import (
-    ReplicationSummary,
-    UncertaintyPoint,
-    run_replicated,
-    sweep_uncertainty,
-)
+from repro.experiments.uncertainty import UncertaintyPoint, uncertainty_cell
 from repro.experiments.reporting import (
     format_table,
     render_improvement_table,
@@ -70,17 +81,20 @@ __all__ = [
     "CaseResult",
     "ExperimentCase",
     "run_case",
+    "run_case_batch",
+    "run_instances",
     "STRATEGY_RUNNERS",
-    "MultiWorkflowPoint",
-    "ScenarioPoint",
+    "sweep_matrix",
+    "instances_cell",
+    "scenario_cell",
+    "multi_tenant_cell",
+    "uncertainty_cell",
     "SweepPoint",
-    "aggregate_results",
-    "improvement_rate_by",
-    "run_cases",
-    "sweep_application_parameter",
-    "sweep_multi_workflow",
+    "ScenarioPoint",
+    "MultiWorkflowPoint",
+    "UncertaintyPoint",
     "sweep_random_parameter",
-    "sweep_scenarios",
+    "sweep_application_parameter",
     "improvement_rate",
     "jain_fairness_index",
     "makespan_statistics",
@@ -90,12 +104,9 @@ __all__ = [
     "average",
     "MultiTenantCaseResult",
     "MultiTenantConfig",
+    "MultiTenantMetrics",
     "TenantMetrics",
     "run_multi_tenant_case",
-    "ReplicationSummary",
-    "UncertaintyPoint",
-    "run_replicated",
-    "sweep_uncertainty",
     "format_table",
     "render_improvement_table",
     "render_series",

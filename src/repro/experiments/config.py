@@ -4,15 +4,15 @@
 ``APPLICATION_GRID`` reproduces Table 5 (BLAST and WIEN2K).  The full cross
 products are enormous (the paper runs 500,000 cases); the configuration
 dataclasses therefore support deterministic *sampling* of the grid so that
-benchmarks can run a representative subset on a laptop while the full grid
-remains available through the same API.
+benchmarks can run a representative subset on a laptop, while the full
+grid stays one call away: a grid is a set of axes for
+:func:`~repro.experiments.sweep.sweep_matrix`.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.generators.blast import generate_blast_case
 from repro.generators.costs import WorkflowCase
@@ -73,6 +73,23 @@ class _ScenarioConfigMixin:
 
         return registry.make("scenario", self.scenario, **dict(self.scenario_params))
 
+    def build_resource_model(self) -> ResourceChangeModel:
+        """The paper's (R, Δ, δ) pool dynamics of this point."""
+        return ResourceChangeModel(
+            initial_size=self.resources,
+            interval=self.interval,
+            fraction=self.fraction,
+        )
+
+    def as_params(self) -> Dict[str, object]:
+        """The point's coordinates in its paper grid (Table 2 or 5) and its
+        instance, plus the scenario when one drives the dynamics."""
+        params = {name: getattr(self, name) for name in self.coordinates}
+        if self.scenario is not None:
+            params["scenario"] = self.scenario
+            params["scenario_params"] = dict(self.scenario_params)
+        return params
+
     def to_experiment_case(self):
         """An :class:`~repro.experiments.runner.ExperimentCase` for this point."""
         from repro.experiments.runner import ExperimentCase
@@ -88,6 +105,8 @@ class _ScenarioConfigMixin:
 @dataclass(frozen=True)
 class RandomExperimentConfig(_ScenarioConfigMixin):
     """One fully specified random-DAG experiment point."""
+
+    coordinates: ClassVar[Tuple[str, ...]] = (*RANDOM_DAG_GRID, "instance")
 
     v: int = 40
     ccr: float = 1.0
@@ -118,33 +137,14 @@ class RandomExperimentConfig(_ScenarioConfigMixin):
         )
         return generate_random_case(params, seed=self.seed, instance=self.instance)
 
-    def build_resource_model(self) -> ResourceChangeModel:
-        return ResourceChangeModel(
-            initial_size=self.resources,
-            interval=self.interval,
-            fraction=self.fraction,
-        )
-
-    def as_params(self) -> Dict[str, object]:
-        params = {
-            "v": self.v,
-            "ccr": self.ccr,
-            "out_degree": self.out_degree,
-            "beta": self.beta,
-            "resources": self.resources,
-            "interval": self.interval,
-            "fraction": self.fraction,
-            "instance": self.instance,
-        }
-        if self.scenario is not None:
-            params["scenario"] = self.scenario
-            params["scenario_params"] = dict(self.scenario_params)
-        return params
-
 
 @dataclass(frozen=True)
 class ApplicationExperimentConfig(_ScenarioConfigMixin):
     """One fully specified application (BLAST / WIEN2K / Montage) point."""
+
+    coordinates: ClassVar[Tuple[str, ...]] = (
+        "application", *APPLICATION_GRID, "instance"
+    )
 
     application: str = "blast"
     parallelism: int = 200
@@ -182,39 +182,6 @@ class ApplicationExperimentConfig(_ScenarioConfigMixin):
             omega_dag=self.omega_dag,
             seed=case_seed,
         )
-
-    def build_resource_model(self) -> ResourceChangeModel:
-        return ResourceChangeModel(
-            initial_size=self.resources,
-            interval=self.interval,
-            fraction=self.fraction,
-        )
-
-    def as_params(self) -> Dict[str, object]:
-        params = {
-            "application": self.application,
-            "parallelism": self.parallelism,
-            "ccr": self.ccr,
-            "beta": self.beta,
-            "resources": self.resources,
-            "interval": self.interval,
-            "fraction": self.fraction,
-            "instance": self.instance,
-        }
-        if self.scenario is not None:
-            params["scenario"] = self.scenario
-            params["scenario_params"] = dict(self.scenario_params)
-        return params
-
-
-def iter_random_grid(
-    grid: Optional[Mapping[str, Sequence]] = None,
-) -> Iterator[RandomExperimentConfig]:
-    """Iterate the full cross product of the random-DAG grid (Table 2)."""
-    grid = dict(grid or RANDOM_DAG_GRID)
-    keys = ["v", "ccr", "out_degree", "beta", "resources", "interval", "fraction"]
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        yield RandomExperimentConfig(**dict(zip(keys, combo)))
 
 
 def sample_random_grid(

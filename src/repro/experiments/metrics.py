@@ -119,8 +119,8 @@ class MakespanStatistics:
     count: int
     mean: float
     std: float
-    minimum: float
-    maximum: float
+    min: float
+    max: float
     ci95_low: float = 0.0
     ci95_high: float = 0.0
 
@@ -132,21 +132,9 @@ class MakespanStatistics:
     def __str__(self) -> str:  # pragma: no cover - formatting
         return (
             f"n={self.count}, mean={self.mean:.1f}, std={self.std:.1f}, "
-            f"min={self.minimum:.1f}, max={self.maximum:.1f}, "
+            f"min={self.min:.1f}, max={self.max:.1f}, "
             f"ci95=[{self.ci95_low:.1f}, {self.ci95_high:.1f}]"
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-friendly form for the benchmark ledgers."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "max": self.maximum,
-            "ci95_low": self.ci95_low,
-            "ci95_high": self.ci95_high,
-        }
 
 
 #: normal-approximation z for a two-sided 95% confidence interval
@@ -156,7 +144,7 @@ _Z_95 = 1.959963984540054
 def makespan_statistics(makespans: Sequence[float]) -> MakespanStatistics:
     """Summarise a collection of makespans (or any replicated metric)."""
     if not makespans:
-        return MakespanStatistics(count=0, mean=0.0, std=0.0, minimum=0.0, maximum=0.0)
+        return MakespanStatistics(count=0, mean=0.0, std=0.0, min=0.0, max=0.0)
     array = np.asarray(list(makespans), dtype=float)
     mean = float(array.mean())
     if array.size > 1:
@@ -167,8 +155,8 @@ def makespan_statistics(makespans: Sequence[float]) -> MakespanStatistics:
         count=int(array.size),
         mean=mean,
         std=float(array.std()),
-        minimum=float(array.min()),
-        maximum=float(array.max()),
+        min=float(array.min()),
+        max=float(array.max()),
         ci95_low=mean - half,
         ci95_high=mean + half,
     )

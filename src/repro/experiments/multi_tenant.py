@@ -25,20 +25,24 @@ ledger-comparable across machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionConfig
 from repro.experiments.metrics import average, jain_fairness_index, percentile
 from repro.facade import run as facade_run
-from repro.simulation.shared_grid import SharedGridResult
+from repro.simulation.shared_grid import SharedGridResult, WorkflowOutcome
 from repro.workload.streams import TenantSpec, WorkloadStream, default_tenants
 
 __all__ = [
     "MultiTenantConfig",
+    "ServiceMetrics",
     "TenantMetrics",
+    "MultiTenantMetrics",
+    "MultiWorkflowPoint",
     "MultiTenantCaseResult",
     "run_multi_tenant_case",
+    "multi_tenant_cell",
 ]
 
 
@@ -113,184 +117,124 @@ class MultiTenantConfig:
         )
 
     def as_params(self) -> Dict[str, object]:
-        return {
-            "tenants": self.tenants,
-            "arrival_rate": self.arrival_rate,
-            "policy": self.policy,
-            "strategy": self.strategy,
-            "resources": self.resources,
-            "scenario": self.scenario,
-            "scenario_params": dict(self.scenario_params),
-            "v": self.v,
-            "parallelism": self.parallelism,
-            "ccr": self.ccr,
-            "beta": self.beta,
-            "omega_dag": self.omega_dag,
-            "max_arrivals": self.max_arrivals,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "admission": self.admission,
-            "saturation_threshold": self.saturation_threshold,
-            "stretch_limit": self.stretch_limit,
-            "max_deferrals": self.max_deferrals,
-            "deadline_factor": self.deadline_factor,
-            "slo_stretch": self.slo_stretch,
-        }
+        """JSON-friendly form for the ledgers (``scenario_params`` as a dict)."""
+        return dict(asdict(self), scenario_params=dict(self.scenario_params))
 
 
-@dataclass
-class TenantMetrics:
-    """Service metrics of one tenant over one multi-tenant run."""
+@dataclass(kw_only=True)
+class ServiceMetrics:
+    """The service a set of workflows received over one shared-grid run."""
 
-    tenant: str
     workflows: int
     mean_flow_time: float
     p95_flow_time: float
     mean_stretch: float
+    #: completed workflows per 1000 logical time units of the whole run
     throughput: float
     wasted_work: float
     killed_jobs: int
-    deadline_violations: int = 0
-    slo_violations: int = 0
+    deadline_violations: int
+    slo_violations: int
+
+    @classmethod
+    def over(cls, outcomes: Sequence[WorkflowOutcome], span: float, **extra):
+        """Measure ``outcomes`` of a run lasting ``span``; ``extra`` fills
+        the subclass's own fields."""
+        return cls(
+            workflows=len(outcomes),
+            mean_flow_time=average(o.flow_time for o in outcomes),
+            p95_flow_time=percentile([o.flow_time for o in outcomes], 95.0),
+            mean_stretch=average(o.stretch for o in outcomes),
+            throughput=0.0 if span <= 0 else 1000.0 * len(outcomes) / span,
+            wasted_work=sum(o.wasted_work for o in outcomes),
+            killed_jobs=sum(o.killed_jobs for o in outcomes),
+            deadline_violations=sum(1 for o in outcomes if o.deadline_violated),
+            slo_violations=sum(1 for o in outcomes if o.slo_violated),
+            **extra,
+        )
+
+
+@dataclass(kw_only=True)
+class TenantMetrics(ServiceMetrics):
+    """Service metrics of one tenant over one multi-tenant run."""
+
+    tenant: str
     credit: float = 1.0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "tenant": self.tenant,
-            "workflows": self.workflows,
-            "mean_flow_time": self.mean_flow_time,
-            "p95_flow_time": self.p95_flow_time,
-            "mean_stretch": self.mean_stretch,
-            "throughput": self.throughput,
-            "wasted_work": self.wasted_work,
-            "killed_jobs": self.killed_jobs,
-            "deadline_violations": self.deadline_violations,
-            "slo_violations": self.slo_violations,
-            "credit": self.credit,
+
+@dataclass(kw_only=True)
+class MultiTenantMetrics(ServiceMetrics):
+    """Service metrics of a whole multi-tenant run, and of each tenant."""
+
+    run_makespan: float
+    #: tail stretch — the overload-management headline metric
+    p99_stretch: float
+    #: Jain's index over the tenants' mean stretches
+    fairness: float
+    rejected: int
+    deferrals: int
+    per_tenant: Dict[str, TenantMetrics]
+
+    @classmethod
+    def of(cls, result: SharedGridResult) -> "MultiTenantMetrics":
+        span = result.makespan()
+        per_tenant = {
+            tenant: TenantMetrics.over(
+                result.for_tenant(tenant),
+                span,
+                tenant=tenant,
+                credit=result.credits.get(tenant, 1.0),
+            )
+            for tenant in result.tenants()
         }
+        return cls.over(
+            result.outcomes,
+            span,
+            run_makespan=span,
+            p99_stretch=percentile([o.stretch for o in result.outcomes], 99.0),
+            fairness=jain_fairness_index(
+                metrics.mean_stretch for metrics in per_tenant.values()
+            ),
+            rejected=result.rejected_count,
+            deferrals=result.deferral_count,
+            per_tenant=per_tenant,
+        )
+
+
+@dataclass(kw_only=True)
+class MultiWorkflowPoint(MultiTenantMetrics):
+    """One cell of the multi-tenant matrix: (scenario, tenants, rate, policy, strategy)."""
+
+    scenario: str
+    tenants: int
+    arrival_rate: float
+    policy: str
+    strategy: str
+    admission: bool
 
 
 @dataclass
 class MultiTenantCaseResult:
-    """Aggregated multi-tenant metrics for one configuration."""
+    """One multi-tenant run: its config, raw result and metrics."""
 
     config: MultiTenantConfig
     result: SharedGridResult
-    per_tenant: Dict[str, TenantMetrics] = field(default_factory=dict)
-
-    @property
-    def workflows(self) -> int:
-        return len(self.result.outcomes)
-
-    @property
-    def run_makespan(self) -> float:
-        return self.result.makespan()
-
-    @property
-    def mean_flow_time(self) -> float:
-        return average(o.flow_time for o in self.result.outcomes)
-
-    @property
-    def p95_flow_time(self) -> float:
-        return percentile([o.flow_time for o in self.result.outcomes], 95.0)
-
-    @property
-    def mean_stretch(self) -> float:
-        return average(o.stretch for o in self.result.outcomes)
-
-    @property
-    def p99_stretch(self) -> float:
-        """Tail stretch — the overload-management headline metric."""
-        return percentile([o.stretch for o in self.result.outcomes], 99.0)
-
-    @property
-    def rejected(self) -> int:
-        return self.result.rejected_count
-
-    @property
-    def deferrals(self) -> int:
-        return self.result.deferral_count
+    metrics: MultiTenantMetrics
 
     @property
     def rejection_rate(self) -> float:
         """Rejected over offered (admitted + rejected) workflows."""
-        offered = self.workflows + self.rejected
-        return 0.0 if offered == 0 else self.rejected / offered
-
-    @property
-    def deadline_violations(self) -> int:
-        return self.result.deadline_violations()
-
-    @property
-    def slo_violations(self) -> int:
-        return self.result.slo_violations()
-
-    @property
-    def throughput(self) -> float:
-        """Completed workflows per 1000 logical time units."""
-        span = self.run_makespan
-        if span <= 0:
-            return 0.0
-        return 1000.0 * self.workflows / span
-
-    @property
-    def fairness(self) -> float:
-        """Jain's index over the tenants' mean stretches."""
-        return jain_fairness_index(
-            metrics.mean_stretch for metrics in self.per_tenant.values()
-        )
-
-    @property
-    def wasted_work(self) -> float:
-        return self.result.total_wasted_work()
-
-    @property
-    def killed_jobs(self) -> int:
-        return self.result.total_killed_jobs()
+        offered = self.metrics.workflows + self.metrics.rejected
+        return 0.0 if offered == 0 else self.metrics.rejected / offered
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly form for the benchmark ledgers."""
-        return {
-            "params": self.config.as_params(),
-            "workflows": self.workflows,
-            "run_makespan": self.run_makespan,
-            "mean_flow_time": self.mean_flow_time,
-            "p95_flow_time": self.p95_flow_time,
-            "mean_stretch": self.mean_stretch,
-            "p99_stretch": self.p99_stretch,
-            "throughput": self.throughput,
-            "fairness": self.fairness,
-            "wasted_work": self.wasted_work,
-            "killed_jobs": self.killed_jobs,
-            "rejected": self.rejected,
-            "deferrals": self.deferrals,
-            "rejection_rate": self.rejection_rate,
-            "deadline_violations": self.deadline_violations,
-            "slo_violations": self.slo_violations,
-            "credits": dict(sorted(self.result.credits.items())),
-            "per_tenant": {
-                tenant: metrics.as_dict()
-                for tenant, metrics in sorted(self.per_tenant.items())
-            },
-        }
-
-
-def _tenant_metrics(result: SharedGridResult, tenant: str) -> TenantMetrics:
-    outcomes = result.for_tenant(tenant)
-    span = result.makespan()
-    return TenantMetrics(
-        tenant=tenant,
-        workflows=len(outcomes),
-        mean_flow_time=average(o.flow_time for o in outcomes),
-        p95_flow_time=percentile([o.flow_time for o in outcomes], 95.0),
-        mean_stretch=average(o.stretch for o in outcomes),
-        throughput=0.0 if span <= 0 else 1000.0 * len(outcomes) / span,
-        wasted_work=sum(o.wasted_work for o in outcomes),
-        killed_jobs=sum(o.killed_jobs for o in outcomes),
-        deadline_violations=sum(1 for o in outcomes if o.deadline_violated),
-        slo_violations=sum(1 for o in outcomes if o.slo_violated),
-        credit=result.credits.get(tenant, 1.0),
-    )
+        """The overload ledger's cell: params, metrics, rejection rate, credits."""
+        return dict(
+            asdict(self.metrics),
+            params=self.config.as_params(),
+            rejection_rate=self.rejection_rate,
+            credits=dict(sorted(self.result.credits.items())),
+        )
 
 
 def run_multi_tenant_case(
@@ -329,12 +273,28 @@ def run_multi_tenant_case(
         strategy=config.strategy,
         **options,
     ).raw
-    per_tenant = {
-        tenant: _tenant_metrics(result, tenant) for tenant in result.tenants()
-    }
-    return MultiTenantCaseResult(config=config, result=result, per_tenant=per_tenant)
+    return MultiTenantCaseResult(
+        config=config, result=result, metrics=MultiTenantMetrics.of(result)
+    )
 
 
-def with_policy(config: MultiTenantConfig, policy: str) -> MultiTenantConfig:
-    """The same case under a different interleave policy."""
-    return replace(config, policy=policy)
+def multi_tenant_cell(config: MultiTenantConfig) -> MultiWorkflowPoint:
+    """One multi-tenant case as a point of the matrix.
+
+    A sweep keeps one seed across cells, so a tenant's arrival stream is
+    identical in every scenario/policy/strategy cell with the same tenant
+    count: rows differ by the dynamics, the policy and the replanning
+    heuristic, not by workload sampling noise.  ``strategy`` names a
+    registered scheduler with the ``reschedule`` interface (``aheft``,
+    ``cpop``, ``heft_dup``, ...) that every tenant replans with.
+    """
+    metrics = run_multi_tenant_case(config).metrics
+    return MultiWorkflowPoint(
+        **vars(metrics),
+        scenario=config.scenario,
+        tenants=config.tenants,
+        arrival_rate=config.arrival_rate,
+        policy=config.policy,
+        strategy=config.strategy,
+        admission=config.admission,
+    )

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.experiments.multi_tenant import MultiWorkflowPoint
 from repro.experiments.runner import CaseResult
-from repro.experiments.sweep import MultiWorkflowPoint, ScenarioPoint, SweepPoint
+from repro.experiments.sweep import ScenarioPoint, SweepPoint
 from repro.experiments.uncertainty import UncertaintyPoint
 
 __all__ = [
@@ -233,11 +234,9 @@ def render_uncertainty_matrix(
         for strategy in strategies:
             stat = point.stats[strategy]
             row.append(f"{stat.mean:.1f}±{stat.ci95_half:.1f}")
+        half = (point.improvement_ci95_high - point.improvement_ci95_low) / 2.0
         row.append(f"{100.0 * point.improvement:.1f}%")
-        row.append(
-            f"{100.0 * point.improvement_stats.mean:.1f}%"
-            f"±{100.0 * point.improvement_stats.ci95_half:.1f}"
-        )
+        row.append(f"{100.0 * point.improvement_mean:.1f}%±{100.0 * half:.1f}")
         rows.append(row)
     table = format_table(headers, rows)
     if title:

@@ -9,8 +9,8 @@ HEFT, which is the paper's headline metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import registry
 from repro.core.adaptive import resolve_strategy
@@ -25,6 +25,7 @@ __all__ = [
     "CaseResult",
     "run_case",
     "run_case_batch",
+    "run_instances",
     "available_strategy_names",
     "resolve_strategy_runner",
     "STRATEGY_RUNNERS",
@@ -174,7 +175,6 @@ def run_case(
     experiment: ExperimentCase,
     *,
     strategies: Sequence[str] = ("HEFT", "AHEFT"),
-    runners: Optional[Mapping[str, Callable]] = None,
     error_model=None,
 ) -> CaseResult:
     """Evaluate one case under the requested strategies.
@@ -186,15 +186,7 @@ def run_case(
     while planning on the unperturbed estimates — the estimate-error
     dimension of the uncertainty experiments.
     """
-    if runners is None:
-        runners = {name: resolve_strategy_runner(name) for name in strategies}
-    else:
-        runners = dict(runners)
-        unknown = [s for s in strategies if s not in runners]
-        if unknown:
-            raise KeyError(
-                f"unknown strategies: {unknown}; available: {sorted(runners)}"
-            )
+    runners = {name: resolve_strategy_runner(name) for name in strategies}
 
     makespans: Dict[str, float] = {}
     rescheduling_counts: Dict[str, int] = {}
@@ -246,7 +238,6 @@ def run_case_batch(
     experiments: Sequence[ExperimentCase],
     *,
     strategies: Sequence[str] = ("HEFT", "AHEFT"),
-    runners: Optional[Mapping[str, Callable]] = None,
     workers: Optional[int] = None,
     error_models: Optional[Sequence] = None,
 ) -> List[CaseResult]:
@@ -265,9 +256,7 @@ def run_case_batch(
     their ``(seed, replication, scope)``, so they cross process boundaries
     without losing determinism.
 
-    ``workers=None`` (or ``<= 1``) runs serially.  Custom ``runners``
-    mappings typically hold lambdas, which cannot cross a process boundary,
-    so they also force the serial path.
+    ``workers=None`` (or ``<= 1``) runs serially.
     """
     experiments = list(experiments)
     if error_models is None:
@@ -279,14 +268,9 @@ def run_case_batch(
                 f"error_models length {len(error_models)} does not match "
                 f"{len(experiments)} experiments"
             )
-    if runners is not None or not workers or workers <= 1 or len(experiments) < 2:
+    if not workers or workers <= 1 or len(experiments) < 2:
         return [
-            run_case(
-                experiment,
-                strategies=strategies,
-                runners=runners,
-                error_model=error_model,
-            )
+            run_case(experiment, strategies=strategies, error_model=error_model)
             for experiment, error_model in zip(experiments, error_models)
         ]
     from concurrent.futures import ProcessPoolExecutor
@@ -297,3 +281,36 @@ def run_case_batch(
     ]
     with ProcessPoolExecutor(max_workers=int(workers)) as executor:
         return list(executor.map(_run_case_worker, payloads))
+
+
+def run_instances(
+    config,
+    *,
+    instances: int,
+    strategies: Sequence[str],
+    workers: Optional[int] = None,
+    error_model=None,
+    replications: int = 1,
+) -> List[CaseResult]:
+    """Run ``instances`` generated instances of one experiment config.
+
+    Instance ``i`` is ``config`` with ``instance=i`` and seed
+    ``config.seed + i``, so every cell of a sweep runs the same workloads.
+    With an ``error_model`` every instance runs under ``replications``
+    independent sampled truths: replication ``r`` of instance ``i`` draws
+    ``error_model.for_replication(r).scoped(f"i{i}")``.  Results come
+    instance-major, replications innermost.
+    """
+    experiments = [
+        replace(config, instance=i, seed=config.seed + i).to_experiment_case()
+        for i in range(instances)
+    ]
+    if error_model is None:
+        return run_case_batch(experiments, strategies=strategies, workers=workers)
+    runs = [divmod(k, replications) for k in range(instances * replications)]
+    return run_case_batch(
+        [experiments[i] for i, _ in runs],
+        strategies=strategies,
+        workers=workers,
+        error_models=[error_model.for_replication(r).scoped(f"i{i}") for i, r in runs],
+    )

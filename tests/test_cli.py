@@ -425,6 +425,41 @@ class TestMultiCommand:
         )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the quick ledger commands of the CI ``bench-regression`` job, by ledger
+CI_LEDGERS = {
+    "scenario_smoke": "sweep --scenario departures --scenario degradation "
+    "--scenario load_spike --scenario churn --quick --seed 0 --name scenario_smoke",
+    "multi_tenant_smoke": "multi --tenants 3 --arrival-rate 0.004 "
+    "--scenario static --scenario departures --scenario churn "
+    "--policies fifo,fair_share,rank_priority --quick --seed 0 "
+    "--name multi_tenant_smoke",
+    "uncertainty_smoke": "mc --quick --seed 0 --name uncertainty_smoke",
+}
+
+
+class TestCiLedgers:
+    """The CI smoke ledgers, regenerated in-process and gated like CI does."""
+
+    def test_commands_are_the_ci_commands(self):
+        workflow = " ".join((ROOT / ".github/workflows/ci.yml").read_text().split())
+        for name, command in CI_LEDGERS.items():
+            assert (
+                f"python -m repro {command} --out benchmarks/results/{name}.json"
+                in workflow
+            )
+
+    @pytest.mark.parametrize("name", sorted(CI_LEDGERS))
+    def test_ledger_matches_its_baseline(self, name, tmp_path, capsys):
+        out = tmp_path / f"{name}.json"
+        assert main([*CI_LEDGERS[name].split(), "--out", str(out)]) == EXIT_OK
+        baseline = ROOT / "benchmarks" / "baselines" / f"{name}.json"
+        assert main(["compare", str(baseline), str(out)]) == EXIT_OK, (
+            capsys.readouterr().out
+        )
+
+
 class TestMcCommand:
     #: a small-but-real invocation: 2 magnitudes × 2 replications
     QUICK = [

@@ -7,7 +7,6 @@ from repro.experiments.config import (
     RANDOM_DAG_GRID,
     ApplicationExperimentConfig,
     RandomExperimentConfig,
-    iter_random_grid,
     sample_application_grid,
     sample_random_grid,
 )
@@ -25,12 +24,16 @@ from repro.experiments.reporting import (
     render_improvement_table,
     render_series,
 )
-from repro.experiments.runner import ExperimentCase, run_case
+from repro.experiments.runner import (
+    ExperimentCase,
+    run_case,
+    run_case_batch,
+    run_instances,
+)
 from repro.experiments.sweep import (
-    aggregate_results,
-    improvement_rate_by,
-    run_cases,
+    instances_cell,
     sweep_application_parameter,
+    sweep_matrix,
     sweep_random_parameter,
 )
 from repro.resources.dynamics import ResourceChangeModel
@@ -51,7 +54,7 @@ class TestMetrics:
         stats = makespan_statistics([10.0, 20.0, 30.0])
         assert stats.count == 3
         assert stats.mean == 20.0
-        assert stats.minimum == 10.0 and stats.maximum == 30.0
+        assert stats.min == 10.0 and stats.max == 30.0
         assert makespan_statistics([]).count == 0
 
     def test_slr_and_speedup_bounds(self, sample_workflow, sample_costs):
@@ -126,8 +129,9 @@ class TestConfig:
         small_grid["ccr"] = (1.0,)
         small_grid["out_degree"] = (0.2,)
         small_grid["beta"] = (0.5,)
-        configs = list(iter_random_grid(small_grid))
+        configs = sweep_matrix(lambda config: config, RandomExperimentConfig(), small_grid)
         assert len(configs) == 5 * 4 * 4  # resources x interval x fraction
+        assert len(set(configs)) == len(configs)
 
     def test_sampling_is_deterministic(self):
         a = sample_random_grid(5, seed=2)
@@ -155,13 +159,35 @@ class TestRunnerAndSweep:
         with pytest.raises(KeyError):
             run_case(tiny_experiment, strategies=("HEFT", "nope"))
 
-    def test_run_cases_and_aggregation(self, tiny_experiment):
-        results = run_cases([tiny_experiment, tiny_experiment], strategies=("HEFT", "AHEFT"))
-        assert len(results) == 2
-        grouped = aggregate_results(results, group_key="v")
-        assert 20 in grouped
-        rates = improvement_rate_by(results, group_key="v")
-        assert 20 in rates
+    def test_instances_cell_averages_the_instances(self):
+        config = RandomExperimentConfig(v=20, resources=4, interval=200.0,
+                                        fraction=0.25, omega_dag=80.0, seed=5)
+        strategies = ("HEFT", "AHEFT")
+        results = run_instances(config, instances=2, strategies=strategies)
+        assert [r.params["instance"] for r in results] == [0, 1]
+        point = instances_cell(config, parameter="v", instances=2, strategies=strategies)
+        assert point.value == 20 and point.case_count == 2
+        for strategy in strategies:
+            assert point.mean_makespans[strategy] == average(
+                r.makespans[strategy] for r in results
+            )
+
+    def test_matrix_walks_axes_in_declared_order(self):
+        def cell(config, **keywords):
+            return (config.v, config.ccr, keywords)
+
+        points = sweep_matrix(
+            cell,
+            RandomExperimentConfig(),
+            {"v": [20, 40], "ccr": [0.5], "magnitude": [0.0, 0.2]},
+            tag="x",
+        )
+        assert points == [
+            (20, 0.5, {"magnitude": 0.0, "tag": "x"}),
+            (20, 0.5, {"magnitude": 0.2, "tag": "x"}),
+            (40, 0.5, {"magnitude": 0.0, "tag": "x"}),
+            (40, 0.5, {"magnitude": 0.2, "tag": "x"}),
+        ]
 
     def test_sweep_random_parameter_shapes(self):
         points = sweep_random_parameter(
@@ -263,10 +289,8 @@ class TestParallelCaseRunner:
         ]
 
     def test_workers_match_serial(self):
-        from repro.experiments.sweep import run_cases
-
-        serial = run_cases(self._experiments(), strategies=("HEFT", "AHEFT"))
-        parallel = run_cases(
+        serial = run_case_batch(self._experiments(), strategies=("HEFT", "AHEFT"))
+        parallel = run_case_batch(
             self._experiments(), strategies=("HEFT", "AHEFT"), workers=2
         )
         assert [r.makespans for r in serial] == [r.makespans for r in parallel]
@@ -276,8 +300,6 @@ class TestParallelCaseRunner:
         ]
 
     def test_workers_one_stays_serial(self):
-        from repro.experiments.runner import run_case_batch
-
         experiments = self._experiments()
         assert len(run_case_batch(experiments, workers=1)) == len(experiments)
 

@@ -536,20 +536,16 @@ class TestFlowInMultiTenancy:
         )
         assert planned.scheduler.credit_weight < 1.0
 
-    def test_sweep_multi_workflow_accepts_the_strategy(self):
-        from repro.experiments.multi_tenant import MultiTenantConfig
-        from repro.experiments.sweep import sweep_multi_workflow
+    def test_multi_tenant_matrix_accepts_the_strategy(self):
+        from repro.experiments.multi_tenant import MultiTenantConfig, multi_tenant_cell
+        from repro.experiments.sweep import sweep_matrix
 
         base = MultiTenantConfig(
-            tenants=2, resources=5, v=10, parallelism=5, max_arrivals=2, seed=0
+            tenants=2, arrival_rate=0.004, resources=5, v=10, parallelism=5,
+            max_arrivals=2, seed=0, policy="credit_drf",
         )
-        points = sweep_multi_workflow(
-            arrival_rates=[0.004],
-            tenant_counts=[2],
-            scenarios=["static"],
-            policies=["credit_drf"],
-            strategies=["mincost_flow"],
-            base_config=base,
+        points = sweep_matrix(
+            multi_tenant_cell, base, {"strategy": ["mincost_flow"]}
         )
         assert [point.strategy for point in points] == ["mincost_flow"]
         assert points[0].workflows > 0

@@ -4,6 +4,8 @@ policies, the shared-grid executor, and the multi-tenancy metrics."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.multi_tenant import POLICIES, ActiveWorkflow, MultiTenantPlanner
@@ -14,10 +16,11 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.multi_tenant import (
     MultiTenantConfig,
+    multi_tenant_cell,
     run_multi_tenant_case,
 )
 from repro.experiments.reporting import render_multi_tenant_matrix
-from repro.experiments.sweep import sweep_multi_workflow
+from repro.experiments.sweep import sweep_matrix
 from repro.resources.pool import ResourcePool
 from repro.resources.resource import Resource
 from repro.scheduling.aheft import AHEFTScheduler
@@ -359,35 +362,37 @@ class TestMultiTenantExperiments:
             "per_tenant",
         ):
             assert key in payload
-        assert set(payload["per_tenant"]) == set(outcome.per_tenant)
-        assert outcome.workflows > 0
-        assert 0.0 < outcome.fairness <= 1.0 + 1e-9
+        assert set(payload["per_tenant"]) == set(outcome.metrics.per_tenant)
+        assert outcome.metrics.workflows > 0
+        assert 0.0 < outcome.metrics.fairness <= 1.0 + 1e-9
 
     def test_sweep_matrix_shape_and_determinism(self):
-        base = MultiTenantConfig(resources=5, v=10, parallelism=6, max_arrivals=2)
-        kwargs = dict(
-            arrival_rates=[0.003],
-            tenant_counts=[1, 2],
-            scenarios=["static", "departures"],
-            policies=["fifo"],
-            base_config=base,
-            seed=2,
+        base = MultiTenantConfig(
+            resources=5, v=10, parallelism=6, max_arrivals=2, seed=2
         )
-        points_a = sweep_multi_workflow(**kwargs)
-        points_b = sweep_multi_workflow(**kwargs)
+        axes = {
+            "scenario": ["static", "departures"],
+            "tenants": [1, 2],
+            "arrival_rate": [0.003],
+            "policy": ["fifo"],
+        }
+        points_a = sweep_matrix(multi_tenant_cell, base, axes)
+        points_b = sweep_matrix(multi_tenant_cell, base, axes)
         assert len(points_a) == 4
-        assert [p.as_dict() for p in points_a] == [p.as_dict() for p in points_b]
+        assert [(p.scenario, p.tenants) for p in points_a] == [
+            ("static", 1), ("static", 2), ("departures", 1), ("departures", 2)
+        ]
+        assert [asdict(p) for p in points_a] == [asdict(p) for p in points_b]
         table = render_multi_tenant_matrix(points_a, title="matrix")
         assert "fairness" in table and "departures" in table
 
     def test_same_seed_same_workload_across_scenarios(self):
         """Scenario rows differ by dynamics, not workload sampling."""
-        base = MultiTenantConfig(resources=5, v=10, max_arrivals=2, seed=3)
-        points = sweep_multi_workflow(
-            scenarios=["static", "churn"],
-            tenant_counts=[2],
-            arrival_rates=[0.003],
-            base_config=base,
+        base = MultiTenantConfig(
+            resources=5, v=10, max_arrivals=2, seed=3, tenants=2, arrival_rate=0.003
+        )
+        points = sweep_matrix(
+            multi_tenant_cell, base, {"scenario": ["static", "churn"]}
         )
         static_point, churn_point = points
         assert static_point.workflows == churn_point.workflows

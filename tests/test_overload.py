@@ -533,6 +533,7 @@ class TestAdmissionUnderOverload:
                 max_deferrals=3,
             )
         )
+        off, on = off.metrics, on.metrics
         assert on.rejected + on.deferrals > 0
         assert on.p99_stretch < off.p99_stretch
         assert on.workflows + on.rejected == off.workflows
@@ -546,7 +547,7 @@ class TestAdmissionUnderOverload:
                 max_deferrals=5,
             )
         )
-        assert on.deferrals > 0
+        assert on.metrics.deferrals > 0
         on.result.shared_timelines()  # raises on any overlapping slot
 
     def test_rejected_workflows_produce_no_outcome(self):

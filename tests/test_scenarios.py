@@ -15,6 +15,7 @@ Covers the ISSUE-2 guarantees:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -332,16 +333,28 @@ class TestConfigScenarioWiring:
 
     def test_sweep_registry_names_flow_through_config_layer(self):
         from repro.experiments.config import RandomExperimentConfig
-        from repro.experiments.sweep import sweep_scenarios
+        from repro.experiments.runner import run_instances
+        from repro.experiments.sweep import scenario_cell, sweep_matrix
 
-        points = sweep_scenarios(
-            ["departures"],
-            base_config=RandomExperimentConfig(v=12, resources=4),
+        base = RandomExperimentConfig(v=12, resources=4, seed=1)
+        points = sweep_matrix(
+            scenario_cell,
+            base,
+            {"scenario": ["departures"]},
             instances=1,
             strategies=("HEFT", "AHEFT"),
-            seed=1,
         )
-        assert points[0].results[0].params["scenario"] == "departures"
+        assert points[0].scenario == "departures"
+        [result] = run_instances(
+            replace(base, scenario="departures"),
+            instances=1,
+            strategies=("HEFT", "AHEFT"),
+        )
+        assert result.params["scenario"] == "departures"
+        assert result.makespans == {
+            strategy: points[0].mean_makespans[strategy]
+            for strategy in ("HEFT", "AHEFT")
+        }
 
     def test_scenario_case_params_report_scenario_not_stale_model(self):
         from repro.experiments.config import RandomExperimentConfig

@@ -228,24 +228,22 @@ class TestMultiTenantStrategyInjection:
                 make_pool(4), scheduler_factory=AHEFTScheduler, strategy="aheft"
             )
 
-    def test_sweep_multi_workflow_carries_the_strategy_dimension(self):
-        from repro.experiments.multi_tenant import MultiTenantConfig
-        from repro.experiments.sweep import sweep_multi_workflow
+    def test_multi_tenant_matrix_carries_the_strategy_dimension(self):
+        from dataclasses import asdict
+
+        from repro.experiments.multi_tenant import MultiTenantConfig, multi_tenant_cell
+        from repro.experiments.sweep import sweep_matrix
 
         base = MultiTenantConfig(
-            tenants=2, resources=5, v=10, parallelism=5, max_arrivals=2, seed=0
+            tenants=2, arrival_rate=0.004, resources=5, v=10, parallelism=5,
+            max_arrivals=2, seed=0,
         )
-        points = sweep_multi_workflow(
-            arrival_rates=[0.004],
-            tenant_counts=[2],
-            scenarios=["static"],
-            policies=["fifo"],
-            strategies=["aheft", "cpop"],
-            base_config=base,
+        points = sweep_matrix(
+            multi_tenant_cell, base, {"strategy": ["aheft", "cpop"]}
         )
         assert [point.strategy for point in points] == ["aheft", "cpop"]
         for point in points:
-            assert point.as_dict()["strategy"] == point.strategy
+            assert asdict(point)["strategy"] == point.strategy
             assert point.workflows > 0
 
     def test_registered_but_fresh_strategy_reaches_the_shared_grid(self, make_pool):

@@ -14,15 +14,15 @@ Four guarantee families:
   Performance History Repository, the Predictor's re-estimated model moves
   towards the observed truths (both blend semantics), and the adaptive
   accept rule really plans with the re-estimated model.
-* **Determinism under parallelism** — ``run_replicated`` and
-  ``sweep_uncertainty`` produce byte-identical results for ``workers=1``
-  and ``workers=N``.
+* **Determinism under parallelism** — the uncertainty cell and its matrix
+  produce byte-identical results for ``workers=1`` and ``workers=N``.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,9 @@ from repro.core.predictor import (
     RatioAdjustedCostModel,
 )
 from repro.experiments.config import RandomExperimentConfig
-from repro.experiments.uncertainty import run_replicated, sweep_uncertainty
+from repro.experiments.runner import run_instances
+from repro.experiments.sweep import sweep_matrix
+from repro.experiments.uncertainty import uncertainty_cell
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.scenarios import materialize
 from repro.scheduling.validation import (
@@ -397,36 +399,23 @@ class TestPredictorFeedbackLoop:
 # determinism under parallelism
 # ----------------------------------------------------------------------
 def _point_payload(points):
-    return json.dumps([point.as_dict() for point in points], sort_keys=True)
+    return json.dumps([asdict(point) for point in points], sort_keys=True)
 
 
 class TestReplicationDeterminism:
-    def test_run_replicated_workers_match(self):
+    def test_uncertainty_cell_workers_match(self):
         config = RandomExperimentConfig(v=14, resources=5, seed=0, scenario="paper")
-        experiment = config.to_experiment_case()
-        model = registry.make("error_model", "gaussian", magnitude=0.3, seed=0)
-        serial = run_replicated(
-            experiment, error_model=model, replications=4, workers=1
-        )
-        parallel = run_replicated(
-            experiment, error_model=model, replications=4, workers=2
-        )
-        assert serial.makespans == parallel.makespans
-        assert serial.improvements == parallel.improvements
-        assert serial.stats == parallel.stats
+        kwargs = dict(magnitude=0.3, error_model="gaussian", replications=4)
+        serial = uncertainty_cell(config, workers=1, **kwargs)
+        parallel = uncertainty_cell(config, workers=2, **kwargs)
+        assert _point_payload([serial]) == _point_payload([parallel])
 
-    def test_sweep_uncertainty_workers_match(self):
+    def test_uncertainty_matrix_workers_match(self):
         base = RandomExperimentConfig(v=14, resources=5, seed=0)
-        kwargs = dict(
-            error_model="resource_bias",
-            scenarios=("paper",),
-            base_config=base,
-            instances=2,
-            replications=2,
-            seed=0,
-        )
-        serial = sweep_uncertainty([0.0, 0.4], workers=1, **kwargs)
-        parallel = sweep_uncertainty([0.0, 0.4], workers=3, **kwargs)
+        axes = {"scenario": ("paper",), "magnitude": [0.0, 0.4]}
+        kwargs = dict(error_model="resource_bias", instances=2, replications=2)
+        serial = sweep_matrix(uncertainty_cell, base, axes, workers=1, **kwargs)
+        parallel = sweep_matrix(uncertainty_cell, base, axes, workers=3, **kwargs)
         assert _point_payload(serial) == _point_payload(parallel)
 
     def test_repro_bench_workers_env_cannot_change_a_digit(self, monkeypatch):
@@ -446,42 +435,43 @@ class TestReplicationDeterminism:
         try:
             assert common.WORKERS == 3
             base = RandomExperimentConfig(v=12, resources=4, seed=0)
-            kwargs = dict(
-                error_model="gaussian",
-                scenarios=("paper",),
-                base_config=base,
-                instances=1,
-                replications=2,
-                seed=0,
+            axes = {"scenario": ("paper",), "magnitude": [0.3]}
+            kwargs = dict(error_model="gaussian", instances=1, replications=2)
+            env_driven = sweep_matrix(
+                uncertainty_cell, base, axes, workers=common.WORKERS, **kwargs
             )
-            env_driven = sweep_uncertainty([0.3], workers=common.WORKERS, **kwargs)
-            serial = sweep_uncertainty([0.3], workers=None, **kwargs)
+            serial = sweep_matrix(uncertainty_cell, base, axes, workers=None, **kwargs)
             assert _point_payload(env_driven) == _point_payload(serial)
         finally:
             sys.modules.pop("_common", None)
 
     def test_replications_share_workload_but_not_truth(self):
         config = RandomExperimentConfig(v=14, resources=5, seed=0, scenario="paper")
-        experiment = config.to_experiment_case()
-        summary = run_replicated(
-            experiment,
+        results = run_instances(
+            config,
+            instances=1,
+            strategies=("HEFT", "AHEFT"),
             error_model=registry.make("error_model", "gaussian", magnitude=0.4, seed=0),
             replications=4,
         )
-        assert len(summary.makespans["HEFT"]) == 4
-        assert len(set(summary.makespans["HEFT"])) > 1
-        assert summary.improvement_stats.count == 4
+        workloads = {
+            json.dumps(
+                {k: v for k, v in r.params.items() if k != "replication"},
+                sort_keys=True,
+                default=str,
+            )
+            for r in results
+        }
+        assert len(workloads) == 1
+        assert [r.params["replication"] for r in results] == [0, 1, 2, 3]
+        assert len({r.makespans["HEFT"] for r in results}) > 1
+        point = uncertainty_cell(config, magnitude=0.4, replications=4)
+        assert point.stats["HEFT"].count == 4
 
     def test_zero_magnitude_replications_are_degenerate(self):
         config = RandomExperimentConfig(v=14, resources=5, seed=0, scenario="paper")
-        experiment = config.to_experiment_case()
-        summary = run_replicated(
-            experiment,
-            error_model=registry.make("error_model", "gaussian", magnitude=0.0, seed=0),
-            replications=3,
-        )
-        for values in summary.makespans.values():
-            assert len(set(values)) == 1
-        for stat in summary.stats.values():
-            assert stat.minimum == stat.maximum
+        point = uncertainty_cell(config, magnitude=0.0, replications=3)
+        for stat in point.stats.values():
+            assert stat.count == 3
+            assert stat.min == stat.max
             assert stat.ci95_half == pytest.approx(0.0, abs=1e-9)
