@@ -212,9 +212,10 @@ def render_uncertainty_matrix(
 ) -> str:
     """One row per (scenario, error magnitude) with mean±CI95 makespans.
 
-    The last two columns report the improvement rate of AHEFT over HEFT —
-    once on the mean makespans (the paper's convention) and once as the
-    mean of the paired per-replication rates with its CI95 half-width.
+    The last two columns report the improvement rate of AHEFT over HEFT
+    (or of ``aheft`` over ``heft``) — once on the mean makespans (the
+    paper's convention) and once as the mean of the paired per-replication
+    rates with its CI95 half-width; ``-`` when neither pair ran.
     """
     if not points:
         return "(no data)"
@@ -234,9 +235,12 @@ def render_uncertainty_matrix(
         for strategy in strategies:
             stat = point.stats[strategy]
             row.append(f"{stat.mean:.1f}±{stat.ci95_half:.1f}")
-        half = (point.improvement_ci95_high - point.improvement_ci95_low) / 2.0
-        row.append(f"{100.0 * point.improvement:.1f}%")
-        row.append(f"{100.0 * point.improvement_mean:.1f}%±{100.0 * half:.1f}")
+        if point.improvement is None:
+            row.extend(["-", "-"])
+        else:
+            half = (point.improvement_ci95_high - point.improvement_ci95_low) / 2.0
+            row.append(f"{100.0 * point.improvement:.1f}%")
+            row.append(f"{100.0 * point.improvement_mean:.1f}%±{100.0 * half:.1f}")
         rows.append(row)
     table = format_table(headers, rows)
     if title:

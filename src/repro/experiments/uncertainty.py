@@ -34,9 +34,14 @@ from repro.experiments.metrics import (
 from repro.experiments.runner import run_instances
 
 __all__ = [
+    "IMPROVEMENT_PAIRS",
     "UncertaintyPoint",
     "uncertainty_cell",
 ]
+
+#: (baseline, improved) strategy pairs the improvement is reported for, in
+#: order of preference: the legacy ledger labels and their registry twins
+IMPROVEMENT_PAIRS = (("HEFT", "AHEFT"), ("heft", "aheft"))
 
 
 @dataclass
@@ -50,12 +55,14 @@ class UncertaintyPoint:
     replications: int
     #: strategy -> mean/std/CI95 of the achieved makespans
     stats: Dict[str, MakespanStatistics]
-    #: paper-style improvement rate of AHEFT over HEFT on the mean makespans
-    improvement: float
+    #: paper-style improvement rate of AHEFT over HEFT on the mean makespans;
+    #: this and the next three are ``None`` when no pair of
+    #: :data:`IMPROVEMENT_PAIRS` ran
+    improvement: Optional[float]
     #: mean and CI95 bounds of the paired per-replication improvement rates
-    improvement_mean: float
-    improvement_ci95_low: float
-    improvement_ci95_high: float
+    improvement_mean: Optional[float]
+    improvement_ci95_low: Optional[float]
+    improvement_ci95_high: Optional[float]
 
     @property
     def mean_makespans(self) -> Dict[str, float]:
@@ -100,15 +107,18 @@ def uncertainty_cell(
     stats = {
         strategy: makespan_statistics(values) for strategy, values in makespans.items()
     }
-    has_pair = "HEFT" in makespans and "AHEFT" in makespans
-    paired = makespan_statistics(
-        [
-            improvement_rate(b, a)
-            for b, a in zip(makespans["HEFT"], makespans["AHEFT"])
-        ]
-        if has_pair
-        else []
-    )
+    improvement = mean = low = high = None
+    pair = next((p for p in IMPROVEMENT_PAIRS if set(p) <= set(makespans)), None)
+    if pair is not None:
+        baseline, improved = pair
+        improvement = improvement_rate(stats[baseline].mean, stats[improved].mean)
+        paired = makespan_statistics(
+            [
+                improvement_rate(b, a)
+                for b, a in zip(makespans[baseline], makespans[improved])
+            ]
+        )
+        mean, low, high = paired.mean, paired.ci95_low, paired.ci95_high
     return UncertaintyPoint(
         scenario=config.scenario,
         error_model=model.name,
@@ -116,10 +126,8 @@ def uncertainty_cell(
         instances=instances,
         replications=replications,
         stats=stats,
-        improvement=improvement_rate(stats["HEFT"].mean, stats["AHEFT"].mean)
-        if has_pair
-        else 0.0,
-        improvement_mean=paired.mean,
-        improvement_ci95_low=paired.ci95_low,
-        improvement_ci95_high=paired.ci95_high,
+        improvement=improvement,
+        improvement_mean=mean,
+        improvement_ci95_low=low,
+        improvement_ci95_high=high,
     )

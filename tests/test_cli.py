@@ -501,6 +501,23 @@ class TestMcCommand:
             for key in ("mean", "std", "ci95_low", "ci95_high", "count"):
                 assert key in stat
 
+    def test_registry_names_report_the_aheft_improvement(self, tmp_path, capsys):
+        """The improvement resolves ``heft``/``aheft`` as well as the legacy
+        labels; when neither pair ran it is null and renders ``-``."""
+        out = tmp_path / "mc.json"
+        args = ["mc", "--quick", "--seed", "0", "--magnitude", "0.4", "--out", str(out)]
+        assert main(args + ["--strategies", "heft,aheft"]) == EXIT_OK
+        [point] = json.loads(out.read_text())["points"]
+        heft, aheft = (point["stats"][s]["mean"] for s in ("heft", "aheft"))
+        assert heft != aheft
+        assert point["improvement"] == pytest.approx((heft - aheft) / heft)
+        capsys.readouterr()
+        assert main(args + ["--strategies", "heft,cpop"]) == EXIT_OK
+        [point] = json.loads(out.read_text())["points"]
+        assert point["improvement"] is None and point["improvement_mean"] is None
+        row = capsys.readouterr().out.splitlines()[3]
+        assert row.split()[-2:] == ["-", "-"]
+
     def test_help_lists_every_registered_error_model(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["mc", "--help"])
