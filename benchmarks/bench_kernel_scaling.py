@@ -30,6 +30,11 @@ flash-crowd cases shaped like e2ebench's ``multi_flash_4t`` (4 tenants,
 estimate error at 0.5 may take at most ``MAX_CLOSED_LOOP_RATIO`` times the
 wall clock of the same run under accurate estimates.
 
+``flow_waves`` plans one V=1000 ``mincost_flow`` case on 20 resources
+twice — on the frame's dense state and on frames forced onto the scalar
+FEA path — asserting the two schedules are equal; its ``speedup`` is the
+scalar over the dense wall clock of the same run.
+
 Results go to ``benchmarks/results/kernel_scaling.{txt,json}`` and to a
 top-level ``BENCH_kernel.json`` so the performance trajectory is tracked
 across PRs.  Run directly (``python benchmarks/bench_kernel_scaling.py
@@ -60,6 +65,8 @@ from repro.generators.random_dag import (
 from repro.resources.dynamics import ResourceChangeModel
 from repro.scenarios import materialize
 from repro.scheduling.aheft import AHEFTScheduler
+from repro.scheduling.flow import MinCostFlowScheduler
+from repro.scheduling.frame import PartialScheduleFrame
 from repro.scheduling.heft import HEFTScheduler
 from repro.simulation.event_core import EventCore
 from repro.utils.rng import spawn_rng
@@ -107,6 +114,11 @@ MAX_SCALING_EXPONENT = 1.35
 #: run, so it holds on any host.  Measured V^1.04–1.17 at the full sizes; a
 #: quadratic term that quadruples the V=100k latency reads about V^1.34.
 MAX_RESCHEDULE_EXPONENT = 1.25
+
+#: Flow-wave case: one min-cost-flow plan (the scheduler's default
+#: ``octopus`` prices) of a V=1000 random DAG on 20 resources.
+FLOW_V = 1000
+FLOW_POOL = 20
 
 #: Closed-loop cases: flash-crowd arrival streams of 4 tenants on 16
 #: resources (up to 40 arrivals each), one per seed; quick mode runs the
@@ -362,6 +374,43 @@ def measure_event_core_overhead(
     }
 
 
+def measure_flow_waves(v: int = FLOW_V) -> Dict[str, float]:
+    """Whole ``mincost_flow`` plans on dense vs forced-scalar frames.
+
+    Every wave books its placed tasks through ``frame.earliest_finish``;
+    the dense frame answers from its per-job state and computation rows,
+    the scalar one through one ``fea`` call per predecessor.  The two
+    schedules must be equal.
+    """
+    case = _random_case(v, seed=7)
+    workflow, costs = case.workflow, case.costs
+    resources = [f"r{i + 1}" for i in range(FLOW_POOL)]
+    _warm_cost_draws(workflow, costs, resources)
+    scheduler = MinCostFlowScheduler()
+
+    def dense_plan():
+        return scheduler.schedule(workflow, costs, resources)
+
+    def scalar_plan():
+        frame = PartialScheduleFrame(workflow, costs, resources, name=scheduler.name)
+        frame._fast = False
+        return scheduler.place(frame)
+
+    dense_seconds = _best_of(dense_plan)
+    scalar_seconds = _best_of(scalar_plan)
+    dense = dense_plan()
+    if dense.to_dict() != scalar_plan().to_dict():
+        raise AssertionError("dense flow waves diverged from the scalar frame")
+    return {
+        "v": v,
+        "resources": FLOW_POOL,
+        "dense_seconds": dense_seconds,
+        "scalar_seconds": scalar_seconds,
+        "speedup": scalar_seconds / dense_seconds,
+        "makespan": dense.makespan(),
+    }
+
+
 def measure_closed_loop(seeds=CLOSED_LOOP_SEEDS, max_arrivals: int = CLOSED_LOOP_ARRIVALS):
     """Wall clock of noisy vs accurate-estimate shared-grid runs.
 
@@ -434,6 +483,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     scaling = measure_scaling_series(
         SCALING_SIZES_QUICK if quick else SCALING_SIZES
     )
+    flow_waves = measure_flow_waves()
     return {
         "quick": quick,
         "static_heft": heft_rows,
@@ -441,6 +491,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "event_core_overhead": overhead_row,
         "scaling_series": scaling,
         "closed_loop": closed_loop,
+        "flow_waves": flow_waves,
     }
 
 
@@ -476,6 +527,13 @@ def render(results: Dict[str, object]) -> str:
         f"closed loop ({c['cases']} flash-crowd cases, {c['arrivals']} arrivals): "
         f"noisy {c['noisy_seconds']:.2f}s / exact {c['exact_seconds']:.2f}s = "
         f"{c['ratio']:.2f}x (gate ≤ {MAX_CLOSED_LOOP_RATIO}x)"
+    )
+    f = results["flow_waves"]
+    lines.append("")
+    lines.append(
+        f"flow waves (mincost_flow, V={f['v']}, {f['resources']} resources): "
+        f"dense {f['dense_seconds'] * 1e3:.1f} ms / scalar "
+        f"{f['scalar_seconds'] * 1e3:.1f} ms = {f['speedup']:.2f}x"
     )
     s = results["scaling_series"]
     lines.append("")

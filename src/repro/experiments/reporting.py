@@ -12,7 +12,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.experiments.multi_tenant import MultiWorkflowPoint
 from repro.experiments.runner import CaseResult
 from repro.experiments.sweep import ScenarioPoint, SweepPoint
-from repro.experiments.uncertainty import UncertaintyPoint
+from repro.experiments.uncertainty import IMPROVEMENT_PAIRS, UncertaintyPoint
 
 __all__ = [
     "format_table",
@@ -109,6 +109,11 @@ def render_series(
     return table
 
 
+def _improvement_pair(labels: Sequence[str]) -> Optional[tuple]:
+    """The first :data:`IMPROVEMENT_PAIRS` entry whose labels all ran."""
+    return next((pair for pair in IMPROVEMENT_PAIRS if set(pair) <= set(labels)), None)
+
+
 def render_scenario_matrix(
     points: Sequence[ScenarioPoint],
     *,
@@ -120,24 +125,27 @@ def render_scenario_matrix(
         return "(no data)"
     strategies = list(strategies or points[0].mean_makespans.keys())
     headers = ["scenario"] + list(strategies)
-    has_pair = "HEFT" in strategies and "AHEFT" in strategies
-    if has_pair:
-        headers.append("AHEFT vs HEFT")
-    if "AHEFT" in strategies:
-        headers.append("resched(AHEFT)")
+    pair = _improvement_pair(strategies)
+    if pair is not None:
+        headers.append(f"{pair[1]} vs {pair[0]}")
+    improved = next(
+        (label for _, label in IMPROVEMENT_PAIRS if label in strategies), None
+    )
+    if improved is not None:
+        headers.append(f"resched({improved})")
     headers.append("wasted(max)")
     rows: List[List[object]] = []
     for point in points:
         row: List[object] = [point.scenario]
         for strategy in strategies:
             row.append(point.mean_makespans.get(strategy, float("nan")))
-        if has_pair:
-            if "HEFT" in point.mean_makespans and "AHEFT" in point.mean_makespans:
-                row.append(f"{100.0 * point.improvement():.1f}%")
+        if pair is not None:
+            if set(pair) <= set(point.mean_makespans):
+                row.append(f"{100.0 * point.improvement(*pair):.1f}%")
             else:
                 row.append("-")
-        if "AHEFT" in strategies:
-            row.append(f"{point.mean_reschedules.get('AHEFT', 0.0):.1f}")
+        if improved is not None:
+            row.append(f"{point.mean_reschedules.get(improved, 0.0):.1f}")
         row.append(max(point.mean_wasted_work.values(), default=0.0))
         rows.append(row)
     table = format_table(headers, rows)
@@ -258,14 +266,15 @@ def render_case_results(
     if not results:
         return "(no data)"
     strategies = list(strategies or results[0].strategies())
-    headers = ["case"] + list(strategies) + ["AHEFT vs HEFT"]
+    pair = _improvement_pair(strategies) or IMPROVEMENT_PAIRS[0]
+    headers = ["case"] + list(strategies) + [f"{pair[1]} vs {pair[0]}"]
     rows = []
     for index, result in enumerate(results):
         row: List[object] = [index]
         for strategy in strategies:
             row.append(result.makespans.get(strategy, float("nan")))
-        if "HEFT" in result.makespans and "AHEFT" in result.makespans:
-            row.append(f"{100.0 * result.improvement():.1f}%")
+        if set(pair) <= set(result.makespans):
+            row.append(f"{100.0 * result.improvement(*pair):.1f}%")
         else:
             row.append("-")
         rows.append(row)

@@ -16,8 +16,9 @@ SNIPPETS.md):
 
 ``octopus``
     pure load balancing: ``cost = core_id + running_tasks(rid) *
-    BUSY_PU_OFFSET``, with the busy-PU count read off the frame's
-    timelines instead of Firmament's machine topology; task-independent.
+    BUSY_PU_OFFSET``, with the busy-PU count the frame keeps for its
+    timelines (``frame.running_tasks``) instead of Firmament's machine
+    topology; task-independent.
 ``locality``
     data-gravity: the summed average communication cost of every
     predecessor whose output is *not* already on the candidate resource
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.scheduling.base import TIME_EPS
 from repro.scheduling.frame import PartialScheduleFrame
 
 __all__ = [
@@ -58,7 +58,7 @@ DEFERRAL_COST = 64 * BUSY_PU_OFFSET
 
 def _running_tasks(frame: PartialScheduleFrame, rid: str) -> int:
     """Bookings on ``rid`` still occupying it at or after the clock."""
-    return frame.timelines[rid].count_finishing_after(frame.clock + TIME_EPS)
+    return frame.running_tasks(rid)
 
 
 class FlowCostModel:

@@ -17,11 +17,12 @@ sequencing (when), the DAG is consumed in **waves**:
 2. price the arcs with the configured cost model and solve one
    unit-capacity assignment
    (:func:`~repro.scheduling.flow.graph.solve_assignment`; a
-   task-independent model is priced once per resource and solved on the
-   equivalence-class graph),
+   task-independent model is priced once per resource, from the frame's
+   kept running-task counts, and solved on the equivalence-class graph),
 3. book the placed tasks onto the frame's timelines at their earliest
-   feasible slot; tasks the solve routed to the unscheduled aggregator
-   wait for a later wave,
+   feasible slot (``frame.earliest_finish``, answered from the frame's
+   dense per-job state when the cost model allows its fast path); tasks
+   the solve routed to the unscheduled aggregator wait for a later wave,
 4. if a wave places nothing (every deferral arc undercut every
    placement arc), force-place the first ready job by HEFT's minimum-EFT
    rule so the loop always terminates.

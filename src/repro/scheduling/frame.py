@@ -42,7 +42,15 @@ memoized computation rows, index-addressed per-job state (finished flag,
 AFT, executed-on resource, recorded arrivals, and the finish/resource of
 every placed job), a per-predecessor default/override decomposition of the
 ready time, and :func:`_min_eft_scan`, which replays the scalar scan's
-acceptance chain with at most a handful of gap searches.  Every fast path
+acceptance chain with at most a handful of gap searches.  The exact
+per-resource ready time of that decomposition (``_ready_on``) also
+answers :meth:`~PartialScheduleFrame.earliest_finish` on such a frame, so
+strategies that book a chosen resource directly (the min-cost-flow
+waves) skip the scalar FEA too; :meth:`~PartialScheduleFrame.fea` and
+:meth:`~PartialScheduleFrame.ready_time` stay the scalar reference.  The
+frame also keeps each resource's count of bookings still running after
+the clock (:meth:`~PartialScheduleFrame.running_tasks`, the OCTOPUS
+load), counted once and then bumped by its own bookings.  Every fast path
 is bit-identical to the scalar loop (``tests/test_frame_fast_path.py``)
 and to the frozen seed kernel kept as a test oracle in
 ``benchmarks/_seed_reference.py`` (``tests/test_scheduling_base.py``).
@@ -81,6 +89,14 @@ _POS_INF = float("inf")
 #: pre-folded right-hand side of the epsilon-duration guard
 #: ``duration - TIME_EPS > TIME_EPS + _GAP_FILTER_SLACK``
 _EPS_SLACK = TIME_EPS + _GAP_FILTER_SLACK
+
+
+def _unplaced_predecessor(pred: str, job: str) -> RuntimeError:
+    return RuntimeError(
+        f"predecessor {pred!r} of {job!r} is neither executed nor scheduled; "
+        "the placement order is not topologically consistent"
+    )
+
 
 def _scheduled_transfer_arrival(
     pred: str,
@@ -474,6 +490,9 @@ class PartialScheduleFrame:
             if current is None or dup.finish < current:
                 self._dup_finish[key] = dup.finish
             self._dup_rids.setdefault(dup.job_id, []).append(dup.resource_id)
+        #: bookings finishing after ``clock + TIME_EPS`` per resource,
+        #: counted on first use (see :meth:`running_tasks`)
+        self._running: Optional[Dict[str, int]] = None
 
         # ------------------------------------------------------------------
         # fast-path state (see :meth:`min_eft_placement`): every per-job
@@ -543,11 +562,7 @@ class PartialScheduleFrame:
         else:
             pred_assignment = self.schedule.get(pred)
             if pred_assignment is None:
-                raise RuntimeError(
-                    f"predecessor {pred!r} of {job!r} is neither executed nor "
-                    "scheduled; the placement order is not topologically "
-                    "consistent"
-                )
+                raise _unplaced_predecessor(pred, job)
             if pred_assignment.resource_id == rid:
                 base = pred_assignment.finish  # Case 3
             else:
@@ -572,12 +587,92 @@ class PartialScheduleFrame:
     def earliest_finish(
         self, job: str, rid: str, *, insertion: bool = True
     ) -> Tuple[float, float]:
-        """``(start, finish)`` of the best slot for ``job`` on ``rid``."""
-        duration = self.costs.computation_cost(job, rid)
-        start = self.timelines[rid].earliest_start(
-            self.ready_time(job, rid), duration, insertion=insertion
-        )
+        """``(start, finish)`` of the best slot for ``job`` on ``rid``.
+
+        A fast frame reads the ready time and the duration off its dense
+        state (:meth:`_ready_on`, the computation rows), bit-identical to
+        :meth:`ready_time` and the cost model's scalar query.
+        """
+        if self._fast:
+            i = self._job_index[job]
+            ready = self._ready_on(i, rid, self._previous_target(job))
+            duration = self._w_rows[i][self._rid_index[rid]]
+        else:
+            ready = self.ready_time(job, rid)
+            duration = self.costs.computation_cost(job, rid)
+        start = self.timelines[rid].earliest_start(ready, duration, insertion=insertion)
         return start, start + duration
+
+    def _previous_target(self, job: str) -> Optional[str]:
+        """The resource ``job`` was mapped to in the previous schedule."""
+        prev = self.previous_schedule
+        old = prev._assignments.get(job) if prev is not None else None
+        return old.resource_id if old is not None else None
+
+    def _ready_on(self, i: int, rid: str, old_rid: Optional[str]) -> float:
+        """:meth:`ready_time` of dense job ``i`` on ``rid``, on a fast frame.
+
+        One FEA case per predecessor off the dense per-job state, with
+        placement-uniform communication ``comm``; ``old_rid`` is the job's
+        previous target (:meth:`_previous_target`).
+        """
+        clock = self.clock
+        finished = self._finished
+        aft_of = self._aft
+        executed_on = self._executed_on
+        arrivals_of = self._arrivals
+        finish_of = self._finish_of
+        resource_of = self._resource_of
+        job_names = self._job_names
+        dup_finish = self._dup_finish
+        ready = clock
+        for p, comm in self._pred_comm[i]:
+            if finished[p]:
+                if executed_on[p] == rid:
+                    value = aft_of[p]  # Case 1
+                else:
+                    recorded = None
+                    for arid, time in arrivals_of[p]:
+                        if arid == rid:
+                            recorded = time
+                            break
+                    if recorded is not None:
+                        value = recorded  # recorded transfer
+                    elif rid == old_rid:
+                        value = aft_of[p] + comm  # implied transfer
+                    else:
+                        value = clock + comm  # Case 2
+            else:
+                pred_finish = finish_of[p]
+                if pred_finish is None:
+                    raise _unplaced_predecessor(job_names[p], job_names[i])
+                if resource_of[p] == rid:
+                    value = pred_finish  # Case 3
+                else:
+                    value = pred_finish + comm  # otherwise
+            if dup_finish:
+                dup = dup_finish.get((job_names[p], rid))
+                if dup is not None and dup < value:
+                    value = dup
+            if value > ready:
+                ready = value
+        return ready
+
+    def running_tasks(self, rid: str) -> int:
+        """Bookings on ``rid`` that finish after ``clock + TIME_EPS``.
+
+        Counted off the timelines on first use; from then on :meth:`place`
+        and :meth:`place_duplicate`, the frame's only booking points, keep
+        the counts.
+        """
+        running = self._running
+        if running is None:
+            after = self.clock + TIME_EPS
+            running = self._running = {
+                r: timeline.count_finishing_after(after)
+                for r, timeline in self.timelines.items()
+            }
+        return running[rid]
 
     # ------------------------------------------------------------------
     # placement
@@ -586,6 +681,8 @@ class PartialScheduleFrame:
         assignment = Assignment(job, rid, start, finish)
         self.timelines[rid].occupy(start, finish, job)
         self.schedule.add(assignment)
+        if self._running is not None and finish > self.clock + TIME_EPS:
+            self._running[rid] += 1
         if self._scan_buf is not None:
             self._scan_buf.refresh(self._rid_index[rid])
             p = self._job_index[job]
@@ -600,6 +697,8 @@ class PartialScheduleFrame:
         assignment = Assignment(job, rid, start, finish)
         self.timelines[rid].occupy(start, finish, f"<dup:{job}>")
         self.schedule.add_duplicate(assignment)
+        if self._running is not None and finish > self.clock + TIME_EPS:
+            self._running[rid] += 1
         current = self._dup_finish.get((job, rid))
         if current is None or finish < current:
             self._dup_finish[(job, rid)] = finish
@@ -660,9 +759,7 @@ class PartialScheduleFrame:
         resource_of = self._resource_of
         job_names = self._job_names
         i = self._job_index[job]
-        prev = self.previous_schedule
-        old = prev._assignments.get(job) if prev is not None else None
-        old_rid = old.resource_id if old is not None else None
+        old_rid = self._previous_target(job)
         preds = self._pred_comm[i]
         d1 = clock
         p1 = -1
@@ -683,11 +780,7 @@ class PartialScheduleFrame:
             else:
                 pred_finish = finish_of[p]
                 if pred_finish is None:
-                    raise RuntimeError(
-                        f"predecessor {job_names[p]!r} of {job!r} is neither "
-                        "executed nor scheduled; the placement order is not "
-                        "topologically consistent"
-                    )
+                    raise _unplaced_predecessor(job_names[p], job)
                 default = pred_finish + comm  # otherwise
                 if pred_finish > default:  # negative comm (defensive)
                     must.append(resource_of[p])
@@ -712,36 +805,7 @@ class PartialScheduleFrame:
             j = self._rid_index.get(rid)
             if j is None:
                 continue  # override on a resource that left the pool
-            ready = clock
-            for p, comm in preds:
-                if finished[p]:
-                    if executed_on[p] == rid:
-                        value = aft_of[p]  # Case 1
-                    else:
-                        recorded = None
-                        for arid, time in arrivals_of[p]:
-                            if arid == rid:
-                                recorded = time
-                                break
-                        if recorded is not None:
-                            value = recorded  # recorded transfer
-                        elif rid == old_rid:
-                            value = aft_of[p] + comm  # implied transfer
-                        else:
-                            value = clock + comm  # Case 2
-                else:
-                    pred_finish = finish_of[p]
-                    if resource_of[p] == rid:
-                        value = pred_finish  # Case 3
-                    else:
-                        value = pred_finish + comm  # otherwise
-                if dup_finish:
-                    dup = dup_finish.get((job_names[p], rid))
-                    if dup is not None and dup < value:
-                        value = dup
-                if value > ready:
-                    ready = value
-            ready_buf[j] = ready
+            ready_buf[j] = self._ready_on(i, rid, old_rid)
         best_j, best_start, best_finish = _min_eft_scan(
             self._scan_buf, ready_buf, self._w_rows[i], insertion
         )

@@ -183,6 +183,18 @@ class TestSweepCommand:
         ledger = json.loads(out.read_text())
         assert "interval=150" in ledger["scenarios"][0]["description"]
 
+    def test_registry_names_get_the_improvement_columns(self, tmp_path, capsys):
+        args = ["sweep", "--scenario", "departures", "--quick"]
+        out = str(tmp_path / "s.json")
+        assert main(args + ["--strategies", "heft,aheft", "--out", out]) == EXIT_OK
+        table = capsys.readouterr().out
+        assert "aheft vs heft" in table and "resched(aheft)" in table
+        assert main(args + ["--strategies", "HEFT,AHEFT", "--out", out]) == EXIT_OK
+        legacy = capsys.readouterr().out
+        assert "AHEFT vs HEFT" in legacy and "resched(AHEFT)" in legacy
+        # the same runs under either label pair: the same numbers
+        assert table.lower().split("ledger")[0] == legacy.lower().split("ledger")[0]
+
     def test_unknown_scenario_exits_two(self, tmp_path):
         assert (
             main(["sweep", "--scenario", "nope", "--out", str(tmp_path / "x.json")])

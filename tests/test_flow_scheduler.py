@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from repro import registry
 from repro.scheduling.base import ResourceTimeline
 from repro.scheduling.flow import (
     BUSY_PU_OFFSET,
+    COST_SCALE,
     DEFERRAL_COST,
     CreditCostModel,
     FlowNetwork,
@@ -112,6 +114,11 @@ class TestAssignmentGraph:
         assert run() == run()
 
 
+def _scaled(cost):
+    """A float arc cost in the solver's fixed-point units."""
+    return max(0, int(round(cost * COST_SCALE)))
+
+
 def _both_graphs(tasks, resources, prices, deferral):
     """One wave solved on the full ``T × R`` graph and the class graph."""
 
@@ -206,6 +213,43 @@ class TestEquivalenceClassGraph:
         prices = {"r1": 2.0, "r2": 1.0}
         full, classes = _both_graphs(["a", "b", "c", "d"], list(prices), prices, 50.0)
         assert classes == full == {"a": "r2", "b": "r1"}
+
+    def test_matches_the_sorted_closed_form(self):
+        """The class-graph solve is a sort: keep the resources priced at or
+        below the deferral, order them by (scaled price, pool index) and
+        pair them with the first ``min(T, R)`` ready tasks in ready order.
+
+        Holds on seeded waves with few price levels, many of them equal
+        to the deferral, so a solve of task-independent waves could drop
+        the SPFA for this sort without moving a placement.
+        """
+        rng = random.Random(20_000)
+        for _ in range(10_000):
+            pool = rng.randint(1, 8)
+            resources = [f"r{i}" for i in range(pool)]
+            step = rng.choice([1.0, 2.5, 100.0, 1.0 / 3.0])
+            prices = {rid: rng.randint(0, 3) * step for rid in resources}
+            if rng.random() < 0.5:
+                deferral = rng.choice(list(prices.values()))
+            else:
+                deferral = rng.randint(0, 4) * step
+            tasks = [f"t{i}" for i in range(rng.randint(1, 3 * pool))]
+            kept = sorted(
+                (_scaled(prices[rid]), r)
+                for r, rid in enumerate(resources)
+                if _scaled(prices[rid]) <= _scaled(deferral)
+            )
+            closed_form = {
+                task: resources[r] for task, (_, r) in zip(tasks[:pool], kept)
+            }
+            classes = solve_assignment(
+                tasks,
+                resources,
+                lambda t, rid, p=prices: p[rid],
+                lambda t, d=deferral: d,
+                task_independent=True,
+            )
+            assert classes == closed_form, (tasks, prices, deferral)
 
     def test_each_resource_is_priced_once(self):
         priced = []
