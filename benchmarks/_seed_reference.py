@@ -31,7 +31,11 @@ This module preserves the seed algorithms verbatim so that
   or a skip, its deviation scan and its served-time fold over every
   admitted workflow) and the state builders of :func:`seed_repair_schedule`
   and :func:`seed_frame_pins` (``job_status`` per job, a new
-  ``Assignment`` per finished job).
+  ``Assignment`` per finished job),
+* ``benchmarks/bench_kernel_scaling.py`` and ``tests/test_flow_scheduler.py``
+  can check the min-cost-flow scheduler's equivalence-class graph against
+  :func:`seed_solve_through_classes`, the version that gave every task of
+  a wave its own node and three arcs.
 
 Do not optimise this module — its slowness is the point.
 """
@@ -52,6 +56,8 @@ from repro.scheduling.base import (
     TIME_EPS,
 )
 from repro.scheduling.bookings import as_busy_view
+from repro.scheduling.flow.graph import _scaled
+from repro.scheduling.flow.solver import FlowNetwork
 from repro.simulation.executor import dispatch_duration, record_observation
 from repro.workflow.costs import CostModel
 from repro.workflow.dag import Workflow
@@ -77,6 +83,7 @@ __all__ = [
     "seed_replay",
     "seed_next_deviation",
     "seed_served_by_tenant",
+    "seed_solve_through_classes",
 ]
 
 
@@ -1360,3 +1367,44 @@ def seed_served_by_tenant(planner, clock: float) -> Dict[str, float]:
     for wf in planner._active.values():
         served[wf.tenant] = served.get(wf.tenant, 0.0) + wf.consumed_time(clock)
     return served
+
+
+# ----------------------------------------------------------------------
+# the flow scheduler's equivalence-class graph, one node per task
+# ----------------------------------------------------------------------
+def seed_solve_through_classes(tasks, resources, assignment_cost, deferral_cost):
+    """Frozen ``flow/graph.py::_solve_through_classes``: every ready task
+    of the wave is its own node, with an arc from the source and one each
+    to the class and the ``wait`` node."""
+    probe = tasks[0]
+    prices = [_scaled(assignment_cost(probe, rid)) for rid in resources]
+    deferral = _scaled(deferral_cost(probe))
+    tasks = tasks[: len(resources)]
+    task_count = len(tasks)
+    source, sink, aggregator, task_class, wait = 0, 1, 2, 3, 4
+    task_base = 5
+    resource_base = task_base + task_count
+    network = FlowNetwork(resource_base + len(resources))
+
+    class_arcs = []
+    for i in range(task_count):
+        network.add_arc(source, task_base + i, 1, 0)
+        class_arcs.append(network.add_arc(task_base + i, task_class, 1, 0))
+        network.add_arc(task_base + i, wait, 1, 0)
+    resource_arcs = [
+        network.add_arc(task_class, resource_base + r, 1, price)
+        for r, price in enumerate(prices)
+    ]
+    network.add_arc(wait, aggregator, task_count, deferral)
+    for r in range(len(resources)):
+        network.add_arc(resource_base + r, sink, 1, 0)
+    network.add_arc(aggregator, sink, task_count, 0)
+
+    flow, _ = network.min_cost_max_flow(source, sink)
+    assert flow == task_count, "aggregator arc keeps the program feasible"
+    placed = [task for task, arc in zip(tasks, class_arcs) if network.flow_on(arc) > 0]
+    used = sorted(
+        (prices[r], r) for r, arc in enumerate(resource_arcs) if network.flow_on(arc) > 0
+    )
+    assert len(placed) == len(used), "every class unit leaves through one resource"
+    return {task: resources[r] for task, (_, r) in zip(placed, used)}

@@ -33,7 +33,12 @@ wall clock of the same run under accurate estimates.
 ``flow_waves`` plans one V=1000 ``mincost_flow`` case on 20 resources
 twice — on the frame's dense state and on frames forced onto the scalar
 FEA path — asserting the two schedules are equal; its ``speedup`` is the
-scalar over the dense wall clock of the same run.
+scalar over the dense wall clock of the same run.  The same plan's waves,
+priced once, are then solved again through the one-node-per-task class
+graph frozen in ``_seed_reference`` and through the one-supply-node graph
+the scheduler uses, asserting equal placements; ``solve_speedup`` is the
+oracle over the bundled wall clock, gated in quick mode too at
+``MIN_FLOW_SOLVE_SPEEDUP``.
 
 Results go to ``benchmarks/results/kernel_scaling.{txt,json}`` and to a
 top-level ``BENCH_kernel.json`` so the performance trajectory is tracked
@@ -52,7 +57,11 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 from _common import publish, run_once
-from _seed_reference import SeedAHEFTScheduler, seed_heft_schedule
+from _seed_reference import (
+    SeedAHEFTScheduler,
+    seed_heft_schedule,
+    seed_solve_through_classes,
+)
 
 from repro import registry
 from repro.core.admission import AdmissionConfig
@@ -66,6 +75,8 @@ from repro.resources.dynamics import ResourceChangeModel
 from repro.scenarios import materialize
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.flow import MinCostFlowScheduler
+from repro.scheduling.flow import scheduler as flow_scheduler
+from repro.scheduling.flow.graph import solve_assignment
 from repro.scheduling.frame import PartialScheduleFrame
 from repro.scheduling.heft import HEFTScheduler
 from repro.simulation.event_core import EventCore
@@ -119,6 +130,12 @@ MAX_RESCHEDULE_EXPONENT = 1.25
 #: ``octopus`` prices) of a V=1000 random DAG on 20 resources.
 FLOW_V = 1000
 FLOW_POOL = 20
+
+#: Floor on the per-task over the one-supply-node class graph's wall clock
+#: on that case's 59 waves — a ratio of timings from one run.  On a 2-vCPU
+#: host 18 runs read 1.58–1.87x (median 1.66x); a graph that grows with
+#: the wave again reads about 1.0x.
+MIN_FLOW_SOLVE_SPEEDUP = 1.3
 
 #: Closed-loop cases: flash-crowd arrival streams of 4 tenants on 16
 #: resources (up to 40 arrivals each), one per seed; quick mode runs the
@@ -374,13 +391,35 @@ def measure_event_core_overhead(
     }
 
 
+def _record_class_waves(plan: Callable[[], object]) -> List[tuple]:
+    """The task-independent waves one ``plan()`` solves, each as its ready
+    tasks, resources, per-resource prices and deferral price."""
+    waves = []
+
+    def recording_solve(tasks, resources, assignment_cost, deferral_cost, **kwargs):
+        if kwargs.get("task_independent"):
+            probe = tasks[0]
+            prices = [assignment_cost(probe, rid) for rid in resources]
+            waves.append((list(tasks), list(resources), prices, deferral_cost(probe)))
+        return solve_assignment(tasks, resources, assignment_cost, deferral_cost, **kwargs)
+
+    flow_scheduler.solve_assignment = recording_solve
+    try:
+        plan()
+    finally:
+        flow_scheduler.solve_assignment = solve_assignment
+    return waves
+
+
 def measure_flow_waves(v: int = FLOW_V) -> Dict[str, float]:
-    """Whole ``mincost_flow`` plans on dense vs forced-scalar frames.
+    """Whole ``mincost_flow`` plans on dense vs forced-scalar frames, and
+    the plan's waves on the per-task vs the one-supply-node class graph.
 
     Every wave books its placed tasks through ``frame.earliest_finish``;
     the dense frame answers from its per-job state and computation rows,
     the scalar one through one ``fea`` call per predecessor.  The two
-    schedules must be equal.
+    schedules must be equal, and so must the placements of both class
+    graphs on every wave.
     """
     case = _random_case(v, seed=7)
     workflow, costs = case.workflow, case.costs
@@ -401,6 +440,30 @@ def measure_flow_waves(v: int = FLOW_V) -> Dict[str, float]:
     dense = dense_plan()
     if dense.to_dict() != scalar_plan().to_dict():
         raise AssertionError("dense flow waves diverged from the scalar frame")
+
+    waves = [
+        (
+            tasks,
+            pool,
+            lambda _task, rid, price=dict(zip(pool, prices)): price[rid],
+            lambda _task, deferral=deferral: deferral,
+        )
+        for tasks, pool, prices, deferral in _record_class_waves(dense_plan)
+    ]
+
+    def oracle_solves():
+        return [seed_solve_through_classes(*wave) for wave in waves]
+
+    def bundled_solves():
+        return [solve_assignment(*wave, task_independent=True) for wave in waves]
+
+    # alternated, so that both graphs see the same stretches of host load
+    oracle_solve_seconds = bundled_solve_seconds = float("inf")
+    for _ in range(9):
+        oracle_solve_seconds = min(oracle_solve_seconds, _best_of(oracle_solves, repeats=1))
+        bundled_solve_seconds = min(bundled_solve_seconds, _best_of(bundled_solves, repeats=1))
+    if oracle_solves() != bundled_solves():
+        raise AssertionError("the one-supply-node class graph diverged from the oracle")
     return {
         "v": v,
         "resources": FLOW_POOL,
@@ -408,6 +471,10 @@ def measure_flow_waves(v: int = FLOW_V) -> Dict[str, float]:
         "scalar_seconds": scalar_seconds,
         "speedup": scalar_seconds / dense_seconds,
         "makespan": dense.makespan(),
+        "waves": len(waves),
+        "oracle_solve_seconds": oracle_solve_seconds,
+        "bundled_solve_seconds": bundled_solve_seconds,
+        "solve_speedup": oracle_solve_seconds / bundled_solve_seconds,
     }
 
 
@@ -535,6 +602,12 @@ def render(results: Dict[str, object]) -> str:
         f"dense {f['dense_seconds'] * 1e3:.1f} ms / scalar "
         f"{f['scalar_seconds'] * 1e3:.1f} ms = {f['speedup']:.2f}x"
     )
+    lines.append(
+        f"  class-graph solves ({f['waves']} waves): per-task oracle "
+        f"{f['oracle_solve_seconds'] * 1e3:.1f} ms / one supply node "
+        f"{f['bundled_solve_seconds'] * 1e3:.1f} ms = {f['solve_speedup']:.2f}x "
+        f"(gate ≥ {MIN_FLOW_SOLVE_SPEEDUP}x)"
+    )
     s = results["scaling_series"]
     lines.append("")
     lines.append("sparse scaling series (fast kernel, 20 resources, |E| ≈ 10·V):")
@@ -580,6 +653,13 @@ def check_thresholds(results: Dict[str, object]) -> None:
     assert closed_loop["ratio"] <= MAX_CLOSED_LOOP_RATIO, (
         f"noisy shared-grid runs take {closed_loop['ratio']:.2f}x the wall clock "
         f"of accurate-estimate runs, above the {MAX_CLOSED_LOOP_RATIO}x ceiling"
+    )
+    # and the class-graph solve ratio
+    flow_waves = results["flow_waves"]
+    assert flow_waves["solve_speedup"] >= MIN_FLOW_SOLVE_SPEEDUP, (
+        f"the one-supply-node class graph solves the flow waves only "
+        f"{flow_waves['solve_speedup']:.2f}x faster than the per-task oracle, "
+        f"below the {MIN_FLOW_SOLVE_SPEEDUP}x floor"
     )
     scaling = results["scaling_series"]
     if results.get("quick"):

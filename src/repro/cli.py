@@ -268,6 +268,7 @@ def _write_ledger(
     args: argparse.Namespace,
     kind: str,
     base,
+    axes: Dict[str, Sequence[object]],
     points: Sequence[object],
     table: str,
     *,
@@ -275,12 +276,19 @@ def _write_ledger(
     **extra,
 ) -> int:
     """Print a matrix's table; write its ledger to ``--out`` (default
-    ``results/<--name>.json``)."""
+    ``results/<--name>.json``).
+
+    ``base_config`` leaves out the matrix ``axes``: the base config only
+    holds their class defaults, the points carry the values each cell ran.
+    """
     print(table)
+    base_config = {
+        name: value for name, value in base.as_params().items() if name not in axes
+    }
     ledger = {
         "name": args.name,
         "kind": kind,
-        "base_config": base.as_params(),
+        "base_config": base_config,
         "seed": args.seed,
         points_key: [dataclasses.asdict(point) for point in points],
         "lines": table.splitlines(),
@@ -327,6 +335,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args,
         "scenario_sweep",
         base,
+        axes,
         points,
         table,
         points_key="scenarios",
@@ -394,6 +403,7 @@ def _cmd_multi(args: argparse.Namespace) -> int:
         args,
         "multi_workflow_sweep",
         base,
+        axes,
         points,
         table,
         tenants=args.tenants,
@@ -461,6 +471,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         args,
         "uncertainty_sweep",
         base,
+        axes,
         points,
         table,
         error_model=args.error_model,

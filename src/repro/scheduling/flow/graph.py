@@ -9,24 +9,27 @@ arc to every resource — the full ``T × R`` graph::
 
 When they do not (``octopus``, ``credit``: a cost model's
 ``task_independent`` capability) the wave goes through Firmament's
-equivalence classes instead — one class node fans out to the resources,
-one ``wait`` class node to the aggregator, so the graph has ``O(T + R)``
-arcs and each resource is priced once::
+equivalence classes instead.  Its tasks are interchangeable, so one
+``wave`` node supplies all of them; one class node fans out to the
+resources, one ``wait`` class node to the aggregator, so the graph has
+``R + 6`` nodes and ``O(R)`` arcs whatever the wave's size, and each
+resource is priced once::
 
-    source --1--> task_i --0--> class --cost(r)--> resource_r --1--> sink
-                     \\--0--> wait --defer--> unscheduled aggregator --> sink
+    source --|T|--> wave --0--> class --cost(r)--> resource_r --1--> sink
+                       \\--0--> wait --defer--> unscheduled aggregator --|T|--> sink
 
 Only the first ``len(resources)`` ready tasks enter the class graph (at
-most that many can be placed); the rest are deferred.  The ``wait`` node
-is what makes the class graph agree with the full one: it queues the
-aggregator behind the resources in the solver's label-correcting order,
-so a resource priced exactly at the deferral cost still wins the tie, as
-it does in the full graph.  The solve fixes how many tasks run and on
-which resources; they pair up the way the full graph's successive
-shortest paths do — placed tasks in ready order onto the used resources
-sorted by (scaled cost, pool index).
+most that many can be placed; ``T`` counts those); the rest are
+deferred.  The ``wait`` node is what makes the class graph agree with
+the full one: ``wave -> class`` is added before ``wave -> wait``, so the
+aggregator queues behind the resources in the solver's label-correcting
+order and a resource priced exactly at the deferral cost still wins the
+tie, as it does in the full graph.  The solve fixes only which resources
+are used; the placed tasks are the first ``len(used)`` ready tasks, and
+they pair up the way the full graph's successive shortest paths do — in
+ready order onto the used resources sorted by (scaled cost, pool index).
 
-All task and resource arcs have unit capacity (a resource takes at most
+Every resource arc has unit capacity (a resource takes at most
 one new task per wave, mirroring Firmament's one-slot-per-PU machine
 topology); the unscheduled aggregator absorbs any task the solve prefers
 to defer, so the program is *always* feasible — max flow equals the
@@ -40,6 +43,7 @@ deterministic across platforms.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Sequence, Tuple
 
 from repro.scheduling.flow.solver import FlowNetwork
@@ -51,7 +55,7 @@ COST_SCALE = 1024
 
 
 def _scaled(cost: float) -> int:
-    if cost != cost or cost == float("inf"):  # NaN / inf guard
+    if not math.isfinite(cost):
         raise ValueError(f"flow arc cost must be finite, got {cost!r}")
     return max(0, int(round(cost * COST_SCALE)))
 
@@ -117,18 +121,14 @@ def _solve_through_classes(
     probe = tasks[0]
     prices = [_scaled(assignment_cost(probe, rid)) for rid in resources]
     deferral = _scaled(deferral_cost(probe))
-    tasks = tasks[: len(resources)]
-    task_count = len(tasks)
-    source, sink, aggregator, task_class, wait = 0, 1, 2, 3, 4
-    task_base = 5
-    resource_base = task_base + task_count
+    task_count = min(len(tasks), len(resources))
+    source, sink, aggregator, wave, task_class, wait = range(6)
+    resource_base = 6
     network = FlowNetwork(resource_base + len(resources))
 
-    class_arcs = []
-    for i in range(task_count):
-        network.add_arc(source, task_base + i, 1, 0)
-        class_arcs.append(network.add_arc(task_base + i, task_class, 1, 0))
-        network.add_arc(task_base + i, wait, 1, 0)
+    network.add_arc(source, wave, task_count, 0)
+    class_arc = network.add_arc(wave, task_class, task_count, 0)
+    network.add_arc(wave, wait, task_count, 0)  # after the class arc: a tie places
     resource_arcs = [
         network.add_arc(task_class, resource_base + r, 1, price)
         for r, price in enumerate(prices)
@@ -140,9 +140,8 @@ def _solve_through_classes(
 
     flow, _ = network.min_cost_max_flow(source, sink)
     assert flow == task_count, "aggregator arc keeps the program feasible"
-    placed = [task for task, arc in zip(tasks, class_arcs) if network.flow_on(arc) > 0]
     used = sorted(
         (prices[r], r) for r, arc in enumerate(resource_arcs) if network.flow_on(arc) > 0
     )
-    assert len(placed) == len(used), "every class unit leaves through one resource"
-    return {task: resources[r] for task, (_, r) in zip(placed, used)}
+    assert network.flow_on(class_arc) == len(used), "class flow leaves through resources"
+    return {task: resources[r] for task, (_, r) in zip(tasks, used)}

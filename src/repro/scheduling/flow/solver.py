@@ -6,8 +6,8 @@ the bottleneck capacity, stop when the sink is unreachable.  SPFA rather
 than Dijkstra-with-potentials because residual reverse arcs carry
 negative costs and the assignment graphs built by
 :mod:`repro.scheduling.flow.graph` are small — tasks + resources + 3
-nodes for the full ``T × R`` graph, at most ``2·R + 5`` nodes and
-``O(R)`` arcs for the equivalence-class graph — so the simpler
+nodes for the full ``T × R`` graph, ``R + 6`` nodes and ``O(R)`` arcs
+for the equivalence-class graph — so the simpler
 label-correcting algorithm wins on clarity.
 
 Determinism is a contract, not an accident: arcs keep insertion order,
@@ -70,26 +70,30 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     def _cheapest_path(self, source: int, sink: int):
         """SPFA distance labels plus the arc that set each label."""
+        adjacent, capacity, to_node, cost = (
+            self._adjacent, self._capacity, self._to, self._cost
+        )
         distance = [_INF] * self.node_count
         parent_arc = [-1] * self.node_count
         in_queue = [False] * self.node_count
         distance[source] = 0
         queue = deque([source])
+        push, pop = queue.append, queue.popleft
         in_queue[source] = True
         while queue:
-            node = queue.popleft()
+            node = pop()
             in_queue[node] = False
             base = distance[node]
-            for arc in self._adjacent[node]:
-                if self._capacity[arc] <= 0:
+            for arc in adjacent[node]:
+                if capacity[arc] <= 0:
                     continue
-                to = self._to[arc]
-                candidate = base + self._cost[arc]
+                to = to_node[arc]
+                candidate = base + cost[arc]
                 if candidate < distance[to]:  # strict: deterministic parents
                     distance[to] = candidate
                     parent_arc[to] = arc
                     if not in_queue[to]:
-                        queue.append(to)
+                        push(to)
                         in_queue[to] = True
         if parent_arc[sink] < 0:
             return None

@@ -451,6 +451,23 @@ CI_LEDGERS = {
 }
 
 
+#: each CI ledger's matrix axes, which its ``base_config`` must leave out
+CI_LEDGER_AXES = {
+    "scenario_smoke": {"scenario"},
+    "multi_tenant_smoke": {"scenario", "tenants", "arrival_rate", "policy", "strategy"},
+    "uncertainty_smoke": {"scenario", "magnitude"},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CI_LEDGERS))
+def ci_ledger(request, tmp_path_factory):
+    """``(name, path)`` of one CI ledger, regenerated once per module."""
+    name = request.param
+    out = tmp_path_factory.mktemp("ci_ledgers") / f"{name}.json"
+    assert main([*CI_LEDGERS[name].split(), "--out", str(out)]) == EXIT_OK
+    return name, out
+
+
 class TestCiLedgers:
     """The CI smoke ledgers, regenerated in-process and gated like CI does."""
 
@@ -462,14 +479,20 @@ class TestCiLedgers:
                 in workflow
             )
 
-    @pytest.mark.parametrize("name", sorted(CI_LEDGERS))
-    def test_ledger_matches_its_baseline(self, name, tmp_path, capsys):
-        out = tmp_path / f"{name}.json"
-        assert main([*CI_LEDGERS[name].split(), "--out", str(out)]) == EXIT_OK
+    def test_ledger_matches_its_baseline(self, ci_ledger, capsys):
+        name, out = ci_ledger
         baseline = ROOT / "benchmarks" / "baselines" / f"{name}.json"
         assert main(["compare", str(baseline), str(out)]) == EXIT_OK, (
             capsys.readouterr().out
         )
+
+    def test_base_config_leaves_out_the_axes(self, ci_ledger):
+        name, out = ci_ledger
+        ledger = json.loads(out.read_text())
+        assert not CI_LEDGER_AXES[name] & set(ledger["base_config"])
+        if name == "multi_tenant_smoke":
+            assert (ledger["tenants"], ledger["arrival_rate"]) == (3, 0.004)
+            assert {point["tenants"] for point in ledger["points"]} == {3}
 
 
 class TestMcCommand:

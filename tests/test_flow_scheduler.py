@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.scheduling.flow.graph as flow_graph
 import repro.scheduling.flow.models as flow_models
 import repro.scheduling.flow.scheduler as flow_scheduler
+from benchmarks._seed_reference import seed_solve_through_classes
 from repro import registry
 from repro.scheduling.base import ResourceTimeline
 from repro.scheduling.flow import (
@@ -96,10 +98,19 @@ class TestAssignmentGraph:
         with pytest.raises(ValueError, match="resources"):
             solve_assignment(["t1"], [], lambda t, r: 0, lambda t: 0)
 
-    def test_non_finite_costs_are_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("task_independent", [False, True])
+    @pytest.mark.parametrize("side", ["assignment", "deferral"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_costs_are_rejected(self, bad, side, task_independent):
+        assignment = bad if side == "assignment" else 1.0
+        deferral = bad if side == "deferral" else 1.0
+        with pytest.raises(ValueError, match="flow arc cost must be finite"):
             solve_assignment(
-                ["t1"], ["r1"], lambda t, r: float("nan"), lambda t: 0.0
+                ["t1", "t2"],
+                ["r1", "r2"],
+                lambda t, r: assignment,
+                lambda t: deferral,
+                task_independent=task_independent,
             )
 
     def test_identical_inputs_solve_identically(self):
@@ -117,6 +128,35 @@ class TestAssignmentGraph:
 def _scaled(cost):
     """A float arc cost in the solver's fixed-point units."""
     return max(0, int(round(cost * COST_SCALE)))
+
+
+def _closed_form(tasks, resources, prices, deferral):
+    """The class-graph solve as a sort: keep the resources priced at or
+    below the deferral, order them by (scaled price, pool index) and pair
+    them with the first ``min(T, R)`` ready tasks in ready order."""
+    kept = sorted(
+        (_scaled(prices[rid]), r)
+        for r, rid in enumerate(resources)
+        if _scaled(prices[rid]) <= _scaled(deferral)
+    )
+    return {task: resources[r] for task, (_, r) in zip(tasks[: len(resources)], kept)}
+
+
+def _seeded_tied_waves(seed, count):
+    """Seeded waves with few price levels, many of them equal to the
+    deferral, and up to three times the pool's size in tasks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = rng.randint(1, 8)
+        resources = [f"r{i}" for i in range(pool)]
+        step = rng.choice([1.0, 2.5, 100.0, 1.0 / 3.0])
+        prices = {rid: rng.randint(0, 3) * step for rid in resources}
+        if rng.random() < 0.5:
+            deferral = rng.choice(list(prices.values()))
+        else:
+            deferral = rng.randint(0, 4) * step
+        tasks = [f"t{i}" for i in range(rng.randint(1, 3 * pool))]
+        yield tasks, resources, prices, deferral
 
 
 def _both_graphs(tasks, resources, prices, deferral):
@@ -215,33 +255,10 @@ class TestEquivalenceClassGraph:
         assert classes == full == {"a": "r2", "b": "r1"}
 
     def test_matches_the_sorted_closed_form(self):
-        """The class-graph solve is a sort: keep the resources priced at or
-        below the deferral, order them by (scaled price, pool index) and
-        pair them with the first ``min(T, R)`` ready tasks in ready order.
-
-        Holds on seeded waves with few price levels, many of them equal
-        to the deferral, so a solve of task-independent waves could drop
-        the SPFA for this sort without moving a placement.
-        """
-        rng = random.Random(20_000)
-        for _ in range(10_000):
-            pool = rng.randint(1, 8)
-            resources = [f"r{i}" for i in range(pool)]
-            step = rng.choice([1.0, 2.5, 100.0, 1.0 / 3.0])
-            prices = {rid: rng.randint(0, 3) * step for rid in resources}
-            if rng.random() < 0.5:
-                deferral = rng.choice(list(prices.values()))
-            else:
-                deferral = rng.randint(0, 4) * step
-            tasks = [f"t{i}" for i in range(rng.randint(1, 3 * pool))]
-            kept = sorted(
-                (_scaled(prices[rid]), r)
-                for r, rid in enumerate(resources)
-                if _scaled(prices[rid]) <= _scaled(deferral)
-            )
-            closed_form = {
-                task: resources[r] for task, (_, r) in zip(tasks[:pool], kept)
-            }
+        """The class-graph solve is :func:`_closed_form`'s sort on seeded
+        tied waves, so a solve of task-independent waves could drop the
+        SPFA for this sort without moving a placement."""
+        for tasks, resources, prices, deferral in _seeded_tied_waves(20_000, 10_000):
             classes = solve_assignment(
                 tasks,
                 resources,
@@ -249,7 +266,44 @@ class TestEquivalenceClassGraph:
                 lambda t, d=deferral: d,
                 task_independent=True,
             )
-            assert classes == closed_form, (tasks, prices, deferral)
+            assert classes == _closed_form(tasks, resources, prices, deferral), (
+                tasks,
+                prices,
+                deferral,
+            )
+
+    def test_full_graph_per_task_oracle_and_closed_form_agree(self):
+        for wave in _seeded_tied_waves(29, 1_500):
+            full, classes = _both_graphs(*wave)
+            tasks, resources, prices, deferral = wave
+            oracle = seed_solve_through_classes(
+                tasks, resources, lambda t, rid: prices[rid], lambda t: deferral
+            )
+            assert classes == full == oracle == _closed_form(*wave), wave
+
+    @pytest.mark.parametrize("task_count", [1, 3, 30, 300])
+    @pytest.mark.parametrize("pool", [1, 4, 25])
+    def test_one_supply_node_whatever_the_wave_size(self, monkeypatch, task_count, pool):
+        networks = []
+
+        class RecordingNetwork(FlowNetwork):
+            def __init__(self, node_count):
+                super().__init__(node_count)
+                networks.append(self)
+
+        monkeypatch.setattr(flow_graph, "FlowNetwork", RecordingNetwork)
+        resources = [f"r{i}" for i in range(pool)]
+        solve_assignment(
+            [f"t{i}" for i in range(task_count)],
+            resources,
+            lambda t, rid: float(int(rid[1:]) % 3),
+            lambda t: 1.0,
+            task_independent=True,
+        )
+        (network,) = networks
+        assert network.node_count == len(resources) + 6
+        # source, class, wait and aggregator arcs plus two per resource
+        assert len(network._to) // 2 == 2 * len(resources) + 5
 
     def test_each_resource_is_priced_once(self):
         priced = []
@@ -349,6 +403,30 @@ class TestMinCostFlowScheduler:
         schedule = MinCostFlowScheduler().schedule(workflow, costs, RESOURCES)
         wave = {schedule.resource_of(j) for j in ("x", "y", "z")}
         assert wave == set(RESOURCES)
+
+    @pytest.mark.parametrize("cost_model", ["octopus", "locality", "credit"])
+    def test_one_flow_solve_per_wave(self, make_case, monkeypatch, cost_model):
+        case = make_case(v=30, seed=5)
+        waves = []
+        solves = []
+        solve = flow_scheduler.solve_assignment
+        min_cost_max_flow = FlowNetwork.min_cost_max_flow
+
+        def counting_assignment(tasks, *args, **kwargs):
+            waves.append(len(tasks))
+            return solve(tasks, *args, **kwargs)
+
+        def counting_solve(network, source, sink):
+            solves.append(network.node_count)
+            return min_cost_max_flow(network, source, sink)
+
+        monkeypatch.setattr(flow_scheduler, "solve_assignment", counting_assignment)
+        monkeypatch.setattr(FlowNetwork, "min_cost_max_flow", counting_solve)
+        MinCostFlowScheduler(cost_model=cost_model).schedule(
+            case.workflow, case.costs, RESOURCES
+        )
+        assert len(waves) > 1
+        assert len(solves) == len(waves)
 
     def test_locality_model_keeps_heavy_chains_local(self):
         wf = Workflow("chain")
