@@ -40,6 +40,16 @@ the scheduler uses, asserting equal placements; ``solve_speedup`` is the
 oracle over the bundled wall clock, gated in quick mode too at
 ``MIN_FLOW_SOLVE_SPEEDUP``.
 
+``pricing_memory`` runs one adaptive AHEFT case shaped like e2ebench's
+``adaptive_grow_3k`` (V=3000, V=1000 in quick mode; 10 → 30 resources over
+10 pool events) under ``tracemalloc`` and counts what its cost model keeps
+at the end:
+``pool_views_held`` (one per pool-keyed kind) and ``pair_cache_entries``
+(no per-pair copy of the column draws) are exact counts, and
+``retained_ratio`` — the traced bytes freed by dropping the model's
+caches over the bytes of one current-pool rows view — is gated at
+``MAX_PRICING_RETAINED_RATIO`` in quick mode too.
+
 Results go to ``benchmarks/results/kernel_scaling.{txt,json}`` and to a
 top-level ``BENCH_kernel.json`` so the performance trajectory is tracked
 across PRs.  Run directly (``python benchmarks/bench_kernel_scaling.py
@@ -52,6 +62,7 @@ import gc
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -81,7 +92,7 @@ from repro.scheduling.frame import PartialScheduleFrame
 from repro.scheduling.heft import HEFTScheduler
 from repro.simulation.event_core import EventCore
 from repro.utils.rng import spawn_rng
-from repro.workflow.costs import TabularCostModel
+from repro.workflow.costs import TabularCostModel, _held_prices
 from repro.workload.streams import WorkloadStream, default_tenants
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +162,23 @@ CLOSED_LOOP_ARRIVALS = 40
 #: 4.0–5.8x, whether the cases run first in the process or after the rest
 #: of the benchmark.
 MAX_CLOSED_LOOP_RATIO = 7.5
+
+#: Pricing-memory case: e2ebench's ``adaptive_grow_3k`` shape (V=3000,
+#: out-degree 20/V, ``ResourceChangeModel(10, interval=120, fraction=0.15,
+#: max_events=10)``), one seed; quick mode runs it at V=1000.
+PRICING_V = 3000
+PRICING_V_QUICK = 1000
+PRICING_SEED = 7
+PRICING_EVENTS = 10
+
+#: Ceiling on the bytes the cost model holds at the end of that run over
+#: the bytes of one current-pool rows view — a ratio of two sizes from one
+#: process, so it holds on any host.  Seeds 7 and 31 read 2.50 at V=3000
+#: and 2.47–2.51 at V=1000 (the rows view, the matrix, the priced columns
+#: and the communication views); the model that kept every past pool's
+#: views and a per-pair copy of its draws read 14.8 and 14.3, and each
+#: stale rows view adds about 1.0.
+MAX_PRICING_RETAINED_RATIO = 3.0
 
 
 def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -316,8 +344,9 @@ def measure_scaling_series(sizes=SCALING_SIZES) -> Dict[str, object]:
                 costs=costs, strategy=AHEFTScheduler(),
             ).raw
 
-        # best-of: the first run pays the one-off per-pool cache builds
-        # and is the noisiest; repeats measure the steady replan loop
+        # best-of: the first run prices the pool's columns and is the
+        # noisiest; repeats measure the steady replan loop, which builds
+        # each pool's views again (the model keeps the last pool's only)
         adaptive = run_adaptive()
         adaptive_seconds = _best_of(
             run_adaptive, repeats=1 if v > 20_000 else 2
@@ -536,6 +565,55 @@ def measure_closed_loop(seeds=CLOSED_LOOP_SEEDS, max_arrivals: int = CLOSED_LOOP
     }
 
 
+def measure_pricing_memory(
+    v: int = PRICING_V, seed: int = PRICING_SEED, events: int = PRICING_EVENTS
+) -> Dict[str, object]:
+    """What the cost model of a growing-pool adaptive run holds at its end.
+
+    The run is traced by ``tracemalloc`` from the start, so every view the
+    model memoised along the way is counted: ``retained`` is the traced
+    memory freed when the model's caches are dropped
+    (``invalidate_cache``), and the ratio divides it by the traced size of
+    one ``tolist`` rows view of the final pool.
+    """
+    case = generate_random_case(
+        RandomDAGParameters(v=v, out_degree=20 / v, ccr=1.0, beta=0.5, omega_dag=300.0),
+        seed=seed,
+    )
+    pool = ResourceChangeModel(10, interval=120, fraction=0.15, max_events=events).build_pool()
+    costs = case.costs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = facade_run(
+            case.workflow, pool, mode="adaptive", costs=costs, strategy=AHEFTScheduler()
+        )
+        held, pair_cache_entries = _held_prices(costs)
+        gc.collect()
+        holding = tracemalloc.get_traced_memory()[0]
+        costs.invalidate_cache()
+        gc.collect()
+        retained = holding - tracemalloc.get_traced_memory()[0]
+        final_pool = pool.available_at(float("inf"))
+        matrix = costs.computation_matrix(final_pool)
+        before = tracemalloc.get_traced_memory()[0]
+        rows = matrix.tolist()
+        rows_bytes = tracemalloc.get_traced_memory()[0] - before
+        del rows
+    finally:
+        tracemalloc.stop()
+    return {
+        "v": v,
+        "pool_events": events,
+        "resources": len(final_pool),
+        "makespan": result.makespan,
+        "pool_views_held": len(held),
+        "pair_cache_entries": pair_cache_entries,
+        "retained_mib": retained / 2**20,
+        "retained_ratio": retained / rows_bytes,
+    }
+
+
 def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     # first, so that no earlier case's leftovers weigh on the ratio
     closed_loop = measure_closed_loop(CLOSED_LOOP_SEEDS_QUICK if quick else CLOSED_LOOP_SEEDS)
@@ -551,6 +629,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         SCALING_SIZES_QUICK if quick else SCALING_SIZES
     )
     flow_waves = measure_flow_waves()
+    pricing_memory = measure_pricing_memory(PRICING_V_QUICK if quick else PRICING_V)
     return {
         "quick": quick,
         "static_heft": heft_rows,
@@ -559,6 +638,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "scaling_series": scaling,
         "closed_loop": closed_loop,
         "flow_waves": flow_waves,
+        "pricing_memory": pricing_memory,
     }
 
 
@@ -607,6 +687,14 @@ def render(results: Dict[str, object]) -> str:
         f"{f['oracle_solve_seconds'] * 1e3:.1f} ms / one supply node "
         f"{f['bundled_solve_seconds'] * 1e3:.1f} ms = {f['solve_speedup']:.2f}x "
         f"(gate ≥ {MIN_FLOW_SOLVE_SPEEDUP}x)"
+    )
+    m = results["pricing_memory"]
+    lines.append("")
+    lines.append(
+        f"pricing memory (adaptive AHEFT, V={m['v']}, {m['resources']} resources after "
+        f"{m['pool_events']} pool events): {m['pool_views_held']} pool views held, "
+        f"{m['pair_cache_entries']} mirrored pairs, retained {m['retained_mib']:.1f} MiB = "
+        f"{m['retained_ratio']:.2f}x one rows view (gate ≤ {MAX_PRICING_RETAINED_RATIO}x)"
     )
     s = results["scaling_series"]
     lines.append("")
@@ -660,6 +748,12 @@ def check_thresholds(results: Dict[str, object]) -> None:
         f"the one-supply-node class graph solves the flow waves only "
         f"{flow_waves['solve_speedup']:.2f}x faster than the per-task oracle, "
         f"below the {MIN_FLOW_SOLVE_SPEEDUP}x floor"
+    )
+    # and the memory the cost model keeps, a ratio of two sizes
+    pricing_memory = results["pricing_memory"]
+    assert pricing_memory["retained_ratio"] <= MAX_PRICING_RETAINED_RATIO, (
+        f"the cost model holds {pricing_memory['retained_ratio']:.2f}x one rows view "
+        f"at the end of a growing-pool run, above the {MAX_PRICING_RETAINED_RATIO}x ceiling"
     )
     scaling = results["scaling_series"]
     if results.get("quick"):

@@ -23,6 +23,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.utils.checks import require_finite
 from repro.utils.rng import spawn_rng
 from repro.workflow.costs import CostModel, HeterogeneousCostModel
 from repro.workflow.dag import Workflow
@@ -66,6 +67,7 @@ def draw_base_costs(
     real workloads.  With ``per_operation=True`` all jobs sharing an
     operation name share one draw.
     """
+    require_finite("omega_dag", omega_dag)
     if omega_dag <= 0:
         raise ValueError("omega_dag must be positive")
     base: Dict[str, float] = {}
@@ -98,6 +100,7 @@ def assign_edge_data(
     ``CCR·ω_DAG·bandwidth``), or shared per (producer-operation,
     consumer-operation) pair when ``per_operation`` is set.
     """
+    require_finite("ccr", ccr)
     if ccr < 0:
         raise ValueError("ccr must be non-negative")
     mean_data = ccr * omega_dag * bandwidth

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.generators.costs import WorkflowCase, build_case
+from repro.utils.checks import require_finite
 from repro.utils.rng import spawn_rng
 from repro.workflow.dag import Workflow
 
@@ -47,6 +48,8 @@ class RandomDAGParameters:
     def __post_init__(self) -> None:
         if self.v < 2:
             raise ValueError("v must be at least 2")
+        for name in ("out_degree", "ccr", "beta", "alpha", "omega_dag"):
+            require_finite(name, getattr(self, name))
         if not 0 < self.out_degree <= 1:
             raise ValueError("out_degree must be in (0, 1]")
         if self.ccr < 0:

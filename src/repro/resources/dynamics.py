@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from repro.resources.pool import ResourcePool
 from repro.resources.resource import Resource
+from repro.utils.checks import require_finite
 
 __all__ = ["ResourceChangeModel", "StaticResourceModel"]
 
@@ -68,6 +69,8 @@ class ResourceChangeModel:
     def __post_init__(self) -> None:
         if self.initial_size <= 0:
             raise ValueError("initial_size must be positive")
+        for name in ("interval", "fraction", "leave_fraction"):
+            require_finite(name, getattr(self, name))
         if self.interval <= 0:
             raise ValueError("interval must be positive")
         if self.fraction < 0:

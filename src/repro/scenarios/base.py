@@ -337,8 +337,8 @@ class ScaledCostModel(DelegatingCostModel):
     the intrinsic (resource-free) averages pass through unchanged; only
     ``computation_cost`` is scaled.  The wrapper keeps the base model's
     fast-path capabilities (uniform communication, dense-view memoization)
-    and prices whole columns from the base's matrix, so scaled replanning
-    runs on the same kernel.
+    and prices whole columns from the base's priced columns, so scaled
+    replanning runs on the same kernel.
     """
 
     def __init__(self, base: CostModel, factors: Mapping[str, float]) -> None:
@@ -366,9 +366,10 @@ class ScaledCostModel(DelegatingCostModel):
         return cost if factor is None else cost * factor
 
     def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
+        # the base's priced columns, not a matrix memoised for this subset;
         # unscaled columns multiply by 1.0, which leaves every float as is
         row = np.array([self.factors.get(rid, 1.0) for rid in resource_ids])
-        return self.base.computation_matrix(resource_ids) * row
+        return self.base.computation_columns(resource_ids) * row
 
 
 # ----------------------------------------------------------------------

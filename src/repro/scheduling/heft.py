@@ -63,8 +63,9 @@ def heft_priority_order(
 
     The order (and the upward ranks feeding it) is cached on the cost model,
     keyed by the workflow version and the pool signature, so repeated calls
-    during adaptive rescheduling only pay for the sort once per distinct
-    ``(DAG, pool)`` combination.
+    during adaptive rescheduling only pay for the sort once per DAG version
+    and pool.  The cache holds the current pool's order only: a call on a
+    new pool replaces it.
     """
     if workflow is costs.workflow:
         order = costs.memoize(

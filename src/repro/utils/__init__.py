@@ -5,6 +5,7 @@ other subsystem — workflow model, resource model, schedulers, simulation —
 can rely on them without import cycles.
 """
 
+from repro.utils.checks import require_finite
 from repro.utils.rng import RandomSource, derive_seed, spawn_rng, spawn_uniforms
 from repro.utils.ordering import argsort_stable, stable_min, topological_order
 
@@ -16,4 +17,5 @@ __all__ = [
     "argsort_stable",
     "stable_min",
     "topological_order",
+    "require_finite",
 ]

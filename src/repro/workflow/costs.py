@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_finite
 from repro.utils.rng import spawn_rng, spawn_uniforms
 from repro.workflow.dag import Workflow
 
@@ -58,6 +58,46 @@ __all__ = [
     "ERROR_MODELS",
 ]
 
+#: Kinds of memoised view keyed by a pool signature (``(kind, pool)``).
+#: The Planner replans whenever the pool changes, so keeping every past
+#: signature's view would grow the model with each resource event; each
+#: kind instead holds only the pool it was last built for.
+POOL_KEYED_VIEWS = frozenset({"wmat", "wrows", "wavg", "priority"})
+
+
+def _remember(entries: Dict, key: Tuple, builder):
+    """``entries[key]``, built by ``builder()`` on a miss.
+
+    A pool-keyed kind is stored under the kind itself as ``(key, view)``,
+    so building it for a new pool replaces the previous pool's view.
+    """
+    kind = key[0]
+    if kind not in POOL_KEYED_VIEWS:
+        if key not in entries:
+            entries[key] = builder()
+        return entries[key]
+    held = entries.get(kind)
+    if held is None or held[0] != key:
+        held = entries[kind] = (key, builder())
+    return held[1]
+
+
+def _held_prices(model: "CostModel") -> Tuple[List[Tuple], int]:
+    """Keys of the pool-keyed views ``model`` holds, and its single-draw pairs.
+
+    At most one key per kind of :data:`POOL_KEYED_VIEWS`; the pair count
+    is that of :class:`HeterogeneousCostModel`'s per-pair cache (0 for the
+    other models).  Introspection for the memory tests and the kernel
+    benchmark.
+    """
+    held = []
+    for name in ("_structural_cache", "_dense_cache"):
+        store = model.__dict__.get(name)
+        if store is not None:
+            entries = store["entries"]
+            held.extend(entries[kind][0] for kind in sorted(POOL_KEYED_VIEWS.intersection(entries)))
+    return held, len(model.__dict__.get("_cache", ()))
+
 
 class CostModel(abc.ABC):
     """Interface for estimating computation and communication costs.
@@ -74,10 +114,13 @@ class CostModel(abc.ABC):
       job in successor order.
 
     Memoization is keyed on ``(workflow.version, cache_token(), ...)`` and
-    is only enabled when :meth:`cache_token` returns a non-``None`` value —
-    models whose answers can drift without the workflow mutating (e.g. a
-    history-blended predictor model) keep the default ``None`` token and are
-    simply recomputed on every call, which is always correct.
+    holds each pool-keyed view for the current pool only (see
+    :data:`POOL_KEYED_VIEWS`); the per-resource priced columns behind them
+    persist.  It is only enabled when :meth:`cache_token` returns a
+    non-``None`` value — models whose answers can drift without the
+    workflow mutating (e.g. a history-blended predictor model) keep the
+    default ``None`` token and are simply recomputed on every call, which
+    is always correct.
     """
 
     #: workflow whose edges supply the data volumes
@@ -189,10 +232,11 @@ class CostModel(abc.ABC):
 
         The cache lives on the instance and is dropped wholesale whenever
         the workflow's version or the pricing version moves on, so stale
-        entries never accumulate across mutations.  Public so that
-        consumers of the model (e.g. the schedulers' priority-order cache)
-        can piggyback on the same invalidation rules instead of inventing
-        their own.
+        entries never accumulate across mutations.  A key whose kind
+        (``key[0]``) is in :data:`POOL_KEYED_VIEWS` holds one pool at a
+        time (see :func:`_remember`).  Public so that consumers of the model
+        (e.g. the schedulers' priority-order cache) can piggyback on the
+        same invalidation rules instead of inventing their own.
         """
         token = self.cache_token()
         if token is None:
@@ -202,81 +246,98 @@ class CostModel(abc.ABC):
         if store is None or store.get("stamp") != stamp:
             store = {"stamp": stamp, "entries": {}}
             self.__dict__["_dense_cache"] = store
-        entries = store["entries"]
-        if key not in entries:
-            entries[key] = builder()
-        return entries[key]
+        return _remember(store["entries"], key, builder)
 
     def memoize_structural(self, key: Tuple, builder):
         """Memoize ``builder()`` keyed on *structure* rather than version.
 
         For views built only from the DAG's jobs/edges and job-level
-        pricing — dense computation matrices and their row lists — an
-        edge-data refresh (``Workflow.set_data``) changes nothing, so
+        pricing — dense computation matrices, their row lists and averages
+        — an edge-data refresh (``Workflow.set_data``) changes nothing, so
         stamping on ``(structure_version, cache_token())`` lets them
-        survive it.  Never use this for anything priced from edge data
-        (communication views), which must stay on :meth:`memoize`.
+        survive it.  Like :meth:`memoize`, a pool-keyed kind holds only the
+        pool it was last built for.  Never use this for anything priced
+        from edge data (communication views), which must stay on
+        :meth:`memoize`.
         """
-        entries = self._structural_entries()
-        if entries is None:
+        store = self._structural_store()
+        if store is None:
             return builder()
-        if key not in entries:
-            entries[key] = builder()
-        return entries[key]
+        return _remember(store["entries"], key, builder)
 
-    def _structural_entries(self) -> Optional[Dict[Tuple, object]]:
-        """The live entries behind :meth:`memoize_structural`, or ``None``
-        when the model is not cacheable."""
+    def _structural_store(self) -> Optional[Dict[str, object]]:
+        """The live store behind :meth:`memoize_structural`, or ``None``
+        when the model is not cacheable.
+
+        Besides the memoised ``entries`` it holds the model's one copy of
+        each priced column (``columns``: resource id -> ``w[:, j]``) and
+        ``index``, the dense job ids of the structure the store is stamped
+        with, which those columns are aligned with.
+        """
         token = self.cache_token()
         if token is None:
             return None
         store = self.__dict__.get("_structural_cache")
         stamp = (self.workflow.structure_version, token)
-        if store is None or store.get("stamp") != stamp:
-            store = {"stamp": stamp, "entries": {}}
+        if store is None or store["stamp"] != stamp:
+            store = {
+                "stamp": stamp,
+                "index": self.workflow.structure().index,
+                "columns": {},
+                "entries": {},
+            }
             self.__dict__["_structural_cache"] = store
-        return store["entries"]
+        return store
 
     def computation_matrix(self, resources: Sequence[str]) -> "np.ndarray":
         """Dense ``w[job_idx, resource_idx]`` matrix for the given pool.
 
         Rows follow ``workflow.structure().jobs`` (insertion order), columns
-        follow ``resources`` order.  Memoized per pool signature, assembled
-        from per-resource *columns* that are themselves memoized — under the
-        adaptive loop the pool signature changes on every join/leave event,
-        but most resources persist across events, so stacking cached columns
-        only prices the genuinely new resources (all of them in one
-        :meth:`_price_columns` call) instead of re-pricing the whole
-        ``jobs × pool`` table per event.  Entries are the exact same
-        ``computation_cost`` floats either way.
+        follow ``resources`` order.  The matrix of the current pool is
+        memoized (one pool at a time) and stacked from
+        :meth:`computation_columns`, the per-resource columns that persist
+        across pools — under the adaptive loop the pool signature changes
+        on every join/leave event, but most resources persist across
+        events, so only the genuinely new resources are priced instead of
+        the whole ``jobs × pool`` table per event.  Entries are the exact
+        same ``computation_cost`` floats either way.
         """
-        key = ("wmat", tuple(resources))
+        return self.memoize_structural(
+            ("wmat", tuple(resources)), lambda: self.computation_columns(resources)
+        )
 
-        def build() -> "np.ndarray":
-            jobs = self.workflow.structure().jobs
-            if not resources:
-                return np.empty((len(jobs), 0), dtype=np.float64)
-            entries = self._structural_entries()
-            if entries is None:
-                entries = {}  # not cacheable: the columns live for this build only
-            missing = [rid for rid in dict.fromkeys(resources) if ("wcol", rid) not in entries]
-            if missing:
-                priced = self._price_columns(missing)
-                for j, rid in enumerate(missing):
-                    entries[("wcol", rid)] = priced[:, j]
-            matrix = np.empty((len(jobs), len(resources)), dtype=np.float64)
-            for j, rid in enumerate(resources):
-                matrix[:, j] = entries[("wcol", rid)]
+    def computation_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
+        """``w[:, j]`` for every resource of ``resource_ids``, as a new array.
+
+        Read from the model's one store of priced per-resource columns;
+        the ids it lacks are priced together in one :meth:`_price_columns`
+        call and kept there (for this call only when the model is not
+        cacheable).  Unlike :meth:`computation_matrix`, nothing keyed by
+        ``resource_ids`` itself is kept, so wrappers can price a subset of
+        their pool from it.
+        """
+        jobs = self.workflow.structure().jobs
+        matrix = np.empty((len(jobs), len(resource_ids)), dtype=np.float64)
+        if not resource_ids:
             return matrix
-
-        return self.memoize_structural(key, build)
+        store = self._structural_store()
+        # not cacheable: the columns live for this call only
+        columns = {} if store is None else store["columns"]
+        missing = [rid for rid in dict.fromkeys(resource_ids) if rid not in columns]
+        if missing:
+            # contiguous per-resource rows: the scalar queries index them
+            columns.update(zip(missing, np.ascontiguousarray(self._price_columns(missing).T)))
+        for j, rid in enumerate(resource_ids):
+            matrix[:, j] = columns[rid]
+        return matrix
 
     def computation_rows(self, resources: Sequence[str]) -> List[List[float]]:
         """:meth:`computation_matrix` as a list of per-job rows, memoized.
 
         The placement loops index single ``w`` rows millions of times and
         plain lists beat ndarray scalar indexing there; caching the
-        ``tolist`` view spares every replan the O(jobs × pool) conversion.
+        ``tolist`` view of the current pool spares every replan on that
+        pool the O(jobs × pool) conversion, and a new pool replaces it.
         Callers must not mutate the returned rows.
         """
         return self.memoize_structural(
@@ -456,6 +517,7 @@ class TabularCostModel(CostModel):
             if not row:
                 raise ValueError(f"empty computation row for job {job!r}")
             for resource, cost in row.items():
+                require_finite(f"computation cost of ({job!r}, {resource!r})", cost)
                 if cost < 0:
                     raise ValueError(
                         f"negative computation cost for ({job!r}, {resource!r})"
@@ -523,11 +585,12 @@ class HeterogeneousCostModel(CostModel):
         query order and of when resources join the pool.
 
     Costs are drawn lazily, one batched draw per matrix build, bit-identical
-    to the per-pair stream: :meth:`computation_cost` draws one pair from
-    ``spawn_rng(seed, "wij", job, resource)``, while a
-    :meth:`computation_matrix` build prices every uncached column with one
-    :func:`~repro.utils.rng.spawn_uniforms` call and stores the values in
-    the per-pair cache the scalar queries read.
+    to the per-pair stream: a :meth:`computation_matrix` build prices every
+    unpriced column with one :func:`~repro.utils.rng.spawn_uniforms` call
+    and keeps it in the model's column store, which is the one copy of
+    those prices: :meth:`computation_cost` reads a pair from its column
+    when the resource has one, and otherwise draws it from
+    ``spawn_rng(seed, "wij", job, resource)`` into the per-pair cache.
     """
 
     def __init__(
@@ -540,6 +603,8 @@ class HeterogeneousCostModel(CostModel):
         latency: float = 0.0,
         seed: int = 0,
     ) -> None:
+        for name, value in (("beta", beta), ("bandwidth", bandwidth), ("latency", latency)):
+            require_finite(name, value)
         if beta < 0 or beta > 2:
             raise ValueError("beta must be in [0, 2] so costs stay non-negative")
         if bandwidth <= 0:
@@ -554,12 +619,14 @@ class HeterogeneousCostModel(CostModel):
             job: float(cost) for job, cost in base_costs.items()
         }
         for job, cost in self.base_costs.items():
+            require_finite(f"base cost of job {job!r}", cost)
             if cost < 0:
                 raise ValueError(f"negative base cost for job {job!r}")
         self.beta = float(beta)
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.seed = int(seed)
+        #: pairs drawn one at a time, for resources without a priced column
         self._cache: Dict[Tuple[str, str], float] = {}
 
     def cache_token(self) -> Optional[object]:
@@ -580,6 +647,18 @@ class HeterogeneousCostModel(CostModel):
         return base * (1.0 - self.beta / 2.0), base * (1.0 + self.beta / 2.0)
 
     def computation_cost(self, job_id: str, resource_id: str) -> float:
+        # a priced column is the one copy of its prices.  A present store
+        # carries the current pricing (invalidate_cache drops it), and a
+        # pair's price depends on the job and the resource only, so the
+        # store's columns and its job index serve the pair even after a
+        # structural edit of the workflow
+        store = self.__dict__.get("_structural_cache")
+        if store is not None:
+            column = store["columns"].get(resource_id)
+            if column is not None:
+                i = store["index"].get(job_id)
+                if i is not None:
+                    return column.item(i)
         key = (job_id, resource_id)
         cached = self._cache.get(key)
         if cached is not None:
@@ -596,8 +675,7 @@ class HeterogeneousCostModel(CostModel):
     def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
         """All ``jobs × resource_ids`` draws in one :func:`spawn_uniforms` call.
 
-        Bit-identical to :meth:`computation_cost` pair by pair; the drawn
-        values also fill the per-pair cache the scalar queries read.
+        Bit-identical to :meth:`computation_cost` pair by pair.
         """
         jobs = self.workflow.structure().jobs
         rids = list(resource_ids)
@@ -612,7 +690,6 @@ class HeterogeneousCostModel(CostModel):
                 np.repeat(low[drawn], len(rids)),
                 np.repeat(high[drawn], len(rids)),
             ).reshape(-1, len(rids))
-        self._cache.update(zip(product(jobs, rids), costs.ravel().tolist()))
         return costs
 
     def intrinsic_average_computation_cost(self, job_id: str) -> float:
@@ -644,6 +721,10 @@ class UniformCostModel(CostModel):
         bandwidth: float = 1.0,
         latency: float = 0.0,
     ) -> None:
+        for name, value in (
+            ("computation", computation), ("bandwidth", bandwidth), ("latency", latency)
+        ):
+            require_finite(name, value)
         if computation < 0:
             raise ValueError("computation must be non-negative")
         if bandwidth <= 0:

@@ -9,6 +9,11 @@ and the absolute view.  The histories cover every branch of the ratio pass:
 self-contained records, legacy same-workflow records, foreign job ids,
 operation mismatches, near-zero estimates and a resource whose learned
 ratio is exactly 1.0.
+
+The model keeps each price once: the per-resource priced columns persist,
+every pool-keyed view holds only the pool it was last built for, and the
+scalar queries read the priced columns instead of a per-pair mirror.  The
+last tests pin that storage rule and that it changes no float.
 """
 
 from __future__ import annotations
@@ -18,11 +23,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.history import PerformanceHistoryRepository, PerformanceRecord
 from repro.core.predictor import RatioAdjustedCostModel
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
+from repro.resources.dynamics import ResourceChangeModel
 from repro.scenarios.base import ScaledCostModel, ScenarioError
-from repro.workflow.costs import HeterogeneousCostModel
+from repro.scheduling.heft import heft_priority_order
+from repro.workflow.costs import (
+    POOL_KEYED_VIEWS,
+    GaussianErrorModel,
+    HeterogeneousCostModel,
+    PerturbedCostModel,
+    _held_prices,
+)
 
 CASE = generate_random_case(
     RandomDAGParameters(v=14, out_degree=0.25, ccr=1.0, beta=0.5), seed=3
@@ -198,3 +212,121 @@ class TestZeroRatio:
     def test_caller_supplied_non_positive_factor_is_rejected(self, factor):
         with pytest.raises(ScenarioError):
             ScaledCostModel(_prior(), {"r1": factor})
+
+
+# ----------------------------------------------------------------------
+# one copy of each price
+# ----------------------------------------------------------------------
+POOL_A = ["r1", "r2", "r3"]
+POOL_B = ["r1", "r2", "r3", "r4", "r5"]
+
+
+def _views(model, pool):
+    """Copies of every pool-keyed view of ``model`` on ``pool``."""
+    return (
+        model.computation_matrix(pool).copy(),
+        [list(row) for row in model.computation_rows(pool)],
+        model.average_computation_costs(pool).copy(),
+        heft_priority_order(model.workflow, model, pool),
+    )
+
+
+def _assert_same_views(left, right) -> None:
+    matrix, rows, averages, order = left
+    assert np.array_equal(matrix, right[0])
+    assert rows == right[1]
+    assert np.array_equal(averages, right[2])
+    assert order == right[3]
+
+
+class TestOneViewPerPool:
+    def test_growth_only_adaptive_run_holds_one_view_per_kind(self):
+        case = generate_random_case(
+            RandomDAGParameters(v=300, out_degree=20 / 300, ccr=1.0, beta=0.5), seed=1
+        )
+        pool = ResourceChangeModel(6, interval=120, fraction=0.3, max_events=5).build_pool()
+        result = repro.run(case.workflow, pool, costs=case.costs, mode="adaptive")
+        assert result.makespan > 0
+        resources = pool.all_resource_ids()
+        assert len(resources) > 6, "the pool never grew"
+        held, pairs = _held_prices(case.costs)
+        assert sorted(key[0] for key in held) == sorted(POOL_KEYED_VIEWS)
+        # all of them on one pool: the last one the Planner replanned on
+        assert len({key[1] for key in held}) == 1
+        assert pairs == 0, "the column draws were mirrored per pair"
+        # the structural store: one priced column per resource ever seen,
+        # and the three structural views of the last pool
+        store = case.costs._structural_cache
+        assert sorted(store["columns"]) == sorted(resources)
+        assert sorted(store["entries"]) == ["wavg", "wmat", "wrows"]
+
+    def test_pools_a_b_a_match_a_fresh_model(self):
+        model = _prior()
+        first_a = _views(model, POOL_A)
+        views_b = _views(model, POOL_B)
+        again_a = _views(model, POOL_A)
+        _assert_same_views(first_a, _views(_prior(), POOL_A))
+        _assert_same_views(views_b, _views(_prior(), POOL_B))
+        _assert_same_views(again_a, first_a)
+        assert {key[1] for key in _held_prices(model)[0]} == {tuple(POOL_A)}
+
+    def test_invalidate_cache_reprices(self):
+        model = _prior()
+        before = model.computation_matrix(POOL_B).copy()
+        model.computation_cost(JOBS[0], "r9")  # one pair drawn on its own
+        job = JOBS[0]
+        model.base_costs[job] *= 2.0
+        model.invalidate_cache()
+        assert _held_prices(model) == ([], 0)
+        after = model.computation_matrix(POOL_B)
+        assert not np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1:], before[1:])
+        fresh = HeterogeneousCostModel(CASE.workflow, model.base_costs, beta=0.5, seed=11)
+        assert np.array_equal(after, fresh.computation_matrix(POOL_B))
+        assert model.computation_cost(job, "r9") == fresh.computation_cost(job, "r9")
+        assert model.computation_cost(job, "r2") == after[0, 1]
+
+
+def _wrapped(kind: str, prior: HeterogeneousCostModel):
+    if kind == "prior":
+        return prior
+    if kind == "scaled":
+        return ScaledCostModel(prior, PROFILE)
+    if kind == "ratio":
+        return RatioAdjustedCostModel(prior, _history(EVERY_BRANCH))
+    return PerturbedCostModel(prior, GaussianErrorModel(sigma=0.3, seed=5))
+
+
+class TestScalarsReadThePricedColumns:
+    @pytest.mark.parametrize("columns_first", [True, False], ids=["columns", "scalars"])
+    @pytest.mark.parametrize("kind", ["prior", "scaled", "ratio", "perturbed"])
+    def test_scalar_equals_the_matrix_entry(self, kind, columns_first):
+        prior = _prior()
+        model = _wrapped(kind, prior)
+        jobs = model.workflow.structure().jobs
+
+        def scalars():
+            return np.array([[model.computation_cost(job, rid) for rid in POOL_B] for job in jobs])
+
+        if columns_first:
+            matrix = model.computation_matrix(POOL_B).copy()
+            scalar = scalars()
+        else:
+            scalar = scalars()
+            matrix = model.computation_matrix(POOL_B).copy()
+        assert np.array_equal(matrix, scalar)
+        # the prior's own columns hold the same floats the wrapper scaled
+        assert np.array_equal(
+            prior.computation_columns(POOL_B), _prior().computation_matrix(POOL_B)
+        )
+        if columns_first and kind in ("prior", "scaled"):
+            # the batch filled no per-pair mirror for the scalars to read
+            # (the ratio view's legacy records draw a few pairs on their own)
+            assert _held_prices(prior)[1] == 0
+
+    def test_wrapper_prices_subsets_without_memoising_base_matrices(self):
+        prior = _prior()
+        prior.computation_matrix(POOL_A)
+        ScaledCostModel(prior, PROFILE).computation_matrix(POOL_B)
+        # the base still holds its own pool's views, not the wrapper's subset
+        assert {key[1] for key in _held_prices(prior)[0]} == {tuple(POOL_A)}

@@ -20,6 +20,9 @@ from repro.generators.sample import (
 from repro.generators.wien2k import generate_wien2k_case, generate_wien2k_workflow
 from repro.workflow.analysis import max_parallelism
 
+#: NaN and both infinities: shape parameters the generators must refuse
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
 
 class TestCostAssignment:
     def test_base_costs_within_range(self, diamond_workflow):
@@ -37,6 +40,13 @@ class TestCostAssignment:
     def test_invalid_omega_rejected(self, diamond_workflow):
         with pytest.raises(ValueError):
             draw_base_costs(diamond_workflow, omega_dag=0.0, seed=1)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_omega_and_ccr_rejected(self, diamond_workflow, value):
+        with pytest.raises(ValueError, match="omega_dag must be finite"):
+            draw_base_costs(diamond_workflow, omega_dag=value, seed=1)
+        with pytest.raises(ValueError, match="ccr must be finite"):
+            assign_edge_data(diamond_workflow, ccr=value, omega_dag=50.0, seed=1)
 
     def test_edge_data_matches_ccr_target(self):
         params = RandomDAGParameters(v=60, out_degree=0.3, ccr=2.0, beta=0.5)
@@ -89,6 +99,12 @@ class TestRandomDAG:
             RandomDAGParameters(out_degree=0.0)
         with pytest.raises(ValueError):
             RandomDAGParameters(ccr=-1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["out_degree", "ccr", "beta", "alpha", "omega_dag"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RandomDAGParameters(**{name: value})
 
     def test_instances_differ(self):
         params = RandomDAGParameters(v=30)

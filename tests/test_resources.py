@@ -121,6 +121,13 @@ class TestResourceChangeModel:
         with pytest.raises(ValueError):
             ResourceChangeModel(initial_size=1, interval=10, fraction=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["interval", "fraction", "leave_fraction"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        kwargs = {"initial_size": 10, "interval": 120, "fraction": 0.15, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ResourceChangeModel(**kwargs)
+
     def test_leave_fraction_creates_bounded_windows(self):
         model = ResourceChangeModel(
             initial_size=4, interval=10, fraction=0.25, leave_fraction=0.25, max_events=2

@@ -13,7 +13,11 @@ from repro.workflow.costs import (
     HeterogeneousCostModel,
     TabularCostModel,
     UniformCostModel,
+    _held_prices,
 )
+
+#: NaN and both infinities: pricing inputs the models must refuse by name
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestTabularCostModel:
@@ -36,6 +40,13 @@ class TestTabularCostModel:
             strict=False,
         )
         assert model.computation_cost("a", "r9") == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_cost_rejected(self, diamond_workflow, value):
+        table = {j: {"r1": 1.0} for j in diamond_workflow.jobs}
+        table["b"]["r2"] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            TabularCostModel(diamond_workflow, table)
 
     def test_negative_cost_rejected(self, diamond_workflow):
         table = {j: {"r1": 1.0} for j in diamond_workflow.jobs}
@@ -150,6 +161,20 @@ class TestHeterogeneousCostModel:
         with pytest.raises(ValueError):
             HeterogeneousCostModel(diamond_workflow, {j: 1.0 for j in diamond_workflow.jobs}, beta=3.0)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["beta", "bandwidth", "latency"])
+    def test_non_finite_parameter_raises(self, diamond_workflow, name, value):
+        base = {j: 1.0 for j in diamond_workflow.jobs}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            HeterogeneousCostModel(diamond_workflow, base, **{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_base_cost_raises(self, diamond_workflow, value):
+        base = {j: 1.0 for j in diamond_workflow.jobs}
+        base["c"] = value
+        with pytest.raises(ValueError, match="base cost of job 'c' must be finite"):
+            HeterogeneousCostModel(diamond_workflow, base)
+
     def test_missing_base_cost_raises(self, diamond_workflow):
         with pytest.raises(ValueError, match="missing"):
             HeterogeneousCostModel(diamond_workflow, {"a": 1.0})
@@ -174,6 +199,12 @@ class TestUniformCostModel:
         model = UniformCostModel(diamond_workflow, computation=5.0)
         assert model.computation_cost("a", "r1") == 5.0
         assert model.computation_cost("d", "anything") == 5.0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["computation", "bandwidth", "latency"])
+    def test_non_finite_parameter_raises(self, diamond_workflow, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            UniformCostModel(diamond_workflow, **{name: value})
 
     def test_unknown_job_raises(self, diamond_workflow):
         model = UniformCostModel(diamond_workflow)
@@ -216,15 +247,19 @@ class TestBatchedComputationMatrix:
         jobs = model.workflow.structure().jobs
         return np.array([[model.computation_cost(j, r) for r in rids] for j in jobs])
 
-    def test_batch_first_matches_scalar_and_fills_the_cache(self, make_case, monkeypatch):
+    def test_batch_first_matches_scalar_and_scalars_read_the_columns(
+        self, make_case, monkeypatch
+    ):
         model = make_case(v=40, seed=3).costs
         fresh = make_case(v=40, seed=3).costs
         counts = _count_draws(monkeypatch)
         matrix = model.computation_matrix(self.RIDS)
         assert counts == {"wij": 0, "batches": 1}
-        # the batch filled the per-pair cache: scalar queries draw nothing
+        # scalar queries read the priced columns: they draw nothing, and
+        # the batch left no per-pair copy of its draws
         assert np.array_equal(matrix, self._scalar_matrix(model, self.RIDS))
         assert counts == {"wij": 0, "batches": 1}
+        assert _held_prices(model)[1] == 0
         # and equals a model that never took the batched path
         assert np.array_equal(matrix, self._scalar_matrix(fresh, self.RIDS))
         assert counts["wij"] == 40 * len(self.RIDS)
@@ -265,6 +300,28 @@ class TestBatchedComputationMatrix:
         assert after.shape == (31, len(self.RIDS))
         assert np.array_equal(after[:-1], before)
         assert np.array_equal(after, self._scalar_matrix(model, self.RIDS))
+
+    def test_scalar_of_a_job_outside_the_workflow_draws_it(self, make_case):
+        case = make_case(v=20, seed=8)
+        base_costs = {**case.costs.base_costs, "spare": 7.5}
+        model = HeterogeneousCostModel(case.workflow, base_costs, beta=0.5, seed=2)
+        fresh = HeterogeneousCostModel(case.workflow, base_costs, beta=0.5, seed=2)
+        model.computation_matrix(self.RIDS)  # priced columns lack "spare"
+        for rid in self.RIDS:
+            assert model.computation_cost("spare", rid) == fresh.computation_cost("spare", rid)
+
+    def test_scalars_after_add_job_before_any_rebuild(self, make_case):
+        model = make_case(v=30, seed=9).costs
+        fresh = make_case(v=30, seed=9).costs
+        model.computation_matrix(self.RIDS)
+        for costs in (model, fresh):
+            costs.workflow.add_job("late")
+            costs.base_costs["late"] = 12.5
+        # the columns priced before the edit still serve the old jobs, and
+        # the new job is drawn on its own
+        assert np.array_equal(
+            self._scalar_matrix(model, self.RIDS), self._scalar_matrix(fresh, self.RIDS)
+        )
 
     @pytest.mark.parametrize("beta, base", [(0.0, 10.0), (1.0, 0.0)])
     def test_degenerate_band_is_the_base_cost(self, diamond_workflow, beta, base, monkeypatch):
