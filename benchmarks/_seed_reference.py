@@ -35,7 +35,12 @@ This module preserves the seed algorithms verbatim so that
 * ``benchmarks/bench_kernel_scaling.py`` and ``tests/test_flow_scheduler.py``
   can check the min-cost-flow scheduler's equivalence-class graph against
   :func:`seed_solve_through_classes`, the version that gave every task of
-  a wave its own node and three arcs.
+  a wave its own node and three arcs,
+* ``benchmarks/bench_kernel_scaling.py`` and ``tests/test_overload.py``
+  can check admission control against :func:`seed_evaluate`, the eager
+  offer that made both tentative plans (:func:`seed_plan_arrival`: around
+  the other workflows' bookings, then busy-free) before reading either
+  gate.
 
 Do not optimise this module — its slowness is the point.
 """
@@ -47,6 +52,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
+from repro.core.multi_tenant import PlannedArrival
 from repro.scheduling.base import (
     Assignment,
     ExecutionState,
@@ -84,6 +90,8 @@ __all__ = [
     "seed_next_deviation",
     "seed_served_by_tenant",
     "seed_solve_through_classes",
+    "seed_plan_arrival",
+    "seed_evaluate",
 ]
 
 
@@ -1408,3 +1416,77 @@ def seed_solve_through_classes(tasks, resources, assignment_cost, deferral_cost)
     )
     assert len(placed) == len(used), "every class unit leaves through one resource"
     return {task: resources[r] for task, (_, r) in zip(placed, used)}
+
+
+# ----------------------------------------------------------------------
+# admission control, both tentative plans made on every offer
+# ----------------------------------------------------------------------
+def seed_plan_arrival(planner, arrival, clock: float) -> PlannedArrival:
+    """Frozen ``MultiTenantPlanner.plan_arrival``: the plan around the
+    other workflows' bookings first, then (when there are any) the
+    busy-free dedicated plan."""
+    resources = planner.pool.available_at(clock)
+    if not resources:
+        raise ValueError(f"no resources available at arrival time {clock}")
+    workflow = arrival.case.workflow
+    effective = arrival.case.costs
+    if planner.perf_profile is not None:
+        effective = planner.perf_profile.scaled_costs(effective, clock)
+    scheduler = planner.scheduler_factory()
+    bind = getattr(scheduler, "bind_tenant_context", None)
+    if bind is not None:
+        weight = planner.credit.weight(arrival.tenant) if planner.credit is not None else 1.0
+        scheduler = bind(credit_weight=weight)
+    busy = planner.busy_view(None, clock)
+    has_busy = bool(busy)
+    plan = scheduler.reschedule(
+        workflow,
+        effective,
+        resources,
+        clock=clock,
+        previous_schedule=None,
+        busy=busy if has_busy else None,
+    )
+    if has_busy:
+        dedicated = scheduler.reschedule(
+            workflow, effective, resources, clock=clock, previous_schedule=None
+        )
+        dedicated_span = dedicated.makespan() - clock
+    else:
+        dedicated_span = plan.makespan() - clock
+    return PlannedArrival(
+        scheduler=scheduler, schedule=plan, dedicated_span=dedicated_span, busy=busy
+    )
+
+
+def seed_evaluate(controller, planner, arrival, clock: float, *, can_defer: bool = True):
+    """Frozen ``AdmissionController.evaluate``: both plans of
+    :func:`seed_plan_arrival`, then saturation and stretch read together."""
+    config = controller.config
+    entry = controller._deferrals.get(arrival.key)
+    if entry is not None and entry[0] != arrival.time:
+        del controller._deferrals[arrival.key]
+        entry = None
+    prior = entry[1] if entry is not None else 0
+    resources = planner.pool.available_at(clock)
+    if not resources:
+        action = controller._throttle_action(arrival, prior, can_defer)
+        controller._record(arrival, clock, action, 1.0, float("inf"), prior)
+        return action, None
+    planned = seed_plan_arrival(planner, arrival, clock)
+    window = max(planned.dedicated_span, config.min_window)
+    saturation = as_busy_view(planned.busy).saturation(len(resources), clock, window)
+    predicted_stretch = (planned.schedule.makespan() - arrival.time) / max(
+        planned.dedicated_span, TIME_EPS
+    )
+    overloaded = (
+        saturation > config.saturation_threshold
+        or predicted_stretch > config.stretch_limit
+    )
+    if not overloaded:
+        action = "admit"
+        controller._deferrals.pop(arrival.key, None)
+    else:
+        action = controller._throttle_action(arrival, prior, can_defer)
+    controller._record(arrival, clock, action, saturation, predicted_stretch, prior)
+    return action, planned

@@ -50,6 +50,16 @@ at the end:
 caches over the bytes of one current-pool rows view — is gated at
 ``MAX_PRICING_RETAINED_RATIO`` in quick mode too.
 
+``admission_planning`` offers the first closed-loop flash-crowd case
+(accurate estimates) through admission control twice: as the controller
+does it — saturation read off the busy-free dedicated plan, the plan
+around the other tenants' bookings made only for offers saturation
+leaves open — and through the eager offer frozen in ``_seed_reference``,
+which made both plans every time.  Outcomes, admission actions,
+saturation and credits must be equal; ``reschedules_per_offer``, the
+plans admission made per offer, is a deterministic count gated at
+``MAX_ADMISSION_RESCHEDULES_PER_OFFER`` in quick mode too.
+
 Results go to ``benchmarks/results/kernel_scaling.{txt,json}`` and to a
 top-level ``BENCH_kernel.json`` so the performance trajectory is tracked
 across PRs.  Run directly (``python benchmarks/bench_kernel_scaling.py
@@ -70,12 +80,13 @@ import numpy as np
 from _common import publish, run_once
 from _seed_reference import (
     SeedAHEFTScheduler,
+    seed_evaluate,
     seed_heft_schedule,
     seed_solve_through_classes,
 )
 
 from repro import registry
-from repro.core.admission import AdmissionConfig
+from repro.core.admission import AdmissionConfig, AdmissionController
 from repro.facade import run as facade_run
 from repro.generators.random_dag import (
     RandomDAGParameters,
@@ -162,6 +173,14 @@ CLOSED_LOOP_ARRIVALS = 40
 #: 4.0–5.8x, whether the cases run first in the process or after the rest
 #: of the benchmark.
 MAX_CLOSED_LOOP_RATIO = 7.5
+
+#: Ceiling on the tentative plans admission control makes per offer on the
+#: first closed-loop case — a count, so it holds on any host.  The eager
+#: offer, which planned around the other tenants' bookings before reading
+#: saturation, makes 2.00 there (1,083 plans for 542 offers); the
+#: saturation-first offer makes 1.14 (618), as saturation alone decides
+#: 465 of the offers.
+MAX_ADMISSION_RESCHEDULES_PER_OFFER = 1.5
 
 #: Pricing-memory case: e2ebench's ``adaptive_grow_3k`` shape (V=3000,
 #: out-degree 20/V, ``ResourceChangeModel(10, interval=120, fraction=0.15,
@@ -507,6 +526,32 @@ def measure_flow_waves(v: int = FLOW_V) -> Dict[str, float]:
     }
 
 
+def _flash_crowd_case(seed: int, max_arrivals: int = CLOSED_LOOP_ARRIVALS):
+    """One closed-loop case: a ``default_tenants(4)`` stream offered to a
+    16-resource ``flash_crowd`` pool, as ``(arrivals, scenario run)``."""
+    tenants = default_tenants(
+        4, arrival_rate=0.002, max_arrivals=max_arrivals, v=12, parallelism=6
+    )
+    arrivals = WorkloadStream(tenants, seed=seed, horizon=20000.0).arrivals()
+    scenario = materialize(
+        registry.make("scenario", "flash_crowd"), initial_size=16, seed=seed, horizon=20000.0
+    )
+    return arrivals, scenario
+
+
+def _shared_grid_run(arrivals, scenario, **options):
+    """The closed-loop cases' shared-grid run: ``credit_drf``, admission on."""
+    return facade_run(
+        arrivals,
+        scenario.pool,
+        mode="multi",
+        perf_profile=scenario.profile,
+        policy="credit_drf",
+        admission=AdmissionConfig(),
+        **options,
+    )
+
+
 def measure_closed_loop(seeds=CLOSED_LOOP_SEEDS, max_arrivals: int = CLOSED_LOOP_ARRIVALS):
     """Wall clock of noisy vs accurate-estimate shared-grid runs.
 
@@ -522,34 +567,16 @@ def measure_closed_loop(seeds=CLOSED_LOOP_SEEDS, max_arrivals: int = CLOSED_LOOP
     exact_seconds = noisy_seconds = 0.0
     arrivals_total = exact_decisions = noisy_decisions = 0
     for seed in seeds:
-        tenants = default_tenants(
-            4, arrival_rate=0.002, max_arrivals=max_arrivals, v=12, parallelism=6
-        )
-        arrivals = WorkloadStream(tenants, seed=seed, horizon=20000.0).arrivals()
-        scenario = materialize(
-            registry.make("scenario", "flash_crowd"), initial_size=16, seed=seed, horizon=20000.0
-        )
-
-        def run(error_model=None):
-            return facade_run(
-                arrivals,
-                scenario.pool,
-                mode="multi",
-                perf_profile=scenario.profile,
-                policy="credit_drf",
-                admission=AdmissionConfig(),
-                error_model=error_model,
-            )
-
-        run()  # warm-up: lazy cost draws priced outside the timed runs
+        arrivals, scenario = _flash_crowd_case(seed, max_arrivals)
+        _shared_grid_run(arrivals, scenario)  # warm-up: lazy cost draws priced untimed
         gc.collect()
         t0 = time.perf_counter()
-        exact = run()
+        exact = _shared_grid_run(arrivals, scenario)
         exact_seconds += time.perf_counter() - t0
         noise = registry.make("error_model", "gaussian", magnitude=0.5, seed=seed)
         gc.collect()
         t0 = time.perf_counter()
-        noisy = run(noise)
+        noisy = _shared_grid_run(arrivals, scenario, error_model=noise)
         noisy_seconds += time.perf_counter() - t0
         arrivals_total += len(arrivals)
         exact_decisions += len(exact.decisions)
@@ -562,6 +589,65 @@ def measure_closed_loop(seeds=CLOSED_LOOP_SEEDS, max_arrivals: int = CLOSED_LOOP
         "exact_seconds": exact_seconds,
         "noisy_seconds": noisy_seconds,
         "ratio": noisy_seconds / exact_seconds,
+    }
+
+
+def measure_admission_planning(seed: int = CLOSED_LOOP_SEEDS[0]) -> Dict[str, object]:
+    """Admission control on one flash-crowd case, saturation first vs the
+    eager oracle: the plans each offer made, and equal outcomes."""
+    arrivals, scenario = _flash_crowd_case(seed)
+    live = AdmissionController.evaluate
+    reschedules = [0]
+
+    class CountingAHEFT(AHEFTScheduler):
+        def reschedule(self, *args, **kwargs):
+            reschedules[0] += 1
+            return super().reschedule(*args, **kwargs)
+
+    def offer_through(evaluate):
+        planned = []
+
+        def counting_evaluate(controller, planner, arrival, clock, **kwargs):
+            before = reschedules[0]
+            outcome = evaluate(controller, planner, arrival, clock, **kwargs)
+            planned.append(reschedules[0] - before)
+            return outcome
+
+        AdmissionController.evaluate = counting_evaluate
+        try:
+            gc.collect()
+            t0 = time.perf_counter()
+            raw = _shared_grid_run(arrivals, scenario, scheduler_factory=CountingAHEFT).raw
+            seconds = time.perf_counter() - t0
+        finally:
+            AdmissionController.evaluate = live
+        fingerprint = (
+            [
+                (o.key, o.completed_at, o.dedicated_span, o.schedule.to_dict())
+                for o in raw.outcomes
+            ],
+            [(d.time, d.key, d.action, d.saturation, d.deferrals) for d in raw.admission],
+            raw.credits,
+        )
+        return fingerprint, raw.admission, planned, seconds
+
+    _shared_grid_run(arrivals, scenario)  # warm-up: lazy cost draws priced untimed
+    ours, decisions, planned, seconds = offer_through(live)
+    theirs, _, oracle_planned, oracle_seconds = offer_through(seed_evaluate)
+    if ours != theirs:
+        raise AssertionError("saturation-first admission diverged from the eager oracle")
+    offers = len(decisions)
+    return {
+        "arrivals": len(arrivals),
+        "offers": offers,
+        "admitted": sum(1 for d in decisions if d.action == "admit"),
+        "saturation_decided": sum(1 for d in decisions if d.predicted_stretch is None),
+        "reschedules": sum(planned),
+        "oracle_reschedules": sum(oracle_planned),
+        "reschedules_per_offer": sum(planned) / offers,
+        "oracle_reschedules_per_offer": sum(oracle_planned) / offers,
+        "seconds": seconds,
+        "oracle_seconds": oracle_seconds,
     }
 
 
@@ -629,6 +715,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         SCALING_SIZES_QUICK if quick else SCALING_SIZES
     )
     flow_waves = measure_flow_waves()
+    admission_planning = measure_admission_planning()
     pricing_memory = measure_pricing_memory(PRICING_V_QUICK if quick else PRICING_V)
     return {
         "quick": quick,
@@ -638,6 +725,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "scaling_series": scaling,
         "closed_loop": closed_loop,
         "flow_waves": flow_waves,
+        "admission_planning": admission_planning,
         "pricing_memory": pricing_memory,
     }
 
@@ -688,6 +776,16 @@ def render(results: Dict[str, object]) -> str:
         f"{f['bundled_solve_seconds'] * 1e3:.1f} ms = {f['solve_speedup']:.2f}x "
         f"(gate ≥ {MIN_FLOW_SOLVE_SPEEDUP}x)"
     )
+    p = results["admission_planning"]
+    lines.append("")
+    lines.append(
+        f"admission planning (flash crowd, {p['arrivals']} arrivals, {p['offers']} offers, "
+        f"{p['saturation_decided']} decided by saturation): "
+        f"{p['reschedules_per_offer']:.2f} plans per offer, eager oracle "
+        f"{p['oracle_reschedules_per_offer']:.2f} "
+        f"(gate ≤ {MAX_ADMISSION_RESCHEDULES_PER_OFFER}); "
+        f"{p['seconds']:.2f}s / oracle {p['oracle_seconds']:.2f}s"
+    )
     m = results["pricing_memory"]
     lines.append("")
     lines.append(
@@ -710,10 +808,15 @@ def render(results: Dict[str, object]) -> str:
         f"  fitted static-time exponent: V^{s['scaling_exponent']:.2f} "
         f"(gate ≤ {MAX_SCALING_EXPONENT})"
     )
+    # quick mode does not enforce this ceiling (see check_thresholds)
+    gate = (
+        "informational in quick mode"
+        if results.get("quick")
+        else f"gate ≤ {MAX_RESCHEDULE_EXPONENT}"
+    )
     lines.append(
         f"  fitted reschedule-latency exponent: "
-        f"V^{loglog_exponent(s['rows'], 'reschedule_latency'):.2f} "
-        f"(gate ≤ {MAX_RESCHEDULE_EXPONENT})"
+        f"V^{loglog_exponent(s['rows'], 'reschedule_latency'):.2f} ({gate})"
     )
     return "\n".join(lines)
 
@@ -754,6 +857,15 @@ def check_thresholds(results: Dict[str, object]) -> None:
     assert pricing_memory["retained_ratio"] <= MAX_PRICING_RETAINED_RATIO, (
         f"the cost model holds {pricing_memory['retained_ratio']:.2f}x one rows view "
         f"at the end of a growing-pool run, above the {MAX_PRICING_RETAINED_RATIO}x ceiling"
+    )
+    # and the plans admission control makes per offer, a count
+    admission_planning = results["admission_planning"]
+    assert (
+        admission_planning["reschedules_per_offer"] <= MAX_ADMISSION_RESCHEDULES_PER_OFFER
+    ), (
+        f"admission control makes {admission_planning['reschedules_per_offer']:.2f} "
+        f"tentative plans per offer, above the "
+        f"{MAX_ADMISSION_RESCHEDULES_PER_OFFER} ceiling"
     )
     scaling = results["scaling_series"]
     if results.get("quick"):

@@ -6,17 +6,23 @@ slots and the stretch of late arrivals grows without bound.  The
 :class:`AdmissionController` sits in front of
 :meth:`~repro.core.multi_tenant.MultiTenantPlanner.register` and turns that
 regime into a measured one.  For each arrival it plans tentatively
-(without registering) and gates on two predictions:
+(without registering) and gates on two predictions, in this order:
 
 * **predicted saturation** — the fraction of the grid's capacity over the
   lookahead window ``[clock, clock + dedicated_span]`` already booked by
   admitted workflows.  Saturation above ``saturation_threshold`` means the
   newcomer would mostly queue, not run;
-* **predicted stretch** — the tentative plan's completion relative to the
-  span the workflow would need alone (``(makespan - arrival.time) /
-  dedicated_span``).  A value above ``stretch_limit`` means the grid
-  cannot give the workflow acceptable service *right now* even if a slot
-  exists.
+* **predicted stretch** — the completion of the plan around the other
+  workflows' bookings relative to the span the workflow would need alone
+  (``(makespan - arrival.time) / dedicated_span``).  A value above
+  ``stretch_limit`` means the grid cannot give the workflow acceptable
+  service *right now* even if a slot exists.
+
+Saturation needs only the busy-free dedicated plan, so it is read first;
+the plan around the bookings is made only when saturation leaves the
+offer open (on a flash crowd, saturation alone decides most offers).
+An offer the saturation gate decided records ``predicted_stretch=None``:
+the plan it would be read from is never made.
 
 An arrival failing either gate is **deferred** — the executor re-offers
 it when capacity is predicted to free up (the earliest incumbent
@@ -27,8 +33,9 @@ rejection/deferral rates and the observed saturation are first-class run
 metrics rather than post-hoc reconstructions.
 
 The controller only *reads* planner state: it plans through
-:meth:`~repro.core.multi_tenant.MultiTenantPlanner.plan_arrival` and
-measures saturation on the busy view that plan was made around (a
+:meth:`~repro.core.multi_tenant.MultiTenantPlanner.plan_arrival`, whose
+``gate`` hook runs the saturation test between the two plans, and
+measures saturation on the busy view the offer is planned against (a
 snapshot of the planner's booking directory, read lane by lane through
 :meth:`~repro.scheduling.bookings.BusyView.saturation`, not a fresh
 walk of the admitted schedules).  Admitting remains the planner's job,
@@ -97,7 +104,9 @@ class AdmissionDecision:
     tenant: str
     action: str  # "admit" | "defer" | "reject"
     saturation: float
-    predicted_stretch: float
+    #: ``None`` when the saturation gate decided the offer: the plan the
+    #: stretch is read from is never made then
+    predicted_stretch: Optional[float]
     #: failed offers *before* this decision (0 on the first offer)
     deferrals: int
 
@@ -181,19 +190,30 @@ class AdmissionController:
             action = self._throttle_action(arrival, prior, can_defer)
             self._record(arrival, clock, action, 1.0, float("inf"), prior)
             return action, None
-        planned = planner.plan_arrival(arrival, clock)
-        window = max(planned.dedicated_span, config.min_window)
-        # planning registers nothing, so the view it planned against is
-        # still the grid's residual at ``clock``
-        saturation = predicted_saturation(planned.busy, len(resources), clock, window)
-        predicted_stretch = (planned.schedule.makespan() - arrival.time) / max(
-            planned.dedicated_span, TIME_EPS
-        )
-        overloaded = (
-            saturation > config.saturation_threshold
-            or predicted_stretch > config.stretch_limit
-        )
-        if not overloaded:
+        # the gate runs once the dedicated plan is made: saturation alone
+        # decides most offers, so the plan around the other workflows'
+        # bookings is made only for the offers it leaves open; plan_arrival
+        # calls it exactly once, which sets ``saturation``
+        saturation = 1.0
+
+        def saturation_gate(dedicated_span: float, busy) -> bool:
+            nonlocal saturation
+            window = max(dedicated_span, config.min_window)
+            # planning registers nothing, so the view is still the grid's
+            # residual at ``clock``
+            saturation = predicted_saturation(busy, len(resources), clock, window)
+            return saturation <= config.saturation_threshold
+
+        planned = planner.plan_arrival(arrival, clock, gate=saturation_gate)
+        if planned.schedule is None:
+            predicted_stretch = None
+            admit = False
+        else:
+            predicted_stretch = (planned.schedule.makespan() - arrival.time) / max(
+                planned.dedicated_span, TIME_EPS
+            )
+            admit = predicted_stretch <= config.stretch_limit
+        if admit:
             action = "admit"
             self._deferrals.pop(arrival.key, None)
         else:
@@ -240,7 +260,7 @@ class AdmissionController:
         clock: float,
         action: str,
         saturation: float,
-        predicted_stretch: float,
+        predicted_stretch: Optional[float],
         prior: int,
     ) -> None:
         self.decisions.append(

@@ -146,7 +146,9 @@ class PlannedArrival:
     """A tentative plan for an arrival, not yet registered with the planner."""
 
     scheduler: AHEFTScheduler
-    schedule: Schedule
+    #: the plan around the other workflows' bookings; ``None`` when the
+    #: :meth:`MultiTenantPlanner.plan_arrival` gate closed before it was made
+    schedule: Optional[Schedule]
     #: predicted span had the workflow run alone on the pool it arrived to
     dedicated_span: float
     #: the other workflows' bookings the plan was made around
@@ -350,13 +352,25 @@ class MultiTenantPlanner:
     # ------------------------------------------------------------------
     # arrival
     # ------------------------------------------------------------------
-    def plan_arrival(self, arrival: WorkflowArrival, clock: float) -> PlannedArrival:
+    def plan_arrival(
+        self,
+        arrival: WorkflowArrival,
+        clock: float,
+        *,
+        gate: Optional[Callable[[float, BusyView], bool]] = None,
+    ) -> PlannedArrival:
         """Tentatively plan ``arrival`` against the residual capacity.
 
         Pure with respect to planner state: nothing is registered, so
         admission control can inspect the plan (predicted stretch,
         dedicated span) and walk away.  Raises ``ValueError`` when the
         pool is momentarily empty.
+
+        The busy-free dedicated plan comes first.  ``gate`` (admission
+        control's saturation test) then sees its span and the busy view;
+        when it returns ``False`` the plan around the other workflows'
+        bookings is never made and the result's ``schedule`` is ``None``.
+        Without bookings the dedicated plan is the plan.
         """
         resources = self.pool.available_at(clock)
         if not resources:
@@ -377,22 +391,21 @@ class MultiTenantPlanner:
             )
             scheduler = bind(credit_weight=weight)
         busy = self.busy_view(None, clock)
-        has_busy = bool(busy)
         plan = scheduler.reschedule(
-            workflow,
-            effective,
-            resources,
-            clock=clock,
-            previous_schedule=None,
-            busy=busy if has_busy else None,
+            workflow, effective, resources, clock=clock, previous_schedule=None
         )
-        if has_busy:
-            dedicated = scheduler.reschedule(
-                workflow, effective, resources, clock=clock, previous_schedule=None
+        dedicated_span = plan.makespan() - clock
+        if gate is not None and not gate(dedicated_span, busy):
+            plan = None
+        elif busy:
+            plan = scheduler.reschedule(
+                workflow,
+                effective,
+                resources,
+                clock=clock,
+                previous_schedule=None,
+                busy=busy,
             )
-            dedicated_span = dedicated.makespan() - clock
-        else:
-            dedicated_span = plan.makespan() - clock
         return PlannedArrival(
             scheduler=scheduler, schedule=plan, dedicated_span=dedicated_span, busy=busy
         )
@@ -401,6 +414,8 @@ class MultiTenantPlanner:
         self, arrival: WorkflowArrival, clock: float, planned: PlannedArrival
     ) -> ActiveWorkflow:
         """Register a previously planned arrival as an active workflow."""
+        if planned.schedule is None:
+            raise ValueError(f"workflow {arrival.key!r} has no plan to register")
         if arrival.key in self._active:
             raise ValueError(f"workflow {arrival.key!r} was already admitted")
         deadline_factor = getattr(arrival, "deadline_factor", None)

@@ -100,7 +100,8 @@ def assign_edge_data(
     ``CCR·ω_DAG·bandwidth``), or shared per (producer-operation,
     consumer-operation) pair when ``per_operation`` is set.
     """
-    require_finite("ccr", ccr)
+    for name, value in (("ccr", ccr), ("omega_dag", omega_dag), ("bandwidth", bandwidth)):
+        require_finite(name, value)
     if ccr < 0:
         raise ValueError("ccr must be non-negative")
     mean_data = ccr * omega_dag * bandwidth

@@ -193,52 +193,78 @@ def _hash_consts(init: int, mult: int, count: int) -> Tuple[Tuple[int, int], ...
     return tuple(out)
 
 
-# 4 hashmix calls fill the pool, 12 more mix it
+def _rows(consts: Sequence[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Hashmix constants as ``(xor, multiply)`` uint32 columns, one row per
+    call, so a stack of words mixes in one broadcast op."""
+    xor, mult = zip(*consts)
+    return np.array(xor, dtype=_U32)[:, None], np.array(mult, dtype=_U32)[:, None]
+
+
+# 4 hashmix calls fill the pool, 12 more mix it: round ``src`` hashes word
+# ``src`` once per other word, in ascending order of that destination
 _POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
-# generate_state(4, uint64) hashes 8 uint32 words
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_FILL = _rows(_POOL_HASH[:4])
+#: per round, its constants rotated to the order :func:`_pool` mixes the
+#: destinations in: cyclically after the source (``src + 1``, ``src + 2``,
+#: ``src + 3`` mod 4)
+_ROUNDS = tuple(
+    _rows(calls[src:] + calls[:src])
+    for src, calls in enumerate(_POOL_HASH[4 + 3 * r:7 + 3 * r] for r in range(4))
+)
+# generate_state(4, uint64) hashes 8 uint32 words, reading the pool twice
+_STATE = _rows(_hash_consts(0x8B51F9DD, 0x58F38DED, 8))
 _MIX_L = _U32(0xCA01F9DD)
 _MIX_R = _U32(0x4973F715)
+_SHIFT = _U32(16)
 
 _PCG_MULT_HI = 0x2360ED051FC65DA4
 _PCG_MULT_LO = 0x4385DF649FCCF645
 
 
-def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
-    xor, mult = _POOL_HASH[call]
-    value = (value ^ _U32(xor)) * _U32(mult)
-    return value ^ (value >> _U32(16))
+def _hashmix(words: np.ndarray, consts: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Hashmix each row of ``words`` with its row of ``consts`` (a new array)."""
+    xor, mult = consts
+    value = words ^ xor
+    value *= mult
+    value ^= value >> _SHIFT
+    return value
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> _U32(16))
-
-
-def _pool(lo: np.ndarray, hi: np.ndarray) -> list:
-    """SeedSequence(seed).pool for seeds with 32-bit halves ``lo``/``hi``.
+def _pool(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).pool for seeds with 32-bit halves ``lo``/``hi``,
+    as a ``(4, n)`` uint32 stack.
 
     A seed below 2**32 has one entropy word and the pool pads with zeros,
     which is what a zero high word gives, so every seed takes this path.
+
+    The words live in a 7-row buffer: words 0-3, then copies of words 0-2,
+    so round ``src``'s three destinations are the one slice
+    ``src + 1 : src + 4``.  The copy a round first reads is taken right
+    before it, when its word has had its last mix from an earlier round;
+    the pool ends up in rows 4, 5, 6, 3.
     """
-    zeros = np.zeros_like(lo)
-    mixer = [_hashmix(lo, 0), _hashmix(hi, 1), _hashmix(zeros, 2), _hashmix(zeros, 3)]
-    call = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], call))
-                call += 1
-    return mixer
+    buf = np.zeros((7, lo.size), dtype=_U32)
+    buf[0], buf[1] = lo, hi
+    buf[:4] = _hashmix(buf[:4], _FILL)
+    for src, consts in enumerate(_ROUNDS):
+        if src:
+            buf[src + 3] = buf[src - 1]
+        # the source word stays fixed within its round, so its three mixes
+        # are independent
+        dst = buf[src + 1:src + 4]
+        hashed = _hashmix(buf[src], consts)
+        hashed *= _MIX_R
+        dst *= _MIX_L
+        dst -= hashed
+        dst ^= dst >> _SHIFT
+    return buf[[4, 5, 6, 3]]
 
 
-def _generate_state(pool: list) -> list:
-    """``generate_state(4, uint64)`` of the pool, as four uint64 arrays."""
-    words = []
-    for i, (xor, mult) in enumerate(_STATE_HASH):
-        value = (pool[i % 4] ^ _U32(xor)) * _U32(mult)
-        words.append((value ^ (value >> _U32(16))).astype(_U64))
-    return [words[k] | (words[k + 1] << _U64(32)) for k in range(0, 8, 2)]
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(4, uint64)`` of the pool, as a ``(4, n)`` uint64 stack."""
+    words = _hashmix(np.concatenate((pool, pool)), _STATE).astype(_U64)
+    words[1::2] <<= _U64(32)
+    return words[0::2] | words[1::2]
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:

@@ -10,9 +10,11 @@ structure can be priced on different or changing resource pools.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
+from repro.utils.checks import require_finite
 from repro.utils.ordering import topological_order
 
 __all__ = ["Job", "Workflow", "WorkflowIndex"]
@@ -78,6 +80,15 @@ class Job:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.job_id
+
+
+def _edge_data(src: str, dst: str, data: float) -> float:
+    """``data`` as an edge's volume: a finite, non-negative float."""
+    data = float(data)
+    if not 0.0 <= data < math.inf:
+        require_finite(f"data of edge {src!r} -> {dst!r}", data)
+        raise ValueError("edge data must be non-negative")
+    return data
 
 
 class Workflow:
@@ -200,7 +211,8 @@ class Workflow:
         KeyError
             If either endpoint has not been added.
         ValueError
-            If the edge is a self loop, a duplicate, or negative data.
+            If the edge is a self loop, a duplicate, or its data is
+            negative or not finite.
         """
         if src not in self._jobs:
             raise KeyError(f"unknown source job: {src!r}")
@@ -210,10 +222,9 @@ class Workflow:
             raise ValueError(f"self loop on job {src!r} is not allowed")
         if dst in self._succ[src]:
             raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
-        if data < 0:
-            raise ValueError("edge data must be non-negative")
-        self._succ[src][dst] = float(data)
-        self._pred[dst][src] = float(data)
+        data = _edge_data(src, dst, data)
+        self._succ[src][dst] = data
+        self._pred[dst][src] = data
         self._touch_structure()
 
     def remove_edge(self, src: str, dst: str) -> None:
@@ -226,10 +237,9 @@ class Workflow:
         """Update the data volume of an existing edge."""
         if dst not in self._succ.get(src, {}):
             raise KeyError(f"no edge {src!r} -> {dst!r}")
-        if data < 0:
-            raise ValueError("edge data must be non-negative")
-        self._succ[src][dst] = float(data)
-        self._pred[dst][src] = float(data)
+        data = _edge_data(src, dst, data)
+        self._succ[src][dst] = data
+        self._pred[dst][src] = data
         self._version += 1  # costs change, topology does not
         self._log_mutation(src, dst)
 

@@ -47,6 +47,10 @@ class TestCostAssignment:
             draw_base_costs(diamond_workflow, omega_dag=value, seed=1)
         with pytest.raises(ValueError, match="ccr must be finite"):
             assign_edge_data(diamond_workflow, ccr=value, omega_dag=50.0, seed=1)
+        with pytest.raises(ValueError, match="omega_dag must be finite"):
+            assign_edge_data(diamond_workflow, ccr=1.0, omega_dag=value, seed=1)
+        with pytest.raises(ValueError, match="bandwidth must be finite"):
+            assign_edge_data(diamond_workflow, ccr=1.0, omega_dag=50.0, seed=1, bandwidth=value)
 
     def test_edge_data_matches_ccr_target(self):
         params = RandomDAGParameters(v=60, out_degree=0.3, ccr=2.0, beta=0.5)

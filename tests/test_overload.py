@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from benchmarks._seed_reference import seed_evaluate
 from repro import registry
 from repro.cli import EXIT_OK, main
 from repro.core.admission import (
@@ -611,8 +612,8 @@ class TestOneBusyViewPerOffer:
         plan_arrival = MultiTenantPlanner.plan_arrival
         offers = []
 
-        def recording_plan_arrival(planner, arrival, clock):
-            planned = plan_arrival(planner, arrival, clock)
+        def recording_plan_arrival(planner, arrival, clock, **kwargs):
+            planned = plan_arrival(planner, arrival, clock, **kwargs)
             fresh = planner.busy_view(None, clock)
             assert planned.busy == fresh
             offers.append(
@@ -630,6 +631,142 @@ class TestOneBusyViewPerOffer:
             assert decision.time == clock
             expected = predicted_saturation(fresh, count, clock, max(span, min_window))
             assert decision.saturation == expected
+
+
+#: a crowded grid on which both gates decide offers
+_CROWDED = MultiTenantConfig(
+    tenants=3,
+    arrival_rate=0.02,
+    resources=6,
+    v=10,
+    parallelism=5,
+    max_arrivals=4,
+    scenario="flash_crowd",
+    seed=0,
+    admission=True,
+    stretch_limit=2.0,
+    saturation_threshold=0.5,
+    max_deferrals=2,
+)
+
+
+def _admission_run(config: MultiTenantConfig, monkeypatch, evaluate):
+    """One whole run offering arrivals through ``evaluate``: its
+    fingerprint, its admission decisions and, per decision, the
+    reschedules the offer made."""
+    owner = next(
+        cls
+        for cls in type(registry.make("scheduler", config.strategy)).__mro__
+        if "reschedule" in cls.__dict__
+    )
+    reschedule = owner.reschedule
+    calls, per_offer = [0], []
+
+    def counting_reschedule(scheduler, *args, **kwargs):
+        calls[0] += 1
+        return reschedule(scheduler, *args, **kwargs)
+
+    def counting_evaluate(controller, planner, arrival, clock, **kwargs):
+        before = calls[0]
+        outcome = evaluate(controller, planner, arrival, clock, **kwargs)
+        per_offer.append(calls[0] - before)
+        return outcome
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, "reschedule", counting_reschedule)
+        patch.setattr(AdmissionController, "evaluate", counting_evaluate)
+        raw = run_multi_tenant_case(config).result
+    fingerprint = (
+        [
+            (
+                o.key,
+                o.completed_at,
+                o.dedicated_span,
+                o.schedule.to_dict(),
+                [(d.time, d.event, d.adopted) for d in o.decisions],
+            )
+            for o in raw.outcomes
+        ],
+        [(d.time, d.key, d.action, d.saturation, d.deferrals) for d in raw.admission],
+        raw.credits,
+    )
+    return fingerprint, raw.admission, per_offer
+
+
+class TestSaturationFirst:
+    """An offer reads saturation off the busy-free dedicated plan and makes
+    the plan around the other workflows' bookings only when saturation
+    leaves it open; whole runs equal the eager offer of the seed oracle,
+    which made both plans first."""
+
+    @pytest.mark.parametrize("strategy", ["aheft", "heft_dup", "mincost_flow"])
+    @pytest.mark.parametrize("policy", ["fifo", "credit_drf"])
+    @pytest.mark.parametrize(
+        "scenario", ["flash_crowd", "degradation", "churn", "departures"]
+    )
+    def test_whole_runs_match_the_eager_offer(
+        self, monkeypatch, scenario, policy, strategy
+    ):
+        config = replace(_CROWDED, scenario=scenario, policy=policy, strategy=strategy)
+        ours, decisions, reschedules = _admission_run(
+            config, monkeypatch, AdmissionController.evaluate
+        )
+        theirs, eager, eager_reschedules = _admission_run(config, monkeypatch, seed_evaluate)
+        assert ours == theirs
+        assert len(decisions) == len(reschedules) == len(eager_reschedules)
+        threshold = config.saturation_threshold
+        for decision, before, made, made_before in zip(
+            decisions, eager, reschedules, eager_reschedules
+        ):
+            if made_before and decision.saturation > threshold:
+                # the gate decided: only the dedicated plan was made
+                assert decision.predicted_stretch is None
+                assert decision.action != "admit"
+                assert made == 1
+            else:
+                assert decision.predicted_stretch == before.predicted_stretch
+                assert made == made_before
+
+    def test_both_gates_decide_offers(self, monkeypatch):
+        _, decisions, reschedules = _admission_run(
+            _CROWDED, monkeypatch, AdmissionController.evaluate
+        )
+        threshold = _CROWDED.saturation_threshold
+        by_saturation = [d for d in decisions if d.predicted_stretch is None]
+        by_stretch = [
+            d
+            for d in decisions
+            if d.predicted_stretch is not None
+            and d.saturation <= threshold
+            and d.predicted_stretch > _CROWDED.stretch_limit
+        ]
+        assert by_saturation and by_stretch
+        assert all(d.saturation > threshold for d in by_saturation)
+        assert sum(reschedules) < 2 * len(decisions)
+
+    def test_a_closed_gate_leaves_nothing_to_register(self, make_case):
+        pool = ResourcePool([Resource("r1"), Resource("r2")])
+        planner = MultiTenantPlanner(pool)
+        case = make_case(v=6, seed=1)
+        first = WorkflowArrival("t1", 0, 0.0, "random", case, seq=0)
+        planner.register(first, 0.0, planner.plan_arrival(first, 0.0))
+        second = WorkflowArrival("t2", 0, 0.0, "random", case, seq=1)
+        seen = []
+
+        def closed(dedicated_span, busy):
+            seen.append((dedicated_span, busy))
+            return False
+
+        planned = planner.plan_arrival(second, 0.0, gate=closed)
+        assert planned.schedule is None
+        assert seen == [(planned.dedicated_span, planned.busy)] and planned.busy
+        with pytest.raises(ValueError, match="no plan to register"):
+            planner.register(second, 0.0, planned)
+        # an open gate gets the plan a gate-less call makes
+        opened = planner.plan_arrival(second, 0.0, gate=lambda span, busy: True)
+        plain = planner.plan_arrival(second, 0.0)
+        assert opened.schedule.to_dict() == plain.schedule.to_dict()
+        assert opened.dedicated_span == plain.dedicated_span
 
 
 # ----------------------------------------------------------------------

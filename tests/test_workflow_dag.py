@@ -56,6 +56,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             wf.add_edge("a", "b", data=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_data_raises_a_named_error(self, diamond_workflow, value):
+        wf = Workflow("w")
+        wf.add_job("a")
+        wf.add_job("b")
+        with pytest.raises(ValueError, match="data of edge 'a' -> 'b' must be finite"):
+            wf.add_edge("a", "b", data=value)
+        assert wf.num_edges == 0
+        before = diamond_workflow.data("a", "b")
+        with pytest.raises(ValueError, match="data of edge 'a' -> 'b' must be finite"):
+            diamond_workflow.set_data("a", "b", value)
+        assert diamond_workflow.data("a", "b") == before
+
+    def test_set_data_rejects_negative_data(self, diamond_workflow):
+        with pytest.raises(ValueError, match="non-negative"):
+            diamond_workflow.set_data("a", "b", -1.0)
+
     def test_set_data_updates_both_directions(self, diamond_workflow):
         diamond_workflow.set_data("a", "b", 9.0)
         assert diamond_workflow.data("a", "b") == 9.0
