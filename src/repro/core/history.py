@@ -18,6 +18,10 @@ import numpy as np
 
 __all__ = ["PerformanceRecord", "PerformanceHistoryRepository"]
 
+#: a record whose stored ``estimated`` is at most this carries no usable
+#: prior estimate (a legacy or hand-made record)
+MIN_STORED_ESTIMATE = 1e-12
+
 
 @dataclass(frozen=True)
 class PerformanceRecord:
@@ -65,6 +69,11 @@ class PerformanceHistoryRepository:
         self._records: List[PerformanceRecord] = []
         self._by_key: Dict[Tuple[str, str], List[float]] = {}
         self._by_operation: Dict[str, List[float]] = {}
+        #: per resource, ``duration / estimated`` of every self-contained
+        #: record, in record order
+        self._ratios: Dict[str, List[float]] = {}
+        #: records without a stored estimate
+        self._legacy = 0
 
     # ------------------------------------------------------------------
     def record(self, record: PerformanceRecord) -> None:
@@ -74,6 +83,12 @@ class PerformanceHistoryRepository:
             record.duration
         )
         self._by_operation.setdefault(record.operation, []).append(record.duration)
+        if record.estimated > MIN_STORED_ESTIMATE:
+            self._ratios.setdefault(record.resource_id, []).append(
+                record.duration / record.estimated
+            )
+        else:
+            self._legacy += 1
 
     def record_execution(
         self,
@@ -104,6 +119,16 @@ class PerformanceHistoryRepository:
     @property
     def records(self) -> List[PerformanceRecord]:
         return list(self._records)
+
+    def self_contained_ratios(self) -> Optional[Dict[str, List[float]]]:
+        """Observed/estimated ratios per resource, when every record stores its estimate.
+
+        Resources appear in the order of their first record, each list in
+        record order.  ``None`` when a legacy record (one without a stored
+        estimate) is present: its ratio depends on the workflow it is read
+        against.  The lists are the repository's own; do not mutate them.
+        """
+        return None if self._legacy else self._ratios
 
     def _weighted_mean(self, values: List[float]) -> float:
         if self.decay == 1.0:
@@ -141,3 +166,5 @@ class PerformanceHistoryRepository:
         self._records.clear()
         self._by_key.clear()
         self._by_operation.clear()
+        self._ratios.clear()
+        self._legacy = 0

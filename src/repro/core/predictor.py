@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.history import PerformanceHistoryRepository
+from repro.core.history import MIN_STORED_ESTIMATE, PerformanceHistoryRepository
 from repro.scenarios.base import ScaledCostModel
 from repro.workflow.costs import CostModel, DelegatingCostModel
 
@@ -72,27 +72,9 @@ class RatioAdjustedCostModel(ScaledCostModel):
         self.history = history
         self.blend = float(blend)
         self.prior_strength = float(prior_strength)
-        workflow = self.workflow
-        observed: Dict[str, List[float]] = {}
-        for record in history.records:
-            if record.estimated > 1e-12:
-                # self-contained observation: the monitor stored the prior
-                # estimate at observation time (robust across workflows)
-                estimate = record.estimated
-            else:
-                # legacy/hand-recorded observation: divide by the current
-                # workflow's estimate, but only when the record demonstrably
-                # refers to this workflow's job (ids recur across generated
-                # DAGs, so an operation mismatch marks a foreign record)
-                job_id = record.job_id
-                if not job_id or job_id not in workflow:
-                    continue
-                if workflow.job(job_id).operation != record.operation:
-                    continue
-                estimate = prior.computation_cost(job_id, record.resource_id)
-                if estimate <= 1e-12:
-                    continue
-            observed.setdefault(record.resource_id, []).append(record.duration / estimate)
+        observed = history.self_contained_ratios()
+        if observed is None:
+            observed = self._walk()
         # shrunk mean: prior_strength pseudo-observations of ratio 1.0
         self._ratios: Dict[str, float] = {
             rid: (float(np.sum(ratios)) + self.prior_strength)
@@ -108,6 +90,35 @@ class RatioAdjustedCostModel(ScaledCostModel):
                 if ratio != 1.0
             }
         )
+
+    def _walk(self) -> Dict[str, List[float]]:
+        """Per resource, the ratio of every record usable against this workflow.
+
+        The path for a history holding legacy records; on a history of
+        self-contained records only it gives the repository's own lists.
+        """
+        workflow = self.workflow
+        observed: Dict[str, List[float]] = {}
+        for record in self.history.records:
+            if record.estimated > MIN_STORED_ESTIMATE:
+                # self-contained observation: the monitor stored the prior
+                # estimate at observation time (robust across workflows)
+                estimate = record.estimated
+            else:
+                # legacy/hand-recorded observation: divide by the current
+                # workflow's estimate, but only when the record demonstrably
+                # refers to this workflow's job (ids recur across generated
+                # DAGs, so an operation mismatch marks a foreign record)
+                job_id = record.job_id
+                if not job_id or job_id not in workflow:
+                    continue
+                if workflow.job(job_id).operation != record.operation:
+                    continue
+                estimate = self.base.computation_cost(job_id, record.resource_id)
+                if estimate <= 1e-12:
+                    continue
+            observed.setdefault(record.resource_id, []).append(record.duration / estimate)
+        return observed
 
     def resource_ratio(self, resource_id: str) -> float:
         """The learned correction factor of one resource (1.0 = no history)."""

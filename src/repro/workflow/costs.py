@@ -383,11 +383,11 @@ class CostModel(abc.ABC):
         return self.memoize_structural(key, build)
 
     def edge_communication_costs(self) -> "np.ndarray":
-        """``c̄`` per edge, aligned with ``workflow.structure().edges``.
+        """``c̄`` per edge, in ``Workflow.edges()`` order.
 
-        Edges are grouped contiguously by source job in insertion order,
-        with destinations in successor order — i.e. the same order as
-        ``Workflow.edges()``.
+        Edges are grouped contiguously by source job in dense-id order,
+        with destinations in successor order: the walk of
+        ``structure().succ`` in job order.
         """
 
         def build() -> "np.ndarray":
@@ -395,8 +395,9 @@ class CostModel(abc.ABC):
             jobs = structure.jobs
             return np.array(
                 [
-                    self.average_communication_cost(jobs[src], jobs[dst])
-                    for src, dst in structure.edges
+                    self.average_communication_cost(src, jobs[dst])
+                    for src, succ in zip(jobs, structure.succ)
+                    for dst in succ
                 ],
                 dtype=np.float64,
             )

@@ -49,8 +49,6 @@ class WorkflowIndex:
     succ: Tuple[Tuple[int, ...], ...]
     #: predecessors per dense id
     pred: Tuple[Tuple[int, ...], ...]
-    #: all edges as dense ``(src, dst)`` pairs, in ``Workflow.edges()`` order
-    edges: Tuple[Tuple[int, int], ...]
 
     @property
     def num_jobs(self) -> int:
@@ -341,11 +339,6 @@ class Workflow:
                 ),
                 pred=tuple(
                     tuple(index[src] for src in self._pred[job]) for job in jobs
-                ),
-                edges=tuple(
-                    (index[src], index[dst])
-                    for src, succ in self._succ.items()
-                    for dst in succ
                 ),
             )
             self._structure_cache_version = self._structure_version

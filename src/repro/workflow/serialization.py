@@ -2,17 +2,19 @@
 
 Workflows can be round-tripped through plain dictionaries / JSON (for
 storing generated experiment cases) and exported to Graphviz DOT or
-:mod:`networkx` for inspection and plotting.
+:mod:`networkx` for inspection and plotting. networkx is imported only by
+the two converters that need it, so the rest of the package runs without it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Mapping, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.workflow.dag import Job, Workflow
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "workflow_to_dict",
@@ -105,6 +107,8 @@ def workflow_to_networkx(workflow: Workflow) -> nx.DiGraph:
     Node attributes carry the operation name; edge attribute ``data`` carries
     the transferred data volume.
     """
+    import networkx as nx
+
     graph = nx.DiGraph(name=workflow.name)
     for job_id in workflow.jobs:
         job = workflow.job(job_id)
@@ -122,6 +126,8 @@ def workflow_from_networkx(graph: nx.DiGraph, *, name: Optional[str] = None) -> 
     ValueError
         If the graph is not a DAG.
     """
+    import networkx as nx
+
     if not nx.is_directed_acyclic_graph(graph):
         raise ValueError("graph must be a directed acyclic graph")
     workflow = Workflow(name or str(graph.graph.get("name", "workflow")))

@@ -128,7 +128,7 @@ def _assert_views_match_scalars(model, prior) -> None:
         intrinsic, np.array([model.average_computation_cost(job) for job in jobs])
     )
     edges = np.array(
-        [prior.average_communication_cost(jobs[src], jobs[dst]) for src, dst in structure.edges]
+        [prior.average_communication_cost(src, dst) for src, dst, _ in model.workflow.edges()]
     )
     assert np.array_equal(model.edge_communication_costs(), edges)
     assert np.array_equal(model.edge_communication_costs(), prior.edge_communication_costs())
@@ -190,6 +190,49 @@ class TestRatioSnapshot:
         assert model.computation_cost(JOBS[0], "r1") == scalar
         fresh = RatioAdjustedCostModel(_prior(), history)
         assert fresh.resource_ratio("r1") > ratios["r1"]
+
+
+class TestKeptRatios:
+    """The repository keeps each resource's self-contained ratios as recorded.
+
+    The model sums those lists instead of walking the whole history, and
+    walks only while a legacy record (no stored estimate) is present.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=record_specs)
+    @example(specs=EVERY_BRANCH)
+    @example(specs=[spec for spec in EVERY_BRANCH if spec[0] == "self"])
+    def test_kept_lists_equal_the_walk(self, specs):
+        history = _history(specs)
+        prior = _prior()
+        kept = history.self_contained_ratios()
+        walked = RatioAdjustedCostModel(prior, history)._walk()
+        if all(kind == "self" for kind, *_ in specs):
+            assert kept == walked
+            assert list(kept) == list(walked)
+        else:
+            assert kept is None
+
+    def test_a_self_contained_history_is_not_walked(self, monkeypatch):
+        history = _history([spec for spec in EVERY_BRANCH if spec[0] == "self"])
+        walked = RatioAdjustedCostModel(_prior(), history)
+
+        def no_walk(self):
+            raise AssertionError("walked a history of self-contained records")
+
+        monkeypatch.setattr(RatioAdjustedCostModel, "_walk", no_walk)
+        kept = RatioAdjustedCostModel(_prior(), history)
+        assert kept.factors == walked.factors
+        assert np.array_equal(kept.computation_matrix(POOL), walked.computation_matrix(POOL))
+
+    def test_clear_resets_the_kept_ratios(self):
+        history = _history(EVERY_BRANCH)
+        assert history.self_contained_ratios() is None
+        history.clear()
+        assert history.self_contained_ratios() == {}
+        history.record(PerformanceRecord("op", "r2", 3.0, JOBS[0], estimated=2.0))
+        assert history.self_contained_ratios() == {"r2": [1.5]}
 
 
 class TestZeroRatio:
@@ -330,3 +373,47 @@ class TestScalarsReadThePricedColumns:
         ScaledCostModel(prior, PROFILE).computation_matrix(POOL_B)
         # the base still holds its own pool's views, not the wrapper's subset
         assert {key[1] for key in _held_prices(prior)[0]} == {tuple(POOL_A)}
+
+
+class TestEdgeViewFollowsEdgeOrder:
+    """``edge_communication_costs`` walks ``structure().succ`` in job order.
+
+    That walk must stay ``Workflow.edges()`` order (the order the upward
+    rank's gather indices assume) also after an edge is removed and
+    re-added, which moves it to the end of its source's successors.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        v=st.integers(min_value=2, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**16),
+        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=4),
+        data=st.floats(min_value=0.0, max_value=50.0),
+    )
+    def test_view_equals_scalars_in_edge_order(self, v, seed, picks, data):
+        case = generate_random_case(
+            RandomDAGParameters(v=v, out_degree=0.3, ccr=1.0, beta=0.5), seed=seed
+        )
+        workflow = case.workflow
+        model = HeterogeneousCostModel(
+            workflow, case.costs.base_costs, beta=0.5, bandwidth=3.0, latency=0.25, seed=seed
+        )
+
+        def check() -> None:
+            scalars = [
+                model.average_communication_cost(src, dst) for src, dst, _ in workflow.edges()
+            ]
+            assert np.array_equal(
+                model.edge_communication_costs(), np.array(scalars, dtype=np.float64)
+            )
+
+        check()
+        for pick in picks:
+            edges = workflow.edges()
+            if not edges:
+                break
+            src, dst, _ = edges[pick % len(edges)]
+            workflow.remove_edge(src, dst)
+            check()
+            workflow.add_edge(src, dst, data)
+            check()

@@ -19,6 +19,11 @@ paths.  This suite pins the contract:
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -222,3 +227,38 @@ def test_facade_is_exported_at_package_root():
     assert repro.RunResult is RunResult
     assert repro.registry is registry
     assert set(MODES) == {"static", "adaptive", "dynamic", "multi"}
+
+
+#: a fresh interpreter imports the package, loads the serialization module
+#: and makes one tiny adaptive run, then reports what it imported
+_LEAN_RUN = textwrap.dedent(
+    """
+    import sys
+
+    import repro
+    import repro.workflow.serialization
+    from repro.generators.random_dag import RandomDAGParameters, generate_random_case
+    from repro.resources.dynamics import ResourceChangeModel
+
+    case = generate_random_case(RandomDAGParameters(v=8), seed=1)
+    pool = ResourceChangeModel(initial_size=2, interval=100.0, fraction=0.5, max_events=2).build_pool()
+    result = repro.run(case.workflow, pool, costs=case.costs)
+    assert result.makespan > 0
+    print(sorted(name for name in sys.modules if name.partition(".")[0] == "networkx"))
+    """
+)
+
+
+def test_a_run_never_imports_networkx():
+    # networkx backs only the two export converters; the package and a run
+    # must work (and stay lean) without it
+    repo_root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _LEAN_RUN],
+        capture_output=True,
+        text=True,
+        cwd=repo_root,
+        env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
