@@ -40,7 +40,15 @@ This module preserves the seed algorithms verbatim so that
   can check admission control against :func:`seed_evaluate`, the eager
   offer that made both tentative plans (:func:`seed_plan_arrival`: around
   the other workflows' bookings, then busy-free) before reading either
-  gate.
+  gate,
+* ``benchmarks/bench_kernel_scaling.py`` and ``tests/test_generators.py``
+  can check the bulk case build against the scalar one it replaced:
+  :func:`seed_generate_random_dag` (one ``add_edge`` per drawn edge, the
+  duplicate check through ``Workflow.successors``),
+  :func:`seed_draw_base_costs` and :func:`seed_assign_edge_data` (one
+  ``spawn_rng`` stream per draw, one ``set_data`` per edge) and
+  :func:`seed_generate_random_case`, which prices the first through the
+  other two.
 
 Do not optimise this module — its slowness is the point.
 """
@@ -53,6 +61,8 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro.core.multi_tenant import PlannedArrival
+from repro.generators.costs import WorkflowCase
+from repro.generators.random_dag import RandomDAGParameters, _level_sizes
 from repro.scheduling.base import (
     Assignment,
     ExecutionState,
@@ -65,7 +75,8 @@ from repro.scheduling.bookings import as_busy_view
 from repro.scheduling.flow.graph import _scaled
 from repro.scheduling.flow.solver import FlowNetwork
 from repro.simulation.executor import dispatch_duration, record_observation
-from repro.workflow.costs import CostModel
+from repro.utils.rng import spawn_rng
+from repro.workflow.costs import CostModel, HeterogeneousCostModel
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -92,6 +103,10 @@ __all__ = [
     "seed_solve_through_classes",
     "seed_plan_arrival",
     "seed_evaluate",
+    "seed_generate_random_dag",
+    "seed_draw_base_costs",
+    "seed_assign_edge_data",
+    "seed_generate_random_case",
 ]
 
 
@@ -1490,3 +1505,134 @@ def seed_evaluate(controller, planner, arrival, clock: float, *, can_defer: bool
         action = controller._throttle_action(arrival, prior, can_defer)
     controller._record(arrival, clock, action, saturation, predicted_stretch, prior)
     return action, planned
+
+
+# ----------------------------------------------------------------------
+# scalar case build (before the bulk one)
+# ----------------------------------------------------------------------
+
+
+def seed_generate_random_dag(
+    params: RandomDAGParameters, *, seed: int = 0, name: Optional[str] = None
+) -> Workflow:
+    """Frozen ``generate_random_dag``: one ``add_edge`` per drawn edge."""
+    rng = spawn_rng(seed, "random-dag", params.v, params.out_degree, params.alpha)
+    workflow = Workflow(name or f"random-v{params.v}")
+    sizes = _level_sizes(params.v, params.alpha, rng)
+    levels: List[List[str]] = []
+    counter = 0
+    for level_index, size in enumerate(sizes):
+        level_jobs = []
+        for _ in range(size):
+            counter += 1
+            job_id = f"n{counter}"
+            workflow.add_job(job_id, operation=f"op{level_index % 7}")
+            level_jobs.append(job_id)
+        levels.append(level_jobs)
+    max_out = max(1, int(round(params.out_degree * params.v)))
+    out_count: Dict[str, int] = {job: 0 for job in workflow.jobs}
+    for level_index in range(1, len(levels)):
+        previous = levels[level_index - 1]
+        candidates = [p for p in previous if out_count[p] < max_out]
+        for job in levels[level_index]:
+            pick_from = candidates or previous
+            pred = pick_from[int(rng.integers(0, len(pick_from)))]
+            workflow.add_edge(pred, job, data=0.0)
+            out_count[pred] += 1
+            if candidates and out_count[pred] == max_out:
+                candidates.remove(pred)
+    ordered = [job for level_jobs in levels for job in level_jobs]
+    later_start = 0
+    for level_jobs in levels[:-1]:
+        later_start += len(level_jobs)
+        num_later = len(ordered) - later_start
+        for job in level_jobs:
+            budget = max_out - out_count[job]
+            if budget <= 0 or not num_later:
+                continue
+            extra = int(rng.integers(0, budget + 1))
+            if extra == 0:
+                continue
+            targets = rng.choice(num_later, size=min(extra, num_later), replace=False)
+            for target_index in np.atleast_1d(targets):
+                target = ordered[later_start + int(target_index)]
+                if target in workflow.successors(job):
+                    continue
+                workflow.add_edge(job, target, data=0.0)
+                out_count[job] += 1
+    last_level = set(levels[-1])
+    for level_index, level_jobs in enumerate(levels[:-1]):
+        next_level = levels[level_index + 1]
+        for job in level_jobs:
+            if job in last_level or workflow.successors(job):
+                continue
+            succ = next_level[int(rng.integers(0, len(next_level)))]
+            if succ not in workflow.successors(job):
+                workflow.add_edge(job, succ, data=0.0)
+                out_count[job] += 1
+    workflow.validate()
+    return workflow
+
+
+def seed_draw_base_costs(
+    workflow: Workflow,
+    *,
+    omega_dag: float,
+    seed: int,
+    per_operation: bool = False,
+    minimum: float = 1.0,
+) -> Dict[str, float]:
+    """Frozen ``draw_base_costs``: one ``spawn_rng`` stream per draw."""
+    base: Dict[str, float] = {}
+    if per_operation:
+        per_op: Dict[str, float] = {}
+        for operation in workflow.operations():
+            rng = spawn_rng(seed, "op-cost", operation)
+            per_op[operation] = max(minimum, float(rng.uniform(0.0, 2.0 * omega_dag)))
+        for job in workflow.jobs:
+            base[job] = per_op[workflow.job(job).operation]
+    else:
+        for job in workflow.jobs:
+            rng = spawn_rng(seed, "job-cost", job)
+            base[job] = max(minimum, float(rng.uniform(0.0, 2.0 * omega_dag)))
+    return base
+
+
+def seed_assign_edge_data(
+    workflow: Workflow,
+    *,
+    ccr: float,
+    omega_dag: float,
+    seed: int,
+    bandwidth: float = 1.0,
+    per_operation: bool = False,
+) -> None:
+    """Frozen ``assign_edge_data``: one stream and one ``set_data`` per edge."""
+    mean_data = ccr * omega_dag * bandwidth
+    if per_operation:
+        pair_data: Dict[tuple, float] = {}
+        for src, dst, _ in workflow.edges():
+            pair = (workflow.job(src).operation, workflow.job(dst).operation)
+            if pair not in pair_data:
+                rng = spawn_rng(seed, "op-data", *pair)
+                pair_data[pair] = float(rng.uniform(0.0, 2.0 * mean_data))
+            workflow.set_data(src, dst, pair_data[pair])
+    else:
+        for src, dst, _ in workflow.edges():
+            rng = spawn_rng(seed, "edge-data", src, dst)
+            workflow.set_data(src, dst, float(rng.uniform(0.0, 2.0 * mean_data)))
+
+
+def seed_generate_random_case(
+    params: RandomDAGParameters, *, seed: int = 0, instance: int = 0
+) -> WorkflowCase:
+    """Frozen ``generate_random_case``: the scalar DAG, priced scalar."""
+    case_seed = int(spawn_rng(seed, "case", params.v, params.out_degree, params.ccr,
+                              params.beta, instance).integers(0, 2**62))
+    workflow = seed_generate_random_dag(params, seed=case_seed)
+    base = seed_draw_base_costs(workflow, omega_dag=params.omega_dag, seed=case_seed)
+    seed_assign_edge_data(
+        workflow, ccr=params.ccr, omega_dag=params.omega_dag, seed=case_seed
+    )
+    costs = HeterogeneousCostModel(workflow, base, beta=params.beta, seed=case_seed)
+    return WorkflowCase(workflow=workflow, costs=costs)

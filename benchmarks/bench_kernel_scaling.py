@@ -68,6 +68,16 @@ with the workflow, its cost model and the plan alive: ``retained_ratio``
 |E|) at ``MAX_STRUCTURE_BYTES_EXPONENT``, in quick mode too; raw bytes
 are recorded, never gated.
 
+``case_build`` builds the V=3000 random case of the pricing block twice
+(in quick mode too): in bulk, as ``generate_random_case`` does — one
+vectorised draw pass per pricing step, one ``add_edges`` and one
+``set_data_many`` per DAG — and through the scalar build frozen in
+``_seed_reference`` (one generator stream per draw, one ``add_edge`` and
+one ``set_data`` per edge).  The two cases must be equal (jobs, edges
+with their volumes, structure, base and computation costs); ``speedup``,
+the scalar over the bulk wall clock, is gated at
+``MIN_CASE_BUILD_SPEEDUP``.
+
 Results go to ``benchmarks/results/kernel_scaling.{txt,json}`` and to a
 top-level ``BENCH_kernel.json`` so the performance trajectory is tracked
 across PRs.  Run directly (``python benchmarks/bench_kernel_scaling.py
@@ -89,6 +99,7 @@ from _common import publish, run_once
 from _seed_reference import (
     SeedAHEFTScheduler,
     seed_evaluate,
+    seed_generate_random_case,
     seed_heft_schedule,
     seed_solve_through_classes,
 )
@@ -226,6 +237,15 @@ MAX_STRUCTURE_RETAINED_RATIO = 66.0
 MAX_STRUCTURE_BYTES_EXPONENT = 1.1
 
 
+#: case_build: the random case it builds (the pricing block's V=3000 case)
+CASE_BUILD_V = PRICING_V
+CASE_BUILD_SEED = PRICING_SEED
+#: floor on case_build's speedup — the scalar over the bulk build of one
+#: case, a same-run ratio, so it is enforced in quick mode too; the bulk
+#: build reads about 4.5x on a 2-vCPU host
+MIN_CASE_BUILD_SPEEDUP = 2.5
+
+
 def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
     """Best wall-clock time of ``repeats`` runs (dense caches stay warm)."""
     best = float("inf")
@@ -349,8 +369,9 @@ def scaling_case(v: int, seed: int = SCALING_SEED):
     table = {job: dict(zip(rids, row)) for job, row in zip(jobs, w.tolist())}
     edges = [(s, d) for s, d, _ in workflow.edges()]
     volumes = rng.uniform(0.0, 2.0 * 300.0, size=len(edges))
-    for (s, d), volume in zip(edges, volumes.tolist()):
-        workflow.set_data(s, d, volume)
+    workflow.set_data_many(
+        (s, d, volume) for (s, d), volume in zip(edges, volumes.tolist())
+    )
     costs = TabularCostModel(workflow, table)
     t2 = time.perf_counter()
     stats = {
@@ -776,6 +797,50 @@ def measure_structure_memory(sizes=STRUCTURE_SIZES) -> Dict[str, object]:
     }
 
 
+def measure_case_build(v: int = CASE_BUILD_V, seed: int = CASE_BUILD_SEED) -> Dict[str, object]:
+    """One random case built in bulk and through the scalar oracle.
+
+    The two builds alternate, best of three each; the cases must be equal
+    (jobs and operations, edges with their volumes, the structure index,
+    base costs and every computation cost on two resources).
+    """
+    params = RandomDAGParameters(
+        v=v, out_degree=20 / v, ccr=1.0, beta=0.5, omega_dag=300.0
+    )
+    oracle_times, bulk_times = [], []
+    for _ in range(3):
+        oracle_times.append(
+            _best_of(lambda: seed_generate_random_case(params, seed=seed), repeats=1)
+        )
+        bulk_times.append(_best_of(lambda: generate_random_case(params, seed=seed), repeats=1))
+    oracle_seconds, bulk_seconds = min(oracle_times), min(bulk_times)
+    cases = [
+        build(params, seed=seed) for build in (generate_random_case, seed_generate_random_case)
+    ]
+    views = []
+    for case in cases:
+        workflow, structure = case.workflow, case.workflow.structure()
+        views.append(
+            (
+                [(job, workflow.job(job).operation) for job in workflow.jobs],
+                workflow.edges(),
+                (structure.topo, structure.succ, structure.pred),
+                case.costs.base_costs,
+                case.costs.computation_matrix(["r1", "r2"]).tolist(),
+            )
+        )
+    if views[0] != views[1]:
+        raise AssertionError("the bulk case build diverged from the scalar oracle")
+    return {
+        "v": v,
+        "jobs": cases[0].workflow.num_jobs,
+        "edges": cases[0].workflow.num_edges,
+        "bulk_seconds": bulk_seconds,
+        "oracle_seconds": oracle_seconds,
+        "speedup": oracle_seconds / bulk_seconds,
+    }
+
+
 def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     # first, so that no earlier case's leftovers weigh on the ratio
     closed_loop = measure_closed_loop(CLOSED_LOOP_SEEDS_QUICK if quick else CLOSED_LOOP_SEEDS)
@@ -794,6 +859,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     admission_planning = measure_admission_planning()
     pricing_memory = measure_pricing_memory(PRICING_V_QUICK if quick else PRICING_V)
     structure_memory = measure_structure_memory()
+    case_build = measure_case_build()
     return {
         "quick": quick,
         "static_heft": heft_rows,
@@ -805,6 +871,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "admission_planning": admission_planning,
         "pricing_memory": pricing_memory,
         "structure_memory": structure_memory,
+        "case_build": case_build,
     }
 
 
@@ -888,6 +955,13 @@ def render(results: Dict[str, object]) -> str:
         f"(gate ≤ {MAX_STRUCTURE_RETAINED_RATIO}x); fitted bytes exponent "
         f"|E|^{g['bytes_exponent']:.2f} (gate ≤ {MAX_STRUCTURE_BYTES_EXPONENT})"
     )
+    b = results["case_build"]
+    lines.append("")
+    lines.append(
+        f"case build (random DAG, V={b['v']}, {b['edges']} edges): bulk "
+        f"{b['bulk_seconds'] * 1e3:.1f} ms / scalar oracle {b['oracle_seconds'] * 1e3:.1f} ms "
+        f"= {b['speedup']:.2f}x (gate ≥ {MIN_CASE_BUILD_SPEEDUP}x)"
+    )
     s = results["scaling_series"]
     lines.append("")
     lines.append("sparse scaling series (fast kernel, 20 resources, |E| ≈ 10·V):")
@@ -962,6 +1036,12 @@ def check_thresholds(results: Dict[str, object]) -> None:
     assert structure_memory["bytes_exponent"] <= MAX_STRUCTURE_BYTES_EXPONENT, (
         f"retained bytes grow as |E|^{structure_memory['bytes_exponent']:.2f}, above "
         f"the |E|^{MAX_STRUCTURE_BYTES_EXPONENT} ceiling"
+    )
+    # and the bulk case build over the scalar one, a same-run ratio
+    case_build = results["case_build"]
+    assert case_build["speedup"] >= MIN_CASE_BUILD_SPEEDUP, (
+        f"the bulk case build is only {case_build['speedup']:.2f}x faster than the "
+        f"scalar oracle, below the {MIN_CASE_BUILD_SPEEDUP}x floor"
     )
     # and the plans admission control makes per offer, a count
     admission_planning = results["admission_planning"]

@@ -20,7 +20,7 @@ adaptive rescheduling (§4.3).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.generators.costs import WorkflowCase, build_case
 from repro.workflow.dag import Workflow
@@ -43,6 +43,8 @@ def generate_blast_workflow(parallelism: int, *, name: Optional[str] = None) -> 
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     workflow = Workflow(name or f"blast-{parallelism}")
+    # edges in construction order, added in one batch at the end
+    edges: List[Tuple[str, str, float]] = []
     workflow.add_job("split", operation=SPLIT_OP)
     workflow.add_job("merge", operation=MERGE_OP)
     for branch in range(1, parallelism + 1):
@@ -50,9 +52,10 @@ def generate_blast_workflow(parallelism: int, *, name: Optional[str] = None) -> 
         parse = f"parse_{branch}"
         workflow.add_job(blast, operation=BLAST_OP, branch=branch)
         workflow.add_job(parse, operation=PARSE_OP, branch=branch)
-        workflow.add_edge("split", blast, data=0.0)
-        workflow.add_edge(blast, parse, data=0.0)
-        workflow.add_edge(parse, "merge", data=0.0)
+        edges.append(("split", blast, 0.0))
+        edges.append((blast, parse, 0.0))
+        edges.append((parse, "merge", 0.0))
+    workflow.add_edges(edges)
     workflow.validate()
     return workflow
 

@@ -14,6 +14,15 @@ al.):
 Scientific applications are built from a handful of unique operations
 (§4.3), so generators may request *per-operation* base costs: every job of
 one operation shares the same ``ω``.
+
+Every draw is the first uniform of its own token-path stream —
+``("job-cost", job)``, ``("op-cost", operation)``, ``("edge-data", src,
+dst)`` or ``("op-data", producer_op, consumer_op)`` under the case seed —
+so a value never depends on which other jobs or edges exist.  Each pricing
+step takes all its draws in one vectorised
+:func:`~repro.utils.rng.spawn_uniforms` pass (bit for bit the draw a
+per-stream ``spawn_rng(seed, *path).uniform(low, high)`` would make) and
+writes the edge volumes with one :meth:`Workflow.set_data_many` call.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.utils.checks import require_finite
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_uniforms
 from repro.workflow.costs import CostModel, HeterogeneousCostModel
 from repro.workflow.dag import Workflow
 
@@ -70,19 +79,15 @@ def draw_base_costs(
     require_finite("omega_dag", omega_dag)
     if omega_dag <= 0:
         raise ValueError("omega_dag must be positive")
-    base: Dict[str, float] = {}
+    jobs = workflow.jobs
+    high = 2.0 * omega_dag
     if per_operation:
-        per_op: Dict[str, float] = {}
-        for operation in workflow.operations():
-            rng = spawn_rng(seed, "op-cost", operation)
-            per_op[operation] = max(minimum, float(rng.uniform(0.0, 2.0 * omega_dag)))
-        for job in workflow.jobs:
-            base[job] = per_op[workflow.job(job).operation]
-    else:
-        for job in workflow.jobs:
-            rng = spawn_rng(seed, "job-cost", job)
-            base[job] = max(minimum, float(rng.uniform(0.0, 2.0 * omega_dag)))
-    return base
+        operations = workflow.operations()
+        draws = spawn_uniforms(seed, [(("op-cost",), operations)], 0.0, high)
+        per_op = dict(zip(operations, np.maximum(draws, minimum).tolist()))
+        return {job: per_op[workflow.job(job).operation] for job in jobs}
+    draws = spawn_uniforms(seed, [(("job-cost",), jobs)], 0.0, high)
+    return dict(zip(jobs, np.maximum(draws, minimum).tolist()))
 
 
 def assign_edge_data(
@@ -105,18 +110,28 @@ def assign_edge_data(
     if ccr < 0:
         raise ValueError("ccr must be non-negative")
     mean_data = ccr * omega_dag * bandwidth
+    high = 2.0 * mean_data
+    # the edges source by source, in Workflow.edges() order
+    sources = [
+        (src, successors)
+        for src in workflow.jobs
+        if (successors := workflow.successors(src))
+    ]
     if per_operation:
-        pair_data: Dict[tuple, float] = {}
-        for src, dst, _ in workflow.edges():
-            pair = (workflow.job(src).operation, workflow.job(dst).operation)
-            if pair not in pair_data:
-                rng = spawn_rng(seed, "op-data", *pair)
-                pair_data[pair] = float(rng.uniform(0.0, 2.0 * mean_data))
-            workflow.set_data(src, dst, pair_data[pair])
+        # one draw per distinct (producer-op, consumer-op) pair
+        operation = {job: workflow.job(job).operation for job in workflow.jobs}
+        pairs = [
+            (operation[src], operation[dst]) for src, successors in sources for dst in successors
+        ]
+        distinct = list(dict.fromkeys(pairs))
+        groups = [(("op-data", src_op), (dst_op,)) for src_op, dst_op in distinct]
+        pair_data = dict(zip(distinct, spawn_uniforms(seed, groups, 0.0, high).tolist()))
+        volumes = [pair_data[pair] for pair in pairs]
     else:
-        for src, dst, _ in workflow.edges():
-            rng = spawn_rng(seed, "edge-data", src, dst)
-            workflow.set_data(src, dst, float(rng.uniform(0.0, 2.0 * mean_data)))
+        groups = [(("edge-data", src), successors) for src, successors in sources]
+        volumes = spawn_uniforms(seed, groups, 0.0, high).tolist()
+    edges = ((src, dst) for src, successors in sources for dst in successors)
+    workflow.set_data_many((src, dst, data) for (src, dst), data in zip(edges, volumes))
 
 
 def build_case(

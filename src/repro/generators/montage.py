@@ -17,7 +17,7 @@ shape follows the standard Montage structure:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.generators.costs import WorkflowCase, build_case
 from repro.workflow.dag import Workflow
@@ -30,6 +30,8 @@ def generate_montage_workflow(parallelism: int, *, name: Optional[str] = None) -
     if parallelism < 2:
         raise ValueError("parallelism must be at least 2")
     workflow = Workflow(name or f"montage-{parallelism}")
+    # edges in construction order, added in one batch at the end
+    edges: List[Tuple[str, str, float]] = []
 
     projects = []
     for i in range(1, parallelism + 1):
@@ -45,34 +47,35 @@ def generate_montage_workflow(parallelism: int, *, name: Optional[str] = None) -
         difffits.append(job_id)
         left = projects[i - 1]
         right = projects[i % parallelism]
-        workflow.add_edge(left, job_id, data=0.0)
+        edges.append((left, job_id, 0.0))
         if right != left:
-            workflow.add_edge(right, job_id, data=0.0)
+            edges.append((right, job_id, 0.0))
 
     workflow.add_job("mconcatfit", operation="mConcatFit")
     for job_id in difffits:
-        workflow.add_edge(job_id, "mconcatfit", data=0.0)
+        edges.append((job_id, "mconcatfit", 0.0))
 
     workflow.add_job("mbgmodel", operation="mBgModel")
-    workflow.add_edge("mconcatfit", "mbgmodel", data=0.0)
+    edges.append(("mconcatfit", "mbgmodel", 0.0))
 
     backgrounds = []
     for i in range(1, parallelism + 1):
         job_id = f"mbackground_{i}"
         workflow.add_job(job_id, operation="mBackground", image=i)
         backgrounds.append(job_id)
-        workflow.add_edge("mbgmodel", job_id, data=0.0)
-        workflow.add_edge(projects[i - 1], job_id, data=0.0)
+        edges.append(("mbgmodel", job_id, 0.0))
+        edges.append((projects[i - 1], job_id, 0.0))
 
     tail = ["mimgtbl", "madd", "mshrink", "mjpeg"]
     operations = ["mImgtbl", "mAdd", "mShrink", "mJPEG"]
     for job_id, op in zip(tail, operations):
         workflow.add_job(job_id, operation=op)
     for job_id in backgrounds:
-        workflow.add_edge(job_id, tail[0], data=0.0)
+        edges.append((job_id, tail[0], 0.0))
     for first, second in zip(tail, tail[1:]):
-        workflow.add_edge(first, second, data=0.0)
+        edges.append((first, second, 0.0))
 
+    workflow.add_edges(edges)
     workflow.validate()
     return workflow
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -103,6 +103,15 @@ def generate_random_dag(
 
     max_out = max(1, int(round(params.out_degree * params.v)))
     out_count: Dict[str, int] = {job: 0 for job in workflow.jobs}
+    # successors per job and every edge in the order it is drawn, added in
+    # one batch at the end (the order fixes each job's predecessor order)
+    successors: Dict[str, Set[str]] = {job: set() for job in workflow.jobs}
+    edges: List[Tuple[str, str, float]] = []
+
+    def connect(src: str, dst: str) -> None:
+        successors[src].add(dst)
+        edges.append((src, dst, 0.0))
+        out_count[src] += 1
 
     # every non-entry job gets at least one predecessor from the previous level
     for level_index in range(1, len(levels)):
@@ -113,8 +122,7 @@ def generate_random_dag(
         for job in levels[level_index]:
             pick_from = candidates or previous
             pred = pick_from[int(rng.integers(0, len(pick_from)))]
-            workflow.add_edge(pred, job, data=0.0)
-            out_count[pred] += 1
+            connect(pred, job)
             if candidates and out_count[pred] == max_out:
                 candidates.remove(pred)
 
@@ -135,23 +143,19 @@ def generate_random_dag(
             targets = rng.choice(num_later, size=min(extra, num_later), replace=False)
             for target_index in np.atleast_1d(targets):
                 target = ordered[later_start + int(target_index)]
-                if target in workflow.successors(job):
-                    continue
-                workflow.add_edge(job, target, data=0.0)
-                out_count[job] += 1
+                if target not in successors[job]:
+                    connect(job, target)
 
     # every non-exit job needs at least one successor
     last_level = set(levels[-1])
     for level_index, level_jobs in enumerate(levels[:-1]):
         next_level = levels[level_index + 1]
         for job in level_jobs:
-            if job in last_level or workflow.successors(job):
+            if job in last_level or successors[job]:
                 continue
-            succ = next_level[int(rng.integers(0, len(next_level)))]
-            if succ not in workflow.successors(job):
-                workflow.add_edge(job, succ, data=0.0)
-                out_count[job] += 1
+            connect(job, next_level[int(rng.integers(0, len(next_level)))])
 
+    workflow.add_edges(edges)
     workflow.validate()
     return workflow
 

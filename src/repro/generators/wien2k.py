@@ -19,7 +19,7 @@ giving ``2·N + 8`` jobs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.generators.costs import WorkflowCase, build_case
 from repro.workflow.dag import Workflow
@@ -35,16 +35,18 @@ def generate_wien2k_workflow(parallelism: int, *, name: Optional[str] = None) ->
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     workflow = Workflow(name or f"wien2k-{parallelism}")
+    # edges in construction order, added in one batch at the end
+    edges: List[Tuple[str, str, float]] = []
     workflow.add_job("stagein", operation="StageIn")
     workflow.add_job("lapw0", operation="LAPW0")
-    workflow.add_edge("stagein", "lapw0", data=0.0)
+    edges.append(("stagein", "lapw0", 0.0))
 
     workflow.add_job("lapw2_fermi", operation="LAPW2_FERMI")
     for k in range(1, parallelism + 1):
         lapw1 = f"lapw1_k{k}"
         workflow.add_job(lapw1, operation="LAPW1", k=k)
-        workflow.add_edge("lapw0", lapw1, data=0.0)
-        workflow.add_edge(lapw1, "lapw2_fermi", data=0.0)
+        edges.append(("lapw0", lapw1, 0.0))
+        edges.append((lapw1, "lapw2_fermi", 0.0))
 
     tail_ids = []
     for op in _TAIL_OPS:
@@ -55,12 +57,13 @@ def generate_wien2k_workflow(parallelism: int, *, name: Optional[str] = None) ->
     for k in range(1, parallelism + 1):
         lapw2 = f"lapw2_k{k}"
         workflow.add_job(lapw2, operation="LAPW2", k=k)
-        workflow.add_edge("lapw2_fermi", lapw2, data=0.0)
-        workflow.add_edge(lapw2, tail_ids[0], data=0.0)
+        edges.append(("lapw2_fermi", lapw2, 0.0))
+        edges.append((lapw2, tail_ids[0], 0.0))
 
     for first, second in zip(tail_ids, tail_ids[1:]):
-        workflow.add_edge(first, second, data=0.0)
+        edges.append((first, second, 0.0))
 
+    workflow.add_edges(edges)
     workflow.validate()
     return workflow
 

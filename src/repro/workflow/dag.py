@@ -122,14 +122,14 @@ class Workflow:
         self._structure_version: int = 0
         self._structure_cache: Optional[WorkflowIndex] = None
         self._structure_cache_version: int = -1
-        #: recent mutations as ``(version_after, src, dst)`` — ``src``/``dst``
-        #: name the edge whose data changed, or are ``None`` for a
-        #: structural mutation.  Lets incremental consumers (the rank
-        #: cache) scope their invalidation to the jobs actually touched
-        #: between two versions instead of recomputing everything.
-        self._mutation_log: List[Tuple[int, Optional[str], Optional[str]]] = []
-        #: highest version whose mutation entry has been trimmed from the
-        #: log; ranges reaching at/below it are no longer reconstructible
+        #: the single-edge data edits since the last structural change or
+        #: bulk data update, as ``(version_after, src, dst)``.  Lets
+        #: incremental consumers (the rank cache) scope their invalidation
+        #: to the jobs actually touched between two versions instead of
+        #: recomputing everything.
+        self._mutation_log: List[Tuple[int, str, str]] = []
+        #: the version below which the log no longer reaches: the last
+        #: structural change, bulk data update or trim
         self._mutation_log_floor: int = 0
 
     #: retained mutation-log entries after a trim (trim triggers at 2x)
@@ -160,27 +160,31 @@ class Workflow:
         """Edges whose data changed in ``(old_version, new_version]``.
 
         Returns ``None`` when the change set cannot be reconstructed —
-        a structural mutation occurred in the range, or the log no longer
-        covers it — in which case the caller must fall back to full
-        recomputation.  Edges may repeat if set multiple times.
+        a structural mutation or a bulk data update (:meth:`set_data_many`)
+        occurred in the range, or the log no longer covers it — in which
+        case the caller must fall back to full recomputation.  Edges may
+        repeat if set multiple times.
         """
         if old_version > new_version or old_version < self._mutation_log_floor:
             return None
-        changed: List[Tuple[str, str]] = []
-        for version, src, dst in self._mutation_log:
-            if version <= old_version or version > new_version:
-                continue
-            if src is None:
-                return None  # structural mutation in range
-            changed.append((src, dst))
-        return changed
+        return [
+            (src, dst)
+            for version, src, dst in self._mutation_log
+            if old_version < version <= new_version
+        ]
 
-    def _log_mutation(self, src: Optional[str], dst: Optional[str]) -> None:
+    def _log_mutation(self, src: str, dst: str) -> None:
         log = self._mutation_log
         log.append((self._version, src, dst))
         if len(log) > 2 * self._MUTATION_LOG_LIMIT:
             self._mutation_log_floor = log[-self._MUTATION_LOG_LIMIT - 1][0]
             del log[: -self._MUTATION_LOG_LIMIT]
+
+    def _forget_mutations(self) -> None:
+        """Start the log afresh at the current version (nothing before it
+        can be reconstructed from single-edge edits)."""
+        self._mutation_log.clear()
+        self._mutation_log_floor = self._version
 
     # ------------------------------------------------------------------
     # construction
@@ -212,18 +216,41 @@ class Workflow:
             If the edge is a self loop, a duplicate, or its data is
             negative or not finite.
         """
-        if src not in self._jobs:
-            raise KeyError(f"unknown source job: {src!r}")
-        if dst not in self._jobs:
-            raise KeyError(f"unknown destination job: {dst!r}")
-        if src == dst:
-            raise ValueError(f"self loop on job {src!r} is not allowed")
-        if dst in self._succ[src]:
-            raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
-        data = _edge_data(src, dst, data)
-        self._succ[src][dst] = data
-        self._pred[dst][src] = data
-        self._touch_structure()
+        self.add_edges(((src, dst, data),))
+
+    def add_edges(self, edges: Iterable[Tuple[str, str, float]]) -> None:
+        """Add ``(src, dst, data)`` edges in the given order, as one mutation.
+
+        Each edge is validated like :meth:`add_edge` (a duplicate within
+        the batch is a duplicate too).  The batch bumps the versions once;
+        if any edge is rejected, none is added and the error is raised.
+        """
+        succ, pred, jobs = self._succ, self._pred, self._jobs
+        # inserted one by one, so a duplicate within the batch is found
+        # like any other; a rejected edge rolls back the prefix before it
+        edges = list(edges)
+        added = 0
+        try:
+            for src, dst, data in edges:
+                if src not in jobs:
+                    raise KeyError(f"unknown source job: {src!r}")
+                if dst not in jobs:
+                    raise KeyError(f"unknown destination job: {dst!r}")
+                if src == dst:
+                    raise ValueError(f"self loop on job {src!r} is not allowed")
+                if dst in succ[src]:
+                    raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
+                data = _edge_data(src, dst, data)
+                succ[src][dst] = data
+                pred[dst][src] = data
+                added += 1
+        except BaseException:
+            for src, dst, _ in edges[:added]:
+                del succ[src][dst]
+                del pred[dst][src]
+            raise
+        if added:
+            self._touch_structure()
 
     def remove_edge(self, src: str, dst: str) -> None:
         """Remove the edge ``src -> dst`` (KeyError if absent)."""
@@ -241,13 +268,34 @@ class Workflow:
         self._version += 1  # costs change, topology does not
         self._log_mutation(src, dst)
 
+    def set_data_many(self, updates: Iterable[Tuple[str, str, float]]) -> None:
+        """Update the data volumes of many existing edges, as one mutation.
+
+        ``updates`` yields ``(src, dst, data)`` triples, validated like
+        :meth:`set_data`; if any is rejected, no volume changes.  The batch
+        bumps :attr:`version` once, and :meth:`data_edges_changed_between`
+        answers ``None`` for any range that holds it.
+        """
+        succ, pred = self._succ, self._pred
+        updates = list(updates)
+        if not updates:
+            return
+        for src, dst, data in updates:
+            if dst not in succ.get(src, {}):
+                raise KeyError(f"no edge {src!r} -> {dst!r}")
+            _edge_data(src, dst, data)
+        for src, dst, data in updates:
+            succ[src][dst] = pred[dst][src] = float(data)
+        self._version += 1
+        self._forget_mutations()
+
     # ------------------------------------------------------------------
     # cache bookkeeping
     # ------------------------------------------------------------------
     def _touch_structure(self) -> None:
         self._version += 1
         self._structure_version += 1
-        self._log_mutation(None, None)
+        self._forget_mutations()
 
     # ------------------------------------------------------------------
     # queries
@@ -405,9 +453,11 @@ class Workflow:
         for job_id in self._jobs:
             if job_id in keep:
                 sub.add_job(self._jobs[job_id])
-        for src, dst, data in self.edges():
-            if src in keep and dst in keep:
-                sub.add_edge(src, dst, data)
+        sub.add_edges(
+            (src, dst, data)
+            for src, dst, data in self.edges()
+            if src in keep and dst in keep
+        )
         return sub
 
     def operations(self) -> List[str]:

@@ -2,6 +2,12 @@
 
 import pytest
 
+from benchmarks._seed_reference import (
+    seed_assign_edge_data,
+    seed_draw_base_costs,
+    seed_generate_random_case,
+    seed_generate_random_dag,
+)
 from repro.generators.blast import generate_blast_case, generate_blast_workflow
 from repro.generators.costs import assign_edge_data, build_case, draw_base_costs
 from repro.generators.montage import generate_montage_case, generate_montage_workflow
@@ -19,6 +25,7 @@ from repro.generators.sample import (
 )
 from repro.generators.wien2k import generate_wien2k_case, generate_wien2k_workflow
 from repro.workflow.analysis import max_parallelism
+from repro.workflow.dag import Workflow
 
 #: NaN and both infinities: shape parameters the generators must refuse
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -204,3 +211,96 @@ class TestSampleDag:
         case = sample_dag_case()
         assert case.num_jobs == 10
         assert case.params["generator"] == "sample-fig4"
+
+
+def _one_job_workflow():
+    workflow = Workflow("single")
+    workflow.add_job("only", operation="solo")
+    return workflow
+
+
+#: builders of fresh, unpriced DAGs (called twice: once per pricing path);
+#: every DAG has exit jobs, i.e. jobs with no successors
+UNPRICED = {
+    "random": lambda: generate_random_dag(RandomDAGParameters(v=60, out_degree=0.3), seed=5),
+    "blast": lambda: generate_blast_workflow(7),
+    "montage": lambda: generate_montage_workflow(6),
+    "wien2k": lambda: generate_wien2k_workflow(5),
+    "one_job": _one_job_workflow,
+}
+
+
+def _structure(workflow):
+    index = workflow.structure()
+    return workflow.edges(), index.topo, index.succ, index.pred
+
+
+class TestBatchedPricing:
+    """The one-pass draws equal the frozen per-stream ones bit for bit."""
+
+    @pytest.mark.parametrize("per_operation", [False, True])
+    @pytest.mark.parametrize("kind", sorted(UNPRICED))
+    def test_base_costs_and_edge_data_equal_the_scalar_oracle(self, kind, per_operation):
+        live, oracle = UNPRICED[kind](), UNPRICED[kind]()
+        for seed in (0, 11):
+            assert draw_base_costs(
+                live, omega_dag=40.0, seed=seed, per_operation=per_operation
+            ) == seed_draw_base_costs(
+                oracle, omega_dag=40.0, seed=seed, per_operation=per_operation
+            )
+            pricing = dict(ccr=2.0, omega_dag=40.0, seed=seed, bandwidth=1.5,
+                           per_operation=per_operation)
+            assign_edge_data(live, **pricing)
+            seed_assign_edge_data(oracle, **pricing)
+            assert _structure(live) == _structure(oracle)
+
+    def test_edge_data_is_one_version_bump(self):
+        workflow = UNPRICED["random"]()
+        version, structure = workflow.version, workflow.structure()
+        assign_edge_data(workflow, ccr=1.0, omega_dag=50.0, seed=3)
+        assert workflow.version == version + 1
+        assert workflow.structure() is structure
+
+    def test_one_job_workflow_has_nothing_to_assign(self):
+        workflow = _one_job_workflow()
+        version = workflow.version
+        assign_edge_data(workflow, ccr=1.0, omega_dag=50.0, seed=3)
+        assert workflow.version == version
+        base = draw_base_costs(workflow, omega_dag=50.0, seed=3)
+        assert list(base) == ["only"] and base["only"] >= 1.0
+
+
+class TestBulkRandomDAG:
+    """The bulk random DAG build equals the one-edge-at-a-time oracle."""
+
+    @pytest.mark.parametrize(
+        "params, seed",
+        [
+            (RandomDAGParameters(v=2), 0),
+            (RandomDAGParameters(v=12, out_degree=1.0), 3),
+            (RandomDAGParameters(v=200, out_degree=0.1, alpha=0.5), 7),
+            (RandomDAGParameters(v=300, out_degree=0.05, alpha=2.0), 41),
+        ],
+    )
+    def test_case_equals_the_scalar_build(self, params, seed):
+        live = generate_random_case(params, seed=seed, instance=2)
+        oracle = seed_generate_random_case(params, seed=seed, instance=2)
+        assert live.workflow.jobs == oracle.workflow.jobs
+        assert [live.workflow.job(j).operation for j in live.workflow.jobs] == [
+            oracle.workflow.job(j).operation for j in oracle.workflow.jobs
+        ]
+        assert _structure(live.workflow) == _structure(oracle.workflow)
+        assert live.costs.base_costs == oracle.costs.base_costs
+        for job in live.workflow.jobs:
+            assert live.costs.computation_cost(job, "r1") == oracle.costs.computation_cost(
+                job, "r1"
+            )
+
+    def test_dag_is_one_structural_bump_for_its_edges(self):
+        params = RandomDAGParameters(v=40, out_degree=0.3)
+        live = generate_random_dag(params, seed=9)
+        oracle = seed_generate_random_dag(params, seed=9)
+        assert _structure(live) == _structure(oracle)
+        # one bump per job plus one for the whole edge batch
+        assert live.structure_version == live.num_jobs + 1
+        assert oracle.structure_version == oracle.num_jobs + oracle.num_edges

@@ -1,6 +1,10 @@
 """Tests for the workflow DAG model."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workflow.dag import Job, Workflow
 
@@ -233,3 +237,181 @@ class TestMutationLog:
         assert wf.data_edges_changed_between(recent, wf.version) == [
             ("a", "b")
         ] * 10
+
+
+def _jobs(names="abcde"):
+    wf = Workflow("bulk")
+    for name in names:
+        wf.add_job(name)
+    return wf
+
+
+def _state(wf):
+    structure = wf.structure()
+    return (
+        wf.edges(),
+        structure.topo,
+        structure.succ,
+        structure.pred,
+        wf.version,
+        wf.structure_version,
+    )
+
+
+class TestAddEdges:
+    """``add_edges`` is ``add_edge`` per triple, in order, as one mutation."""
+
+    EDGES = [("c", "e", 1.0), ("a", "c", 2.0), ("b", "c", 0.5), ("a", "b", 3.0),
+             ("d", "e", 0.0), ("a", "d", 4.0)]
+
+    def test_matches_one_edge_at_a_time(self):
+        one, bulk = _jobs(), _jobs()
+        for src, dst, data in self.EDGES:
+            one.add_edge(src, dst, data)
+        bulk.add_edges(self.EDGES)
+        assert bulk.edges() == one.edges()
+        assert bulk.structure().succ == one.structure().succ
+        # the order each job's predecessors were added in is kept
+        assert bulk.structure().pred == one.structure().pred
+        assert bulk.structure().topo == one.structure().topo
+
+    def test_one_version_bump(self):
+        wf = _jobs()
+        version, structure_version = wf.version, wf.structure_version
+        wf.add_edges(self.EDGES)
+        assert (wf.version, wf.structure_version) == (version + 1, structure_version + 1)
+
+    def test_empty_batch_changes_nothing(self):
+        wf = _jobs()
+        before = _state(wf)
+        wf.add_edges([])
+        assert _state(wf) == before
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (("ghost", "a", 1.0), KeyError, "unknown source"),
+            (("a", "ghost", 1.0), KeyError, "unknown destination"),
+            (("b", "b", 1.0), ValueError, "self loop"),
+            (("a", "b", 1.0), ValueError, "duplicate"),  # already present
+            (("c", "e", 9.0), ValueError, "duplicate"),  # earlier in the batch
+            (("d", "b", -1.0), ValueError, "non-negative"),
+            (("d", "b", math.nan), ValueError, "finite"),
+            (("d", "b", math.inf), ValueError, "finite"),
+        ],
+    )
+    def test_rejected_batch_raises_like_add_edge_and_changes_nothing(
+        self, bad, error, match
+    ):
+        wf = _jobs()
+        wf.add_edge("a", "b", 1.0)
+        single = _jobs()
+        single.add_edge("a", "b", 1.0)
+        single.add_edge("c", "e", 1.0)
+        with pytest.raises(error, match=match):
+            single.add_edge(*bad)
+        before = _state(wf)
+        with pytest.raises(error, match=match):
+            wf.add_edges([("c", "e", 1.0), ("a", "c", 2.0), bad, ("b", "d", 1.0)])
+        assert _state(wf) == before
+        # the workflow still takes the valid edges afterwards
+        wf.add_edges([("c", "e", 1.0), ("a", "c", 2.0)])
+        assert wf.num_edges == 3
+
+
+class TestSetDataMany:
+    def test_matches_set_data_with_one_version_bump(self):
+        one, bulk = _jobs(), _jobs()
+        for wf in (one, bulk):
+            wf.add_edges(TestAddEdges.EDGES)
+        updates = [("a", "b", 7.0), ("d", "e", 1.5), ("a", "b", 8.0)]
+        for src, dst, data in updates:
+            one.set_data(src, dst, data)
+        version = bulk.version
+        structure = bulk.structure()
+        bulk.set_data_many(updates)
+        assert bulk.edges() == one.edges()
+        assert bulk.version == version + 1
+        assert bulk.structure() is structure
+        assert bulk.data_edges_changed_between(version, bulk.version) is None
+        assert bulk.data_edges_changed_between(bulk.version, bulk.version) == []
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(("b", "a", 1.0), KeyError), (("ghost", "a", 1.0), KeyError),
+         (("a", "b", -2.0), ValueError), (("a", "b", math.nan), ValueError)],
+    )
+    def test_rejected_batch_changes_nothing(self, bad, error):
+        wf = _jobs()
+        wf.add_edges(TestAddEdges.EDGES)
+        before = _state(wf)
+        with pytest.raises(error):
+            wf.set_data_many([("a", "c", 9.0), bad])
+        assert _state(wf) == before
+
+    def test_empty_batch_changes_nothing(self):
+        wf = _jobs()
+        wf.add_edges(TestAddEdges.EDGES)
+        before = _state(wf)
+        wf.set_data_many([])
+        assert _state(wf) == before
+
+
+_NAMES = "abcd"
+_edge = st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES))
+_volume = st.sampled_from([0.0, 1.0, 2.5, -1.0])
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_job"), st.sampled_from(_NAMES + "xy")),
+        st.tuples(st.just("add_edge"), _edge, _volume),
+        st.tuples(st.just("add_edges"), st.lists(st.tuples(_edge, _volume), max_size=3)),
+        st.tuples(st.just("remove_edge"), _edge),
+        st.tuples(st.just("set_data"), _edge, _volume),
+        st.tuples(st.just("set_data_many"), st.lists(st.tuples(_edge, _volume), max_size=3)),
+    ),
+    max_size=30,
+)
+
+
+class TestMutationLogHistory:
+    """``data_edges_changed_between`` against a full-history oracle."""
+
+    @staticmethod
+    def _apply(wf, op):
+        kind = op[0]
+        if kind == "add_job":
+            wf.add_job(op[1])
+        elif kind == "add_edge":
+            wf.add_edge(*op[1], op[2])
+        elif kind == "add_edges":
+            wf.add_edges([(src, dst, data) for (src, dst), data in op[1]])
+        elif kind == "remove_edge":
+            wf.remove_edge(*op[1])
+        elif kind == "set_data":
+            wf.set_data(*op[1], op[2])
+        else:
+            wf.set_data_many([(src, dst, data) for (src, dst), data in op[1]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ops)
+    def test_answers_equal_the_full_history(self, ops):
+        wf = _jobs(_NAMES)
+        #: every mutation as (version_after, edge or None); ``None`` marks a
+        #: structural change or a bulk data update, which no edge list spans
+        history = [(version, None) for version in range(1, wf.version + 1)]
+        for op in ops:
+            version = wf.version
+            try:
+                self._apply(wf, op)
+            except (KeyError, ValueError):
+                assert wf.version == version  # a rejected call changes nothing
+                continue
+            if wf.version == version:
+                continue  # an empty batch
+            assert wf.version == version + 1
+            edge = tuple(op[1]) if op[0] == "set_data" else None
+            history.append((wf.version, edge))
+        for old in range(wf.version + 1):
+            in_range = [edge for version, edge in history if version > old]
+            expected = None if None in in_range else in_range
+            assert wf.data_edges_changed_between(old, wf.version) == expected
