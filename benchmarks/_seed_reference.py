@@ -48,7 +48,12 @@ This module preserves the seed algorithms verbatim so that
   :func:`seed_draw_base_costs` and :func:`seed_assign_edge_data` (one
   ``spawn_rng`` stream per draw, one ``set_data`` per edge) and
   :func:`seed_generate_random_case`, which prices the first through the
-  other two.
+  other two,
+* ``benchmarks/bench_kernel_scaling.py`` and ``tests/test_multi_tenant.py``
+  can check the batched arrival-stream build against :func:`seed_arrivals`,
+  the per-arrival one it replaced (a ``spawn_rng`` stream for each
+  arrival's kind and one for its case seed, then its kind's one-case
+  generator).
 
 Do not optimise this module — its slowness is the point.
 """
@@ -61,8 +66,11 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro.core.multi_tenant import PlannedArrival
+from repro.generators.blast import generate_blast_case
 from repro.generators.costs import WorkflowCase
-from repro.generators.random_dag import RandomDAGParameters, _level_sizes
+from repro.generators.montage import generate_montage_case
+from repro.generators.random_dag import RandomDAGParameters, _level_sizes, generate_random_case
+from repro.generators.wien2k import generate_wien2k_case
 from repro.scheduling.base import (
     Assignment,
     ExecutionState,
@@ -78,6 +86,7 @@ from repro.simulation.executor import dispatch_duration, record_observation
 from repro.utils.rng import spawn_rng
 from repro.workflow.costs import CostModel, HeterogeneousCostModel
 from repro.workflow.dag import Workflow
+from repro.workload.streams import TenantSpec, WorkflowArrival, WorkloadStream
 
 __all__ = [
     "SeedResourceTimeline",
@@ -107,6 +116,7 @@ __all__ = [
     "seed_draw_base_costs",
     "seed_assign_edge_data",
     "seed_generate_random_case",
+    "seed_arrivals",
 ]
 
 
@@ -1636,3 +1646,75 @@ def seed_generate_random_case(
     )
     costs = HeterogeneousCostModel(workflow, base, beta=params.beta, seed=case_seed)
     return WorkflowCase(workflow=workflow, costs=costs)
+
+
+def _seed_draw_kind(spec: TenantSpec, index: int, *, seed: int) -> str:
+    """Frozen ``TenantSpec.draw_kind``: one ``Generator.choice`` per arrival."""
+    kinds = [kind for kind, _ in spec.mix]
+    weights = np.asarray([share for _, share in spec.mix], dtype=float)
+    weights = weights / weights.sum()
+    rng = spawn_rng(seed, "mix", spec.name, index)
+    return kinds[int(rng.choice(len(kinds), p=weights))]
+
+
+def _seed_build_case(spec: TenantSpec, kind: str, index: int, *, seed: int) -> WorkflowCase:
+    """Frozen ``TenantSpec.build_case``: a scalar case seed, then the kind's
+    one-case generator."""
+    case_seed = int(spawn_rng(seed, "case", spec.name, index, kind).integers(0, 2**62))
+    if kind == "random":
+        params = RandomDAGParameters(
+            v=spec.v,
+            out_degree=spec.out_degree,
+            ccr=spec.ccr,
+            beta=spec.beta,
+            omega_dag=spec.omega_dag,
+        )
+        return generate_random_case(params, seed=case_seed, instance=index)
+    generator = {
+        "blast": generate_blast_case,
+        "wien2k": generate_wien2k_case,
+        "montage": generate_montage_case,
+    }[kind]
+    return generator(
+        spec.parallelism,
+        ccr=spec.ccr,
+        beta=spec.beta,
+        omega_dag=spec.omega_dag,
+        seed=case_seed,
+    )
+
+
+def seed_arrivals(stream: WorkloadStream) -> List[WorkflowArrival]:
+    """Frozen ``WorkloadStream.arrivals``: every arrival drawn and built on
+    its own, sorted by (time, tenant, index)."""
+    merged: List[WorkflowArrival] = []
+    for spec in stream.tenants:
+        times = spec.arrival_times(seed=stream.seed, horizon=stream.horizon)
+        for index, time in enumerate(times):
+            kind = _seed_draw_kind(spec, index, seed=stream.seed)
+            case = _seed_build_case(spec, kind, index, seed=stream.seed)
+            merged.append(
+                WorkflowArrival(
+                    tenant=spec.name,
+                    index=index,
+                    time=time,
+                    kind=kind,
+                    case=case,
+                    deadline_factor=spec.deadline_factor,
+                    slo_stretch=spec.slo_stretch,
+                )
+            )
+    merged.sort(key=lambda a: (a.time, a.tenant, a.index))
+    return [
+        WorkflowArrival(
+            tenant=a.tenant,
+            index=a.index,
+            time=a.time,
+            kind=a.kind,
+            case=a.case,
+            seq=seq,
+            deadline_factor=a.deadline_factor,
+            slo_stretch=a.slo_stretch,
+        )
+        for seq, a in enumerate(merged)
+    ]

@@ -78,6 +78,16 @@ with their volumes, structure, base and computation costs); ``speedup``,
 the scalar over the bulk wall clock, is gated at
 ``MIN_CASE_BUILD_SPEEDUP``.
 
+``stream_build`` builds one ``default_tenants(4)`` arrival stream (the
+shape of e2ebench's ``multi_flash_4t``) twice, in quick mode too: through
+``WorkloadStream.arrivals`` (kinds, case seeds, random-DAG seeds and the
+pricing of every arrival, each in one batched kernel pass) and through the
+per-arrival oracle ``_seed_reference.seed_arrivals``.  The streams must be
+equal arrival for arrival, cases included; ``kernel_passes`` (calls of the
+generator kernel per stream, deterministic) is gated at
+``MAX_STREAM_BUILD_KERNEL_PASSES`` and ``speedup``, the oracle over the
+batched wall clock, at ``MIN_STREAM_BUILD_SPEEDUP``.
+
 Results go to ``benchmarks/results/kernel_scaling.{txt,json}`` and to a
 top-level ``BENCH_kernel.json`` so the performance trajectory is tracked
 across PRs.  Run directly (``python benchmarks/bench_kernel_scaling.py
@@ -98,6 +108,7 @@ import numpy as np
 from _common import publish, run_once
 from _seed_reference import (
     SeedAHEFTScheduler,
+    seed_arrivals,
     seed_evaluate,
     seed_generate_random_case,
     seed_heft_schedule,
@@ -121,6 +132,7 @@ from repro.scheduling.flow.graph import solve_assignment
 from repro.scheduling.frame import PartialScheduleFrame
 from repro.scheduling.heft import HEFTScheduler
 from repro.simulation.event_core import EventCore
+from repro.utils import rng as rng_module
 from repro.utils.rng import spawn_rng
 from repro.workflow.costs import TabularCostModel, _held_prices
 from repro.workload.streams import WorkloadStream, default_tenants
@@ -244,6 +256,17 @@ CASE_BUILD_SEED = PRICING_SEED
 #: case, a same-run ratio, so it is enforced in quick mode too; the bulk
 #: build reads about 4.5x on a 2-vCPU host
 MIN_CASE_BUILD_SPEEDUP = 2.5
+
+#: stream_build: the stream it builds (``multi_flash_4t``'s tenants)
+STREAM_BUILD_ARRIVALS = 40
+STREAM_BUILD_SEED = 7
+#: ceiling on the generator-kernel passes of one stream build, whatever its
+#: size: kinds, case seeds, random-DAG seeds, pricing (the oracle makes one
+#: per arrival)
+MAX_STREAM_BUILD_KERNEL_PASSES = 4
+#: floor on stream_build's speedup, the oracle over the batched build, a
+#: same-run ratio enforced in quick mode too; reads about 2x on a 2-vCPU host
+MIN_STREAM_BUILD_SPEEDUP = 1.5
 
 
 def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -797,6 +820,77 @@ def measure_structure_memory(sizes=STRUCTURE_SIZES) -> Dict[str, object]:
     }
 
 
+def _case_view(case) -> tuple:
+    """A generated case as plain values: jobs and operations, edges with
+    their volumes, the structure index, base costs and every computation
+    cost on two resources."""
+    workflow, structure = case.workflow, case.workflow.structure()
+    return (
+        [(job, workflow.job(job).operation) for job in workflow.jobs],
+        workflow.edges(),
+        (structure.topo, structure.succ, structure.pred),
+        case.costs.base_costs,
+        case.costs.computation_matrix(["r1", "r2"]).tolist(),
+    )
+
+
+def _kernel_passes(build: Callable[[], object]):
+    """``build()`` and how many generator-kernel passes it made."""
+    original = rng_module._seed_outputs
+    passes = []
+
+    def counting(seeds):
+        passes.append(seeds.size)
+        return original(seeds)
+
+    rng_module._seed_outputs = counting
+    try:
+        return build(), len(passes)
+    finally:
+        rng_module._seed_outputs = original
+
+
+def measure_stream_build(
+    max_arrivals: int = STREAM_BUILD_ARRIVALS, seed: int = STREAM_BUILD_SEED
+) -> Dict[str, object]:
+    """One ``default_tenants(4)`` stream built in batched passes and through
+    the per-arrival oracle.
+
+    The builds alternate, best of five each; the streams must be equal
+    arrival for arrival (order, times, kinds, case parameters and cases).
+    """
+    tenants = default_tenants(
+        4, arrival_rate=0.002, max_arrivals=max_arrivals, v=12, parallelism=6
+    )
+    stream = WorkloadStream(tenants, seed=seed, horizon=20000.0)
+    oracle_times, batched_times = [], []
+    for _ in range(5):
+        oracle_times.append(_best_of(lambda: seed_arrivals(stream), repeats=1))
+        batched_times.append(_best_of(stream.arrivals, repeats=1))
+    oracle_seconds, batched_seconds = min(oracle_times), min(batched_times)
+    batched, passes = _kernel_passes(stream.arrivals)
+    oracle, oracle_passes = _kernel_passes(lambda: seed_arrivals(stream))
+    views = [
+        [
+            (a.seq, a.key, a.time, a.kind, a.case.params, _case_view(a.case))
+            for a in arrivals
+        ]
+        for arrivals in (batched, oracle)
+    ]
+    if views[0] != views[1]:
+        raise AssertionError("the batched stream build diverged from the per-arrival oracle")
+    return {
+        "arrivals": len(batched),
+        "jobs": sum(a.case.workflow.num_jobs for a in batched),
+        "edges": sum(a.case.workflow.num_edges for a in batched),
+        "kernel_passes": passes,
+        "oracle_kernel_passes": oracle_passes,
+        "batched_seconds": batched_seconds,
+        "oracle_seconds": oracle_seconds,
+        "speedup": oracle_seconds / batched_seconds,
+    }
+
+
 def measure_case_build(v: int = CASE_BUILD_V, seed: int = CASE_BUILD_SEED) -> Dict[str, object]:
     """One random case built in bulk and through the scalar oracle.
 
@@ -817,19 +911,7 @@ def measure_case_build(v: int = CASE_BUILD_V, seed: int = CASE_BUILD_SEED) -> Di
     cases = [
         build(params, seed=seed) for build in (generate_random_case, seed_generate_random_case)
     ]
-    views = []
-    for case in cases:
-        workflow, structure = case.workflow, case.workflow.structure()
-        views.append(
-            (
-                [(job, workflow.job(job).operation) for job in workflow.jobs],
-                workflow.edges(),
-                (structure.topo, structure.succ, structure.pred),
-                case.costs.base_costs,
-                case.costs.computation_matrix(["r1", "r2"]).tolist(),
-            )
-        )
-    if views[0] != views[1]:
+    if _case_view(cases[0]) != _case_view(cases[1]):
         raise AssertionError("the bulk case build diverged from the scalar oracle")
     return {
         "v": v,
@@ -860,6 +942,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     pricing_memory = measure_pricing_memory(PRICING_V_QUICK if quick else PRICING_V)
     structure_memory = measure_structure_memory()
     case_build = measure_case_build()
+    stream_build = measure_stream_build()
     return {
         "quick": quick,
         "static_heft": heft_rows,
@@ -872,6 +955,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "pricing_memory": pricing_memory,
         "structure_memory": structure_memory,
         "case_build": case_build,
+        "stream_build": stream_build,
     }
 
 
@@ -962,6 +1046,15 @@ def render(results: Dict[str, object]) -> str:
         f"{b['bulk_seconds'] * 1e3:.1f} ms / scalar oracle {b['oracle_seconds'] * 1e3:.1f} ms "
         f"= {b['speedup']:.2f}x (gate ≥ {MIN_CASE_BUILD_SPEEDUP}x)"
     )
+    t = results["stream_build"]
+    lines.append("")
+    lines.append(
+        f"stream build (default_tenants(4), {t['arrivals']} arrivals, {t['jobs']} jobs): "
+        f"{t['kernel_passes']} kernel passes (gate ≤ {MAX_STREAM_BUILD_KERNEL_PASSES}), "
+        f"oracle {t['oracle_kernel_passes']}; batched {t['batched_seconds'] * 1e3:.1f} ms / "
+        f"per-arrival oracle {t['oracle_seconds'] * 1e3:.1f} ms = {t['speedup']:.2f}x "
+        f"(gate ≥ {MIN_STREAM_BUILD_SPEEDUP}x)"
+    )
     s = results["scaling_series"]
     lines.append("")
     lines.append("sparse scaling series (fast kernel, 20 resources, |E| ≈ 10·V):")
@@ -1042,6 +1135,17 @@ def check_thresholds(results: Dict[str, object]) -> None:
     assert case_build["speedup"] >= MIN_CASE_BUILD_SPEEDUP, (
         f"the bulk case build is only {case_build['speedup']:.2f}x faster than the "
         f"scalar oracle, below the {MIN_CASE_BUILD_SPEEDUP}x floor"
+    )
+    # and the batched stream build: its kernel passes, a count, and its
+    # speedup over the per-arrival oracle, a same-run ratio
+    stream_build = results["stream_build"]
+    assert stream_build["kernel_passes"] <= MAX_STREAM_BUILD_KERNEL_PASSES, (
+        f"one stream build makes {stream_build['kernel_passes']} generator-kernel "
+        f"passes, above the {MAX_STREAM_BUILD_KERNEL_PASSES} ceiling"
+    )
+    assert stream_build["speedup"] >= MIN_STREAM_BUILD_SPEEDUP, (
+        f"the batched stream build is only {stream_build['speedup']:.2f}x faster than "
+        f"the per-arrival oracle, below the {MIN_STREAM_BUILD_SPEEDUP}x floor"
     )
     # and the plans admission control makes per offer, a count
     admission_planning = results["admission_planning"]

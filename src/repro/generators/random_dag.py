@@ -31,7 +31,13 @@ from repro.utils.checks import require_finite
 from repro.utils.rng import spawn_rng
 from repro.workflow.dag import Workflow
 
-__all__ = ["RandomDAGParameters", "generate_random_dag", "generate_random_case"]
+__all__ = [
+    "RandomDAGParameters",
+    "generate_random_dag",
+    "generate_random_case",
+    "case_seed_path",
+    "random_case_pricing",
+]
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,31 @@ def generate_random_dag(
     return workflow
 
 
+def case_seed_path(params: RandomDAGParameters, instance: int) -> Tuple[object, ...]:
+    """Token path of the stream whose first ``integers(0, 2**62)`` seeds
+    instance ``instance`` of the DAG type ``params``."""
+    return ("case", params.v, params.out_degree, params.ccr, params.beta, instance)
+
+
+def random_case_pricing(
+    params: RandomDAGParameters, *, case_seed: int, instance: int
+) -> Dict[str, object]:
+    """The :func:`~repro.generators.costs.build_case` keywords of the random
+    case built from ``case_seed``."""
+    return {
+        "ccr": params.ccr,
+        "beta": params.beta,
+        "omega_dag": params.omega_dag,
+        "seed": case_seed,
+        "params": {
+            "generator": "random",
+            "out_degree": params.out_degree,
+            "alpha": params.alpha,
+            "instance": instance,
+        },
+    }
+
+
 def generate_random_case(
     params: RandomDAGParameters,
     *,
@@ -172,19 +203,8 @@ def generate_random_case(
     ``instance`` distinguishes the repeated instances of one DAG *type*
     (the paper generates 10 instances per parameter combination).
     """
-    case_seed = int(spawn_rng(seed, "case", params.v, params.out_degree, params.ccr,
-                              params.beta, instance).integers(0, 2**62))
+    case_seed = int(spawn_rng(seed, *case_seed_path(params, instance)).integers(0, 2**62))
     workflow = generate_random_dag(params, seed=case_seed, name=name)
     return build_case(
-        workflow,
-        ccr=params.ccr,
-        beta=params.beta,
-        omega_dag=params.omega_dag,
-        seed=case_seed,
-        params={
-            "generator": "random",
-            "out_degree": params.out_degree,
-            "alpha": params.alpha,
-            "instance": instance,
-        },
+        workflow, **random_case_pricing(params, case_seed=case_seed, instance=instance)
     )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
+
+from repro.utils.checks import require_finite
 
 __all__ = ["Resource"]
 
@@ -38,6 +41,9 @@ class Resource:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        require_finite("available_from", self.available_from)
+        if self.available_until is not None and math.isnan(self.available_until):
+            raise ValueError("available_until must not be NaN (None means never leaves)")
         if self.available_from < 0:
             raise ValueError("available_from must be non-negative")
         if self.available_until is not None and self.available_until <= self.available_from:

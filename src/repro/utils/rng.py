@@ -13,12 +13,14 @@ stream is independent of all siblings.
 Pricing a generated case takes one uniform draw from each of tens of
 thousands of such streams (one per job, edge and (job, resource) pair), and
 constructing a ``Generator`` costs far more than the draw itself.
-:func:`spawn_uniforms` takes those first draws for a whole batch of token
-paths at once: it re-implements NumPy's ``SeedSequence`` → ``PCG64`` seeding
-and first output on arrays, so element *k* equals
-``float(spawn_rng(root, *path_k).uniform(low_k, high_k))`` bit for bit.
-:func:`spawn_rng` stays the single-draw path and the reference the batched
-kernel is tested against.
+:func:`first_outputs` takes those first draws for a whole batch of token
+paths, under any number of root seeds, at once: it re-implements NumPy's
+``SeedSequence`` → ``PCG64`` seeding and first output on arrays, so element
+*k* equals ``spawn_rng(root_k, *path_k).random()`` bit for bit, or the raw
+``uint64`` output every first draw derives from.  :func:`spawn_uniforms` is
+its one-root call for ``uniform(low, high)`` draws.  :func:`spawn_rng`
+stays the single-draw path and the reference the batched kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ import numpy as np
 
 Token = Union[int, float, str, bytes]
 
-__all__ = ["derive_seed", "spawn_rng", "spawn_uniforms", "RandomSource"]
+__all__ = [
+    "derive_seed",
+    "spawn_rng",
+    "first_outputs",
+    "spawn_uniforms",
+    "uniform_draws",
+    "RandomSource",
+]
 
 #: derived seeds keep 63 bits so they stay positive Python ints
 _SEED_MASK = (1 << 63) - 1
@@ -109,33 +118,37 @@ def spawn_rng(root_seed: int, *tokens: Token) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root_seed, *tokens))
 
 
-def spawn_uniforms(
-    root_seed: int,
-    groups: Iterable[Tuple[Sequence[Token], Sequence[Token]]],
-    low,
-    high,
+def first_outputs(
+    groups: Iterable[Tuple[int, Sequence[Token], Sequence[Token]]],
+    *,
+    raw: bool = False,
 ) -> np.ndarray:
-    """First uniform draw of many token-path streams, in one vectorised pass.
+    """First output of many token-path streams, in one vectorised pass.
 
-    ``groups`` yields ``(prefix, last_tokens)`` pairs; together they name
-    the token paths ``(*prefix, token)`` for every ``token`` of
-    ``last_tokens``, group after group.  Element *k* of the result is
-    ``float(spawn_rng(root_seed, *path_k).uniform(low_k, high_k))`` bit for
-    bit, where ``low``/``high`` are scalars or arrays with one entry per
-    path.
+    ``groups`` yields ``(root_seed, prefix, last_tokens)`` triples; together
+    they name the streams ``(root_seed, *prefix, token)`` for every
+    ``token`` of ``last_tokens``, group after group.  Element *k* of the
+    result is ``spawn_rng(root_k, *path_k).random()`` bit for bit, or with
+    ``raw=True`` the ``uint64`` ``spawn_rng(root_k,
+    *path_k).bit_generator.random_raw()`` that every first draw derives
+    from (``random()`` keeps its top 53 bits, ``integers(0, 2**62)`` is it
+    shifted right by two).
 
-    The root seed and each prefix are hashed once and the SHA-256 state is
-    copied per last token; a group that passes the same ``last_tokens``
-    object as the group before reuses its rendering.  Seeds go through the
-    generator kernel in blocks of :data:`_BLOCK` paths, so temporaries stay
-    small for any batch.
+    A root seed is hashed once for a run of groups that share it, and each
+    prefix once per group, whose SHA-256 state is copied per last token; a
+    group that passes the same ``last_tokens`` object as the group before
+    reuses its rendering.  All the seeds go through the generator kernel
+    together, in blocks of :data:`_BLOCK`, so temporaries stay small for
+    any batch.
     """
-    root = _root_hash(root_seed)
-    doubles = []
+    chunks = []
     digests: list = []
     suffixes: list = []
     previous = None
-    for prefix, last_tokens in groups:
+    previous_root = root = None
+    for root_seed, prefix, last_tokens in groups:
+        if root is None or root_seed != previous_root:
+            root, previous_root = _root_hash(root_seed), root_seed
         if last_tokens is not previous:
             suffixes = [b"\x00" + _token_bytes(token) for token in last_tokens]
             previous = last_tokens
@@ -145,19 +158,41 @@ def spawn_uniforms(
             digest.update(suffix)
             digests.append(digest.digest()[:8])
         if len(digests) >= _BLOCK:
-            doubles.append(_digest_doubles(digests))
+            chunks.append(np.frombuffer(b"".join(digests), dtype="<u8"))
             digests = []
-    doubles.append(_digest_doubles(digests))
-    unit = np.concatenate(doubles)
+    chunks.append(np.frombuffer(b"".join(digests), dtype="<u8"))
+    seeds = np.concatenate(chunks).astype(_U64) & _U64(_SEED_MASK)
+    if not seeds.size:
+        return np.empty(0, dtype=_U64 if raw else np.float64)
+    out = _seed_outputs(seeds)
+    return out if raw else _unit_doubles(out)
+
+
+def uniform_draws(unit: np.ndarray, low, high) -> np.ndarray:
+    """``Generator.uniform(low, high)`` of the streams whose first
+    ``random()`` is ``unit``; ``low``/``high`` are scalars or arrays with one
+    entry per stream."""
     low = np.asarray(low, dtype=np.float64)
     high = np.asarray(high, dtype=np.float64)
     return low + (high - low) * unit
 
 
-def _digest_doubles(digests: list) -> np.ndarray:
-    """First doubles of the streams seeded by these 8-byte digest prefixes."""
-    seeds = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
-    return _seed_doubles(seeds & np.uint64(_SEED_MASK))
+def spawn_uniforms(
+    root_seed: int,
+    groups: Iterable[Tuple[Sequence[Token], Sequence[Token]]],
+    low,
+    high,
+) -> np.ndarray:
+    """First uniform draw of many token-path streams under one root seed.
+
+    ``groups`` yields ``(prefix, last_tokens)`` pairs, as in
+    :func:`first_outputs` without the root; element *k* of the result is
+    ``float(spawn_rng(root_seed, *path_k).uniform(low_k, high_k))`` bit for
+    bit, where ``low``/``high`` are scalars or arrays with one entry per
+    path.
+    """
+    unit = first_outputs((root_seed, prefix, last) for prefix, last in groups)
+    return uniform_draws(unit, low, high)
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +323,9 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return _add128(mul_hi, mul_lo, inc_hi, inc_lo)
 
 
-def _first_doubles(seeds: np.ndarray) -> np.ndarray:
-    """``default_rng(seed).random()`` for one block of uint64 seeds."""
+def _first_raw(seeds: np.ndarray) -> np.ndarray:
+    """``default_rng(seed).bit_generator.random_raw()`` for one block of
+    uint64 seeds."""
     lo = (seeds & _U64(_M32)).astype(_U32)
     hi = (seeds >> _U64(32)).astype(_U32)
     s_hi, s_lo, q_hi, q_lo = _generate_state(_pool(lo, hi))
@@ -303,21 +339,30 @@ def _first_doubles(seeds: np.ndarray) -> np.ndarray:
     # XSL-RR: rotate (hi ^ lo) right by the top six bits of the state
     rot = hi64 >> _U64(58)
     xored = hi64 ^ lo64
-    out = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
-    return (out >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
+
+
+def _unit_doubles(raw: np.ndarray) -> np.ndarray:
+    """``random()`` from raw outputs: the top 53 bits over 2**53."""
+    return (raw >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _seed_outputs(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(int(s)).bit_generator.random_raw()`` for every
+    seed ``s`` of a uint64 array, in blocks of :data:`_BLOCK` so
+    temporaries stay small whatever the batch size.  One call is one pass
+    of the kernel.
+    """
+    out = np.empty(seeds.shape, dtype=_U64)
+    for start in range(0, seeds.size, _BLOCK):
+        out[start:start + _BLOCK] = _first_raw(seeds[start:start + _BLOCK])
+    return out
 
 
 def _seed_doubles(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.default_rng(int(s)).random()`` for every seed ``s``.
-
-    ``seeds`` holds integers in ``[0, 2**64)``; the work runs in blocks of
-    :data:`_BLOCK` so temporaries stay small whatever the batch size.
-    """
-    seeds = np.asarray(seeds, dtype=_U64)
-    out = np.empty(seeds.shape, dtype=np.float64)
-    for start in range(0, seeds.size, _BLOCK):
-        out[start:start + _BLOCK] = _first_doubles(seeds[start:start + _BLOCK])
-    return out
+    """``np.random.default_rng(int(s)).random()`` for every seed ``s`` in
+    ``[0, 2**64)``."""
+    return _unit_doubles(_seed_outputs(np.asarray(seeds, dtype=_U64)))
 
 
 @dataclass(frozen=True)

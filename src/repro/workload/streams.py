@@ -11,10 +11,26 @@ the shared grid.  Its :class:`TenantSpec` describes
   shapes, priced with the tenant's CCR / β / ω_DAG settings.
 
 Determinism: every random draw derives from ``(seed, tenant, purpose, …)``
-via :func:`~repro.utils.rng.spawn_rng`, so a stream is reproducible from
-``(specs, seed)`` alone — independent of tenant order or how many other
-tenants exist, which keeps sweep points comparable when the tenant count is
-the swept parameter.
+via :mod:`repro.utils.rng`, so a stream is reproducible from ``(specs,
+seed)`` alone — independent of tenant order or how many other tenants
+exist, which keeps sweep points comparable when the tenant count is the
+swept parameter.  The ``index``-th arrival of tenant ``name``
+
+* has the kind ``Generator.choice(len(mix), p=weights)`` draws from the
+  stream ``("mix", name, index)``,
+* is built from the case seed ``integers(0, 2**62)`` of the stream
+  ``("case", name, index, kind)`` — a random DAG from the seed that case
+  seed gives :func:`~repro.generators.random_dag.generate_random_case`'s
+  instance ``index``, an application from the case seed itself,
+* and is priced like that generator's case.
+
+:meth:`WorkloadStream.arrivals` takes those first draws for the whole
+stream in batched :func:`~repro.utils.rng.first_outputs` passes — the kinds,
+then the case seeds, then the random DAGs' seeds, then one
+:func:`~repro.generators.costs.build_cases` pass that prices every arrival —
+bit for bit the per-arrival draws: a choice is the first ``random()``
+searched in the weights' normalised cumulative sum, a seed the first raw
+output shifted right by two.
 """
 
 from __future__ import annotations
@@ -24,12 +40,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.generators.blast import generate_blast_case
-from repro.generators.costs import WorkflowCase
-from repro.generators.montage import generate_montage_case
-from repro.generators.random_dag import RandomDAGParameters, generate_random_case
-from repro.generators.wien2k import generate_wien2k_case
-from repro.utils.rng import spawn_rng
+from repro.generators.blast import generate_blast_workflow
+from repro.generators.costs import CaseRequest, WorkflowCase, build_cases
+from repro.generators.montage import generate_montage_workflow
+from repro.generators.random_dag import (
+    RandomDAGParameters,
+    case_seed_path,
+    generate_random_dag,
+    random_case_pricing,
+)
+from repro.generators.wien2k import generate_wien2k_workflow
+from repro.utils.checks import require_finite
+from repro.utils.rng import first_outputs, spawn_rng
 
 __all__ = [
     "TenantSpec",
@@ -49,6 +71,13 @@ DEFAULT_MIX: Tuple[Tuple[str, float], ...] = (
     ("wien2k", 0.15),
     ("montage", 0.15),
 )
+
+#: the structure generator of each application kind
+_APPLICATION_WORKFLOWS = {
+    "blast": generate_blast_workflow,
+    "wien2k": generate_wien2k_workflow,
+    "montage": generate_montage_workflow,
+}
 
 
 def poisson_arrival_times(
@@ -134,10 +163,15 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
+        require_finite("arrival_rate", self.arrival_rate)
         if self.arrival_rate < 0:
             raise ValueError("arrival_rate must be non-negative")
+        require_finite("weight", self.weight)
         if self.weight <= 0:
             raise ValueError("weight must be positive")
+        for target in ("deadline_factor", "slo_stretch"):
+            if getattr(self, target) is not None:
+                require_finite(target, getattr(self, target))
         if self.deadline_factor is not None and self.deadline_factor <= 0:
             raise ValueError("deadline_factor must be positive")
         if self.slo_stretch is not None and self.slo_stretch < 1.0:
@@ -149,12 +183,18 @@ class TenantSpec:
                 raise ValueError(
                     f"unknown workload kind {kind!r}; choose from {WORKLOAD_KINDS}"
                 )
+            require_finite(f"mix weight of {kind!r}", share)
             if share < 0:
                 raise ValueError("mix weights must be non-negative")
-        if sum(share for _, share in self.mix) <= 0:
+        total = sum(share for _, share in self.mix)
+        require_finite("mix weight total", total)
+        if total <= 0:
             raise ValueError("mix weights must sum to a positive value")
         last = 0.0
         for time in self.trace:
+            require_finite("trace arrival time", time)
+            if time < 0:
+                raise ValueError("trace arrival times must be non-negative")
             if time < last:
                 raise ValueError("trace arrival times must be non-decreasing")
             last = time
@@ -168,39 +208,28 @@ class TenantSpec:
             self.arrival_rate, horizon=horizon, max_arrivals=self.max_arrivals, rng=rng
         )
 
-    def draw_kind(self, index: int, *, seed: int) -> str:
-        """The workload kind of this tenant's ``index``-th arrival."""
-        kinds = [kind for kind, _ in self.mix]
-        weights = np.asarray([share for _, share in self.mix], dtype=float)
-        weights = weights / weights.sum()
-        rng = spawn_rng(seed, "mix", self.name, index)
-        return kinds[int(rng.choice(len(kinds), p=weights))]
+    def kinds(self, unit: np.ndarray) -> List[str]:
+        """The workload kinds of arrivals whose ``("mix", name, index)``
+        streams start with the ``random()`` doubles ``unit``.
 
-    def build_case(self, kind: str, index: int, *, seed: int) -> WorkflowCase:
-        """Generate and price the ``index``-th workflow of the given kind."""
-        case_seed = int(
-            spawn_rng(seed, "case", self.name, index, kind).integers(0, 2**62)
-        )
-        if kind == "random":
-            params = RandomDAGParameters(
-                v=self.v,
-                out_degree=self.out_degree,
-                ccr=self.ccr,
-                beta=self.beta,
-                omega_dag=self.omega_dag,
-            )
-            return generate_random_case(params, seed=case_seed, instance=index)
-        generator = {
-            "blast": generate_blast_case,
-            "wien2k": generate_wien2k_case,
-            "montage": generate_montage_case,
-        }[kind]
-        return generator(
-            self.parallelism,
+        ``Generator.choice(len(mix), p=weights)`` searches its first
+        ``random()`` in the normalised cumulative sum of ``weights``; this
+        does the same for every arrival at once.
+        """
+        weights = np.asarray([share for _, share in self.mix], dtype=float)
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        names = [kind for kind, _ in self.mix]
+        return [names[i] for i in cdf.searchsorted(unit, side="right").tolist()]
+
+    def random_params(self) -> RandomDAGParameters:
+        """The DAG type of this tenant's random arrivals."""
+        return RandomDAGParameters(
+            v=self.v,
+            out_degree=self.out_degree,
             ccr=self.ccr,
             beta=self.beta,
             omega_dag=self.omega_dag,
-            seed=case_seed,
         )
 
 
@@ -240,6 +269,7 @@ class WorkloadStream:
         names = [spec.name for spec in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
+        require_finite("horizon", self.horizon)
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
@@ -258,37 +288,97 @@ class WorkloadStream:
         Workflows arriving at time 0 are allowed (a trace may start with
         0.0) and are planned before any grid event fires.
         """
-        merged: List[WorkflowArrival] = []
-        for spec in self.tenants:
-            times = spec.arrival_times(seed=self.seed, horizon=self.horizon)
-            for index, time in enumerate(times):
-                kind = spec.draw_kind(index, seed=self.seed)
-                case = spec.build_case(kind, index, seed=self.seed)
-                merged.append(
-                    WorkflowArrival(
-                        tenant=spec.name,
-                        index=index,
-                        time=time,
-                        kind=kind,
-                        case=case,
-                        deadline_factor=spec.deadline_factor,
-                        slo_stretch=spec.slo_stretch,
-                    )
-                )
-        merged.sort(key=lambda a: (a.time, a.tenant, a.index))
+        timed = [
+            (spec, spec.arrival_times(seed=self.seed, horizon=self.horizon))
+            for spec in self.tenants
+        ]
+        unit = first_outputs(
+            (self.seed, ("mix", spec.name), range(len(times))) for spec, times in timed
+        )
+        drawn: List[Tuple[TenantSpec, int, float, str]] = []
+        start = 0
+        for spec, times in timed:
+            kinds = spec.kinds(unit[start:start + len(times)])
+            start += len(times)
+            drawn.extend(
+                (spec, index, time, kind)
+                for index, (time, kind) in enumerate(zip(times, kinds))
+            )
+        case_seeds = _seeds(
+            _stream(self.seed, "case", spec.name, index, kind) for spec, index, _, kind in drawn
+        )
+        cases = build_cases(_requests(drawn, case_seeds))
+        merged = sorted(
+            zip(drawn, cases), key=lambda item: (item[0][2], item[0][0].name, item[0][1])
+        )
         return [
             WorkflowArrival(
-                tenant=a.tenant,
-                index=a.index,
-                time=a.time,
-                kind=a.kind,
-                case=a.case,
+                tenant=spec.name,
+                index=index,
+                time=time,
+                kind=kind,
+                case=case,
                 seq=seq,
-                deadline_factor=a.deadline_factor,
-                slo_stretch=a.slo_stretch,
+                deadline_factor=spec.deadline_factor,
+                slo_stretch=spec.slo_stretch,
             )
-            for seq, a in enumerate(merged)
+            for seq, ((spec, index, time, kind), case) in enumerate(merged)
         ]
+
+
+def _stream(root: int, *path) -> Tuple[int, tuple, tuple]:
+    """The :func:`first_outputs` group naming the one stream ``(root, *path)``."""
+    return root, path[:-1], path[-1:]
+
+
+def _seeds(groups) -> List[int]:
+    """``integers(0, 2**62)`` of each stream: its first raw output >> 2."""
+    return (first_outputs(groups, raw=True) >> np.uint64(2)).tolist()
+
+
+def _requests(
+    drawn: Sequence[Tuple[TenantSpec, int, float, str]], case_seeds: Sequence[int]
+) -> List[CaseRequest]:
+    """Each arrival's DAG, built as its kind's generator builds it, and its
+    pricing."""
+    params: Dict[str, RandomDAGParameters] = {}
+    random = []
+    for (spec, index, _, kind), case_seed in zip(drawn, case_seeds):
+        if kind == "random":
+            if spec.name not in params:
+                params[spec.name] = spec.random_params()
+            random.append((params[spec.name], index, case_seed))
+    # a random DAG's seed is the instance seed its generator draws under
+    # the arrival's case seed
+    dag_seeds = iter(
+        _seeds(
+            _stream(case_seed, *case_seed_path(dag, index)) for dag, index, case_seed in random
+        )
+    )
+    requests = []
+    for (spec, index, _, kind), case_seed in zip(drawn, case_seeds):
+        if kind == "random":
+            dag = params[spec.name]
+            dag_seed = next(dag_seeds)
+            requests.append(
+                CaseRequest(
+                    generate_random_dag(dag, seed=dag_seed),
+                    **random_case_pricing(dag, case_seed=dag_seed, instance=index),
+                )
+            )
+        else:
+            requests.append(
+                CaseRequest(
+                    _APPLICATION_WORKFLOWS[kind](spec.parallelism),
+                    ccr=spec.ccr,
+                    beta=spec.beta,
+                    omega_dag=spec.omega_dag,
+                    seed=case_seed,
+                    per_operation=True,
+                    params={"generator": kind, "parallelism": spec.parallelism},
+                )
+            )
+    return requests
 
 
 def default_tenants(

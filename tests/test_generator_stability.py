@@ -22,6 +22,7 @@ from repro.generators.blast import generate_blast_case
 from repro.generators.montage import generate_montage_case
 from repro.generators.random_dag import RandomDAGParameters, generate_random_case
 from repro.generators.wien2k import generate_wien2k_case
+from repro.workload.streams import WorkloadStream, default_tenants
 
 #: canonical resource ids the cost fingerprints are evaluated on (lazy
 #: per-resource draws are seeded by resource identity, so this also pins
@@ -35,6 +36,11 @@ GOLDEN = {
     "wien2k_p8_seed3": "0359e309c22fb2d106f9",
     "montage_p10_seed3": "9c7c9bcf557a4e602ec6",
 }
+
+#: a four-tenant ``default_tenants`` stream (every workload kind): arrival
+#: order, times, kinds, service targets, case parameters and each case's
+#: :func:`fingerprint`
+STREAM_GOLDEN = "f8384f52c13bf0278cdb"
 
 
 def fingerprint(case) -> str:
@@ -52,6 +58,26 @@ def fingerprint(case) -> str:
             f"{case.costs.average_communication_cost(src, dst)!r}\n".encode()
         )
     return digest.hexdigest()[:20]
+
+
+def stream_fingerprint(arrivals) -> str:
+    """SHA-256 over every arrival of a stream and the case it carries."""
+    digest = hashlib.sha256()
+    for arrival in arrivals:
+        digest.update(
+            f"A|{arrival.seq}|{arrival.key}|{arrival.time!r}|{arrival.kind}|"
+            f"{arrival.deadline_factor!r}|{arrival.slo_stretch!r}|"
+            f"{arrival.case.workflow.name}|{sorted(arrival.case.params.items())!r}|"
+            f"{fingerprint(arrival.case)}\n".encode()
+        )
+    return digest.hexdigest()[:20]
+
+
+def _golden_stream():
+    tenants = default_tenants(
+        4, arrival_rate=0.002, max_arrivals=8, v=12, parallelism=6, deadline_factor=3.0
+    )
+    return WorkloadStream(tenants, seed=11, horizon=20000.0)
 
 
 def _build(name: str):
@@ -91,3 +117,14 @@ class TestGoldenFingerprints:
         a = fingerprint(generate_random_case(RandomDAGParameters(v=30), seed=7))
         b = fingerprint(generate_random_case(RandomDAGParameters(v=30), seed=7))
         assert a == b
+
+
+class TestGoldenStream:
+    def test_default_tenants_stream_matches_golden(self):
+        arrivals = _golden_stream().arrivals()
+        assert {arrival.kind for arrival in arrivals} == {"random", "blast", "wien2k", "montage"}
+        actual = stream_fingerprint(arrivals)
+        assert actual == STREAM_GOLDEN, (
+            "arrival stream shifted — if intentional, update STREAM_GOLDEN to "
+            f"{actual!r} and re-bless benchmarks/baselines/"
+        )

@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
+from benchmarks._seed_reference import seed_arrivals
 from repro.core.multi_tenant import POLICIES, ActiveWorkflow, MultiTenantPlanner
 from repro.experiments.metrics import (
     exceedance_rate,
@@ -28,6 +29,7 @@ from repro.scheduling.base import Assignment, Schedule
 from repro.scheduling.heft import HEFTScheduler
 from repro.scheduling.validation import check_no_overlap
 from repro.simulation.shared_grid import SharedGridExecutor
+from repro.utils import rng as rng_module
 from repro.utils.rng import spawn_rng
 from repro.workload.streams import (
     TenantSpec,
@@ -86,23 +88,67 @@ class TestTenantSpec:
         assert spec.arrival_times(seed=0, horizon=8000.0) == [10.0, 20.0]
 
     def test_single_kind_mix_always_draws_it(self):
-        spec = TenantSpec(name="t1", mix=(("wien2k", 1.0),))
-        assert {spec.draw_kind(i, seed=4) for i in range(6)} == {"wien2k"}
+        spec = TenantSpec(name="t1", mix=(("wien2k", 1.0),), max_arrivals=6, arrival_rate=0.01)
+        arrivals = WorkloadStream([spec], seed=4).arrivals()
+        assert len(arrivals) == 6
+        assert {arrival.kind for arrival in arrivals} == {"wien2k"}
 
     def test_case_generation_is_deterministic(self):
-        spec = TenantSpec(name="t1", v=12)
-        a = spec.build_case("random", 0, seed=7)
-        b = spec.build_case("random", 0, seed=7)
-        assert a.workflow.num_jobs == b.workflow.num_jobs == 12
-        assert a.costs.computation_cost("n1", "r1") == b.costs.computation_cost(
+        spec = TenantSpec(name="t1", v=12, mix=(("random", 1.0),))
+        a, b = (WorkloadStream([spec], seed=7).arrivals()[0] for _ in range(2))
+        assert a.case.workflow.num_jobs == b.case.workflow.num_jobs == 12
+        assert a.case.costs.computation_cost("n1", "r1") == b.case.costs.computation_cost(
             "n1", "r1"
         )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_rate", float("nan")),
+            ("arrival_rate", float("inf")),
+            ("weight", float("nan")),
+            ("weight", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_rate_and_weight(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TenantSpec(name="t1", **{field: value})
+
+    @pytest.mark.parametrize("target", ["deadline_factor", "slo_stretch"])
+    def test_rejects_non_finite_service_targets(self, target):
+        with pytest.raises(ValueError, match=f"{target} must be finite"):
+            TenantSpec(name="t1", **{target: float("nan")})
+
+    @pytest.mark.parametrize("share", [float("nan"), float("inf")])
+    def test_rejects_non_finite_mix_weight(self, share):
+        with pytest.raises(ValueError, match="mix weight of 'blast' must be finite"):
+            TenantSpec(name="t1", mix=(("random", 1.0), ("blast", share)))
+
+    def test_rejects_mix_weights_whose_total_overflows(self):
+        with pytest.raises(ValueError, match="mix weight total must be finite"):
+            TenantSpec(name="t1", mix=(("random", 1e308), ("blast", 1e308)))
+
+    @pytest.mark.parametrize(
+        "trace", [(float("nan"), 5.0), (1.0, float("nan")), (1.0, float("inf"))]
+    )
+    def test_rejects_non_finite_trace_times(self, trace):
+        with pytest.raises(ValueError, match="trace arrival time must be finite"):
+            TenantSpec(name="t1", trace=trace)
+
+    def test_rejects_negative_trace_time(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            TenantSpec(name="t1", trace=(-1.0, 5.0))
 
 
 class TestWorkloadStream:
     def test_duplicate_tenant_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             WorkloadStream([TenantSpec(name="t1"), TenantSpec(name="t1")])
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            WorkloadStream([TenantSpec(name="t1")], horizon=horizon)
 
     def test_arrivals_sorted_with_global_seq(self):
         stream = WorkloadStream(default_tenants(3, arrival_rate=0.004), seed=1)
@@ -117,6 +163,102 @@ class TestWorkloadStream:
         t1_small = [(a.time, a.kind) for a in small if a.tenant == "t1"]
         t1_large = [(a.time, a.kind) for a in large if a.tenant == "t1"]
         assert t1_small == t1_large
+
+
+def _arrival_view(arrival: WorkflowArrival):
+    """Everything an arrival carries, its case included, as plain values."""
+    case, workflow = arrival.case, arrival.case.workflow
+    structure = workflow.structure()
+    return (
+        arrival.seq,
+        arrival.tenant,
+        arrival.index,
+        arrival.time,
+        arrival.kind,
+        arrival.deadline_factor,
+        arrival.slo_stretch,
+        workflow.name,
+        [(job, workflow.job(job).operation) for job in workflow.jobs],
+        workflow.edges(),
+        (structure.topo, structure.succ, structure.pred),
+        case.params,
+        case.costs.base_costs,
+        (case.costs.beta, case.costs.bandwidth, case.costs.latency, case.costs.seed),
+        case.costs.computation_matrix(["r1", "r2", "r3"]).tolist(),
+    )
+
+
+class TestBatchedStreamBuild:
+    """``WorkloadStream.arrivals`` against the per-arrival oracle."""
+
+    STREAMS = {
+        "default_tenants": lambda: WorkloadStream(
+            default_tenants(4, arrival_rate=0.004, max_arrivals=12, v=12, parallelism=6),
+            seed=7,
+            horizon=20000.0,
+        ),
+        "traces_and_empty_tenants": lambda: WorkloadStream(
+            [
+                TenantSpec(name="trace", trace=(0.0, 0.0, 15.0, 400.0, 9e9), v=9),
+                TenantSpec(name="idle", arrival_rate=0.0),
+                TenantSpec(name="late", trace=(9e9,)),
+                TenantSpec(
+                    name="zero-weights",
+                    arrival_rate=0.01,
+                    max_arrivals=8,
+                    mix=(("random", 0.0), ("montage", 2.0), ("blast", 0.0), ("wien2k", 1.0)),
+                    parallelism=5,
+                    deadline_factor=2.0,
+                    slo_stretch=4.0,
+                ),
+                TenantSpec(name="one-kind", arrival_rate=0.01, max_arrivals=5,
+                           mix=(("random", 3.0),), v=15, ccr=2.5, beta=1.0),
+            ],
+            seed=123,
+            horizon=5000.0,
+        ),
+        "no_arrivals": lambda: WorkloadStream(
+            [TenantSpec(name="idle", arrival_rate=0.0)], seed=1
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_equals_the_per_arrival_oracle(self, name):
+        stream = self.STREAMS[name]()
+        got, want = stream.arrivals(), seed_arrivals(stream)
+        assert [_arrival_view(a) for a in got] == [_arrival_view(a) for a in want]
+
+    def test_streams_cover_every_kind_and_tenant_shape(self):
+        kinds = {a.kind for a in self.STREAMS["default_tenants"]().arrivals()}
+        assert kinds == {"random", "blast", "wien2k", "montage"}
+        arrivals = self.STREAMS["traces_and_empty_tenants"]().arrivals()
+        by_tenant = {}
+        for arrival in arrivals:
+            by_tenant.setdefault(arrival.tenant, []).append(arrival)
+        assert [a.time for a in by_tenant["trace"]] == [0.0, 0.0, 15.0, 400.0]
+        assert "idle" not in by_tenant and "late" not in by_tenant
+        assert {a.kind for a in by_tenant["zero-weights"]} == {"montage", "wien2k"}
+        assert {a.kind for a in by_tenant["one-kind"]} == {"random"}
+        assert self.STREAMS["no_arrivals"]().arrivals() == []
+
+    def test_a_stream_takes_a_fixed_number_of_kernel_passes(self, monkeypatch):
+        """Kinds, case seeds, random-DAG seeds and pricing: one pass each,
+        however many arrivals the stream has."""
+        calls = []
+        seed_outputs = rng_module._seed_outputs
+
+        def counting(seeds):
+            calls.append(seeds.size)
+            return seed_outputs(seeds)
+
+        monkeypatch.setattr(rng_module, "_seed_outputs", counting)
+        arrivals = self.STREAMS["default_tenants"]().arrivals()
+        assert len(calls) == 4
+        assert calls[:2] == [len(arrivals)] * 2
+        assert calls[2] == sum(a.kind == "random" for a in arrivals)
+        calls.clear()
+        assert self.STREAMS["no_arrivals"]().arrivals() == []
+        assert calls == []
 
 
 # ----------------------------------------------------------------------

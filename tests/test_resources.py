@@ -32,6 +32,21 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource("r", available_from=5.0, available_until=5.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_join_time_rejected(self, value):
+        with pytest.raises(ValueError, match="available_from must be finite"):
+            Resource("r", available_from=value)
+
+    def test_nan_leave_time_rejected(self):
+        with pytest.raises(ValueError, match="available_until must not be NaN"):
+            Resource("r", available_until=float("nan"))
+
+    def test_unbounded_leave_times_still_mean_never_leaves(self):
+        for until in (None, float("inf")):
+            res = Resource("r", available_from=2.0, available_until=until)
+            assert not res.is_available_at(-5.0)
+            assert res.is_available_at(2.0) and res.is_available_at(1e300)
+
 
 class TestResourcePool:
     def test_add_and_query(self, growing_pool):

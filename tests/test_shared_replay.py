@@ -6,9 +6,10 @@ scenarios run the grid's closed monitor loop, and every outcome's ``(key,
 completed_at, actual_schedule)`` is compared bit for bit against
 ``tests/goldens/shared_replay.json``.  The same runs check the invariants
 of the observed executions: no two executions share a resource slot
-(across tenants), every execution respects precedence and starts no
-earlier than its booking — bookings are reservations — and a workflow
-completes when its last execution does.
+(across tenants), every execution lies in its resource's availability
+window ``[available_from, available_until)``, respects precedence and
+starts no earlier than its booking — bookings are reservations — and a
+workflow completes when its last execution does.
 
 If a change *intentionally* alters the replay, regenerate with
 
@@ -52,16 +53,24 @@ def _stream() -> WorkloadStream:
 
 def _run(scenario_name: str, family: str):
     run = materialize(registry.make("scenario", scenario_name), initial_size=5, seed=3)
-    return SharedGridExecutor(
+    result = SharedGridExecutor(
         _stream().arrivals(),
         run.pool,
         perf_profile=run.profile,
         error_model=registry.make("error_model", family, magnitude=0.3, seed=11),
     ).run()
+    return result, run.pool
 
 
-def _assert_replay_invariants(result) -> None:
+def _assert_replay_invariants(result, pool) -> None:
     cases = {arrival.key: arrival.case for arrival in _stream().arrivals()}
+    for outcome in result.outcomes:
+        for assignment in outcome.actual_schedule.all_assignments():
+            resource = pool.resource(assignment.resource_id)
+            where = (outcome.key, assignment.job_id, assignment.resource_id)
+            assert assignment.start >= resource.available_from, where
+            if resource.available_until is not None:
+                assert assignment.finish <= resource.available_until, where
     timelines = {}
     for outcome in result.outcomes:
         actual = outcome.actual_schedule
@@ -92,8 +101,8 @@ def test_noisy_shared_replay_matches_golden(request):
     actual = {}
     for scenario_name in SCENARIOS:
         for family in ERROR_FAMILIES:
-            result = _run(scenario_name, family)
-            _assert_replay_invariants(result)
+            result, pool = _run(scenario_name, family)
+            _assert_replay_invariants(result, pool)
             actual[f"{scenario_name}/{family}"] = [
                 [o.key, o.completed_at, o.actual_schedule.to_dict()]
                 for o in result.outcomes
@@ -112,6 +121,6 @@ def test_noisy_shared_replay_matches_golden(request):
 
 def test_noisy_runs_replan_on_deviations():
     """The monitor's deviation trigger fires on the shared grid too."""
-    result = _run("static", "gaussian")
+    result, _ = _run("static", "gaussian")
     events = [d.event for outcome in result.outcomes for d in outcome.decisions]
     assert "deviation" in events

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import RandomSource, _seed_doubles, derive_seed, spawn_rng, spawn_uniforms
+from repro.utils.rng import (
+    RandomSource,
+    _seed_doubles,
+    derive_seed,
+    first_outputs,
+    spawn_rng,
+    spawn_uniforms,
+)
+from repro.workload.streams import TenantSpec
 
 
 class TestDeriveSeed:
@@ -179,3 +187,81 @@ class TestSpawnUniforms:
             for token in last
         ]
         assert spawn_uniforms(9, groups, 1.0, 2.0).tolist() == want
+
+
+_roots = st.integers(min_value=-(2**64), max_value=2**64)
+
+
+class TestFirstOutputs:
+    """The multi-root kernel: many roots in one pass, doubles or raw outputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(
+                _roots,
+                st.lists(_tokens, max_size=3),
+                st.lists(_tokens, max_size=4),
+            ),
+            max_size=5,
+        )
+    )
+    def test_multi_root_pass_equals_one_call_per_root(self, groups):
+        doubles = first_outputs(groups)
+        raw = first_outputs(groups, raw=True)
+        paths = [(root, *prefix, token) for root, prefix, last in groups for token in last]
+        assert doubles.dtype == np.float64 and raw.dtype == np.uint64
+        assert doubles.tolist() == [spawn_rng(*path).random() for path in paths]
+        assert raw.tolist() == [spawn_rng(*path).bit_generator.random_raw() for path in paths]
+        per_root = [
+            spawn_uniforms(root, [(prefix, last)], 0.0, 1.0).tolist()
+            for root, prefix, last in groups
+        ]
+        assert doubles.tolist() == [value for values in per_root for value in values]
+
+    def test_empty_pass(self):
+        assert first_outputs([]).dtype == np.float64
+        raw = first_outputs([(1, ("a",), [])], raw=True)
+        assert raw.shape == (0,) and raw.dtype == np.uint64
+
+    def test_roots_alternating_across_groups(self):
+        groups = [(1, ("x",), ["a", "b"]), (2, ("x",), ["a"]), (1, ("y",), ["a"])]
+        want = [spawn_rng(1, "x", "a"), spawn_rng(1, "x", "b"), spawn_rng(2, "x", "a"),
+                spawn_rng(1, "y", "a")]
+        assert first_outputs(groups).tolist() == [rng.random() for rng in want]
+
+    def test_case_seed_is_raw_output_shifted_by_two(self):
+        """``integers(0, 2**62)`` — every arrival's case seed — on 12,000 streams."""
+        groups = [(root, ("case", "t1"), range(3000)) for root in (0, 7, 2**40 + 3, 99)]
+        raw = first_outputs(groups, raw=True)
+        want = [
+            int(spawn_rng(root, *prefix, index).integers(0, 2**62))
+            for root, prefix, last in groups
+            for index in last
+        ]
+        assert (raw >> np.uint64(2)).tolist() == want
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            (("random", 0.55), ("blast", 0.15), ("wien2k", 0.15), ("montage", 0.15)),
+            (("random", 0.0), ("montage", 2.0), ("blast", 0.0), ("wien2k", 1.0)),
+            (("wien2k", 3.0),),
+            (("blast", 0.1), ("random", 0.2), ("montage", 0.3), ("wien2k", 1e-300)),
+            (("montage", 0.0), ("random", 1.0)),
+        ],
+    )
+    def test_kind_draw_is_choice_of_the_first_double(self, mix):
+        """``TenantSpec.kinds`` reproduces ``Generator.choice(k, p=w)`` on
+        10,000 streams per mix, zero-weight and one-kind mixes included."""
+        spec = TenantSpec(name="t1", mix=mix)
+        names = [kind for kind, _ in mix]
+        weights = np.asarray([share for _, share in mix], dtype=float)
+        p = weights / weights.sum()
+        indices = range(10_000)
+        got = spec.kinds(first_outputs([(5, ("mix", "t1"), indices)]))
+        want = [
+            names[int(spawn_rng(5, "mix", "t1", index).choice(len(names), p=p))]
+            for index in indices
+        ]
+        assert got == want
