@@ -88,6 +88,17 @@ generator kernel per stream, deterministic) is gated at
 ``MAX_STREAM_BUILD_KERNEL_PASSES`` and ``speedup``, the oracle over the
 batched wall clock, at ``MIN_STREAM_BUILD_SPEEDUP``.
 
+``placement_order`` runs two AHEFT adaptive cases — the pricing block's
+growing pool (V=3000, V=1000 in quick mode) and a V=200 case under the
+``churn`` scenario with gaussian estimate error (e2ebench's
+``uncertain_churn_200`` shape) — once with the frame's best-first min-EFT
+scan and once with the ordered acceptance chain in its place, asserting
+equal schedules.  Per placement it records the pool size (what the
+ordered chain visits), the resources the best-first scan evaluates
+exactly, the gap searches of each, and the best-first fallbacks; the
+evaluated share of the pool is gated at ``MAX_PLACEMENT_EVALUATED_SHARE``
+in quick mode too.
+
 Results go to ``benchmarks/results/kernel_scaling.{txt,json}`` and to a
 top-level ``BENCH_kernel.json`` so the performance trajectory is tracked
 across PRs.  Run directly (``python benchmarks/bench_kernel_scaling.py
@@ -125,11 +136,13 @@ from repro.generators.random_dag import (
 )
 from repro.resources.dynamics import ResourceChangeModel
 from repro.scenarios import materialize
+from repro.scheduling import frame as frame_module
 from repro.scheduling.aheft import AHEFTScheduler
+from repro.scheduling.base import ResourceTimeline
 from repro.scheduling.flow import MinCostFlowScheduler
 from repro.scheduling.flow import scheduler as flow_scheduler
 from repro.scheduling.flow.graph import solve_assignment
-from repro.scheduling.frame import PartialScheduleFrame
+from repro.scheduling.frame import PartialScheduleFrame, _best_first_scan, _ordered_scan
 from repro.scheduling.heft import HEFTScheduler
 from repro.simulation.event_core import EventCore
 from repro.utils import rng as rng_module
@@ -226,7 +239,8 @@ PRICING_EVENTS = 10
 #: the bytes of one current-pool rows view — a ratio of two sizes from one
 #: process, so it holds on any host.  Seeds 7 and 31 read 2.50 at V=3000
 #: and 2.47–2.51 at V=1000 (the rows view, the matrix, the priced columns
-#: and the communication views); the model that kept every past pool's
+#: and the communication views); with the ascending-cost order view
+#: seed 7 reads 2.57 and 2.54.  The model that kept every past pool's
 #: views and a per-pair copy of its draws read 14.8 and 14.3, and each
 #: stale rows view adds about 1.0.
 MAX_PRICING_RETAINED_RATIO = 3.0
@@ -267,6 +281,23 @@ MAX_STREAM_BUILD_KERNEL_PASSES = 4
 #: floor on stream_build's speedup, the oracle over the batched build, a
 #: same-run ratio enforced in quick mode too; reads about 2x on a 2-vCPU host
 MIN_STREAM_BUILD_SPEEDUP = 1.5
+
+
+#: placement_order: the growing-pool case of the pricing block (V=3000,
+#: V=1000 in quick mode) and a V=200 case under the ``churn`` scenario (10
+#: initial resources, gaussian estimate error), e2ebench's
+#: ``uncertain_churn_200`` shape
+PLACEMENT_GROW_V = PRICING_V
+PLACEMENT_GROW_V_QUICK = PRICING_V_QUICK
+PLACEMENT_CHURN_V = 200
+PLACEMENT_SEED = 7
+#: ceiling on the share of the pool the best-first scan evaluates exactly
+#: per placement, on every case — a ratio of counts, so it holds on any
+#: host (the ordered chain visits every resource, 1.0).  The churn case
+#: reads 0.13 and the growing pool 0.26 at V=1000 but 0.66 at V=3000,
+#: whose crowded timelines put the best finish far past the ready time,
+#: where the ``ready + w`` bound prunes little.
+MAX_PLACEMENT_EVALUATED_SHARE = 0.75
 
 
 def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -721,6 +752,115 @@ def measure_admission_planning(seed: int = CLOSED_LOOP_SEEDS[0]) -> Dict[str, ob
     }
 
 
+def _churn_case(v: int, seed: int):
+    """e2ebench's ``uncertain_churn_200`` inputs: a random DAG, the
+    ``churn`` scenario on 10 initial resources and a gaussian truth."""
+    case = generate_random_case(
+        RandomDAGParameters(v=v, out_degree=20 / v, ccr=1.0, beta=0.5, omega_dag=300.0),
+        seed=seed,
+    )
+    scenario = materialize(
+        registry.make("scenario", "churn"), initial_size=10, seed=seed, horizon=8000.0
+    )
+    noise = registry.make("error_model", "gaussian", seed=seed)
+    return case, dict(pool=scenario.pool, perf_profile=scenario.profile, error_model=noise)
+
+
+def _counted_placements(run: Callable[[], object], scan: Callable) -> tuple:
+    """``run()`` with ``scan`` as the frame's insertion scan, counted.
+
+    Returns the run's result and, summed over every scan call: the
+    placements, the pool sizes, the resources evaluated exactly (as the
+    best-first scan counts them), the gap searches (``earliest_start``
+    calls made inside a scan) and the fallbacks to the ordered chain.
+    """
+    counts = dict(placements=0, pool=0, evaluated=0, gap_searches=0, fallbacks=0)
+    inside = [False]
+    earliest_start = ResourceTimeline.earliest_start
+
+    def counted_search(self, *args, **kwargs):
+        if inside[0]:
+            counts["gap_searches"] += 1
+        return earliest_start(self, *args, **kwargs)
+
+    def counted_scan(buf, d1, over, w_row, order_row):
+        evaluated, fallbacks = buf.evaluated, buf.fallbacks
+        inside[0] = True
+        try:
+            return scan(buf, d1, over, w_row, order_row)
+        finally:
+            inside[0] = False
+            counts["placements"] += 1
+            counts["pool"] += len(w_row)
+            counts["evaluated"] += buf.evaluated - evaluated
+            counts["fallbacks"] += buf.fallbacks - fallbacks
+
+    ResourceTimeline.earliest_start = counted_search
+    frame_module._best_first_scan = counted_scan
+    try:
+        result = run()
+    finally:
+        ResourceTimeline.earliest_start = earliest_start
+        frame_module._best_first_scan = _best_first_scan
+    return result, counts
+
+
+def measure_placement_order(
+    grow_v: int = PLACEMENT_GROW_V,
+    churn_v: int = PLACEMENT_CHURN_V,
+    seed: int = PLACEMENT_SEED,
+) -> Dict[str, object]:
+    """Resources the best-first min-EFT scan evaluates, against the
+    ordered chain.
+
+    Each case runs twice through AHEFT's adaptive loop: with the frame's
+    best-first scan and with the ordered chain (``_ordered_scan``) in its
+    place; the schedules and makespans must be equal.  Per placement, the
+    ordered chain visits every resource of the pool (``pool_per_placement``)
+    while the best-first scan evaluates ``evaluated_per_placement`` of them
+    exactly; both count their gap searches.
+    """
+    rows = {}
+    grow = generate_random_case(
+        RandomDAGParameters(v=grow_v, out_degree=20 / grow_v, ccr=1.0, beta=0.5, omega_dag=300.0),
+        seed=seed,
+    )
+    grow_pool = ResourceChangeModel(10, interval=120, fraction=0.15, max_events=PRICING_EVENTS)
+    churn, churn_inputs = _churn_case(churn_v, seed)
+    cases = (
+        ("grow", grow_v, grow, dict(pool=grow_pool.build_pool())),
+        ("churn", churn_v, churn, churn_inputs),
+    )
+    for name, v, case, inputs in cases:
+
+        def run(case=case, inputs=inputs):
+            return facade_run(
+                case.workflow, costs=case.costs, mode="adaptive", strategy=AHEFTScheduler(),
+                **inputs,
+            )
+
+        best_first, counts = _counted_placements(run, _best_first_scan)
+        ordered, ordered_counts = _counted_placements(run, _ordered_scan)
+        assert best_first.schedule.to_dict() == ordered.schedule.to_dict()
+        assert best_first.makespan == ordered.makespan
+        assert counts["placements"] == ordered_counts["placements"] > 0
+        placements = counts["placements"]
+        pool = counts["pool"] / placements
+        evaluated = counts["evaluated"] / placements
+        rows[name] = {
+            "v": v,
+            "makespan": best_first.makespan,
+            "placements": placements,
+            "pool_per_placement": pool,
+            "evaluated_per_placement": evaluated,
+            "evaluated_share": evaluated / pool,
+            "gap_searches_per_placement": counts["gap_searches"] / placements,
+            "ordered_gap_searches_per_placement": ordered_counts["gap_searches"] / placements,
+            "fallbacks": counts["fallbacks"],
+        }
+    return rows
+
+
 def measure_pricing_memory(
     v: int = PRICING_V, seed: int = PRICING_SEED, events: int = PRICING_EVENTS
 ) -> Dict[str, object]:
@@ -943,6 +1083,9 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     structure_memory = measure_structure_memory()
     case_build = measure_case_build()
     stream_build = measure_stream_build()
+    placement_order = measure_placement_order(
+        PLACEMENT_GROW_V_QUICK if quick else PLACEMENT_GROW_V
+    )
     return {
         "quick": quick,
         "static_heft": heft_rows,
@@ -956,6 +1099,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "structure_memory": structure_memory,
         "case_build": case_build,
         "stream_build": stream_build,
+        "placement_order": placement_order,
     }
 
 
@@ -1055,6 +1199,22 @@ def render(results: Dict[str, object]) -> str:
         f"per-arrival oracle {t['oracle_seconds'] * 1e3:.1f} ms = {t['speedup']:.2f}x "
         f"(gate ≥ {MIN_STREAM_BUILD_SPEEDUP}x)"
     )
+    lines.append("")
+    lines.append(
+        "placement order (AHEFT adaptive runs; best-first scan vs ordered chain, per placement):"
+    )
+    lines.append(
+        "  case      V  placements   pool  evaluated   share  gap searches  ordered  fallbacks"
+    )
+    for name, row in results["placement_order"].items():
+        lines.append(
+            f"  {name:6s} {row['v']:5d}  {row['placements']:10d}  "
+            f"{row['pool_per_placement']:5.1f}  "
+            f"{row['evaluated_per_placement']:9.2f}  {row['evaluated_share']:6.3f}  "
+            f"{row['gap_searches_per_placement']:12.3f}  "
+            f"{row['ordered_gap_searches_per_placement']:7.3f}  {row['fallbacks']:9d}"
+        )
+    lines.append(f"  (gate: share ≤ {MAX_PLACEMENT_EVALUATED_SHARE} on every case)")
     s = results["scaling_series"]
     lines.append("")
     lines.append("sparse scaling series (fast kernel, 20 resources, |E| ≈ 10·V):")
@@ -1147,6 +1307,12 @@ def check_thresholds(results: Dict[str, object]) -> None:
         f"the batched stream build is only {stream_build['speedup']:.2f}x faster than "
         f"the per-arrival oracle, below the {MIN_STREAM_BUILD_SPEEDUP}x floor"
     )
+    # and the share of the pool the best-first scan evaluates, a count
+    for name, row in results["placement_order"].items():
+        assert row["evaluated_share"] <= MAX_PLACEMENT_EVALUATED_SHARE, (
+            f"the best-first scan evaluates {row['evaluated_share']:.3f} of the pool per "
+            f"placement on the {name} case, above the {MAX_PLACEMENT_EVALUATED_SHARE} ceiling"
+        )
     # and the plans admission control makes per offer, a count
     admission_planning = results["admission_planning"]
     assert (

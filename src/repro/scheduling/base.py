@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.utils.checks import require_finite
+
 __all__ = [
     "Assignment",
     "Schedule",
@@ -40,6 +42,18 @@ TIME_EPS = 1e-9
 _GAP_FILTER_SLACK = 1e-6
 
 
+def _reject_span(start: float, finish: float, message: str) -> None:
+    """Raise for a span that failed the ``finish >= start - TIME_EPS`` test:
+    the named "must be finite" error when a bound is NaN, else ``message``.
+
+    Only reached off the valid path, so the checks cost a valid booking
+    nothing.
+    """
+    require_finite("start", start)
+    require_finite("finish", finish)
+    raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A job mapped to a resource for ``[start, finish)``.
@@ -54,9 +68,10 @@ class Assignment:
     finish: float
 
     def __post_init__(self) -> None:
-        if self.finish < self.start - TIME_EPS:
-            raise ValueError(
-                f"assignment of {self.job_id!r} finishes before it starts"
+        # negated, so that a NaN bound fails it too
+        if not self.finish >= self.start - TIME_EPS:
+            _reject_span(
+                self.start, self.finish, f"assignment of {self.job_id!r} finishes before it starts"
             )
 
     @property
@@ -125,8 +140,8 @@ class ResourceTimeline:
         ValueError
             If the interval overlaps an existing one (beyond float slack).
         """
-        if finish < start - TIME_EPS:
-            raise ValueError("finish precedes start")
+        if not finish >= start - TIME_EPS:  # negated: NaN fails it too
+            _reject_span(start, finish, "finish precedes start")
         start = float(start)
         finish = float(finish)
         item = (start, finish, job_id)
@@ -287,8 +302,8 @@ class ResourceTimeline:
         max_item: Optional[Tuple[float, float, str]] = None
         for item in items:
             start, finish, job_id = item
-            if finish < start - TIME_EPS:
-                raise ValueError("finish precedes start")
+            if not finish >= start - TIME_EPS:  # negated: NaN fails it too
+                _reject_span(start, finish, "finish precedes start")
             if (
                 max_item is not None
                 and start < max_finish - TIME_EPS

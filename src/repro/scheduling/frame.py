@@ -41,9 +41,20 @@ runs a fast kernel instead of |R| scalar FEA sweeps per job: the dense
 memoized computation rows, index-addressed per-job state (finished flag,
 AFT, executed-on resource, recorded arrivals, and the finish/resource of
 every placed job), a per-predecessor default/override decomposition of the
-ready time, and :func:`_min_eft_scan`, which replays the scalar scan's
-acceptance chain with at most a handful of gap searches.  The exact
-per-resource ready time of that decomposition (``_ready_on``) also
+ready time (one ready time ``d1`` on every resource but a few overrides),
+and :func:`_best_first_scan`.  That scan visits a job's resources
+cheapest-first, in the cost model's memoised ascending-cost order
+(:meth:`~repro.workflow.costs.CostModel.computation_order`, fetched on the
+first insertion scan, so append-only placement and flow waves never build
+it), stops where ``d1 + w`` passes the best finish, and replays the
+scalar scan's acceptance chain over the few resources near the best;
+where its proof does not hold (a finish on the boundary, or clocks from
+about 1e7 on, where ``fl(best + 2·TIME_EPS - TIME_EPS)`` rounds back to
+``best``) it falls back to the ordered chain, :func:`_ordered_chain`.
+HEFT's and AHEFT's rank-order placement hands the whole order to
+:meth:`~PartialScheduleFrame.place_in_order`, which runs the predecessor
+pass, the scan and the booking of every job in one dense loop.  The exact
+per-resource ready time of the decomposition (``_ready_on``) also
 answers :meth:`~PartialScheduleFrame.earliest_finish` on such a frame, so
 strategies that book a chosen resource directly (the min-cost-flow
 waves) skip the scalar FEA too; :meth:`~PartialScheduleFrame.fea` and
@@ -51,8 +62,9 @@ waves) skip the scalar FEA too; :meth:`~PartialScheduleFrame.fea` and
 frame also keeps each resource's count of bookings still running after
 the clock (:meth:`~PartialScheduleFrame.running_tasks`, the OCTOPUS
 load), counted once and then bumped by its own bookings.  Every fast path
-is bit-identical to the scalar loop (``tests/test_frame_fast_path.py``)
-and to the frozen seed kernel kept as a test oracle in
+is bit-identical to the scalar loop (``tests/test_frame_fast_path.py``,
+and ``tests/test_best_first_scan.py`` for the best-first scan against the
+ordered chain) and to the frozen seed kernel kept as a test oracle in
 ``benchmarks/_seed_reference.py`` (``tests/test_scheduling_base.py``).
 """
 
@@ -72,7 +84,7 @@ from repro.scheduling.base import (
     TIME_EPS,
 )
 from repro.scheduling.bookings import BusyIntervals, occupy_busy_intervals
-from repro.workflow.costs import CostModel
+from repro.workflow.costs import CostModel, ascending_order
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -89,6 +101,8 @@ _POS_INF = float("inf")
 #: pre-folded right-hand side of the epsilon-duration guard
 #: ``duration - TIME_EPS > TIME_EPS + _GAP_FILTER_SLACK``
 _EPS_SLACK = TIME_EPS + _GAP_FILTER_SLACK
+#: the best-first scan's margin above the best exact finish so far
+_TWO_EPS = 2 * TIME_EPS
 
 
 def _unplaced_predecessor(pred: str, job: str) -> RuntimeError:
@@ -134,7 +148,7 @@ def _scheduled_transfer_arrival(
 
 
 class _EftScanBuffers:
-    """Reusable per-frame scratch for :func:`_min_eft_scan`.
+    """Reusable per-frame scratch for the min-EFT scans.
 
     Mirrors the timeline fields the scan reads (``available_from`` plus the
     interval list and the finish/gap bounds) into parallel per-resource
@@ -152,6 +166,8 @@ class _EftScanBuffers:
         "max_gap_slack",
         "gap_end",
         "first_start",
+        "evaluated",
+        "fallbacks",
     )
 
     def __init__(self, timeline_list: Sequence[ResourceTimeline]) -> None:
@@ -169,6 +185,10 @@ class _EftScanBuffers:
         self.first_start = [
             t._intervals[0][0] if t._intervals else _POS_INF for t in timelines
         ]
+        #: resources :func:`_best_first_scan` evaluated exactly, and the
+        #: scans that fell back to the ordered chain, over the frame's life
+        self.evaluated = 0
+        self.fallbacks = 0
 
     def refresh(self, j: int) -> None:
         """Re-read resource ``j``'s fields after its timeline was occupied."""
@@ -180,92 +200,90 @@ class _EftScanBuffers:
         self.first_start[j] = intervals[0][0] if intervals else _POS_INF
 
 
-def _min_eft_scan(
-    buf: _EftScanBuffers,
-    ready_list: Sequence[float],
-    w_row: Sequence[float],
-    insertion: bool,
+def _append_scan(
+    buf: _EftScanBuffers, ready_list: Sequence[float], w_row: Sequence[float]
 ) -> tuple:
-    """Pick the min-EFT resource, provably matching the scalar scan.
-
-    The scalar loop scans resources in order, accepting resource ``j``
-    when ``finish_j < best_finish - TIME_EPS``.  Each exact finish needs an
-    ``earliest_start`` gap search — the dominant cost at scale (|R| searches
-    per job).  This scan replays the scalar chain in resource order but
-    replaces the gap search with cheaper, *provably equal or bounding*
-    values per resource:
-
-    * **inlined O(1) exact cases** — the same shortcuts
-      :meth:`~repro.scheduling.base.ResourceTimeline.earliest_start` takes
-      (empty timeline, ready at/past the last finish, append-only placement,
-      task longer than the conservative max-gap bound), evaluated here
-      through the *same float expressions* so they can never disagree.  On
-      these resources the exact finish costs no gap search and no call.
-    * **lower-bound pruning** elsewhere — ``lb_j = max(ready_j,
-      available_from_j) + duration_j <= finish_j`` (every gap search returns
-      a start at/after the clamped ready time), so once a best exists,
-      ``lb_j >= best_finish - TIME_EPS`` proves resource ``j`` could never
-      be accepted by the chain and its gap search is skipped.  Only
-      resources that survive the prune pay a real ``earliest_start`` call.
-    * **single-call fast path** over the mixed values: with ``v_j`` the
-      exact finish or lower bound per resource, evaluate the exact finish
-      ``F_m`` only at ``m = argmin v`` (first minimal index; free when ``m``
-      is an O(1) case).  If ``F_m < second_min_v - TIME_EPS`` then every
-      other ``j`` has ``finish_j >= v_j >= second_min_v > F_m + TIME_EPS``:
-      the chain's best when it reaches ``m`` exceeds ``F_m + TIME_EPS`` (so
-      ``m`` is accepted) and no later resource can displace it — ``m`` is
-      the scalar winner from at most one gap search.  With duplicated
-      minima ``second_min_v = min_v`` and the fast path cannot trigger, so
-      near-ties always fall through to the ordered chain.
-
-    Every value the chain actually compares is the true finish, and skipped
-    resources are provably never accepted, so the winner (and its start) is
-    bit-identical to the scalar chain.  Resources are *not* reordered:
-    acceptance near ties is scan-order dependent, and any reordering could
-    change the winner.
+    """The scalar scan without insertion: every start is ``max(base, last finish)``.
 
     Returns ``(index, start, finish)`` into the caller's resource order.
     """
-    n = len(w_row)
     avail_l = buf.avail
     max_finish_l = buf.max_finish
-    if not insertion:
-        # append-only placement: every start is exactly max(base, finish)
-        best_j = -1
-        best_start = 0.0
-        best_finish = _NEG_INF
-        for j in range(n):
-            ready = ready_list[j]
-            avail = avail_l[j]
-            base = ready if ready > avail else avail
-            max_finish = max_finish_l[j]
-            start = base if base > max_finish else max_finish
-            finish = start + w_row[j]
-            if best_j < 0 or finish < best_finish - TIME_EPS:
-                best_j = j
-                best_start = start
-                best_finish = finish
-        return best_j, best_start, best_finish
+    best_j = -1
+    best_start = 0.0
+    best_finish = _NEG_INF
+    for j in range(len(w_row)):
+        ready = ready_list[j]
+        avail = avail_l[j]
+        base = ready if ready > avail else avail
+        max_finish = max_finish_l[j]
+        start = base if base > max_finish else max_finish
+        finish = start + w_row[j]
+        if best_j < 0 or finish < best_finish - TIME_EPS:
+            best_j = j
+            best_start = start
+            best_finish = finish
+    return best_j, best_start, best_finish
+
+
+def _exact_start(buf: _EftScanBuffers, j: int, ready: float, duration: float) -> float:
+    """``earliest_start(ready, duration)`` on resource ``j``, without a call
+    where an O(1) case of it applies.
+
+    The inlined cases are the ones
+    :meth:`~repro.scheduling.base.ResourceTimeline.earliest_start` takes
+    first (empty timeline, ready at/past the last finish, task longer than
+    the conservative max-gap bound, ready past the last tracked gap),
+    evaluated through the *same float expressions*, so they can never
+    disagree; an empty timeline has ``max_finish = -inf``, folding it into
+    the first comparison.  Anything else pays the gap search.
+    """
+    avail = buf.avail[j]
+    base = ready if ready > avail else avail
+    max_finish = buf.max_finish[j]
+    if base >= max_finish:
+        return base
+    deps = duration - TIME_EPS
+    if deps > buf.max_gap_slack[j] or (deps > _EPS_SLACK and base >= buf.gap_end[j]):
+        if base + duration - TIME_EPS <= buf.first_start[j]:
+            return base
+        return max_finish
+    return buf.timelines[j].earliest_start(ready, duration, insertion=True)
+
+
+def _ordered_chain(
+    buf: _EftScanBuffers, ready_list: Sequence[float], w_row: Sequence[float]
+) -> tuple:
+    """The scalar scan's acceptance chain, in pool order, with pruning.
+
+    The scalar loop scans resources in order, accepting resource ``j``
+    when ``finish_j < best_finish - TIME_EPS``.  This replays that chain
+    with each resource's O(1) exact cases inlined (:func:`_exact_start`'s
+    expressions) and, elsewhere, lower-bound pruning: ``lb_j = max(ready_j,
+    available_from_j) + duration_j <= finish_j`` (a gap search never starts
+    before the clamped ready time), so once a best exists, ``lb_j >=
+    best_finish - TIME_EPS`` proves resource ``j`` is never accepted and
+    its gap search is skipped.  Every value the chain compares is the true
+    finish, so the winner and its start are the scalar chain's.
+
+    Returns ``(index, start, finish)`` into the caller's resource order.
+    """
+    avail_l = buf.avail
+    max_finish_l = buf.max_finish
     max_gap_l = buf.max_gap_slack
     gap_end_l = buf.gap_end
     first_start_l = buf.first_start
-    min_v = _POS_INF
-    second_v = _POS_INF
-    min_j = 0
-    min_start = 0.0
-    min_exact = True
-    for j in range(n):
+    best_j = -1
+    best_start = 0.0
+    best_finish = _NEG_INF
+    for j in range(len(w_row)):
         ready = ready_list[j]
         avail = avail_l[j]
         base = ready if ready > avail else avail
         duration = w_row[j]
         max_finish = max_finish_l[j]
-        # O(1) exact cases, mirroring ``earliest_start`` expression for
-        # expression (see its body for the proofs); an empty timeline has
-        # ``max_finish = -inf``, folding it into the first comparison
         if base >= max_finish:
             start = base
-            is_exact = True
         else:
             deps = duration - TIME_EPS
             if deps > max_gap_l[j] or (deps > _EPS_SLACK and base >= gap_end_l[j]):
@@ -273,76 +291,167 @@ def _min_eft_scan(
                     start = base
                 else:
                     start = max_finish
-                is_exact = True
             else:
-                start = base  # lower bound: a gap search never starts earlier
-                is_exact = False
-        value = start + duration
-        if value < min_v:
-            second_v = min_v
-            min_v = value
-            min_j = j
-            min_start = start
-            min_exact = is_exact
-        elif value < second_v:
-            second_v = value
-    if min_exact:
-        m_start = min_start
-        m_finish = min_v
-    else:
-        duration = w_row[min_j]
-        m_start = buf.timelines[min_j].earliest_start(
-            ready_list[min_j], duration, insertion=True
-        )
-        m_finish = m_start + duration
-    if m_finish < second_v - TIME_EPS:
-        return min_j, m_start, m_finish
-    # near-tie fallback: replay the full ordered chain, re-deriving each
-    # resource's exact-or-bound classification (identical expressions to
-    # the first pass, so the values cannot differ)
-    best_j = -1
-    best_start = 0.0
-    best_finish = _NEG_INF
-    for j in range(n):
-        if j == min_j:
-            start = m_start
-            finish = m_finish
-        else:
-            ready = ready_list[j]
-            avail = avail_l[j]
-            base = ready if ready > avail else avail
-            duration = w_row[j]
-            max_finish = max_finish_l[j]
-            if base >= max_finish:
-                start = base
-                is_exact = True
-            else:
-                deps = duration - TIME_EPS
-                if deps > max_gap_l[j] or (
-                    deps > _EPS_SLACK and base >= gap_end_l[j]
-                ):
-                    if base + duration - TIME_EPS <= first_start_l[j]:
-                        start = base
-                    else:
-                        start = max_finish
-                    is_exact = True
-                else:
-                    start = base
-                    is_exact = False
-            if is_exact:
-                finish = start + duration
-            else:
-                if best_j >= 0 and start + duration >= best_finish - TIME_EPS:
+                if best_j >= 0 and base + duration >= best_finish - TIME_EPS:
                     continue
-                start = buf.timelines[j].earliest_start(
-                    ready, duration, insertion=True
-                )
-                finish = start + duration
+                start = buf.timelines[j].earliest_start(ready, duration, insertion=True)
+        finish = start + duration
         if best_j < 0 or finish < best_finish - TIME_EPS:
             best_j = j
             best_start = start
             best_finish = finish
     return best_j, best_start, best_finish
+
+
+def _best_first_scan(
+    buf: _EftScanBuffers,
+    d1: float,
+    over: Dict[int, float],
+    w_row: Sequence[float],
+    order_row: Sequence[int],
+) -> tuple:
+    """Pick the min-EFT resource cheapest-first, provably matching the
+    scalar scan.
+
+    ``d1`` is the job's ready time on every resource but the override
+    resources ``over`` (index -> exact ready time, see
+    :meth:`PartialScheduleFrame.min_eft_placement`); it is at/after every
+    resource's ``available_from``, as a frame's ready times start at its
+    clock.  ``order_row`` lists the pool indices in ascending ``w_row``
+    order (:meth:`~repro.workflow.costs.CostModel.computation_order`).
+
+    1. Every override resource gets its exact finish first.
+    2. The walk visits the other resources in ``order_row`` while ``d1 +
+       w_j < T``, with ``T = fl(μ + 2·TIME_EPS)`` and ``μ`` the best exact
+       finish so far, evaluating each exact finish (:func:`_exact_start`'s
+       expressions).  A non-override resource's start is at least ``d1``,
+       and float addition is monotone, so ``d1 + w_j`` bounds its finish
+       from below; along the order the bound never decreases, so every
+       resource the walk stops before has ``finish >= T``.  ``T`` only
+       falls, so an evaluated finish at/above it when evaluated stays
+       at/above the final ``T`` and is not kept.
+    3. The near set ``N`` holds the evaluated resources whose finish is
+       below ``L = fl(T - TIME_EPS)``.
+    4. The scalar acceptance chain (``finish < fl(best - TIME_EPS)``) is
+       replayed over ``N`` alone, in pool order.
+
+    Why the winner cannot change: suppose no exact finish falls in ``[L,
+    T)`` and ``μ < L``, so every resource is near (``< L``) or far (``>=
+    T``) and ``N`` is not empty.  When the full chain's best is a far
+    resource ``f``, a near resource ``n`` is accepted: ``fl(finish_f -
+    TIME_EPS) >= fl(T - TIME_EPS) = L > finish_n`` (rounding is
+    monotone).  When its best is a near resource ``n'``, a far ``f`` is
+    never accepted: ``fl(finish_n' - TIME_EPS) <= finish_n' < L <= T <=
+    finish_f``.  So the chain may accept far resources only before the
+    first near resource in pool order, which then displaces them (or
+    opens the chain), and from there on it compares near resources only,
+    exactly like the chain over ``N`` — whose winner and start are
+    therefore the scalar chain's, bit for bit.  Where either condition
+    fails — with a finish on the boundary, or at clocks where the margin
+    is too thin for the rounding (every clock from 2^25 on, and those in
+    ``[2^23, 2^24)``, where ``L`` rounds back to ``μ``) — the scan falls
+    back to the ordered chain, :func:`_ordered_scan`.
+
+    Returns ``(index, start, finish)`` into the caller's resource order and
+    counts the evaluated resources and fallbacks on ``buf``.
+    """
+    max_finish_l = buf.max_finish
+    max_gap_l = buf.max_gap_slack
+    gap_end_l = buf.gap_end
+    first_start_l = buf.first_start
+    found = []  # (index, start, finish) of the kept evaluations
+    best = _POS_INF
+    bound = _POS_INF
+    for j, ready in over.items():
+        duration = w_row[j]
+        start = _exact_start(buf, j, ready, duration)
+        finish = start + duration
+        if finish < bound:
+            found.append((j, start, finish))
+            if finish < best:
+                best = finish
+                bound = best + _TWO_EPS
+    skipped = 0  # override resources the walk passes over
+    eps = TIME_EPS
+    eps_slack = _EPS_SLACK
+    two_eps = _TWO_EPS
+    for j in order_row:
+        duration = w_row[j]
+        if d1 + duration >= bound:
+            walked = order_row.index(j)
+            break
+        if j in over:
+            skipped += 1
+            continue
+        # :func:`_exact_start` inlined, at ready time ``d1`` (which is
+        # also the clamped base: ``d1`` is at/after every ``avail``)
+        max_finish = max_finish_l[j]
+        if d1 >= max_finish:
+            start = d1
+        else:
+            deps = duration - eps
+            if deps > max_gap_l[j] or (deps > eps_slack and d1 >= gap_end_l[j]):
+                if d1 + duration - eps <= first_start_l[j]:
+                    start = d1
+                else:
+                    start = max_finish
+            else:
+                start = buf.timelines[j].earliest_start(d1, duration, insertion=True)
+        finish = start + duration
+        if finish < bound:
+            found.append((j, start, finish))
+            if finish < best:
+                best = finish
+                bound = best + two_eps
+    else:
+        walked = len(order_row)
+    buf.evaluated += len(over) + walked - skipped
+    low = bound - TIME_EPS
+    if best < low:
+        winner = None
+        near = None  # the near set, once it holds a second resource
+        for item in found:
+            finish = item[2]
+            if finish >= bound:
+                continue
+            if finish >= low:
+                break  # a boundary finish: the split proves nothing
+            if winner is None:
+                winner = item
+            elif near is None:
+                near = [winner, item]
+            else:
+                near.append(item)
+        else:
+            if near is None:
+                return winner
+            near.sort()
+            winner = near[0]
+            for item in near:
+                if item[2] < winner[2] - TIME_EPS:
+                    winner = item
+            return winner
+    buf.fallbacks += 1
+    return _ordered_scan(buf, d1, over, w_row)
+
+
+def _ordered_scan(
+    buf: _EftScanBuffers,
+    d1: float,
+    over: Dict[int, float],
+    w_row: Sequence[float],
+    order_row: Optional[Sequence[int]] = None,
+) -> tuple:
+    """:func:`_ordered_chain` over the ready times ``d1`` and ``over``.
+
+    Takes :func:`_best_first_scan`'s arguments (``order_row`` unused), so
+    it is that scan's fallback and its reference in the differential
+    tests and the kernel benchmark.
+    """
+    ready_list = [d1] * len(w_row)
+    for j, ready in over.items():
+        ready_list[j] = ready
+    return _ordered_chain(buf, ready_list, w_row)
 
 
 def clone_timeline(timeline: ResourceTimeline) -> ResourceTimeline:
@@ -514,6 +623,8 @@ class PartialScheduleFrame:
         self._scan_buf = _EftScanBuffers(
             [self.timelines[rid] for rid in self.resources]
         )
+        #: the pool's ascending-cost order rows (:meth:`_cost_order`)
+        self._order: Optional[List] = None
         finished = bytearray(num_jobs)
         aft: List[float] = [0.0] * num_jobs
         executed_on: List[Optional[str]] = [None] * num_jobs
@@ -733,10 +844,11 @@ class PartialScheduleFrame:
         ``ready(rid)`` equals the max default ``d1`` on every resource
         except the override resources of one fixed argmax-default
         predecessor — plus the rare epsilon violators — which get the exact
-        per-predecessor max before the shared :func:`_min_eft_scan`.
+        per-predecessor max before the shared :func:`_best_first_scan`
+        (:meth:`_min_eft_dense`, unbooked).
         """
         if self._fast:
-            return self._min_eft_fast(job, insertion)
+            return self._min_eft_dense((job,), insertion, False)
         best_rid: Optional[str] = None
         best_start = 0.0
         best_finish = float("inf")
@@ -749,7 +861,44 @@ class PartialScheduleFrame:
         assert best_rid is not None
         return best_rid, best_start, best_finish
 
-    def _min_eft_fast(self, job: str, insertion: bool) -> Tuple[str, float, float]:
+    def place_in_order(self, jobs: Sequence[str], *, insertion: bool = True) -> None:
+        """Place ``jobs`` one after another, each on its min-EFT resource.
+
+        The same choices as :meth:`min_eft_placement` followed by
+        :meth:`place` per job; a fast frame runs them as one dense loop.
+        """
+        if self._fast:
+            self._min_eft_dense(jobs, insertion, True)
+            return
+        for job in jobs:
+            rid, start, finish = self.min_eft_placement(job, insertion=insertion)
+            self.place(job, rid, start, finish)
+
+    def _cost_order(self) -> List:
+        """The pool's ascending-cost order rows, fetched on first use."""
+        order = self._order
+        if order is None:
+            costs = self.costs
+            if costs.cache_token() is None:
+                # not memoised: order this frame's rows, not a second pricing
+                order = ascending_order(self._w_rows)
+            else:
+                order = costs.computation_order(self.resources)
+            self._order = order
+        return order
+
+    def _min_eft_dense(
+        self, jobs: Sequence[str], insertion: bool, book: bool
+    ) -> Optional[Tuple[str, float, float]]:
+        """The fast path's min-EFT kernel over ``jobs``, in order.
+
+        Per job: the predecessor pass of :meth:`min_eft_placement` (the
+        max default ``d1`` and the override resources, each given its
+        exact :meth:`_ready_on`), then :func:`_best_first_scan` (or
+        :func:`_append_scan` without insertion).  With ``book`` every
+        choice is booked as :meth:`place` books it; without, the first
+        job's choice is returned unbooked.
+        """
         clock = self.clock
         finished = self._finished
         aft_of = self._aft
@@ -758,58 +907,98 @@ class PartialScheduleFrame:
         finish_of = self._finish_of
         resource_of = self._resource_of
         job_names = self._job_names
-        i = self._job_index[job]
-        old_rid = self._previous_target(job)
-        preds = self._pred_comm[i]
-        d1 = clock
-        p1 = -1
-        must: List[str] = []  # override resources needing the exact recompute
-        for p, comm in preds:
-            if finished[p]:
-                default = clock + comm  # Case 2
-                aft = aft_of[p]
-                if aft > default:
-                    must.append(executed_on[p])
-                arrivals = arrivals_of[p]
-                if arrivals:
-                    for rid, time in arrivals:
-                        if time > default:
-                            must.append(rid)
-                if old_rid is not None and aft + comm > default:
-                    must.append(old_rid)
-            else:
-                pred_finish = finish_of[p]
-                if pred_finish is None:
-                    raise _unplaced_predecessor(job_names[p], job)
-                default = pred_finish + comm  # otherwise
-                if pred_finish > default:  # negative comm (defensive)
-                    must.append(resource_of[p])
-            if default > d1:
-                d1 = default
-                p1 = p
+        job_index = self._job_index
+        pred_comm = self._pred_comm
+        w_rows = self._w_rows
+        rid_index = self._rid_index
         dup_finish = self._dup_finish
-        if p1 >= 0:
-            if finished[p1]:
-                must.append(executed_on[p1])
-                for rid, _time in arrivals_of[p1]:
-                    must.append(rid)
-                if old_rid is not None:
-                    must.append(old_rid)
+        dup_rids = self._dup_rids
+        ready_on = self._ready_on
+        resources = self.resources
+        n = len(resources)
+        buf = self._scan_buf
+        order = self._cost_order() if insertion else None
+        prev = self.previous_schedule
+        prev_map = prev._assignments if prev is not None else None
+        # booking state (see :meth:`place`)
+        timeline_list = buf.timelines
+        schedule_add = self.schedule.add
+        running = self._running
+        after = clock + TIME_EPS
+        max_finish_l = buf.max_finish
+        max_gap_l = buf.max_gap_slack
+        gap_end_l = buf.gap_end
+        first_start_l = buf.first_start
+        for job in jobs:
+            i = job_index[job]
+            old = prev_map.get(job) if prev_map is not None else None
+            old_rid = old.resource_id if old is not None else None
+            d1 = clock
+            p1 = -1
+            must: List[str] = []  # override resources needing the exact recompute
+            for p, comm in pred_comm[i]:
+                if finished[p]:
+                    default = clock + comm  # Case 2
+                    aft = aft_of[p]
+                    if aft > default:
+                        must.append(executed_on[p])
+                    arrivals = arrivals_of[p]
+                    if arrivals:
+                        for rid, time in arrivals:
+                            if time > default:
+                                must.append(rid)
+                    if old_rid is not None and aft + comm > default:
+                        must.append(old_rid)
+                else:
+                    pred_finish = finish_of[p]
+                    if pred_finish is None:
+                        raise _unplaced_predecessor(job_names[p], job)
+                    default = pred_finish + comm  # otherwise
+                    if pred_finish > default:  # negative comm (defensive)
+                        must.append(resource_of[p])
+                if default > d1:
+                    d1 = default
+                    p1 = p
+            if p1 >= 0:
+                if finished[p1]:
+                    must.append(executed_on[p1])
+                    for rid, _time in arrivals_of[p1]:
+                        must.append(rid)
+                    if old_rid is not None:
+                        must.append(old_rid)
+                else:
+                    must.append(resource_of[p1])
+                if dup_finish:
+                    must.extend(dup_rids.get(job_names[p1], ()))
+            over: Dict[int, float] = {}
+            for rid in must:
+                j = rid_index.get(rid)
+                # an override on a resource that left the pool is moot
+                if j is not None and j not in over:
+                    over[j] = ready_on(i, rid, old_rid)
+            if insertion:
+                j, start, finish = _best_first_scan(buf, d1, over, w_rows[i], order[i])
             else:
-                must.append(resource_of[p1])
-            if dup_finish:
-                must.extend(self._dup_rids.get(job_names[p1], ()))
-
-        ready_buf = [d1] * len(self.resources)
-        for rid in set(must):
-            j = self._rid_index.get(rid)
-            if j is None:
-                continue  # override on a resource that left the pool
-            ready_buf[j] = self._ready_on(i, rid, old_rid)
-        best_j, best_start, best_finish = _min_eft_scan(
-            self._scan_buf, ready_buf, self._w_rows[i], insertion
-        )
-        return self.resources[best_j], best_start, best_finish
+                ready_list = [d1] * n
+                for j, ready in over.items():
+                    ready_list[j] = ready
+                j, start, finish = _append_scan(buf, ready_list, w_rows[i])
+            rid = resources[j]
+            if not book:
+                return rid, start, finish
+            timeline = timeline_list[j]
+            timeline.occupy(start, finish, job)
+            schedule_add(Assignment(job, rid, start, finish))
+            if running is not None and finish > after:
+                running[rid] += 1
+            intervals = timeline._intervals
+            max_finish_l[j] = timeline._max_finish
+            max_gap_l[j] = timeline._max_gap_bound + _GAP_FILTER_SLACK
+            gap_end_l[j] = timeline._gap_end_bound
+            first_start_l[j] = intervals[0][0]
+            finish_of[i] = finish
+            resource_of[i] = rid
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -81,13 +81,13 @@ def _place_by_rank(frame: PartialScheduleFrame, *, insertion: bool = True) -> Sc
     upward-rank order, goes to its minimum-EFT resource.
 
     At ``clock = 0`` with no previous schedule this is static HEFT; on a
-    partially executed workflow it is AHEFT's rescheduling step.
+    partially executed workflow it is AHEFT's rescheduling step.  The
+    whole order goes to the frame at once
+    (:meth:`~repro.scheduling.frame.PartialScheduleFrame.place_in_order`).
     """
     pending = frame.to_schedule_set
-    for job in heft_priority_order(frame.workflow, frame.costs, frame.resources):
-        if job in pending:
-            rid, start, finish = frame.min_eft_placement(job, insertion=insertion)
-            frame.place(job, rid, start, finish)
+    order = heft_priority_order(frame.workflow, frame.costs, frame.resources)
+    frame.place_in_order([job for job in order if job in pending], insertion=insertion)
     return frame.schedule
 
 

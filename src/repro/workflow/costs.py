@@ -62,7 +62,10 @@ __all__ = [
 #: The Planner replans whenever the pool changes, so keeping every past
 #: signature's view would grow the model with each resource event; each
 #: kind instead holds only the pool it was last built for.
-POOL_KEYED_VIEWS = frozenset({"wmat", "wrows", "wavg", "priority"})
+POOL_KEYED_VIEWS = frozenset({"wmat", "wrows", "worder", "wavg", "priority"})
+
+#: Largest pool whose order rows fit one byte per resource index.
+_BYTE_ORDER_POOL = 256
 
 
 def _remember(entries: Dict, key: Tuple, builder):
@@ -99,6 +102,22 @@ def _held_prices(model: "CostModel") -> Tuple[List[Tuple], int]:
     return held, len(model.__dict__.get("_cache", ()))
 
 
+def ascending_order(matrix) -> List:
+    """Each row's column indices, stably sorted by the row's values.
+
+    The rows of a matrix with at most 256 columns are ``bytes`` objects
+    (iterating one yields its indices as ints), a few dozen bytes per job
+    instead of a list of int objects; wider matrices get lists.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    order = np.argsort(matrix, axis=1, kind="stable")
+    width = matrix.shape[1]
+    if not 0 < width <= _BYTE_ORDER_POOL:
+        return order.tolist()
+    flat = order.astype(np.uint8).tobytes()
+    return [flat[k : k + width] for k in range(0, len(flat), width)]
+
+
 class CostModel(abc.ABC):
     """Interface for estimating computation and communication costs.
 
@@ -110,6 +129,8 @@ class CostModel(abc.ABC):
       order,
     * :meth:`average_computation_costs` — the per-job average vector
       ``w̄_i``,
+    * :meth:`computation_order` — per job, the pool indices in ascending
+      ``w`` order,
     * :meth:`edge_communication_costs` — ``c̄`` per edge, grouped by source
       job in successor order.
 
@@ -343,6 +364,21 @@ class CostModel(abc.ABC):
         return self.memoize_structural(
             ("wrows", tuple(resources)),
             lambda: self.computation_matrix(resources).tolist(),
+        )
+
+    def computation_order(self, resources: Sequence[str]) -> List:
+        """Per-job pool indices in ascending ``w`` order, memoized.
+
+        Row ``i`` lists every index of ``resources`` sorted by ``w[i][j]``,
+        ties in pool order (:func:`ascending_order` of
+        :meth:`computation_matrix`): the visiting order of the placement
+        kernel's best-first min-EFT scan.  Like :meth:`computation_rows`
+        the current pool's view is held alone, and a new pool replaces it.
+        Callers must not mutate the returned rows.
+        """
+        return self.memoize_structural(
+            ("worder", tuple(resources)),
+            lambda: ascending_order(self.computation_matrix(resources)),
         )
 
     def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":

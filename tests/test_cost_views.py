@@ -298,10 +298,11 @@ class TestOneViewPerPool:
         assert len({key[1] for key in held}) == 1
         assert pairs == 0, "the column draws were mirrored per pair"
         # the structural store: one priced column per resource ever seen,
-        # and the three structural views of the last pool
+        # and the four structural views of the last pool (the ascending-cost
+        # order is built by the insertion scan of AHEFT's placement)
         store = case.costs._structural_cache
         assert sorted(store["columns"]) == sorted(resources)
-        assert sorted(store["entries"]) == ["wavg", "wmat", "wrows"]
+        assert sorted(store["entries"]) == ["wavg", "wmat", "worder", "wrows"]
 
     def test_pools_a_b_a_match_a_fresh_model(self):
         model = _prior()

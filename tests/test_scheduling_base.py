@@ -36,6 +36,8 @@ from repro.scheduling.frame import PartialScheduleFrame
 from repro.scheduling.heft import HEFTScheduler
 from repro.workflow.costs import CostModel
 
+_NAN = float("nan")
+
 
 class TestAssignment:
     def test_duration(self):
@@ -49,6 +51,11 @@ class TestAssignment:
     def test_shifted(self):
         a = Assignment("j", "r", 2.0, 5.0).shifted(10.0)
         assert (a.start, a.finish) == (12.0, 15.0)
+
+    @pytest.mark.parametrize("start, finish", [(_NAN, 1.0), (1.0, _NAN), (_NAN, _NAN)])
+    def test_nan_bound_rejected_by_name(self, start, finish):
+        with pytest.raises(ValueError, match="must be finite"):
+            Assignment("j", "r", start, finish)
 
 
 class TestResourceTimeline:
@@ -81,6 +88,25 @@ class TestResourceTimeline:
         tl.occupy(0.0, 10.0, "a")
         with pytest.raises(ValueError, match="overlaps"):
             tl.occupy(5.0, 15.0, "b")
+
+    @pytest.mark.parametrize("start, finish", [(_NAN, _NAN), (_NAN, 1.0), (1.0, _NAN)])
+    def test_nan_booking_rejected_by_name(self, start, finish):
+        tl = ResourceTimeline("r1")
+        tl.occupy(0.0, 0.5, "a")
+        with pytest.raises(ValueError, match="must be finite"):
+            tl.occupy(start, finish, "b")
+        with pytest.raises(ValueError, match="must be finite"):
+            ResourceTimeline("r2").bulk_load([(start, finish, "b")])
+        # nothing was booked: the slot search still sees the one interval
+        assert tl.intervals() == [(0.0, 0.5, "a")]
+        assert tl.earliest_start(0.0, 1.0) == 0.5
+
+    def test_reversed_span_keeps_its_own_message(self):
+        tl = ResourceTimeline("r1")
+        with pytest.raises(ValueError, match="finish precedes start"):
+            tl.occupy(2.0, 1.0, "a")
+        with pytest.raises(ValueError, match="finish precedes start"):
+            tl.bulk_load([(2.0, 1.0, "a")])
 
     def test_touching_intervals_allowed(self):
         tl = ResourceTimeline("r1")
@@ -237,6 +263,44 @@ class TestGapAcceptOccupyConsistency:
                 for s, f, j in booked:
                     probe.occupy(s, f, j)
                 probe.occupy(slot, slot + duration, "candidate")
+
+    @given(
+        offset=st.sampled_from((1e7, 1e8, 1e9)),
+        ops=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)), max_size=12),
+        queries=st.lists(
+            st.tuples(st.integers(0, 50), st.integers(1, 12)), min_size=1, max_size=6
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slot_search_negates_the_overlap_test_at_large_clocks(self, offset, ops, queries):
+        # quarter-unit grid at clock offsets where an ulp reaches 1e-7: the
+        # returned slot must be bookable, and every earlier candidate start
+        # (the ready time or an interval's finish) must overlap
+        tl = ResourceTimeline("r", available_from=offset)
+        for k, (at, length) in enumerate(ops):
+            try:
+                tl.occupy(offset + at * _GRID, offset + (at + length) * _GRID, f"j{k}")
+            except ValueError:
+                pass  # overlapping op: keep the timeline, drop the interval
+        booked = tl.intervals()
+
+        def bookable(start, duration):
+            probe = ResourceTimeline("probe", available_from=offset)
+            for s, f, j in booked:
+                probe.occupy(s, f, j)
+            try:
+                probe.occupy(start, start + duration, "candidate")
+            except ValueError:
+                return False
+            return True
+
+        for ready_units, duration_units in queries:
+            ready = offset + ready_units * _GRID
+            duration = duration_units * _GRID
+            slot = tl.earliest_start(ready, duration)
+            assert slot >= ready and bookable(slot, duration)
+            earlier = {ready} | {f for _, f, _ in booked if ready < f < slot}
+            assert not any(bookable(c, duration) for c in earlier if c < slot)
 
 
 def _application_cases():
