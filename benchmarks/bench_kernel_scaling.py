@@ -88,6 +88,16 @@ generator kernel per stream, deterministic) is gated at
 ``MAX_STREAM_BUILD_KERNEL_PASSES`` and ``speedup``, the oracle over the
 batched wall clock, at ``MIN_STREAM_BUILD_SPEEDUP``.
 
+``run_pricing`` runs the first closed-loop flash-crowd case (accurate
+estimates) and the pricing block's growing pool (V=3000, V=1000 in quick
+mode) twice each: as a run prices — every workflow on every resource it
+can plan on, in one pass at grid open — and with that pass turned off,
+so each column is priced on first read, as before.  The outcomes must be
+equal.  ``kernel_passes`` (generator-kernel passes of the run) is gated
+at ``MAX_RUN_PRICING_KERNEL_PASSES`` in quick mode too, next to
+``lazy_kernel_passes``; ``unread_columns`` counts the columns priced
+ahead that the run never read.
+
 ``placement_order`` runs two AHEFT adaptive cases — the pricing block's
 growing pool (V=3000, V=1000 in quick mode) and a V=200 case under the
 ``churn`` scenario with gaussian estimate error (e2ebench's
@@ -144,10 +154,11 @@ from repro.scheduling.flow import scheduler as flow_scheduler
 from repro.scheduling.flow.graph import solve_assignment
 from repro.scheduling.frame import PartialScheduleFrame, _best_first_scan, _ordered_scan
 from repro.scheduling.heft import HEFTScheduler
+from repro.simulation import shared_grid
 from repro.simulation.event_core import EventCore
 from repro.utils import rng as rng_module
 from repro.utils.rng import spawn_rng
-from repro.workflow.costs import TabularCostModel, _held_prices
+from repro.workflow.costs import CostModel, TabularCostModel, _held_prices
 from repro.workload.streams import WorkloadStream, default_tenants
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -281,6 +292,14 @@ MAX_STREAM_BUILD_KERNEL_PASSES = 4
 #: floor on stream_build's speedup, the oracle over the batched build, a
 #: same-run ratio enforced in quick mode too; reads about 2x on a 2-vCPU host
 MIN_STREAM_BUILD_SPEEDUP = 1.5
+
+
+#: ceiling on the generator-kernel passes one run makes to price its
+#: workflows (run_pricing): the pass at grid open prices every workflow on
+#: every resource it can plan on.  Pricing each column on first read made
+#: about one pass per arrival on the flash crowd (158 for its 154 arrivals
+#: at seed 7) and one per pool epoch on the growing pool (11).
+MAX_RUN_PRICING_KERNEL_PASSES = 1
 
 
 #: placement_order: the growing-pool case of the pricing block (V=3000,
@@ -1031,6 +1050,85 @@ def measure_stream_build(
     }
 
 
+def _grow_case(v: int, seed: int = PRICING_SEED):
+    """The pricing block's growing-pool case: a random DAG and a pool of
+    10 resources growing over ``PRICING_EVENTS`` events."""
+    case = generate_random_case(
+        RandomDAGParameters(v=v, out_degree=20 / v, ccr=1.0, beta=0.5, omega_dag=300.0),
+        seed=seed,
+    )
+    pool = ResourceChangeModel(10, interval=120, fraction=0.15, max_events=PRICING_EVENTS)
+    return case, pool.build_pool()
+
+
+def _run_view(result) -> object:
+    """The outcome of a run as plain values: schedules and completions."""
+    if result.mode == "multi":
+        return [(o.key, o.completed_at, o.schedule.to_dict()) for o in result.raw.outcomes]
+    return result.makespan, result.schedule.to_dict()
+
+
+def _priced_run(run: Callable[[], object]):
+    """``run()``, its kernel passes, the columns it priced ahead at grid
+    open, and how many of those it never read."""
+    priced, read = [], set()
+    ahead, columns = shared_grid.price_columns, CostModel.computation_columns
+
+    def pricing(requests):
+        done = ahead(requests)
+        priced.extend(done)
+        return done
+
+    def reading(model, resource_ids):
+        read.update((id(model), rid) for rid in resource_ids)
+        return columns(model, resource_ids)
+
+    shared_grid.price_columns, CostModel.computation_columns = pricing, reading
+    try:
+        result, passes = _kernel_passes(run)
+    finally:
+        shared_grid.price_columns, CostModel.computation_columns = ahead, columns
+    pairs = {(id(model), rid) for model, rids in priced for rid in rids}
+    return result, passes, len(priced), len(pairs), len(pairs - read)
+
+
+def measure_run_pricing(grow_v: int = PRICING_V) -> Dict[str, object]:
+    """The pricing kernel passes of a flash-crowd and a growing-pool run,
+    priced ahead at grid open and priced on first read."""
+
+    def flash_crowd():
+        arrivals, scenario = _flash_crowd_case(CLOSED_LOOP_SEEDS[0])
+        return lambda: _shared_grid_run(arrivals, scenario)
+
+    def grow():
+        case, pool = _grow_case(grow_v)
+        return lambda: facade_run(
+            case.workflow, pool, mode="adaptive", costs=case.costs, strategy=AHEFTScheduler()
+        )
+
+    rows = {}
+    for name, build in (("flash_crowd", flash_crowd), ("grow", grow)):
+        result, passes, workflows, columns, unread = _priced_run(build())
+        ahead = shared_grid.price_columns
+        shared_grid.price_columns = lambda requests: []
+        try:
+            lazy, lazy_passes = _kernel_passes(build())
+        finally:
+            shared_grid.price_columns = ahead
+        if _run_view(result) != _run_view(lazy):
+            raise AssertionError(f"the {name} run priced ahead diverged from the lazy run")
+        rows[name] = {
+            "makespan": result.makespan,
+            "workflows": workflows,
+            "columns": columns,
+            "unread_columns": unread,
+            "kernel_passes": passes,
+            "lazy_kernel_passes": lazy_passes,
+        }
+    rows["grow"]["v"] = grow_v
+    return rows
+
+
 def measure_case_build(v: int = CASE_BUILD_V, seed: int = CASE_BUILD_SEED) -> Dict[str, object]:
     """One random case built in bulk and through the scalar oracle.
 
@@ -1083,6 +1181,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     structure_memory = measure_structure_memory()
     case_build = measure_case_build()
     stream_build = measure_stream_build()
+    run_pricing = measure_run_pricing(PRICING_V_QUICK if quick else PRICING_V)
     placement_order = measure_placement_order(
         PLACEMENT_GROW_V_QUICK if quick else PLACEMENT_GROW_V
     )
@@ -1099,6 +1198,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "structure_memory": structure_memory,
         "case_build": case_build,
         "stream_build": stream_build,
+        "run_pricing": run_pricing,
         "placement_order": placement_order,
     }
 
@@ -1199,6 +1299,18 @@ def render(results: Dict[str, object]) -> str:
         f"per-arrival oracle {t['oracle_seconds'] * 1e3:.1f} ms = {t['speedup']:.2f}x "
         f"(gate ≥ {MIN_STREAM_BUILD_SPEEDUP}x)"
     )
+    lines.append("")
+    lines.append(
+        "run pricing (kernel passes of one run; priced ahead at grid open vs on first read):"
+    )
+    lines.append("  case          workflows  columns  unread  passes  first-read passes")
+    for name, row in results["run_pricing"].items():
+        lines.append(
+            f"  {name:12s}  {row['workflows']:9d}  {row['columns']:7d}  "
+            f"{row['unread_columns']:6d}  {row['kernel_passes']:6d}  "
+            f"{row['lazy_kernel_passes']:17d}"
+        )
+    lines.append(f"  (gate: passes ≤ {MAX_RUN_PRICING_KERNEL_PASSES} on every case)")
     lines.append("")
     lines.append(
         "placement order (AHEFT adaptive runs; best-first scan vs ordered chain, per placement):"
@@ -1307,6 +1419,12 @@ def check_thresholds(results: Dict[str, object]) -> None:
         f"the batched stream build is only {stream_build['speedup']:.2f}x faster than "
         f"the per-arrival oracle, below the {MIN_STREAM_BUILD_SPEEDUP}x floor"
     )
+    # and the kernel passes a run makes to price its workflows, a count
+    for name, row in results["run_pricing"].items():
+        assert row["kernel_passes"] <= MAX_RUN_PRICING_KERNEL_PASSES, (
+            f"the {name} run makes {row['kernel_passes']} pricing kernel passes, above "
+            f"the {MAX_RUN_PRICING_KERNEL_PASSES} ceiling"
+        )
     # and the share of the pool the best-first scan evaluates, a count
     for name, row in results["placement_order"].items():
         assert row["evaluated_share"] <= MAX_PLACEMENT_EVALUATED_SHARE, (

@@ -847,6 +847,9 @@ class _DedicatedGrid(SharedGridExecutor):
         self.initial: Optional[Schedule] = None
         self.workflow = None
 
+    def _releases(self):
+        return [(self.case.costs, 0.0)]
+
     def _open(self, planner) -> None:
         from repro.core.multi_tenant import PlannedArrival
 

@@ -156,6 +156,11 @@ class PlannedArrival:
     busy: BusyView
 
 
+def _replanning(factory: Callable[[], object]):
+    """``factory()``, checked to provide the ``reschedule`` interface."""
+    return resolve_strategy(factory(), require="reschedule")
+
+
 class MultiTenantPlanner:
     """AHEFT rescheduling of many workflows over one shared resource pool.
 
@@ -172,8 +177,11 @@ class MultiTenantPlanner:
     tenant_weights:
         Fair-share weights per tenant (default 1.0 each).
     scheduler_factory:
-        Called once per admitted workflow; must produce an object with the
-        ``reschedule`` interface of :class:`AHEFTScheduler`.
+        Called once per planned arrival; must produce an object with the
+        ``reschedule`` interface of :class:`AHEFTScheduler`.  Every product
+        goes through :func:`~repro.core.adaptive.resolve_strategy`, so a
+        plan-once strategy raises its named ``ValueError`` before any
+        planning.
     strategy:
         Alternative to ``scheduler_factory``: the name of any registered
         scheduler with the ``reschedule`` interface (see
@@ -213,6 +221,8 @@ class MultiTenantPlanner:
             scheduler_factory()  # validate early
         elif scheduler_factory is None:
             scheduler_factory = AHEFTScheduler
+        else:
+            scheduler_factory = partial(_replanning, scheduler_factory)
         self.pool = pool
         self.perf_profile = perf_profile
         self.policy = policy

@@ -10,6 +10,7 @@ Planner listens for (paper §3.3).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,10 @@ class ResourcePool:
 
     def __init__(self, resources: Optional[Iterable[Resource]] = None) -> None:
         self._resources: Dict[str, Resource] = {}
+        #: membership index behind :meth:`available_at`: the sorted window
+        #: boundaries and, per boundary, the members of the half-open
+        #: interval it opens; ``None`` until the next query rebuilds it
+        self._membership: Optional[Tuple[List[float], List[Tuple[str, ...]]]] = None
         for resource in resources or ():
             self.add(resource)
 
@@ -66,6 +71,7 @@ class ResourcePool:
         if resource.resource_id in self._resources:
             raise ValueError(f"duplicate resource id: {resource.resource_id!r}")
         self._resources[resource.resource_id] = resource
+        self._membership = None
         return resource
 
     def add_many(self, resources: Iterable[Resource]) -> List[Resource]:
@@ -95,11 +101,49 @@ class ResourcePool:
         return self.available_at(0.0)
 
     def available_at(self, time: float) -> List[str]:
-        """Identifiers of resources that are part of the grid at ``time``."""
+        """Identifiers of resources that are part of the grid at ``time``.
+
+        A fresh list, in insertion order.  Membership only changes at a
+        window boundary, so the answer is read from the membership index
+        (:meth:`_membership_index`) by bisection; a NaN time, which no
+        bisection can place, scans the windows.
+        """
+        if time != time:
+            return [rid for rid, res in self._resources.items() if res.is_available_at(time)]
+        bounds, members = self._membership_index()
+        k = bisect_right(bounds, time)
+        return list(members[k - 1]) if k else []
+
+    def _membership_index(self) -> Tuple[List[float], List[Tuple[str, ...]]]:
+        """Every window boundary, sorted, and the resources available on
+        ``[bounds[k], bounds[k + 1])`` for each ``k``, in insertion order.
+
+        Built on the first query after an :meth:`add`: a :class:`Resource`
+        is frozen, so nothing else can move a window.
+        """
+        if self._membership is None:
+            resources = self._resources.items()
+            bounds = sorted(
+                {res.available_from for _, res in resources}
+                | {res.available_until for _, res in resources if res.available_until is not None}
+            )
+            members = [
+                tuple(rid for rid, res in resources if res.is_available_at(bound))
+                for bound in bounds
+            ]
+            self._membership = (bounds, members)
+        return self._membership
+
+    def not_departed_by(self, time: float) -> List[str]:
+        """Identifiers of resources that have not left the grid by ``time``.
+
+        Present at ``time`` or joining later, in insertion order: every
+        resource a workflow released at ``time`` can ever plan on.
+        """
         return [
             rid
             for rid, res in self._resources.items()
-            if res.is_available_at(time)
+            if res.available_until is None or res.available_until > time
         ]
 
     def joined_in(self, start: float, end: float) -> List[str]:

@@ -69,7 +69,7 @@ from repro.resources.pool import PoolEvent, ResourcePool
 from repro.scheduling.aheft import AHEFTScheduler
 from repro.scheduling.base import ResourceTimeline, Schedule, TIME_EPS
 from repro.simulation.event_core import EventCore, EventKind
-from repro.workflow.costs import CostModel, ErrorModel, PerturbedCostModel
+from repro.workflow.costs import CostModel, ErrorModel, PerturbedCostModel, price_columns
 from repro.workload.streams import WorkflowArrival
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -317,6 +317,11 @@ class SharedGridExecutor:
         return min(candidates) if candidates else None
 
     # ------------------------------------------------------------------
+    def _releases(self) -> List[Tuple[CostModel, float]]:
+        """The estimate model of every workflow the run will plan, with the
+        time it is released to the grid: each arrival at its arrival time."""
+        return [(arrival.case.costs, arrival.time) for arrival in self.arrivals]
+
     def _open(self, planner: "MultiTenantPlanner") -> None:
         """Register the workflows present when the grid opens (none: every
         workflow comes through an arrival event)."""
@@ -340,6 +345,16 @@ class SharedGridExecutor:
         return wf
 
     def run(self) -> SharedGridResult:
+        """Run every workflow to completion and return the outcomes.
+
+        Before the first event, the columns of every workflow the run will
+        plan are priced ahead in one
+        :func:`~repro.workflow.costs.price_columns` pass: each workflow's
+        estimate model on every pool resource that has not left the grid
+        by the workflow's release (:meth:`_releases`), which is every
+        resource it can plan on, however long it is deferred.  The prices
+        are the ones each plan would draw on first read.
+        """
         # imported here: repro.core.multi_tenant imports repro.core.adaptive,
         # which imports this module
         from repro.core.multi_tenant import MultiTenantPlanner
@@ -476,6 +491,9 @@ class SharedGridExecutor:
                 priority=_ARRIVAL_PRIORITY,
                 label=f"arrival:{arrival.key}",
             )
+        price_columns(
+            (costs, self.pool.not_departed_by(release)) for costs, release in self._releases()
+        )
         self._open(planner)
         planner.replay(core.now)
         arm()

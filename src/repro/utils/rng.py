@@ -18,16 +18,18 @@ paths, under any number of root seeds, at once: it re-implements NumPy's
 ``SeedSequence`` → ``PCG64`` seeding and first output on arrays, so element
 *k* equals ``spawn_rng(root_k, *path_k).random()`` bit for bit, or the raw
 ``uint64`` output every first draw derives from.  :func:`spawn_uniforms` is
-its one-root call for ``uniform(low, high)`` draws.  :func:`spawn_rng`
-stays the single-draw path and the reference the batched kernel is tested
-against.
+its one-root call for ``uniform(low, high)`` draws, and
+:func:`uniform_blocks` draws whole (prefix, middle, last) grids of streams
+straight into one buffer, blocks of it per grid, in one kernel pass.
+:func:`spawn_rng` stays the single-draw path and the reference the batched
+kernel is tested against.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "spawn_rng",
     "first_outputs",
     "spawn_uniforms",
+    "uniform_blocks",
     "uniform_draws",
     "RandomSource",
 ]
@@ -195,6 +198,90 @@ def spawn_uniforms(
     return uniform_draws(unit, low, high)
 
 
+def uniform_blocks(
+    grids: Sequence[Tuple[int, Sequence[Token], Sequence[Token], Sequence[Token], object, object]],
+) -> List[np.ndarray]:
+    """First uniform draws of many grids of streams, in one kernel pass.
+
+    Grid ``(root_seed, prefix, middles, lasts, low, high)`` names the
+    streams ``(root_seed, *prefix, middle, last)``; its block is a
+    ``len(lasts) × len(middles)`` array whose ``[k, i]`` is
+    ``float(spawn_rng(root_seed, *prefix, middles[i], lasts[k]).uniform(
+    low[i], high[i]))`` bit for bit (``low``/``high`` are scalars or have
+    one entry per middle).
+
+    The blocks are consecutive C-order views of one float64 buffer: each
+    derived seed is written into the slot its draw ends in, the kernel
+    turns the whole buffer into raw outputs in place, and each block turns
+    them into draws a few rows at a time, so no temporary outgrows
+    :data:`_BLOCK` entries.  A root and prefix pair is hashed once per
+    call, each middle once per grid, and each distinct last token is
+    rendered once per call.
+    """
+    grids = list(grids)
+    shapes = [(len(lasts), len(middles)) for _, _, middles, lasts, _, _ in grids]
+    buffer = np.empty(sum(rows * cols for rows, cols in shapes), dtype=np.float64)
+    seeds = buffer.view(_U64)
+    prefixes: dict = {}
+    rendered: dict = {}
+    blocks = []
+    start = 0
+    for (root_seed, prefix, middles, lasts, _, _), shape in zip(grids, shapes):
+        stop = start + shape[0] * shape[1]
+        blocks.append((start, stop, shape))
+        key = (int(root_seed), *map(_token_bytes, prefix))
+        state = prefixes.get(key)
+        if state is None:
+            state = prefixes[key] = _extend(_root_hash(root_seed), prefix)
+        suffixes = []
+        for token in lasts:
+            name = (type(token), token)
+            suffix = rendered.get(name)
+            if suffix is None:
+                suffix = rendered[name] = b"\x00" + _token_bytes(token)
+            suffixes.append(suffix)
+        _hash_columns(state, middles, suffixes, seeds[start:stop].reshape(shape))
+        start = stop
+    if seeds.size:
+        seeds &= _U64(_SEED_MASK)
+        _seed_outputs(seeds)
+    out = []
+    for (start, stop, (rows, cols)), (*_, low, high) in zip(blocks, grids):
+        raw = seeds[start:stop].reshape(rows, cols)
+        block = buffer[start:stop].reshape(rows, cols)
+        step = max(1, _BLOCK // max(cols, 1))
+        for row in range(0, rows, step):
+            block[row:row + step] = uniform_draws(_unit_doubles(raw[row:row + step]), low, high)
+        out.append(block)
+    return out
+
+
+def _hash_columns(state, middles: Sequence[Token], suffixes: Sequence[bytes], out: np.ndarray):
+    """Write the unmasked derived seed of ``(state, middles[i], last k)``
+    into ``out[k, i]``, where ``suffixes[k]`` is the rendered last token.
+
+    The digests of whole middles gather until about :data:`_BLOCK` are
+    pending, then land in ``out`` column by column in one assignment.
+    """
+    width = len(suffixes)
+    if not width:
+        return
+    per_flush = max(1, _BLOCK // width)
+    digests: list = []
+    first = 0
+    for i, middle in enumerate(middles):
+        copy = _extend(state.copy(), (middle,)).copy
+        for suffix in suffixes:
+            digest = copy()
+            digest.update(suffix)
+            digests.append(digest.digest()[:8])
+        if i + 1 - first == per_flush or i + 1 == len(middles):
+            chunk = np.frombuffer(b"".join(digests), dtype="<u8").reshape(i + 1 - first, width)
+            out[:, first:i + 1] = chunk.T
+            digests = []
+            first = i + 1
+
+
 # ----------------------------------------------------------------------
 # NumPy's SeedSequence -> PCG64 -> next_double, on arrays of seeds
 # ----------------------------------------------------------------------
@@ -348,21 +435,22 @@ def _unit_doubles(raw: np.ndarray) -> np.ndarray:
 
 
 def _seed_outputs(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.default_rng(int(s)).bit_generator.random_raw()`` for every
-    seed ``s`` of a uint64 array, in blocks of :data:`_BLOCK` so
-    temporaries stay small whatever the batch size.  One call is one pass
-    of the kernel.
+    """Replace every seed ``s`` of a 1-D uint64 array by
+    ``np.random.default_rng(int(s)).bit_generator.random_raw()``, in place,
+    and return the array.
+
+    Runs in blocks of :data:`_BLOCK` so temporaries stay small whatever
+    the batch size.  One call is one pass of the kernel.
     """
-    out = np.empty(seeds.shape, dtype=_U64)
     for start in range(0, seeds.size, _BLOCK):
-        out[start:start + _BLOCK] = _first_raw(seeds[start:start + _BLOCK])
-    return out
+        seeds[start:start + _BLOCK] = _first_raw(seeds[start:start + _BLOCK])
+    return seeds
 
 
 def _seed_doubles(seeds: np.ndarray) -> np.ndarray:
     """``np.random.default_rng(int(s)).random()`` for every seed ``s`` in
     ``[0, 2**64)``."""
-    return _unit_doubles(_seed_outputs(np.asarray(seeds, dtype=_U64)))
+    return _unit_doubles(_seed_outputs(np.array(seeds, dtype=_U64)))
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ Two concrete models are provided:
   communication priced as ``latency + data / bandwidth``.  Costs for
   resources that join *after* workflow submission are drawn lazily from the
   same distribution, seeded by the resource identity, so the model remains
-  deterministic under pool growth.  Every ``w_{i,j}`` is drawn lazily, one
-  batched draw per matrix build, bit-identical to the per-pair stream: a
-  :meth:`CostModel.computation_matrix` call prices all of its new columns
-  with one :func:`~repro.utils.rng.spawn_uniforms` call, which reproduces
-  ``spawn_rng(seed, "wij", job, resource).uniform(...)`` exactly.
+  deterministic under pool growth.  Every ``w_{i,j}`` is drawn in batched
+  kernel passes, bit-identical to the per-pair stream
+  ``spawn_rng(seed, "wij", job, resource).uniform(...)``: a run prices the
+  columns of every workflow it will plan ahead, in one
+  :func:`price_columns` pass at grid open, and a
+  :meth:`CostModel.computation_matrix` call prices whatever columns are
+  still missing in one pass of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.utils.checks import require_finite
-from repro.utils.rng import spawn_rng, spawn_uniforms
+from repro.utils.rng import spawn_rng, uniform_blocks
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "StragglerErrorModel",
     "PerturbedCostModel",
     "ERROR_MODELS",
+    "price_columns",
 ]
 
 #: Kinds of memoised view keyed by a pool signature (``(kind, pool)``).
@@ -330,9 +333,13 @@ class CostModel(abc.ABC):
     def computation_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
         """``w[:, j]`` for every resource of ``resource_ids``, as a new array.
 
-        Read from the model's one store of priced per-resource columns;
-        the ids it lacks are priced together in one :meth:`_price_columns`
-        call and kept there (for this call only when the model is not
+        Read from the model's one store of priced per-resource columns.
+        In a run those columns are priced ahead at grid open
+        (:func:`price_columns`, called by
+        :meth:`~repro.simulation.shared_grid.SharedGridExecutor.run`) for
+        every resource the run's workflows can plan on; the ids the store
+        still lacks are priced together in one :meth:`_price_columns` call
+        and kept there (for this call only when the model is not
         cacheable).  Unlike :meth:`computation_matrix`, nothing keyed by
         ``resource_ids`` itself is kept, so wrappers can price a subset of
         their pool from it.
@@ -621,12 +628,15 @@ class HeterogeneousCostModel(CostModel):
         with the same seed produce identical cost matrices, regardless of
         query order and of when resources join the pool.
 
-    Costs are drawn lazily, one batched draw per matrix build, bit-identical
-    to the per-pair stream: a :meth:`computation_matrix` build prices every
-    unpriced column with one :func:`~repro.utils.rng.spawn_uniforms` call
-    and keeps it in the model's column store, which is the one copy of
-    those prices: :meth:`computation_cost` reads a pair from its column
-    when the resource has one, and otherwise draws it from
+    Costs are drawn in batched kernel passes, bit-identical to the
+    per-pair stream.  A run prices the columns of every resource the
+    workflow can plan on ahead, at grid open, in the one
+    :func:`price_columns` pass that prices all of the run's workflows; a
+    :meth:`computation_matrix` build prices whatever columns are still
+    missing (a resource the run could not know of) in one pass of its own.
+    Either way the columns go to the model's column store, which is the
+    one copy of those prices: :meth:`computation_cost` reads a pair from
+    its column when the resource has one, and otherwise draws it from
     ``spawn_rng(seed, "wij", job, resource)`` into the per-pair cache.
     """
 
@@ -710,24 +720,12 @@ class HeterogeneousCostModel(CostModel):
         return cost
 
     def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
-        """All ``jobs × resource_ids`` draws in one :func:`spawn_uniforms` call.
+        """All ``jobs × resource_ids`` draws in one kernel pass: the
+        one-model call of :func:`price_columns`.
 
         Bit-identical to :meth:`computation_cost` pair by pair.
         """
-        jobs = self.workflow.structure().jobs
-        rids = list(resource_ids)
-        base = np.array([self.base_costs[job] for job in jobs], dtype=np.float64)
-        low, high = self._bounds(base)
-        costs = np.repeat(base, len(rids)).reshape(len(jobs), len(rids))
-        drawn = high > low
-        if drawn.any():
-            costs[drawn] = spawn_uniforms(
-                self.seed,
-                [(("wij", job), rids) for job, d in zip(jobs, drawn.tolist()) if d],
-                np.repeat(low[drawn], len(rids)),
-                np.repeat(high[drawn], len(rids)),
-            ).reshape(-1, len(rids))
-        return costs
+        return _price_blocks([(self, list(resource_ids))])[0].T
 
     def intrinsic_average_computation_cost(self, job_id: str) -> float:
         return self.base_costs[job_id]
@@ -741,6 +739,72 @@ class HeterogeneousCostModel(CostModel):
 
     def average_communication_cost(self, src: str, dst: str) -> float:
         return self.latency + self.workflow.data(src, dst) / self.bandwidth
+
+
+def price_columns(requests: Iterable[Tuple[CostModel, Sequence[str]]]) -> List[Tuple]:
+    """Price the columns of many cost models in one kernel pass.
+
+    ``requests`` yields ``(model, resource_ids)`` pairs.  Every
+    :class:`HeterogeneousCostModel` among them gets ``w[:, j]`` for each
+    id its column store lacks, installed in that store, bit-identical to
+    :meth:`~HeterogeneousCostModel.computation_cost` pair by pair;
+    duplicate ids and repeated models are priced once.  The models the
+    kernel does not price, and models without a store, are skipped: they
+    price on first read, as before.
+
+    This is how a run prices ahead, at grid open, every workflow it will
+    plan; :meth:`HeterogeneousCostModel._price_columns` is its one-model
+    call.  Returns the ``(model, resource ids)`` it priced.
+    """
+    pending: Dict[int, Tuple] = {}
+    for model, resource_ids in requests:
+        if not isinstance(model, HeterogeneousCostModel):
+            continue
+        entry = pending.get(id(model))
+        if entry is None:
+            store = model._structural_store()
+            if store is None:
+                continue
+            entry = pending[id(model)] = (model, store["columns"], {})
+        columns, wanted = entry[1], entry[2]
+        wanted.update((rid, None) for rid in resource_ids if rid not in columns)
+    priced = [(model, list(wanted)) for model, _, wanted in pending.values() if wanted]
+    for (model, rids), block in zip(priced, _price_blocks(priced)):
+        pending[id(model)][1].update(zip(rids, block))
+    return priced
+
+
+def _price_blocks(requests: Sequence[Tuple["HeterogeneousCostModel", List[str]]]):
+    """One ``len(rids) × jobs`` block of draws per ``(model, rids)`` request,
+    all in one :func:`~repro.utils.rng.uniform_blocks` pass.
+
+    Row ``k`` of a block is ``w[:, rids[k]]``, C-contiguous.  Jobs whose
+    band is empty (``high == low``) cost their base and draw nothing; when
+    a model draws every job its block is the pass's own view, with no copy.
+    """
+    grids, plans = [], []
+    for model, rids in requests:
+        jobs = model.workflow.structure().jobs
+        base = np.array([model.base_costs[job] for job in jobs], dtype=np.float64)
+        low, high = model._bounds(base)
+        drawn = high > low
+        plans.append((base, drawn, len(rids)))
+        if drawn.all():
+            grids.append((model.seed, ("wij",), jobs, rids, low, high))
+        elif drawn.any():
+            kept = [job for job, d in zip(jobs, drawn.tolist()) if d]
+            grids.append((model.seed, ("wij",), kept, rids, low[drawn], high[drawn]))
+    draws = iter(uniform_blocks(grids) if grids else ())
+    blocks = []
+    for base, drawn, width in plans:
+        if drawn.all():
+            blocks.append(next(draws))
+            continue
+        block = np.tile(base, (width, 1))
+        if drawn.any():
+            block[:, drawn] = next(draws)
+        blocks.append(block)
+    return blocks
 
 
 class UniformCostModel(CostModel):

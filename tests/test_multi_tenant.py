@@ -8,7 +8,10 @@ from dataclasses import asdict
 
 import pytest
 
+import repro
 from benchmarks._seed_reference import seed_arrivals
+from repro import registry
+from repro.core.admission import AdmissionConfig
 from repro.core.multi_tenant import POLICIES, ActiveWorkflow, MultiTenantPlanner
 from repro.experiments.metrics import (
     exceedance_rate,
@@ -433,6 +436,31 @@ class TestSharedGridExecutor:
         arrival = WorkflowArrival("t1", 0, 0.0, "random", case, seq=0)
         with pytest.raises(ValueError, match="already admitted"):
             SharedGridExecutor([arrival, arrival], pool).run()
+
+    @pytest.mark.parametrize("admission", [None, AdmissionConfig()])
+    def test_plan_once_factory_raises_the_named_error_before_planning(
+        self, make_case, monkeypatch, admission
+    ):
+        """A ``scheduler_factory`` product without ``reschedule`` is refused
+        like ``strategy="heft"`` is, before anything is planned."""
+        planned = []
+        schedule = HEFTScheduler.schedule
+        monkeypatch.setattr(
+            HEFTScheduler,
+            "schedule",
+            lambda self, *args, **kwargs: planned.append(1) or schedule(self, *args, **kwargs),
+        )
+        pool = ResourcePool([Resource("r1"), Resource("r2")])
+        arrivals = [WorkflowArrival("t1", 0, 0.0, "random", make_case(v=8, seed=1), seq=0)]
+        with pytest.raises(ValueError, match="does not provide the 'reschedule' interface"):
+            repro.run(
+                arrivals,
+                pool,
+                mode="multi",
+                admission=admission,
+                scheduler_factory=lambda: registry.make("scheduler", "heft"),
+            )
+        assert planned == []
 
 
 # ----------------------------------------------------------------------

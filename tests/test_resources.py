@@ -1,6 +1,8 @@
 """Tests for the resource model: resources, pools and the (R, Δ, δ) dynamics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resources.dynamics import ResourceChangeModel, StaticResourceModel
 from repro.resources.pool import PoolEvent, ResourcePool
@@ -97,6 +99,70 @@ class TestResourcePool:
         bigger = growing_pool.extended_with([Resource("extra")])
         assert "extra" in bigger
         assert "extra" not in growing_pool
+
+    def test_not_departed_by_keeps_present_and_joining_resources(self):
+        pool = ResourcePool(
+            [
+                Resource("r1", available_until=50.0),
+                Resource("r2"),
+                Resource("r3", available_from=80.0, available_until=90.0),
+            ]
+        )
+        assert pool.not_departed_by(0.0) == ["r1", "r2", "r3"]
+        assert pool.not_departed_by(50.0) == ["r2", "r3"]
+        assert pool.not_departed_by(90.0) == ["r2"]
+
+
+def _scan(pool, time):
+    """``available_at`` as a linear scan of every window."""
+    return [rid for rid in pool if pool.resource(rid).is_available_at(time)]
+
+
+_BOUND = st.integers(min_value=0, max_value=12).map(float)
+
+
+@st.composite
+def _windows(draw):
+    """Resources with overlapping integer windows: shared boundaries,
+    open ends and infinite leave times included."""
+    windows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        start = draw(_BOUND)
+        end = draw(st.one_of(st.none(), st.just(float("inf")), _BOUND.map(lambda t: start + 1 + t)))
+        windows.append((start, end))
+    return windows
+
+
+class TestMembershipIndex:
+    """``available_at`` bisects a membership index; it must answer exactly
+    what the scan of every window answers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows=_windows(), offsets=st.lists(st.floats(-1.0, 30.0), max_size=6))
+    def test_matches_the_linear_scan(self, windows, offsets):
+        pool = ResourcePool()
+        for k, (start, end) in enumerate(windows):
+            pool.add(Resource(f"r{k}", available_from=start, available_until=end))
+            # queried after every add: the index follows the pool as it grows
+            bounds = {b for s, e in windows[: k + 1] for b in (s, e) if b is not None}
+            times = sorted(bounds) + [float("inf"), float("-inf"), float("nan"), *offsets]
+            times += [t + d for t in bounds for d in (-0.5, 0.5)]
+            for time in times:
+                got = pool.available_at(time)
+                assert got == _scan(pool, time), time
+        assert pool.available_at(float("nan")) == _scan(pool, float("nan"))
+        assert pool.available_at(0.0) == _scan(pool, 0.0)
+
+    def test_answers_are_fresh_lists(self):
+        pool = ResourcePool([Resource("r1"), Resource("r2", available_from=5.0)])
+        first = pool.available_at(6.0)
+        first.append("ghost")
+        assert pool.available_at(6.0) == ["r1", "r2"]
+
+    def test_nan_keeps_the_scan_answer(self):
+        pool = ResourcePool([Resource("r1", available_until=3.0), Resource("r2", 2.0)])
+        # NaN compares false with every bound, so the scan admits every resource
+        assert pool.available_at(float("nan")) == ["r1", "r2"]
 
 
 class TestPoolEvent:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.utils import rng as rng_module
 from repro.utils.rng import (
     RandomSource,
     _seed_doubles,
@@ -12,6 +13,7 @@ from repro.utils.rng import (
     first_outputs,
     spawn_rng,
     spawn_uniforms,
+    uniform_blocks,
 )
 from repro.workload.streams import TenantSpec
 
@@ -162,7 +164,9 @@ class TestSpawnUniforms:
     def test_seed_to_double_across_blocks(self):
         seeds = np.random.default_rng(5).integers(0, 2**63, size=9000, dtype=np.uint64)
         want = [np.random.default_rng(int(s)).random() for s in seeds]
+        kept = seeds.copy()
         assert _seed_doubles(seeds).tolist() == want
+        assert np.array_equal(seeds, kept)  # the caller's seeds stay as they were
 
     def test_empty_batch(self):
         out = spawn_uniforms(3, [], 0.0, 1.0)
@@ -265,3 +269,56 @@ class TestFirstOutputs:
             for index in indices
         ]
         assert got == want
+
+
+class TestUniformBlocks:
+    """``uniform_blocks`` draws whole (prefix, middle, last) grids in one
+    kernel pass, each into its own block of one buffer."""
+
+    #: last tokens that compare equal but render differently (1, True, 1.0)
+    LASTS = ["r1", 1, True, 1.0, np.int64(1), b"r1", 2.5]
+
+    def _want(self, root, prefix, middles, lasts, low, high):
+        low = np.broadcast_to(np.asarray(low, dtype=np.float64), (len(middles),))
+        high = np.broadcast_to(np.asarray(high, dtype=np.float64), (len(middles),))
+        return [
+            [
+                float(spawn_rng(root, *prefix, middle, last).uniform(low[i], high[i]))
+                for i, middle in enumerate(middles)
+            ]
+            for last in lasts
+        ]
+
+    def test_blocks_equal_the_per_stream_draws(self, monkeypatch):
+        passes = []
+        seed_outputs = rng_module._seed_outputs
+
+        def counting(seeds):
+            passes.append(seeds.size)
+            return seed_outputs(seeds)
+
+        monkeypatch.setattr(rng_module, "_seed_outputs", counting)
+        middles = [f"n{k}" for k in range(1500)]
+        grids = [
+            (7, ("wij",), ["a", "b", 3], self.LASTS, np.array([1.0, 2.0, 0.5]), 4.0),
+            (7, ("wij",), middles, ["r1", "r2", "r3"], 0.0, np.linspace(1.0, 9.0, 1500)),
+            (2**40, ("x", 1), ["a"], [], 0.0, 1.0),
+            (9, (), [], ["r1"], 0.0, 1.0),
+            (7, ("wij",), ["a", "b", 3], ["r2", 1], 1.0, 1.0),
+            # prefixes that compare equal but render differently
+            (True, ("x", 1), ["a"], ["r1"], 0.0, 1.0),
+            (1, ("x", True), ["a"], ["r1"], 0.0, 1.0),
+            (1, ("x", 1.0), ["a"], ["r1"], 0.0, 1.0),
+        ]
+        blocks = uniform_blocks(grids)
+        assert passes == [3 * 7 + 1500 * 3 + 3 * 2 + 3]
+        for grid, block in zip(grids, blocks):
+            assert block.shape == (len(grid[3]), len(grid[2]))
+            assert block.flags.c_contiguous
+            assert block.tolist() == self._want(*grid)
+
+    def test_empty_call_makes_no_pass(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_seed_outputs", None)
+        assert uniform_blocks([]) == []
+        (block,) = uniform_blocks([(1, ("a",), [], ["r1"], 0.0, 1.0)])
+        assert block.shape == (1, 0)

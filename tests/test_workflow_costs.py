@@ -218,21 +218,22 @@ class TestUniformCostModel:
 
 
 def _count_draws(monkeypatch):
-    """Count scalar ``"wij"`` streams and batched draw calls in the cost model."""
+    """Count scalar ``"wij"`` streams and batched draw calls (one kernel pass
+    each) in the cost model."""
     counts = {"wij": 0, "batches": 0}
-    spawn_rng, spawn_uniforms = costs_module.spawn_rng, costs_module.spawn_uniforms
+    spawn_rng, uniform_blocks = costs_module.spawn_rng, costs_module.uniform_blocks
 
     def counting_spawn_rng(root, *tokens):
         if tokens and tokens[0] == "wij":
             counts["wij"] += 1
         return spawn_rng(root, *tokens)
 
-    def counting_spawn_uniforms(*args, **kwargs):
+    def counting_uniform_blocks(*args, **kwargs):
         counts["batches"] += 1
-        return spawn_uniforms(*args, **kwargs)
+        return uniform_blocks(*args, **kwargs)
 
     monkeypatch.setattr(costs_module, "spawn_rng", counting_spawn_rng)
-    monkeypatch.setattr(costs_module, "spawn_uniforms", counting_spawn_uniforms)
+    monkeypatch.setattr(costs_module, "uniform_blocks", counting_uniform_blocks)
     return counts
 
 
@@ -337,7 +338,8 @@ class TestBatchedComputationMatrix:
 
 class TestPricingDrawCount:
     """CI guard: the adaptive loop prices ``w[i][j]`` only through batched
-    draws, at most one per ``computation_matrix`` call."""
+    draws: one pass ahead, at grid open, for the whole growing pool, and
+    none in any ``computation_matrix`` call."""
 
     def test_adaptive_run_on_growing_pool(self, make_case, monkeypatch):
         case = make_case(v=300, seed=1, out_degree=20 / 300, ccr=1.0, beta=0.5)
@@ -358,9 +360,11 @@ class TestPricingDrawCount:
         assert result.makespan > 0
         assert len(pool.all_resource_ids()) > 6, "the pool never grew"
         assert counts["wij"] == 0
-        assert max(per_call) <= 1
-        # the initial pool and at least one joining resource were priced
-        assert counts["batches"] >= 2
+        # the initial pool and every joining resource were priced ahead
+        assert counts["batches"] == 1
+        assert per_call and max(per_call) == 0
+        columns = case.costs._structural_store()["columns"]
+        assert set(columns) == set(pool.all_resource_ids())
 
 
 class TestPricingCallCount:
