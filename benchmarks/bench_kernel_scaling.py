@@ -21,6 +21,10 @@ rank reuse, hoisted inner loops) and on the seed implementation preserved in
 * the fast kernel is ≥5× faster on 1000-job static HEFT and ≥3× faster on
   the 10-event adaptive run.
 
+Every HEFT and AHEFT plan these blocks time passes ``validate_schedule``
+(complete, precedence, no overlap, inside the pool's windows), checked
+outside the timed region.
+
 It also gates the shared discrete-event core (ISSUE 7): heap dispatch in
 :class:`repro.simulation.event_core.EventCore` must account for ≤10% of the
 1000-job adaptive run's wall clock (``event_core_overhead``), and the
@@ -77,6 +81,14 @@ one ``set_data`` per edge).  The two cases must be equal (jobs, edges
 with their volumes, structure, base and computation costs); ``speedup``,
 the scalar over the bulk wall clock, is gated at
 ``MIN_CASE_BUILD_SPEEDUP``.
+
+``truth_draws`` draws the truth factors of 200 (job, resource) pairs under
+each of the five error families (in quick mode too) in one batched pass,
+as the closed loop's replay does (``draw_factors``), and one pair at a
+time (``ErrorModel.factor``); the two must be equal per family, and one
+``draw_factors`` call over all five families (``kernel_passes``, one) must
+equal them too.  ``speedup``, one at a time over batched wall clock summed
+over the families, is gated at ``MIN_TRUTH_DRAW_SPEEDUP``.
 
 ``stream_build`` builds one ``default_tenants(4)`` arrival stream (the
 shape of e2ebench's ``multi_flash_4t``) twice, in quick mode too: through
@@ -154,11 +166,18 @@ from repro.scheduling.flow import scheduler as flow_scheduler
 from repro.scheduling.flow.graph import solve_assignment
 from repro.scheduling.frame import PartialScheduleFrame, _best_first_scan, _ordered_scan
 from repro.scheduling.heft import HEFTScheduler
+from repro.scheduling.validation import validate_schedule
 from repro.simulation import shared_grid
 from repro.simulation.event_core import EventCore
 from repro.utils import rng as rng_module
 from repro.utils.rng import spawn_rng
-from repro.workflow.costs import CostModel, TabularCostModel, _held_prices
+from repro.workflow.costs import (
+    ERROR_MODELS,
+    CostModel,
+    TabularCostModel,
+    _held_prices,
+    draw_factors,
+)
 from repro.workload.streams import WorkloadStream, default_tenants
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -319,6 +338,18 @@ PLACEMENT_SEED = 7
 MAX_PLACEMENT_EVALUATED_SHARE = 0.75
 
 
+#: ``truth_draws``: pairs per error family (one replay's queue of a V=200
+#: DAG on 10 resources, e2ebench's ``uncertain_churn_200`` size), drawn at
+#: this magnitude under this seed
+TRUTH_DRAW_PAIRS = 200
+TRUTH_DRAW_RESOURCES = 10
+TRUTH_DRAW_MAGNITUDE = 0.5
+TRUTH_DRAW_SEED = 7
+#: floor on one-at-a-time over batched draw time, summed over the five
+#: families; a same-run ratio, so enforced in quick mode too
+MIN_TRUTH_DRAW_SPEEDUP = 1.6
+
+
 def _best_of(fn: Callable[[], object], repeats: int = 3) -> float:
     """Best wall-clock time of ``repeats`` runs (dense caches stay warm)."""
     best = float("inf")
@@ -350,6 +381,13 @@ def _warm_cost_draws(workflow, costs, resources) -> None:
             costs.computation_cost(job, rid)
 
 
+def _validated(workflow, costs, schedule, pool=None):
+    """``schedule``, after :func:`validate_schedule` found it feasible
+    (complete, precedence, no overlap, inside ``pool``'s windows)."""
+    validate_schedule(workflow, costs, schedule, pool=pool)
+    return schedule
+
+
 def measure_static_heft(sizes=HEFT_SIZES) -> List[Dict[str, float]]:
     rows: List[Dict[str, float]] = []
     for v in sizes:
@@ -362,7 +400,7 @@ def measure_static_heft(sizes=HEFT_SIZES) -> List[Dict[str, float]]:
             lambda: HEFTScheduler().schedule(workflow, costs, resources), repeats=1
         )
         fast_time = _best_of(lambda: HEFTScheduler().schedule(workflow, costs, resources))
-        fast = HEFTScheduler().schedule(workflow, costs, resources)
+        fast = _validated(workflow, costs, HEFTScheduler().schedule(workflow, costs, resources))
         seed = seed_heft_schedule(workflow, costs, resources)
         if fast.to_dict() != seed.to_dict():
             raise AssertionError(f"fast kernel diverged from seed kernel at V={v}")
@@ -399,6 +437,7 @@ def measure_adaptive_aheft(v: int = AHEFT_V, events: int = AHEFT_EVENTS) -> Dict
     seed_time = _best_of(lambda: adaptive(SeedAHEFTScheduler()), repeats=2)
     fast_time = _best_of(lambda: adaptive(AHEFTScheduler()), repeats=3)
     fast = adaptive(AHEFTScheduler())
+    _validated(workflow, costs, fast.final_schedule, pool)
     seed = adaptive(SeedAHEFTScheduler())
     if fast.final_schedule.to_dict() != seed.final_schedule.to_dict():
         raise AssertionError("adaptive fast kernel diverged from seed kernel")
@@ -473,13 +512,17 @@ def measure_scaling_series(sizes=SCALING_SIZES) -> Dict[str, object]:
             lambda: HEFTScheduler().schedule(workflow, costs, rids),
             repeats=1 if v > 20_000 else 3,
         )
-        def run_adaptive():
-            model = ResourceChangeModel(
+        _validated(workflow, costs, static)
+
+        def pool():
+            return ResourceChangeModel(
                 initial_size=10, interval=120.0, fraction=0.15,
                 max_events=SCALING_EVENTS,
-            )
+            ).build_pool()
+
+        def run_adaptive():
             return facade_run(
-                workflow, model.build_pool(), mode="adaptive",
+                workflow, pool(), mode="adaptive",
                 costs=costs, strategy=AHEFTScheduler(),
             ).raw
 
@@ -487,6 +530,7 @@ def measure_scaling_series(sizes=SCALING_SIZES) -> Dict[str, object]:
         # noisiest; repeats measure the steady replan loop, which builds
         # each pool's views again (the model keeps the last pool's only)
         adaptive = run_adaptive()
+        _validated(workflow, costs, adaptive.final_schedule, pool())
         adaptive_seconds = _best_of(
             run_adaptive, repeats=1 if v > 20_000 else 2
         )
@@ -1161,6 +1205,65 @@ def measure_case_build(v: int = CASE_BUILD_V, seed: int = CASE_BUILD_SEED) -> Di
     }
 
 
+def measure_truth_draws(pairs: int = TRUTH_DRAW_PAIRS) -> Dict[str, object]:
+    """Truth factors of a fixed set of (job, resource) pairs per error
+    family, drawn in one batched pass (:func:`draw_factors`) and one pair at
+    a time (``ErrorModel.factor``).
+
+    The two draws alternate, best of three each, and must be equal per
+    family; ``kernel_passes`` counts the kernel passes of one
+    :func:`draw_factors` call over all five families, whose factors must
+    equal the per-family ones.
+    """
+    keys = [(f"n{k}", f"r{k % TRUTH_DRAW_RESOURCES}") for k in range(pairs)]
+    models = [
+        registry.make(
+            "error_model", family, magnitude=TRUTH_DRAW_MAGNITUDE, seed=TRUTH_DRAW_SEED
+        ).scoped("bench")
+        for family in sorted(ERROR_MODELS)
+    ]
+    families: Dict[str, Dict[str, float]] = {}
+    for model in models:
+        if draw_factors([(model, keys)]) != [[model.factor(*key) for key in keys]]:
+            raise AssertionError(f"batched {model.name} truth factors diverged from factor()")
+        batched_times, scalar_times = [], []
+        for _ in range(3):
+            scalar_times.append(
+                _best_of(lambda: [model.factor(*key) for key in keys], repeats=1)
+            )
+            batched_times.append(_best_of(lambda: draw_factors([(model, keys)]), repeats=1))
+        families[model.name] = {
+            "batched_seconds": min(batched_times),
+            "scalar_seconds": min(scalar_times),
+            "speedup": min(scalar_times) / min(batched_times),
+        }
+    passes = []
+    seed_states = rng_module._seed_states
+
+    def counting(seeds):
+        passes.append(seeds.size)
+        return seed_states(seeds)
+
+    rng_module._seed_states = counting
+    try:
+        joint = draw_factors((model, keys) for model in models)
+    finally:
+        rng_module._seed_states = seed_states
+    if joint != [[model.factor(*key) for key in keys] for model in models]:
+        raise AssertionError("one pass over all families diverged from one pass per family")
+    batched = sum(row["batched_seconds"] for row in families.values())
+    scalar = sum(row["scalar_seconds"] for row in families.values())
+    return {
+        "pairs": pairs,
+        "resources": TRUTH_DRAW_RESOURCES,
+        "families": families,
+        "kernel_passes": len(passes),
+        "batched_seconds": batched,
+        "scalar_seconds": scalar,
+        "speedup": scalar / batched,
+    }
+
+
 def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     # first, so that no earlier case's leftovers weigh on the ratio
     closed_loop = measure_closed_loop(CLOSED_LOOP_SEEDS_QUICK if quick else CLOSED_LOOP_SEEDS)
@@ -1180,6 +1283,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
     pricing_memory = measure_pricing_memory(PRICING_V_QUICK if quick else PRICING_V)
     structure_memory = measure_structure_memory()
     case_build = measure_case_build()
+    truth_draws = measure_truth_draws()
     stream_build = measure_stream_build()
     run_pricing = measure_run_pricing(PRICING_V_QUICK if quick else PRICING_V)
     placement_order = measure_placement_order(
@@ -1197,6 +1301,7 @@ def kernel_scaling_results(*, quick: bool = False) -> Dict[str, object]:
         "pricing_memory": pricing_memory,
         "structure_memory": structure_memory,
         "case_build": case_build,
+        "truth_draws": truth_draws,
         "stream_build": stream_build,
         "run_pricing": run_pricing,
         "placement_order": placement_order,
@@ -1289,6 +1394,17 @@ def render(results: Dict[str, object]) -> str:
         f"case build (random DAG, V={b['v']}, {b['edges']} edges): bulk "
         f"{b['bulk_seconds'] * 1e3:.1f} ms / scalar oracle {b['oracle_seconds'] * 1e3:.1f} ms "
         f"= {b['speedup']:.2f}x (gate ≥ {MIN_CASE_BUILD_SPEEDUP}x)"
+    )
+    d = results["truth_draws"]
+    lines.append("")
+    lines.append(
+        f"truth draws ({d['pairs']} pairs per error family, "
+        f"{d['kernel_passes']} kernel pass for all five): batched "
+        f"{d['batched_seconds'] * 1e3:.1f} ms / one at a time {d['scalar_seconds'] * 1e3:.1f} ms "
+        f"= {d['speedup']:.2f}x (gate ≥ {MIN_TRUTH_DRAW_SPEEDUP}x)"
+    )
+    lines.append(
+        "  " + "  ".join(f"{name} {row['speedup']:.2f}x" for name, row in d["families"].items())
     )
     t = results["stream_build"]
     lines.append("")
@@ -1407,6 +1523,12 @@ def check_thresholds(results: Dict[str, object]) -> None:
     assert case_build["speedup"] >= MIN_CASE_BUILD_SPEEDUP, (
         f"the bulk case build is only {case_build['speedup']:.2f}x faster than the "
         f"scalar oracle, below the {MIN_CASE_BUILD_SPEEDUP}x floor"
+    )
+    # and the batched truth draws over one pair at a time, a same-run ratio
+    truth_draws = results["truth_draws"]
+    assert truth_draws["speedup"] >= MIN_TRUTH_DRAW_SPEEDUP, (
+        f"batched truth draws are only {truth_draws['speedup']:.2f}x faster than one "
+        f"pair at a time, below the {MIN_TRUTH_DRAW_SPEEDUP}x floor"
     )
     # and the batched stream build: its kernel passes, a count, and its
     # speedup over the per-arrival oracle, a same-run ratio

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import registry
 from repro.core.history import PerformanceHistoryRepository
@@ -74,7 +74,12 @@ from repro.simulation.executor import (
 )
 from repro.simulation.shared_grid import SharedGridExecutor
 from repro.simulation.trace import ExecutionTrace, KillRecord
-from repro.workflow.costs import CostModel, ErrorModel, PerturbedCostModel
+from repro.workflow.costs import (
+    CostModel,
+    ErrorModel,
+    PerturbedCostModel,
+    prime_truth_factors,
+)
 from repro.workflow.dag import Workflow
 from repro.workload.streams import WorkflowArrival
 
@@ -1156,18 +1161,32 @@ class _TenantReplay:
         self.bookings: Dict[int, _Booking] = {}
         #: executions whose projection this call changed (``None``: all new)
         self.updated: Optional[List[Assignment]] = None
+        #: the (job, resource) pairs :meth:`queue` found without a memoised
+        #: truth duration
+        self.unpriced: List[Tuple[str, str]] = []
 
     def queue(self, started) -> List[_Booking]:
-        """The plan's executions not started yet, as bookings."""
+        """The plan's executions not started yet, as bookings.
+
+        The (job, resource) pairs among them whose truth duration the memo
+        lacks are left in :attr:`unpriced`, for :func:`_prime_truth`.
+        """
         rank = self.rank
         position = self.workflow.structure().index
+        memo = self.memo
         out = []
+        unpriced = self.unpriced = []
         for a in self.plan:
-            if a.job_id not in started:
-                booking = _Booking((a.start, a.finish, rank, a.job_id), a.resource_id, self,
-                                   position[a.job_id], None)
-                self.bookings[booking.i] = booking
+            job = a.job_id
+            if job not in started:
+                rid = a.resource_id
+                i = position[job]
+                booking = _Booking((a.start, a.finish, rank, job), rid, self, i, None)
+                self.bookings[i] = booking
                 out.append(booking)
+                durations = memo.get(rid)
+                if durations is None or durations[i] is None:
+                    unpriced.append((job, rid))
         for d in self.plan.duplicates:
             key = (d.job_id, d.resource_id)
             fact = started.get(key)
@@ -1176,6 +1195,7 @@ class _TenantReplay:
             else:
                 out.append(_Booking((d.start, d.finish, rank, d.job_id), d.resource_id, self,
                                     position[d.job_id], key))
+                unpriced.append(key)
         return out
 
     def evaluate(self, booking: _Booking, free: float, perf_profile) -> Optional[tuple]:
@@ -1243,6 +1263,12 @@ class _TenantReplay:
             self.projected[booking.dup] = actual
             self.local[booking.dup] = finish
         return actual
+
+
+def _prime_truth(tenants: Sequence[_TenantReplay]) -> None:
+    """Draw in one kernel pass the truth factors the walk will ask for:
+    the pairs each tenant's :meth:`~_TenantReplay.queue` left unpriced."""
+    prime_truth_factors((tenant.truth, tenant.unpriced) for tenant in tenants if tenant.unpriced)
 
 
 class ReplayState:
@@ -1346,6 +1372,7 @@ class ReplayState:
                 if assignment.finish > free.get(rid, clock):
                     free[rid] = assignment.finish
             bookings.extend(tenant.queue(started))
+        _prime_truth(tenants)
         return tenants, bookings, free
 
     def _rebuild(self, workflows, perf_profile, clock: float):
@@ -1495,6 +1522,7 @@ class ReplayState:
 
         # replanned workflows leave and enter again; new ones enter
         tenants: List[_TenantReplay] = []
+        entering: List[_TenantReplay] = []
         rank = -_RANK_STEP
         for position, ((workflow, plan, started, truth), tenant) in enumerate(listed):
             if tenant is not None and tenant.plan is plan and tenant.facts == len(started):
@@ -1519,12 +1547,14 @@ class ReplayState:
             tenant = _TenantReplay(workflow, plan, started, truth, rank, self._memo(truth), clock)
             kept[id(truth)] = tenant
             tenants.append(tenant)
+            entering.append(tenant)
             for booking in tenant.queue(started):
                 if booking.dup is not None:
                     raise _OutOfOrder  # duplicate copies: the walk order matters
                 enqueue(booking)
             if tenant.local:
                 raise _OutOfOrder
+        _prime_truth(entering)
 
         # what each resource is free from at the clock
         free: Dict[str, float] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -54,25 +54,71 @@ def _reject_span(start: float, finish: float, message: str) -> None:
     raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class _AssignmentSlots:
+    """The storage of :class:`Assignment`: its four slots and nothing else.
+
+    The record sets its fields through these slots' descriptors, which
+    costs less than a frozen dataclass's ``object.__setattr__`` per field.
+    """
+
+    __slots__ = ("job_id", "resource_id", "start", "finish")
+
+
+_set_job = _AssignmentSlots.job_id.__set__
+_set_resource = _AssignmentSlots.resource_id.__set__
+_set_start = _AssignmentSlots.start.__set__
+_set_finish = _AssignmentSlots.finish.__set__
+
+
+class Assignment(_AssignmentSlots):
     """A job mapped to a resource for ``[start, finish)``.
 
     ``finish`` is the scheduled finish time SFT(n_i) while the assignment is
     still a plan, and the actual finish time AFT(n_i) once executed.
+
+    An immutable record with the contract of a frozen dataclass: setting
+    or deleting a field raises :class:`dataclasses.FrozenInstanceError`,
+    two records are equal when they are of the same class with equal
+    fields (never equal to a plain tuple), and hash and repr are the
+    dataclass's.
     """
 
-    job_id: str
-    resource_id: str
-    start: float
-    finish: float
+    __slots__ = ()
+    __match_args__ = ("job_id", "resource_id", "start", "finish")
 
-    def __post_init__(self) -> None:
+    def __init__(self, job_id: str, resource_id: str, start: float, finish: float) -> None:
         # negated, so that a NaN bound fails it too
-        if not self.finish >= self.start - TIME_EPS:
-            _reject_span(
-                self.start, self.finish, f"assignment of {self.job_id!r} finishes before it starts"
+        if not finish >= start - TIME_EPS:
+            _reject_span(start, finish, f"assignment of {job_id!r} finishes before it starts")
+        _set_job(self, job_id)
+        _set_resource(self, resource_id)
+        _set_start(self, start)
+        _set_finish(self, finish)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.job_id, self.resource_id, self.start, self.finish))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.job_id, self.resource_id, self.start, self.finish) == (
+                other.job_id, other.resource_id, other.start, other.finish
             )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.job_id, self.resource_id, self.start, self.finish))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(job_id={self.job_id!r}, "
+            f"resource_id={self.resource_id!r}, start={self.start!r}, finish={self.finish!r})"
+        )
 
     @property
     def duration(self) -> float:
@@ -80,7 +126,9 @@ class Assignment:
 
     def shifted(self, delta: float) -> "Assignment":
         """The same assignment translated in time by ``delta``."""
-        return replace(self, start=self.start + delta, finish=self.finish + delta)
+        return self.__class__(
+            self.job_id, self.resource_id, self.start + delta, self.finish + delta
+        )
 
 
 class ResourceTimeline:

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.scheduling.base import Schedule
 from repro.scheduling.frame import PartialScheduleFrame, occupy_busy_intervals, plan
 from repro.workflow.analysis import upward_ranks
@@ -43,11 +45,14 @@ def _compute_priority_order(
     resources: Optional[Sequence[str]],
 ) -> List[str]:
     ranks = upward_ranks(workflow, costs, resources)
-    topo_index = {job: idx for idx, job in enumerate(workflow.topological_order())}
-    return sorted(
-        workflow.jobs,
-        key=lambda job: (-ranks[job], topo_index[job], job),
-    )
+    # topological positions are unique, so ordering by (-rank, position)
+    # leaves no tie for a job-id key to break
+    structure = workflow.structure()
+    jobs, n = structure.jobs, structure.num_jobs
+    rank = np.fromiter(map(ranks.__getitem__, jobs), dtype=np.float64, count=n)
+    position = np.empty(n, dtype=np.intp)
+    position[np.fromiter(structure.topo, dtype=np.intp, count=n)] = np.arange(n)
+    return [jobs[i] for i in np.lexsort((position, -rank)).tolist()]
 
 
 def heft_priority_order(

@@ -21,15 +21,18 @@ paths, under any number of root seeds, at once: it re-implements NumPy's
 its one-root call for ``uniform(low, high)`` draws, and
 :func:`uniform_blocks` draws whole (prefix, middle, last) grids of streams
 straight into one buffer, blocks of it per grid, in one kernel pass.
-:func:`spawn_rng` stays the single-draw path and the reference the batched
-kernel is tested against.
+Streams that take more than one draw of any distribution (the truth
+factors of the error models) are drawn by :func:`stream_draws`: the same
+kernel stops at each stream's seeded PCG64 state, and one generator is
+set to it per stream.  :func:`spawn_rng` stays the single-draw path and
+the reference the batched kernel is tested against.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = [
     "spawn_rng",
     "first_outputs",
     "spawn_uniforms",
+    "stream_draws",
     "uniform_blocks",
     "uniform_draws",
     "RandomSource",
@@ -137,38 +141,64 @@ def first_outputs(
     from (``random()`` keeps its top 53 bits, ``integers(0, 2**62)`` is it
     shifted right by two).
 
-    A root seed is hashed once for a run of groups that share it, and each
-    prefix once per group, whose SHA-256 state is copied per last token; a
-    group that passes the same ``last_tokens`` object as the group before
-    reuses its rendering.  All the seeds go through the generator kernel
-    together, in blocks of :data:`_BLOCK`, so temporaries stay small for
-    any batch.
+    Seeds are hashed as :func:`_stream_seeds` does; a group that passes
+    the same ``last_tokens`` object as the group before reuses its
+    rendering.  All the seeds go through the generator kernel together, in
+    blocks of :data:`_BLOCK`, so temporaries stay small for any batch.
     """
-    chunks = []
-    digests: list = []
-    suffixes: list = []
-    previous = None
-    previous_root = root = None
-    for root_seed, prefix, last_tokens in groups:
-        if root is None or root_seed != previous_root:
-            root, previous_root = _root_hash(root_seed), root_seed
-        if last_tokens is not previous:
-            suffixes = [b"\x00" + _token_bytes(token) for token in last_tokens]
-            previous = last_tokens
-        copy = _extend(root.copy(), prefix).copy
-        for suffix in suffixes:
-            digest = copy()
-            digest.update(suffix)
-            digests.append(digest.digest()[:8])
-        if len(digests) >= _BLOCK:
-            chunks.append(np.frombuffer(b"".join(digests), dtype="<u8"))
-            digests = []
-    chunks.append(np.frombuffer(b"".join(digests), dtype="<u8"))
-    seeds = np.concatenate(chunks).astype(_U64) & _U64(_SEED_MASK)
+    seeds = _stream_seeds(_rendered_lasts(groups))
     if not seeds.size:
         return np.empty(0, dtype=_U64 if raw else np.float64)
     out = _seed_outputs(seeds)
     return out if raw else _unit_doubles(out)
+
+
+def _rendered_lasts(
+    groups: Iterable[Tuple[int, Sequence[Token], Sequence[Token]]],
+) -> Iterator[Tuple[int, Sequence[Token], List[bytes]]]:
+    """:func:`first_outputs` groups with each last token rendered as a
+    suffix; a repeated ``last_tokens`` object is rendered once."""
+    previous = suffixes = None
+    for root_seed, prefix, last_tokens in groups:
+        if last_tokens is not previous:
+            suffixes = [b"\x00" + _token_bytes(token) for token in last_tokens]
+            previous = last_tokens
+        yield root_seed, prefix, suffixes
+
+
+def _render(tokens: Sequence[Token]) -> bytes:
+    """The bytes :func:`_extend` feeds the hash for ``tokens``."""
+    return b"".join(b"\x00" + _token_bytes(token) for token in tokens)
+
+
+def _stream_seeds(
+    groups: Iterable[Tuple[int, Sequence[Token], Sequence[bytes]]],
+) -> np.ndarray:
+    """The derived seeds of many token-path streams, as a uint64 array.
+
+    ``groups`` yields ``(root_seed, prefix, suffixes)`` triples, each
+    suffix the :func:`_render` of the tokens that end a path; element *k*
+    is ``derive_seed(root_k, *path_k)``, group after group.  A root seed
+    is hashed once for a run of groups that share it, and each prefix once
+    per group, whose SHA-256 state is copied per suffix.  Digests join in
+    blocks of :data:`_BLOCK`, so no byte string outgrows one block.
+    """
+    chunks = []
+    digests: list = []
+    previous_root = root = None
+    for root_seed, prefix, suffixes in groups:
+        if root is None or root_seed != previous_root:
+            root, previous_root = _root_hash(root_seed), root_seed
+        copy = _extend(root.copy(), prefix).copy
+        for suffix in suffixes:
+            digest = copy()
+            digest.update(suffix)
+            digests.append(digest.digest())
+        if len(digests) >= _BLOCK:
+            chunks.append(_seed_words(digests))
+            digests = []
+    chunks.append(_seed_words(digests))
+    return np.concatenate(chunks) & _U64(_SEED_MASK)
 
 
 def uniform_draws(unit: np.ndarray, low, high) -> np.ndarray:
@@ -274,12 +304,68 @@ def _hash_columns(state, middles: Sequence[Token], suffixes: Sequence[bytes], ou
         for suffix in suffixes:
             digest = copy()
             digest.update(suffix)
-            digests.append(digest.digest()[:8])
+            digests.append(digest.digest())
         if i + 1 - first == per_flush or i + 1 == len(middles):
-            chunk = np.frombuffer(b"".join(digests), dtype="<u8").reshape(i + 1 - first, width)
+            chunk = _seed_words(digests).reshape(i + 1 - first, width)
             out[:, first:i + 1] = chunk.T
             digests = []
             first = i + 1
+
+
+#: uint64 words per SHA-256 digest
+_DIGEST_WORDS = 4
+
+
+def _seed_words(digests: List[bytes]) -> np.ndarray:
+    """The unmasked derived seed of each whole SHA-256 digest: its first
+    eight bytes, little-endian, read through one strided view."""
+    return np.frombuffer(b"".join(digests), dtype="<u8")[::_DIGEST_WORDS]
+
+
+def stream_draws(
+    groups: Iterable[Tuple[
+        int, Sequence[Token], Sequence[Sequence[Token]], Callable[[np.random.Generator, Any], Any]
+    ]],
+) -> List[list]:
+    """Draws from many token-path streams, seeded in one kernel pass.
+
+    ``groups`` yields ``(root_seed, prefix, suffixes, draw)``; together
+    they name the streams ``(root_seed, *prefix, *suffix)`` for every token
+    sequence ``suffix`` of ``suffixes``, group after group.  Entry *k* of
+    the result lists ``draw(rng, suffix)`` for every suffix of group *k*,
+    where ``rng`` is in the state ``spawn_rng(root_seed, *prefix,
+    *suffix)`` starts in, so any draws from it equal that generator's bit
+    for bit.
+
+    Every seed is hashed (:func:`_stream_seeds`) before the first draw, and
+    one pass of the kernel turns the seeds into generator states.  One
+    generator is set to each stream's state in turn, so ``draw`` must not
+    keep it past its return.
+    """
+    groups = list(groups)
+    seeds = _stream_seeds(
+        (root_seed, prefix, [_render(suffix) for suffix in suffixes])
+        for root_seed, prefix, suffixes, _ in groups
+    )
+    if not seeds.size:
+        return [[] for _ in groups]
+    columns = _seed_states(seeds)
+    states = zip(*(column.tolist() for column in columns))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    out = []
+    for _, _, suffixes, draw in groups:
+        drawn = []
+        # suffixes first: zip must not take a state past the group's last
+        for suffix, (s_hi, s_lo, i_hi, i_lo) in zip(suffixes, states):
+            inner["state"] = s_hi << 64 | s_lo
+            inner["inc"] = i_hi << 64 | i_lo
+            bit_generator.state = state
+            drawn.append(draw(generator, suffix))
+        out.append(drawn)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -410,18 +496,27 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return _add128(mul_hi, mul_lo, inc_hi, inc_lo)
 
 
-def _first_raw(seeds: np.ndarray) -> np.ndarray:
-    """``default_rng(seed).bit_generator.random_raw()`` for one block of
-    uint64 seeds."""
+def _seeded_state(seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The PCG64 state ``default_rng(seed)`` starts in, for one block of
+    uint64 seeds: ``(state_hi, state_lo, inc_hi, inc_lo)``, the 128-bit
+    state and increment as 64-bit halves."""
     lo = (seeds & _U64(_M32)).astype(_U32)
     hi = (seeds >> _U64(32)).astype(_U32)
     s_hi, s_lo, q_hi, q_lo = _generate_state(_pool(lo, hi))
     # pcg64_set_seed: inc = (initseq << 1) | 1; state = inc + initstate,
-    # then one step; the first draw steps once more and outputs
+    # then one step
     inc_hi = (q_hi << _U64(1)) | (q_lo >> _U64(63))
     inc_lo = (q_lo << _U64(1)) | _U64(1)
     hi64, lo64 = _add128(inc_hi, inc_lo, s_hi, s_lo)
     hi64, lo64 = _pcg_step(hi64, lo64, inc_hi, inc_lo)
+    return hi64, lo64, inc_hi, inc_lo
+
+
+def _first_raw(seeds: np.ndarray) -> np.ndarray:
+    """``default_rng(seed).bit_generator.random_raw()`` for one block of
+    uint64 seeds."""
+    hi64, lo64, inc_hi, inc_lo = _seeded_state(seeds)
+    # the first draw steps once more and outputs
     hi64, lo64 = _pcg_step(hi64, lo64, inc_hi, inc_lo)
     # XSL-RR: rotate (hi ^ lo) right by the top six bits of the state
     rot = hi64 >> _U64(58)
@@ -445,6 +540,21 @@ def _seed_outputs(seeds: np.ndarray) -> np.ndarray:
     for start in range(0, seeds.size, _BLOCK):
         seeds[start:start + _BLOCK] = _first_raw(seeds[start:start + _BLOCK])
     return seeds
+
+
+def _seed_states(seeds: np.ndarray) -> List[np.ndarray]:
+    """The PCG64 state ``np.random.default_rng(int(s))`` starts in, for
+    every seed ``s`` of a 1-D uint64 array: four uint64 columns, the
+    128-bit state and increment as high and low halves (see
+    :func:`_seeded_state`).
+
+    Runs in blocks of :data:`_BLOCK`; one call is one pass of the kernel.
+    """
+    columns = [np.empty(seeds.size, dtype=_U64) for _ in range(4)]
+    for start in range(0, seeds.size, _BLOCK):
+        for column, words in zip(columns, _seeded_state(seeds[start:start + _BLOCK])):
+            column[start:start + _BLOCK] = words
+    return columns
 
 
 def _seed_doubles(seeds: np.ndarray) -> np.ndarray:

@@ -34,14 +34,6 @@ __all__ = [
     "average_parallelism",
 ]
 
-#: per-cost-model upward-rank cache enabling subgraph-scoped
-#: invalidation: when only data volumes changed between two calls (the
-#: workflow's mutation log can prove it), the cached rank vector is
-#: patched by re-ranking the dirty cone upstream of the changed edges
-#: instead of re-running the full recurrence.  Keyed weakly so dropping
-#: the cost model drops its cache.
-_RANK_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 #: upward-rank level partition per ``WorkflowIndex`` snapshot.  The
 #: partition depends only on the DAG's structure, so it survives new cost
 #: models (uncertain mode builds a fresh effective model on every trigger)
@@ -78,29 +70,6 @@ def upward_ranks(
     structure = workflow.structure()
     if structure.num_jobs == 0:
         return {}
-    token = costs.cache_token()
-    res_key = tuple(resources) if resources is not None else None
-    if token is not None:
-        entry = _RANK_CACHE.get(costs)
-        if (
-            entry is not None
-            and entry["token"] == token
-            and entry["structure_version"] == workflow.structure_version
-            and entry["resources"] == res_key
-        ):
-            changed = workflow.data_edges_changed_between(
-                entry["version"], workflow.version
-            )
-            if changed is not None:
-                # only data volumes moved since the cached snapshot:
-                # re-rank the dirty cone upstream of the changed edges
-                rank_list = entry["rank"]
-                if changed:
-                    _refresh_dirty_cone(
-                        structure, costs, resources, rank_list, changed
-                    )
-                entry["version"] = workflow.version
-                return dict(zip(structure.jobs, rank_list))
     w_arr = costs.average_computation_costs(resources)
     comm_arr = costs.edge_communication_costs()
     # Level-synchronous evaluation of the reverse-topological recurrence:
@@ -123,60 +92,7 @@ def upward_ranks(
         best = np.maximum.reduceat(candidates, seg_offsets)
         np.maximum(best, 0.0, out=best)
         rank[job_idx] = w_arr[job_idx] + best
-    rank_list = rank.tolist()
-    if token is not None:
-        _RANK_CACHE[costs] = {
-            "token": token,
-            "version": workflow.version,
-            "structure_version": workflow.structure_version,
-            "resources": res_key,
-            "rank": rank_list,
-        }
-    return dict(zip(structure.jobs, rank_list))
-
-
-def _refresh_dirty_cone(
-    structure,
-    costs: CostModel,
-    resources: Optional[Sequence[str]],
-    rank: List[float],
-    changed_edges: Sequence[Tuple[str, str]],
-) -> None:
-    """Re-rank only the jobs upstream of the changed data edges, in place.
-
-    A job is re-ranked when one of its out-edges changed volume or when a
-    successor's rank changed; propagation stops as soon as a recomputed
-    rank *exactly* equals the stored one, which keeps the cone tight for
-    localised edits.  The per-job recomputation uses the same float64
-    operations (edge add, exact max) as the full recurrence, so the
-    patched vector is bit-identical to a full recompute.
-    """
-    index = structure.index
-    jobs = structure.jobs
-    succ = structure.succ
-    pred = structure.pred
-    dirty = set()
-    for src, _dst in changed_edges:
-        i = index.get(src)
-        if i is not None:
-            dirty.add(i)
-    if not dirty:
-        return
-    w_arr = costs.average_computation_costs(resources)
-    avg_comm = costs.average_communication_cost
-    for i in reversed(structure.topo):
-        if i not in dirty:
-            continue
-        name = jobs[i]
-        best = 0.0
-        for j in succ[i]:
-            candidate = avg_comm(name, jobs[j]) + rank[j]
-            if candidate > best:
-                best = candidate
-        new_rank = float(w_arr[i]) + best
-        if new_rank != rank[i]:
-            rank[i] = new_rank
-            dirty.update(pred[i])
+    return dict(zip(structure.jobs, rank.tolist()))
 
 
 def _reverse_level_batches(structure) -> Tuple[np.ndarray, List[tuple]]:

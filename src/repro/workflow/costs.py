@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.utils.checks import require_finite
-from repro.utils.rng import spawn_rng, uniform_blocks
+from repro.utils.rng import spawn_rng, stream_draws, uniform_blocks
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -58,7 +58,9 @@ __all__ = [
     "StragglerErrorModel",
     "PerturbedCostModel",
     "ERROR_MODELS",
+    "draw_factors",
     "price_columns",
+    "prime_truth_factors",
 ]
 
 #: Kinds of memoised view keyed by a pool signature (``(kind, pool)``).
@@ -921,11 +923,12 @@ class ErrorModel(abc.ABC):
         """The truth factor of ``job_id`` on ``resource_id`` (clamped)."""
         if self.is_null:
             return 1.0
-        rng = spawn_rng(
-            self.seed, "error", self.name, self.replication, self.scope,
-            job_id, resource_id,
-        )
+        rng = spawn_rng(self.seed, *self._stream_prefix(), job_id, resource_id)
         return max(self.floor, float(self._draw(rng, job_id, resource_id)))
+
+    def _stream_prefix(self) -> tuple:
+        """The tokens between the seed and the pair in a factor's stream."""
+        return ("error", self.name, self.replication, self.scope)
 
     def actual_duration(self, estimate: float, job_id: str, resource_id: str) -> float:
         """The sampled ground-truth duration for an estimated one."""
@@ -1123,6 +1126,42 @@ class StragglerErrorModel(ErrorModel):
         return float(rng.uniform(1.0 - self.spread, 1.0 + self.spread))
 
 
+#: fewer pairs than this are drawn one at a time: a kernel pass costs
+#: about 60 us whatever its size, a pair drawn alone about 11 us
+_BATCH_FROM = 8
+
+
+def draw_factors(
+    requests: Iterable[Tuple[ErrorModel, Iterable[Tuple[str, str]]]],
+) -> List[List[float]]:
+    """The truth factors of many error models' pairs, in one kernel pass.
+
+    ``requests`` yields ``(error, pairs)``; entry *k* of the result lists
+    ``error.factor(job_id, resource_id)`` for every pair of request *k*,
+    bit for bit.  The streams of every non-null request are drawn together
+    (:func:`~repro.utils.rng.stream_draws`): each pair's draw is
+    ``error._draw`` on its stream, clamped at ``error.floor``.  Fewer than
+    :data:`_BATCH_FROM` such pairs are drawn one at a time.
+    """
+    requests = [(error, list(pairs)) for error, pairs in requests]
+    if sum(len(pairs) for error, pairs in requests if not error.is_null) < _BATCH_FROM:
+        return [[error.factor(job, rid) for job, rid in pairs] for error, pairs in requests]
+    drawn = iter(
+        stream_draws(
+            (error.seed, error._stream_prefix(), pairs, _clamped_draw(error))
+            for error, pairs in requests
+            if not error.is_null
+        )
+    )
+    return [[1.0] * len(pairs) if error.is_null else next(drawn) for error, pairs in requests]
+
+
+def _clamped_draw(error: ErrorModel) -> Callable[[np.random.Generator, Tuple[str, str]], float]:
+    """``error``'s factor of a pair from the pair's stream."""
+    draw, floor = error._draw, error.floor
+    return lambda rng, pair: max(floor, float(draw(rng, *pair)))
+
+
 #: registry: family name -> ``factory(magnitude, seed=..., **kw) -> ErrorModel``.
 #: ``magnitude`` maps to each family's primary knob so uncertainty sweeps
 #: can vary "estimate error" uniformly across families.
@@ -1194,3 +1233,27 @@ class PerturbedCostModel(DelegatingCostModel):
         if self.error.is_null:
             return estimate
         return estimate * self.truth_factor(job_id, resource_id)
+
+
+def prime_truth_factors(requests: Iterable[Tuple[CostModel, Iterable[Tuple[str, str]]]]) -> None:
+    """Draw ahead, in one kernel pass, the truth factors that the
+    :class:`PerturbedCostModel` of each ``(model, pairs)`` request has not
+    drawn yet, so that its later ``computation_cost`` queries of those
+    pairs draw nothing.
+
+    Any other model, and a perturbed model with a null error model, is
+    skipped.  The factors are the ones :meth:`ErrorModel.factor` would
+    draw one at a time, bit for bit.
+    """
+    todo = []
+    for model, pairs in requests:
+        if not isinstance(model, PerturbedCostModel) or model.error.is_null:
+            continue
+        drawn = model._factor_cache
+        fresh = [pair for pair in dict.fromkeys(pairs) if pair not in drawn]
+        if fresh:
+            todo.append((model, fresh))
+    if todo:
+        factors = draw_factors((model.error, fresh) for model, fresh in todo)
+        for (model, fresh), drawn in zip(todo, factors):
+            model._factor_cache.update(zip(fresh, drawn))

@@ -122,25 +122,14 @@ class Workflow:
         self._structure_version: int = 0
         self._structure_cache: Optional[WorkflowIndex] = None
         self._structure_cache_version: int = -1
-        #: the single-edge data edits since the last structural change or
-        #: bulk data update, as ``(version_after, src, dst)``.  Lets
-        #: incremental consumers (the rank cache) scope their invalidation
-        #: to the jobs actually touched between two versions instead of
-        #: recomputing everything.
-        self._mutation_log: List[Tuple[int, str, str]] = []
-        #: the version below which the log no longer reaches: the last
-        #: structural change, bulk data update or trim
-        self._mutation_log_floor: int = 0
-
-    #: retained mutation-log entries after a trim (trim triggers at 2x)
-    _MUTATION_LOG_LIMIT = 4096
 
     @property
     def version(self) -> int:
         """Monotone mutation counter (jobs, edges and edge-data changes).
 
-        Cost and rank caches use ``(workflow.version, ...)`` keys so they
-        are invalidated automatically whenever the workflow mutates.
+        Cost-view and priority-order caches use ``(workflow.version, ...)``
+        keys so they are invalidated automatically whenever the workflow
+        mutates.
         """
         return self._version
 
@@ -153,38 +142,6 @@ class Workflow:
         views key on it to survive edge-data refreshes.
         """
         return self._structure_version
-
-    def data_edges_changed_between(
-        self, old_version: int, new_version: int
-    ) -> Optional[List[Tuple[str, str]]]:
-        """Edges whose data changed in ``(old_version, new_version]``.
-
-        Returns ``None`` when the change set cannot be reconstructed —
-        a structural mutation or a bulk data update (:meth:`set_data_many`)
-        occurred in the range, or the log no longer covers it — in which
-        case the caller must fall back to full recomputation.  Edges may
-        repeat if set multiple times.
-        """
-        if old_version > new_version or old_version < self._mutation_log_floor:
-            return None
-        return [
-            (src, dst)
-            for version, src, dst in self._mutation_log
-            if old_version < version <= new_version
-        ]
-
-    def _log_mutation(self, src: str, dst: str) -> None:
-        log = self._mutation_log
-        log.append((self._version, src, dst))
-        if len(log) > 2 * self._MUTATION_LOG_LIMIT:
-            self._mutation_log_floor = log[-self._MUTATION_LOG_LIMIT - 1][0]
-            del log[: -self._MUTATION_LOG_LIMIT]
-
-    def _forget_mutations(self) -> None:
-        """Start the log afresh at the current version (nothing before it
-        can be reconstructed from single-edge edits)."""
-        self._mutation_log.clear()
-        self._mutation_log_floor = self._version
 
     # ------------------------------------------------------------------
     # construction
@@ -266,15 +223,13 @@ class Workflow:
         self._succ[src][dst] = data
         self._pred[dst][src] = data
         self._version += 1  # costs change, topology does not
-        self._log_mutation(src, dst)
 
     def set_data_many(self, updates: Iterable[Tuple[str, str, float]]) -> None:
         """Update the data volumes of many existing edges, as one mutation.
 
         ``updates`` yields ``(src, dst, data)`` triples, validated like
         :meth:`set_data`; if any is rejected, no volume changes.  The batch
-        bumps :attr:`version` once, and :meth:`data_edges_changed_between`
-        answers ``None`` for any range that holds it.
+        bumps :attr:`version` once.
         """
         succ, pred = self._succ, self._pred
         updates = list(updates)
@@ -287,7 +242,6 @@ class Workflow:
         for src, dst, data in updates:
             succ[src][dst] = pred[dst][src] = float(data)
         self._version += 1
-        self._forget_mutations()
 
     # ------------------------------------------------------------------
     # cache bookkeeping
@@ -295,7 +249,6 @@ class Workflow:
     def _touch_structure(self) -> None:
         self._version += 1
         self._structure_version += 1
-        self._forget_mutations()
 
     # ------------------------------------------------------------------
     # queries

@@ -1,10 +1,42 @@
 """Tests for the static HEFT baseline, including the paper's worked example."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.generators.sample import sample_dag_cost_model, sample_dag_workflow
 from repro.scheduling.heft import HEFTScheduler, heft_priority_order
 from repro.scheduling.validation import validate_schedule
+from repro.workflow.analysis import upward_ranks
+from repro.workflow.costs import HeterogeneousCostModel
+from repro.workflow.dag import Workflow
+
+
+@st.composite
+def _tied_case(draw):
+    """A DAG whose insertion order is not its topological order, priced
+    with many zero-cost jobs and zero-volume edges, so ranks tie often."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    hidden = draw(st.permutations(range(n)))  # insertion order of the jobs
+    wf = Workflow("ties")
+    for k in hidden:
+        wf.add_job(f"j{k}")
+    for dst in range(1, n):
+        preds = draw(st.sets(st.integers(min_value=0, max_value=dst - 1), max_size=min(3, dst)))
+        for src in sorted(preds):
+            wf.add_edge(f"j{src}", f"j{dst}", data=draw(st.sampled_from([0.0, 0.0, 1.0, 4.5])))
+    base = {job: draw(st.sampled_from([0.0, 0.0, 3.0, 10.0])) for job in wf.jobs}
+    costs = HeterogeneousCostModel(
+        wf, base, beta=draw(st.sampled_from([0.0, 0.5])), seed=draw(st.integers(0, 99))
+    )
+    return wf, costs
+
+
+def _sorted_key_order(workflow, costs, resources):
+    """The scalar reference: sort by (-rank, topological position, job)."""
+    ranks = upward_ranks(workflow, costs, resources)
+    topo_index = {job: idx for idx, job in enumerate(workflow.topological_order())}
+    return sorted(workflow.jobs, key=lambda job: (-ranks[job], topo_index[job], job))
 
 
 class TestPriorityOrder:
@@ -20,6 +52,40 @@ class TestPriorityOrder:
         order = heft_priority_order(sample_workflow, sample_costs, ["r1", "r2", "r3"])
         assert order[0] == "n1"
         assert order[-1] == "n10"
+
+
+class TestLexsortOrder:
+    """The order from one lexsort over (topological position, -rank) is the
+    sorted-key order, ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_tied_case(), pools=st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+    def test_equals_the_sorted_key_order(self, case, pools):
+        wf, costs = case
+        for size in pools + [None]:
+            resources = None if size is None else [f"r{i}" for i in range(size + 1)]
+            # a fresh call per pool: the memo holds one pool at a time
+            assert heft_priority_order(wf, costs, resources) == _sorted_key_order(
+                wf, costs, resources
+            )
+
+    def test_ties_break_by_topological_position(self):
+        wf = Workflow("ties")
+        for job in ("z", "b", "a", "m"):
+            wf.add_job(job)
+        wf.add_edge("m", "a", data=0.0)
+        costs = HeterogeneousCostModel(wf, {job: 0.0 for job in wf.jobs}, seed=1)
+        order = heft_priority_order(wf, costs, ["r1"])
+        assert order == _sorted_key_order(wf, costs, ["r1"])
+        assert order.index("m") < order.index("a")
+
+    def test_foreign_workflow_matches_the_sorted_key_order(self, small_random_case):
+        wf = small_random_case.workflow
+        foreign = wf.subgraph(wf.jobs[: len(wf.jobs) // 2])
+        costs = small_random_case.costs
+        assert heft_priority_order(foreign, costs, ["r1", "r2"]) == _sorted_key_order(
+            foreign, costs, ["r1", "r2"]
+        )
 
 
 class TestClassicExample:

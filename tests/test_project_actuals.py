@@ -163,3 +163,73 @@ def test_record_observation_normalises_by_the_dispatch_factor():
     assert second.job_id == "a"
     # no history: the monitor records nothing and does not fail
     record_observation(None, workflow, estimates, "a", "r1", 0.0, 5.0, profile)
+
+
+class TestTruthPriming:
+    """The replay draws its truth factors ahead, in one pass per call
+    (``_prime_truth``); that changes no output and leaves no scalar draw."""
+
+    @staticmethod
+    def _run(case, scenario, family):
+        import repro
+
+        result = repro.run(
+            case.workflow,
+            scenario.pool,
+            costs=case.costs,
+            mode="adaptive",
+            perf_profile=scenario.profile,
+            error_model=repro.registry.make("error_model", family, magnitude=0.4, seed=5),
+        )
+        return (
+            result.makespan,
+            result.wasted_work,
+            result.killed_jobs,
+            [(d.time, d.candidate_makespan, d.previous_makespan, d.adopted)
+             for d in result.decisions],
+            result.schedule.to_dict(),
+        )
+
+    @pytest.mark.parametrize("family", ["gaussian", "lognormal", "uniform", "resource_bias",
+                                        "stragglers"])
+    def test_outputs_unchanged_by_priming(self, make_case, build_scenario, monkeypatch, family):
+        from repro.core import adaptive
+
+        case = make_case(v=30, seed=3)
+        scenario = build_scenario("churn", initial_size=5, seed=2)
+        primed = self._run(case, scenario, family)
+        monkeypatch.setattr(adaptive, "prime_truth_factors", lambda requests: None)
+        assert self._run(case, scenario, family) == primed
+
+    def test_the_walk_draws_no_factor(self, make_case, build_scenario, monkeypatch):
+        """Every factor the replay's walk reads was drawn before the walk."""
+        from repro.core import adaptive
+        from repro.workflow.costs import PerturbedCostModel
+
+        misses, replays = [], []
+        truth_factor, replay = PerturbedCostModel.truth_factor, adaptive.ReplayState.replay
+
+        def checked_truth_factor(self, job_id, resource_id):
+            if replays and (job_id, resource_id) not in self._factor_cache:
+                misses.append((job_id, resource_id))
+            return truth_factor(self, job_id, resource_id)
+
+        def counting_replay(self, *args):
+            replays.append(args)
+            try:
+                return replay(self, *args)
+            finally:
+                replays.pop()
+
+        monkeypatch.setattr(PerturbedCostModel, "truth_factor", checked_truth_factor)
+        monkeypatch.setattr(adaptive.ReplayState, "replay", counting_replay)
+        calls = []
+        monkeypatch.setattr(
+            adaptive, "prime_truth_factors",
+            lambda requests, prime=adaptive.prime_truth_factors: calls.append(1) or prime(requests),
+        )
+        case = make_case(v=30, seed=3)
+        scenario = build_scenario("churn", initial_size=5, seed=2)
+        self._run(case, scenario, "gaussian")
+        assert len(calls) > 3
+        assert misses == []

@@ -8,6 +8,9 @@ kernel (the test oracle ``benchmarks/_seed_reference.py``) on seeded random
 and application DAGs.
 """
 
+import copy
+import dataclasses
+import pickle
 import zlib
 
 import pytest
@@ -45,7 +48,7 @@ class TestAssignment:
         assert a.duration == 3.0
 
     def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="assignment of 'j' finishes before it starts"):
             Assignment("j", "r", 5.0, 2.0)
 
     def test_shifted(self):
@@ -56,6 +59,73 @@ class TestAssignment:
     def test_nan_bound_rejected_by_name(self, start, finish):
         with pytest.raises(ValueError, match="must be finite"):
             Assignment("j", "r", start, finish)
+
+    def test_keywords_and_tolerance(self):
+        a = Assignment(job_id="j", resource_id="r", start=1.0, finish=1.0 - 1e-10)
+        assert (a.job_id, a.resource_id, a.start, a.finish) == ("j", "r", 1.0, 1.0 - 1e-10)
+
+    @pytest.mark.parametrize("field", ["job_id", "resource_id", "start", "finish", "other"])
+    def test_frozen(self, field):
+        a = Assignment("j", "r", 2.0, 5.0)
+        frozen = dataclasses.FrozenInstanceError
+        with pytest.raises(frozen, match=f"cannot assign to field '{field}'"):
+            setattr(a, field, 1.0)
+        with pytest.raises(frozen, match=f"cannot delete field '{field}'"):
+            delattr(a, field)
+        assert (a.start, a.finish) == (2.0, 5.0)
+
+    def test_equality_and_hash(self):
+        a = Assignment("j", "r", 2.0, 5.0)
+        assert a == Assignment("j", "r", 2.0, 5.0)
+        assert hash(a) == hash(Assignment("j", "r", 2.0, 5.0)) == hash(("j", "r", 2.0, 5.0))
+        assert a != Assignment("j", "r", 2.0, 6.0)
+        assert a != Assignment("k", "r", 2.0, 5.0)
+        assert len({a, Assignment("j", "r", 2.0, 5.0), a.shifted(1.0)}) == 2
+
+    def test_never_equal_to_a_tuple(self):
+        a = Assignment("j", "r", 2.0, 5.0)
+        assert a != ("j", "r", 2.0, 5.0)
+        assert ("j", "r", 2.0, 5.0) != a
+        assert a not in {("j", "r", 2.0, 5.0)}
+
+    def test_repr(self):
+        assert repr(Assignment("j", "r", 2.0, 5.0)) == (
+            "Assignment(job_id='j', resource_id='r', start=2.0, finish=5.0)"
+        )
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a)),
+         lambda a: pickle.loads(pickle.dumps(a, protocol=0))],
+    )
+    def test_copy_and_pickle(self, clone):
+        a = Assignment("j", "r", 2.0, 5.0)
+        b = clone(a)
+        assert type(b) is Assignment and b == a and repr(b) == repr(a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.start = 0.0
+
+    def test_no_instance_dict(self):
+        a = Assignment("j", "r", 2.0, 5.0)
+        assert not hasattr(a, "__dict__")
+
+    def test_matches_the_dataclass_record(self):
+        """Repr, hash and match args of the frozen dataclass the record
+        replaces."""
+        for fields in [("j", "r", 2.0, 5.0), ("x", "y", 0.0, 0.0), ("a", "b", -1.5, 1e9)]:
+            record, reference = Assignment(*fields), _DataclassAssignment(*fields)
+            assert repr(record) == repr(reference).replace("_DataclassAssignment", "Assignment")
+            assert hash(record) == hash(reference)
+            assert record.__match_args__ == reference.__match_args__
+            assert record != reference
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassAssignment:
+    job_id: str
+    resource_id: str
+    start: float
+    finish: float
 
 
 class TestResourceTimeline:

@@ -46,9 +46,13 @@ from repro.scheduling.validation import (
     check_precedence,
     validate_schedule,
 )
+from repro.utils import rng as rng_module
 from repro.workflow.costs import (
     ERROR_MODELS,
+    ErrorModel,
     PerturbedCostModel,
+    draw_factors,
+    prime_truth_factors,
 )
 
 FAMILIES = sorted(ERROR_MODELS)
@@ -148,6 +152,89 @@ class TestErrorModelSampling:
             case.costs.average_communication_cost(src, dst)
         )
         assert noisy.has_uniform_communication == case.costs.has_uniform_communication
+
+
+class TestBatchedTruthFactors:
+    """Factors drawn in one kernel pass equal ``ErrorModel.factor``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        magnitude=st.sampled_from([0.0, 0.05, 0.3, 0.8]),
+        seed=st.integers(min_value=0, max_value=2**63),
+        replication=st.integers(min_value=0, max_value=50),
+        scope=st.sampled_from(["", "t1/0", "tenant/7"]),
+    )
+    def test_equal_to_one_at_a_time(self, family, magnitude, seed, replication, scope):
+        model = (
+            registry.make("error_model", family, magnitude=magnitude, seed=seed)
+            .for_replication(replication)
+            .scoped(scope)
+        )
+        pairs = [(f"j{i}", f"r{i % 5}") for i in range(24)] + [("j3", "r3"), ("j3", "r3")]
+        (batched,) = draw_factors([(model, pairs)])
+        assert batched == [model.factor(*pair) for pair in pairs]
+
+    def test_many_models_in_one_pass(self, monkeypatch):
+        passes = []
+        seed_states = rng_module._seed_states
+
+        def counting(seeds):
+            passes.append(seeds.size)
+            return seed_states(seeds)
+
+        monkeypatch.setattr(rng_module, "_seed_states", counting)
+        models = [
+            registry.make("error_model", family, magnitude=magnitude, seed=3).scoped(f"t{k}")
+            for k, (family, magnitude) in enumerate(
+                (family, magnitude) for family in FAMILIES for magnitude in (0.0, 0.4)
+            )
+        ]
+        pairs = [(f"j{i}", f"r{i % 3}") for i in range(7)]
+        got = draw_factors((model, pairs) for model in models)
+        assert passes == [7 * len(FAMILIES)]  # the null models draw nothing
+        assert got == [[model.factor(*pair) for pair in pairs] for model in models]
+        assert draw_factors([]) == [] and passes == [7 * len(FAMILIES)]
+
+    def test_a_few_pairs_are_drawn_one_at_a_time(self, monkeypatch):
+        from repro.workflow import costs
+
+        monkeypatch.setattr(rng_module, "_seed_states", None)  # no kernel pass
+        model = registry.make("error_model", "lognormal", magnitude=0.3, seed=8)
+        pairs = [(f"j{i}", "r1") for i in range(costs._BATCH_FROM - 1)]
+        null = registry.make("error_model", "uniform", magnitude=0.0)
+        assert draw_factors([(model, pairs), (null, pairs * 3)]) == [
+            [model.factor(*pair) for pair in pairs], [1.0] * len(pairs) * 3
+        ]
+
+    def test_priming_fills_only_what_perturbed_models_lack(self, monkeypatch):
+        case = _case(v=12, seed=4)
+        jobs = list(case.workflow.jobs)
+        noisy = PerturbedCostModel(
+            case.costs, registry.make("error_model", "stragglers", magnitude=0.5, seed=2)
+        )
+        null = PerturbedCostModel(
+            case.costs, registry.make("error_model", "gaussian", magnitude=0.0)
+        )
+        before = noisy.computation_cost(jobs[0], "r1")
+        prime_truth_factors(
+            [(noisy, [(job, rid) for job in jobs for rid in ("r1", "r2")]),
+             (null, [(jobs[0], "r1")]),
+             (case.costs, [(jobs[0], "r1")])]
+        )
+        assert len(noisy._factor_cache) == 2 * len(jobs)
+        assert null._factor_cache == {}
+
+        def no_scalar_draws(self, job_id, resource_id):
+            raise AssertionError("a primed pair was drawn again")
+
+        monkeypatch.setattr(ErrorModel, "factor", no_scalar_draws)
+        assert noisy.computation_cost(jobs[0], "r1") == before
+        fresh = PerturbedCostModel(case.costs, noisy.error)
+        monkeypatch.undo()
+        for job in jobs:
+            for rid in ("r1", "r2"):
+                assert noisy.computation_cost(job, rid) == fresh.computation_cost(job, rid)
 
 
 # ----------------------------------------------------------------------

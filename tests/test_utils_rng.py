@@ -12,6 +12,7 @@ from repro.utils.rng import (
     derive_seed,
     first_outputs,
     spawn_rng,
+    stream_draws,
     spawn_uniforms,
     uniform_blocks,
 )
@@ -322,3 +323,72 @@ class TestUniformBlocks:
         assert uniform_blocks([]) == []
         (block,) = uniform_blocks([(1, ("a",), [], ["r1"], 0.0, 1.0)])
         assert block.shape == (1, 0)
+
+
+def _draws(rng) -> tuple:
+    """A few draws of every kind the error models take."""
+    return (rng.random(), rng.standard_normal(), rng.uniform(0.5, 1.5), int(rng.integers(0, 99)),
+            float(np.exp(rng.standard_normal())))
+
+
+def _stream_draws(rng, suffix) -> tuple:
+    return _draws(rng)
+
+
+class TestStreamDraws:
+    """``stream_draws`` draws from one generator seated in each stream's
+    start state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(
+                _roots,
+                st.lists(_tokens, max_size=3),
+                st.lists(st.lists(_tokens, max_size=3), max_size=4),
+            ),
+            max_size=5,
+        )
+    )
+    def test_draws_equal_spawn_rng(self, groups):
+        got = stream_draws(
+            (root, prefix, suffixes, _stream_draws) for root, prefix, suffixes in groups
+        )
+        want = [
+            [_draws(spawn_rng(root, *prefix, *suffix)) for suffix in suffixes]
+            for root, prefix, suffixes in groups
+        ]
+        assert got == want
+
+    def test_one_pass_and_one_generator(self, monkeypatch):
+        passes = []
+        seed_states = rng_module._seed_states
+
+        def counting(seeds):
+            passes.append(seeds.size)
+            return seed_states(seeds)
+
+        monkeypatch.setattr(rng_module, "_seed_states", counting)
+        generators = set()
+
+        def draw(rng, suffix):
+            generators.add(id(rng))
+            return (suffix, rng.standard_normal())
+
+        pairs = [(f"n{k}", f"r{k % 7}") for k in range(rng_module._BLOCK + 10)]
+        groups = [(7, ("error", "gaussian", 0, ""), pairs, draw), (2**40, (), [("x",), ()], draw)]
+        got, tail = stream_draws(groups)
+        assert passes == [len(pairs) + 2]
+        assert len(generators) == 1
+        assert [suffix for suffix, _ in got] == pairs
+        assert [value for _, value in got[::997]] == [
+            spawn_rng(7, "error", "gaussian", 0, "", *pair).standard_normal()
+            for pair in pairs[::997]
+        ]
+        assert tail == [(("x",), spawn_rng(2**40, "x").standard_normal()),
+                        ((), spawn_rng(2**40).standard_normal())]
+
+    def test_empty_call_makes_no_pass(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_seed_states", None)
+        assert stream_draws([]) == []
+        assert stream_draws([(1, ("a",), [], _stream_draws)]) == [[]]

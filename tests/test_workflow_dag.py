@@ -175,68 +175,17 @@ class TestStructure:
             diamond_workflow.subgraph(["a", "ghost"])
 
 
-class TestMutationLog:
-    """The data-mutation log behind subgraph-scoped rank invalidation."""
-
-    def _chain(self):
-        wf = Workflow("log")
+class TestVersions:
+    def test_structure_version_only_bumps_on_topology(self):
+        wf = Workflow("versions")
         for j in ("a", "b", "c"):
             wf.add_job(j)
         wf.add_edge("a", "b", data=4.0)
-        wf.add_edge("b", "c", data=2.0)
-        return wf
-
-    def test_set_data_is_reconstructible(self):
-        wf = self._chain()
-        v0 = wf.version
-        wf.set_data("a", "b", 9.0)
-        wf.set_data("b", "c", 1.0)
-        assert wf.data_edges_changed_between(v0, wf.version) == [
-            ("a", "b"),
-            ("b", "c"),
-        ]
-
-    def test_empty_range_is_empty_not_none(self):
-        wf = self._chain()
-        assert wf.data_edges_changed_between(wf.version, wf.version) == []
-
-    def test_structural_mutation_defeats_reconstruction(self):
-        wf = self._chain()
-        v0 = wf.version
-        wf.set_data("a", "b", 9.0)
-        wf.add_job("d")
-        wf.add_edge("c", "d", data=1.0)
-        assert wf.data_edges_changed_between(v0, wf.version) is None
-        # but a window entirely after the structural change is fine again
-        v1 = wf.version
-        wf.set_data("c", "d", 3.0)
-        assert wf.data_edges_changed_between(v1, wf.version) == [("c", "d")]
-
-    def test_inverted_range_is_none(self):
-        wf = self._chain()
-        assert wf.data_edges_changed_between(wf.version + 1, wf.version) is None
-
-    def test_structure_version_only_bumps_on_topology(self):
-        wf = self._chain()
         sv = wf.structure_version
         wf.set_data("a", "b", 7.0)
         assert wf.structure_version == sv
         wf.add_job("d")
         assert wf.structure_version == sv + 1
-
-    def test_log_overflow_falls_back_to_none(self):
-        wf = self._chain()
-        v0 = wf.version
-        limit = Workflow._MUTATION_LOG_LIMIT
-        for i in range(2 * limit + 1):
-            wf.set_data("a", "b", float(i + 1))
-        # the trimmed prefix is unreconstructible ...
-        assert wf.data_edges_changed_between(v0, wf.version) is None
-        # ... while the retained suffix still answers exactly
-        recent = wf.version - 10
-        assert wf.data_edges_changed_between(recent, wf.version) == [
-            ("a", "b")
-        ] * 10
 
 
 def _jobs(names="abcde"):
@@ -333,8 +282,6 @@ class TestSetDataMany:
         assert bulk.edges() == one.edges()
         assert bulk.version == version + 1
         assert bulk.structure() is structure
-        assert bulk.data_edges_changed_between(version, bulk.version) is None
-        assert bulk.data_edges_changed_between(bulk.version, bulk.version) == []
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -373,8 +320,10 @@ _ops = st.lists(
 )
 
 
-class TestMutationLogHistory:
-    """``data_edges_changed_between`` against a full-history oracle."""
+class TestVersionHistory:
+    """Every accepted mutation bumps ``version`` once; a rejected call or an
+    empty batch changes nothing; only job and edge changes bump
+    ``structure_version``."""
 
     @staticmethod
     def _apply(wf, op):
@@ -394,24 +343,18 @@ class TestMutationLogHistory:
 
     @settings(max_examples=200, deadline=None)
     @given(_ops)
-    def test_answers_equal_the_full_history(self, ops):
+    def test_one_bump_per_accepted_mutation(self, ops):
         wf = _jobs(_NAMES)
-        #: every mutation as (version_after, edge or None); ``None`` marks a
-        #: structural change or a bulk data update, which no edge list spans
-        history = [(version, None) for version in range(1, wf.version + 1)]
         for op in ops:
-            version = wf.version
+            version, structure_version = wf.version, wf.structure_version
             try:
                 self._apply(wf, op)
             except (KeyError, ValueError):
-                assert wf.version == version  # a rejected call changes nothing
+                # a rejected call changes nothing
+                assert (wf.version, wf.structure_version) == (version, structure_version)
                 continue
             if wf.version == version:
                 continue  # an empty batch
             assert wf.version == version + 1
-            edge = tuple(op[1]) if op[0] == "set_data" else None
-            history.append((wf.version, edge))
-        for old in range(wf.version + 1):
-            in_range = [edge for version, edge in history if version > old]
-            expected = None if None in in_range else in_range
-            assert wf.data_edges_changed_between(old, wf.version) == expected
+            structural = op[0] not in ("set_data", "set_data_many")
+            assert wf.structure_version == structure_version + structural
