@@ -48,8 +48,7 @@ oracle over the bundled wall clock, gated in quick mode too at
 ``adaptive_grow_3k`` (V=3000, V=1000 in quick mode; 10 → 30 resources over
 10 pool events) under ``tracemalloc`` and counts what its cost model keeps
 at the end:
-``pool_views_held`` (one per pool-keyed kind) and ``pair_cache_entries``
-(no per-pair copy of the column draws) are exact counts, and
+``pool_views_held`` (one per pool-keyed kind) is an exact count, and
 ``retained_ratio`` — the traced bytes freed by dropping the model's
 caches over the bytes of one current-pool rows view — is gated at
 ``MAX_PRICING_RETAINED_RATIO`` in quick mode too.
@@ -947,7 +946,7 @@ def measure_pricing_memory(
         result = facade_run(
             case.workflow, pool, mode="adaptive", costs=costs, strategy=AHEFTScheduler()
         )
-        held, pair_cache_entries = _held_prices(costs)
+        held = _held_prices(costs)
         gc.collect()
         holding = tracemalloc.get_traced_memory()[0]
         costs.invalidate_cache()
@@ -967,7 +966,6 @@ def measure_pricing_memory(
         "resources": len(final_pool),
         "makespan": result.makespan,
         "pool_views_held": len(held),
-        "pair_cache_entries": pair_cache_entries,
         "retained_mib": retained / 2**20,
         "retained_ratio": retained / rows_bytes,
     }
@@ -1369,7 +1367,7 @@ def render(results: Dict[str, object]) -> str:
     lines.append(
         f"pricing memory (adaptive AHEFT, V={m['v']}, {m['resources']} resources after "
         f"{m['pool_events']} pool events): {m['pool_views_held']} pool views held, "
-        f"{m['pair_cache_entries']} mirrored pairs, retained {m['retained_mib']:.1f} MiB = "
+        f"retained {m['retained_mib']:.1f} MiB = "
         f"{m['retained_ratio']:.2f}x one rows view (gate ≤ {MAX_PRICING_RETAINED_RATIO}x)"
     )
     g = results["structure_memory"]

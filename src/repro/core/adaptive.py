@@ -1682,7 +1682,6 @@ def _execute_static(
     history: Optional[PerformanceHistoryRepository] = None,
     simulate: bool = False,
     perf_profile=None,
-    departure_policy: str = "failover",
 ) -> AdaptiveRunResult:
     """Traditional static strategy: plan once on the initial pool.
 
@@ -1725,7 +1724,6 @@ def _execute_static(
             actual_costs=actual_costs,
             strategy_name=getattr(scheduler, "name", "static"),
             perf_profile=perf_profile,
-            departure_policy=departure_policy,
             history=history,
         )
         trace = executor.run()

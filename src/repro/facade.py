@@ -28,8 +28,8 @@ ready-made object, ``scenario`` a name or a
 the pool and performance profile, so ``pool`` is then replaced by the
 ``resources`` initial size.  Remaining keyword ``options`` are forwarded
 verbatim to the underlying runner: ``actual_costs=`` and ``history=`` in
-every single-workflow mode, ``simulate=`` and ``departure_policy=``
-(static), ``accept_only_if_better=`` and ``replan_on_deviation=``
+every single-workflow mode, ``simulate=`` (static),
+``accept_only_if_better=`` and ``replan_on_deviation=``
 (adaptive), and ``policy=``, ``tenant_weights=``,
 ``accept_only_if_better=``, ``scheduler_factory=``, ``credit_ledger=``
 and ``admission=`` for overload control (multi).

@@ -17,13 +17,28 @@ design (§4.1):
   using whatever resources exist at that moment; input transfers begin only
   after the mapping decision.
 
+Execution units
+---------------
+The static executor runs *execution units*: a job's primary copy (the
+unit is the job id, a ``str``) or one of the schedule's duplicate copies
+(the unit is the duplicate's index, an ``int``).  A duplicate occupies its
+booked slot in its resource's order, re-runs its job's computation and is
+one more source of the job's output, which is what the plan booked its
+consumers against.  Both kinds share one per-resource order, one
+``(producer, unit)`` arrival map, one launch and one completion handler;
+only a primary copy completes its job (trace record, Performance Monitor
+observation, failover source) and records its transfers to primary
+consumers.  Both executors share the rest of a run (:class:`_Run`):
+launching a unit's completion event, posting departures, the kill loop
+and the stall check.
+
 Departure semantics
 -------------------
 The paper's evaluation only exercises resource *additions*; the executors
 additionally honour departures (``Resource.available_until``, produced by
 ``leave_fraction`` dynamics and the scenario engine) end to end:
 
-* a **running** job on a departing resource is *killed* at the departure
+* a **running** unit on a departing resource is *killed* at the departure
   instant: its partial execution is recorded as wasted work
   (:meth:`~repro.simulation.trace.ExecutionTrace.wasted_work`) and the
   kill in :attr:`~repro.simulation.trace.ExecutionTrace.kills`, and the
@@ -33,13 +48,13 @@ additionally honour departures (``Resource.available_until``, produced by
 * a job finishing exactly at the departure instant completes normally.
 
 How the re-execution happens is strategy-specific.  The static executor
-applies its ``departure_policy``: ``"failover"`` (default) re-runs killed
-and stranded jobs just-in-time on the surviving resource that can finish
-them earliest — the honest baseline behaviour of grid middleware that
-resubmits failed jobs without replanning — while ``"fail"`` raises
-:class:`SimulationError`, for studies where a static plan losing a
-resource is a hard failure.  The just-in-time executor simply returns the
-job to the ready set and maps it again at the departure instant.
+fails killed and stranded jobs over just-in-time to the surviving
+resource that can finish them earliest — the honest baseline behaviour of
+grid middleware that resubmits failed jobs without replanning.  A
+duplicate copy lost to a departure is dropped, never failed over: the
+primary copy still guarantees completion, its consumers just wait for the
+slower source.  The just-in-time executor returns the job to the ready
+set and maps it again at the departure instant.
 
 Data produced by a finished job remains retrievable after its resource
 departs (outputs were already shipped under assumption 2; re-fetches are
@@ -72,7 +87,7 @@ completions with :func:`record_observation`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.resources.pool import ResourcePool
 from repro.scheduling.base import Schedule, TIME_EPS
@@ -87,6 +102,9 @@ __all__ = ["StaticScheduleExecutor", "JustInTimeExecutor"]
 #: Event priority of departure handlers: after same-time job finishes
 #: (priority 0), so a job finishing exactly at the departure completes.
 _DEPARTURE_PRIORITY = 1
+
+#: a job's primary copy (its id) or a duplicate copy (its index)
+Unit = Union[str, int]
 
 
 def dispatch_duration(
@@ -139,6 +157,102 @@ def record_observation(
     )
 
 
+class _Run:
+    """The steps both executors repeat, for one run of ``executor``.
+
+    Owns the event engine, the trace and the running units
+    (``in_flight``: unit -> (finish event, resource, start)).
+    """
+
+    def __init__(self, executor, core: Optional[EventCore], duplicates=()) -> None:
+        self.executor = executor
+        self.engine = core or EventCore()
+        self.trace = ExecutionTrace(
+            workflow_name=executor.workflow.name, strategy=executor.strategy_name
+        )
+        self.duplicates = duplicates
+        self.in_flight: Dict[Unit, Tuple[Event, str, float]] = {}
+
+    def job_of(self, unit: Unit) -> str:
+        return unit if isinstance(unit, str) else self.duplicates[unit].job_id
+
+    def launch(self, unit: Unit, rid: str, start: float, on_finish) -> float:
+        """Run ``unit`` on ``rid`` from ``start``; post its completion.
+
+        ``on_finish(unit, rid, start, finish)`` fires at the finish, which
+        is returned (the resource is busy until then).
+        """
+        job = self.job_of(unit)
+        executor = self.executor
+        finish = start + dispatch_duration(
+            executor.actual_costs, job, rid, start, executor.perf_profile
+        )
+
+        def complete() -> None:
+            self.in_flight.pop(unit, None)
+            on_finish(unit, rid, start, finish)
+
+        event = self.engine.post(
+            finish,
+            complete,
+            kind=EventKind.COMPLETION,
+            label=f"finish:{job}" if isinstance(unit, str) else f"finish-dup:{job}",
+        )
+        self.in_flight[unit] = (event, rid, start)
+        return finish
+
+    def post_pool_events(self, on_departure, on_join=None) -> None:
+        """Post ``on_departure(removed)`` after same-time finishes, and joins."""
+        for event in self.executor.pool.events():
+            if event.removed:
+                self.engine.post(
+                    event.time,
+                    lambda removed=event.removed: on_departure(removed),
+                    kind=EventKind.POOL_CHANGE,
+                    priority=_DEPARTURE_PRIORITY,
+                    label="pool-departure",
+                )
+            if event.added and on_join is not None:
+                self.engine.post(
+                    event.time,
+                    on_join,
+                    kind=EventKind.POOL_CHANGE,
+                    label="pool-change",
+                )
+
+    def kill(self, removed: Tuple[str, ...]) -> List[Unit]:
+        """Cancel the units running on any ``removed`` resource, in launch order."""
+        now = self.engine.now
+        killed: List[Unit] = []
+        for unit, (event, rid, start) in list(self.in_flight.items()):
+            if rid not in removed:
+                continue
+            event.cancel()
+            del self.in_flight[unit]
+            if start < now - TIME_EPS:
+                # execution actually began: its partial run is wasted
+                self.trace.record_kill(self.job_of(unit), rid, start, now)
+            # a launch whose start still lies in the future (input transfer
+            # under way) is silently re-queued — no work done
+            killed.append(unit)
+        return killed
+
+    def execute(
+        self, dispatch, finished: Set[str], stalled: str, more: str = "..."
+    ) -> ExecutionTrace:
+        """Bootstrap ``dispatch``, run every event and check all jobs finished."""
+        self.engine.post(self.engine.now, dispatch, label="bootstrap")
+        self.engine.run()
+        workflow = self.executor.workflow
+        if len(finished) != workflow.num_jobs:
+            missing = sorted(set(workflow.jobs) - finished)
+            raise SimulationError(
+                f"{stalled} stalled; unfinished jobs: {missing[:10]}"
+                + (more if len(missing) > 10 else "")
+            )
+        return self.trace
+
+
 class StaticScheduleExecutor:
     """Execute a static schedule event-by-event on the simulation kernel.
 
@@ -159,8 +273,6 @@ class StaticScheduleExecutor:
     perf_profile:
         Optional per-resource slowdown factors over time; scales actual
         durations at dispatch.
-    departure_policy:
-        ``"failover"`` (default) or ``"fail"`` — see the module docstring.
     """
 
     def __init__(
@@ -173,17 +285,11 @@ class StaticScheduleExecutor:
         actual_costs: Optional[CostModel] = None,
         strategy_name: str = "static",
         perf_profile=None,
-        departure_policy: str = "failover",
         history=None,
     ) -> None:
         missing = [job for job in workflow.jobs if job not in schedule]
         if missing:
             raise ValueError(f"schedule does not cover jobs: {missing}")
-        if departure_policy not in ("failover", "fail"):
-            raise ValueError(
-                f"unknown departure_policy {departure_policy!r}; "
-                "choose 'failover' or 'fail'"
-            )
         self.workflow = workflow
         self.estimated_costs = estimated_costs
         self.actual_costs = actual_costs or estimated_costs
@@ -191,46 +297,31 @@ class StaticScheduleExecutor:
         self.pool = pool
         self.strategy_name = strategy_name
         self.perf_profile = perf_profile
-        self.departure_policy = departure_policy
         self.history = history
 
     # ------------------------------------------------------------------
     def run(self, *, core: Optional[EventCore] = None) -> ExecutionTrace:
         """Simulate the execution and return its trace."""
-        engine = core or EventCore()
-        trace = ExecutionTrace(
-            workflow_name=self.workflow.name, strategy=self.strategy_name
-        )
-
-        # Duplicate copies (duplication-based strategies) are first-class
-        # execution units: they occupy their booked slot in the per-resource
-        # order, re-run their job's computation, and provide its output as
-        # an additional data source — exactly what the plan booked its
-        # consumers against.  A duplicate lost to a departure is simply
-        # dropped (never failed over): the primary copy still guarantees
-        # completion, consumers just wait for the slower source.
+        workflow = self.workflow
         duplicates = self.schedule.duplicates
-        dup_preds: List[Tuple[str, ...]] = [
-            tuple(self.workflow.predecessors(d.job_id)) for d in duplicates
-        ]
-        dup_started: Set[int] = set()
-        dup_finished: Set[int] = set()
-        #: (producer, dup index) -> earliest arrival of the producer's data
-        #: on the duplicate's resource
-        dup_arrivals: Dict[Tuple[str, int], float] = {}
+        run = _Run(self, core, duplicates)
+        engine, trace = run.engine, run.trace
 
-        # per-resource execution order = schedule order by start time; units
-        # are primary job ids (str) or duplicate indices (int)
-        order_on_resource: Dict[str, List[object]] = {}
-        units_by_resource: Dict[str, List[Tuple[float, float, str, object]]] = {}
+        # per-resource execution order = schedule order by start time
+        order_on_resource: Dict[str, List[Unit]] = {}
+        units_by_resource: Dict[str, List[Tuple[float, float, str, Unit]]] = {}
         for assignment in self.schedule:
             units_by_resource.setdefault(assignment.resource_id, []).append(
                 (assignment.start, assignment.finish, assignment.job_id, assignment.job_id)
             )
+        #: producer -> the duplicates consuming its output, in index order
+        dup_consumers: Dict[str, List[int]] = {}
         for index, duplicate in enumerate(duplicates):
             units_by_resource.setdefault(duplicate.resource_id, []).append(
                 (duplicate.start, duplicate.finish, duplicate.job_id, index)
             )
+            for pred in workflow.predecessors(duplicate.job_id):
+                dup_consumers.setdefault(pred, []).append(index)
         for rid in sorted(units_by_resource):
             entries = sorted(units_by_resource[rid], key=lambda e: e[:3])
             order_on_resource[rid] = [entry[3] for entry in entries]
@@ -241,61 +332,30 @@ class StaticScheduleExecutor:
                 raise ValueError(f"schedule uses unknown resource {rid!r}")
             resource_free[rid] = self.pool.resource(rid).available_from
 
-        # data availability per edge: (producer, consumer) -> time at which the
-        # edge's data is available on the consumer's scheduled resource.  The
+        # data availability per edge: (producer, consuming unit) -> time at
+        # which the edge's data is available on the unit's resource.  The
         # data matrix is edge-specific (paper §3.4), so each dependency has
         # its own transfer.
-        arrivals: Dict[Tuple[str, str], float] = {}
-        started: Set[str] = set()
+        arrivals: Dict[Tuple[str, Unit], float] = {}
+        #: launched units; a finished duplicate stays, a killed unit leaves
+        started: Set[Unit] = set()
         finished: Set[str] = set()
         #: actual (resource, finish) of completed jobs, for failover re-fetches
         completed_on: Dict[str, Tuple[str, float]] = {}
-        #: running job -> (finish event, resource, start)
-        in_flight: Dict[str, Tuple[Event, str, float]] = {}
         #: jobs needing just-in-time failover, in strand/kill order
         failover_queue: List[str] = []
         departed: Set[str] = set()
 
-        def data_ready(job: str, now: float) -> bool:
-            for pred in self.workflow.predecessors(job):
-                when = arrivals.get((pred, job))
+        def data_ready(unit: Unit, now: float) -> bool:
+            for pred in workflow.predecessors(run.job_of(unit)):
+                when = arrivals.get((pred, unit))
                 if when is None or when > now + TIME_EPS:
                     return False
             return True
 
-        def dup_data_ready(index: int, now: float) -> bool:
-            for pred in dup_preds[index]:
-                when = dup_arrivals.get((pred, index))
-                if when is None or when > now + TIME_EPS:
-                    return False
-            return True
-
-        def launch(job: str, rid: str, start: float) -> None:
-            duration = dispatch_duration(self.actual_costs, job, rid, start, self.perf_profile)
-            finish = start + duration
-            started.add(job)
-            resource_free[rid] = finish
-            event = engine.post(
-                finish,
-                lambda j=job, r=rid, s=start, f=finish: on_finish(j, r, s, f),
-                kind=EventKind.COMPLETION,
-                label=f"finish:{job}",
-            )
-            in_flight[job] = (event, rid, start)
-
-        def launch_dup(index: int, rid: str, start: float) -> None:
-            job = duplicates[index].job_id
-            duration = dispatch_duration(self.actual_costs, job, rid, start, self.perf_profile)
-            finish = start + duration
-            dup_started.add(index)
-            resource_free[rid] = finish
-            event = engine.post(
-                finish,
-                lambda i=index, r=rid, s=start, f=finish: on_dup_finish(i, r, s, f),
-                kind=EventKind.COMPLETION,
-                label=f"finish-dup:{job}",
-            )
-            in_flight[("dup", index)] = (event, rid, start)
+        def launch(unit: Unit, rid: str, start: float) -> None:
+            started.add(unit)
+            resource_free[rid] = run.launch(unit, rid, start, on_finish)
 
         def try_dispatch() -> None:
             now = engine.now
@@ -312,15 +372,7 @@ class StaticScheduleExecutor:
                 # departure handler will strand the remaining order
                 if not self.pool.resource(rid).is_available_at(now):
                     continue
-                if isinstance(unit, int):
-                    if not dup_data_ready(unit, now):
-                        continue
-                    next_index[rid] += 1
-                    launch_dup(unit, rid, max(now, resource_free[rid]))
-                    continue
-                if unit in started:
-                    continue
-                if not data_ready(unit, now):
+                if unit in started or not data_ready(unit, now):
                     continue
                 next_index[rid] += 1
                 launch(unit, rid, max(now, resource_free[rid]))
@@ -333,7 +385,7 @@ class StaticScheduleExecutor:
             while failover_queue and progress:
                 progress = False
                 for job in list(failover_queue):
-                    preds = self.workflow.predecessors(job)
+                    preds = workflow.predecessors(job)
                     if any(pred not in finished for pred in preds):
                         continue
                     survivors = [
@@ -398,178 +450,95 @@ class StaticScheduleExecutor:
                         )
                     progress = True
 
-        def ship_to_consumer_dups(producer: str, src: str, finish: float) -> None:
-            """Feed a finished copy of ``producer`` to waiting duplicates."""
-            for index, duplicate in enumerate(duplicates):
-                if index in dup_started or index in dup_finished:
+        def on_finish(unit: Unit, rid: str, start: float, finish: float) -> None:
+            job = run.job_of(unit)
+            primary = isinstance(unit, str)
+            if primary:
+                finished.add(job)
+                completed_on[job] = (rid, finish)
+                trace.record_job(job, rid, start, finish)
+                record_observation(
+                    self.history, workflow, self.estimated_costs,
+                    job, rid, start, finish, self.perf_profile,
+                )
+            else:
+                trace.record_duplicate(job, rid, start, finish)
+            # ship the output immediately to every consuming unit: the
+            # successors' scheduled resources, then the waiting duplicates
+            for consumer in (*workflow.successors(job), *dup_consumers.get(job, ())):
+                if isinstance(consumer, str):
+                    target = self.schedule.resource_of(consumer)
+                    until = self.pool.resource(target).available_until
+                    if until is not None and finish >= until - TIME_EPS:
+                        # the target already left the grid: no transfer
+                        # happens; the stranded successor re-fetches inputs
+                        # at failover
+                        continue
+                    label = f"arrival:{'' if primary else 'dup-'}{job}->{consumer}"
+                elif consumer in started:
                     continue
-                if producer not in dup_preds[index]:
-                    continue
-                target = duplicate.resource_id
+                else:
+                    target = duplicates[consumer].resource_id
+                    label = f"arrival:{job}->dup"
                 if target in departed:
                     continue
                 transfer = self.estimated_costs.communication_cost(
-                    producer, duplicate.job_id, src, target
+                    job, run.job_of(consumer), rid, target
                 )
                 arrival = finish + transfer
-                key = (producer, index)
-                current = dup_arrivals.get(key)
-                if current is None or arrival < current - TIME_EPS:
-                    dup_arrivals[key] = arrival
-                    if arrival > engine.now + TIME_EPS:
-                        engine.post(
-                            arrival,
-                            try_dispatch,
-                            kind=EventKind.TRANSFER,
-                            label=f"arrival:{producer}->dup",
-                        )
-
-        def on_finish(job: str, rid: str, start: float, finish: float) -> None:
-            finished.add(job)
-            in_flight.pop(job, None)
-            completed_on[job] = (rid, finish)
-            trace.record_job(job, rid, start, finish)
-            record_observation(
-                self.history, self.workflow, self.estimated_costs,
-                job, rid, start, finish, self.perf_profile,
-            )
-            # ship each output immediately to the successor's scheduled resource
-            for succ in self.workflow.successors(job):
-                target = self.schedule.resource_of(succ)
-                until = self.pool.resource(target).available_until
-                if target in departed or (until is not None and finish >= until - TIME_EPS):
-                    # the target already left the grid: no transfer happens;
-                    # the stranded successor re-fetches inputs at failover
+                key = (job, consumer)
+                current = arrivals.get(key)
+                # a primary's output to a primary consumer keeps an earlier
+                # (duplicate) source and records its transfer; any other
+                # copy replaces a source it beats by more than TIME_EPS
+                both_primary = primary and isinstance(consumer, str)
+                if both_primary:
+                    if current is not None and current <= arrival + TIME_EPS:
+                        continue
+                elif current is not None and not arrival < current - TIME_EPS:
                     continue
-                transfer = self.estimated_costs.communication_cost(job, succ, rid, target)
-                arrival = finish + transfer
-                current = arrivals.get((job, succ))
-                if current is not None and current <= arrival + TIME_EPS:
-                    continue  # a duplicate copy already provides the data sooner
-                arrivals[(job, succ)] = arrival
-                if transfer > 0:
+                arrivals[key] = arrival
+                if both_primary:
+                    if not transfer > 0:
+                        continue
                     trace.record_transfer(
-                        TransferRecord(job, succ, rid, target, finish, arrival)
+                        TransferRecord(job, consumer, rid, target, finish, arrival)
                     )
-                    engine.post(
-                        arrival,
-                        try_dispatch,
-                        kind=EventKind.TRANSFER,
-                        label=f"arrival:{job}->{succ}",
-                    )
-            ship_to_consumer_dups(job, rid, finish)
-            try_dispatch()
-
-        def on_dup_finish(index: int, rid: str, start: float, finish: float) -> None:
-            duplicate = duplicates[index]
-            job = duplicate.job_id
-            dup_finished.add(index)
-            in_flight.pop(("dup", index), None)
-            trace.record_duplicate(job, rid, start, finish)
-            # the duplicate's output is one more data source for the job's
-            # consumers — possibly earlier (and local) relative to the
-            # primary copy, which is exactly why the plan booked it
-            for succ in self.workflow.successors(job):
-                target = self.schedule.resource_of(succ)
-                until = self.pool.resource(target).available_until
-                if target in departed or (until is not None and finish >= until - TIME_EPS):
+                elif not arrival > engine.now + TIME_EPS:
                     continue
-                transfer = self.estimated_costs.communication_cost(job, succ, rid, target)
-                arrival = finish + transfer
-                current = arrivals.get((job, succ))
-                if current is None or arrival < current - TIME_EPS:
-                    arrivals[(job, succ)] = arrival
-                    if arrival > engine.now + TIME_EPS:
-                        engine.post(
-                            arrival,
-                            try_dispatch,
-                            kind=EventKind.TRANSFER,
-                            label=f"arrival:dup-{job}->{succ}",
-                        )
-            ship_to_consumer_dups(job, rid, finish)
+                engine.post(arrival, try_dispatch, kind=EventKind.TRANSFER, label=label)
             try_dispatch()
 
         def on_departure(removed: Tuple[str, ...]) -> None:
-            now = engine.now
-            impacted: List[str] = []
-            removed_set = set(removed)
-            departed.update(removed_set)
-            # Kill the running jobs on *any* removed resource — including
+            departed.update(removed)
+            # Kill the running units on *any* removed resource — including
             # failover targets that never appeared in the original schedule.
-            for unit, (event, job_rid, start) in list(in_flight.items()):
-                if job_rid not in removed_set:
-                    continue
-                event.cancel()
-                del in_flight[unit]
-                if isinstance(unit, tuple):
-                    # a running duplicate dies with its resource: the partial
-                    # re-execution is wasted work, but the primary copy still
-                    # guarantees completion, so nothing fails over
-                    index = unit[1]
-                    dup_started.discard(index)
-                    if start < now - TIME_EPS:
-                        trace.record_kill(duplicates[index].job_id, job_rid, start, now)
-                    continue
-                job = unit
-                started.discard(job)
-                if start < now - TIME_EPS:
-                    # execution actually began: its partial run is wasted
-                    trace.record_kill(job, job_rid, start, now)
-                # a launch whose start still lies in the future (input
-                # transfer under way) is silently re-queued — no work done
-                impacted.append(job)
-                failover_queue.append(job)
-            # Strand the not-yet-started remainder of each scheduled order;
-            # stranded duplicates are dropped, never failed over.
-            for rid in removed_set:
+            # A killed duplicate's partial re-execution is wasted work, but
+            # the primary copy still guarantees completion: only primaries
+            # fail over.
+            for unit in run.kill(removed):
+                started.discard(unit)
+                if isinstance(unit, str):
+                    failover_queue.append(unit)
+            # Strand the not-yet-started remainder of each scheduled order, in
+            # the departure's own resource order (never set order, which
+            # would follow the string hash seed); stranded duplicates are
+            # dropped, never failed over.
+            for rid in dict.fromkeys(removed):
                 order = order_on_resource.get(rid)
                 if order is None:
                     continue
-                stranded = [
-                    job
-                    for job in order[next_index[rid]:]
-                    if isinstance(job, str)
-                    and job not in started
-                    and job not in finished
-                ]
-                next_index[rid] = len(order)
-                impacted.extend(stranded)
-                failover_queue.extend(stranded)
-            if impacted and self.departure_policy == "fail":
-                raise SimulationError(
-                    f"resources {sorted(set(removed))} departed at {now} with "
-                    f"work assigned (jobs {impacted}); departure_policy='fail'"
+                failover_queue.extend(
+                    unit
+                    for unit in order[next_index[rid]:]
+                    if isinstance(unit, str) and unit not in started and unit not in finished
                 )
+                next_index[rid] = len(order)
             try_dispatch()
 
         # pool-change events: joins unblock dispatch, departures kill/strand
-        for event in self.pool.events():
-            if event.removed:
-                engine.post(
-                    event.time,
-                    lambda removed=event.removed: on_departure(removed),
-                    kind=EventKind.POOL_CHANGE,
-                    priority=_DEPARTURE_PRIORITY,
-                    label="pool-departure",
-                )
-            if event.added:
-                engine.post(
-                    event.time,
-                    try_dispatch,
-                    kind=EventKind.POOL_CHANGE,
-                    label="pool-change",
-                )
-
-        engine.post(engine.now, try_dispatch, label="bootstrap")
-        engine.run()
-
-        if len(finished) != self.workflow.num_jobs:
-            missing = sorted(set(self.workflow.jobs) - finished)
-            raise SimulationError(
-                f"execution stalled; unfinished jobs: {missing[:10]}"
-                + ("..." if len(missing) > 10 else "")
-            )
-        return trace
+        run.post_pool_events(on_departure, on_join=try_dispatch)
+        return run.execute(try_dispatch, finished, "execution")
 
 
 class JustInTimeExecutor:
@@ -610,17 +579,13 @@ class JustInTimeExecutor:
 
     # ------------------------------------------------------------------
     def run(self, *, core: Optional[EventCore] = None) -> ExecutionTrace:
-        engine = core or EventCore()
-        trace = ExecutionTrace(
-            workflow_name=self.workflow.name, strategy=self.strategy_name
-        )
+        run = _Run(self, core)
+        engine, trace = run.engine, run.trace
 
         finished: Set[str] = set()
         mapped: Set[str] = set()
         data_location: Dict[str, str] = {}
         resource_free: Dict[str, float] = {}
-        #: running job -> (finish event, resource, start)
-        in_flight: Dict[str, Tuple[Event, str, float]] = {}
 
         def ready_jobs() -> List[str]:
             out = []
@@ -661,49 +626,25 @@ class JustInTimeExecutor:
                 data_location=data_location,
             )
             for planned in assignments:
-                mapped.add(planned.job_id)
+                job, rid = planned.job_id, planned.resource_id
+                mapped.add(job)
                 # With accurate estimates the planned start is already
                 # feasible; with perturbed actual costs (or a slowdown
                 # factor) the resource may still be busy, so the start is
                 # pushed back accordingly.
-                start = max(planned.start, resource_free.get(planned.resource_id, 0.0))
-                duration = dispatch_duration(
-                    self.actual_costs,
-                    planned.job_id,
-                    planned.resource_id,
-                    start,
-                    self.perf_profile,
-                )
-                finish = start + duration
-                resource_free[planned.resource_id] = finish
+                start = max(planned.start, resource_free.get(rid, 0.0))
+                resource_free[rid] = run.launch(job, rid, start, on_finish)
                 # record input transfers initiated at the decision time
-                for pred in self.workflow.predecessors(planned.job_id):
+                for pred in self.workflow.predecessors(job):
                     src = data_location[pred]
-                    transfer = self.costs.communication_cost(
-                        pred, planned.job_id, src, planned.resource_id
-                    )
+                    transfer = self.costs.communication_cost(pred, job, src, rid)
                     if transfer > 0:
                         trace.record_transfer(
-                            TransferRecord(
-                                pred,
-                                planned.job_id,
-                                src,
-                                planned.resource_id,
-                                now,
-                                now + transfer,
-                            )
+                            TransferRecord(pred, job, src, rid, now, now + transfer)
                         )
-                event = engine.post(
-                    finish,
-                    lambda a=planned, s=start, f=finish: on_finish(a.job_id, a.resource_id, s, f),
-                    kind=EventKind.COMPLETION,
-                    label=f"finish:{planned.job_id}",
-                )
-                in_flight[planned.job_id] = (event, planned.resource_id, start)
 
         def on_finish(job: str, rid: str, start: float, finish: float) -> None:
             finished.add(job)
-            in_flight.pop(job, None)
             data_location[job] = rid
             trace.record_job(job, rid, start, finish)
             record_observation(
@@ -713,40 +654,10 @@ class JustInTimeExecutor:
             dispatch()
 
         def on_departure(removed: Tuple[str, ...]) -> None:
-            now = engine.now
-            removed_set = set(removed)
-            killed: List[str] = []
-            for job, (event, rid, start) in list(in_flight.items()):
-                if rid not in removed_set:
-                    continue
-                event.cancel()
-                del in_flight[job]
-                mapped.discard(job)
-                if start < now - TIME_EPS:
-                    # execution actually began: its partial run is wasted
-                    trace.record_kill(job, rid, start, now)
-                # a mapping whose start still lies in the future (input
-                # transfer under way) is silently re-queued — no work done
-                killed.append(job)
+            killed = run.kill(removed)
+            mapped.difference_update(killed)
             if killed:
                 dispatch()
 
-        for event in self.pool.events():
-            if event.removed:
-                engine.post(
-                    event.time,
-                    lambda removed=event.removed: on_departure(removed),
-                    kind=EventKind.POOL_CHANGE,
-                    priority=_DEPARTURE_PRIORITY,
-                    label="pool-departure",
-                )
-
-        engine.post(engine.now, dispatch, label="bootstrap")
-        engine.run()
-
-        if len(finished) != self.workflow.num_jobs:
-            missing = sorted(set(self.workflow.jobs) - finished)
-            raise SimulationError(
-                f"dynamic execution stalled; unfinished jobs: {missing[:10]}"
-            )
-        return trace
+        run.post_pool_events(on_departure)
+        return run.execute(dispatch, finished, "dynamic execution", more="")

@@ -28,8 +28,8 @@ Two concrete models are provided:
   ``spawn_rng(seed, "wij", job, resource).uniform(...)``: a run prices the
   columns of every workflow it will plan ahead, in one
   :func:`price_columns` pass at grid open, and a
-  :meth:`CostModel.computation_matrix` call prices whatever columns are
-  still missing in one pass of its own.
+  :meth:`CostModel.computation_matrix` call or a scalar query prices
+  whatever columns are still missing in one pass of its own.
 """
 
 from __future__ import annotations
@@ -90,13 +90,11 @@ def _remember(entries: Dict, key: Tuple, builder):
     return held[1]
 
 
-def _held_prices(model: "CostModel") -> Tuple[List[Tuple], int]:
-    """Keys of the pool-keyed views ``model`` holds, and its single-draw pairs.
+def _held_prices(model: "CostModel") -> List[Tuple]:
+    """Keys of the pool-keyed views ``model`` holds.
 
-    At most one key per kind of :data:`POOL_KEYED_VIEWS`; the pair count
-    is that of :class:`HeterogeneousCostModel`'s per-pair cache (0 for the
-    other models).  Introspection for the memory tests and the kernel
-    benchmark.
+    At most one key per kind of :data:`POOL_KEYED_VIEWS`.  Introspection
+    for the memory tests and the kernel benchmark.
     """
     held = []
     for name in ("_structural_cache", "_dense_cache"):
@@ -104,7 +102,7 @@ def _held_prices(model: "CostModel") -> Tuple[List[Tuple], int]:
         if store is not None:
             entries = store["entries"]
             held.extend(entries[kind][0] for kind in sorted(POOL_KEYED_VIEWS.intersection(entries)))
-    return held, len(model.__dict__.get("_cache", ()))
+    return held
 
 
 def ascending_order(matrix) -> List:
@@ -638,8 +636,8 @@ class HeterogeneousCostModel(CostModel):
     missing (a resource the run could not know of) in one pass of its own.
     Either way the columns go to the model's column store, which is the
     one copy of those prices: :meth:`computation_cost` reads a pair from
-    its column when the resource has one, and otherwise draws it from
-    ``spawn_rng(seed, "wij", job, resource)`` into the per-pair cache.
+    its column, pricing the resource's column into the store first when it
+    has none.
     """
 
     def __init__(
@@ -675,17 +673,11 @@ class HeterogeneousCostModel(CostModel):
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.seed = int(seed)
-        #: pairs drawn one at a time, for resources without a priced column
-        self._cache: Dict[Tuple[str, str], float] = {}
 
     def cache_token(self) -> Optional[object]:
         # draws are deterministic in (seed, job, resource); in-place edits
         # of base_costs require invalidate_cache()
         return self._pricing_version
-
-    def invalidate_cache(self) -> None:
-        super().invalidate_cache()
-        self._cache.clear()  # per-(job, resource) draws derive from base_costs
 
     @property
     def has_uniform_communication(self) -> bool:
@@ -708,18 +700,10 @@ class HeterogeneousCostModel(CostModel):
                 i = store["index"].get(job_id)
                 if i is not None:
                     return column.item(i)
-        key = (job_id, resource_id)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        base = self.base_costs[job_id]
-        low, high = self._bounds(base)
-        if high > low:
-            cost = float(spawn_rng(self.seed, "wij", job_id, resource_id).uniform(low, high))
-        else:
-            cost = float(base)
-        self._cache[key] = cost
-        return cost
+        # no priced column: price the resource's column into the store (a
+        # job outside the workflow raises KeyError first)
+        i = self.workflow.structure().index[job_id]
+        return self.computation_columns([resource_id]).item(i)
 
     def _price_columns(self, resource_ids: Sequence[str]) -> "np.ndarray":
         """All ``jobs × resource_ids`` draws in one kernel pass: the
@@ -1057,6 +1041,9 @@ class ResourceBiasErrorModel(ErrorModel):
             raise ValueError("spread must be in [0, 1)")
         if self.jitter < 0 or self.jitter >= 1:
             raise ValueError("jitter must be in [0, 1)")
+        # resource -> bias, drawn once per resource; not a field, so
+        # equality, params() and replace() see the parameters only
+        object.__setattr__(self, "_biases", {})
 
     @property
     def magnitude(self) -> float:
@@ -1070,11 +1057,16 @@ class ResourceBiasErrorModel(ErrorModel):
         """The fixed truth bias of one resource (shared by all its jobs)."""
         if self.spread == 0:
             return 1.0
-        rng = spawn_rng(
-            self.seed, "error", self.name, self.replication, self.scope,
-            "bias", resource_id,
-        )
-        return float(rng.uniform(1.0 - self.spread, 1.0 + self.spread))
+        bias = self._biases.get(resource_id)
+        if bias is None:
+            rng = spawn_rng(
+                self.seed, "error", self.name, self.replication, self.scope,
+                "bias", resource_id,
+            )
+            bias = self._biases[resource_id] = float(
+                rng.uniform(1.0 - self.spread, 1.0 + self.spread)
+            )
+        return bias
 
     def _draw(self, rng: np.random.Generator, job_id: str, resource_id: str) -> float:
         factor = self.resource_bias(resource_id)

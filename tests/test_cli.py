@@ -8,6 +8,7 @@ usage/I/O errors.
 from __future__ import annotations
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -482,6 +483,23 @@ class TestCiLedgers:
     def test_ledger_matches_its_baseline(self, ci_ledger, capsys):
         name, out = ci_ledger
         baseline = ROOT / "benchmarks" / "baselines" / f"{name}.json"
+        assert main(["compare", str(baseline), str(out)]) == EXIT_OK, (
+            capsys.readouterr().out
+        )
+
+    def test_tournament_ledger_matches_its_baseline(self, tmp_path, monkeypatch, capsys):
+        """CI's ``repro run tournament -- --quick``, written to a temp dir: the
+        one ledger that runs duplicate copies through the plan-once executor
+        and every just-in-time mapper, under departures and estimate error."""
+        workflow = " ".join((ROOT / ".github/workflows/ci.yml").read_text().split())
+        assert "python -m repro run tournament -- --quick" in workflow
+        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+        bench = runpy.run_path(str(ROOT / "benchmarks" / "bench_tournament.py"))
+        monkeypatch.setitem(bench["publish"].__globals__, "RESULTS_DIR", tmp_path)
+        bench["run_matrix"](quick=True)
+        baseline = ROOT / "benchmarks" / "baselines" / "tournament_smoke.json"
+        out = tmp_path / "tournament_smoke.json"
+        capsys.readouterr()
         assert main(["compare", str(baseline), str(out)]) == EXIT_OK, (
             capsys.readouterr().out
         )

@@ -37,6 +37,7 @@ from repro.workflow.costs import (
     PerturbedCostModel,
     _held_prices,
 )
+from tests.test_price_ahead import _pair_draw
 
 CASE = generate_random_case(
     RandomDAGParameters(v=14, out_degree=0.25, ccr=1.0, beta=0.5), seed=3
@@ -292,11 +293,10 @@ class TestOneViewPerPool:
         assert result.makespan > 0
         resources = pool.all_resource_ids()
         assert len(resources) > 6, "the pool never grew"
-        held, pairs = _held_prices(case.costs)
+        held = _held_prices(case.costs)
         assert sorted(key[0] for key in held) == sorted(POOL_KEYED_VIEWS)
         # all of them on one pool: the last one the Planner replanned on
         assert len({key[1] for key in held}) == 1
-        assert pairs == 0, "the column draws were mirrored per pair"
         # the structural store: one priced column per resource ever seen,
         # and the four structural views of the last pool (the ascending-cost
         # order is built by the insertion scan of AHEFT's placement)
@@ -312,22 +312,22 @@ class TestOneViewPerPool:
         _assert_same_views(first_a, _views(_prior(), POOL_A))
         _assert_same_views(views_b, _views(_prior(), POOL_B))
         _assert_same_views(again_a, first_a)
-        assert {key[1] for key in _held_prices(model)[0]} == {tuple(POOL_A)}
+        assert {key[1] for key in _held_prices(model)} == {tuple(POOL_A)}
 
     def test_invalidate_cache_reprices(self):
         model = _prior()
         before = model.computation_matrix(POOL_B).copy()
-        model.computation_cost(JOBS[0], "r9")  # one pair drawn on its own
+        model.computation_cost(JOBS[0], "r9")  # prices r9's column on its own
         job = JOBS[0]
         model.base_costs[job] *= 2.0
         model.invalidate_cache()
-        assert _held_prices(model) == ([], 0)
+        assert _held_prices(model) == []
         after = model.computation_matrix(POOL_B)
         assert not np.array_equal(after[0], before[0])
         assert np.array_equal(after[1:], before[1:])
         fresh = HeterogeneousCostModel(CASE.workflow, model.base_costs, beta=0.5, seed=11)
         assert np.array_equal(after, fresh.computation_matrix(POOL_B))
-        assert model.computation_cost(job, "r9") == fresh.computation_cost(job, "r9")
+        assert model.computation_cost(job, "r9") == _pair_draw(model, job, "r9")
         assert model.computation_cost(job, "r2") == after[0, 1]
 
 
@@ -363,17 +363,13 @@ class TestScalarsReadThePricedColumns:
         assert np.array_equal(
             prior.computation_columns(POOL_B), _prior().computation_matrix(POOL_B)
         )
-        if columns_first and kind in ("prior", "scaled"):
-            # the batch filled no per-pair mirror for the scalars to read
-            # (the ratio view's legacy records draw a few pairs on their own)
-            assert _held_prices(prior)[1] == 0
 
     def test_wrapper_prices_subsets_without_memoising_base_matrices(self):
         prior = _prior()
         prior.computation_matrix(POOL_A)
         ScaledCostModel(prior, PROFILE).computation_matrix(POOL_B)
         # the base still holds its own pool's views, not the wrapper's subset
-        assert {key[1] for key in _held_prices(prior)[0]} == {tuple(POOL_A)}
+        assert {key[1] for key in _held_prices(prior)} == {tuple(POOL_A)}
 
 
 class TestEdgeViewFollowsEdgeOrder:

@@ -153,22 +153,6 @@ class TestDepartureSemantics:
         assert trace.resource_of("a") == "r1"
         assert trace.makespan() > schedule.makespan()
 
-    def test_static_fail_policy_raises(
-        self, chain_workflow, chain_costs, departing_pool
-    ):
-        from repro.simulation.event_core import SimulationError
-
-        schedule = HEFTScheduler().schedule(chain_workflow, chain_costs, ["r1", "r2"])
-        executor = StaticScheduleExecutor(
-            chain_workflow,
-            chain_costs,
-            schedule,
-            departing_pool,
-            departure_policy="fail",
-        )
-        with pytest.raises(SimulationError, match="departed"):
-            executor.run()
-
     def test_job_finishing_exactly_at_departure_completes(
         self, chain_workflow, chain_costs
     ):

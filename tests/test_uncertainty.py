@@ -47,6 +47,7 @@ from repro.scheduling.validation import (
     validate_schedule,
 )
 from repro.utils import rng as rng_module
+from repro.workflow import costs as costs_module
 from repro.workflow.costs import (
     ERROR_MODELS,
     ErrorModel,
@@ -119,6 +120,28 @@ class TestErrorModelSampling:
         bias = model.resource_bias("r2")
         for i in range(8):
             assert model.factor(f"j{i}", "r2") == bias
+
+    def test_resource_bias_is_drawn_once_per_resource(self, monkeypatch):
+        model = registry.make("error_model", "resource_bias", magnitude=0.4, seed=7)
+        twin = registry.make("error_model", "resource_bias", magnitude=0.4, seed=7)
+        biases = {rid: twin.resource_bias(rid) for rid in ("r1", "r2")}
+        streams = []
+        spawn_rng = costs_module.spawn_rng
+
+        def counting_spawn_rng(root, *tokens):
+            streams.append(tokens[-2])
+            return spawn_rng(root, *tokens)
+
+        monkeypatch.setattr(costs_module, "spawn_rng", counting_spawn_rng)
+        for i in range(6):
+            for rid in ("r1", "r2"):
+                assert model.factor(f"j{i}", rid) == biases[rid]
+        assert streams.count("bias") == 2
+        # the memo is no parameter: equal models, same params, fresh copies
+        assert model == twin and hash(model) == hash(twin)
+        assert model.params() == twin.params()
+        assert model.scoped("t1").resource_bias("r1") == twin.scoped("t1").resource_bias("r1")
+        assert pickle.loads(pickle.dumps(model)).resource_bias("r2") == biases["r2"]
 
     def test_registry_rejects_unknown_names(self):
         with pytest.raises(KeyError):

@@ -13,8 +13,8 @@ from repro.workflow.costs import (
     HeterogeneousCostModel,
     TabularCostModel,
     UniformCostModel,
-    _held_prices,
 )
+from tests.test_price_ahead import _pair_draw
 
 #: NaN and both infinities: pricing inputs the models must refuse by name
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -237,6 +237,12 @@ def _count_draws(monkeypatch):
     return counts
 
 
+def _pair_matrix(model, rids):
+    """The per-pair ``w[i][j]`` streams of ``model``, drawn here."""
+    jobs = model.workflow.structure().jobs
+    return np.array([[_pair_draw(model, job, rid) for rid in rids] for job in jobs])
+
+
 class TestBatchedComputationMatrix:
     """``computation_matrix`` prices new columns in one batched draw that
     must agree with the per-pair ``computation_cost`` stream bit for bit."""
@@ -252,18 +258,25 @@ class TestBatchedComputationMatrix:
         self, make_case, monkeypatch
     ):
         model = make_case(v=40, seed=3).costs
-        fresh = make_case(v=40, seed=3).costs
         counts = _count_draws(monkeypatch)
         matrix = model.computation_matrix(self.RIDS)
         assert counts == {"wij": 0, "batches": 1}
-        # scalar queries read the priced columns: they draw nothing, and
-        # the batch left no per-pair copy of its draws
+        # scalar queries read the priced columns: they draw nothing
         assert np.array_equal(matrix, self._scalar_matrix(model, self.RIDS))
         assert counts == {"wij": 0, "batches": 1}
-        assert _held_prices(model)[1] == 0
-        # and equals a model that never took the batched path
-        assert np.array_equal(matrix, self._scalar_matrix(fresh, self.RIDS))
-        assert counts["wij"] == 40 * len(self.RIDS)
+        # and equal the per-pair streams
+        assert np.array_equal(matrix, _pair_matrix(model, self.RIDS))
+
+    def test_scalar_miss_prices_the_column(self, make_case, monkeypatch):
+        model = make_case(v=40, seed=3).costs
+        counts = _count_draws(monkeypatch)
+        job = model.workflow.jobs[5]
+        assert model.computation_cost(job, "r7") == _pair_draw(model, job, "r7")
+        assert counts == {"wij": 0, "batches": 1}
+        assert sorted(model._structural_cache["columns"]) == ["r7"]
+        # the rest of the column is read, not drawn
+        assert np.array_equal(self._scalar_matrix(model, ["r7"]), _pair_matrix(model, ["r7"]))
+        assert counts == {"wij": 0, "batches": 1}
 
     def test_scalar_first_matches_batch(self, make_case):
         model = make_case(v=40, seed=4).costs
@@ -302,26 +315,24 @@ class TestBatchedComputationMatrix:
         assert np.array_equal(after[:-1], before)
         assert np.array_equal(after, self._scalar_matrix(model, self.RIDS))
 
-    def test_scalar_of_a_job_outside_the_workflow_draws_it(self, make_case):
+    def test_scalar_of_a_job_outside_the_workflow_raises(self, make_case):
         case = make_case(v=20, seed=8)
         base_costs = {**case.costs.base_costs, "spare": 7.5}
         model = HeterogeneousCostModel(case.workflow, base_costs, beta=0.5, seed=2)
-        fresh = HeterogeneousCostModel(case.workflow, base_costs, beta=0.5, seed=2)
         model.computation_matrix(self.RIDS)  # priced columns lack "spare"
-        for rid in self.RIDS:
-            assert model.computation_cost("spare", rid) == fresh.computation_cost("spare", rid)
+        for rid in (self.RIDS[0], "r9"):
+            with pytest.raises(KeyError):
+                model.computation_cost("spare", rid)
 
     def test_scalars_after_add_job_before_any_rebuild(self, make_case):
         model = make_case(v=30, seed=9).costs
-        fresh = make_case(v=30, seed=9).costs
         model.computation_matrix(self.RIDS)
-        for costs in (model, fresh):
-            costs.workflow.add_job("late")
-            costs.base_costs["late"] = 12.5
+        model.workflow.add_job("late")
+        model.base_costs["late"] = 12.5
         # the columns priced before the edit still serve the old jobs, and
-        # the new job is drawn on its own
+        # the new job's query prices its resource's column again
         assert np.array_equal(
-            self._scalar_matrix(model, self.RIDS), self._scalar_matrix(fresh, self.RIDS)
+            self._scalar_matrix(model, self.RIDS), _pair_matrix(model, self.RIDS)
         )
 
     @pytest.mark.parametrize("beta, base", [(0.0, 10.0), (1.0, 0.0)])
